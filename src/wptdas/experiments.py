@@ -44,7 +44,7 @@ from .protocol import (
 from .rectenna import RectennaConfig
 from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
 from .scheduler import UserState, run_tdma
-from .selection import STRATEGIES, CandidateMatrix, apply_strategy
+from .selection import STRATEGIES, check_powers, select_pairs
 from .signal_chain import dc_power_matrix
 
 RESULT_COLUMNS = "M,N,strategy,user,avg_pdc_watts,stderr_watts,realizations,seed"
@@ -111,6 +111,8 @@ class ExperimentConfig:
         object.__setattr__(self, "user_loss_db", tuple(float(x) for x in self.user_loss_db))
         if self.realizations < 1:
             raise ValidationError("realizations must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValidationError("seed must be an unsigned 64-bit value")
         if self.users < 1:
             raise ValidationError("users must be >= 1")
         if not self.antenna_sweep or not self.frequency_sweep:
@@ -204,35 +206,56 @@ def _sweep_cells(cfg: ExperimentConfig):
             yield m, k, nested_frequency_indices(cfg.grid.count, k)
 
 
+def _dc_tensor(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
+    """Steady-state dc powers of realizations [r0, r1), shape (R, U, M_max, N).
+
+    One channel draw from its own substream per realization and user, so a
+    realization's numbers do not depend on the chunk that computes it.
+    """
+    dc = np.empty((r1 - r0, cfg.users, cfg.max_antennas, cfg.grid.count))
+    for r in range(r0, r1):
+        for u in range(cfg.users):
+            ch = sample_channel(cfg.profile, cfg.max_antennas,
+                                substream(cfg.seed, DOMAIN_CHANNEL, r, u))
+            dc[r - r0, u] = dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve,
+                                            cfg.loss_for_user(u))
+    return dc
+
+
+def _cell_values(cfg: ExperimentConfig, dc: np.ndarray) -> dict:
+    """Per-realization strategy values from a (R, U, M_max, N) dc tensor.
+
+    Returns {(m, k, strategy): array of shape (R, users)}. User u's value is
+    the round average of its own selection plus, for every other user v in
+    ascending order, what u harvests passively at v's selected pair.
+    """
+    dc = check_powers(dc)
+    n_real, users = dc.shape[:2]
+    rows = np.arange(n_real)[:, None, None]
+    user = np.arange(users)
+    out = {}
+    for m, k, cols in _sweep_cells(cfg):
+        sub = dc[:, :, :m][..., cols]
+        for strategy in cfg.strategies:
+            a, f = select_pairs(sub, strategy)
+            # harvest[r, u, v]: user u's power at the pair user v selected
+            harvest = sub[rows, user[:, None], a[:, None, :], f[:, None, :]]
+            own = harvest[:, user, user]
+            harvest[:, user, user] = 0.0
+            passive = np.zeros((n_real, users))
+            for v in range(users):  # one add per user, as a scalar sum would
+                passive += harvest[:, :, v]
+            out[(m, k, strategy)] = (own + passive) / users
+    return out
+
+
 def _sweep_chunk(args) -> dict:
     """Per-realization strategy values for realizations [r0, r1).
 
     Returns {(m, k, strategy): array of shape (r1 - r0, users)}.
     """
     cfg, r0, r1 = args
-    cells = list(_sweep_cells(cfg))
-    out = {(m, k, s): np.zeros((r1 - r0, cfg.users))
-           for m, k, _ in cells for s in cfg.strategies}
-    for r in range(r0, r1):
-        mats = []
-        for u in range(cfg.users):
-            ch = sample_channel(cfg.profile, cfg.max_antennas,
-                                substream(cfg.seed, DOMAIN_CHANNEL, r, u))
-            mats.append(dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve,
-                                        cfg.loss_for_user(u)))
-        for m, k, cols in cells:
-            subs = [mat[:m][:, cols] for mat in mats]
-            for strategy in cfg.strategies:
-                decisions = [apply_strategy(CandidateMatrix.from_powers(sub), strategy)
-                             for sub in subs]
-                for u in range(cfg.users):
-                    own = decisions[u].value
-                    passive = sum(
-                        float(subs[u][decisions[v].antenna - 1, decisions[v].frequency - 1])
-                        for v in range(cfg.users) if v != u
-                    )
-                    out[(m, k, strategy)][r - r0, u] = (own + passive) / cfg.users
-    return out
+    return _cell_values(cfg, _dc_tensor(cfg, r0, r1))
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:

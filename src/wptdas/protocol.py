@@ -28,13 +28,7 @@ import numpy as np
 from .channel import ChannelRealization, FrequencyGrid, LinkBudget
 from .errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError
 from .rectenna import RectennaConfig, settling_energy
-from .selection import (
-    PROVENANCE_ADC,
-    CandidateMatrix,
-    SelectionDecision,
-    middle_index,
-    select_joint,
-)
+from .selection import CandidateMatrix, SelectionDecision, middle_index, select_joint
 from .signal_chain import dc_power_matrix
 
 FEEDBACK_BITS = 6
@@ -310,8 +304,7 @@ def run_frame(ch: ChannelRealization, grid: FrequencyGrid, budget: LinkBudget,
             adc_powers[m - 1, n - 1] = sample * sample / rect.load_ohms
             t = slot_end
 
-    matrix = CandidateMatrix.from_powers(adc_powers, PROVENANCE_ADC)
-    selection = select_joint(matrix)
+    selection = select_joint(CandidateMatrix.from_powers(adc_powers))
     code = encode_feedback(selection.antenna, selection.frequency, (m_total, n_total))
     fb_delivered = link.deliver(rng)
     messages.append(ControlMessage("feedback", t, code=code))

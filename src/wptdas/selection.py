@@ -18,13 +18,55 @@ from .errors import ValidationError
 
 STRATEGIES = ("none", "frequency_only", "antenna_only", "joint")
 
-PROVENANCE_STEADY = "steady"
-PROVENANCE_ADC = "adc"
-
 
 def middle_index(count: int) -> int:
     """Default fixed frequency for the single-frequency baselines (1-based)."""
     return (count + 1) // 2
+
+
+def check_powers(values) -> np.ndarray:
+    """``values`` as a float array of candidate powers; rejects bad entries.
+
+    The trailing two axes are (antennas, frequencies); leading axes, if any,
+    are batch axes. Every entry must be finite and >= 0.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim < 2 or v.size == 0:
+        raise ValidationError("candidate matrix must be 2-D and non-empty")
+    if not np.all(np.isfinite(v)) or np.any(v < 0):
+        raise ValidationError("candidate powers must be finite and >= 0")
+    return v
+
+
+def select_pairs(values: np.ndarray, strategy: str, fixed_antenna: int = 1,
+                 fixed_frequency: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Apply ``strategy`` over the trailing (M, N) axes of checked powers.
+
+    Returns 0-based antenna and frequency index arrays with the shape of the
+    leading axes. Ties go to the first index: joint scans the flattened M x N
+    axes row-major, so the lowest antenna wins, then the lowest frequency.
+    ``values`` must already have passed :func:`check_powers`.
+    """
+    *batch, m_total, n_total = values.shape
+    if fixed_frequency is None:
+        fixed_frequency = middle_index(n_total)
+    if strategy == "joint":
+        flat = values.reshape(*batch, m_total * n_total).argmax(axis=-1)
+        return np.divmod(flat, n_total)
+    if strategy == "frequency_only":
+        _check_index("antenna", fixed_antenna, m_total)
+        f = values[..., fixed_antenna - 1, :].argmax(axis=-1)
+        return np.full_like(f, fixed_antenna - 1), f
+    if strategy == "antenna_only":
+        _check_index("frequency", fixed_frequency, n_total)
+        a = values[..., fixed_frequency - 1].argmax(axis=-1)
+        return a, np.full_like(a, fixed_frequency - 1)
+    if strategy == "none":
+        _check_index("antenna", fixed_antenna, m_total)
+        _check_index("frequency", fixed_frequency, n_total)
+        return (np.full(batch, fixed_antenna - 1, dtype=np.intp),
+                np.full(batch, fixed_frequency - 1, dtype=np.intp))
+    raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
 @dataclass(frozen=True)
@@ -32,32 +74,16 @@ class CandidateMatrix:
     """(antennas x frequencies) candidate dc powers in watts."""
 
     values: np.ndarray
-    provenance: np.ndarray  # per-entry: PROVENANCE_STEADY or PROVENANCE_ADC
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 2 or v.size == 0:
+        v = check_powers(self.values)
+        if v.ndim != 2:
             raise ValidationError("candidate matrix must be 2-D and non-empty")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValidationError("candidate powers must be finite and >= 0")
-        prov = np.asarray(self.provenance)
-        if prov.shape != v.shape:
-            raise ValidationError("provenance must match the matrix shape")
-        object.__setattr__(self, "provenance", prov)
+        object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_powers(cls, values, provenance: str = PROVENANCE_STEADY) -> "CandidateMatrix":
-        v = np.asarray(values, dtype=float)
-        return cls(v, np.full(v.shape, provenance, dtype=object))
-
-    @property
-    def num_antennas(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def num_frequencies(self) -> int:
-        return int(self.values.shape[1])
+    def from_powers(cls, values) -> "CandidateMatrix":
+        return cls(values)
 
 
 @dataclass(frozen=True)
@@ -70,60 +96,35 @@ class SelectionDecision:
     strategy: str
 
 
+def apply_strategy(c: CandidateMatrix, strategy: str, fixed_antenna: int = 1,
+                   fixed_frequency: int | None = None) -> SelectionDecision:
+    """One matrix through :func:`select_pairs`, as a 1-based decision."""
+    a, f = select_pairs(c.values, strategy, fixed_antenna, fixed_frequency)
+    a, f = int(a), int(f)
+    return SelectionDecision(a + 1, f + 1, float(c.values[a, f]), strategy)
+
+
 def select_joint(c: CandidateMatrix) -> SelectionDecision:
     """Argmax over all entries (first maximum in row-major order wins)."""
-    flat = int(np.argmax(c.values))
-    m, n = divmod(flat, c.num_frequencies)
-    return SelectionDecision(m + 1, n + 1, float(c.values[m, n]), "joint")
+    return apply_strategy(c, "joint")
 
 
 def select_frequency_only(c: CandidateMatrix, fixed_antenna: int = 1) -> SelectionDecision:
     """Argmax over one antenna's row."""
-    _check_antenna(c, fixed_antenna)
-    row = c.values[fixed_antenna - 1]
-    n = int(np.argmax(row))
-    return SelectionDecision(fixed_antenna, n + 1, float(row[n]), "frequency_only")
+    return apply_strategy(c, "frequency_only", fixed_antenna)
 
 
 def select_antenna_only(c: CandidateMatrix, fixed_frequency: int | None = None) -> SelectionDecision:
     """Argmax over one frequency's column (defaults to the middle frequency)."""
-    if fixed_frequency is None:
-        fixed_frequency = middle_index(c.num_frequencies)
-    _check_frequency(c, fixed_frequency)
-    col = c.values[:, fixed_frequency - 1]
-    m = int(np.argmax(col))
-    return SelectionDecision(m + 1, fixed_frequency, float(col[m]), "antenna_only")
+    return apply_strategy(c, "antenna_only", fixed_frequency=fixed_frequency)
 
 
 def no_selection(c: CandidateMatrix, fixed_antenna: int = 1,
                  fixed_frequency: int | None = None) -> SelectionDecision:
     """The fixed (antenna, frequency) entry; the no-diversity baseline."""
-    if fixed_frequency is None:
-        fixed_frequency = middle_index(c.num_frequencies)
-    _check_antenna(c, fixed_antenna)
-    _check_frequency(c, fixed_frequency)
-    value = float(c.values[fixed_antenna - 1, fixed_frequency - 1])
-    return SelectionDecision(fixed_antenna, fixed_frequency, value, "none")
+    return apply_strategy(c, "none", fixed_antenna, fixed_frequency)
 
 
-def apply_strategy(c: CandidateMatrix, strategy: str, fixed_antenna: int = 1,
-                   fixed_frequency: int | None = None) -> SelectionDecision:
-    if strategy == "joint":
-        return select_joint(c)
-    if strategy == "frequency_only":
-        return select_frequency_only(c, fixed_antenna)
-    if strategy == "antenna_only":
-        return select_antenna_only(c, fixed_frequency)
-    if strategy == "none":
-        return no_selection(c, fixed_antenna, fixed_frequency)
-    raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-
-
-def _check_antenna(c: CandidateMatrix, antenna: int):
-    if not 1 <= antenna <= c.num_antennas:
-        raise ValidationError(f"antenna {antenna} out of range 1..{c.num_antennas}")
-
-
-def _check_frequency(c: CandidateMatrix, frequency: int):
-    if not 1 <= frequency <= c.num_frequencies:
-        raise ValidationError(f"frequency {frequency} out of range 1..{c.num_frequencies}")
+def _check_index(axis: str, index: int, count: int):
+    if not 1 <= index <= count:
+        raise ValidationError(f"{axis} {index} out of range 1..{count}")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.errors import ValidationError
@@ -21,7 +23,7 @@ from wptdas.experiments import (
 from wptdas.protocol import ControlLinkModel, FrameSchedule
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 from wptdas.rng import DOMAIN_CHANNEL, substream
-from wptdas.selection import CandidateMatrix, apply_strategy, select_joint
+from wptdas.selection import STRATEGIES, CandidateMatrix, apply_strategy, select_joint
 from wptdas.signal_chain import dc_power_matrix
 
 MODEL_E = builtin_profile("model-E-NLOS")
@@ -250,3 +252,89 @@ class TestPowerBudgetReport:
     def test_rejects_negative_powers(self):
         with pytest.raises(ValidationError):
             power_budget_report(train_avg_power_w=-1e-6)
+
+
+def scalar_reference_sweep(cfg):
+    """Per-realization values from one CandidateMatrix and decision per user, strategy and cell."""
+    values = {}
+    for r in range(cfg.realizations):
+        mats = [dc_power_matrix(sample_channel(cfg.profile, cfg.max_antennas,
+                                               substream(cfg.seed, DOMAIN_CHANNEL, r, u)),
+                                cfg.grid, cfg.budget, cfg.rect.curve, cfg.loss_for_user(u))
+                for u in range(cfg.users)]
+        for m in cfg.antenna_sweep:
+            for k in cfg.frequency_sweep:
+                cols = nested_frequency_indices(cfg.grid.count, k)
+                subs = [mat[:m][:, cols] for mat in mats]
+                for strategy in cfg.strategies:
+                    decisions = [apply_strategy(CandidateMatrix.from_powers(sub), strategy)
+                                 for sub in subs]
+                    arr = values.setdefault((m, k, strategy),
+                                            np.zeros((cfg.realizations, cfg.users)))
+                    for u in range(cfg.users):
+                        passive = sum(
+                            float(subs[u][decisions[v].antenna - 1, decisions[v].frequency - 1])
+                            for v in range(cfg.users) if v != u)
+                        arr[r, u] = (decisions[u].value + passive) / cfg.users
+    return values
+
+
+def stderr_of(x):
+    return float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+
+
+@st.composite
+def sweep_configs(draw, min_realizations=1):
+    count = draw(st.integers(1, 15))
+    antennas = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True))
+    freqs = draw(st.lists(st.integers(1, count), min_size=1, max_size=4, unique=True))
+    strategies = draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=4,
+                               unique=True))
+    users = draw(st.integers(1, 4))
+    losses = tuple(draw(st.lists(st.sampled_from((0.0, 3.0, 10.0)), min_size=users,
+                                 max_size=users)))
+    return small_cfg(grid=FrequencyGrid.uniform(count=count), antenna_sweep=antennas,
+                     frequency_sweep=freqs, strategies=strategies, users=users,
+                     user_loss_db=losses, realizations=draw(st.integers(min_realizations, 6)),
+                     seed=draw(st.integers(0, 2 ** 64 - 1)))
+
+
+class TestBatchedSweep:
+    # the process pool starts only from 4 realizations
+    @pytest.mark.parametrize("jobs,min_realizations,examples", [(1, 1, 40), (2, 4, 8)])
+    def test_equals_scalar_reference_exactly(self, jobs, min_realizations, examples):
+        @settings(max_examples=examples, deadline=None)
+        @given(sweep_configs(min_realizations))
+        def check(cfg):
+            res = run_sweep(cfg, jobs=jobs)
+            ref = scalar_reference_sweep(cfg)
+            for row in res.rows:
+                arr = ref[(row.m, row.n, row.strategy)]
+                x = arr.sum(axis=1) if row.user == SUM_USER else arr[:, row.user - 1]
+                assert (row.avg_pdc_w, row.stderr_w) == (float(x.mean()), stderr_of(x))
+            per_cell = cfg.users + (cfg.users > 1)
+            assert len(res.rows) == len(ref) * per_cell
+
+        check()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-9])
+    def test_bad_candidate_power_raises(self, monkeypatch, bad):
+        import wptdas.experiments as experiments
+
+        real = experiments.dc_power_matrix
+
+        def corrupted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[-1, 0] = bad
+            return out
+
+        monkeypatch.setattr(experiments, "dc_power_matrix", corrupted)
+        with pytest.raises(ValidationError):
+            run_sweep(small_cfg(users=2, realizations=3))
+
+    def test_seed_range_validated(self):
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValidationError):
+                small_cfg(seed=seed)
+        assert small_cfg(seed=2 ** 64 - 1).seed == 2 ** 64 - 1

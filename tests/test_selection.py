@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wptdas.errors import ValidationError
 from wptdas.selection import (
+    STRATEGIES,
     CandidateMatrix,
     apply_strategy,
+    check_powers,
     middle_index,
     no_selection,
     select_antenna_only,
     select_frequency_only,
     select_joint,
+    select_pairs,
 )
 
 
@@ -161,3 +167,79 @@ class TestProperties:
             mat([[1e-6, -1e-6]])
         with pytest.raises(ValidationError):
             mat([[np.inf]])
+
+
+SCALAR = {
+    "joint": select_joint,
+    "frequency_only": select_frequency_only,
+    "antenna_only": select_antenna_only,
+    "none": no_selection,
+}
+
+
+@st.composite
+def power_stacks(draw):
+    """(B, M, N) candidate powers; half the draws use 2-3 values, so ties are common."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 7)))
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.floats(0.0, 1e-5), min_size=2, max_size=3, unique=True))
+        elements = st.sampled_from(levels)
+    else:
+        elements = st.floats(0.0, 1e-5)
+    return draw(arrays(np.float64, shape, elements=elements))
+
+
+class TestSelectPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(power_stacks(), st.sampled_from(STRATEGIES))
+    def test_batched_equals_scalar(self, stack, strategy):
+        a, f = select_pairs(check_powers(stack), strategy)
+        assert a.shape == f.shape == stack.shape[:1]
+        for b, values in enumerate(stack):
+            c = mat(values)
+            d = SCALAR[strategy](c)
+            assert apply_strategy(c, strategy) == d
+            assert (a[b] + 1, f[b] + 1, values[a[b], f[b]]) == (d.antenna, d.frequency, d.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(power_stacks())
+    def test_ties_go_to_lowest_antenna_then_frequency(self, stack):
+        n_total = stack.shape[2]
+        fixed_f = middle_index(n_total) - 1
+        ja, jf = select_pairs(stack, "joint")
+        fa, ff = select_pairs(stack, "frequency_only")
+        aa, af = select_pairs(stack, "antenna_only")
+        for b, values in enumerate(stack):
+            flat = values.ravel()
+            j = ja[b] * n_total + jf[b]
+            assert flat[j] == flat.max() and np.all(flat[:j] < flat[j])
+            row = values[0]
+            assert (fa[b], row[ff[b]]) == (0, row.max()) and np.all(row[:ff[b]] < row[ff[b]])
+            col = values[:, fixed_f]
+            assert (af[b], col[aa[b]]) == (fixed_f, col.max()) and np.all(col[:aa[b]] < col[aa[b]])
+
+    def test_none_is_the_fixed_pair(self):
+        a, f = select_pairs(np.zeros((3, 2, 5)), "none", fixed_antenna=2, fixed_frequency=4)
+        assert a.tolist() == [1, 1, 1] and f.tolist() == [3, 3, 3]
+
+    def test_fixed_index_and_strategy_checked(self):
+        stack = np.zeros((2, 2, 3))
+        with pytest.raises(ValidationError):
+            select_pairs(stack, "frequency_only", fixed_antenna=3)
+        with pytest.raises(ValidationError):
+            select_pairs(stack, "antenna_only", fixed_frequency=4)
+        with pytest.raises(ValidationError):
+            select_pairs(stack, "beamforming")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9])
+    def test_check_powers_rejects_bad_batched_entries(self, bad):
+        stack = np.full((5, 4, 15), 1e-6)
+        stack[3, 2, 9] = bad
+        with pytest.raises(ValidationError):
+            check_powers(stack)
+
+    def test_check_powers_rejects_empty_and_1d(self):
+        with pytest.raises(ValidationError):
+            check_powers(np.empty((3, 0, 2)))
+        with pytest.raises(ValidationError):
+            check_powers(np.ones(4))
