@@ -149,9 +149,6 @@ class ChannelRealization:
     def num_taps(self) -> int:
         return int(self.delays_s.size)
 
-    def amplitudes(self) -> np.ndarray:
-        return np.abs(self.gains)
-
     def phases(self) -> np.ndarray:
         """Tap phases in [-pi, pi)."""
         p = np.angle(self.gains)

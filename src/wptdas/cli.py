@@ -152,8 +152,6 @@ def load_settings(config_path: str | None, seed_override: int | None = None) -> 
     seed = _get(cfg, "experiment", "seed", 1, int)
     if seed_override is not None:
         seed = seed_override
-    if not 0 <= seed < 2 ** 64:
-        raise ValidationError("seed must be an unsigned 64-bit value")
 
     experiment = ExperimentConfig(
         profile=profile, grid=grid, budget=budget, rect=rect,

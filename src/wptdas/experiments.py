@@ -134,7 +134,9 @@ class ExperimentConfig:
     def loss_for_user(self, u: int) -> float:
         return self.user_loss_db[u] if self.user_loss_db else 0.0
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, extra: tuple = ()) -> str:
+        """Short hash of every input that can change a result, with ``extra``
+        settings held outside the config (the protocol schedule, link, ADC)."""
         h = hashlib.sha256()
         for part in (
             self.profile.name,
@@ -150,12 +152,16 @@ class ExperimentConfig:
                   self.users, self.realizations, self.seed, self.user_loss_db)),
         ):
             h.update(part.encode() if isinstance(part, str) else part)
-        if self.rect.curve.source == "table":
-            h.update(self.rect.curve.table.tobytes())
+        curve = self.rect.curve
+        if curve.source == "table":
+            h.update(repr(curve.table.shape).encode())
+            for arr in (curve.power_axis_dbm, curve.freq_axis_hz, curve.table):
+                h.update(arr.tobytes())
         else:
-            h.update(repr((self.rect.curve.eta_peak, self.rect.curve.peak_dbm,
-                           self.rect.curve.rise_slope, self.rect.curve.breakdown_dbm,
-                           self.rect.curve.breakdown_slope)).encode())
+            h.update(repr((curve.eta_peak, curve.peak_dbm, curve.rise_slope,
+                           curve.breakdown_dbm, curve.breakdown_slope)).encode())
+        if extra:
+            h.update(repr(extra).encode())
         return h.hexdigest()[:16]
 
 
@@ -358,8 +364,10 @@ def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule | None =
             total = arr.sum(axis=1)
             rows.append(ResultRow(m, k, "joint", SUM_USER,
                                   float(total.mean()), _stderr(total)))
-    result = ExperimentResult(rows, cfg.realizations, cfg.seed, cfg.fingerprint(),
-                              kind="protocol")
+    adc_key = None if adc is None else (adc.bits, adc.v_ref)
+    config_hash = cfg.fingerprint((sched.slot_s, sched.wpt_s, link.drop_probability,
+                                   link.latency_s, adc_key))
+    result = ExperimentResult(rows, cfg.realizations, cfg.seed, config_hash, kind="protocol")
     return result, logs
 
 

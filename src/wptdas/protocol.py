@@ -98,17 +98,12 @@ class ControlLinkModel:
 
     drop_probability: float = 0.0
     latency_s: float = 0.0
-    channel_index: int = 16  # control rides the last channel of the plan
 
     def __post_init__(self):
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValidationError("drop_probability must be in [0, 1]")
         if self.latency_s < 0:
             raise ValidationError("latency_s must be >= 0")
-
-    @property
-    def is_ideal(self) -> bool:
-        return self.drop_probability == 0.0
 
     @property
     def latency_us(self) -> int:
@@ -158,9 +153,6 @@ class AdcModel:
 
 
 DEFAULT_ADC = AdcModel()
-
-EVENT_KINDS = ("SlotStart", "AdcSample", "MessageSent", "MessageDropped",
-               "FeedbackApplied", "WptPhaseStart", "FrameEnd")
 
 
 @dataclass(frozen=True)
@@ -228,6 +220,55 @@ class EventLog:
             fh.write(f"{e.t_us},{e.kind},{ant},{frq},{val}\n")
 
 
+def _blank_us(link: ControlLinkModel, n: int, slot_us: int) -> int:
+    """Blanked head of frequency ``n``'s training slot: the activation sent at
+    the start of its antenna block, ``n - 1`` slots earlier, takes effect one
+    link latency after it was sent."""
+    return min(max(link.latency_us - (n - 1) * slot_us, 0), slot_us)
+
+
+def harvest_training(emissions: list, v_tgt: np.ndarray, v: float, sched: FrameSchedule,
+                     link: ControlLinkModel,
+                     rect: RectennaConfig) -> tuple[float, list, float]:
+    """Settle one receiver from voltage ``v`` through the training slots of
+    :attr:`EventLog.emissions`, given its steady voltage ``v_tgt`` per pair.
+
+    An idle slot settles toward 0; an emitting slot settles toward 0 over
+    its blanked head, then toward the pair's target. Returns (energy,
+    voltage at each slot end, final voltage).
+    """
+    slot_us = sched.slot_us
+    energy = 0.0
+    v_ends = []
+    for ant, n in emissions:
+        blank_us = slot_us if ant is None else _blank_us(link, n, slot_us)
+        if blank_us > 0:
+            de, v = settling_energy(v, 0.0, blank_us * 1e-6, rect)
+            energy += de
+        if blank_us < slot_us:
+            de, v = settling_energy(v, float(v_tgt[ant - 1, n - 1]),
+                                    (slot_us - blank_us) * 1e-6, rect)
+            energy += de
+        v_ends.append(v)
+    return energy, v_ends, v
+
+
+def harvest_delivery(v: float, v_served: float, p_served: float, sched: FrameSchedule,
+                     link: ControlLinkModel, rect: RectennaConfig) -> tuple[float, float]:
+    """Energy and end voltage of one receiver over the delivery phase: it
+    settles toward 0 until the feedback takes effect one link latency in,
+    then harvests the served pair's steady power ``p_served`` and ends at
+    its steady voltage ``v_served``."""
+    wpt_us = sched.wpt_us
+    blank_us = min(link.latency_us, wpt_us)
+    de = 0.0
+    if blank_us > 0:
+        de, v = settling_energy(v, 0.0, blank_us * 1e-6, rect)
+    if wpt_us > blank_us:
+        v = v_served
+    return de + p_served * (wpt_us - blank_us) * 1e-6, v
+
+
 def _prior_pair(prior, n_total: int) -> tuple[int, int]:
     if prior is None:
         return 1, middle_index(n_total)
@@ -266,43 +307,28 @@ def run_frame(ch: ChannelRealization, grid: FrequencyGrid, budget: LinkBudget,
     v_tgt = np.sqrt(p_dc * rect.load_ohms)
 
     slot_us = sched.slot_us
-    latency_us = link.latency_us
+    delivered = [link.deliver(rng) for _ in range(m_total)]
+    emissions = [(m if delivered[m - 1] and _blank_us(link, n, slot_us) < slot_us else None, n)
+                 for m in range(1, m_total + 1) for n in range(1, n_total + 1)]
+    e_train, v_ends, v = harvest_training(emissions, v_tgt, float(v_initial),
+                                          sched, link, rect)
+    samples = v_ends if adc is None else [adc.quantize(x) for x in v_ends]
+    adc_powers = np.square(samples).reshape(m_total, n_total) / rect.load_ohms
+
     events: list[Event] = []
     messages: list[ControlMessage] = []
-    emissions: list[tuple[int | None, int]] = []
-    adc_powers = np.zeros((m_total, n_total))
-    v = float(v_initial)
-    e_train = 0.0
+    slot_samples = iter(samples)
     t = int(start_us)
-
     for m in range(1, m_total + 1):
-        delivered = link.deliver(rng)
         messages.append(ControlMessage("activate", t, antenna=m))
         events.append(Event(t, "MessageSent", antenna=m))
-        if not delivered:
+        if not delivered[m - 1]:
             events.append(Event(t, "MessageDropped", antenna=m))
-        emit_from = t + latency_us if delivered else None
         for n in range(1, n_total + 1):
             events.append(Event(t, "SlotStart", antenna=m, frequency=n))
-            slot_end = t + slot_us
-            if emit_from is None or emit_from >= slot_end:
-                de, v = settling_energy(v, 0.0, slot_us * 1e-6, rect)
-                e_train += de
-                emissions.append((None, n))
-            else:
-                if emit_from > t:
-                    de, v = settling_energy(v, 0.0, (emit_from - t) * 1e-6, rect)
-                    e_train += de
-                    emit_dur = (slot_end - emit_from) * 1e-6
-                else:
-                    emit_dur = slot_us * 1e-6
-                de, v = settling_energy(v, float(v_tgt[m - 1, n - 1]), emit_dur, rect)
-                e_train += de
-                emissions.append((m, n))
-            sample = adc.quantize(v) if adc is not None else v
-            events.append(Event(slot_end, "AdcSample", antenna=m, frequency=n, value=sample))
-            adc_powers[m - 1, n - 1] = sample * sample / rect.load_ohms
-            t = slot_end
+            t += slot_us
+            events.append(Event(t, "AdcSample", antenna=m, frequency=n,
+                                value=next(slot_samples)))
 
     selection = select_joint(CandidateMatrix.from_powers(adc_powers))
     code = encode_feedback(selection.antenna, selection.frequency, (m_total, n_total))
@@ -320,16 +346,8 @@ def run_frame(ch: ChannelRealization, grid: FrequencyGrid, budget: LinkBudget,
 
     applied_p = float(p_dc[applied_m - 1, applied_n - 1])
     events.append(Event(t, "WptPhaseStart", antenna=applied_m, frequency=applied_n))
-
-    wpt_us = sched.wpt_us
-    blank_us = min(latency_us, wpt_us) if latency_us > 0 else 0
-    if blank_us > 0:
-        de, v = settling_energy(v, 0.0, blank_us * 1e-6, rect)
-        e_wpt = de + applied_p * (wpt_us - blank_us) * 1e-6
-    else:
-        e_wpt = applied_p * wpt_us * 1e-6
-    if wpt_us > blank_us:
-        v = float(v_tgt[applied_m - 1, applied_n - 1])
+    e_wpt, v = harvest_delivery(v, float(v_tgt[applied_m - 1, applied_n - 1]), applied_p,
+                                sched, link, rect)
 
     end_us = start_us + sched.frame_us
     events.append(Event(end_us, "FrameEnd"))

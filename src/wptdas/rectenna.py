@@ -182,10 +182,6 @@ class RectennaConfig:
             raise ValidationError("settle_tau_s must be > 0")
 
 
-def efficiency(curve: EfficiencyCurve, p_rf_w, freq_hz):
-    return curve.efficiency(p_rf_w, freq_hz)
-
-
 def output_dc_power(p_rf_w, curve: EfficiencyCurve, freq_hz):
     """dc output power: input RF power times the efficiency at that power."""
     p = np.asarray(p_rf_w, dtype=float)

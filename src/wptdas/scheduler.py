@@ -21,8 +21,17 @@ import numpy as np
 
 from .channel import ChannelRealization, FrequencyGrid, LinkBudget, TapProfile, sample_channel
 from .errors import ValidationError
-from .protocol import DEFAULT_ADC, AdcModel, ControlLinkModel, EventLog, FrameSchedule, run_frame
-from .rectenna import RectennaConfig, settling_energy
+from .protocol import (
+    DEFAULT_ADC,
+    AdcModel,
+    ControlLinkModel,
+    EventLog,
+    FrameSchedule,
+    harvest_delivery,
+    harvest_training,
+    run_frame,
+)
+from .rectenna import RectennaConfig
 from .selection import SelectionDecision
 from .signal_chain import dc_power_matrix
 
@@ -41,7 +50,6 @@ class UserState:
     energy_j: float = 0.0
     voltage_v: float = 0.0
     frames_trained: int = 0
-    frame_powers_w: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -90,38 +98,13 @@ def _passive_harvest(user: UserState, log: EventLog, grid: FrequencyGrid,
     p_dc = dc_power_matrix(user.channel, grid, budget, user.rect.curve,
                            user.extra_loss_db)
     v_tgt = np.sqrt(p_dc * user.rect.load_ohms)
-    slot_s = sched.slot_us * 1e-6
-    latency_us = link.latency_us
-    v = user.voltage_v
-    energy = 0.0
-
-    for slot_idx, (ant, n) in enumerate(log.emissions):
-        if ant is None:
-            de, v = settling_energy(v, 0.0, slot_s, user.rect)
-            energy += de
-            continue
-        # emission starts latency after the activation at block start
-        offset_us = latency_us - (slot_idx % grid.count) * sched.slot_us
-        blank_us = min(max(offset_us, 0), sched.slot_us)
-        if blank_us > 0:
-            de, v = settling_energy(v, 0.0, blank_us * 1e-6, user.rect)
-            energy += de
-        de, v = settling_energy(v, float(v_tgt[ant - 1, n - 1]),
-                                (sched.slot_us - blank_us) * 1e-6, user.rect)
-        energy += de
-
-    applied_p = float(p_dc[log.applied_antenna - 1, log.applied_frequency - 1])
-    wpt_us = sched.wpt_us
-    blank_us = min(latency_us, wpt_us) if latency_us > 0 else 0
-    if blank_us > 0:
-        de, v = settling_energy(v, 0.0, blank_us * 1e-6, user.rect)
-        energy += de + applied_p * (wpt_us - blank_us) * 1e-6
-    else:
-        energy += applied_p * wpt_us * 1e-6
-    if wpt_us > blank_us:
-        v = float(v_tgt[log.applied_antenna - 1, log.applied_frequency - 1])
-    user.voltage_v = v
-    return energy, applied_p
+    e_train, _v_ends, v = harvest_training(log.emissions, v_tgt, user.voltage_v,
+                                           sched, link, user.rect)
+    served = (log.applied_antenna - 1, log.applied_frequency - 1)
+    applied_p = float(p_dc[served])
+    e_wpt, user.voltage_v = harvest_delivery(v, float(v_tgt[served]), applied_p,
+                                             sched, link, user.rect)
+    return e_train + e_wpt, applied_p
 
 
 def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
@@ -177,7 +160,6 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
         active.frames_trained += 1
         e_active = log.harvested_energy_j
         active.energy_j += e_active
-        active.frame_powers_w.append(e_active / frame_s)
         rows.append(TraceRow(i, active.user_id, True, log.applied_antenna,
                              log.applied_frequency, e_active / frame_s,
                              active.energy_j, log.applied_power_w))
@@ -187,7 +169,6 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
                 continue
             e_passive, p_served = _passive_harvest(u, log, grid, budget, sched, link)
             u.energy_j += e_passive
-            u.frame_powers_w.append(e_passive / frame_s)
             rows.append(TraceRow(i, u.user_id, False, log.applied_antenna,
                                  log.applied_frequency, e_passive / frame_s,
                                  u.energy_j, p_served))

@@ -20,7 +20,7 @@ from wptdas.experiments import (
     run_sweep,
     watts_to_dbm,
 )
-from wptdas.protocol import ControlLinkModel, FrameSchedule
+from wptdas.protocol import AdcModel, ControlLinkModel, FrameSchedule
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 from wptdas.rng import DOMAIN_CHANNEL, substream
 from wptdas.selection import STRATEGIES, CandidateMatrix, apply_strategy, select_joint
@@ -338,3 +338,38 @@ class TestBatchedSweep:
             with pytest.raises(ValidationError):
                 small_cfg(seed=seed)
         assert small_cfg(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
+class TestFingerprint:
+    def test_default_parametric_hash_is_stable(self):
+        cfg = ExperimentConfig(profile=MODEL_E, grid=FrequencyGrid.uniform())
+        assert cfg.fingerprint() == "ea1af8e37eab7b14"
+
+    def test_table_axes_and_shape_change_the_hash(self):
+        table = [[0.1], [0.2]]
+        curves = [
+            EfficiencyCurve.from_table([-20.0, 0.0], [2.44e9], table),
+            EfficiencyCurve.from_table([-10.0, 0.0], [2.44e9], table),
+            EfficiencyCurve.from_table([-20.0, 0.0], [2.45e9], table),
+            # same bytes as the first curve once its arrays are concatenated
+            EfficiencyCurve.from_table([-20.0], [0.0, 2.44e9], [[0.1, 0.2]]),
+        ]
+        hashes = {small_cfg(rect=RectennaConfig(curve=c)).fingerprint() for c in curves}
+        assert len(hashes) == len(curves)
+
+    def test_protocol_hash_covers_schedule_link_and_adc(self):
+        cfg = small_cfg(realizations=2, antenna_sweep=(1,), frequency_sweep=(1,))
+        variants = [
+            {},
+            {"link": ControlLinkModel(drop_probability=0.1)},
+            {"link": ControlLinkModel(drop_probability=0.9)},
+            {"link": ControlLinkModel(latency_s=0.01)},
+            {"sched": FrameSchedule(slot_s=0.01)},
+            {"sched": FrameSchedule(wpt_s=1.0)},
+            {"adc": None},
+            {"adc": AdcModel(bits=8)},
+            {"adc": AdcModel(v_ref=1.8)},
+        ]
+        hashes = {run_protocol_experiment(cfg, **kw)[0].config_hash for kw in variants}
+        assert len(hashes) == len(variants)
+        assert cfg.fingerprint() not in hashes

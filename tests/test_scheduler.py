@@ -2,13 +2,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.errors import ValidationError
-from wptdas.protocol import ControlLinkModel, FrameSchedule, run_frame
+from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, run_frame
 from wptdas.rectenna import RectennaConfig
 from wptdas.rng import substream
-from wptdas.scheduler import TRACE_COLUMNS, UserState, run_tdma
+from wptdas.scheduler import TRACE_COLUMNS, UserState, _passive_harvest, run_tdma
 from wptdas.selection import CandidateMatrix, select_joint
 from wptdas.signal_chain import dc_power_matrix
 
@@ -139,6 +141,31 @@ class TestTwoUsers:
         run_tdma(users, 9, GRID, BUDGET, rng=substream(10), profile=PROFILE,
                  num_antennas=4)
         assert [u.frames_trained for u in users] == [3, 3, 3]
+
+
+class TestPassiveReplay:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           drop=st.sampled_from([0.0, 0.3, 1.0]),
+           # none, inside one slot, a few slots, past an antenna block (15 x 18 ms),
+           # past the whole training phase, past the delivery phase
+           latency_s=st.sampled_from([0.0, 0.002, 0.05, 0.3, 1.2, 3.5]),
+           with_adc=st.booleans(),
+           v_initial=st.floats(0.0, 3.0))
+    def test_replay_against_the_active_user_reproduces_its_frame(
+            self, seed, drop, latency_s, with_adc, v_initial):
+        rng = substream(seed)
+        ch = sample_channel(PROFILE, 4, rng)
+        rect = RectennaConfig()
+        sched = FrameSchedule()
+        link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
+        log, _ = run_frame(ch, GRID, BUDGET, rect, sched=sched, link=link, rng=rng,
+                           adc=DEFAULT_ADC if with_adc else None, v_initial=v_initial)
+        twin = UserState(user_id=2, channel=ch, rect=rect, voltage_v=v_initial)
+        energy, p_served = _passive_harvest(twin, log, GRID, BUDGET, sched, link)
+        assert energy == log.harvested_energy_j
+        assert p_served == log.applied_power_w
+        assert twin.voltage_v == log.final_voltage_v
 
 
 class TestTrace:
