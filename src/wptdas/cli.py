@@ -1,239 +1,229 @@
 """Command-line front end: config-driven experiments with CSV output.
 
-Configs are INI files with one section per subsystem; every key has a
-default equal to the standard setup (36 dBm transmit power, 60.046 dB path
-loss, 18 ms slots, 2.92 s delivery phase, 300 realizations), so an empty
-config reproduces it. All powers are given in dBm and stored as watts
-internally. Output files embed the tool version and seed in header
-comments and contain no timestamps, so a (config, seed) pair always
-reproduces them byte for byte.
+Configs are INI files with one section per subsystem. ``_SCHEMA`` names
+every key once, with the library object and keyword it sets; a key the
+config leaves out keeps that object's own default, so an empty config
+reproduces the standard setup. All powers are given in dBm and stored as
+watts internally. Output files embed the tool version and seed (and, for
+simulation outputs, a hash of the config) in header comments and contain no
+timestamps, so a (config, seed) pair always reproduces them byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
-from .channel import FrequencyGrid, LinkBudget, TapProfile, resolve_profile, sample_channel
+from .channel import FrequencyGrid, LinkBudget, resolve_profile, sample_channel
 from .errors import ValidationError
 from .experiments import (
     ExperimentConfig,
     TransmitterConsumption,
     dbm_to_watts,
     power_budget_report,
+    protocol_fingerprint,
     run_protocol_experiment,
     run_sweep,
 )
-from .protocol import AdcModel, ControlLinkModel, FrameSchedule, ReceiverConsumption, run_frame
+from .protocol import (AdcModel, ControlLinkModel, FrameSchedule, ReceiverConsumption,
+                       check_feedback_space, run_frame)
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, DOMAIN_TDMA, substream
 from .scheduler import UserState, run_tdma
 
 OUT_DIR_ENV = "WPTDAS_OUT"
 
-_KNOWN_KEYS = {
-    "channel": {"profile", "grid", "center_mhz", "bandwidth_mhz", "frequencies",
-                "tx_power_dbm", "path_loss_db", "tx_gain_dbi", "rx_gain_dbi"},
-    "rectenna": {"curve", "eta_peak", "peak_dbm", "rise_slope", "breakdown_dbm",
-                 "breakdown_slope", "load_ohms", "settle_tau_s"},
-    "schedule": {"slot_s", "wpt_s"},
-    "link": {"delivery", "drop_probability", "latency_s"},
-    "adc": {"enabled", "bits", "vref"},
-    "experiment": {"realizations", "seed", "users", "frames", "antenna_sweep",
-                   "frequency_sweep", "strategies", "pipeline", "user_loss_db"},
-    "consumption": {"soc_power_dbm", "radio_power_dbm", "bitrate_bps", "bytes",
-                    "pa_supply_dbm"},
-    "budget": {"train_power_dbm", "wpt_power_dbm"},
-}
+
+@dataclass(frozen=True)
+class _Choices:
+    """Which profile, grid builder, curve, control link and ADC to build."""
+
+    profile: str = "model-E-NLOS"  # builtin name or a PDP file path
+    grid: str = "uniform"
+    curve: str = "parametric"  # or an efficiency table path
+    delivery: str = "ideal"
+    adc: bool = True
 
 
 @dataclass
 class Settings:
     """Everything the subcommands need, resolved from config plus defaults."""
 
-    profile: TapProfile
-    grid: FrequencyGrid
-    budget: LinkBudget
-    rect: RectennaConfig
+    experiment: ExperimentConfig
     sched: FrameSchedule
     link: ControlLinkModel
     adc: AdcModel | None
-    experiment: ExperimentConfig
     consumption: ReceiverConsumption
     tx_consumption: TransmitterConsumption
-    budget_train_w: float
-    budget_wpt_w: float
-    pipeline: str
-    frames: int
-    seed: int
+    report_powers: dict  # the phase powers of power_budget_report the config sets
+    pipeline: str = "ideal"
+    frames: int = 10  # tdma subcommand only
 
 
-def _load_ini(path: str | None) -> configparser.ConfigParser:
+def _real(convert):
+    """Cast to float, then through ``convert``; both values must be finite."""
+    def cast(raw: str) -> float:
+        x = float(raw)
+        with np.errstate(over="ignore"):
+            y = convert(x)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"{raw!r} does not give a finite number")
+        return y
+    return cast
+
+
+_float = _real(float)
+_mhz = _real(lambda mhz: mhz * 1e6)  # MHz in the config, Hz in the library
+_dbm = _real(dbm_to_watts)  # dBm in the config, watts in the library
+
+
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {raw!r}") from None
+
+
+def _list(cast):
+    """Comma- or space-separated values, each through ``cast``."""
+    return lambda raw: tuple(cast(tok) for tok in raw.replace(",", " ").split())
+
+
+def _choice(*names: str):
+    def cast(raw: str) -> str:
+        if raw not in names:
+            raise ValueError(f"must be {' or '.join(map(repr, names))}, not {raw!r}")
+        return raw
+    return cast
+
+
+def _keys(target, cast, *names: str) -> dict:
+    """Schema entries for INI keys named after ``target``'s keywords."""
+    return {name: (target, name, cast) for name in names}
+
+
+# section -> INI key -> (target, keyword, cast). The loader calls each target
+# with keyword=cast(value) for only the keys a config sets, so every default
+# stays with its target. FrequencyGrid stands for both grid builders.
+_SCHEMA = {
+    "channel": {
+        **_keys(_Choices, str, "profile"),
+        **_keys(_Choices, _choice("uniform", "ieee"), "grid"),
+        "center_mhz": (FrequencyGrid.uniform, "center_hz", _mhz),
+        "bandwidth_mhz": (FrequencyGrid.uniform, "bandwidth_hz", _mhz),
+        "frequencies": (FrequencyGrid, "count", int),
+        "tx_power_dbm": (LinkBudget, "tx_power_w", _dbm),
+        **_keys(LinkBudget, _float, "path_loss_db", "tx_gain_dbi", "rx_gain_dbi"),
+    },
+    "rectenna": {
+        **_keys(_Choices, str, "curve"),
+        **_keys(EfficiencyCurve.parametric, _float, "eta_peak", "peak_dbm", "rise_slope",
+                "breakdown_dbm", "breakdown_slope"),
+        **_keys(RectennaConfig, _float, "load_ohms", "settle_tau_s"),
+    },
+    "schedule": _keys(FrameSchedule, _float, "slot_s", "wpt_s"),
+    "link": {
+        **_keys(_Choices, _choice("ideal", "lossy"), "delivery"),
+        **_keys(ControlLinkModel, _float, "drop_probability", "latency_s"),
+    },
+    "adc": {
+        "enabled": (_Choices, "adc", _bool),
+        **_keys(AdcModel, int, "bits"),
+        "vref": (AdcModel, "v_ref", _float),
+    },
+    "experiment": {
+        **_keys(ExperimentConfig, int, "realizations", "seed", "users"),
+        **_keys(ExperimentConfig, _list(int), "antenna_sweep", "frequency_sweep"),
+        **_keys(ExperimentConfig, _list(str), "strategies"),
+        **_keys(ExperimentConfig, _list(_float), "user_loss_db"),
+        **_keys(Settings, _choice("ideal", "protocol"), "pipeline"),
+        **_keys(Settings, int, "frames"),
+    },
+    "consumption": {
+        "soc_power_dbm": (ReceiverConsumption, "soc_power_w", _dbm),
+        "radio_power_dbm": (ReceiverConsumption, "radio_power_w", _dbm),
+        "bitrate_bps": (ReceiverConsumption, "radio_bitrate_bps", _float),
+        "bytes": (ReceiverConsumption, "bytes_sent", lambda raw: int(raw) if raw else None),
+        "pa_supply_dbm": (TransmitterConsumption, "pa_supply_w", _dbm),
+    },
+    "budget": {
+        "train_power_dbm": (power_budget_report, "train_avg_power_w", _dbm),
+        "wpt_power_dbm": (power_budget_report, "wpt_avg_power_w", _dbm),
+    },
+}
+
+
+def _load_ini(path: str | None) -> defaultdict:
+    """{target: {keyword: value}} for every key the config at ``path`` sets."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             cfg.read_file(fh)
+    given = defaultdict(dict)
     for section in cfg.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SCHEMA:
             raise ValidationError(f"unknown config section [{section}]")
-        for key in cfg[section]:
-            if key not in _KNOWN_KEYS[section]:
+        for key, raw in cfg[section].items():
+            if key not in _SCHEMA[section]:
                 raise ValidationError(f"unknown key '{key}' in section [{section}]")
-    return cfg
-
-
-def _get(cfg, section, key, default, cast=float):
-    if cfg.has_option(section, key):
-        raw = cfg.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ValidationError(f"[{section}] {key}: {exc}") from exc
-    return default
-
-
-def _int_list(raw: str) -> tuple:
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
-
-
-def _float_list(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
-
-
-def _str_list(raw: str) -> tuple:
-    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+            target, keyword, cast = _SCHEMA[section][key]
+            try:
+                given[target][keyword] = cast(raw)
+            except ValueError as exc:
+                raise ValidationError(f"[{section}] {key}: {exc}") from exc
+    return given
 
 
 def load_settings(config_path: str | None, seed_override: int | None = None) -> Settings:
-    cfg = _load_ini(config_path)
-
-    profile = resolve_profile(_get(cfg, "channel", "profile", "model-E-NLOS", str))
-    grid_mode = _get(cfg, "channel", "grid", "uniform", str)
-    count = _get(cfg, "channel", "frequencies", 15, int)
-    if grid_mode == "uniform":
-        grid = FrequencyGrid.uniform(_get(cfg, "channel", "center_mhz", 2400.0) * 1e6,
-                                     _get(cfg, "channel", "bandwidth_mhz", 75.0) * 1e6,
-                                     count)
-    elif grid_mode == "ieee":
-        grid = FrequencyGrid.ieee_plan(count)
-    else:
-        raise ValidationError(f"[channel] grid must be 'uniform' or 'ieee', not {grid_mode!r}")
-
-    budget = LinkBudget(
-        tx_power_w=dbm_to_watts(_get(cfg, "channel", "tx_power_dbm", 36.0)),
-        path_loss_db=_get(cfg, "channel", "path_loss_db", 60.046),
-        tx_gain_dbi=_get(cfg, "channel", "tx_gain_dbi", 0.0),
-        rx_gain_dbi=_get(cfg, "channel", "rx_gain_dbi", 0.0),
-    )
-
-    curve_kind = _get(cfg, "rectenna", "curve", "parametric", str)
-    if curve_kind == "parametric":
-        defaults = EfficiencyCurve.parametric()
-        curve = EfficiencyCurve.parametric(
-            eta_peak=_get(cfg, "rectenna", "eta_peak", defaults.eta_peak),
-            peak_dbm=_get(cfg, "rectenna", "peak_dbm", defaults.peak_dbm),
-            rise_slope=_get(cfg, "rectenna", "rise_slope", defaults.rise_slope),
-            breakdown_dbm=_get(cfg, "rectenna", "breakdown_dbm", defaults.breakdown_dbm),
-            breakdown_slope=_get(cfg, "rectenna", "breakdown_slope", defaults.breakdown_slope),
-        )
-    else:
-        curve = load_efficiency_table(curve_kind)
-    rect = RectennaConfig(curve=curve,
-                          load_ohms=_get(cfg, "rectenna", "load_ohms", 10_000.0),
-                          settle_tau_s=_get(cfg, "rectenna", "settle_tau_s", 0.002))
-
-    users = _get(cfg, "experiment", "users", 1, int)
-    antenna_sweep = _get(cfg, "experiment", "antenna_sweep", (1, 2, 3, 4), _int_list)
-    frequency_sweep = _get(cfg, "experiment", "frequency_sweep", (1, 3, 5, 15), _int_list)
-    seed = _get(cfg, "experiment", "seed", 1, int)
+    given = _load_ini(config_path)
+    choices = _Choices(**given[_Choices])
     if seed_override is not None:
-        seed = seed_override
+        given[ExperimentConfig].update(seed=seed_override)
 
+    if choices.grid == "uniform":
+        grid = FrequencyGrid.uniform(**given[FrequencyGrid.uniform], **given[FrequencyGrid])
+    else:
+        grid = FrequencyGrid.ieee_plan(**given[FrequencyGrid])
+    if choices.curve == "parametric":
+        curve = EfficiencyCurve.parametric(**given[EfficiencyCurve.parametric])
+    else:
+        curve = load_efficiency_table(choices.curve)
     experiment = ExperimentConfig(
-        profile=profile, grid=grid, budget=budget, rect=rect,
-        antenna_sweep=antenna_sweep, frequency_sweep=frequency_sweep,
-        strategies=_get(cfg, "experiment", "strategies",
-                        ("none", "frequency_only", "antenna_only", "joint"), _str_list),
-        users=users,
-        realizations=_get(cfg, "experiment", "realizations", 300, int),
-        seed=seed,
-        user_loss_db=_get(cfg, "experiment", "user_loss_db", (), _float_list),
+        profile=resolve_profile(choices.profile), grid=grid,
+        budget=LinkBudget(**given[LinkBudget]),
+        rect=RectennaConfig(curve=curve, **given[RectennaConfig]),
+        **given[ExperimentConfig],
     )
+    m, n = experiment.max_antennas, grid.count
+    check_feedback_space(m, n)
 
-    if experiment.max_antennas * grid.count > 64:
-        raise ValidationError(
-            f"{experiment.max_antennas} antennas x {grid.count} frequencies "
-            "exceed the 6-bit feedback space (64 pairs)"
-        )
-
-    slot_s = _get(cfg, "schedule", "slot_s", 0.018)
-    wpt_s = _get(cfg, "schedule", "wpt_s", 2.92)
-    sched = FrameSchedule(slot_s, experiment.max_antennas * grid.count, wpt_s)
-
-    delivery = _get(cfg, "link", "delivery", "ideal", str)
-    drop = _get(cfg, "link", "drop_probability", 0.0)
-    if delivery == "ideal":
-        drop = 0.0
-    elif delivery != "lossy":
-        raise ValidationError(f"[link] delivery must be 'ideal' or 'lossy', not {delivery!r}")
-    link = ControlLinkModel(drop_probability=drop,
-                            latency_s=_get(cfg, "link", "latency_s", 0.0))
-
-    adc = None
-    if _get(cfg, "adc", "enabled", True, _parse_bool):
-        adc = AdcModel(bits=_get(cfg, "adc", "bits", 12, int),
-                       v_ref=_get(cfg, "adc", "vref", 3.3))
-
-    consumption = ReceiverConsumption(
-        soc_power_w=_power(cfg, "consumption", "soc_power_dbm", 2.6e-6),
-        radio_power_w=_power(cfg, "consumption", "radio_power_dbm", 0.048),
-        radio_bitrate_bps=_get(cfg, "consumption", "bitrate_bps", 250e3),
-        bytes_sent=_get(cfg, "consumption", "bytes", None,
-                        lambda s: int(s) if s else None),
-    )
-    tx_consumption = TransmitterConsumption(
-        pa_supply_w=_power(cfg, "consumption", "pa_supply_dbm", 84.0))
-
-    pipeline = _get(cfg, "experiment", "pipeline", "ideal", str)
-    if pipeline not in ("ideal", "protocol"):
-        raise ValidationError("[experiment] pipeline must be 'ideal' or 'protocol'")
-
+    if choices.delivery == "ideal":
+        given[ControlLinkModel].update(drop_probability=0.0)
     return Settings(
-        profile=profile, grid=grid, budget=budget, rect=rect, sched=sched,
-        link=link, adc=adc, experiment=experiment, consumption=consumption,
-        tx_consumption=tx_consumption,
-        budget_train_w=_power(cfg, "budget", "train_power_dbm", 3.9e-6),
-        budget_wpt_w=_power(cfg, "budget", "wpt_power_dbm", 20.4e-6),
-        pipeline=pipeline,
-        frames=_get(cfg, "experiment", "frames", 10, int),
-        seed=seed,
+        experiment=experiment,
+        sched=FrameSchedule(training_slots=m * n, **given[FrameSchedule]),
+        link=ControlLinkModel(**given[ControlLinkModel]),
+        adc=AdcModel(**given[AdcModel]) if choices.adc else None,
+        consumption=ReceiverConsumption(**given[ReceiverConsumption]),
+        tx_consumption=TransmitterConsumption(**given[TransmitterConsumption]),
+        report_powers=given[power_budget_report],
+        **given[Settings],
     )
 
 
-def _power(cfg, section, key, default_w):
-    """Power key given in dBm, stored in watts; default is exact watts."""
-    if cfg.has_option(section, key):
-        return dbm_to_watts(_get(cfg, section, key, None))
-    return default_w
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(f"expected a boolean, got {raw!r}")
-
-
-def _out_path(args, filename: str) -> str:
+def _create(args, filename: str):
+    """Open ``filename`` in the output directory for writing."""
     out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, filename)
+    return open(os.path.join(out_dir, filename), "w", encoding="utf-8", newline="\n")
 
 
 def _say(args, text: str):
@@ -241,8 +231,14 @@ def _say(args, text: str):
         print(text)
 
 
-def _header_lines(seed: int) -> str:
-    return f"# wptdas {__version__}\n# seed={seed}\n"
+def _header_lines(seed: int, config_hash: str | None = None) -> str:
+    config = "" if config_hash is None else f"# config={config_hash}\n"
+    return f"# wptdas {__version__}\n# seed={seed}\n{config}"
+
+
+def _budget_report(st: Settings) -> str:
+    return power_budget_report(sched=st.sched, consumption=st.consumption,
+                               tx=st.tx_consumption, **st.report_powers)[1]
 
 
 def cmd_sweep(args) -> int:
@@ -252,63 +248,58 @@ def cmd_sweep(args) -> int:
                                                 link=st.link, adc=st.adc)
     else:
         result = run_sweep(st.experiment, jobs=args.jobs)
-    path = _out_path(args, "sweep_results.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(args, "sweep_results.csv") as fh:
         result.to_csv(fh)
     _say(args, f"{len(result.rows)} rows ({st.pipeline} pipeline, "
-               f"{result.realizations} realizations) -> {path}")
+               f"{result.realizations} realizations) -> {fh.name}")
     return 0
 
 
 def cmd_frame(args) -> int:
     st = load_settings(args.config, args.seed)
-    m = st.experiment.max_antennas
-    ch = sample_channel(st.profile, m, substream(st.seed, DOMAIN_CHANNEL, 0, 0))
-    log, sel = run_frame(ch, st.grid, st.budget, st.rect, sched=st.sched,
-                         link=st.link, rng=substream(st.seed, DOMAIN_LINK, 0),
+    cfg = st.experiment
+    ch = sample_channel(cfg.profile, cfg.max_antennas,
+                        substream(cfg.seed, DOMAIN_CHANNEL, 0, 0))
+    log, sel = run_frame(ch, cfg.grid, cfg.budget, cfg.rect, sched=st.sched,
+                         link=st.link, rng=substream(cfg.seed, DOMAIN_LINK, 0),
                          adc=st.adc)
-    path = _out_path(args, "frame_events.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_header_lines(st.seed))
+    with _create(args, "frame_events.csv") as fh:
+        fh.write(_header_lines(cfg.seed, protocol_fingerprint(cfg, st.sched, st.link, st.adc)))
         log.to_csv(fh)
     _say(args, f"selected antenna {sel.antenna}, frequency {sel.frequency} "
                f"({sel.value * 1e6:.4g} uW at the ADC)")
     _say(args, f"applied ({log.applied_antenna},{log.applied_frequency}); harvested "
                f"{log.harvested_energy_training_j * 1e6:.4g} uJ training + "
                f"{log.harvested_energy_wpt_j * 1e6:.4g} uJ delivery; "
-               f"{log.bytes_sent} control bytes -> {path}")
+               f"{log.bytes_sent} control bytes -> {fh.name}")
     return 0
 
 
 def cmd_tdma(args) -> int:
     st = load_settings(args.config, args.seed)
-    k = st.experiment.users
-    users = [UserState(user_id=u + 1, rect=st.rect,
-                       extra_loss_db=st.experiment.loss_for_user(u))
-             for u in range(k)]
-    result = run_tdma(users, st.frames, st.grid, st.budget, sched=st.sched,
-                      link=st.link, rng=substream(st.seed, DOMAIN_TDMA),
-                      profile=st.profile, num_antennas=st.experiment.max_antennas,
+    cfg = st.experiment
+    users = [UserState(user_id=u + 1, rect=cfg.rect, extra_loss_db=cfg.loss_for_user(u))
+             for u in range(cfg.users)]
+    result = run_tdma(users, st.frames, cfg.grid, cfg.budget, sched=st.sched,
+                      link=st.link, rng=substream(cfg.seed, DOMAIN_TDMA),
+                      profile=cfg.profile, num_antennas=cfg.max_antennas,
                       adc=st.adc)
-    path = _out_path(args, "tdma_trace.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_header_lines(st.seed))
+    config_hash = protocol_fingerprint(cfg, st.sched, st.link, st.adc, (st.frames,))
+    with _create(args, "tdma_trace.csv") as fh:
+        fh.write(_header_lines(cfg.seed, config_hash))
         result.to_csv(fh)
     for u in users:
         _say(args, f"user {u.user_id}: avg {result.user_average_power_w(u.user_id) * 1e6:.4g} uW "
                    f"over {st.frames} frames, total {u.energy_j * 1e6:.4g} uJ")
-    _say(args, f"trace -> {path}")
+    _say(args, f"trace -> {fh.name}")
     return 0
 
 
 def cmd_budget(args) -> int:
     st = load_settings(args.config, args.seed)
-    _budget, report = power_budget_report(st.budget_train_w, st.budget_wpt_w,
-                                          sched=st.sched, consumption=st.consumption,
-                                          tx=st.tx_consumption)
-    path = _out_path(args, "budget.txt")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_header_lines(st.seed))
+    report = _budget_report(st)
+    with _create(args, "budget.txt") as fh:
+        fh.write(_header_lines(st.experiment.seed))
         fh.write(report + "\n")
     _say(args, report)
     return 0
@@ -317,11 +308,11 @@ def cmd_budget(args) -> int:
 def cmd_validate(args) -> int:
     st = load_settings(args.config, args.seed)
     # touch the pieces every subcommand builds so acceptance = constructibility
-    power_budget_report(st.budget_train_w, st.budget_wpt_w, sched=st.sched,
-                        consumption=st.consumption, tx=st.tx_consumption)
-    _say(args, f"OK: {st.experiment.users} user(s), "
-               f"{st.experiment.max_antennas} antennas x {st.grid.count} frequencies, "
-               f"{st.experiment.realizations} realizations, seed {st.seed}")
+    _budget_report(st)
+    cfg = st.experiment
+    _say(args, f"OK: {cfg.users} user(s), "
+               f"{cfg.max_antennas} antennas x {cfg.grid.count} frequencies, "
+               f"{cfg.realizations} realizations, seed {cfg.seed}")
     return 0
 
 
@@ -347,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file (defaults reproduce the standard setup)")
         p.add_argument("--seed", type=int, help="override the experiment seed")
         p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or '.')")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers")
         p.add_argument("--quiet", action="store_true", help="suppress stdout summaries")
         p.set_defaults(func=func)
     return parser

@@ -364,11 +364,16 @@ def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule | None =
             total = arr.sum(axis=1)
             rows.append(ResultRow(m, k, "joint", SUM_USER,
                                   float(total.mean()), _stderr(total)))
+    config_hash = protocol_fingerprint(cfg, sched, link, adc)
+    return ExperimentResult(rows, cfg.realizations, cfg.seed, config_hash, kind="protocol"), logs
+
+
+def protocol_fingerprint(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlLinkModel,
+                         adc: AdcModel | None, extra: tuple = ()) -> str:
+    """Fingerprint of ``cfg`` run through the frame protocol, plus ``extra``."""
     adc_key = None if adc is None else (adc.bits, adc.v_ref)
-    config_hash = cfg.fingerprint((sched.slot_s, sched.wpt_s, link.drop_probability,
-                                   link.latency_s, adc_key))
-    result = ExperimentResult(rows, cfg.realizations, cfg.seed, config_hash, kind="protocol")
-    return result, logs
+    return cfg.fingerprint((sched.slot_s, sched.wpt_s, link.drop_probability,
+                            link.latency_s, adc_key) + extra)
 
 
 @dataclass(frozen=True)
@@ -388,7 +393,6 @@ def power_budget_report(train_avg_power_w: float = 3.9e-6,
                         wpt_avg_power_w: float = 20.4e-6,
                         sched: FrameSchedule | None = None,
                         consumption: ReceiverConsumption | None = None,
-                        bytes_sent: int | None = None,
                         tx: TransmitterConsumption | None = None
                         ) -> tuple[EnergyBudget, str]:
     """Per-frame energy ledger from phase-average powers, plus a report."""
@@ -397,8 +401,7 @@ def power_budget_report(train_avg_power_w: float = 3.9e-6,
     sched = sched if sched is not None else FrameSchedule()
     consumption = consumption if consumption is not None else ReceiverConsumption()
     tx = tx if tx is not None else TransmitterConsumption()
-    if bytes_sent is None:
-        bytes_sent = consumption.bytes_sent if consumption.bytes_sent is not None else 5
+    bytes_sent = consumption.bytes_sent if consumption.bytes_sent is not None else 5
     e_train = sched.training_us * 1e-6 * train_avg_power_w
     e_wpt = sched.wpt_us * 1e-6 * wpt_avg_power_w
     b = energy_budget(e_train, e_wpt, sched.frame_s, consumption, bytes_sent)

@@ -35,13 +35,18 @@ FEEDBACK_BITS = 6
 MESSAGE_SIZE_BYTES = 1
 
 
+def check_feedback_space(m_total: int, n_total: int):
+    """Raise :class:`FeedbackCapacityError` unless every pair has a feedback code."""
+    pairs = 2 ** FEEDBACK_BITS
+    if m_total * n_total > pairs:
+        raise FeedbackCapacityError(f"{m_total} antennas x {n_total} frequencies exceed the "
+                                    f"{FEEDBACK_BITS}-bit feedback space ({pairs} pairs)")
+
+
 def encode_feedback(antenna: int, frequency: int, dims: tuple[int, int]) -> int:
     """Pack a 1-based (antenna, frequency) pair into a row-major code."""
     m_total, n_total = dims
-    if m_total * n_total > 2 ** FEEDBACK_BITS:
-        raise FeedbackCapacityError(
-            f"{m_total}x{n_total} pairs exceed the {FEEDBACK_BITS}-bit code space"
-        )
+    check_feedback_space(m_total, n_total)
     if not 1 <= antenna <= m_total or not 1 <= frequency <= n_total:
         raise ValidationError(f"pair ({antenna},{frequency}) outside {dims}")
     return (antenna - 1) * n_total + (frequency - 1)
@@ -66,8 +71,8 @@ class FrameSchedule:
     def __post_init__(self):
         if self.training_slots < 1:
             raise ValidationError("training_slots must be >= 1")
-        if self.slot_s <= 0 or self.wpt_s < 0:
-            raise ValidationError("need slot_s > 0 and wpt_s >= 0")
+        if not (0 < self.slot_s * 1e6 < math.inf and 0 <= self.wpt_s * 1e6 < math.inf):
+            raise ValidationError("need finite slot_s > 0 and wpt_s >= 0")
         if self.slot_us < 1:
             raise ValidationError("slot_s must be at least 1 microsecond")
 
@@ -102,8 +107,8 @@ class ControlLinkModel:
     def __post_init__(self):
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValidationError("drop_probability must be in [0, 1]")
-        if self.latency_s < 0:
-            raise ValidationError("latency_s must be >= 0")
+        if not 0 <= self.latency_s * 1e6 < math.inf:
+            raise ValidationError("latency_s must be >= 0 and finite")
 
     @property
     def latency_us(self) -> int:

@@ -84,13 +84,9 @@ class EfficiencyCurve:
             raise ValidationError(f"unknown curve source {self.source!r}")
 
     @classmethod
-    def parametric(cls, eta_peak: float = 0.40, peak_dbm: float = 0.0,
-                   rise_slope: float = DEFAULT_RISE_SLOPE,
-                   breakdown_dbm: float = 3.0,
-                   breakdown_slope: float = 3.0) -> "EfficiencyCurve":
-        return cls("parametric", eta_peak=eta_peak, peak_dbm=peak_dbm,
-                   rise_slope=rise_slope, breakdown_dbm=breakdown_dbm,
-                   breakdown_slope=breakdown_slope)
+    def parametric(cls, **params: float) -> "EfficiencyCurve":
+        """The closed form; ``params`` override its fields' defaults."""
+        return cls("parametric", **params)
 
     @classmethod
     def from_table(cls, power_axis_dbm, freq_axis_hz, table) -> "EfficiencyCurve":
