@@ -63,3 +63,4 @@ from .selection import (
     select_frequency_only,
     select_joint,
 )
+from .signal_chain import dc_power_matrix

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channel import FrequencyGrid, LinkBudget, resolve_profile, sample_channel
+from .channel import FrequencyGrid, LinkBudget, resolve_profile
 from .errors import ValidationError
 from .experiments import (
     ExperimentConfig,
     TransmitterConsumption,
+    _dc_tensor,
     dbm_to_watts,
     power_budget_report,
     protocol_fingerprint,
@@ -36,7 +37,7 @@ from .experiments import (
 from .protocol import (AdcModel, ControlLinkModel, FrameSchedule, ReceiverConsumption,
                        check_feedback_space, run_frame)
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
-from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, DOMAIN_TDMA, substream
+from .rng import DOMAIN_LINK, DOMAIN_TDMA, substream
 from .scheduler import UserState, run_tdma
 
 OUT_DIR_ENV = "WPTDAS_OUT"
@@ -258,9 +259,8 @@ def cmd_sweep(args) -> int:
 def cmd_frame(args) -> int:
     st = load_settings(args.config, args.seed)
     cfg = st.experiment
-    ch = sample_channel(cfg.profile, cfg.max_antennas,
-                        substream(cfg.seed, DOMAIN_CHANNEL, 0, 0))
-    log, sel = run_frame(ch, cfg.grid, cfg.budget, cfg.rect, sched=st.sched,
+    # user 1 of realization 0, the draw the sweeps start from
+    log, sel = run_frame(_dc_tensor(cfg, 0, 1)[0, 0], cfg.rect, sched=st.sched,
                          link=st.link, rng=substream(cfg.seed, DOMAIN_LINK, 0),
                          adc=st.adc)
     with _create(args, "frame_events.csv") as fh:

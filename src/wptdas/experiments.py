@@ -39,7 +39,6 @@ from .protocol import (
     FrameSchedule,
     ReceiverConsumption,
     energy_budget,
-    run_frame,
 )
 from .rectenna import RectennaConfig
 from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
@@ -115,8 +114,8 @@ class ExperimentConfig:
             raise ValidationError("seed must be an unsigned 64-bit value")
         if self.users < 1:
             raise ValidationError("users must be >= 1")
-        if not self.antenna_sweep or not self.frequency_sweep:
-            raise ValidationError("sweep lists must be non-empty")
+        if not (self.antenna_sweep and self.frequency_sweep and self.strategies):
+            raise ValidationError("sweep lists and strategies must be non-empty")
         if min(self.antenna_sweep) < 1:
             raise ValidationError("antenna counts must be >= 1")
         if min(self.frequency_sweep) < 1 or max(self.frequency_sweep) > self.grid.count:
@@ -309,10 +308,10 @@ def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule | None =
                             keep_logs: bool = False):
     """The sweep realized through the frame protocol.
 
-    Every (antenna set, frequency set) cell runs one frame per realization
-    (a full TDMA round for multi-user configs) with joint selection at the
-    receiver; the reported value is the delivery-phase dc power, so under
-    ideal settings it must match :func:`run_sweep`'s joint value. Returns
+    Every (antenna set, frequency set) cell runs one TDMA round per
+    realization (one frame per user) with joint selection at the receiver;
+    the reported value is the delivery-phase dc power, so under ideal
+    settings it must match :func:`run_sweep`'s joint value. Returns
     ``(ExperimentResult, logs)``; logs are kept only when requested.
     """
     sched = sched if sched is not None else FrameSchedule()
@@ -330,29 +329,18 @@ def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule | None =
             subgrid = FrequencyGrid.from_frequencies(
                 cfg.grid.frequencies_hz[cols], mode=f"subset:{cfg.grid.mode}")
             cell_sched = FrameSchedule(sched.slot_s, m * k, sched.wpt_s)
-            if cfg.users == 1:
-                log, _sel = run_frame(chans[0].subset(m), subgrid, cfg.budget,
-                                      cfg.rect, sched=cell_sched, link=link,
-                                      rng=link_rng, adc=adc,
-                                      extra_loss_db=cfg.loss_for_user(0))
-                values[(m, k)][r, 0] = log.applied_power_w
-                if keep_logs:
-                    logs.append(log)
-            else:
-                users = [UserState(user_id=u + 1, channel=chans[u].subset(m),
-                                   rect=cfg.rect, extra_loss_db=cfg.loss_for_user(u))
-                         for u in range(cfg.users)]
-                res = run_tdma(users, cfg.users, subgrid, cfg.budget,
-                               sched=cell_sched, link=link, rng=link_rng,
-                               adc=adc, keep_logs=keep_logs)
-                if keep_logs:
-                    logs.extend(res.frame_logs)
-                per_user = np.zeros(cfg.users)
-                counts = np.zeros(cfg.users)
-                for row in res.rows:
-                    per_user[row.user_id - 1] += row.wpt_power_w
-                    counts[row.user_id - 1] += 1
-                values[(m, k)][r] = per_user / counts
+            users = [UserState(user_id=u + 1, channel=chans[u].subset(m),
+                               rect=cfg.rect, extra_loss_db=cfg.loss_for_user(u))
+                     for u in range(cfg.users)]
+            res = run_tdma(users, cfg.users, subgrid, cfg.budget, sched=cell_sched,
+                           link=link, rng=link_rng, adc=adc, keep_logs=keep_logs)
+            logs.extend(res.frame_logs)
+            per_user = np.zeros(cfg.users)
+            counts = np.zeros(cfg.users)
+            for row in res.rows:
+                per_user[row.user_id - 1] += row.wpt_power_w
+                counts[row.user_id - 1] += 1
+            values[(m, k)][r] = per_user / counts
 
     rows = []
     for m, k, _ in cells:

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, FrequencyGrid, LinkBudget
 from .errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError
 from .rectenna import RectennaConfig, settling_energy
-from .selection import CandidateMatrix, SelectionDecision, middle_index, select_joint
-from .signal_chain import dc_power_matrix
+from .selection import (CandidateMatrix, SelectionDecision, check_powers, middle_index,
+                        select_joint)
 
 FEEDBACK_BITS = 6
 MESSAGE_SIZE_BYTES = 1
@@ -149,8 +148,9 @@ class AdcModel:
     v_ref: float = 3.3
 
     def __post_init__(self):
-        if self.bits < 1 or self.v_ref <= 0:
-            raise ValidationError("need bits >= 1 and v_ref > 0")
+        # 2**53 levels is the most a float64 sample counts exactly
+        if not 1 <= self.bits <= 53 or self.v_ref <= 0:
+            raise ValidationError("need 1 <= bits <= 53 and v_ref > 0")
 
     def quantize(self, voltage: float) -> float:
         lsb = self.v_ref / (2 ** self.bits - 1)
@@ -283,15 +283,15 @@ def _prior_pair(prior, n_total: int) -> tuple[int, int]:
     return int(m), int(n)
 
 
-def run_frame(ch: ChannelRealization, grid: FrequencyGrid, budget: LinkBudget,
-              rect: RectennaConfig, sched: FrameSchedule | None = None,
+def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule | None = None,
               link: ControlLinkModel | None = None, prior=None,
               rng: np.random.Generator | None = None,
               adc: AdcModel | None = DEFAULT_ADC, start_us: int = 0,
-              v_initial: float = 0.0,
-              extra_loss_db: float = 0.0) -> tuple[EventLog, SelectionDecision]:
+              v_initial: float = 0.0) -> tuple[EventLog, SelectionDecision]:
     """Simulate one frame; returns the event log and the receiver's selection.
 
+    ``p_dc`` is the receiver's steady dc power in watts per (antenna,
+    frequency) pair, as :func:`wptdas.signal_chain.dc_power_matrix` gives it.
     The transmitter sweep is aligned to the receiver's slot grid; a link
     latency only blanks the start of each activation block. A dropped
     activation leaves the transmitter idle for that antenna's whole block
@@ -301,14 +301,16 @@ def run_frame(ch: ChannelRealization, grid: FrequencyGrid, budget: LinkBudget,
     """
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
-    m_total, n_total = ch.num_antennas, grid.count
+    p_dc = check_powers(p_dc)
+    if p_dc.ndim != 2:
+        raise ValidationError("the dc power matrix must be (antennas x frequencies)")
+    m_total, n_total = p_dc.shape
     if m_total * n_total != sched.training_slots:
         raise ValidationError(
             f"schedule has {sched.training_slots} slots but the candidate set is "
             f"{m_total}x{n_total}"
         )
 
-    p_dc = dc_power_matrix(ch, grid, budget, rect.curve, extra_loss_db)
     v_tgt = np.sqrt(p_dc * rect.load_ohms)
 
     slot_us = sched.slot_us

@@ -9,7 +9,8 @@ streams and produce identical results.
 Stream domains used by the experiment runners:
   0 -> channel sampling, path (0, realization, user)
   1 -> control-link drops, path (1, realization)
-  2 -> TDMA channel redraws, path (2, round, user)
+  2 -> ``wptdas tdma``: every round's channel redraws and every control-link
+       drop, in run order, from the single stream of path (2,)
 """
 
 import numpy as np

@@ -88,15 +88,13 @@ class TdmaResult:
                      f"{r.frequency},{r.p_dc_w:.12g},{r.energy_j:.12g}\n")
 
 
-def _passive_harvest(user: UserState, log: EventLog, grid: FrequencyGrid,
-                     budget: LinkBudget, sched: FrameSchedule,
-                     link: ControlLinkModel) -> tuple[float, float]:
-    """Replay one frame's emissions against a passive user.
+def _passive_harvest(user: UserState, log: EventLog, p_dc: np.ndarray,
+                     sched: FrameSchedule, link: ControlLinkModel) -> tuple[float, float]:
+    """Replay one frame's emissions against a passive user whose steady dc
+    power per pair is ``p_dc``.
 
     Returns (harvested energy, steady dc power at the served pair).
     """
-    p_dc = dc_power_matrix(user.channel, grid, budget, user.rect.curve,
-                           user.extra_loss_db)
     v_tgt = np.sqrt(p_dc * user.rect.load_ohms)
     e_train, _v_ends, v = harvest_training(log.emissions, v_tgt, user.voltage_v,
                                            sched, link, user.rect)
@@ -143,15 +141,17 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
     frame_s = sched.frame_s
 
     for i in range(frames):
-        if profile is not None and i % k == 0:
-            for u in users:
-                u.channel = sample_channel(profile, num_antennas, rng)
+        if i % k == 0:
+            if profile is not None:
+                for u in users:
+                    u.channel = sample_channel(profile, num_antennas, rng)
+            # the channels hold for the round, and so does each user's dc matrix
+            p_dc = [dc_power_matrix(u.channel, grid, budget, u.rect.curve, u.extra_loss_db)
+                    for u in users]
         active = users[i % k]
-        log, _sel = run_frame(active.channel, grid, budget, active.rect,
-                              sched=sched, link=link, prior=active.prior,
-                              rng=rng, adc=adc, start_us=i * sched.frame_us,
-                              v_initial=active.voltage_v,
-                              extra_loss_db=active.extra_loss_db)
+        log, _sel = run_frame(p_dc[i % k], active.rect, sched=sched, link=link,
+                              prior=active.prior, rng=rng, adc=adc,
+                              start_us=i * sched.frame_us, v_initial=active.voltage_v)
         if keep_logs:
             logs.append(log)
         active.prior = SelectionDecision(log.applied_antenna, log.applied_frequency,
@@ -164,10 +164,10 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
                              log.applied_frequency, e_active / frame_s,
                              active.energy_j, log.applied_power_w))
 
-        for u in users:
+        for u, u_dc in zip(users, p_dc):
             if u is active:
                 continue
-            e_passive, p_served = _passive_harvest(u, log, grid, budget, sched, link)
+            e_passive, p_served = _passive_harvest(u, log, u_dc, sched, link)
             u.energy_j += e_passive
             rows.append(TraceRow(i, u.user_id, False, log.applied_antenna,
                                  log.applied_frequency, e_passive / frame_s,

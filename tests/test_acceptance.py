@@ -64,7 +64,8 @@ def test_c02_link_budget_constant():
 def test_c03_frame_timing():
     t0 = time.perf_counter()
     ch = sample_channel(MODEL_E, 4, substream(1, DOMAIN_CHANNEL, 0, 0))
-    log, _sel = run_frame(ch, GRID15, LinkBudget(), RectennaConfig())
+    log, _sel = run_frame(dc_power_matrix(ch, GRID15, LinkBudget(), RectennaConfig().curve),
+                          RectennaConfig())
     assert len(log.events_of("SlotStart")) == 60
     assert len(log.events_of("AdcSample")) == 60
     assert log.schedule.training_us == 1_080_000

@@ -2,7 +2,9 @@ import os
 
 import pytest
 
-from wptdas.cli import main
+from wptdas import cli
+from wptdas.cli import load_settings, main
+from wptdas.experiments import _dc_tensor
 
 SWEEP_CONFIG = """\
 [experiment]
@@ -56,6 +58,34 @@ class TestFrame:
         out = capsys.readouterr().out
         assert "selected antenna" in out
         assert "5 control bytes" in out
+
+    def test_user_loss_applies_to_the_frame(self, tmp_path, monkeypatch):
+        logs = []
+        real = cli.run_frame
+
+        def recorded(*args, **kwargs):
+            logs.append(real(*args, **kwargs))
+            return logs[-1]
+
+        monkeypatch.setattr(cli, "run_frame", recorded)
+        events = []
+        for loss in (0, 10):
+            cfg = tmp_path / f"loss{loss}.ini"
+            cfg.write_text(f"[experiment]\nuser_loss_db = {loss}\n")
+            out = tmp_path / str(loss)
+            assert run(["frame", "--config", str(cfg), "--seed", "1", "--quiet"], out) == 0
+            text = (out / "frame_events.csv").read_text()
+            events.append([ln for ln in text.splitlines() if not ln.startswith("#")])
+        assert events[0] != events[1]
+        log = logs[1][0]
+        p_dc = _dc_tensor(load_settings(str(cfg), 1).experiment, 0, 1)[0, 0]
+        assert log.applied_power_w == p_dc[log.applied_antenna - 1, log.applied_frequency - 1]
+
+    def test_adc_bits_beyond_a_float_fail_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "adc.ini"
+        cfg.write_text("[adc]\nbits = 1024\n")
+        assert run(["frame", "--config", str(cfg), "--quiet"], tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestSweep:
@@ -131,6 +161,12 @@ class TestValidate:
         cfg.write_text("[experiment]\nstrategies = beamforming\n")
         assert run(["validate", "--config", str(cfg)], tmp_path) == 1
         assert run(["sweep", "--config", str(cfg)], tmp_path) == 1
+
+    def test_rejects_empty_strategies(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[experiment]\nstrategies =\n")
+        assert run(["validate", "--config", str(cfg)], tmp_path) == 1
+        assert "strategies" in capsys.readouterr().err
 
     def test_rejects_oversized_frequency_subset(self, tmp_path):
         cfg = tmp_path / "bad.ini"

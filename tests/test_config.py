@@ -181,6 +181,11 @@ class TestReadme:
         assert budget_of(doc)[0].e_net_j == pytest.approx(budget_of(std)[0].e_net_j, rel=1e-3)
         assert doc.tx_consumption.total_w == pytest.approx(std.tx_consumption.total_w, rel=1e-3)
 
+    def test_library_example_runs(self, capsys):
+        block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+        exec(compile(block, str(README), "exec"), {})
+        assert "SelectionDecision(" in capsys.readouterr().out
+
 
 class TestOutputs:
     @pytest.mark.parametrize("command,filename", [("frame", "frame_events.csv"),

@@ -29,9 +29,13 @@ RECT = RectennaConfig()
 FAST_RECT = RectennaConfig(settle_tau_s=10e-6)
 
 
+def frame(ch, rect=RECT, **kwargs):
+    return run_frame(dc_power_matrix(ch, GRID, BUDGET, rect.curve), rect, **kwargs)
+
+
 def default_frame(seed=1, **kwargs):
     ch = sample_channel(PROFILE, 4, substream(seed, 0, 0, 0))
-    return run_frame(ch, GRID, BUDGET, kwargs.pop("rect", RECT), **kwargs)
+    return frame(ch, **kwargs)
 
 
 class TestFeedbackCodec:
@@ -94,6 +98,17 @@ class TestAdcModel:
         assert adc.quantize(-0.5) == 0.0
         assert adc.quantize(5.0) == 3.3
 
+    @pytest.mark.parametrize("bits", [0, 54, 1024])
+    def test_rejects_bits_a_float_cannot_count(self, bits):
+        with pytest.raises(ValidationError):
+            AdcModel(bits=bits)
+
+    @pytest.mark.parametrize("bits", [1, 53])
+    def test_accepts_the_bit_range_ends(self, bits):
+        adc = AdcModel(bits=bits)
+        assert adc.quantize(5.0) == 3.3
+        assert adc.quantize(1.0) == pytest.approx(1.0, abs=3.3 / (2 ** bits - 1))
+
 
 class TestRunFrame:
     def test_default_frame_structure(self):
@@ -134,7 +149,7 @@ class TestRunFrame:
         ch = sample_channel(PROFILE, 4, substream(3, 0, 0, 0))
         truth = dc_power_matrix(ch, GRID, BUDGET, RECT.curve)
         expected = select_joint(CandidateMatrix.from_powers(truth))
-        log, sel = run_frame(ch, GRID, BUDGET, FAST_RECT, adc=None)
+        log, sel = frame(ch, FAST_RECT, adc=None)
         applied = log.events_of("FeedbackApplied")
         assert len(applied) == 1
         assert (applied[0].antenna, applied[0].frequency) == (expected.antenna,
@@ -177,7 +192,7 @@ class TestRunFrame:
     def test_training_energy_close_to_steady_sum_when_fast(self):
         ch = sample_channel(PROFILE, 4, substream(8, 0, 0, 0))
         truth = dc_power_matrix(ch, GRID, BUDGET, RECT.curve)
-        log, _ = run_frame(ch, GRID, BUDGET, FAST_RECT, adc=None)
+        log, _ = frame(ch, FAST_RECT, adc=None)
         assert log.harvested_energy_training_j == pytest.approx(
             truth.sum() * 0.018, rel=1e-2)
 
@@ -189,9 +204,9 @@ class TestRunFrame:
 
     def test_voltage_carries_across_frames(self):
         ch = sample_channel(PROFILE, 4, substream(9, 0, 0, 0))
-        log1, _ = run_frame(ch, GRID, BUDGET, RECT)
-        log2, _ = run_frame(ch, GRID, BUDGET, RECT, start_us=log1.frame_end_us,
-                            v_initial=log1.final_voltage_v)
+        log1, _ = frame(ch, RECT)
+        log2, _ = frame(ch, RECT, start_us=log1.frame_end_us,
+                        v_initial=log1.final_voltage_v)
         assert log2.frame_start_us == 4_000_000
         assert log2.frame_end_us == 8_000_000
         first_sample = log2.events_of("AdcSample")[0]
@@ -200,7 +215,7 @@ class TestRunFrame:
     def test_dimension_mismatch_rejected(self):
         ch = sample_channel(PROFILE, 3, substream(1))
         with pytest.raises(ValidationError):
-            run_frame(ch, GRID, BUDGET, RECT)  # 45 candidates vs 60 slots
+            frame(ch, RECT)  # 45 candidates vs 60 slots
 
     def test_deterministic_given_seed(self):
         a, _ = default_frame(seed=4)
@@ -210,8 +225,8 @@ class TestRunFrame:
 
     def test_quantization_coarsens_matrix(self):
         ch = sample_channel(PROFILE, 4, substream(10, 0, 0, 0))
-        log_q, _ = run_frame(ch, GRID, BUDGET, FAST_RECT, adc=AdcModel(bits=4))
-        log_i, _ = run_frame(ch, GRID, BUDGET, FAST_RECT, adc=None)
+        log_q, _ = frame(ch, FAST_RECT, adc=AdcModel(bits=4))
+        log_i, _ = frame(ch, FAST_RECT, adc=None)
         vals_q = {e.value for e in log_q.events_of("AdcSample")}
         vals_i = {e.value for e in log_i.events_of("AdcSample")}
         assert len(vals_q) <= len(vals_i)
@@ -219,10 +234,21 @@ class TestRunFrame:
     def test_latency_blanks_block_start(self):
         link = ControlLinkModel(latency_s=0.004)
         ch = sample_channel(PROFILE, 4, substream(11, 0, 0, 0))
-        log_lat, _ = run_frame(ch, GRID, BUDGET, RECT, link=link)
-        log_ref, _ = run_frame(ch, GRID, BUDGET, RECT)
+        log_lat, _ = frame(ch, RECT, link=link)
+        log_ref, _ = frame(ch, RECT)
         assert log_lat.harvested_energy_training_j < log_ref.harvested_energy_training_j
         assert log_lat.harvested_energy_wpt_j < log_ref.harvested_energy_wpt_j
+
+    @pytest.mark.parametrize("p_dc", [
+        np.full((4, 15), np.nan),
+        np.full((4, 15), -1e-6),
+        np.full(60, 1e-6),  # 1-D, even with the right entry count
+        np.full((2, 4, 15), 1e-6),
+        np.full((4, 15), np.inf),
+    ])
+    def test_bad_dc_matrix_rejected(self, p_dc):
+        with pytest.raises(ValidationError):
+            run_frame(p_dc, RECT)
 
 class TestEventLogCsv:
     def test_columns_and_determinism(self):

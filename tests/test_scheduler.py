@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wptdas import protocol, scheduler
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.errors import ValidationError
 from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, run_frame
@@ -36,7 +37,8 @@ class TestSingleUser:
         voltage, prior, energy = 0.0, None, 0.0
         for i in range(frames):
             ch = sample_channel(PROFILE, 4, rng)
-            log, _ = run_frame(ch, GRID, BUDGET, RectennaConfig(), sched=sched,
+            log, _ = run_frame(dc_power_matrix(ch, GRID, BUDGET, RectennaConfig().curve),
+                               RectennaConfig(), sched=sched,
                                rng=rng, prior=prior, start_us=i * sched.frame_us,
                                v_initial=voltage)
             voltage = log.final_voltage_v
@@ -136,6 +138,22 @@ class TestTwoUsers:
         passive_rows = [r for r in result.rows if not r.active]
         assert passive_rows and all(r.p_dc_w > 0.0 for r in passive_rows)
 
+    def test_one_dc_matrix_per_user_and_round(self, monkeypatch):
+        calls = []
+        real = scheduler.dc_power_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        for module in (scheduler, protocol):  # every module that may bind the kernel
+            if hasattr(module, "dc_power_matrix"):
+                monkeypatch.setattr(module, "dc_power_matrix", counted)
+        users = make_users(2)
+        run_tdma(users, 4, GRID, BUDGET, rng=substream(12), profile=PROFILE, num_antennas=4)
+        assert len(calls) == 4  # 2 rounds x 2 users; each round's frames share them
+        assert len({id(ch) for ch in calls}) == 4
+
     def test_three_users_round_robin(self):
         users = make_users(3)
         run_tdma(users, 9, GRID, BUDGET, rng=substream(10), profile=PROFILE,
@@ -159,10 +177,11 @@ class TestPassiveReplay:
         rect = RectennaConfig()
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        log, _ = run_frame(ch, GRID, BUDGET, rect, sched=sched, link=link, rng=rng,
+        p_dc = dc_power_matrix(ch, GRID, BUDGET, rect.curve)
+        log, _ = run_frame(p_dc, rect, sched=sched, link=link, rng=rng,
                            adc=DEFAULT_ADC if with_adc else None, v_initial=v_initial)
         twin = UserState(user_id=2, channel=ch, rect=rect, voltage_v=v_initial)
-        energy, p_served = _passive_harvest(twin, log, GRID, BUDGET, sched, link)
+        energy, p_served = _passive_harvest(twin, log, p_dc, sched, link)
         assert energy == log.harvested_energy_j
         assert p_served == log.applied_power_w
         assert twin.voltage_v == log.final_voltage_v
