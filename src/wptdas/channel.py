@@ -125,7 +125,9 @@ class ChannelRealization:
     """One sampled multipath channel per transmit antenna.
 
     ``gains`` has shape (num_antennas, num_taps); row m holds antenna m's
-    complex tap gains, paired with the shared ``delays_s``.
+    complex tap gains, paired with the shared ``delays_s``. A stack of
+    realizations over the same delays has leading batch axes, (...,
+    num_antennas, num_taps), and goes through :func:`response_matrix` whole.
     """
 
     delays_s: np.ndarray
@@ -136,14 +138,14 @@ class ChannelRealization:
         gains = np.asarray(self.gains, dtype=complex)
         object.__setattr__(self, "delays_s", delays)
         object.__setattr__(self, "gains", gains)
-        if gains.ndim != 2 or gains.shape[1] != delays.size:
+        if gains.ndim < 2 or gains.shape[-1] != delays.size:
             raise ValidationError("gains must be (num_antennas, num_taps)")
         if not np.all(np.isfinite(gains)):
             raise ValidationError("tap gains must be finite")
 
     @property
     def num_antennas(self) -> int:
-        return int(self.gains.shape[0])
+        return int(self.gains.shape[-2])
 
     @property
     def num_taps(self) -> int:
@@ -159,7 +161,7 @@ class ChannelRealization:
         """View of the first ``num_antennas`` antennas (nested antenna sets)."""
         if not 1 <= num_antennas <= self.num_antennas:
             raise ValidationError("antenna subset out of range")
-        return ChannelRealization(self.delays_s, self.gains[:num_antennas])
+        return ChannelRealization(self.delays_s, self.gains[..., :num_antennas, :])
 
 
 def sample_channel(profile: TapProfile, num_antennas: int,
@@ -185,6 +187,8 @@ def frequency_response(ch: ChannelRealization, antenna: int, freq_hz: float) -> 
     return the conjugate of the positive-frequency response (real passband
     channel), so conjugate symmetry holds by construction.
     """
+    if ch.gains.ndim != 2:
+        raise ValidationError("frequency_response takes one realization, not a stack")
     if not 1 <= antenna <= ch.num_antennas:
         raise IndexError(f"antenna {antenna} out of range 1..{ch.num_antennas}")
     g = ch.gains[antenna - 1]
@@ -193,10 +197,10 @@ def frequency_response(ch: ChannelRealization, antenna: int, freq_hz: float) -> 
 
 
 def response_matrix(ch: ChannelRealization, freqs_hz: np.ndarray) -> np.ndarray:
-    """(num_antennas, num_freqs) complex responses for positive ``freqs_hz``."""
+    """(..., num_antennas, num_freqs) complex responses for positive ``freqs_hz``."""
     freqs = np.asarray(freqs_hz, dtype=float)
     phase = np.exp(-2j * np.pi * np.outer(freqs, ch.delays_s))  # (N, L)
-    return (phase @ ch.gains.T).T  # (M, N)
+    return (phase @ ch.gains.swapaxes(-1, -2)).swapaxes(-1, -2)  # (..., M, N)
 
 
 def path_loss_db(distance_m: float, freq_hz: float,

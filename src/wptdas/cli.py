@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import math
 import os
 import sys
@@ -183,11 +184,27 @@ def _load_ini(path: str | None) -> defaultdict:
     return given
 
 
+def _default(target, keyword: str):
+    """The value ``target`` gives ``keyword`` when a config leaves it out."""
+    fields = getattr(target, "__dataclass_fields__", None)
+    if fields is not None:
+        return fields[keyword].default
+    return inspect.signature(target).parameters[keyword].default
+
+
 def load_settings(config_path: str | None, seed_override: int | None = None) -> Settings:
     given = _load_ini(config_path)
     choices = _Choices(**given[_Choices])
     if seed_override is not None:
         given[ExperimentConfig].update(seed=seed_override)
+
+    # the pair count needs only the grid's size, so check it before the grid exists
+    make_grid = FrequencyGrid.uniform if choices.grid == "uniform" else FrequencyGrid.ieee_plan
+    antennas = given[ExperimentConfig].get("antenna_sweep",
+                                           _default(ExperimentConfig, "antenna_sweep"))
+    if antennas and min(antennas) >= 1:
+        check_feedback_space(max(antennas),
+                             given[FrequencyGrid].get("count", _default(make_grid, "count")))
 
     if choices.grid == "uniform":
         grid = FrequencyGrid.uniform(**given[FrequencyGrid.uniform], **given[FrequencyGrid])
@@ -204,7 +221,6 @@ def load_settings(config_path: str | None, seed_override: int | None = None) -> 
         **given[ExperimentConfig],
     )
     m, n = experiment.max_antennas, grid.count
-    check_feedback_space(m, n)
 
     if choices.delivery == "ideal":
         given[ControlLinkModel].update(drop_probability=0.0)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import FrequencyGrid, LinkBudget, TapProfile, sample_channel
+from .channel import ChannelRealization, FrequencyGrid, LinkBudget, TapProfile, sample_channel
 from .errors import ValidationError
 from .protocol import (
     DEFAULT_ADC,
@@ -39,11 +39,12 @@ from .protocol import (
     FrameSchedule,
     ReceiverConsumption,
     energy_budget,
+    frame_log,
+    run_rounds,
 )
 from .rectenna import RectennaConfig
 from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
-from .scheduler import UserState, run_tdma
-from .selection import STRATEGIES, check_powers, select_pairs
+from .selection import STRATEGIES, check_powers, middle_index, select_pairs
 from .signal_chain import dc_power_matrix
 
 RESULT_COLUMNS = "M,N,strategy,user,avg_pdc_watts,stderr_watts,realizations,seed"
@@ -302,6 +303,55 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     return ExperimentResult(rows, r_total, cfg.seed, cfg.fingerprint(), kind="sweep")
 
 
+def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlLinkModel,
+                     adc: AdcModel | None, keep_logs: bool = False) -> tuple[dict, list]:
+    """Per-realization delivery powers of the protocol sweep, and its logs.
+
+    Returns ({(m, k): array of shape (R, users)}, logs). Each cell runs its
+    round of one frame per user for every realization at once. Realization
+    r's link draws come from its own substream, cell by cell and frame by
+    frame, so they match a walk of one realization at a time.
+    """
+    cells = list(_sweep_cells(cfg))
+    n_real, users = cfg.realizations, cfg.users
+    gains = np.stack([[sample_channel(cfg.profile, cfg.max_antennas,
+                                      substream(cfg.seed, DOMAIN_CHANNEL, r, u)).gains
+                       for u in range(users)] for r in range(n_real)])
+    chans = [ChannelRealization(cfg.profile.delays_s, gains[:, u]) for u in range(users)]
+    per_real = [link.draws(substream(cfg.seed, DOMAIN_LINK, r),
+                           sum(users * (m + 1) for m, _k, _cols in cells))
+                for r in range(n_real)]
+    draws = None if per_real[0] is None else np.stack(per_real)
+
+    values = {}
+    cell_logs = []
+    offset = 0
+    for m, k, cols in cells:
+        subgrid = FrequencyGrid.from_frequencies(
+            cfg.grid.frequencies_hz[cols], mode=f"subset:{cfg.grid.mode}")
+        cell_sched = FrameSchedule(sched.slot_s, m * k, sched.wpt_s)
+        p_dc = check_powers(np.stack(
+            [dc_power_matrix(chans[u].subset(m), subgrid, cfg.budget, cfg.rect.curve,
+                             cfg.loss_for_user(u)) for u in range(users)], axis=1))
+        cell_draws = None
+        if draws is not None:
+            width = users * (m + 1)
+            cell_draws = draws[:, offset:offset + width].reshape(n_real, users, m + 1)
+            offset += width
+        fallback = np.broadcast_to([0, middle_index(k) - 1], (n_real, users, 2))
+        batch = run_rounds(p_dc, [cfg.rect] * users, cell_sched, link, adc, cell_draws,
+                           np.zeros((n_real, users)), fallback, users)
+        total = np.zeros((n_real, users))
+        for j in range(users):  # one add per frame, in frame order
+            total += batch.served_w[:, j]
+        values[(m, k)] = total / users
+        if keep_logs:
+            cell_logs.append([[frame_log(batch, r, j, cell_sched, j * cell_sched.frame_us)
+                               for j in range(users)] for r in range(n_real)])
+    logs = [log for r in range(n_real) for per_cell in cell_logs for log in per_cell[r]]
+    return values, logs
+
+
 def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule | None = None,
                             link: ControlLinkModel | None = None,
                             adc: AdcModel | None = DEFAULT_ADC,
@@ -312,38 +362,15 @@ def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule | None =
     realization (one frame per user) with joint selection at the receiver;
     the reported value is the delivery-phase dc power, so under ideal
     settings it must match :func:`run_sweep`'s joint value. Returns
-    ``(ExperimentResult, logs)``; logs are kept only when requested.
+    ``(ExperimentResult, logs)``; logs are kept only when requested, in
+    realization, cell, frame order.
     """
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
-    cells = list(_sweep_cells(cfg))
-    values = {(m, k): np.zeros((cfg.realizations, cfg.users)) for m, k, _ in cells}
-    logs = []
-
-    for r in range(cfg.realizations):
-        chans = [sample_channel(cfg.profile, cfg.max_antennas,
-                                substream(cfg.seed, DOMAIN_CHANNEL, r, u))
-                 for u in range(cfg.users)]
-        link_rng = substream(cfg.seed, DOMAIN_LINK, r)
-        for m, k, cols in cells:
-            subgrid = FrequencyGrid.from_frequencies(
-                cfg.grid.frequencies_hz[cols], mode=f"subset:{cfg.grid.mode}")
-            cell_sched = FrameSchedule(sched.slot_s, m * k, sched.wpt_s)
-            users = [UserState(user_id=u + 1, channel=chans[u].subset(m),
-                               rect=cfg.rect, extra_loss_db=cfg.loss_for_user(u))
-                     for u in range(cfg.users)]
-            res = run_tdma(users, cfg.users, subgrid, cfg.budget, sched=cell_sched,
-                           link=link, rng=link_rng, adc=adc, keep_logs=keep_logs)
-            logs.extend(res.frame_logs)
-            per_user = np.zeros(cfg.users)
-            counts = np.zeros(cfg.users)
-            for row in res.rows:
-                per_user[row.user_id - 1] += row.wpt_power_w
-                counts[row.user_id - 1] += 1
-            values[(m, k)][r] = per_user / counts
+    values, logs = _protocol_values(cfg, sched, link, adc, keep_logs)
 
     rows = []
-    for m, k, _ in cells:
+    for m, k, _ in _sweep_cells(cfg):
         arr = values[(m, k)]
         for u in range(cfg.users):
             rows.append(ResultRow(m, k, "joint", u + 1,

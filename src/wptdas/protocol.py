@@ -16,19 +16,27 @@ Timing uses integer microseconds throughout, so the default frame closes
 at exactly 60 x 18 ms + 2.92 s = 4 s. Control messages occupy no airtime
 on the frame timeline; their cost appears only in the receiver's energy
 budget. Each message - activation or feedback - is one byte.
+
+One engine, :func:`run_rounds`, walks the frames of a whole batch of TDMA
+rounds at once: every (realization, user) row settles through the same
+slots, the training user's samples feed its selection, and the passive
+users harvest what the transmitter emits. The protocol sweep batches the
+realizations of a cell this way; :func:`run_frame` and
+:func:`wptdas.scheduler.run_tdma` walk a batch of one. Event logs are
+built from the walk's arrays (:func:`frame_log`) only when asked for.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError
-from .rectenna import RectennaConfig, settling_energy
-from .selection import (CandidateMatrix, SelectionDecision, check_powers, middle_index,
-                        select_joint)
+from .rectenna import RectennaConfig, segment_energy, settle
+from .selection import SelectionDecision, check_powers, middle_index, select_pairs
 
 FEEDBACK_BITS = 6
 MESSAGE_SIZE_BYTES = 1
@@ -113,13 +121,15 @@ class ControlLinkModel:
     def latency_us(self) -> int:
         return round(self.latency_s * 1e6)
 
-    def deliver(self, rng: np.random.Generator | None) -> bool:
-        """One delivery trial. Consumes a draw only on a lossy link."""
+    def draws(self, rng: np.random.Generator | None, shape) -> np.ndarray | None:
+        """Uniforms for the delivery trials of ``shape`` messages, in message
+        order; a message gets through when its draw is >= ``drop_probability``.
+        A lossless link draws nothing and returns None."""
         if self.drop_probability <= 0.0:
-            return True
+            return None
         if rng is None:
             raise ValidationError("a lossy control link needs an rng")
-        return rng.random() >= self.drop_probability
+        return rng.random(shape)
 
 
 @dataclass(frozen=True)
@@ -149,12 +159,23 @@ class AdcModel:
 
     def __post_init__(self):
         # 2**53 levels is the most a float64 sample counts exactly
-        if not 1 <= self.bits <= 53 or self.v_ref <= 0:
-            raise ValidationError("need 1 <= bits <= 53 and v_ref > 0")
+        if not (1 <= self.bits <= 53 and 0 < self.v_ref < math.inf):
+            raise ValidationError("need 1 <= bits <= 53 and finite v_ref > 0")
+        if self.lsb < sys.float_info.min:
+            raise ValidationError(f"v_ref = {self.v_ref!r} V gives a {self.bits}-bit step "
+                                  "below the smallest normal float")
 
-    def quantize(self, voltage: float) -> float:
-        lsb = self.v_ref / (2 ** self.bits - 1)
-        return round(min(max(voltage, 0.0), self.v_ref) / lsb) * lsb
+    @property
+    def lsb(self) -> float:
+        return self.v_ref / (2 ** self.bits - 1)
+
+    def quantize(self, voltage):
+        """Nearest level (ties to even) to the voltage clamped to [0, v_ref].
+        Elementwise over an array; a float in, a float out. The top level is
+        ``v_ref`` itself, even where ``(2**bits - 1) * lsb`` rounds above it."""
+        lsb = self.lsb
+        q = np.minimum(np.rint(np.clip(voltage, 0.0, self.v_ref) / lsb) * lsb, self.v_ref)
+        return float(q) if q.ndim == 0 else q
 
 
 DEFAULT_ADC = AdcModel()
@@ -225,62 +246,224 @@ class EventLog:
             fh.write(f"{e.t_us},{e.kind},{ant},{frq},{val}\n")
 
 
-def _blank_us(link: ControlLinkModel, n: int, slot_us: int) -> int:
-    """Blanked head of frequency ``n``'s training slot: the activation sent at
-    the start of its antenna block, ``n - 1`` slots earlier, takes effect one
-    link latency after it was sent."""
-    return min(max(link.latency_us - (n - 1) * slot_us, 0), slot_us)
+def _blank_us(link: ControlLinkModel, n_total: int, slot_us: int) -> list:
+    """Blanked head of each frequency's training slot, in microseconds: the
+    activation sent at the start of an antenna block takes effect one link
+    latency after it was sent, ``n`` slots before frequency ``n + 1``'s."""
+    return [min(max(link.latency_us - n * slot_us, 0), slot_us) for n in range(n_total)]
 
 
-def harvest_training(emissions: list, v_tgt: np.ndarray, v: float, sched: FrameSchedule,
-                     link: ControlLinkModel,
-                     rect: RectennaConfig) -> tuple[float, list, float]:
-    """Settle one receiver from voltage ``v`` through the training slots of
-    :attr:`EventLog.emissions`, given its steady voltage ``v_tgt`` per pair.
+@dataclass
+class RoundBatch:
+    """Arrays of ``B`` TDMA rounds walked side by side by :func:`run_rounds`.
 
-    An idle slot settles toward 0; an emitting slot settles toward 0 over
-    its blanked head, then toward the pair's target. Returns (energy,
-    voltage at each slot end, final voltage).
+    Frame ``j`` of a round trains user ``j``; every user of the round
+    harvests in every frame. Pairs are 0-based (antenna, frequency) on the
+    last axis. Shapes use ``B`` rounds, ``F`` frames, ``K`` users and
+    ``M x N`` pairs.
     """
+
+    activated: np.ndarray  # (B, F, M) activation message delivered
+    fed_back: np.ndarray  # (B, F) feedback message delivered
+    emitting: np.ndarray  # (B, F, M, N) the transmitter emits in the slot
+    samples: np.ndarray  # (B, F, M*N) training user's sample at each slot end
+    selected: np.ndarray  # (B, F, 2) the training user's choice
+    selected_w: np.ndarray  # (B, F) sampled power at the selected pair
+    applied: np.ndarray  # (B, F, 2) the pair served
+    served_w: np.ndarray  # (B, F, K) each user's steady dc power at the served pair
+    training_j: np.ndarray  # (B, F, K) energy harvested during training
+    wpt_j: np.ndarray  # (B, F, K) energy harvested during delivery
+    voltage_v: np.ndarray  # (B, F, K) output voltage at frame end
+
+
+def run_rounds(p_dc: np.ndarray, rects: list, sched: FrameSchedule, link: ControlLinkModel,
+               adc: AdcModel | None, draws: np.ndarray | None, v_initial, prior,
+               frames: int) -> RoundBatch:
+    """Walk ``frames`` frames of ``B`` independent rounds through the protocol.
+
+    ``p_dc`` is (B, K, M, N): each user's steady dc power per pair, already
+    through :func:`check_powers`; ``rects`` holds one rectenna per user.
+    ``draws`` is (B, frames, M + 1): each frame's link uniforms, M
+    activations then the feedback, or None on a lossless link. A message
+    gets through when its draw is at least the drop probability.
+    ``v_initial`` (B, K) are the output voltages at the round start; they
+    carry from frame to frame. ``prior`` (B, K, 2) is the pair each user's
+    transmitter falls back to when that user's feedback is lost.
+
+    The walk steps every (round, user) row's voltage through the frame's
+    settling segments together, then takes every segment's energy at once;
+    each element meets the same float operations, in the same order, as a
+    walk of one receiver through one frame.
+    """
+    n_rounds, k_users, m_total, n_total = p_dc.shape
+    check_feedback_space(m_total, n_total)
+    slots = m_total * n_total
+    slot_us, wpt_us = sched.slot_us, sched.wpt_us
+    tau = np.array([r.settle_tau_s for r in rects])
+    load = np.array([r.load_ohms for r in rects])
+    decays = {}
+
+    def decay(us: int) -> np.ndarray:
+        """Per-user decay over ``us``: one exp per (duration, time constant)."""
+        if us not in decays:
+            decays[us] = np.array([math.exp(-(us * 1e-6) / t) for t in tau.tolist()])
+        return decays[us]
+
+    # The frame's settling segments: one per slot, except that a slot whose
+    # head is blanked splits in two, toward 0 over the head and then toward
+    # the pair.
+    blank = _blank_us(link, n_total, slot_us)
+    seg_slot, seg_us, heads = [], [], []
+    for s in range(slots):
+        head = blank[s % n_total]
+        if 0 < head < slot_us:
+            heads.append(len(seg_slot))
+            seg_slot += [s, s]
+            seg_us += [head, slot_us - head]
+        else:
+            seg_slot.append(s)
+            seg_us.append(slot_us)
+    seg_dur = np.array(seg_us)[:, None, None] * 1e-6
+    seg_decay = np.stack([decay(us) for us in seg_us])[:, None, :]
+    heads = np.array(heads, dtype=np.intp)
+    head_slots = np.array(seg_slot, dtype=np.intp)[heads]
+    slot_end = np.searchsorted(seg_slot, np.arange(slots), side="right")
+    live = np.array(blank) < slot_us
+    wpt_blank = min(link.latency_us, wpt_us)
+
+    ok = np.ones((n_rounds, frames, m_total + 1), dtype=bool) if draws is None \
+        else draws >= link.drop_probability
+    activated, fed_back = ok[..., :m_total], ok[..., m_total]
+    prior = np.asarray(prior)[:, :frames]
+    bad = ~fed_back & np.any((prior < 0) | (prior >= (m_total, n_total)), axis=-1)
+    if bad.any():
+        a, f = prior[np.nonzero(bad)][0] + 1
+        raise ValidationError(f"prior pair ({a},{f}) out of range")
+
+    v_tgt = np.sqrt(p_dc * load[:, None, None])
+    seg_tgt = v_tgt.reshape(n_rounds, k_users, slots).transpose(2, 0, 1)[seg_slot]
+    seg_tgt[heads] = 0.0  # (segments, B, K); every row settles toward 0 over a head
+    rows = np.arange(n_rounds)[:, None]
+    users = np.arange(k_users)
+    v = np.array(v_initial, dtype=float)
+    out = {}
+    for j in range(frames):
+        emitting = activated[:, j, :, None] & live
+        emits = emitting.reshape(n_rounds, slots)
+        tgt = np.where(emits.T[seg_slot, :, None], seg_tgt, 0.0)
+        # A row idle in a blanked slot decays over the whole slot in the head
+        # segment, where the duration term vanishes as the target is 0, then
+        # holds: decay 1 and no energy in the tail.
+        on = emits[:, head_slots].T[..., None]
+        dec = np.repeat(seg_decay, n_rounds, axis=1)
+        dec[heads] = np.where(on, dec[heads], decay(slot_us))
+        dec[heads + 1] = np.where(on, dec[heads + 1], 1.0)
+        volts = np.empty((len(seg_slot) + 1, n_rounds, k_users))
+        volts[0] = v
+        for g in range(len(seg_slot)):
+            volts[g + 1] = settle(volts[g], tgt[g], dec[g])
+        # summed in segment order, as a walk adds them
+        energy = np.add.accumulate(segment_energy(volts[:-1], tgt, seg_dur, dec, tau, load))[-1]
+        v = volts[-1]
+
+        ends = volts[slot_end, :, j].T
+        samples = ends if adc is None else adc.quantize(ends)
+        sampled_w = check_powers(np.square(samples).reshape(n_rounds, m_total, n_total)
+                                 / load[j])
+        selected = np.stack(select_pairs(sampled_w, "joint"), axis=-1)
+        applied = np.where(fed_back[:, j, None], selected, prior[:, j])
+        served = (rows, users, applied[:, :1], applied[:, 1:])
+        de = 0.0
+        if wpt_blank > 0:
+            de = segment_energy(v, 0.0, wpt_blank * 1e-6, decay(wpt_blank), tau, load)
+            v = settle(v, 0.0, decay(wpt_blank))
+        if wpt_us > wpt_blank:
+            v = v_tgt[served]
+        frame = dict(emitting=emitting, samples=samples, selected=selected,
+                     selected_w=sampled_w[rows[:, 0], selected[:, 0], selected[:, 1]],
+                     applied=applied, served_w=p_dc[served], training_j=energy,
+                     wpt_j=de + p_dc[served] * (wpt_us - wpt_blank) * 1e-6, voltage_v=v)
+        for key, value in frame.items():
+            if key not in out:
+                out[key] = np.empty((n_rounds, frames) + value.shape[1:], value.dtype)
+            out[key][:, j] = value
+    return RoundBatch(activated=activated, fed_back=fed_back, **out)
+
+
+def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
+              start_us: int = 0) -> EventLog:
+    """The event log of frame ``j`` of round ``b`` of a walk, for its training user."""
+    _, _, m_total, n_total = batch.emitting.shape
     slot_us = sched.slot_us
-    energy = 0.0
-    v_ends = []
-    for ant, n in emissions:
-        blank_us = slot_us if ant is None else _blank_us(link, n, slot_us)
-        if blank_us > 0:
-            de, v = settling_energy(v, 0.0, blank_us * 1e-6, rect)
-            energy += de
-        if blank_us < slot_us:
-            de, v = settling_energy(v, float(v_tgt[ant - 1, n - 1]),
-                                    (slot_us - blank_us) * 1e-6, rect)
-            energy += de
-        v_ends.append(v)
-    return energy, v_ends, v
+    activated = batch.activated[b, j].tolist()
+    emitting = batch.emitting[b, j].tolist()
+    samples = iter(batch.samples[b, j].tolist())
+    events: list[Event] = []
+    messages: list[ControlMessage] = []
+    t = int(start_us)
+    for m in range(1, m_total + 1):
+        messages.append(ControlMessage("activate", t, antenna=m))
+        events.append(Event(t, "MessageSent", antenna=m))
+        if not activated[m - 1]:
+            events.append(Event(t, "MessageDropped", antenna=m))
+        for n in range(1, n_total + 1):
+            events.append(Event(t, "SlotStart", antenna=m, frequency=n))
+            t += slot_us
+            events.append(Event(t, "AdcSample", antenna=m, frequency=n, value=next(samples)))
+
+    sel_m, sel_n = (batch.selected[b, j] + 1).tolist()
+    selection = SelectionDecision(sel_m, sel_n, float(batch.selected_w[b, j]), "joint")
+    code = encode_feedback(sel_m, sel_n, (m_total, n_total))
+    applied_m, applied_n = (batch.applied[b, j] + 1).tolist()
+    messages.append(ControlMessage("feedback", t, code=code))
+    events.append(Event(t, "MessageSent", value=code))
+    if batch.fed_back[b, j]:
+        events.append(Event(t, "FeedbackApplied", antenna=applied_m, frequency=applied_n))
+    else:
+        events.append(Event(t, "MessageDropped", value=code))
+    events.append(Event(t, "WptPhaseStart", antenna=applied_m, frequency=applied_n))
+    events.append(Event(start_us + sched.frame_us, "FrameEnd"))
+
+    return EventLog(
+        events=events,
+        harvested_energy_training_j=float(batch.training_j[b, j, j]),
+        harvested_energy_wpt_j=float(batch.wpt_j[b, j, j]),
+        frame_start_us=int(start_us),
+        schedule=sched,
+        selection=selection,
+        applied_antenna=applied_m,
+        applied_frequency=applied_n,
+        applied_power_w=float(batch.served_w[b, j, j]),
+        emissions=[(m + 1 if emitting[m][n] else None, n + 1)
+                   for m in range(m_total) for n in range(n_total)],
+        final_voltage_v=float(batch.voltage_v[b, j, j]),
+        messages=messages,
+    )
 
 
-def harvest_delivery(v: float, v_served: float, p_served: float, sched: FrameSchedule,
-                     link: ControlLinkModel, rect: RectennaConfig) -> tuple[float, float]:
-    """Energy and end voltage of one receiver over the delivery phase: it
-    settles toward 0 until the feedback takes effect one link latency in,
-    then harvests the served pair's steady power ``p_served`` and ends at
-    its steady voltage ``v_served``."""
-    wpt_us = sched.wpt_us
-    blank_us = min(link.latency_us, wpt_us)
-    de = 0.0
-    if blank_us > 0:
-        de, v = settling_energy(v, 0.0, blank_us * 1e-6, rect)
-    if wpt_us > blank_us:
-        v = v_served
-    return de + p_served * (wpt_us - blank_us) * 1e-6, v
-
-
-def _prior_pair(prior, n_total: int) -> tuple[int, int]:
+def prior_pair(prior, n_total: int) -> tuple[int, int]:
+    """1-based fallback pair: ``prior`` (a decision or a pair), or antenna 1
+    at the middle frequency when there is none."""
     if prior is None:
         return 1, middle_index(n_total)
     if isinstance(prior, SelectionDecision):
         return prior.antenna, prior.frequency
     m, n = prior
     return int(m), int(n)
+
+
+def check_dc_matrix(p_dc, sched: FrameSchedule) -> np.ndarray:
+    """A receiver's (antennas x frequencies) dc powers, one pair per training slot."""
+    p_dc = check_powers(p_dc)
+    if p_dc.ndim != 2:
+        raise ValidationError("the dc power matrix must be (antennas x frequencies)")
+    m_total, n_total = p_dc.shape
+    if m_total * n_total != sched.training_slots:
+        raise ValidationError(
+            f"schedule has {sched.training_slots} slots but the candidate set is "
+            f"{m_total}x{n_total}"
+        )
+    return p_dc
 
 
 def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule | None = None,
@@ -301,79 +484,14 @@ def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule | Non
     """
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
-    p_dc = check_powers(p_dc)
-    if p_dc.ndim != 2:
-        raise ValidationError("the dc power matrix must be (antennas x frequencies)")
+    p_dc = check_dc_matrix(p_dc, sched)
     m_total, n_total = p_dc.shape
-    if m_total * n_total != sched.training_slots:
-        raise ValidationError(
-            f"schedule has {sched.training_slots} slots but the candidate set is "
-            f"{m_total}x{n_total}"
-        )
-
-    v_tgt = np.sqrt(p_dc * rect.load_ohms)
-
-    slot_us = sched.slot_us
-    delivered = [link.deliver(rng) for _ in range(m_total)]
-    emissions = [(m if delivered[m - 1] and _blank_us(link, n, slot_us) < slot_us else None, n)
-                 for m in range(1, m_total + 1) for n in range(1, n_total + 1)]
-    e_train, v_ends, v = harvest_training(emissions, v_tgt, float(v_initial),
-                                          sched, link, rect)
-    samples = v_ends if adc is None else [adc.quantize(x) for x in v_ends]
-    adc_powers = np.square(samples).reshape(m_total, n_total) / rect.load_ohms
-
-    events: list[Event] = []
-    messages: list[ControlMessage] = []
-    slot_samples = iter(samples)
-    t = int(start_us)
-    for m in range(1, m_total + 1):
-        messages.append(ControlMessage("activate", t, antenna=m))
-        events.append(Event(t, "MessageSent", antenna=m))
-        if not delivered[m - 1]:
-            events.append(Event(t, "MessageDropped", antenna=m))
-        for n in range(1, n_total + 1):
-            events.append(Event(t, "SlotStart", antenna=m, frequency=n))
-            t += slot_us
-            events.append(Event(t, "AdcSample", antenna=m, frequency=n,
-                                value=next(slot_samples)))
-
-    selection = select_joint(CandidateMatrix.from_powers(adc_powers))
-    code = encode_feedback(selection.antenna, selection.frequency, (m_total, n_total))
-    fb_delivered = link.deliver(rng)
-    messages.append(ControlMessage("feedback", t, code=code))
-    events.append(Event(t, "MessageSent", value=code))
-    if fb_delivered:
-        applied_m, applied_n = selection.antenna, selection.frequency
-        events.append(Event(t, "FeedbackApplied", antenna=applied_m, frequency=applied_n))
-    else:
-        events.append(Event(t, "MessageDropped", value=code))
-        applied_m, applied_n = _prior_pair(prior, n_total)
-        if not (1 <= applied_m <= m_total and 1 <= applied_n <= n_total):
-            raise ValidationError(f"prior pair ({applied_m},{applied_n}) out of range")
-
-    applied_p = float(p_dc[applied_m - 1, applied_n - 1])
-    events.append(Event(t, "WptPhaseStart", antenna=applied_m, frequency=applied_n))
-    e_wpt, v = harvest_delivery(v, float(v_tgt[applied_m - 1, applied_n - 1]), applied_p,
-                                sched, link, rect)
-
-    end_us = start_us + sched.frame_us
-    events.append(Event(end_us, "FrameEnd"))
-
-    log = EventLog(
-        events=events,
-        harvested_energy_training_j=e_train,
-        harvested_energy_wpt_j=e_wpt,
-        frame_start_us=int(start_us),
-        schedule=sched,
-        selection=selection,
-        applied_antenna=applied_m,
-        applied_frequency=applied_n,
-        applied_power_w=applied_p,
-        emissions=emissions,
-        final_voltage_v=v,
-        messages=messages,
-    )
-    return log, selection
+    fallback = np.subtract(prior_pair(prior, n_total), 1).reshape(1, 1, 2)
+    batch = run_rounds(p_dc[None, None], [rect], sched, link, adc,
+                       link.draws(rng, (1, 1, m_total + 1)), [[float(v_initial)]],
+                       fallback, frames=1)
+    log = frame_log(batch, 0, 0, sched, start_us)
+    return log, log.selection
 
 
 @dataclass(frozen=True)

@@ -203,7 +203,7 @@ def settled_voltage(v_target: float, v_initial: float, elapsed_s: float,
         raise ValidationError("elapsed_s must be >= 0")
     if elapsed_s == 0:
         return v_initial
-    return v_target + (v_initial - v_target) * math.exp(-elapsed_s / cfg.settle_tau_s)
+    return settle(v_initial, v_target, math.exp(-elapsed_s / cfg.settle_tau_s))
 
 
 def settling_energy(v_initial: float, v_target: float, duration_s: float,
@@ -218,9 +218,28 @@ def settling_energy(v_initial: float, v_target: float, duration_s: float,
     if duration_s == 0:
         return 0.0, v_initial
     tau = cfg.settle_tau_s
+    decay = math.exp(-duration_s / tau)
+    return (segment_energy(v_initial, v_target, duration_s, decay, tau, cfg.load_ohms),
+            settle(v_initial, v_target, decay))
+
+
+# The closed form of one settling segment, split so that a batched walk can
+# step the voltage slot by slot and then take every segment's energy at
+# once. ``decay`` is ``math.exp(-duration_s / tau_s)``, computed by the
+# caller once per (duration, time constant). Every other operand may be an
+# array: each element then meets the same float operations, in the same
+# order, as Python floats do, so a batched walk and :func:`settling_energy`
+# agree exactly. Squares are ``x * x``: Python's ``x ** 2`` calls ``pow``,
+# which can differ from numpy's square in the last bit.
+
+def settle(v_initial, v_target, decay):
+    """Output voltage at the end of a segment that starts at ``v_initial``."""
+    return v_target + (v_initial - v_target) * decay
+
+
+def segment_energy(v_initial, v_target, duration_s, decay, tau_s, load_ohms):
+    """Energy delivered to the load over one segment of ``duration_s > 0``."""
     delta = v_initial - v_target
-    e1 = math.exp(-duration_s / tau)
-    energy = (v_target ** 2 * duration_s
-              + 2.0 * v_target * delta * tau * (1.0 - e1)
-              + delta ** 2 * (tau / 2.0) * (1.0 - e1 ** 2)) / cfg.load_ohms
-    return energy, v_target + delta * e1
+    return (v_target * v_target * duration_s
+            + 2.0 * v_target * delta * tau_s * (1.0 - decay)
+            + delta * delta * (tau_s / 2.0) * (1.0 - decay * decay)) / load_ohms

@@ -27,9 +27,10 @@ from .protocol import (
     ControlLinkModel,
     EventLog,
     FrameSchedule,
-    harvest_delivery,
-    harvest_training,
-    run_frame,
+    check_dc_matrix,
+    frame_log,
+    prior_pair,
+    run_rounds,
 )
 from .rectenna import RectennaConfig
 from .selection import SelectionDecision
@@ -88,23 +89,6 @@ class TdmaResult:
                      f"{r.frequency},{r.p_dc_w:.12g},{r.energy_j:.12g}\n")
 
 
-def _passive_harvest(user: UserState, log: EventLog, p_dc: np.ndarray,
-                     sched: FrameSchedule, link: ControlLinkModel) -> tuple[float, float]:
-    """Replay one frame's emissions against a passive user whose steady dc
-    power per pair is ``p_dc``.
-
-    Returns (harvested energy, steady dc power at the served pair).
-    """
-    v_tgt = np.sqrt(p_dc * user.rect.load_ohms)
-    e_train, _v_ends, v = harvest_training(log.emissions, v_tgt, user.voltage_v,
-                                           sched, link, user.rect)
-    served = (log.applied_antenna - 1, log.applied_frequency - 1)
-    applied_p = float(p_dc[served])
-    e_wpt, user.voltage_v = harvest_delivery(v, float(v_tgt[served]), applied_p,
-                                             sched, link, user.rect)
-    return e_train + e_wpt, applied_p
-
-
 def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
              sched: FrameSchedule | None = None,
              link: ControlLinkModel | None = None,
@@ -118,6 +102,8 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
     With a ``profile``, channels are redrawn per round from ``rng``
     (``num_antennas`` antennas, defaulting to the active channel size);
     otherwise the channels already held by the users are used throughout.
+    Each round is one call of :func:`wptdas.protocol.run_rounds`; event logs
+    are built from its arrays only when ``keep_logs`` asks for them.
     """
     if not users:
         raise ValidationError("need at least one user")
@@ -140,37 +126,39 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
     logs: list[EventLog] = []
     frame_s = sched.frame_s
 
-    for i in range(frames):
-        if i % k == 0:
-            if profile is not None:
-                for u in users:
-                    u.channel = sample_channel(profile, num_antennas, rng)
-            # the channels hold for the round, and so does each user's dc matrix
-            p_dc = [dc_power_matrix(u.channel, grid, budget, u.rect.curve, u.extra_loss_db)
-                    for u in users]
-        active = users[i % k]
-        log, _sel = run_frame(p_dc[i % k], active.rect, sched=sched, link=link,
-                              prior=active.prior, rng=rng, adc=adc,
-                              start_us=i * sched.frame_us, v_initial=active.voltage_v)
-        if keep_logs:
-            logs.append(log)
-        active.prior = SelectionDecision(log.applied_antenna, log.applied_frequency,
-                                         log.applied_power_w, "joint")
-        active.voltage_v = log.final_voltage_v
-        active.frames_trained += 1
-        e_active = log.harvested_energy_j
-        active.energy_j += e_active
-        rows.append(TraceRow(i, active.user_id, True, log.applied_antenna,
-                             log.applied_frequency, e_active / frame_s,
-                             active.energy_j, log.applied_power_w))
-
-        for u, u_dc in zip(users, p_dc):
-            if u is active:
-                continue
-            e_passive, p_served = _passive_harvest(u, log, u_dc, sched, link)
-            u.energy_j += e_passive
-            rows.append(TraceRow(i, u.user_id, False, log.applied_antenna,
-                                 log.applied_frequency, e_passive / frame_s,
-                                 u.energy_j, p_served))
+    for start in range(0, frames, k):
+        if profile is not None:
+            for u in users:
+                u.channel = sample_channel(profile, num_antennas, rng)
+        # the channels hold for the round, and so does each user's dc matrix
+        p_dc = [check_dc_matrix(dc_power_matrix(u.channel, grid, budget, u.rect.curve,
+                                                u.extra_loss_db), sched)
+                for u in users]
+        if len({p.shape for p in p_dc}) > 1:
+            raise ValidationError("every user's dc matrix must have the same shape")
+        m_total, n_total = p_dc[0].shape
+        count = min(k, frames - start)
+        fallback = [[np.subtract(prior_pair(u.prior, n_total), 1) for u in users]]
+        batch = run_rounds(np.stack(p_dc)[None], [u.rect for u in users], sched, link, adc,
+                           link.draws(rng, (1, count, m_total + 1)),
+                           [[u.voltage_v for u in users]], fallback, count)
+        for j in range(count):
+            i = start + j
+            active = users[j]
+            if keep_logs:
+                logs.append(frame_log(batch, 0, j, sched, i * sched.frame_us))
+            antenna, frequency = (batch.applied[0, j] + 1).tolist()
+            served = batch.served_w[0, j].tolist()
+            energy = [e_train + e_wpt for e_train, e_wpt in
+                      zip(batch.training_j[0, j].tolist(), batch.wpt_j[0, j].tolist())]
+            active.prior = SelectionDecision(antenna, frequency, served[j], "joint")
+            active.frames_trained += 1
+            for u_idx in [j] + [v for v in range(k) if v != j]:
+                u = users[u_idx]
+                u.energy_j += energy[u_idx]
+                rows.append(TraceRow(i, u.user_id, u is active, antenna, frequency,
+                                     energy[u_idx] / frame_s, u.energy_j, served[u_idx]))
+            for u, v in zip(users, batch.voltage_v[0, j].tolist()):
+                u.voltage_v = v
 
     return TdmaResult(users=users, rows=rows, frames=frames, frame_logs=logs)

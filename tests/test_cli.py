@@ -87,6 +87,17 @@ class TestFrame:
         assert run(["frame", "--config", str(cfg), "--quiet"], tmp_path) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command,pipeline", [("validate", "ideal"), ("frame", "ideal"),
+                                                  ("tdma", "ideal"), ("sweep", "protocol")])
+    def test_adc_step_below_a_normal_float_fails_cleanly(self, tmp_path, capsys, command,
+                                                         pipeline):
+        cfg = tmp_path / "adc.ini"
+        cfg.write_text(f"[adc]\nvref = 1e-320\n\n[experiment]\npipeline = {pipeline}\n"
+                       "realizations = 2\nframes = 2\n")
+        assert run([command, "--config", str(cfg), "--quiet"], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "v_ref" in err
+
 
 class TestSweep:
     def test_row_count(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ the config hash line of the frame and TDMA outputs."""
 
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,19 @@ class TestSchema:
         cfg = write(tmp_path, "[experiment]\nantenna_sweep = 5\n")
         with pytest.raises(FeedbackCapacityError, match="5 antennas x 15 frequencies"):
             load_settings(cfg)
+
+    @pytest.mark.parametrize("grid", ["uniform", "ieee"])
+    def test_pair_count_is_checked_before_the_grid_is_built(self, tmp_path, grid):
+        cfg = write(tmp_path, f"[channel]\ngrid = {grid}\nfrequencies = 1000000\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FeedbackCapacityError,
+                               match="4 antennas x 1000000 frequencies exceed the 6-bit"):
+                load_settings(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the grid alone would take 8 MB
 
 
 class TestBadValues:

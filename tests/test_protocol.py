@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -102,6 +103,17 @@ class TestAdcModel:
     def test_rejects_bits_a_float_cannot_count(self, bits):
         with pytest.raises(ValidationError):
             AdcModel(bits=bits)
+
+    @pytest.mark.parametrize("v_ref", [1e-320, 5e-324, 0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_reference_without_a_normal_step(self, v_ref):
+        with pytest.raises(ValidationError):
+            AdcModel(v_ref=v_ref)
+
+    def test_smallest_reference_with_a_normal_step(self):
+        v_ref = sys.float_info.min * (2 ** 12 - 1) * 2
+        assert AdcModel(v_ref=v_ref).quantize(v_ref) == v_ref
+        with pytest.raises(ValidationError):
+            AdcModel(v_ref=v_ref / 4)
 
     @pytest.mark.parametrize("bits", [1, 53])
     def test_accepts_the_bit_range_ends(self, bits):

@@ -11,9 +11,11 @@ from wptdas.errors import ValidationError
 from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, run_frame
 from wptdas.rectenna import RectennaConfig
 from wptdas.rng import substream
-from wptdas.scheduler import TRACE_COLUMNS, UserState, _passive_harvest, run_tdma
+from wptdas.scheduler import TRACE_COLUMNS, UserState, run_tdma
 from wptdas.selection import CandidateMatrix, select_joint
 from wptdas.signal_chain import dc_power_matrix
+
+from scalar_oracle import _passive_harvest
 
 PROFILE = builtin_profile("model-E-NLOS")
 GRID = FrequencyGrid.uniform()
