@@ -18,7 +18,6 @@ from .channel import (
     LinkBudget,
     TapProfile,
     builtin_profile,
-    frequency_response,
     load_tap_profile,
     path_loss_db,
     received_rf_power,

@@ -164,36 +164,24 @@ class ChannelRealization:
         return ChannelRealization(self.delays_s, self.gains[..., :num_antennas, :])
 
 
-def sample_channel(profile: TapProfile, num_antennas: int,
-                   rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization per antenna from ``profile``.
-
-    Antennas are independent and identically distributed. Stream draws are
-    consumed antenna-major, tap-minor, real part before imaginary part, so a
-    given generator state always produces the same realization.
-    """
+def draw_gains(profile: TapProfile, num_antennas: int, rngs, batch_shape: tuple) -> np.ndarray:
+    """Tap gains (*batch_shape, num_antennas, num_taps), one draw per generator of
+    ``rngs`` in C order. Each generator's normals fill antenna-major, tap-minor, real
+    before imaginary part, scaled by sqrt(tap power / 2), the same alone or in a stack."""
     if num_antennas < 1:
         raise ValidationError("num_antennas must be >= 1")
-    scale = np.sqrt(profile.powers / 2.0)
-    z = rng.standard_normal((num_antennas, profile.num_taps, 2))
-    gains = (z[..., 0] + 1j * z[..., 1]) * scale
-    return ChannelRealization(profile.delays_s, gains)
+    gains = np.empty((*batch_shape, num_antennas, profile.num_taps), dtype=complex)
+    z = gains.view(float).reshape(-1, num_antennas, profile.num_taps, 2)
+    for z_one, rng in zip(z, rngs, strict=True):
+        rng.standard_normal(z_one.shape, out=z_one)
+    z *= np.sqrt(profile.powers / 2.0)[:, None]
+    return gains
 
 
-def frequency_response(ch: ChannelRealization, antenna: int, freq_hz: float) -> complex:
-    """Complex channel response of 1-based ``antenna`` at ``freq_hz``.
-
-    Sum over taps of gain * exp(-j 2 pi f delay). Negative frequencies
-    return the conjugate of the positive-frequency response (real passband
-    channel), so conjugate symmetry holds by construction.
-    """
-    if ch.gains.ndim != 2:
-        raise ValidationError("frequency_response takes one realization, not a stack")
-    if not 1 <= antenna <= ch.num_antennas:
-        raise IndexError(f"antenna {antenna} out of range 1..{ch.num_antennas}")
-    g = ch.gains[antenna - 1]
-    h = complex(np.sum(g * np.exp(-2j * np.pi * abs(freq_hz) * ch.delays_s)))
-    return h if freq_hz >= 0 else h.conjugate()
+def sample_channel(profile: TapProfile, num_antennas: int,
+                   rng: np.random.Generator) -> ChannelRealization:
+    """Draw one channel realization per antenna from ``profile``."""
+    return ChannelRealization(profile.delays_s, draw_gains(profile, num_antennas, [rng], ()))
 
 
 def response_matrix(ch: ChannelRealization, freqs_hz: np.ndarray) -> np.ndarray:

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .channel import ChannelRealization, FrequencyGrid, LinkBudget, TapProfile, sample_channel
+from .channel import ChannelRealization, FrequencyGrid, LinkBudget, TapProfile, draw_gains
 from .errors import ValidationError
 from .protocol import (
     DEFAULT_ADC,
@@ -49,6 +50,7 @@ from .signal_chain import dc_power_matrix
 
 RESULT_COLUMNS = "M,N,strategy,user,avg_pdc_watts,stderr_watts,realizations,seed"
 SUM_USER = 0  # user id used for multi-user sum rows
+DC_BLOCK_DRAWS = 64  # channel draws per block of _dc_tensor: amortizes calls, bounds memory
 
 
 def dbm_to_watts(x_dbm):
@@ -212,19 +214,30 @@ def _sweep_cells(cfg: ExperimentConfig):
             yield m, k, nested_frequency_indices(cfg.grid.count, k)
 
 
+def _channel_gains(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
+    """Tap gains (R, U, M_max, L) of realizations [r0, r1), each (realization,
+    user) from its own substream, so they do not depend on the range drawn."""
+    rngs = (substream(cfg.seed, DOMAIN_CHANNEL, r, u)
+            for r in range(r0, r1) for u in range(cfg.users))
+    return draw_gains(cfg.profile, cfg.max_antennas, rngs, (r1 - r0, cfg.users))
+
+
 def _dc_tensor(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
     """Steady-state dc powers of realizations [r0, r1), shape (R, U, M_max, N).
 
-    One channel draw from its own substream per realization and user, so a
-    realization's numbers do not depend on the chunk that computes it.
+    Channels are drawn in blocks of at most ``DC_BLOCK_DRAWS`` (realization,
+    user) pairs, with one stacked :func:`dc_power_matrix` per user and block;
+    every entry is bit-identical to computing its realization alone.
     """
     dc = np.empty((r1 - r0, cfg.users, cfg.max_antennas, cfg.grid.count))
-    for r in range(r0, r1):
+    step = max(1, DC_BLOCK_DRAWS // cfg.users)
+    for a in range(r0, r1, step):
+        b = min(a + step, r1)
+        gains = _channel_gains(cfg, a, b)
         for u in range(cfg.users):
-            ch = sample_channel(cfg.profile, cfg.max_antennas,
-                                substream(cfg.seed, DOMAIN_CHANNEL, r, u))
-            dc[r - r0, u] = dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve,
-                                            cfg.loss_for_user(u))
+            ch = ChannelRealization(cfg.profile.delays_s, gains[:, u])
+            dc[a - r0:b - r0, u] = dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve,
+                                                   cfg.loss_for_user(u))
     return dc
 
 
@@ -271,14 +284,15 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     candidate powers, no frame protocol. With multiple users, frame i of a
     round serves user i's selection while the others harvest passively at
     the served pair; reported values are per-round (cycle) averages.
-    ``jobs`` only parallelizes; results are identical for any job count.
+    ``jobs`` only parallelizes, one worker per CPU at most; results are
+    identical for any job count.
     """
     r_total = cfg.realizations
+    jobs = min(jobs, r_total, os.cpu_count() or 1)
     if jobs <= 1 or r_total < 4:
         chunks = [_sweep_chunk((cfg, 0, r_total))]
         bounds = [(0, r_total)]
     else:
-        jobs = min(jobs, r_total)
         edges = np.linspace(0, r_total, jobs + 1).astype(int)
         bounds = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
         with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
@@ -314,9 +328,7 @@ def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlL
     """
     cells = list(_sweep_cells(cfg))
     n_real, users = cfg.realizations, cfg.users
-    gains = np.stack([[sample_channel(cfg.profile, cfg.max_antennas,
-                                      substream(cfg.seed, DOMAIN_CHANNEL, r, u)).gains
-                       for u in range(users)] for r in range(n_real)])
+    gains = _channel_gains(cfg, 0, n_real)
     chans = [ChannelRealization(cfg.profile.delays_s, gains[:, u]) for u in range(users)]
     per_real = [link.draws(substream(cfg.seed, DOMAIN_LINK, r),
                            sum(users * (m + 1) for m, _k, _cols in cells))

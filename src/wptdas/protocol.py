@@ -301,13 +301,19 @@ def run_rounds(p_dc: np.ndarray, rects: list, sched: FrameSchedule, link: Contro
     slot_us, wpt_us = sched.slot_us, sched.wpt_us
     tau = np.array([r.settle_tau_s for r in rects])
     load = np.array([r.load_ohms for r in rects])
-    decays = {}
+    factors = {}
 
     def decay(us: int) -> np.ndarray:
         """Per-user decay over ``us``: one exp per (duration, time constant)."""
-        if us not in decays:
-            decays[us] = np.array([math.exp(-(us * 1e-6) / t) for t in tau.tolist()])
-        return decays[us]
+        if us not in factors:
+            factors[us] = (np.array([math.exp(-(us * 1e-6) / t) for t in tau.tolist()]),
+                           np.array([-math.expm1(-(us * 1e-6) / t) for t in tau.tolist()]))
+        return factors[us][0]
+
+    def rise(us: int) -> np.ndarray:
+        """Per-user ``1 - decay(us)``, taken with ``expm1``."""
+        decay(us)
+        return factors[us][1]
 
     # The frame's settling segments: one per slot, except that a slot whose
     # head is blanked splits in two, toward 0 over the head and then toward
@@ -325,6 +331,7 @@ def run_rounds(p_dc: np.ndarray, rects: list, sched: FrameSchedule, link: Contro
             seg_us.append(slot_us)
     seg_dur = np.array(seg_us)[:, None, None] * 1e-6
     seg_decay = np.stack([decay(us) for us in seg_us])[:, None, :]
+    seg_rise = np.stack([rise(us) for us in seg_us])[:, None, :]
     heads = np.array(heads, dtype=np.intp)
     head_slots = np.array(seg_slot, dtype=np.intp)[heads]
     slot_end = np.searchsorted(seg_slot, np.arange(slots), side="right")
@@ -353,17 +360,20 @@ def run_rounds(p_dc: np.ndarray, rects: list, sched: FrameSchedule, link: Contro
         tgt = np.where(emits.T[seg_slot, :, None], seg_tgt, 0.0)
         # A row idle in a blanked slot decays over the whole slot in the head
         # segment, where the duration term vanishes as the target is 0, then
-        # holds: decay 1 and no energy in the tail.
+        # holds: decay 1, rise 0 and no energy in the tail.
         on = emits[:, head_slots].T[..., None]
         dec = np.repeat(seg_decay, n_rounds, axis=1)
         dec[heads] = np.where(on, dec[heads], decay(slot_us))
         dec[heads + 1] = np.where(on, dec[heads + 1], 1.0)
+        ris = np.repeat(seg_rise, n_rounds, axis=1)
+        ris[heads] = np.where(on, ris[heads], rise(slot_us))
+        ris[heads + 1] = np.where(on, ris[heads + 1], 0.0)
         volts = np.empty((len(seg_slot) + 1, n_rounds, k_users))
         volts[0] = v
         for g in range(len(seg_slot)):
             volts[g + 1] = settle(volts[g], tgt[g], dec[g])
         # summed in segment order, as a walk adds them
-        energy = np.add.accumulate(segment_energy(volts[:-1], tgt, seg_dur, dec, tau, load))[-1]
+        energy = np.add.accumulate(segment_energy(volts[:-1], tgt, seg_dur, ris, tau, load))[-1]
         v = volts[-1]
 
         ends = volts[slot_end, :, j].T
@@ -375,7 +385,7 @@ def run_rounds(p_dc: np.ndarray, rects: list, sched: FrameSchedule, link: Contro
         served = (rows, users, applied[:, :1], applied[:, 1:])
         de = 0.0
         if wpt_blank > 0:
-            de = segment_energy(v, 0.0, wpt_blank * 1e-6, decay(wpt_blank), tau, load)
+            de = segment_energy(v, 0.0, wpt_blank * 1e-6, rise(wpt_blank), tau, load)
             v = settle(v, 0.0, decay(wpt_blank))
         if wpt_us > wpt_blank:
             v = v_tgt[served]

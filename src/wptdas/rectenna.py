@@ -218,28 +218,32 @@ def settling_energy(v_initial: float, v_target: float, duration_s: float,
     if duration_s == 0:
         return 0.0, v_initial
     tau = cfg.settle_tau_s
-    decay = math.exp(-duration_s / tau)
-    return (segment_energy(v_initial, v_target, duration_s, decay, tau, cfg.load_ohms),
-            settle(v_initial, v_target, decay))
+    return (segment_energy(v_initial, v_target, duration_s, -math.expm1(-duration_s / tau),
+                           tau, cfg.load_ohms),
+            settle(v_initial, v_target, math.exp(-duration_s / tau)))
 
 
 # The closed form of one settling segment, split so that a batched walk can
 # step the voltage slot by slot and then take every segment's energy at
-# once. ``decay`` is ``math.exp(-duration_s / tau_s)``, computed by the
-# caller once per (duration, time constant). Every other operand may be an
-# array: each element then meets the same float operations, in the same
-# order, as Python floats do, so a batched walk and :func:`settling_energy`
-# agree exactly. Squares are ``x * x``: Python's ``x ** 2`` calls ``pow``,
-# which can differ from numpy's square in the last bit.
+# once. ``decay`` is ``math.exp(-duration_s / tau_s)`` and ``rise`` is
+# ``-math.expm1(-duration_s / tau_s)``, i.e. ``1 - decay`` without the
+# cancellation of that difference when the segment is short against tau;
+# the caller computes both once per (duration, time constant). Every other
+# operand may be an array: each element then meets the same float
+# operations, in the same order, as Python floats do, so a batched walk and
+# :func:`settling_energy` agree exactly. Squares are ``x * x``: Python's
+# ``x ** 2`` calls ``pow``, which can differ from numpy's square in the last
+# bit.
 
 def settle(v_initial, v_target, decay):
     """Output voltage at the end of a segment that starts at ``v_initial``."""
     return v_target + (v_initial - v_target) * decay
 
 
-def segment_energy(v_initial, v_target, duration_s, decay, tau_s, load_ohms):
+def segment_energy(v_initial, v_target, duration_s, rise, tau_s, load_ohms):
     """Energy delivered to the load over one segment of ``duration_s > 0``."""
     delta = v_initial - v_target
+    # 1 - decay**2 = rise * (1 + decay) = rise * (2 - rise)
     return (v_target * v_target * duration_s
-            + 2.0 * v_target * delta * tau_s * (1.0 - decay)
-            + delta * delta * (tau_s / 2.0) * (1.0 - decay * decay)) / load_ohms
+            + 2.0 * v_target * delta * tau_s * rise
+            + delta * delta * (tau_s / 2.0) * (rise * (2.0 - rise))) / load_ohms

@@ -13,17 +13,14 @@ from .channel import ChannelRealization, FrequencyGrid, LinkBudget, response_mat
 from .rectenna import EfficiencyCurve
 
 
-def rf_power_matrix(ch: ChannelRealization, grid: FrequencyGrid, budget: LinkBudget,
-                    extra_loss_db: float = 0.0) -> np.ndarray:
-    """(antennas x frequencies) received RF power in watts."""
-    amp2 = np.abs(response_matrix(ch, grid.frequencies_hz)) ** 2
-    scale = budget.tx_power_w * 10.0 ** (-(budget.net_loss_db + extra_loss_db) / 10.0)
-    return scale * amp2
-
-
 def dc_power_matrix(ch: ChannelRealization, grid: FrequencyGrid, budget: LinkBudget,
                     curve: EfficiencyCurve, extra_loss_db: float = 0.0) -> np.ndarray:
-    """(antennas x frequencies) steady-state dc output power in watts."""
-    p_rf = rf_power_matrix(ch, grid, budget, extra_loss_db)
+    """(..., antennas, frequencies) steady-state dc output power in watts.
+
+    A stacked ``ch`` gives one matrix per realization of the stack, each
+    bit-identical to the matrix of that realization alone.
+    """
+    amp2 = np.abs(response_matrix(ch, grid.frequencies_hz)) ** 2
+    p_rf = budget.tx_power_w * 10.0 ** (-(budget.net_loss_db + extra_loss_db) / 10.0) * amp2
     freqs = np.broadcast_to(grid.frequencies_hz, p_rf.shape)
     return p_rf * curve.efficiency(p_rf, freqs)

@@ -1,18 +1,21 @@
-"""Scalar reference walk of the frame protocol, kept as a test oracle.
+"""Scalar reference forms of the frame protocol, the ideal sweep's dc tensor
+and the channel response, kept as test oracles.
 
-This is the frame protocol written one frame, one receiver and one slot at
-a time with Python floats: the form the library had before its walk was
-batched over realizations and users. The tests hold the library's batched
-engine to it with exact (``==``) comparisons, so any change to the order
-of the floating-point operations, the rng draws, blanking or fallback
-shows up as a mismatch.
+The frame protocol is written one frame, one receiver and one slot at a
+time with Python floats, and the dc tensor one realization and user at a
+time: the forms the library had before they were batched over
+realizations and users. The tests hold the library's batched code to them
+with exact (``==``) comparisons, so any change to the order of the
+floating-point operations, the rng draws, blanking or fallback shows up as
+a mismatch. The channel response is summed one antenna, frequency and tap
+at a time, the direct form of the library's response matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from wptdas.channel import FrequencyGrid, sample_channel
+from wptdas.channel import ChannelRealization, FrequencyGrid, sample_channel
 from wptdas.errors import ValidationError
 from wptdas.experiments import _sweep_cells
 from wptdas.protocol import (ControlLinkModel, ControlMessage, Event, EventLog,
@@ -23,6 +26,22 @@ from wptdas.scheduler import TdmaResult, TraceRow
 from wptdas.selection import (CandidateMatrix, SelectionDecision, check_powers,
                               middle_index, select_joint)
 from wptdas.signal_chain import dc_power_matrix
+
+
+def frequency_response(ch: ChannelRealization, antenna: int, freq_hz: float) -> complex:
+    """Complex channel response of 1-based ``antenna`` at ``freq_hz``.
+
+    Sum over taps of gain * exp(-j 2 pi f delay). Negative frequencies
+    return the conjugate of the positive-frequency response (real passband
+    channel), so conjugate symmetry holds by construction.
+    """
+    if ch.gains.ndim != 2:
+        raise ValidationError("frequency_response takes one realization, not a stack")
+    if not 1 <= antenna <= ch.num_antennas:
+        raise IndexError(f"antenna {antenna} out of range 1..{ch.num_antennas}")
+    g = ch.gains[antenna - 1]
+    h = complex(np.sum(g * np.exp(-2j * np.pi * abs(freq_hz) * ch.delays_s)))
+    return h if freq_hz >= 0 else h.conjugate()
 
 
 def deliver(link: ControlLinkModel, rng) -> bool:
@@ -228,3 +247,19 @@ def protocol_values(cfg, sched=None, link=None, adc=None, keep_logs=False):
                 counts[row.user_id - 1] += 1
             values[(m, k)][r] = per_user / counts
     return values, logs
+
+
+def dc_tensor(cfg, r0, r1):
+    """Steady-state dc powers of realizations [r0, r1), shape (R, U, M_max, N),
+    one realization and user at a time, each channel drawn as one
+    (antennas, taps, real/imaginary) array of normals."""
+    scale = np.sqrt(cfg.profile.powers / 2.0)
+    dc = np.empty((r1 - r0, cfg.users, cfg.max_antennas, cfg.grid.count))
+    for r in range(r0, r1):
+        for u in range(cfg.users):
+            z = substream(cfg.seed, DOMAIN_CHANNEL, r, u).standard_normal(
+                (cfg.max_antennas, cfg.profile.num_taps, 2))
+            ch = ChannelRealization(cfg.profile.delays_s, (z[..., 0] + 1j * z[..., 1]) * scale)
+            dc[r - r0, u] = dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve,
+                                            cfg.loss_for_user(u))
+    return dc

@@ -5,13 +5,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from scalar_oracle import frequency_response
 from wptdas.channel import (
     ChannelRealization,
     FrequencyGrid,
     LinkBudget,
     TapProfile,
     builtin_profile,
-    frequency_response,
     load_tap_profile,
     path_loss_db,
     received_rf_power,

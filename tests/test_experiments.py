@@ -132,6 +132,34 @@ class TestRunSweep:
         cfg = small_cfg(realizations=8)
         assert run_sweep(cfg, jobs=1).rows == run_sweep(cfg, jobs=2).rows
 
+    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch):
+        import wptdas.experiments as experiments
+
+        started = []
+
+        class RecordingPool:  # runs the chunks in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        cfg = small_cfg(realizations=40)
+        serial = run_sweep(cfg).rows
+        assert run_sweep(cfg, jobs=10_000).rows == serial
+        assert run_sweep(cfg, jobs=2).rows == serial
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert run_sweep(cfg, jobs=10_000).rows == serial
+        assert started == [3, 2]
+
     def test_two_user_rows_and_symmetry(self):
         cfg = small_cfg(users=2, realizations=100)
         res = run_sweep(cfg)

@@ -1,9 +1,9 @@
-"""Byte-for-byte golden outputs of the protocol-side subcommands.
+"""Byte-for-byte golden outputs of the subcommands.
 
 Each case runs one subcommand on a small config and compares the file it
 writes with the copy under ``tests/data/golden/``. The goldens pin every
-digit of the protocol sweep, the frame event log and the TDMA trace, so a
-change that moves any of them fails here.
+digit of the ideal and protocol sweeps, the frame event log and the TDMA
+trace, so a change that moves any of them fails here.
 
 Regenerate them only for an intended output change:
 
@@ -79,6 +79,24 @@ users = 3
 frames = 60
 seed = 8
 """,
+    # the ideal sweep at its defaults, over more than two blocks of draws
+    "e": """\
+[experiment]
+realizations = 150
+""",
+    # four users with unequal losses on the channel plan with the shipped table
+    "f": f"""\
+[channel]
+grid = ieee
+
+[rectenna]
+curve = {TABLE}
+
+[experiment]
+users = 4
+user_loss_db = 0, 2, 4, 6
+realizations = 40
+""",
 }
 
 # (config, subcommand, file it writes)
@@ -88,6 +106,8 @@ CASES = [
     ("b", "frame", "frame_events.csv"),
     ("c", "sweep", "sweep_results.csv"),
     ("d", "tdma", "tdma_trace.csv"),
+    ("e", "sweep", "sweep_results.csv"),
+    ("f", "sweep", "sweep_results.csv"),
 ]
 
 
