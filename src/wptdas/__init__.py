@@ -20,7 +20,6 @@ from .channel import (
     builtin_profile,
     load_tap_profile,
     path_loss_db,
-    received_rf_power,
     sample_channel,
 )
 from .errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError
@@ -44,14 +43,7 @@ from .protocol import (
     receiver_energy_budget,
     run_frame,
 )
-from .rectenna import (
-    EfficiencyCurve,
-    RectennaConfig,
-    dc_voltage,
-    load_efficiency_table,
-    output_dc_power,
-    settled_voltage,
-)
+from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 from .rng import substream
 from .scheduler import UserState, run_tdma
 from .selection import (

@@ -151,12 +151,6 @@ class ChannelRealization:
     def num_taps(self) -> int:
         return int(self.delays_s.size)
 
-    def phases(self) -> np.ndarray:
-        """Tap phases in [-pi, pi)."""
-        p = np.angle(self.gains)
-        p[p == np.pi] = -np.pi
-        return p
-
     def subset(self, num_antennas: int) -> "ChannelRealization":
         """View of the first ``num_antennas`` antennas (nested antenna sets)."""
         if not 1 <= num_antennas <= self.num_antennas:
@@ -164,24 +158,21 @@ class ChannelRealization:
         return ChannelRealization(self.delays_s, self.gains[..., :num_antennas, :])
 
 
-def draw_gains(profile: TapProfile, num_antennas: int, rngs, batch_shape: tuple) -> np.ndarray:
-    """Tap gains (*batch_shape, num_antennas, num_taps), one draw per generator of
-    ``rngs`` in C order. Each generator's normals fill antenna-major, tap-minor, real
-    before imaginary part, scaled by sqrt(tap power / 2), the same alone or in a stack."""
-    if num_antennas < 1:
-        raise ValidationError("num_antennas must be >= 1")
-    gains = np.empty((*batch_shape, num_antennas, profile.num_taps), dtype=complex)
-    z = gains.view(float).reshape(-1, num_antennas, profile.num_taps, 2)
-    for z_one, rng in zip(z, rngs, strict=True):
-        rng.standard_normal(z_one.shape, out=z_one)
+def gains_from_normals(profile: TapProfile, z: np.ndarray) -> np.ndarray:
+    """Tap gains (..., num_antennas, num_taps) from standard normals ``z`` (...,
+    num_antennas, num_taps, real/imaginary), scaled in place by sqrt(tap power
+    / 2) and viewed as complex: a stack gives each draw's gains alone."""
     z *= np.sqrt(profile.powers / 2.0)[:, None]
-    return gains
+    return z.view(complex)[..., 0]
 
 
 def sample_channel(profile: TapProfile, num_antennas: int,
                    rng: np.random.Generator) -> ChannelRealization:
     """Draw one channel realization per antenna from ``profile``."""
-    return ChannelRealization(profile.delays_s, draw_gains(profile, num_antennas, [rng], ()))
+    if num_antennas < 1:
+        raise ValidationError("num_antennas must be >= 1")
+    z = rng.standard_normal((num_antennas, profile.num_taps, 2))
+    return ChannelRealization(profile.delays_s, gains_from_normals(profile, z))
 
 
 def response_matrix(ch: ChannelRealization, freqs_hz: np.ndarray) -> np.ndarray:
@@ -225,13 +216,6 @@ class LinkBudget:
     @property
     def net_loss_db(self) -> float:
         return self.path_loss_db - self.tx_gain_dbi - self.rx_gain_dbi
-
-
-def received_rf_power(budget: LinkBudget, amplitude: float) -> float:
-    """RF power in watts at the rectenna for a fading amplitude."""
-    if amplitude < 0:
-        raise ValidationError("amplitude must be >= 0")
-    return budget.tx_power_w * 10.0 ** (-budget.net_loss_db / 10.0) * amplitude ** 2
 
 
 @dataclass(frozen=True)

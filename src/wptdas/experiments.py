@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import ChannelRealization, FrequencyGrid, LinkBudget, TapProfile, draw_gains
+from .channel import ChannelRealization, FrequencyGrid, LinkBudget, TapProfile, gains_from_normals
 from .errors import ValidationError
 from .protocol import (
     DEFAULT_ADC,
@@ -44,7 +45,7 @@ from .protocol import (
     run_rounds,
 )
 from .rectenna import RectennaConfig
-from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
+from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, keyed_draws, substream_keys
 from .selection import STRATEGIES, check_powers, middle_index, select_pairs
 from .signal_chain import dc_power_matrix
 
@@ -107,8 +108,17 @@ class ExperimentConfig:
     user_loss_db: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "antenna_sweep", tuple(int(m) for m in self.antenna_sweep))
-        object.__setattr__(self, "frequency_sweep", tuple(int(n) for n in self.frequency_sweep))
+        for name in ("seed", "users", "realizations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("antenna_sweep", "frequency_sweep"):
+            values = tuple(getattr(self, name))
+            if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                       and float(x).is_integer() for x in values):
+                raise ValidationError(f"{name} entries must be whole numbers, got {values!r}")
+            object.__setattr__(self, name, tuple(int(x) for x in values))
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "user_loss_db", tuple(float(x) for x in self.user_loss_db))
         if self.realizations < 1:
@@ -202,10 +212,20 @@ class ExperimentResult:
                      f"{r.stderr_w:.12g},{self.realizations},{self.seed}\n")
 
 
-def _stderr(x: np.ndarray) -> float:
-    if x.size < 2:
-        return 0.0
-    return float(np.std(x, ddof=1) / math.sqrt(x.size))
+def _summary_rows(values: dict) -> list:
+    """Rows of per-realization values {(m, k, strategy): (R, users)} in key order,
+    one per user, then the users' sum if there are several: one ``mean`` and one
+    ``std`` call over a (series, R) array give each series' own numbers."""
+    users = next(iter(values.values())).shape[1]
+    ids = list(range(1, users + 1)) + ([SUM_USER] if users > 1 else [])
+    series = np.array([arr[:, u - 1] if u != SUM_USER else arr.sum(axis=1)
+                       for arr in values.values() for u in ids])
+    mean, n_real = series.mean(axis=1), series.shape[1]
+    stderr = (np.std(series, axis=1, ddof=1) / math.sqrt(n_real) if n_real > 1
+              else np.zeros_like(mean))
+    labels = [(m, k, s, u) for m, k, s in values for u in ids]
+    return [ResultRow(*label, float(a), float(e))
+            for label, a, e in zip(labels, mean, stderr, strict=True)]
 
 
 def _sweep_cells(cfg: ExperimentConfig):
@@ -217,9 +237,10 @@ def _sweep_cells(cfg: ExperimentConfig):
 def _channel_gains(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
     """Tap gains (R, U, M_max, L) of realizations [r0, r1), each (realization,
     user) from its own substream, so they do not depend on the range drawn."""
-    rngs = (substream(cfg.seed, DOMAIN_CHANNEL, r, u)
-            for r in range(r0, r1) for u in range(cfg.users))
-    return draw_gains(cfg.profile, cfg.max_antennas, rngs, (r1 - r0, cfg.users))
+    keys = substream_keys(cfg.seed, DOMAIN_CHANNEL, np.arange(r0, r1)[:, None],
+                          np.arange(cfg.users))
+    z = np.empty((r1 - r0, cfg.users, cfg.max_antennas, cfg.profile.num_taps, 2))
+    return gains_from_normals(cfg.profile, keyed_draws(keys, "standard_normal", z))
 
 
 def _dc_tensor(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
@@ -291,30 +312,15 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     jobs = min(jobs, r_total, os.cpu_count() or 1)
     if jobs <= 1 or r_total < 4:
         chunks = [_sweep_chunk((cfg, 0, r_total))]
-        bounds = [(0, r_total)]
     else:
         edges = np.linspace(0, r_total, jobs + 1).astype(int)
-        bounds = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
-            chunks = list(pool.map(_sweep_chunk, [(cfg, a, b) for a, b in bounds]))
-
-    merged = {key: np.zeros((r_total, cfg.users)) for key in chunks[0]}
-    for (a, b), chunk in zip(bounds, chunks):
-        for key, arr in chunk.items():
-            merged[key][a:b] = arr
-
-    rows = []
-    for m, k, _ in _sweep_cells(cfg):
-        for strategy in cfg.strategies:
-            arr = merged[(m, k, strategy)]
-            for u in range(cfg.users):
-                rows.append(ResultRow(m, k, strategy, u + 1,
-                                      float(arr[:, u].mean()), _stderr(arr[:, u])))
-            if cfg.users > 1:
-                total = arr.sum(axis=1)
-                rows.append(ResultRow(m, k, strategy, SUM_USER,
-                                      float(total.mean()), _stderr(total)))
-    return ExperimentResult(rows, r_total, cfg.seed, cfg.fingerprint(), kind="sweep")
+        spans = [(cfg, int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+            chunks = list(pool.map(_sweep_chunk, spans))
+    merged = chunks[0] if len(chunks) == 1 else {
+        key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
+    return ExperimentResult(_summary_rows(merged), r_total, cfg.seed, cfg.fingerprint(),
+                            kind="sweep")
 
 
 def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlLinkModel,
@@ -330,26 +336,24 @@ def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlL
     n_real, users = cfg.realizations, cfg.users
     gains = _channel_gains(cfg, 0, n_real)
     chans = [ChannelRealization(cfg.profile.delays_s, gains[:, u]) for u in range(users)]
-    per_real = [link.draws(substream(cfg.seed, DOMAIN_LINK, r),
-                           sum(users * (m + 1) for m, _k, _cols in cells))
-                for r in range(n_real)]
-    draws = None if per_real[0] is None else np.stack(per_real)
+    widths = [users * (m + 1) for m, _k, _cols in cells]
+    draws = [None] * len(cells)
+    if link.drop_probability > 0.0:  # a lossless link draws nothing
+        keys = substream_keys(cfg.seed, DOMAIN_LINK, np.arange(n_real))
+        draws = np.split(keyed_draws(keys, "random", np.empty((n_real, sum(widths)))),
+                         np.cumsum(widths)[:-1], axis=1)
 
     values = {}
     cell_logs = []
-    offset = 0
-    for m, k, cols in cells:
+    for (m, k, cols), cell_draws in zip(cells, draws):
         subgrid = FrequencyGrid.from_frequencies(
             cfg.grid.frequencies_hz[cols], mode=f"subset:{cfg.grid.mode}")
         cell_sched = FrameSchedule(sched.slot_s, m * k, sched.wpt_s)
         p_dc = check_powers(np.stack(
             [dc_power_matrix(chans[u].subset(m), subgrid, cfg.budget, cfg.rect.curve,
                              cfg.loss_for_user(u)) for u in range(users)], axis=1))
-        cell_draws = None
-        if draws is not None:
-            width = users * (m + 1)
-            cell_draws = draws[:, offset:offset + width].reshape(n_real, users, m + 1)
-            offset += width
+        if cell_draws is not None:
+            cell_draws = cell_draws.reshape(n_real, users, m + 1)
         fallback = np.broadcast_to([0, middle_index(k) - 1], (n_real, users, 2))
         batch = run_rounds(p_dc, [cfg.rect] * users, cell_sched, link, adc, cell_draws,
                            np.zeros((n_real, users)), fallback, users)
@@ -381,16 +385,7 @@ def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule | None =
     link = link if link is not None else ControlLinkModel()
     values, logs = _protocol_values(cfg, sched, link, adc, keep_logs)
 
-    rows = []
-    for m, k, _ in _sweep_cells(cfg):
-        arr = values[(m, k)]
-        for u in range(cfg.users):
-            rows.append(ResultRow(m, k, "joint", u + 1,
-                                  float(arr[:, u].mean()), _stderr(arr[:, u])))
-        if cfg.users > 1:
-            total = arr.sum(axis=1)
-            rows.append(ResultRow(m, k, "joint", SUM_USER,
-                                  float(total.mean()), _stderr(total)))
+    rows = _summary_rows({(m, k, "joint"): arr for (m, k), arr in values.items()})
     config_hash = protocol_fingerprint(cfg, sched, link, adc)
     return ExperimentResult(rows, cfg.realizations, cfg.seed, config_hash, kind="protocol"), logs
 

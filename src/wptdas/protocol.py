@@ -28,6 +28,7 @@ built from the walk's arrays (:func:`frame_log`) only when asked for.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -301,19 +302,16 @@ def run_rounds(p_dc: np.ndarray, rects: list, sched: FrameSchedule, link: Contro
     slot_us, wpt_us = sched.slot_us, sched.wpt_us
     tau = np.array([r.settle_tau_s for r in rects])
     load = np.array([r.load_ohms for r in rects])
-    factors = {}
 
+    @functools.cache
     def decay(us: int) -> np.ndarray:
         """Per-user decay over ``us``: one exp per (duration, time constant)."""
-        if us not in factors:
-            factors[us] = (np.array([math.exp(-(us * 1e-6) / t) for t in tau.tolist()]),
-                           np.array([-math.expm1(-(us * 1e-6) / t) for t in tau.tolist()]))
-        return factors[us][0]
+        return np.array([math.exp(-(us * 1e-6) / t) for t in tau.tolist()])
 
+    @functools.cache
     def rise(us: int) -> np.ndarray:
         """Per-user ``1 - decay(us)``, taken with ``expm1``."""
-        decay(us)
-        return factors[us][1]
+        return np.array([-math.expm1(-(us * 1e-6) / t) for t in tau.tolist()])
 
     # The frame's settling segments: one per slot, except that a slot whose
     # head is blanked splits in two, toward 0 over the head and then toward

@@ -178,34 +178,6 @@ class RectennaConfig:
             raise ValidationError("settle_tau_s must be > 0")
 
 
-def output_dc_power(p_rf_w, curve: EfficiencyCurve, freq_hz):
-    """dc output power: input RF power times the efficiency at that power."""
-    p = np.asarray(p_rf_w, dtype=float)
-    out = p * curve.efficiency(p, freq_hz)
-    return float(out) if out.ndim == 0 else out
-
-
-def dc_voltage(p_dc_w, load_ohms: float):
-    """Voltage across a resistive load dissipating ``p_dc_w``."""
-    if load_ohms <= 0:
-        raise ValidationError("load_ohms must be > 0")
-    p = np.asarray(p_dc_w, dtype=float)
-    if np.any(p < 0):
-        raise ValidationError("p_dc_w must be >= 0")
-    v = np.sqrt(p * load_ohms)
-    return float(v) if v.ndim == 0 else v
-
-
-def settled_voltage(v_target: float, v_initial: float, elapsed_s: float,
-                    cfg: RectennaConfig) -> float:
-    """First-order settling of the output voltage after a step change."""
-    if elapsed_s < 0:
-        raise ValidationError("elapsed_s must be >= 0")
-    if elapsed_s == 0:
-        return v_initial
-    return settle(v_initial, v_target, math.exp(-elapsed_s / cfg.settle_tau_s))
-
-
 def settling_energy(v_initial: float, v_target: float, duration_s: float,
                     cfg: RectennaConfig) -> tuple[float, float]:
     """Energy delivered to the load while settling, and the end voltage.

@@ -8,10 +8,15 @@ realizations and users. The tests hold the library's batched code to them
 with exact (``==``) comparisons, so any change to the order of the
 floating-point operations, the rng draws, blanking or fallback shows up as
 a mismatch. The channel response is summed one antenna, frequency and tap
-at a time, the direct form of the library's response matrix.
+at a time, the direct form of the library's response matrix. The single-value
+helpers at the end (received RF power, dc power and voltage, settled
+voltage, tap phases) state the rectenna and link formulas one number at a
+time for the unit tests.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,7 +25,7 @@ from wptdas.errors import ValidationError
 from wptdas.experiments import _sweep_cells
 from wptdas.protocol import (ControlLinkModel, ControlMessage, Event, EventLog,
                              FrameSchedule, encode_feedback)
-from wptdas.rectenna import settling_energy
+from wptdas.rectenna import settle, settling_energy
 from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
 from wptdas.scheduler import TdmaResult, TraceRow
 from wptdas.selection import (CandidateMatrix, SelectionDecision, check_powers,
@@ -263,3 +268,44 @@ def dc_tensor(cfg, r0, r1):
             dc[r - r0, u] = dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve,
                                             cfg.loss_for_user(u))
     return dc
+
+
+def received_rf_power(budget, amplitude: float) -> float:
+    """RF power in watts at the rectenna for a fading amplitude."""
+    if amplitude < 0:
+        raise ValidationError("amplitude must be >= 0")
+    return budget.tx_power_w * 10.0 ** (-budget.net_loss_db / 10.0) * amplitude ** 2
+
+
+def output_dc_power(p_rf_w, curve, freq_hz):
+    """dc output power: input RF power times the efficiency at that power."""
+    p = np.asarray(p_rf_w, dtype=float)
+    out = p * curve.efficiency(p, freq_hz)
+    return float(out) if out.ndim == 0 else out
+
+
+def dc_voltage(p_dc_w, load_ohms: float):
+    """Voltage across a resistive load dissipating ``p_dc_w``."""
+    if load_ohms <= 0:
+        raise ValidationError("load_ohms must be > 0")
+    p = np.asarray(p_dc_w, dtype=float)
+    if np.any(p < 0):
+        raise ValidationError("p_dc_w must be >= 0")
+    v = np.sqrt(p * load_ohms)
+    return float(v) if v.ndim == 0 else v
+
+
+def settled_voltage(v_target: float, v_initial: float, elapsed_s: float, cfg) -> float:
+    """First-order settling of the output voltage after a step change."""
+    if elapsed_s < 0:
+        raise ValidationError("elapsed_s must be >= 0")
+    if elapsed_s == 0:
+        return v_initial
+    return settle(v_initial, v_target, math.exp(-elapsed_s / cfg.settle_tau_s))
+
+
+def phases(ch: ChannelRealization) -> np.ndarray:
+    """Tap phases of ``ch`` in [-pi, pi)."""
+    p = np.angle(ch.gains)
+    p[p == np.pi] = -np.pi
+    return p

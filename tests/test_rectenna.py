@@ -4,15 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from scalar_oracle import dc_voltage, output_dc_power, settled_voltage
 from wptdas.errors import ValidationError
 from wptdas.experiments import dbm_to_watts
 from wptdas.rectenna import (
     EfficiencyCurve,
     RectennaConfig,
-    dc_voltage,
     load_efficiency_table,
-    output_dc_power,
-    settled_voltage,
     settling_energy,
 )
 
