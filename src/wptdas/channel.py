@@ -151,12 +151,6 @@ class ChannelRealization:
     def num_taps(self) -> int:
         return int(self.delays_s.size)
 
-    def subset(self, num_antennas: int) -> "ChannelRealization":
-        """View of the first ``num_antennas`` antennas (nested antenna sets)."""
-        if not 1 <= num_antennas <= self.num_antennas:
-            raise ValidationError("antenna subset out of range")
-        return ChannelRealization(self.delays_s, self.gains[..., :num_antennas, :])
-
 
 def gains_from_normals(profile: TapProfile, z: np.ndarray) -> np.ndarray:
     """Tap gains (..., num_antennas, num_taps) from standard normals ``z`` (...,
@@ -264,12 +258,3 @@ class FrequencyGrid:
         freqs = IEEE_PLAN_BASE_HZ + IEEE_PLAN_STEP_HZ * k
         center = float((freqs[0] + freqs[-1]) / 2.0)
         return cls("ieee-channel-plan", center, float(freqs[-1] - freqs[0]), count, freqs)
-
-    @classmethod
-    def from_frequencies(cls, freqs_hz, mode: str = "subset") -> "FrequencyGrid":
-        """Explicit frequency list (used for nested sweep subsets)."""
-        freqs = np.asarray(freqs_hz, dtype=float)
-        if freqs.size == 0:
-            raise ValidationError("frequency list is empty")
-        center = float((freqs[0] + freqs[-1]) / 2.0)
-        return cls(mode, center, float(freqs[-1] - freqs[0]), int(freqs.size), freqs)

@@ -259,6 +259,8 @@ def _budget_report(st: Settings) -> str:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     st = load_settings(args.config, args.seed)
     if st.pipeline == "protocol":
         result, _logs = run_protocol_experiment(st.experiment, sched=st.sched,

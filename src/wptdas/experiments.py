@@ -1,6 +1,6 @@
 """Monte Carlo experiment runners and the receiver power-budget report.
 
-Two pipelines share every realization's channel draws:
+Two pipelines share every realization's steady-state dc powers:
 
 * :func:`run_sweep` - the idealized pipeline: build the steady-state
   candidate matrix directly and apply each selection strategy to it.
@@ -8,8 +8,9 @@ Two pipelines share every realization's channel draws:
   frame protocol (ADC settling, quantization, feedback loss included).
 
 Agreement of the two pipelines under idealized protocol settings is a
-regression oracle, so both derive channels from the same per-realization
-substreams (see :mod:`wptdas.rng`).
+regression oracle, so both read one dc tensor built from the same
+per-realization substreams (see :mod:`wptdas.rng`); the protocol sweep's
+cells are slices of it.
 
 Sweeps over the candidate-set size are nested: the size-k frequency set is
 always a subset of the size-(k+1) choice from the same master grid (middle
@@ -25,7 +26,6 @@ import hashlib
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +52,7 @@ from .signal_chain import dc_power_matrix
 RESULT_COLUMNS = "M,N,strategy,user,avg_pdc_watts,stderr_watts,realizations,seed"
 SUM_USER = 0  # user id used for multi-user sum rows
 DC_BLOCK_DRAWS = 64  # channel draws per block of _dc_tensor: amortizes calls, bounds memory
+ProcessPoolExecutor = None  # None: run_sweep imports the pool only when it runs in parallel
 
 
 def dbm_to_watts(x_dbm):
@@ -247,18 +248,17 @@ def _dc_tensor(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
     """Steady-state dc powers of realizations [r0, r1), shape (R, U, M_max, N).
 
     Channels are drawn in blocks of at most ``DC_BLOCK_DRAWS`` (realization,
-    user) pairs, with one stacked :func:`dc_power_matrix` per user and block;
-    every entry is bit-identical to computing its realization alone.
+    user) pairs, with one stacked :func:`dc_power_matrix` call for all users
+    of a block; every entry is bit-identical to computing its realization and
+    user alone.
     """
     dc = np.empty((r1 - r0, cfg.users, cfg.max_antennas, cfg.grid.count))
+    losses = [cfg.loss_for_user(u) for u in range(cfg.users)]
     step = max(1, DC_BLOCK_DRAWS // cfg.users)
     for a in range(r0, r1, step):
         b = min(a + step, r1)
-        gains = _channel_gains(cfg, a, b)
-        for u in range(cfg.users):
-            ch = ChannelRealization(cfg.profile.delays_s, gains[:, u])
-            dc[a - r0:b - r0, u] = dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve,
-                                                   cfg.loss_for_user(u))
+        ch = ChannelRealization(cfg.profile.delays_s, _channel_gains(cfg, a, b))
+        dc[a - r0:b - r0] = dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve, losses)
     return dc
 
 
@@ -308,14 +308,17 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     ``jobs`` only parallelizes, one worker per CPU at most; results are
     identical for any job count.
     """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     r_total = cfg.realizations
     jobs = min(jobs, r_total, os.cpu_count() or 1)
     if jobs <= 1 or r_total < 4:
         chunks = [_sweep_chunk((cfg, 0, r_total))]
     else:
+        from concurrent.futures import ProcessPoolExecutor as process_pool
         edges = np.linspace(0, r_total, jobs + 1).astype(int)
         spans = [(cfg, int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        with (ProcessPoolExecutor or process_pool)(max_workers=len(spans)) as pool:
             chunks = list(pool.map(_sweep_chunk, spans))
     merged = chunks[0] if len(chunks) == 1 else {
         key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
@@ -327,15 +330,16 @@ def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlL
                      adc: AdcModel | None, keep_logs: bool = False) -> tuple[dict, list]:
     """Per-realization delivery powers of the protocol sweep, and its logs.
 
-    Returns ({(m, k): array of shape (R, users)}, logs). Each cell runs its
-    round of one frame per user for every realization at once. Realization
-    r's link draws come from its own substream, cell by cell and frame by
-    frame, so they match a walk of one realization at a time.
+    Returns ({(m, k): array of shape (R, users)}, logs). The ideal sweep's dc
+    tensor is built once and each cell's matrices are a slice of it, so both
+    pipelines see the same numbers. Each cell runs its round of one frame per
+    user for every realization at once. Realization r's link draws come from
+    its own substream, cell by cell and frame by frame, so they match a walk
+    of one realization at a time.
     """
     cells = list(_sweep_cells(cfg))
     n_real, users = cfg.realizations, cfg.users
-    gains = _channel_gains(cfg, 0, n_real)
-    chans = [ChannelRealization(cfg.profile.delays_s, gains[:, u]) for u in range(users)]
+    dc = check_powers(_dc_tensor(cfg, 0, n_real))
     widths = [users * (m + 1) for m, _k, _cols in cells]
     draws = [None] * len(cells)
     if link.drop_probability > 0.0:  # a lossless link draws nothing
@@ -346,12 +350,8 @@ def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlL
     values = {}
     cell_logs = []
     for (m, k, cols), cell_draws in zip(cells, draws):
-        subgrid = FrequencyGrid.from_frequencies(
-            cfg.grid.frequencies_hz[cols], mode=f"subset:{cfg.grid.mode}")
         cell_sched = FrameSchedule(sched.slot_s, m * k, sched.wpt_s)
-        p_dc = check_powers(np.stack(
-            [dc_power_matrix(chans[u].subset(m), subgrid, cfg.budget, cfg.rect.curve,
-                             cfg.loss_for_user(u)) for u in range(users)], axis=1))
+        p_dc = dc[:, :, :m][..., cols]
         if cell_draws is not None:
             cell_draws = cell_draws.reshape(n_real, users, m + 1)
         fallback = np.broadcast_to([0, middle_index(k) - 1], (n_real, users, 2))

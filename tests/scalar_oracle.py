@@ -11,7 +11,8 @@ a mismatch. The channel response is summed one antenna, frequency and tap
 at a time, the direct form of the library's response matrix. The single-value
 helpers at the end (received RF power, dc power and voltage, settled
 voltage, tap phases) state the rectenna and link formulas one number at a
-time for the unit tests.
+time for the unit tests; the antenna subset and the explicit frequency grid
+build a nested cell's own channel and grid.
 """
 
 from __future__ import annotations
@@ -178,8 +179,12 @@ def _passive_harvest(user, log, p_dc, sched, link):
 
 
 def run_tdma(users, frames, grid, budget, sched=None, link=None, rng=None, profile=None,
-             num_antennas=None, adc=None, keep_logs=False):
-    """Round-robin TDMA, one frame at a time; same result as the library's."""
+             num_antennas=None, adc=None, keep_logs=False, p_dc=None):
+    """Round-robin TDMA, one frame at a time; same result as the library's.
+
+    ``p_dc``, one matrix per user, stands in for the matrices of the users'
+    channels on ``grid``.
+    """
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
     k = len(users)
@@ -192,10 +197,11 @@ def run_tdma(users, frames, grid, budget, sched=None, link=None, rng=None, profi
             if profile is not None:
                 for u in users:
                     u.channel = sample_channel(profile, num_antennas, rng)
-            p_dc = [dc_power_matrix(u.channel, grid, budget, u.rect.curve, u.extra_loss_db)
-                    for u in users]
+            round_dc = p_dc if p_dc is not None else [
+                dc_power_matrix(u.channel, grid, budget, u.rect.curve, u.extra_loss_db)
+                for u in users]
         active = users[i % k]
-        log, _sel = run_frame(p_dc[i % k], active.rect, sched=sched, link=link,
+        log, _sel = run_frame(round_dc[i % k], active.rect, sched=sched, link=link,
                               prior=active.prior, rng=rng, adc=adc,
                               start_us=i * sched.frame_us, v_initial=active.voltage_v)
         if keep_logs:
@@ -209,7 +215,7 @@ def run_tdma(users, frames, grid, budget, sched=None, link=None, rng=None, profi
         rows.append(TraceRow(i, active.user_id, True, log.applied_antenna,
                              log.applied_frequency, e_active / frame_s,
                              active.energy_j, log.applied_power_w))
-        for u, u_dc in zip(users, p_dc):
+        for u, u_dc in zip(users, round_dc):
             if u is active:
                 continue
             e_passive, p_served = _passive_harvest(u, log, u_dc, sched, link)
@@ -222,7 +228,9 @@ def run_tdma(users, frames, grid, budget, sched=None, link=None, rng=None, profi
 
 def protocol_values(cfg, sched=None, link=None, adc=None, keep_logs=False):
     """Per-realization values {(m, k): (R, users) array} of the protocol sweep,
-    plus its frame logs, one realization, cell and frame at a time."""
+    plus its frame logs, one realization, cell and frame at a time. Each
+    cell's matrices are the slice of the realization's full-grid dc matrices
+    at the cell's antennas and frequencies."""
     from wptdas.scheduler import UserState
 
     sched = sched if sched is not None else FrameSchedule()
@@ -231,19 +239,14 @@ def protocol_values(cfg, sched=None, link=None, adc=None, keep_logs=False):
     values = {(m, k): np.zeros((cfg.realizations, cfg.users)) for m, k, _ in cells}
     logs = []
     for r in range(cfg.realizations):
-        chans = [sample_channel(cfg.profile, cfg.max_antennas,
-                                substream(cfg.seed, DOMAIN_CHANNEL, r, u))
-                 for u in range(cfg.users)]
+        dc = dc_tensor(cfg, r, r + 1)[0]
         link_rng = substream(cfg.seed, DOMAIN_LINK, r)
         for m, k, cols in cells:
-            subgrid = FrequencyGrid.from_frequencies(
-                cfg.grid.frequencies_hz[cols], mode=f"subset:{cfg.grid.mode}")
             cell_sched = FrameSchedule(sched.slot_s, m * k, sched.wpt_s)
-            users = [UserState(user_id=u + 1, channel=chans[u].subset(m),
-                               rect=cfg.rect, extra_loss_db=cfg.loss_for_user(u))
-                     for u in range(cfg.users)]
-            res = run_tdma(users, cfg.users, subgrid, cfg.budget, sched=cell_sched,
-                           link=link, rng=link_rng, adc=adc, keep_logs=keep_logs)
+            users = [UserState(user_id=u + 1, rect=cfg.rect) for u in range(cfg.users)]
+            res = run_tdma(users, cfg.users, None, None, sched=cell_sched, link=link,
+                           rng=link_rng, adc=adc, keep_logs=keep_logs,
+                           p_dc=[dc[u, :m][:, cols] for u in range(cfg.users)])
             logs.extend(res.frame_logs)
             per_user = np.zeros(cfg.users)
             counts = np.zeros(cfg.users)
@@ -302,6 +305,22 @@ def settled_voltage(v_target: float, v_initial: float, elapsed_s: float, cfg) ->
     if elapsed_s == 0:
         return v_initial
     return settle(v_initial, v_target, math.exp(-elapsed_s / cfg.settle_tau_s))
+
+
+def subset(ch: ChannelRealization, num_antennas: int) -> ChannelRealization:
+    """View of the first ``num_antennas`` antennas (nested antenna sets)."""
+    if not 1 <= num_antennas <= ch.num_antennas:
+        raise ValidationError("antenna subset out of range")
+    return ChannelRealization(ch.delays_s, ch.gains[..., :num_antennas, :])
+
+
+def grid_from_frequencies(freqs_hz, mode: str = "subset") -> FrequencyGrid:
+    """Explicit frequency list, such as a nested sweep subset of a grid."""
+    freqs = np.asarray(freqs_hz, dtype=float)
+    if freqs.size == 0:
+        raise ValidationError("frequency list is empty")
+    center = float((freqs[0] + freqs[-1]) / 2.0)
+    return FrequencyGrid(mode, center, float(freqs[-1] - freqs[0]), int(freqs.size), freqs)
 
 
 def phases(ch: ChannelRealization) -> np.ndarray:

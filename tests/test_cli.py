@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -218,3 +220,22 @@ class TestFlags:
     def test_bad_seed_rejected(self, tmp_path, capsys):
         assert run(["budget", "--seed", "-4"], tmp_path) == 1
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pipeline", ["ideal", "protocol"])
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, pipeline, jobs):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG + f"pipeline = {pipeline}\n")
+        assert run(["sweep", "--config", str(cfg), "--jobs", jobs], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--jobs" in err
+        assert not (tmp_path / "sweep_results.csv").exists()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code = ("import sys, wptdas.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

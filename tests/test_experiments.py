@@ -160,6 +160,11 @@ class TestRunSweep:
         assert run_sweep(cfg, jobs=10_000).rows == serial
         assert started == [3, 2]
 
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValidationError):
+            run_sweep(small_cfg(realizations=8), jobs=jobs)
+
     def test_two_user_rows_and_symmetry(self):
         cfg = small_cfg(users=2, realizations=100)
         res = run_sweep(cfg)
