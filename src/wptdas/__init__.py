@@ -46,12 +46,5 @@ from .protocol import (
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 from .rng import substream
 from .scheduler import UserState, run_tdma
-from .selection import (
-    CandidateMatrix,
-    SelectionDecision,
-    no_selection,
-    select_antenna_only,
-    select_frequency_only,
-    select_joint,
-)
+from .selection import CandidateMatrix, SelectionDecision
 from .signal_chain import dc_power_matrix

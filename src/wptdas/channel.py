@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_finite
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, nominal round value used throughout
 
@@ -202,6 +202,7 @@ class LinkBudget:
     rx_gain_dbi: float = 0.0
 
     def __post_init__(self):
+        check_finite(self, "tx_power_w", "path_loss_db", "tx_gain_dbi", "rx_gain_dbi")
         if self.tx_power_w <= 0:
             raise ValidationError("tx_power_w must be > 0")
         if self.path_loss_db < 0:

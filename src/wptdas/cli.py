@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .experiments import (
     run_protocol_experiment,
     run_sweep,
 )
-from .protocol import (AdcModel, ControlLinkModel, FrameSchedule, ReceiverConsumption,
-                       check_feedback_space, run_frame)
+from .protocol import (MESSAGE_SIZE_BYTES, AdcModel, ControlLinkModel, FrameSchedule,
+                       ReceiverConsumption, check_feedback_space, run_frame)
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 from .rng import DOMAIN_LINK, DOMAIN_TDMA, substream
 from .scheduler import UserState, run_tdma
@@ -254,8 +254,11 @@ def _header_lines(seed: int, config_hash: str | None = None) -> str:
 
 
 def _budget_report(st: Settings) -> str:
-    return power_budget_report(sched=st.sched, consumption=st.consumption,
-                               tx=st.tx_consumption, **st.report_powers)[1]
+    c = st.consumption
+    if c.bytes_sent is None:  # the frame's own: one activation per antenna, then the feedback
+        c = replace(c, bytes_sent=MESSAGE_SIZE_BYTES * (st.experiment.max_antennas + 1))
+    return power_budget_report(sched=st.sched, consumption=c, tx=st.tx_consumption,
+                               **st.report_powers)[1]
 
 
 def cmd_sweep(args) -> int:
@@ -298,9 +301,8 @@ def cmd_tdma(args) -> int:
     cfg = st.experiment
     users = [UserState(user_id=u + 1, rect=cfg.rect, extra_loss_db=cfg.loss_for_user(u))
              for u in range(cfg.users)]
-    result = run_tdma(users, st.frames, cfg.grid, cfg.budget, sched=st.sched,
-                      link=st.link, rng=substream(cfg.seed, DOMAIN_TDMA),
-                      profile=cfg.profile, num_antennas=cfg.max_antennas,
+    result = run_tdma(users, st.frames, cfg.grid, cfg.budget, cfg.profile,
+                      substream(cfg.seed, DOMAIN_TDMA), sched=st.sched, link=st.link,
                       adc=st.adc)
     config_hash = protocol_fingerprint(cfg, st.sched, st.link, st.adc, (st.frames,))
     with _create(args, "tdma_trace.csv") as fh:

@@ -1,4 +1,7 @@
-"""Exceptions shared across the simulator."""
+"""Exceptions shared across the simulator, and the finite-number check."""
+
+import math
+import numbers
 
 
 class ValidationError(ValueError):
@@ -11,3 +14,13 @@ class FeedbackCapacityError(ValidationError):
 
 class FeedbackDecodeError(ValidationError):
     """Raised when a feedback code is outside the valid range."""
+
+
+def check_finite(obj, *fields: str):
+    """Raise :class:`ValidationError` naming the first of ``fields`` of ``obj``
+    that is not a finite real number, or a tuple of them."""
+    for name in fields:
+        value = getattr(obj, name)
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+                raise ValidationError(f"{name} must be finite numbers, got {value!r}")

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelRealization, FrequencyGrid, LinkBudget, TapProfile, gains_from_normals
-from .errors import ValidationError
+from .errors import ValidationError, check_finite
 from .protocol import (
     DEFAULT_ADC,
     AdcModel,
@@ -114,13 +114,18 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        for name in ("antenna_sweep", "frequency_sweep", "strategies", "user_loss_db"):
+            values = getattr(self, name)
+            if isinstance(values, str) or not hasattr(values, "__iter__"):
+                raise ValidationError(f"{name} must be a sequence, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
         for name in ("antenna_sweep", "frequency_sweep"):
-            values = tuple(getattr(self, name))
+            values = getattr(self, name)
             if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
                        and float(x).is_integer() for x in values):
                 raise ValidationError(f"{name} entries must be whole numbers, got {values!r}")
             object.__setattr__(self, name, tuple(int(x) for x in values))
-        object.__setattr__(self, "strategies", tuple(self.strategies))
+        check_finite(self, "user_loss_db")
         object.__setattr__(self, "user_loss_db", tuple(float(x) for x in self.user_loss_db))
         if self.realizations < 1:
             raise ValidationError("realizations must be >= 1")

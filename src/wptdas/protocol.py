@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError
 from .rectenna import RectennaConfig, segment_energy, settle
-from .selection import SelectionDecision, check_powers, middle_index, select_pairs
+from .selection import CandidateMatrix, SelectionDecision, check_powers, middle_index, select_pairs
 
 FEEDBACK_BITS = 6
 MESSAGE_SIZE_BYTES = 1
@@ -450,21 +450,16 @@ def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
 
 
 def prior_pair(prior, n_total: int) -> tuple[int, int]:
-    """1-based fallback pair: ``prior`` (a decision or a pair), or antenna 1
-    at the middle frequency when there is none."""
+    """1-based fallback pair: ``prior``, or antenna 1 at the middle frequency if None."""
     if prior is None:
         return 1, middle_index(n_total)
-    if isinstance(prior, SelectionDecision):
-        return prior.antenna, prior.frequency
     m, n = prior
     return int(m), int(n)
 
 
 def check_dc_matrix(p_dc, sched: FrameSchedule) -> np.ndarray:
     """A receiver's (antennas x frequencies) dc powers, one pair per training slot."""
-    p_dc = check_powers(p_dc)
-    if p_dc.ndim != 2:
-        raise ValidationError("the dc power matrix must be (antennas x frequencies)")
+    p_dc = CandidateMatrix.from_powers(p_dc).values
     m_total, n_total = p_dc.shape
     if m_total * n_total != sched.training_slots:
         raise ValidationError(
@@ -516,6 +511,8 @@ class ReceiverConsumption:
             raise ValidationError("consumption powers must be >= 0")
         if self.radio_bitrate_bps <= 0:
             raise ValidationError("radio_bitrate_bps must be > 0")
+        if self.bytes_sent is not None and self.bytes_sent < 0:
+            raise ValidationError("bytes_sent must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_finite
 
 # Logistic argument at the peak-power anchor: sigma(ln 9) = 0.9, which with
 # the default slope ln(7)/20 puts the rise exactly through (-20 dBm, 0.25)
@@ -57,6 +57,7 @@ class EfficiencyCurve:
     breakdown_slope: float = 3.0
 
     def __post_init__(self):
+        check_finite(self, "eta_peak", "peak_dbm", "rise_slope", "breakdown_dbm", "breakdown_slope")
         if self.source == "table":
             p = np.asarray(self.power_axis_dbm, dtype=float)
             f = np.asarray(self.freq_axis_hz, dtype=float)
@@ -172,6 +173,7 @@ class RectennaConfig:
     settle_tau_s: float = 0.002
 
     def __post_init__(self):
+        check_finite(self, "load_ohms", "settle_tau_s")
         if self.load_ohms <= 0:
             raise ValidationError("load_ohms must be > 0")
         if self.settle_tau_s <= 0:

@@ -2,10 +2,10 @@
 
 The transmitter activates one (antenna, frequency) pair at a time, so
 exploiting spatial and frequency diversity reduces to an argmax over the
-candidate matrix. Four strategies are supported: joint selection over the
-whole matrix, frequency-only (one fixed antenna), antenna-only (one fixed
-frequency), and no selection (both fixed). Ties break to the lowest antenna
-index, then the lowest frequency index.
+candidate matrix. :func:`select_pairs` applies one of four strategies to a
+stack of matrices: joint selection over the whole matrix, frequency-only
+(one fixed antenna), antenna-only (one fixed frequency), and no selection
+(both fixed). Ties break to the lowest antenna, then the lowest frequency.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def select_pairs(values: np.ndarray, strategy: str, fixed_antenna: int = 1,
 
 @dataclass(frozen=True)
 class CandidateMatrix:
-    """(antennas x frequencies) candidate dc powers in watts."""
+    """One receiver's checked (antennas x frequencies) candidate dc powers in watts."""
 
     values: np.ndarray
 
@@ -94,35 +94,6 @@ class SelectionDecision:
     frequency: int
     value: float
     strategy: str
-
-
-def apply_strategy(c: CandidateMatrix, strategy: str, fixed_antenna: int = 1,
-                   fixed_frequency: int | None = None) -> SelectionDecision:
-    """One matrix through :func:`select_pairs`, as a 1-based decision."""
-    a, f = select_pairs(c.values, strategy, fixed_antenna, fixed_frequency)
-    a, f = int(a), int(f)
-    return SelectionDecision(a + 1, f + 1, float(c.values[a, f]), strategy)
-
-
-def select_joint(c: CandidateMatrix) -> SelectionDecision:
-    """Argmax over all entries (first maximum in row-major order wins)."""
-    return apply_strategy(c, "joint")
-
-
-def select_frequency_only(c: CandidateMatrix, fixed_antenna: int = 1) -> SelectionDecision:
-    """Argmax over one antenna's row."""
-    return apply_strategy(c, "frequency_only", fixed_antenna)
-
-
-def select_antenna_only(c: CandidateMatrix, fixed_frequency: int | None = None) -> SelectionDecision:
-    """Argmax over one frequency's column (defaults to the middle frequency)."""
-    return apply_strategy(c, "antenna_only", fixed_frequency=fixed_frequency)
-
-
-def no_selection(c: CandidateMatrix, fixed_antenna: int = 1,
-                 fixed_frequency: int | None = None) -> SelectionDecision:
-    """The fixed (antenna, frequency) entry; the no-diversity baseline."""
-    return apply_strategy(c, "none", fixed_antenna, fixed_frequency)
 
 
 def _check_index(axis: str, index: int, count: int):

@@ -29,8 +29,7 @@ from wptdas.protocol import (ControlLinkModel, ControlMessage, Event, EventLog,
 from wptdas.rectenna import settle, settling_energy
 from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
 from wptdas.scheduler import TdmaResult, TraceRow
-from wptdas.selection import (CandidateMatrix, SelectionDecision, check_powers,
-                              middle_index, select_joint)
+from wptdas.selection import SelectionDecision, check_powers, middle_index, select_pairs
 from wptdas.signal_chain import dc_power_matrix
 
 
@@ -48,6 +47,13 @@ def frequency_response(ch: ChannelRealization, antenna: int, freq_hz: float) -> 
     g = ch.gains[antenna - 1]
     h = complex(np.sum(g * np.exp(-2j * np.pi * abs(freq_hz) * ch.delays_s)))
     return h if freq_hz >= 0 else h.conjugate()
+
+
+def select_one(values, strategy, fixed_antenna=1, fixed_frequency=None):
+    """1-based (antenna, frequency, value) that ``select_pairs`` picks in one matrix."""
+    v = check_powers(values)
+    a, f = (int(i) for i in select_pairs(v, strategy, fixed_antenna, fixed_frequency))
+    return a + 1, f + 1, v[a, f]
 
 
 def deliver(link: ControlLinkModel, rng) -> bool:
@@ -101,8 +107,6 @@ def harvest_delivery(v, v_served, p_served, sched, link, rect):
 def _prior_pair(prior, n_total):
     if prior is None:
         return 1, middle_index(n_total)
-    if isinstance(prior, SelectionDecision):
-        return prior.antenna, prior.frequency
     m, n = prior
     return int(m), int(n)
 
@@ -140,7 +144,8 @@ def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
             events.append(Event(t, "AdcSample", antenna=m, frequency=n,
                                 value=next(slot_samples)))
 
-    selection = select_joint(CandidateMatrix.from_powers(adc_powers))
+    best_m, best_n, best_w = select_one(adc_powers, "joint")
+    selection = SelectionDecision(best_m, best_n, float(best_w), "joint")
     code = encode_feedback(selection.antenna, selection.frequency, (m_total, n_total))
     fb_delivered = deliver(link, rng)
     messages.append(ControlMessage("feedback", t, code=code))
@@ -178,27 +183,23 @@ def _passive_harvest(user, log, p_dc, sched, link):
     return e_train + e_wpt, applied_p
 
 
-def run_tdma(users, frames, grid, budget, sched=None, link=None, rng=None, profile=None,
-             num_antennas=None, adc=None, keep_logs=False, p_dc=None):
+def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, link=None,
+             adc=None, keep_logs=False, p_dc=None):
     """Round-robin TDMA, one frame at a time; same result as the library's.
 
-    ``p_dc``, one matrix per user, stands in for the matrices of the users'
-    channels on ``grid``.
+    ``p_dc``, one matrix per user, stands in for the matrices of channels
+    drawn each round from ``profile``.
     """
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
     k = len(users)
-    if profile is not None and num_antennas is None:
-        num_antennas = sched.training_slots // grid.count
     rows, logs = [], []
     frame_s = sched.frame_s
     for i in range(frames):
         if i % k == 0:
-            if profile is not None:
-                for u in users:
-                    u.channel = sample_channel(profile, num_antennas, rng)
             round_dc = p_dc if p_dc is not None else [
-                dc_power_matrix(u.channel, grid, budget, u.rect.curve, u.extra_loss_db)
+                dc_power_matrix(sample_channel(profile, sched.training_slots // grid.count, rng),
+                                grid, budget, u.rect.curve, u.extra_loss_db)
                 for u in users]
         active = users[i % k]
         log, _sel = run_frame(round_dc[i % k], active.rect, sched=sched, link=link,
@@ -206,8 +207,7 @@ def run_tdma(users, frames, grid, budget, sched=None, link=None, rng=None, profi
                               start_us=i * sched.frame_us, v_initial=active.voltage_v)
         if keep_logs:
             logs.append(log)
-        active.prior = SelectionDecision(log.applied_antenna, log.applied_frequency,
-                                         log.applied_power_w, "joint")
+        active.prior = (log.applied_antenna, log.applied_frequency)
         active.voltage_v = log.final_voltage_v
         active.frames_trained += 1
         e_active = log.harvested_energy_j
@@ -223,7 +223,7 @@ def run_tdma(users, frames, grid, budget, sched=None, link=None, rng=None, profi
             rows.append(TraceRow(i, u.user_id, False, log.applied_antenna,
                                  log.applied_frequency, e_passive / frame_s,
                                  u.energy_j, p_served))
-    return TdmaResult(users=users, rows=rows, frames=frames, frame_logs=logs)
+    return TdmaResult(users=users, rows=rows, frame_logs=logs)
 
 
 def protocol_values(cfg, sched=None, link=None, adc=None, keep_logs=False):

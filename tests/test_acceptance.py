@@ -29,8 +29,9 @@ from wptdas.experiments import (
 from wptdas.protocol import decode_feedback, encode_feedback, run_frame
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 from wptdas.rng import DOMAIN_CHANNEL, substream
-from wptdas.selection import CandidateMatrix, select_joint
 from wptdas.signal_chain import dc_power_matrix
+
+from scalar_oracle import select_one
 
 MODEL_E = builtin_profile("model-E-NLOS")
 FLAT = builtin_profile("single-tap-flat")
@@ -142,7 +143,7 @@ def test_c07_two_pipeline_equivalence():
     for r, log in enumerate(logs):
         ch = sample_channel(MODEL_E, 4, substream(9, DOMAIN_CHANNEL, r, 0))
         truth = dc_power_matrix(ch, GRID15, cfg.budget, fast.curve)
-        expected = select_joint(CandidateMatrix.from_powers(truth)).value
+        expected = select_one(truth, "joint")[2]
         assert log.applied_power_w == expected
     assert time.perf_counter() - t0 < 60.0
     _report(7, "protocol delivery power equals the idealized joint optimum per realization")

@@ -38,6 +38,17 @@ class TestBudget:
         assert run(["budget", "--quiet"], b_dir) == 0
         assert (a_dir / "budget.txt").read_bytes() == (b_dir / "budget.txt").read_bytes()
 
+    def test_bytes_are_the_frame_messages_of_the_largest_antenna_set(self, tmp_path, capsys):
+        cfg = tmp_path / "two.ini"
+        cfg.write_text("[experiment]\nantenna_sweep = 1, 2\n")
+        assert run(["budget", "--config", str(cfg)], tmp_path) == 0
+        budget = capsys.readouterr().out
+        # two activations and the feedback: 24 bits at 250 kbps, 96 us at 48 mW
+        assert "radio      4.608 uJ (3 B @ 250.0 kbps -> 0.096 ms" in budget
+        assert budget in (tmp_path / "budget.txt").read_text()
+        assert run(["frame", "--config", str(cfg), "--seed", "1"], tmp_path) == 0
+        assert "; 3 control bytes" in capsys.readouterr().out
+
 
 class TestFrame:
     def test_same_seed_identical_event_logs(self, tmp_path):

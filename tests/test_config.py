@@ -1,6 +1,7 @@
 """The INI schema of the CLI: defaults, key coverage, bad values, flags, and
 the config hash line of the frame and TDMA outputs."""
 
+import math
 import re
 import tempfile
 import tracemalloc
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 
 import wptdas
 from wptdas.cli import _SCHEMA, load_settings, main
-from wptdas.errors import FeedbackCapacityError
-from wptdas.experiments import TransmitterConsumption, power_budget_report
+from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile
+from wptdas.errors import FeedbackCapacityError, ValidationError
+from wptdas.experiments import ExperimentConfig, TransmitterConsumption, power_budget_report
 from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, ReceiverConsumption
+from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TABLE = Path(wptdas.__file__).parent / "data" / "efficiency-table-sample.txt"
@@ -164,6 +167,35 @@ class TestBadValues:
     def test_overflowing_value_fails_cleanly(self, tmp_path, capsys, text):
         assert main(["validate", "--config", write(tmp_path, text)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_byte_count_fails_cleanly(self, tmp_path, capsys):
+        cfg = write(tmp_path, "[consumption]\nbytes = -5\n")
+        assert main(["budget", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bytes_sent" in err
+        assert not (tmp_path / "budget.txt").exists()
+        with pytest.raises(ValidationError, match="bytes_sent"):
+            ReceiverConsumption(bytes_sent=-1)
+        assert ReceiverConsumption(bytes_sent=0).bytes_sent == 0
+
+    @pytest.mark.parametrize("build,field,bad", [
+        *[(LinkBudget, name, bad)
+          for name in ("tx_power_w", "path_loss_db", "tx_gain_dbi", "rx_gain_dbi")
+          for bad in (math.nan, math.inf, "10")],
+        *[(RectennaConfig, name, bad) for name in ("load_ohms", "settle_tau_s")
+          for bad in (math.nan, "1")],
+        *[(EfficiencyCurve.parametric, name, math.nan)
+          for name in ("eta_peak", "peak_dbm", "rise_slope", "breakdown_dbm", "breakdown_slope")],
+        *[(ExperimentConfig, name, bad) for name, bad in [
+            ("user_loss_db", (math.nan,)), ("user_loss_db", (-math.inf,)),
+            ("user_loss_db", ("3",)), ("user_loss_db", 3.0), ("antenna_sweep", 1),
+            ("frequency_sweep", None), ("strategies", 7)]],
+    ], ids=lambda v: getattr(v, "__qualname__", repr(v)))
+    def test_library_input_fails_at_construction(self, build, field, bad):
+        required = dict(profile=builtin_profile("model-E-NLOS"), grid=FrequencyGrid.uniform())
+        kwargs = {**(required if build is ExperimentConfig else {}), field: bad}
+        with pytest.raises(ValidationError, match=field):
+            build(**kwargs)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(

@@ -173,7 +173,7 @@ class TestTdmaAgainstScalarWalk:
                      for u, rect in enumerate(users)]
             rng = substream(seed, 2)
             res = run(group, frames, GRID, BUDGET, sched=FrameSchedule(), link=link, rng=rng,
-                      profile=PROFILE, num_antennas=4, adc=adc, keep_logs=True)
+                      profile=PROFILE, adc=adc, keep_logs=True)
             results.append((res, group, rng.random()))
         (res, group, after), (ref, ref_group, ref_after) = results
         assert res.rows == ref.rows

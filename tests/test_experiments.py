@@ -23,8 +23,10 @@ from wptdas.experiments import (
 from wptdas.protocol import AdcModel, ControlLinkModel, FrameSchedule
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 from wptdas.rng import DOMAIN_CHANNEL, substream
-from wptdas.selection import STRATEGIES, CandidateMatrix, apply_strategy, select_joint
+from wptdas.selection import STRATEGIES
 from wptdas.signal_chain import dc_power_matrix
+
+from scalar_oracle import select_one
 
 MODEL_E = builtin_profile("model-E-NLOS")
 FLAT = builtin_profile("single-tap-flat")
@@ -184,11 +186,11 @@ class TestRunSweep:
         for u in range(2):
             ch = sample_channel(MODEL_E, 4, substream(77, DOMAIN_CHANNEL, 0, u))
             mats.append(dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve))
-        decisions = [select_joint(CandidateMatrix.from_powers(m)) for m in mats]
+        decisions = [select_one(m, "joint") for m in mats]
         for u in range(2):
-            own = decisions[u].value
-            other = decisions[1 - u]
-            passive = mats[u][other.antenna - 1, other.frequency - 1]
+            own = decisions[u][2]
+            other_m, other_n, _ = decisions[1 - u]
+            passive = mats[u][other_m - 1, other_n - 1]
             expected = (own + passive) / 2.0
             assert res.get(4, 15, "joint", u + 1).avg_pdc_w == pytest.approx(expected, rel=1e-12)
 
@@ -218,7 +220,7 @@ class TestProtocolExperiment:
         for r, log in enumerate(logs):
             ch = sample_channel(MODEL_E, 4, substream(9, DOMAIN_CHANNEL, r, 0))
             truth = dc_power_matrix(ch, cfg.grid, cfg.budget, self.FAST.curve)
-            expected = select_joint(CandidateMatrix.from_powers(truth)).value
+            expected = select_one(truth, "joint")[2]
             assert abs(log.applied_power_w - expected) <= 1e-9 * expected
 
     def test_average_matches_sweep_joint(self):
@@ -288,7 +290,7 @@ class TestPowerBudgetReport:
 
 
 def scalar_reference_sweep(cfg):
-    """Per-realization values from one CandidateMatrix and decision per user, strategy and cell."""
+    """Per-realization values from one selection per matrix, user, strategy and cell."""
     values = {}
     for r in range(cfg.realizations):
         mats = [dc_power_matrix(sample_channel(cfg.profile, cfg.max_antennas,
@@ -300,15 +302,14 @@ def scalar_reference_sweep(cfg):
                 cols = nested_frequency_indices(cfg.grid.count, k)
                 subs = [mat[:m][:, cols] for mat in mats]
                 for strategy in cfg.strategies:
-                    decisions = [apply_strategy(CandidateMatrix.from_powers(sub), strategy)
-                                 for sub in subs]
+                    decisions = [select_one(sub, strategy) for sub in subs]
                     arr = values.setdefault((m, k, strategy),
                                             np.zeros((cfg.realizations, cfg.users)))
                     for u in range(cfg.users):
                         passive = sum(
-                            float(subs[u][decisions[v].antenna - 1, decisions[v].frequency - 1])
+                            float(subs[u][decisions[v][0] - 1, decisions[v][1] - 1])
                             for v in range(cfg.users) if v != u)
-                        arr[r, u] = (decisions[u].value + passive) / cfg.users
+                        arr[r, u] = (float(decisions[u][2]) + passive) / cfg.users
     return values
 
 

@@ -20,8 +20,9 @@ from wptdas.protocol import (
 )
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 from wptdas.rng import substream
-from wptdas.selection import select_joint, CandidateMatrix
 from wptdas.signal_chain import dc_power_matrix
+
+from scalar_oracle import select_one
 
 PROFILE = builtin_profile("model-E-NLOS")
 GRID = FrequencyGrid.uniform()
@@ -160,12 +161,11 @@ class TestRunFrame:
         # fast settling + no quantization: protocol achieves the joint argmax
         ch = sample_channel(PROFILE, 4, substream(3, 0, 0, 0))
         truth = dc_power_matrix(ch, GRID, BUDGET, RECT.curve)
-        expected = select_joint(CandidateMatrix.from_powers(truth))
+        expected = select_one(truth, "joint")
         log, sel = frame(ch, FAST_RECT, adc=None)
         applied = log.events_of("FeedbackApplied")
         assert len(applied) == 1
-        assert (applied[0].antenna, applied[0].frequency) == (expected.antenna,
-                                                              expected.frequency)
+        assert (applied[0].antenna, applied[0].frequency) == expected[:2]
         assert log.applied_power_w == pytest.approx(float(truth.max()), rel=1e-12)
         assert log.harvested_energy_wpt_j == pytest.approx(truth.max() * 2.92, rel=1e-12)
 

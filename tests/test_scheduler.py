@@ -12,10 +12,9 @@ from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, run_fr
 from wptdas.rectenna import RectennaConfig
 from wptdas.rng import substream
 from wptdas.scheduler import TRACE_COLUMNS, UserState, run_tdma
-from wptdas.selection import CandidateMatrix, select_joint
 from wptdas.signal_chain import dc_power_matrix
 
-from scalar_oracle import _passive_harvest
+from scalar_oracle import _passive_harvest, select_one
 
 PROFILE = builtin_profile("model-E-NLOS")
 GRID = FrequencyGrid.uniform()
@@ -31,7 +30,7 @@ class TestSingleUser:
         frames = 10
         users = make_users(1)
         result = run_tdma(users, frames, GRID, BUDGET, rng=substream(1),
-                          profile=PROFILE, num_antennas=4)
+                          profile=PROFILE)
 
         # oracle: replay the documented stream consumption by hand
         rng = substream(1)
@@ -52,9 +51,12 @@ class TestSingleUser:
                                                     log.applied_frequency)
         assert users[0].energy_j == energy
 
-    def test_needs_channel_or_profile(self):
-        with pytest.raises(ValidationError):
-            run_tdma(make_users(1), 1, GRID, BUDGET)
+    def test_schedule_must_fill_whole_antenna_blocks(self):
+        # 61 and 59 slots are no whole number of 15-frequency blocks; 10 is less than one
+        for slots in (61, 59, 10):
+            with pytest.raises(ValidationError):
+                run_tdma(make_users(1), 1, GRID, BUDGET, PROFILE, substream(0),
+                         sched=FrameSchedule(training_slots=slots))
 
     def test_empty_users_rejected(self):
         with pytest.raises(ValidationError):
@@ -69,7 +71,7 @@ class TestTwoUsers:
     def test_identical_statistics_equal_long_run_average(self):
         users = make_users(2)
         result = run_tdma(users, 300, GRID, BUDGET, rng=substream(1),
-                          profile=PROFILE, num_antennas=4)
+                          profile=PROFILE)
         avg1 = result.user_average_power_w(1)
         avg2 = result.user_average_power_w(2)
         assert abs(avg1 - avg2) / max(avg1, avg2) <= 0.05
@@ -78,55 +80,41 @@ class TestTwoUsers:
         users = make_users(2)
         users[1].extra_loss_db = 20.0
         result = run_tdma(users, 20, GRID, BUDGET, rng=substream(3),
-                          profile=PROFILE, num_antennas=4)
+                          profile=PROFILE)
         assert result.user_average_power_w(2) < result.user_average_power_w(1)
 
     def test_each_user_trains_equally(self):
         users = make_users(2)
-        run_tdma(users, 6, GRID, BUDGET, rng=substream(4), profile=PROFILE,
-                 num_antennas=4)
+        run_tdma(users, 6, GRID, BUDGET, rng=substream(4), profile=PROFILE)
         assert [u.frames_trained for u in users] == [3, 3]
 
     def test_active_user_first_in_round_robin(self):
         users = make_users(2)
         result = run_tdma(users, 4, GRID, BUDGET, rng=substream(5),
-                          profile=PROFILE, num_antennas=4)
+                          profile=PROFILE)
         active_by_frame = {r.frame: r.user_id for r in result.rows if r.active}
         assert active_by_frame == {0: 1, 1: 2, 2: 1, 3: 2}
 
     def test_applied_pair_maximizes_active_matrix_only(self):
+        # the round draws user 1's channel, then user 2's, from the stream first
         rng = substream(6)
         ch1 = sample_channel(PROFILE, 4, rng)
         ch2 = sample_channel(PROFILE, 4, rng)
         fast = RectennaConfig(settle_tau_s=10e-6)
-        users = [UserState(user_id=1, channel=ch1, rect=fast),
-                 UserState(user_id=2, channel=ch2, rect=fast)]
-        result = run_tdma(users, 2, GRID, BUDGET, rng=rng, adc=None)
-        best1 = select_joint(CandidateMatrix.from_powers(
-            dc_power_matrix(ch1, GRID, BUDGET, fast.curve)))
-        best2 = select_joint(CandidateMatrix.from_powers(
-            dc_power_matrix(ch2, GRID, BUDGET, fast.curve)))
+        users = [UserState(user_id=1, rect=fast), UserState(user_id=2, rect=fast)]
+        result = run_tdma(users, 2, GRID, BUDGET, PROFILE, substream(6), adc=None)
+        best1, best2 = (select_one(dc_power_matrix(ch, GRID, BUDGET, fast.curve), "joint")[:2]
+                        for ch in (ch1, ch2))
         frame0 = [r for r in result.rows if r.frame == 0]
         frame1 = [r for r in result.rows if r.frame == 1]
-        assert all((r.antenna, r.frequency) == (best1.antenna, best1.frequency)
-                   for r in frame0)
-        assert all((r.antenna, r.frequency) == (best2.antenna, best2.frequency)
-                   for r in frame1)
-        assert (best1.antenna, best1.frequency) != (best2.antenna, best2.frequency)
-
-    def test_sum_power_is_additive(self):
-        users = make_users(2)
-        result = run_tdma(users, 4, GRID, BUDGET, rng=substream(7),
-                          profile=PROFILE, num_antennas=4)
-        sums = result.sum_power_per_frame_w()
-        for i in range(4):
-            manual = sum(r.p_dc_w for r in result.rows if r.frame == i)
-            assert sums[i] == pytest.approx(manual, rel=1e-12)
+        assert all((r.antenna, r.frequency) == best1 for r in frame0)
+        assert all((r.antenna, r.frequency) == best2 for r in frame1)
+        assert best1 != best2
 
     def test_energy_non_decreasing(self):
         users = make_users(2)
         result = run_tdma(users, 10, GRID, BUDGET, rng=substream(8),
-                          profile=PROFILE, num_antennas=4)
+                          profile=PROFILE)
         for uid in (1, 2):
             series = [r.energy_j for r in result.rows if r.user_id == uid]
             assert all(a <= b for a, b in zip(series, series[1:]))
@@ -136,7 +124,7 @@ class TestTwoUsers:
     def test_passive_harvest_positive_with_shared_emissions(self):
         users = make_users(2)
         result = run_tdma(users, 2, GRID, BUDGET, rng=substream(9),
-                          profile=PROFILE, num_antennas=4)
+                          profile=PROFILE)
         passive_rows = [r for r in result.rows if not r.active]
         assert passive_rows and all(r.p_dc_w > 0.0 for r in passive_rows)
 
@@ -152,14 +140,13 @@ class TestTwoUsers:
             if hasattr(module, "dc_power_matrix"):
                 monkeypatch.setattr(module, "dc_power_matrix", counted)
         users = make_users(2)
-        run_tdma(users, 4, GRID, BUDGET, rng=substream(12), profile=PROFILE, num_antennas=4)
+        run_tdma(users, 4, GRID, BUDGET, rng=substream(12), profile=PROFILE)
         assert len(calls) == 4  # 2 rounds x 2 users; each round's frames share them
         assert len({id(ch) for ch in calls}) == 4
 
     def test_three_users_round_robin(self):
         users = make_users(3)
-        run_tdma(users, 9, GRID, BUDGET, rng=substream(10), profile=PROFILE,
-                 num_antennas=4)
+        run_tdma(users, 9, GRID, BUDGET, rng=substream(10), profile=PROFILE)
         assert [u.frames_trained for u in users] == [3, 3, 3]
 
 
@@ -182,7 +169,7 @@ class TestPassiveReplay:
         p_dc = dc_power_matrix(ch, GRID, BUDGET, rect.curve)
         log, _ = run_frame(p_dc, rect, sched=sched, link=link, rng=rng,
                            adc=DEFAULT_ADC if with_adc else None, v_initial=v_initial)
-        twin = UserState(user_id=2, channel=ch, rect=rect, voltage_v=v_initial)
+        twin = UserState(user_id=2, rect=rect, voltage_v=v_initial)
         energy, p_served = _passive_harvest(twin, log, p_dc, sched, link)
         assert energy == log.harvested_energy_j
         assert p_served == log.applied_power_w
@@ -193,7 +180,7 @@ class TestTrace:
     def test_csv_columns(self):
         users = make_users(2)
         result = run_tdma(users, 2, GRID, BUDGET, rng=substream(11),
-                          profile=PROFILE, num_antennas=4)
+                          profile=PROFILE)
         buf = io.StringIO()
         result.to_csv(buf)
         lines = buf.getvalue().splitlines()

@@ -5,22 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wptdas.errors import ValidationError
-from wptdas.selection import (
-    STRATEGIES,
-    CandidateMatrix,
-    apply_strategy,
-    check_powers,
-    middle_index,
-    no_selection,
-    select_antenna_only,
-    select_frequency_only,
-    select_joint,
-    select_pairs,
-)
+from wptdas.selection import STRATEGIES, CandidateMatrix, check_powers, middle_index, select_pairs
 
-
-def mat(values):
-    return CandidateMatrix.from_powers(np.asarray(values, dtype=float))
+from scalar_oracle import select_one
 
 
 def brute_force_argmax(values):
@@ -36,90 +23,77 @@ def brute_force_argmax(values):
 
 class TestJoint:
     def test_inspection_example(self):
-        d = select_joint(mat([[1e-6, 2e-6], [3e-6, 0.0]]))
-        assert (d.antenna, d.frequency, d.value) == (2, 1, 3e-6)
+        assert select_one([[1e-6, 2e-6], [3e-6, 0.0]], "joint") == (2, 1, 3e-6)
 
     def test_tie_breaks_to_lowest_indices(self):
-        d = select_joint(mat(np.full((3, 4), 5e-6)))
-        assert (d.antenna, d.frequency) == (1, 1)
+        assert select_one(np.full((3, 4), 5e-6), "joint")[:2] == (1, 1)
 
     def test_matches_bruteforce_over_random_matrices(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):
             values = rng.uniform(0.0, 1e-5, size=(4, 15))
-            d = select_joint(mat(values))
-            m, n, v = brute_force_argmax(values)
-            assert (d.antenna, d.frequency) == (m, n)
-            assert d.value == v
+            assert select_one(values, "joint") == brute_force_argmax(values)
 
     def test_empty_rejected(self):
+        with pytest.raises(ValidationError):
+            check_powers(np.empty((0, 0)))
         with pytest.raises(ValidationError):
             CandidateMatrix.from_powers(np.empty((0, 0)))
 
 
 class TestFrequencyOnly:
     def test_row_example(self):
-        d = select_frequency_only(mat([[5e-6, 1e-6, 9e-6]]), 1)
-        assert (d.frequency, d.value) == (3, 9e-6)
+        assert select_one([[5e-6, 1e-6, 9e-6]], "frequency_only", 1)[1:] == (3, 9e-6)
 
     def test_single_frequency_degenerate(self):
-        d = select_frequency_only(mat([[7e-6]]), 1)
-        assert (d.antenna, d.frequency, d.value) == (1, 1, 7e-6)
+        assert select_one([[7e-6]], "frequency_only", 1) == (1, 1, 7e-6)
 
     def test_reduces_to_joint_on_single_row(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             values = rng.uniform(0.0, 1e-5, size=(1, 15))
-            a = select_frequency_only(mat(values), 1)
-            b = select_joint(mat(values))
-            assert (a.antenna, a.frequency, a.value) == (b.antenna, b.frequency, b.value)
+            assert select_one(values, "frequency_only", 1) == select_one(values, "joint")
 
     def test_antenna_bound_checked(self):
         with pytest.raises(ValidationError):
-            select_frequency_only(mat([[1e-6]]), 2)
+            select_one([[1e-6]], "frequency_only", 2)
 
 
 class TestAntennaOnly:
     def test_column_tie_break(self):
-        d = select_antenna_only(mat([[2e-6], [7e-6], [7e-6], [1e-6]]), 1)
-        assert (d.antenna, d.value) == (2, 7e-6)
+        d = select_one([[2e-6], [7e-6], [7e-6], [1e-6]], "antenna_only", fixed_frequency=1)
+        assert (d[0], d[2]) == (2, 7e-6)
 
     def test_single_antenna_degenerate(self):
-        d = select_antenna_only(mat([[4e-6]]), 1)
-        assert (d.antenna, d.frequency, d.value) == (1, 1, 4e-6)
+        assert select_one([[4e-6]], "antenna_only", fixed_frequency=1) == (1, 1, 4e-6)
 
     def test_reduces_to_joint_on_single_column(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             values = rng.uniform(0.0, 1e-5, size=(4, 1))
-            a = select_antenna_only(mat(values), 1)
-            b = select_joint(mat(values))
-            assert (a.antenna, a.frequency, a.value) == (b.antenna, b.frequency, b.value)
+            assert (select_one(values, "antenna_only", fixed_frequency=1)
+                    == select_one(values, "joint"))
 
     def test_default_fixed_frequency_is_middle(self):
         values = np.zeros((4, 15))
         values[2, 7] = 1e-6  # middle column (f8, 0-based 7)
-        d = select_antenna_only(mat(values))
-        assert (d.antenna, d.frequency) == (3, 8)
+        assert select_one(values, "antenna_only")[:2] == (3, 8)
         assert middle_index(15) == 8
 
 
 class TestNoSelection:
     def test_fixed_entry(self):
         values = np.arange(60, dtype=float).reshape(4, 15) * 1e-7
-        d = no_selection(mat(values), 1, 8)
-        assert (d.antenna, d.frequency, d.value) == (1, 8, values[0, 7])
+        assert select_one(values, "none", 1, 8) == (1, 8, values[0, 7])
 
     def test_equals_joint_on_scalar_matrix(self):
-        a = no_selection(mat([[3e-6]]), 1, 1)
-        b = select_joint(mat([[3e-6]]))
-        assert (a.antenna, a.frequency, a.value) == (b.antenna, b.frequency, b.value)
+        assert select_one([[3e-6]], "none", 1, 1) == select_one([[3e-6]], "joint")
 
     def test_dominated_by_joint(self):
         rng = np.random.default_rng(9)
         for _ in range(1000):
             values = rng.uniform(0.0, 1e-5, size=(4, 15))
-            assert no_selection(mat(values), 1, 8).value <= select_joint(mat(values)).value
+            assert select_one(values, "none", 1, 8)[2] <= select_one(values, "joint")[2]
 
 
 class TestProperties:
@@ -127,11 +101,10 @@ class TestProperties:
         rng = np.random.default_rng(10)
         for _ in range(300):
             values = rng.uniform(0.0, 1e-5, size=(4, 15))
-            c = mat(values)
-            joint = select_joint(c).value
-            ant = select_antenna_only(c, 8).value
-            frq = select_frequency_only(c, 1).value
-            none = no_selection(c, 1, 8).value
+            joint = select_one(values, "joint")[2]
+            ant = select_one(values, "antenna_only", fixed_frequency=8)[2]
+            frq = select_one(values, "frequency_only", 1)[2]
+            none = select_one(values, "none", 1, 8)[2]
             assert joint >= ant >= none
             assert joint >= frq >= none
 
@@ -139,42 +112,37 @@ class TestProperties:
         rng = np.random.default_rng(11)
         for _ in range(200):
             values = rng.uniform(0.0, 1e-5, size=(4, 15))
-            full = select_joint(mat(values)).value
-            assert select_joint(mat(values[:3])).value <= full
-            assert select_joint(mat(values[:, :10])).value <= full
+            full = select_one(values, "joint")[2]
+            assert select_one(values[:3], "joint")[2] <= full
+            assert select_one(values[:, :10], "joint")[2] <= full
 
     def test_scale_invariance_of_argmax(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
             values = rng.uniform(0.0, 1e-5, size=(3, 7))
-            base = select_joint(mat(values))
-            scaled = select_joint(mat(values * 37.5))
-            assert (base.antenna, base.frequency) == (scaled.antenna, scaled.frequency)
-            assert scaled.value == pytest.approx(base.value * 37.5, rel=1e-12)
+            base = select_one(values, "joint")
+            scaled = select_one(values * 37.5, "joint")
+            assert base[:2] == scaled[:2]
+            assert scaled[2] == pytest.approx(base[2] * 37.5, rel=1e-12)
 
-    def test_apply_strategy_dispatch(self):
+    def test_strategy_defaults(self):
         values = np.arange(8, dtype=float).reshape(2, 4) * 1e-7
-        c = mat(values)
-        assert apply_strategy(c, "joint") == select_joint(c)
-        assert apply_strategy(c, "frequency_only") == select_frequency_only(c, 1)
-        assert apply_strategy(c, "antenna_only") == select_antenna_only(c)
-        assert apply_strategy(c, "none") == no_selection(c)
+        mid = middle_index(4)
+        assert select_one(values, "joint") == (2, 4, values[1, 3])
+        assert select_one(values, "frequency_only") == select_one(values, "frequency_only", 1)
+        assert (select_one(values, "antenna_only")
+                == select_one(values, "antenna_only", fixed_frequency=mid))
+        assert (select_one(values, "none") == select_one(values, "none", 1, mid)
+                == (1, mid, values[0, 1]))
         with pytest.raises(ValidationError):
-            apply_strategy(c, "beamforming")
+            select_one(values, "beamforming")
 
     def test_matrix_validation(self):
-        with pytest.raises(ValidationError):
-            mat([[1e-6, -1e-6]])
-        with pytest.raises(ValidationError):
-            mat([[np.inf]])
-
-
-SCALAR = {
-    "joint": select_joint,
-    "frequency_only": select_frequency_only,
-    "antenna_only": select_antenna_only,
-    "none": no_selection,
-}
+        for check in (check_powers, CandidateMatrix.from_powers):
+            with pytest.raises(ValidationError):
+                check([[1e-6, -1e-6]])
+            with pytest.raises(ValidationError):
+                check([[np.inf]])
 
 
 @st.composite
@@ -196,10 +164,7 @@ class TestSelectPairs:
         a, f = select_pairs(check_powers(stack), strategy)
         assert a.shape == f.shape == stack.shape[:1]
         for b, values in enumerate(stack):
-            c = mat(values)
-            d = SCALAR[strategy](c)
-            assert apply_strategy(c, strategy) == d
-            assert (a[b] + 1, f[b] + 1, values[a[b], f[b]]) == (d.antenna, d.frequency, d.value)
+            assert (a[b] + 1, f[b] + 1, values[a[b], f[b]]) == select_one(values, strategy)
 
     @settings(max_examples=200, deadline=None)
     @given(power_stacks())
