@@ -40,7 +40,6 @@ from .protocol import (
     ReceiverConsumption,
     decode_feedback,
     encode_feedback,
-    receiver_energy_budget,
     run_frame,
 )
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table

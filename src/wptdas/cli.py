@@ -266,8 +266,8 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     st = load_settings(args.config, args.seed)
     if st.pipeline == "protocol":
-        result, _logs = run_protocol_experiment(st.experiment, sched=st.sched,
-                                                link=st.link, adc=st.adc)
+        result = run_protocol_experiment(st.experiment, sched=st.sched, link=st.link,
+                                         adc=st.adc)
     else:
         result = run_sweep(st.experiment, jobs=args.jobs)
     with _create(args, "sweep_results.csv") as fh:

@@ -41,7 +41,6 @@ from .protocol import (
     FrameSchedule,
     ReceiverConsumption,
     energy_budget,
-    frame_log,
     run_rounds,
 )
 from .rectenna import RectennaConfig
@@ -52,7 +51,6 @@ from .signal_chain import dc_power_matrix
 RESULT_COLUMNS = "M,N,strategy,user,avg_pdc_watts,stderr_watts,realizations,seed"
 SUM_USER = 0  # user id used for multi-user sum rows
 DC_BLOCK_DRAWS = 64  # channel draws per block of _dc_tensor: amortizes calls, bounds memory
-ProcessPoolExecutor = None  # None: run_sweep imports the pool only when it runs in parallel
 
 
 def dbm_to_watts(x_dbm):
@@ -320,10 +318,10 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     if jobs <= 1 or r_total < 4:
         chunks = [_sweep_chunk((cfg, 0, r_total))]
     else:
-        from concurrent.futures import ProcessPoolExecutor as process_pool
+        from concurrent.futures import ProcessPoolExecutor
         edges = np.linspace(0, r_total, jobs + 1).astype(int)
         spans = [(cfg, int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
-        with (ProcessPoolExecutor or process_pool)(max_workers=len(spans)) as pool:
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             chunks = list(pool.map(_sweep_chunk, spans))
     merged = chunks[0] if len(chunks) == 1 else {
         key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
@@ -332,10 +330,10 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 
 
 def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlLinkModel,
-                     adc: AdcModel | None, keep_logs: bool = False) -> tuple[dict, list]:
-    """Per-realization delivery powers of the protocol sweep, and its logs.
+                     adc: AdcModel | None) -> dict:
+    """Per-realization delivery powers of the protocol sweep.
 
-    Returns ({(m, k): array of shape (R, users)}, logs). The ideal sweep's dc
+    Returns {(m, k): array of shape (R, users)}. The ideal sweep's dc
     tensor is built once and each cell's matrices are a slice of it, so both
     pipelines see the same numbers. Each cell runs its round of one frame per
     user for every realization at once. Realization r's link draws come from
@@ -353,7 +351,6 @@ def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlL
                          np.cumsum(widths)[:-1], axis=1)
 
     values = {}
-    cell_logs = []
     for (m, k, cols), cell_draws in zip(cells, draws):
         cell_sched = FrameSchedule(sched.slot_s, m * k, sched.wpt_s)
         p_dc = dc[:, :, :m][..., cols]
@@ -366,33 +363,27 @@ def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlL
         for j in range(users):  # one add per frame, in frame order
             total += batch.served_w[:, j]
         values[(m, k)] = total / users
-        if keep_logs:
-            cell_logs.append([[frame_log(batch, r, j, cell_sched, j * cell_sched.frame_us)
-                               for j in range(users)] for r in range(n_real)])
-    logs = [log for r in range(n_real) for per_cell in cell_logs for log in per_cell[r]]
-    return values, logs
+    return values
 
 
 def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule | None = None,
                             link: ControlLinkModel | None = None,
-                            adc: AdcModel | None = DEFAULT_ADC,
-                            keep_logs: bool = False):
+                            adc: AdcModel | None = DEFAULT_ADC) -> ExperimentResult:
     """The sweep realized through the frame protocol.
 
     Every (antenna set, frequency set) cell runs one TDMA round per
     realization (one frame per user) with joint selection at the receiver;
     the reported value is the delivery-phase dc power, so under ideal
-    settings it must match :func:`run_sweep`'s joint value. Returns
-    ``(ExperimentResult, logs)``; logs are kept only when requested, in
-    realization, cell, frame order.
+    settings it must match :func:`run_sweep`'s joint value. No event logs
+    are built; :func:`wptdas.protocol.run_frame` gives one frame's.
     """
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
-    values, logs = _protocol_values(cfg, sched, link, adc, keep_logs)
+    values = _protocol_values(cfg, sched, link, adc)
 
     rows = _summary_rows({(m, k, "joint"): arr for (m, k), arr in values.items()})
     config_hash = protocol_fingerprint(cfg, sched, link, adc)
-    return ExperimentResult(rows, cfg.realizations, cfg.seed, config_hash, kind="protocol"), logs
+    return ExperimentResult(rows, cfg.realizations, cfg.seed, config_hash, kind="protocol")
 
 
 def protocol_fingerprint(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlLinkModel,
@@ -410,6 +401,12 @@ class TransmitterConsumption:
     pa_supply_w: float = 84.0  # 28 V rail at 3 A
     radio_power_w: float = 0.048
     soc_power_w: float = 2.6e-6
+
+    def __post_init__(self):
+        check_finite(self, "pa_supply_w", "radio_power_w", "soc_power_w")
+        for name in ("pa_supply_w", "radio_power_w", "soc_power_w"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
 
     @property
     def total_w(self) -> float:

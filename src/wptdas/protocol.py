@@ -22,8 +22,9 @@ rounds at once: every (realization, user) row settles through the same
 slots, the training user's samples feed its selection, and the passive
 users harvest what the transmitter emits. The protocol sweep batches the
 realizations of a cell this way; :func:`run_frame` and
-:func:`wptdas.scheduler.run_tdma` walk a batch of one. Event logs are
-built from the walk's arrays (:func:`frame_log`) only when asked for.
+:func:`wptdas.scheduler.run_tdma` walk a batch of one. Only
+:func:`run_frame` builds an event log from the walk's arrays
+(:func:`frame_log`); everything else reads the arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError
+from .errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError, check_finite
 from .rectenna import RectennaConfig, segment_energy, settle
 from .selection import CandidateMatrix, SelectionDecision, check_powers, middle_index, select_pairs
 
@@ -134,24 +135,6 @@ class ControlLinkModel:
 
 
 @dataclass(frozen=True)
-class ControlMessage:
-    """One-byte control message: antenna activation or selection feedback."""
-
-    kind: str  # "activate" or "feedback"
-    t_us: int
-    antenna: int | None = None
-    code: int | None = None
-    size_bytes: int = MESSAGE_SIZE_BYTES
-
-    def to_byte(self) -> int:
-        """Wire format: activation carries the antenna index, feedback the
-        pair code in the big-endian low 6 bits of the byte."""
-        if self.kind == "activate":
-            return self.antenna & 0xFF
-        return self.code & 0x3F
-
-
-@dataclass(frozen=True)
 class AdcModel:
     """Uniform ADC quantization of the sampled output voltage."""
 
@@ -208,30 +191,10 @@ class EventLog:
     # frequency index); used to replay the frame against other receivers
     emissions: list
     final_voltage_v: float
-    messages: list | None = None  # ControlMessage send attempts, in order
-
-    @property
-    def frame_end_us(self) -> int:
-        return self.frame_start_us + self.schedule.frame_us
-
-    @property
-    def frame_s(self) -> float:
-        return self.schedule.frame_s
-
-    @property
-    def harvested_energy_j(self) -> float:
-        return self.harvested_energy_training_j + self.harvested_energy_wpt_j
 
     @property
     def bytes_sent(self) -> int:
         return MESSAGE_SIZE_BYTES * sum(1 for e in self.events if e.kind == "MessageSent")
-
-    def events_of(self, kind: str) -> list:
-        return [e for e in self.events if e.kind == kind]
-
-    def require_complete(self):
-        if not self.events or self.events[-1].kind != "FrameEnd":
-            raise ValidationError("event log is incomplete (no FrameEnd)")
 
     def to_csv(self, fh):
         fh.write("t_us,event,antenna,frequency,value\n")
@@ -407,10 +370,8 @@ def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
     emitting = batch.emitting[b, j].tolist()
     samples = iter(batch.samples[b, j].tolist())
     events: list[Event] = []
-    messages: list[ControlMessage] = []
     t = int(start_us)
     for m in range(1, m_total + 1):
-        messages.append(ControlMessage("activate", t, antenna=m))
         events.append(Event(t, "MessageSent", antenna=m))
         if not activated[m - 1]:
             events.append(Event(t, "MessageDropped", antenna=m))
@@ -423,7 +384,6 @@ def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
     selection = SelectionDecision(sel_m, sel_n, float(batch.selected_w[b, j]), "joint")
     code = encode_feedback(sel_m, sel_n, (m_total, n_total))
     applied_m, applied_n = (batch.applied[b, j] + 1).tolist()
-    messages.append(ControlMessage("feedback", t, code=code))
     events.append(Event(t, "MessageSent", value=code))
     if batch.fed_back[b, j]:
         events.append(Event(t, "FeedbackApplied", antenna=applied_m, frequency=applied_n))
@@ -445,7 +405,6 @@ def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
         emissions=[(m + 1 if emitting[m][n] else None, n + 1)
                    for m in range(m_total) for n in range(n_total)],
         final_voltage_v=float(batch.voltage_v[b, j, j]),
-        messages=messages,
     )
 
 
@@ -504,15 +463,17 @@ class ReceiverConsumption:
     soc_power_w: float = 2.6e-6
     radio_power_w: float = 0.048
     radio_bitrate_bps: float = 250e3
-    bytes_sent: int | None = None  # None: take the count from the event log
+    bytes_sent: int | None = None  # None: a byte per frame message (power_budget_report: 5)
 
     def __post_init__(self):
-        if self.soc_power_w < 0 or self.radio_power_w < 0:
-            raise ValidationError("consumption powers must be >= 0")
+        check_finite(self, "soc_power_w", "radio_power_w", "radio_bitrate_bps")
+        for name in ("soc_power_w", "radio_power_w"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
         if self.radio_bitrate_bps <= 0:
             raise ValidationError("radio_bitrate_bps must be > 0")
-        if self.bytes_sent is not None and self.bytes_sent < 0:
-            raise ValidationError("bytes_sent must be >= 0")
+        if self.bytes_sent is not None and not 0 <= self.bytes_sent:  # NaN fails too
+            raise ValidationError(f"bytes_sent must be >= 0, got {self.bytes_sent!r}")
 
 
 @dataclass(frozen=True)
@@ -542,13 +503,3 @@ def energy_budget(harvested_training_j: float, harvested_wpt_j: float,
     eff = e_net / e_dc if e_dc > 0 else math.nan
     return EnergyBudget(e_dc, e_soc, e_radio, e_consumed, e_net, eff,
                         t_radio, frame_s, bytes_sent)
-
-
-def receiver_energy_budget(log: EventLog,
-                           consumption: ReceiverConsumption) -> EnergyBudget:
-    """Energy ledger for one completed frame."""
-    log.require_complete()
-    nbytes = consumption.bytes_sent if consumption.bytes_sent is not None else log.bytes_sent
-    return energy_budget(log.harvested_energy_training_j,
-                         log.harvested_energy_wpt_j,
-                         log.frame_s, consumption, nbytes)

@@ -25,10 +25,8 @@ from .protocol import (
     DEFAULT_ADC,
     AdcModel,
     ControlLinkModel,
-    EventLog,
     FrameSchedule,
     check_dc_matrix,
-    frame_log,
     prior_pair,
     run_rounds,
 )
@@ -48,7 +46,6 @@ class UserState:
     prior: tuple[int, int] | None = None  # 1-based pair applied in its last frame
     energy_j: float = 0.0
     voltage_v: float = 0.0
-    frames_trained: int = 0
 
 
 @dataclass(frozen=True)
@@ -60,14 +57,11 @@ class TraceRow:
     frequency: int
     p_dc_w: float  # frame-average dc power (frame energy / frame duration)
     energy_j: float  # cumulative harvested energy for this user
-    wpt_power_w: float = 0.0  # steady dc power at the served pair, this user's channel
 
 
 @dataclass
 class TdmaResult:
-    users: list
     rows: list
-    frame_logs: list
 
     def user_average_power_w(self, user_id: int) -> float:
         powers = [r.p_dc_w for r in self.rows if r.user_id == user_id]
@@ -82,14 +76,14 @@ class TdmaResult:
 
 def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
              profile: TapProfile, rng: np.random.Generator, sched: FrameSchedule | None = None,
-             link: ControlLinkModel | None = None, adc: AdcModel | None = DEFAULT_ADC,
-             keep_logs: bool = False) -> TdmaResult:
+             link: ControlLinkModel | None = None,
+             adc: AdcModel | None = DEFAULT_ADC) -> TdmaResult:
     """Run ``frames`` TDMA frames over the given users.
 
     Every round redraws each user's channel from ``profile`` and ``rng``,
     with ``sched.training_slots // grid.count`` antennas. Each round is one
-    call of :func:`wptdas.protocol.run_rounds`; event logs are built from
-    its arrays only when ``keep_logs`` asks for them.
+    call of :func:`wptdas.protocol.run_rounds`, whose arrays give the trace
+    rows and update ``users`` in place; no event logs are built.
     """
     if not users:
         raise ValidationError("need at least one user")
@@ -101,7 +95,6 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
     k = len(users)
 
     rows: list[TraceRow] = []
-    logs: list[EventLog] = []
     frame_s = sched.frame_s
 
     for start in range(0, frames, k):
@@ -116,21 +109,16 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
                            [[u.voltage_v for u in users]], fallback, count)
         for j in range(count):
             i = start + j
-            active = users[j]
-            if keep_logs:
-                logs.append(frame_log(batch, 0, j, sched, i * sched.frame_us))
             antenna, frequency = (batch.applied[0, j] + 1).tolist()
-            served = batch.served_w[0, j].tolist()
             energy = [e_train + e_wpt for e_train, e_wpt in
                       zip(batch.training_j[0, j].tolist(), batch.wpt_j[0, j].tolist())]
-            active.prior = (antenna, frequency)
-            active.frames_trained += 1
+            users[j].prior = (antenna, frequency)
             for u_idx in [j] + [v for v in range(k) if v != j]:
                 u = users[u_idx]
                 u.energy_j += energy[u_idx]
-                rows.append(TraceRow(i, u.user_id, u is active, antenna, frequency,
-                                     energy[u_idx] / frame_s, u.energy_j, served[u_idx]))
+                rows.append(TraceRow(i, u.user_id, u_idx == j, antenna, frequency,
+                                     energy[u_idx] / frame_s, u.energy_j))
             for u, v in zip(users, batch.voltage_v[0, j].tolist()):
                 u.voltage_v = v
 
-    return TdmaResult(users=users, rows=rows, frame_logs=logs)
+    return TdmaResult(rows)

@@ -24,8 +24,7 @@ import numpy as np
 from wptdas.channel import ChannelRealization, FrequencyGrid, sample_channel
 from wptdas.errors import ValidationError
 from wptdas.experiments import _sweep_cells
-from wptdas.protocol import (ControlLinkModel, ControlMessage, Event, EventLog,
-                             FrameSchedule, encode_feedback)
+from wptdas.protocol import ControlLinkModel, Event, EventLog, FrameSchedule, encode_feedback
 from wptdas.rectenna import settle, settling_energy
 from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
 from wptdas.scheduler import TdmaResult, TraceRow
@@ -130,11 +129,10 @@ def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
     samples = v_ends if adc is None else [quantize(adc, x) for x in v_ends]
     adc_powers = np.square(samples).reshape(m_total, n_total) / rect.load_ohms
 
-    events, messages = [], []
+    events = []
     slot_samples = iter(samples)
     t = int(start_us)
     for m in range(1, m_total + 1):
-        messages.append(ControlMessage("activate", t, antenna=m))
         events.append(Event(t, "MessageSent", antenna=m))
         if not delivered[m - 1]:
             events.append(Event(t, "MessageDropped", antenna=m))
@@ -148,7 +146,6 @@ def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
     selection = SelectionDecision(best_m, best_n, float(best_w), "joint")
     code = encode_feedback(selection.antenna, selection.frequency, (m_total, n_total))
     fb_delivered = deliver(link, rng)
-    messages.append(ControlMessage("feedback", t, code=code))
     events.append(Event(t, "MessageSent", value=code))
     if fb_delivered:
         applied_m, applied_n = selection.antenna, selection.frequency
@@ -167,7 +164,7 @@ def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
                    harvested_energy_wpt_j=e_wpt, frame_start_us=int(start_us),
                    schedule=sched, selection=selection, applied_antenna=applied_m,
                    applied_frequency=applied_n, applied_power_w=applied_p,
-                   emissions=emissions, final_voltage_v=v, messages=messages)
+                   emissions=emissions, final_voltage_v=v)
     return log, selection
 
 
@@ -185,7 +182,8 @@ def _passive_harvest(user, log, p_dc, sched, link):
 
 def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, link=None,
              adc=None, keep_logs=False, p_dc=None):
-    """Round-robin TDMA, one frame at a time; same result as the library's.
+    """Round-robin TDMA, one frame at a time: the library's result, and each
+    frame's event log in frame order when ``keep_logs`` asks for them.
 
     ``p_dc``, one matrix per user, stands in for the matrices of channels
     drawn each round from ``profile``.
@@ -209,26 +207,24 @@ def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, li
             logs.append(log)
         active.prior = (log.applied_antenna, log.applied_frequency)
         active.voltage_v = log.final_voltage_v
-        active.frames_trained += 1
-        e_active = log.harvested_energy_j
+        e_active = log.harvested_energy_training_j + log.harvested_energy_wpt_j
         active.energy_j += e_active
         rows.append(TraceRow(i, active.user_id, True, log.applied_antenna,
-                             log.applied_frequency, e_active / frame_s,
-                             active.energy_j, log.applied_power_w))
+                             log.applied_frequency, e_active / frame_s, active.energy_j))
         for u, u_dc in zip(users, round_dc):
             if u is active:
                 continue
-            e_passive, p_served = _passive_harvest(u, log, u_dc, sched, link)
+            e_passive, _p_served = _passive_harvest(u, log, u_dc, sched, link)
             u.energy_j += e_passive
             rows.append(TraceRow(i, u.user_id, False, log.applied_antenna,
-                                 log.applied_frequency, e_passive / frame_s,
-                                 u.energy_j, p_served))
-    return TdmaResult(users=users, rows=rows, frame_logs=logs)
+                                 log.applied_frequency, e_passive / frame_s, u.energy_j))
+    return TdmaResult(rows), logs
 
 
-def protocol_values(cfg, sched=None, link=None, adc=None, keep_logs=False):
+def protocol_values(cfg, sched=None, link=None, adc=None):
     """Per-realization values {(m, k): (R, users) array} of the protocol sweep,
-    plus its frame logs, one realization, cell and frame at a time. Each
+    one realization, cell and frame at a time: each user's steady dc power at
+    the pair served in each frame of the round, averaged over the round. Each
     cell's matrices are the slice of the realization's full-grid dc matrices
     at the cell's antennas and frequencies."""
     from wptdas.scheduler import UserState
@@ -237,24 +233,23 @@ def protocol_values(cfg, sched=None, link=None, adc=None, keep_logs=False):
     link = link if link is not None else ControlLinkModel()
     cells = list(_sweep_cells(cfg))
     values = {(m, k): np.zeros((cfg.realizations, cfg.users)) for m, k, _ in cells}
-    logs = []
     for r in range(cfg.realizations):
         dc = dc_tensor(cfg, r, r + 1)[0]
         link_rng = substream(cfg.seed, DOMAIN_LINK, r)
         for m, k, cols in cells:
             cell_sched = FrameSchedule(sched.slot_s, m * k, sched.wpt_s)
             users = [UserState(user_id=u + 1, rect=cfg.rect) for u in range(cfg.users)]
-            res = run_tdma(users, cfg.users, None, None, sched=cell_sched, link=link,
-                           rng=link_rng, adc=adc, keep_logs=keep_logs,
-                           p_dc=[dc[u, :m][:, cols] for u in range(cfg.users)])
-            logs.extend(res.frame_logs)
+            cell_dc = [dc[u, :m][:, cols] for u in range(cfg.users)]
+            res, _logs = run_tdma(users, cfg.users, None, None, sched=cell_sched, link=link,
+                                  rng=link_rng, adc=adc, p_dc=cell_dc)
             per_user = np.zeros(cfg.users)
             counts = np.zeros(cfg.users)
             for row in res.rows:
-                per_user[row.user_id - 1] += row.wpt_power_w
+                per_user[row.user_id - 1] += float(
+                    cell_dc[row.user_id - 1][row.antenna - 1, row.frequency - 1])
                 counts[row.user_id - 1] += 1
             values[(m, k)][r] = per_user / counts
-    return values, logs
+    return values
 
 
 def dc_tensor(cfg, r0, r1):

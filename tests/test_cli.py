@@ -243,10 +243,18 @@ class TestFlags:
         assert not (tmp_path / "sweep_results.csv").exists()
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    code = ("import sys, wptdas.cli; "
-            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+def test_importing_the_cli_loads_no_process_pool(tmp_path):
+    # neither the import nor a serial sweep run after it loads a pool
+    config = tmp_path / "cfg.ini"
+    config.write_text(SWEEP_CONFIG)
+    code = ("import sys, wptdas.cli\n"
+            "pool = {'concurrent.futures.process', 'multiprocessing'}\n"
+            "print(sorted(pool & set(sys.modules)))\n"
+            f"assert wptdas.cli.main(['sweep', '--config', {str(config)!r}, "
+            f"'--out', {str(tmp_path)!r}, '--quiet']) == 0\n"
+            "print(sorted(pool & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "[]"]
+    assert (tmp_path / "sweep_results.csv").exists()

@@ -190,6 +190,14 @@ class TestBadValues:
             ("user_loss_db", (math.nan,)), ("user_loss_db", (-math.inf,)),
             ("user_loss_db", ("3",)), ("user_loss_db", 3.0), ("antenna_sweep", 1),
             ("frequency_sweep", None), ("strategies", 7)]],
+        *[(ReceiverConsumption, name, bad)
+          for name in ("soc_power_w", "radio_power_w", "radio_bitrate_bps")
+          for bad in (math.nan, math.inf, "1")],
+        *[(ReceiverConsumption, name, -1.0) for name in ("soc_power_w", "radio_power_w")],
+        (ReceiverConsumption, "bytes_sent", math.nan),
+        *[(TransmitterConsumption, name, bad)
+          for name in ("pa_supply_w", "radio_power_w", "soc_power_w")
+          for bad in (math.nan, math.inf, "1", -84.0)],
     ], ids=lambda v: getattr(v, "__qualname__", repr(v)))
     def test_library_input_fails_at_construction(self, build, field, bad):
         required = dict(profile=builtin_profile("model-E-NLOS"), grid=FrequencyGrid.uniform())
@@ -233,7 +241,38 @@ class TestReadme:
         assert "SelectionDecision(" in capsys.readouterr().out
 
 
+def outputs(tmp_path, values: dict) -> dict:
+    """The bytes of each simulation output of the config ``values``, split
+    into its ``# config=`` line and everything else."""
+    tmp_path.mkdir()
+    runs = {"ideal": ("sweep", "ideal", "sweep_results.csv"),
+            "protocol": ("sweep", "protocol", "sweep_results.csv"),
+            "frame": ("frame", "ideal", "frame_events.csv"),
+            "tdma": ("tdma", "ideal", "tdma_trace.csv")}
+    out = {}
+    for name, (command, pipeline, filename) in runs.items():
+        given = {("experiment", "pipeline"): pipeline, **values}
+        path = write(tmp_path, ini(given), f"{name}.ini")
+        assert main([command, "--config", path, "--out", str(tmp_path / name), "--quiet"]) == 0
+        lines = (tmp_path / name / filename).read_bytes().splitlines(keepends=True)
+        config = [ln for ln in lines if ln.startswith(b"# config=")]
+        out[name] = (config, [ln for ln in lines if not ln.startswith(b"# config=")])
+    return out
+
+
 class TestOutputs:
+    @pytest.mark.parametrize("section,key", SCHEMA_KEYS)
+    def test_every_key_that_changes_an_output_changes_its_config_line(self, tmp_path,
+                                                                       section, key):
+        # ideal and protocol sweeps, frame and tdma, with and without the key
+        base = {("experiment", "realizations"): "3", ("experiment", "frames"): "2",
+                **CONTEXT.get((section, key), {})}
+        before = outputs(tmp_path / "base", base)
+        after = outputs(tmp_path / "changed", {**base, (section, key): NON_DEFAULT[(section, key)]})
+        for name, (config, rest) in after.items():
+            assert len(config) == 1
+            if rest != before[name][1]:
+                assert config != before[name][0], name
     @pytest.mark.parametrize("command,filename", [("frame", "frame_events.csv"),
                                                   ("tdma", "tdma_trace.csv")])
     def test_config_line_tells_link_configs_apart(self, tmp_path, command, filename):

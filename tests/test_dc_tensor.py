@@ -154,7 +154,7 @@ class TestIdealEqualsProtocol:
         cfg = ExperimentConfig(PROFILES["model-E-NLOS"], GRIDS[grid],
                                rect=RectennaConfig(settle_tau_s=10e-6), strategies=("joint",),
                                users=users, user_loss_db=losses, realizations=60, seed=seed)
-        values, _logs = _protocol_values(cfg, FrameSchedule(), ControlLinkModel(), None)
+        values = _protocol_values(cfg, FrameSchedule(), ControlLinkModel(), None)
         ideal = _cell_values(cfg, _dc_tensor(cfg, 0, cfg.realizations))
         assert len(values) == 16
         for (m, k), got in values.items():

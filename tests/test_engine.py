@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.experiments import ExperimentConfig, _protocol_values, nested_frequency_indices
-from wptdas.protocol import AdcModel, ControlLinkModel, FrameSchedule, run_frame
+from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, frame_log, prior_pair,
+                             run_frame, run_rounds)
 from wptdas.rectenna import RectennaConfig, segment_energy, settle, settling_energy
 from wptdas.rng import substream
 from wptdas.scheduler import UserState, run_tdma
@@ -159,6 +160,41 @@ class TestFrameAgainstScalarWalk:
         assert rng_a.random() == rng_b.random()  # the same draws were consumed
 
 
+class TestRoundLogsAgainstScalarWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, rounds=st.integers(1, 3),
+           user_rects=st.lists(rects, min_size=1, max_size=3),
+           dims=st.sampled_from([(1, 1), (2, 3), (3, 5), (4, 15)]), drop=drops,
+           latency_s=latencies, adc=adcs, data=st.data())
+    def test_frame_logs_equal_the_scalar_walk(self, seed, rounds, user_rects, dims, drop,
+                                              latency_s, adc, data):
+        # One engine walk of B rounds of K frames against the scalar TDMA walk
+        # of each round alone, from the same priors, voltages and link draws.
+        m_total, n_total = dims
+        k = len(user_rects)
+        sched = FrameSchedule(training_slots=m_total * n_total)
+        link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
+        p_dc = check_powers(np.random.default_rng(seed).exponential(
+            1e-5, (rounds, k, m_total, n_total)))
+        pairs = st.one_of(st.none(), st.tuples(st.integers(1, m_total), st.integers(1, n_total)))
+        priors = data.draw(st.lists(st.lists(pairs, min_size=k, max_size=k),
+                                    min_size=rounds, max_size=rounds))
+        volts = data.draw(st.lists(st.lists(st.floats(0.0, 3.0), min_size=k, max_size=k),
+                                   min_size=rounds, max_size=rounds))
+        draws = [link.draws(substream(seed, b), (k, m_total + 1)) for b in range(rounds)]
+        fallback = [[np.subtract(prior_pair(p, n_total), 1) for p in row] for row in priors]
+        batch = run_rounds(p_dc, user_rects, sched, link, adc,
+                           None if drop == 0.0 else np.stack(draws), volts, fallback, k)
+        for b in range(rounds):
+            group = [UserState(user_id=u + 1, rect=rect, prior=priors[b][u],
+                               voltage_v=volts[b][u]) for u, rect in enumerate(user_rects)]
+            _res, ref_logs = oracle.run_tdma(group, k, None, None, rng=substream(seed, b),
+                                             sched=sched, link=link, adc=adc, keep_logs=True,
+                                             p_dc=list(p_dc[b]))
+            logs = [frame_log(batch, b, j, sched, j * sched.frame_us) for j in range(k)]
+            assert logs == ref_logs
+
+
 class TestTdmaAgainstScalarWalk:
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds, users=st.lists(rects, min_size=1, max_size=3), drop=drops,
@@ -167,20 +203,20 @@ class TestTdmaAgainstScalarWalk:
     def test_trace_equals_the_scalar_walk(self, seed, users, drop, latency_s, adc, frames,
                                           losses):
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        results = []
-        for run in (run_tdma, oracle.run_tdma):
+
+        def walk(run):
             group = [UserState(user_id=u + 1, rect=rect, extra_loss_db=losses[u])
                      for u, rect in enumerate(users)]
             rng = substream(seed, 2)
             res = run(group, frames, GRID, BUDGET, sched=FrameSchedule(), link=link, rng=rng,
-                      profile=PROFILE, adc=adc, keep_logs=True)
-            results.append((res, group, rng.random()))
-        (res, group, after), (ref, ref_group, ref_after) = results
+                      profile=PROFILE, adc=adc)
+            return res, [(u.energy_j, u.voltage_v, u.prior) for u in group], rng.random()
+
+        res, state, after = walk(run_tdma)
+        (ref, _logs), ref_state, ref_after = walk(oracle.run_tdma)
         assert res.rows == ref.rows
-        assert res.frame_logs == ref.frame_logs
         assert csv_text(res) == csv_text(ref)
-        assert [(u.energy_j, u.voltage_v, u.prior, u.frames_trained) for u in group] == \
-            [(u.energy_j, u.voltage_v, u.prior, u.frames_trained) for u in ref_group]
+        assert state == ref_state
         assert after == ref_after
 
 
@@ -190,18 +226,15 @@ class TestSweepAgainstScalarWalk:
            rect=rects, realizations=st.integers(1, 3),
            antenna_sweep=st.sampled_from([(1,), (2, 4), (1, 3)]),
            frequency_sweep=st.sampled_from([(1,), (3, 15), (1, 5)]))
-    def test_values_and_logs_equal_the_scalar_walk(self, seed, users, drop, latency_s, adc,
-                                                   rect, realizations, antenna_sweep,
-                                                   frequency_sweep):
+    def test_values_equal_the_scalar_walk(self, seed, users, drop, latency_s, adc, rect,
+                                          realizations, antenna_sweep, frequency_sweep):
         cfg = ExperimentConfig(profile=PROFILE, grid=GRID, rect=rect, users=users,
                                realizations=realizations, seed=seed,
                                antenna_sweep=antenna_sweep, frequency_sweep=frequency_sweep,
                                strategies=("joint",))
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        values, logs = _protocol_values(cfg, FrameSchedule(), link, adc, keep_logs=True)
-        ref_values, ref_logs = oracle.protocol_values(cfg, FrameSchedule(), link, adc,
-                                                      keep_logs=True)
+        values = _protocol_values(cfg, FrameSchedule(), link, adc)
+        ref_values = oracle.protocol_values(cfg, FrameSchedule(), link, adc)
         assert values.keys() == ref_values.keys()
         for key, arr in values.items():
             assert np.array_equal(arr, ref_values[key])
-        assert logs == ref_logs

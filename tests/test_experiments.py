@@ -15,6 +15,7 @@ from wptdas.experiments import (
     TransmitterConsumption,
     dbm_to_watts,
     nested_frequency_indices,
+    _protocol_values,
     power_budget_report,
     run_protocol_experiment,
     run_sweep,
@@ -135,6 +136,8 @@ class TestRunSweep:
         assert run_sweep(cfg, jobs=1).rows == run_sweep(cfg, jobs=2).rows
 
     def test_workers_are_capped_at_the_cpu_count(self, monkeypatch):
+        import concurrent.futures
+
         import wptdas.experiments as experiments
 
         started = []
@@ -152,7 +155,7 @@ class TestRunSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
         cfg = small_cfg(realizations=40)
         serial = run_sweep(cfg).rows
@@ -216,18 +219,19 @@ class TestProtocolExperiment:
     def test_matches_ideal_pipeline_per_realization(self):
         cfg = small_cfg(rect=self.FAST, antenna_sweep=(4,), frequency_sweep=(15,),
                         strategies=("joint",), realizations=50, seed=9)
-        _res, logs = run_protocol_experiment(cfg, adc=None, keep_logs=True)
-        for r, log in enumerate(logs):
+        delivered = _protocol_values(cfg, FrameSchedule(), ControlLinkModel(), None)[(4, 15)]
+        assert delivered.shape == (50, 1)
+        for r, value in enumerate(delivered[:, 0]):
             ch = sample_channel(MODEL_E, 4, substream(9, DOMAIN_CHANNEL, r, 0))
             truth = dc_power_matrix(ch, cfg.grid, cfg.budget, self.FAST.curve)
             expected = select_one(truth, "joint")[2]
-            assert abs(log.applied_power_w - expected) <= 1e-9 * expected
+            assert abs(value - expected) <= 1e-9 * expected
 
     def test_average_matches_sweep_joint(self):
         cfg = small_cfg(rect=self.FAST, antenna_sweep=(4,), frequency_sweep=(15,),
                         strategies=("joint",), realizations=50, seed=9)
         ideal = run_sweep(cfg)
-        proto, _ = run_protocol_experiment(cfg, adc=None)
+        proto = run_protocol_experiment(cfg, adc=None)
         assert proto.get(4, 15, "joint").avg_pdc_w == pytest.approx(
             ideal.get(4, 15, "joint").avg_pdc_w, rel=1e-9)
 
@@ -235,22 +239,16 @@ class TestProtocolExperiment:
         cfg = small_cfg(rect=self.FAST, antenna_sweep=(4,), frequency_sweep=(15,),
                         strategies=("none", "joint"), realizations=100, seed=9)
         ideal = run_sweep(cfg)
-        lossy, _ = run_protocol_experiment(
+        lossy = run_protocol_experiment(
             cfg, link=ControlLinkModel(drop_probability=0.5), adc=None)
         lo = ideal.get(4, 15, "none").avg_pdc_w
         hi = ideal.get(4, 15, "joint").avg_pdc_w
         assert lo <= lossy.get(4, 15, "joint").avg_pdc_w <= hi
 
-    def test_five_control_bytes_per_frame(self):
-        cfg = small_cfg(antenna_sweep=(4,), frequency_sweep=(15,),
-                        strategies=("joint",), realizations=5)
-        _res, logs = run_protocol_experiment(cfg, keep_logs=True)
-        assert logs and all(log.bytes_sent == 5 for log in logs)
-
     def test_two_user_protocol_rows(self):
         cfg = small_cfg(users=2, antenna_sweep=(2,), frequency_sweep=(3,),
                         strategies=("joint",), realizations=4)
-        res, _ = run_protocol_experiment(cfg)
+        res = run_protocol_experiment(cfg)
         assert res.get(2, 3, "joint", 1).avg_pdc_w > 0.0
         assert res.get(2, 3, "joint", 2).avg_pdc_w > 0.0
         assert res.get(2, 3, "joint", SUM_USER).avg_pdc_w == pytest.approx(
@@ -404,6 +402,6 @@ class TestFingerprint:
             {"adc": AdcModel(bits=8)},
             {"adc": AdcModel(v_ref=1.8)},
         ]
-        hashes = {run_protocol_experiment(cfg, **kw)[0].config_hash for kw in variants}
+        hashes = {run_protocol_experiment(cfg, **kw).config_hash for kw in variants}
         assert len(hashes) == len(variants)
         assert cfg.fingerprint() not in hashes

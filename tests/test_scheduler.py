@@ -25,6 +25,14 @@ def make_users(k, **kwargs):
     return [UserState(user_id=u + 1, rect=RectennaConfig(), **kwargs) for u in range(k)]
 
 
+def harvested(log):
+    return log.harvested_energy_training_j + log.harvested_energy_wpt_j
+
+
+def frames_trained(result, users):
+    return [sum(r.active for r in result.rows if r.user_id == u.user_id) for u in users]
+
+
 class TestSingleUser:
     def test_reduces_to_repeated_run_frame(self):
         frames = 10
@@ -44,9 +52,9 @@ class TestSingleUser:
                                v_initial=voltage)
             voltage = log.final_voltage_v
             prior = (log.applied_antenna, log.applied_frequency)
-            energy += log.harvested_energy_j
+            energy += harvested(log)
             row = result.rows[i]
-            assert row.p_dc_w == log.harvested_energy_j / sched.frame_s
+            assert row.p_dc_w == harvested(log) / sched.frame_s
             assert (row.antenna, row.frequency) == (log.applied_antenna,
                                                     log.applied_frequency)
         assert users[0].energy_j == energy
@@ -85,8 +93,8 @@ class TestTwoUsers:
 
     def test_each_user_trains_equally(self):
         users = make_users(2)
-        run_tdma(users, 6, GRID, BUDGET, rng=substream(4), profile=PROFILE)
-        assert [u.frames_trained for u in users] == [3, 3]
+        result = run_tdma(users, 6, GRID, BUDGET, rng=substream(4), profile=PROFILE)
+        assert frames_trained(result, users) == [3, 3]
 
     def test_active_user_first_in_round_robin(self):
         users = make_users(2)
@@ -146,8 +154,8 @@ class TestTwoUsers:
 
     def test_three_users_round_robin(self):
         users = make_users(3)
-        run_tdma(users, 9, GRID, BUDGET, rng=substream(10), profile=PROFILE)
-        assert [u.frames_trained for u in users] == [3, 3, 3]
+        result = run_tdma(users, 9, GRID, BUDGET, rng=substream(10), profile=PROFILE)
+        assert frames_trained(result, users) == [3, 3, 3]
 
 
 class TestPassiveReplay:
@@ -171,7 +179,7 @@ class TestPassiveReplay:
                            adc=DEFAULT_ADC if with_adc else None, v_initial=v_initial)
         twin = UserState(user_id=2, rect=rect, voltage_v=v_initial)
         energy, p_served = _passive_harvest(twin, log, p_dc, sched, link)
-        assert energy == log.harvested_energy_j
+        assert energy == harvested(log)
         assert p_served == log.applied_power_w
         assert twin.voltage_v == log.final_voltage_v
 
