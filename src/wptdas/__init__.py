@@ -26,6 +26,7 @@ from .errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,
+    ReceiverConsumption,
     dbm_to_watts,
     power_budget_report,
     run_protocol_experiment,
@@ -37,7 +38,6 @@ from .protocol import (
     ControlLinkModel,
     EventLog,
     FrameSchedule,
-    ReceiverConsumption,
     decode_feedback,
     encode_feedback,
     run_frame,

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .channel import FrequencyGrid, LinkBudget, resolve_profile
 from .errors import ValidationError
 from .experiments import (
     ExperimentConfig,
+    ReceiverConsumption,
     TransmitterConsumption,
     _dc_tensor,
     dbm_to_watts,
@@ -35,8 +36,7 @@ from .experiments import (
     run_protocol_experiment,
     run_sweep,
 )
-from .protocol import (MESSAGE_SIZE_BYTES, AdcModel, ControlLinkModel, FrameSchedule,
-                       ReceiverConsumption, check_feedback_space, run_frame)
+from .protocol import AdcModel, ControlLinkModel, FrameSchedule, check_feedback_space, run_frame
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 from .rng import DOMAIN_LINK, DOMAIN_TDMA, substream
 from .scheduler import UserState, run_tdma
@@ -153,7 +153,6 @@ _SCHEMA = {
         "soc_power_dbm": (ReceiverConsumption, "soc_power_w", _dbm),
         "radio_power_dbm": (ReceiverConsumption, "radio_power_w", _dbm),
         "bitrate_bps": (ReceiverConsumption, "radio_bitrate_bps", _float),
-        "bytes": (ReceiverConsumption, "bytes_sent", lambda raw: int(raw) if raw else None),
         "pa_supply_dbm": (TransmitterConsumption, "pa_supply_w", _dbm),
     },
     "budget": {
@@ -220,13 +219,12 @@ def load_settings(config_path: str | None, seed_override: int | None = None) -> 
         rect=RectennaConfig(curve=curve, **given[RectennaConfig]),
         **given[ExperimentConfig],
     )
-    m, n = experiment.max_antennas, grid.count
 
     if choices.delivery == "ideal":
         given[ControlLinkModel].update(drop_probability=0.0)
     return Settings(
         experiment=experiment,
-        sched=FrameSchedule(training_slots=m * n, **given[FrameSchedule]),
+        sched=FrameSchedule(**given[FrameSchedule]),
         link=ControlLinkModel(**given[ControlLinkModel]),
         adc=AdcModel(**given[AdcModel]) if choices.adc else None,
         consumption=ReceiverConsumption(**given[ReceiverConsumption]),
@@ -254,11 +252,9 @@ def _header_lines(seed: int, config_hash: str | None = None) -> str:
 
 
 def _budget_report(st: Settings) -> str:
-    c = st.consumption
-    if c.bytes_sent is None:  # the frame's own: one activation per antenna, then the feedback
-        c = replace(c, bytes_sent=MESSAGE_SIZE_BYTES * (st.experiment.max_antennas + 1))
-    return power_budget_report(sched=st.sched, consumption=c, tx=st.tx_consumption,
-                               **st.report_powers)[1]
+    cfg = st.experiment
+    return power_budget_report(sched=st.sched, consumption=st.consumption, tx=st.tx_consumption,
+                               dims=(cfg.max_antennas, cfg.grid.count), **st.report_powers)[1]
 
 
 def cmd_sweep(args) -> int:
@@ -303,7 +299,7 @@ def cmd_tdma(args) -> int:
              for u in range(cfg.users)]
     result = run_tdma(users, st.frames, cfg.grid, cfg.budget, cfg.profile,
                       substream(cfg.seed, DOMAIN_TDMA), sched=st.sched, link=st.link,
-                      adc=st.adc)
+                      adc=st.adc, antennas=cfg.max_antennas)
     config_hash = protocol_fingerprint(cfg, st.sched, st.link, st.adc, (st.frames,))
     with _create(args, "tdma_trace.csv") as fh:
         fh.write(_header_lines(cfg.seed, config_hash))

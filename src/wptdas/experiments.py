@@ -32,15 +32,13 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelRealization, FrequencyGrid, LinkBudget, TapProfile, gains_from_normals
-from .errors import ValidationError, check_finite
+from .errors import ValidationError, check_finite, check_integer
 from .protocol import (
     DEFAULT_ADC,
+    MESSAGE_SIZE_BYTES,
     AdcModel,
     ControlLinkModel,
-    EnergyBudget,
     FrameSchedule,
-    ReceiverConsumption,
-    energy_budget,
     run_rounds,
 )
 from .rectenna import RectennaConfig
@@ -107,11 +105,9 @@ class ExperimentConfig:
     user_loss_db: tuple = ()
 
     def __post_init__(self):
-        for name in ("seed", "users", "realizations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "seed", check_integer("seed", self.seed))
+        for name in ("users", "realizations"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), low=1))
         for name in ("antenna_sweep", "frequency_sweep", "strategies", "user_loss_db"):
             values = getattr(self, name)
             if isinstance(values, str) or not hasattr(values, "__iter__"):
@@ -125,12 +121,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(int(x) for x in values))
         check_finite(self, "user_loss_db")
         object.__setattr__(self, "user_loss_db", tuple(float(x) for x in self.user_loss_db))
-        if self.realizations < 1:
-            raise ValidationError("realizations must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ValidationError("seed must be an unsigned 64-bit value")
-        if self.users < 1:
-            raise ValidationError("users must be >= 1")
         if not (self.antenna_sweep and self.frequency_sweep and self.strategies):
             raise ValidationError("sweep lists and strategies must be non-empty")
         if min(self.antenna_sweep) < 1:
@@ -352,12 +344,11 @@ def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlL
 
     values = {}
     for (m, k, cols), cell_draws in zip(cells, draws):
-        cell_sched = FrameSchedule(sched.slot_s, m * k, sched.wpt_s)
         p_dc = dc[:, :, :m][..., cols]
         if cell_draws is not None:
             cell_draws = cell_draws.reshape(n_real, users, m + 1)
         fallback = np.broadcast_to([0, middle_index(k) - 1], (n_real, users, 2))
-        batch = run_rounds(p_dc, [cfg.rect] * users, cell_sched, link, adc, cell_draws,
+        batch = run_rounds(p_dc, [cfg.rect] * users, sched, link, adc, cell_draws,
                            np.zeros((n_real, users)), fallback, users)
         total = np.zeros((n_real, users))
         for j in range(users):  # one add per frame, in frame order
@@ -366,8 +357,8 @@ def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlL
     return values
 
 
-def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule | None = None,
-                            link: ControlLinkModel | None = None,
+def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule = FrameSchedule(),
+                            link: ControlLinkModel = ControlLinkModel(),
                             adc: AdcModel | None = DEFAULT_ADC) -> ExperimentResult:
     """The sweep realized through the frame protocol.
 
@@ -377,8 +368,6 @@ def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule | None =
     settings it must match :func:`run_sweep`'s joint value. No event logs
     are built; :func:`wptdas.protocol.run_frame` gives one frame's.
     """
-    sched = sched if sched is not None else FrameSchedule()
-    link = link if link is not None else ControlLinkModel()
     values = _protocol_values(cfg, sched, link, adc)
 
     rows = _summary_rows({(m, k, "joint"): arr for (m, k), arr in values.items()})
@@ -395,6 +384,21 @@ def protocol_fingerprint(cfg: ExperimentConfig, sched: FrameSchedule, link: Cont
 
 
 @dataclass(frozen=True)
+class ReceiverConsumption:
+    """Receiver-side consumption constants for the energy budget."""
+
+    soc_power_w: float = 2.6e-6
+    radio_power_w: float = 0.048
+    radio_bitrate_bps: float = 250e3
+
+    def __post_init__(self):
+        check_finite(self, "soc_power_w", "radio_power_w", low=0)
+        check_finite(self, "radio_bitrate_bps")
+        if self.radio_bitrate_bps <= 0:
+            raise ValidationError("radio_bitrate_bps must be > 0")
+
+
+@dataclass(frozen=True)
 class TransmitterConsumption:
     """Transmitter-side draw, reported alongside the receiver budget."""
 
@@ -403,35 +407,55 @@ class TransmitterConsumption:
     soc_power_w: float = 2.6e-6
 
     def __post_init__(self):
-        check_finite(self, "pa_supply_w", "radio_power_w", "soc_power_w")
-        for name in ("pa_supply_w", "radio_power_w", "soc_power_w"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+        check_finite(self, "pa_supply_w", "radio_power_w", "soc_power_w", low=0)
 
     @property
     def total_w(self) -> float:
         return self.pa_supply_w + self.radio_power_w + self.soc_power_w
 
 
+@dataclass(frozen=True)
+class EnergyBudget:
+    """Per-frame receiver energy ledger."""
+
+    e_dc_j: float
+    e_soc_j: float
+    e_radio_j: float
+    e_consumed_j: float
+    e_net_j: float
+    efficiency: float
+    t_radio_s: float
+    frame_s: float
+    bytes_sent: int
+
+
 def power_budget_report(train_avg_power_w: float = 3.9e-6,
                         wpt_avg_power_w: float = 20.4e-6,
-                        sched: FrameSchedule | None = None,
-                        consumption: ReceiverConsumption | None = None,
-                        tx: TransmitterConsumption | None = None
-                        ) -> tuple[EnergyBudget, str]:
-    """Per-frame energy ledger from phase-average powers, plus a report."""
-    if train_avg_power_w < 0 or wpt_avg_power_w < 0:
-        raise ValidationError("phase powers must be >= 0")
-    sched = sched if sched is not None else FrameSchedule()
-    consumption = consumption if consumption is not None else ReceiverConsumption()
-    tx = tx if tx is not None else TransmitterConsumption()
-    bytes_sent = consumption.bytes_sent if consumption.bytes_sent is not None else 5
-    e_train = sched.training_us * 1e-6 * train_avg_power_w
+                        sched: FrameSchedule = FrameSchedule(),
+                        consumption: ReceiverConsumption = ReceiverConsumption(),
+                        tx: TransmitterConsumption = TransmitterConsumption(),
+                        dims: tuple[int, int] = (4, 15)) -> tuple[EnergyBudget, str]:
+    """Per-frame energy ledger from phase-average powers, plus a report. A frame
+    of ``dims`` (antennas, frequencies) trains one slot per pair and sends one
+    control byte per antenna activation, then the feedback byte."""
+    powers = dict(train_avg_power_w=train_avg_power_w, wpt_avg_power_w=wpt_avg_power_w)
+    check_finite(powers, *powers, low=0)
+    m_total, n_total = (check_integer("dims", x, low=1) for x in dims)
+    slots, bytes_sent = m_total * n_total, MESSAGE_SIZE_BYTES * (m_total + 1)
+    e_train = slots * sched.slot_us * 1e-6 * train_avg_power_w
     e_wpt = sched.wpt_us * 1e-6 * wpt_avg_power_w
-    b = energy_budget(e_train, e_wpt, sched.frame_s, consumption, bytes_sent)
+    e_dc = e_train + e_wpt
+    frame_s = sched.frame_us(slots) * 1e-6
+    e_soc = frame_s * consumption.soc_power_w
+    t_radio = 8.0 * bytes_sent / consumption.radio_bitrate_bps
+    e_radio = t_radio * consumption.radio_power_w
+    e_consumed = e_soc + e_radio
+    e_net = e_dc - e_consumed
+    b = EnergyBudget(e_dc, e_soc, e_radio, e_consumed, e_net,
+                     e_net / e_dc if e_dc > 0 else math.nan, t_radio, frame_s, bytes_sent)
     uj = 1e6
     lines = [
-        f"frame      {b.frame_s:.6f} s ({sched.training_slots} x {sched.slot_s * 1e3:.3f} ms "
+        f"frame      {b.frame_s:.6f} s ({slots} x {sched.slot_s * 1e3:.3f} ms "
         f"training + {sched.wpt_s:.6f} s delivery)",
         f"harvested  {b.e_dc_j * uj:.3f} uJ (training {e_train * uj:.3f} uJ "
         f"+ delivery {e_wpt * uj:.3f} uJ)",

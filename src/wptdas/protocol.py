@@ -15,7 +15,8 @@ the middle frequency when there is none).
 Timing uses integer microseconds throughout, so the default frame closes
 at exactly 60 x 18 ms + 2.92 s = 4 s. Control messages occupy no airtime
 on the frame timeline; their cost appears only in the receiver's energy
-budget. Each message - activation or feedback - is one byte.
+budget (:func:`wptdas.experiments.power_budget_report`). Each message -
+activation or feedback - is one byte.
 
 One engine, :func:`run_rounds`, walks the frames of a whole batch of TDMA
 rounds at once: every (realization, user) row settles through the same
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError, check_finite
+from .errors import (FeedbackCapacityError, FeedbackDecodeError, ValidationError,
+                     check_finite, check_integer)
 from .rectenna import RectennaConfig, segment_energy, settle
 from .selection import CandidateMatrix, SelectionDecision, check_powers, middle_index, select_pairs
 
@@ -71,15 +73,14 @@ def decode_feedback(code: int, dims: tuple[int, int]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FrameSchedule:
-    """Frame timing: training slot length, slot count, delivery duration."""
+    """Frame timing: training slot length and delivery duration. A frame trains
+    one slot per (antenna, frequency) pair of its matrix (:meth:`frame_us`)."""
 
     slot_s: float = 0.018
-    training_slots: int = 60
     wpt_s: float = 2.92
 
     def __post_init__(self):
-        if self.training_slots < 1:
-            raise ValidationError("training_slots must be >= 1")
+        check_finite(self, "slot_s", "wpt_s")
         if not (0 < self.slot_s * 1e6 < math.inf and 0 <= self.wpt_s * 1e6 < math.inf):
             raise ValidationError("need finite slot_s > 0 and wpt_s >= 0")
         if self.slot_us < 1:
@@ -93,17 +94,9 @@ class FrameSchedule:
     def wpt_us(self) -> int:
         return round(self.wpt_s * 1e6)
 
-    @property
-    def training_us(self) -> int:
-        return self.training_slots * self.slot_us
-
-    @property
-    def frame_us(self) -> int:
-        return self.training_us + self.wpt_us
-
-    @property
-    def frame_s(self) -> float:
-        return self.frame_us * 1e-6
+    def frame_us(self, slots: int) -> int:
+        """Length of a frame that trains ``slots`` slots."""
+        return slots * self.slot_us + self.wpt_us
 
 
 @dataclass(frozen=True)
@@ -114,6 +107,7 @@ class ControlLinkModel:
     latency_s: float = 0.0
 
     def __post_init__(self):
+        check_finite(self, "drop_probability", "latency_s")
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValidationError("drop_probability must be in [0, 1]")
         if not 0 <= self.latency_s * 1e6 < math.inf:
@@ -142,6 +136,8 @@ class AdcModel:
     v_ref: float = 3.3
 
     def __post_init__(self):
+        check_integer("bits", self.bits)
+        check_finite(self, "v_ref")
         # 2**53 levels is the most a float64 sample counts exactly
         if not (1 <= self.bits <= 53 and 0 < self.v_ref < math.inf):
             raise ValidationError("need 1 <= bits <= 53 and finite v_ref > 0")
@@ -390,7 +386,7 @@ def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
     else:
         events.append(Event(t, "MessageDropped", value=code))
     events.append(Event(t, "WptPhaseStart", antenna=applied_m, frequency=applied_n))
-    events.append(Event(start_us + sched.frame_us, "FrameEnd"))
+    events.append(Event(start_us + sched.frame_us(m_total * n_total), "FrameEnd"))
 
     return EventLog(
         events=events,
@@ -416,20 +412,8 @@ def prior_pair(prior, n_total: int) -> tuple[int, int]:
     return int(m), int(n)
 
 
-def check_dc_matrix(p_dc, sched: FrameSchedule) -> np.ndarray:
-    """A receiver's (antennas x frequencies) dc powers, one pair per training slot."""
-    p_dc = CandidateMatrix.from_powers(p_dc).values
-    m_total, n_total = p_dc.shape
-    if m_total * n_total != sched.training_slots:
-        raise ValidationError(
-            f"schedule has {sched.training_slots} slots but the candidate set is "
-            f"{m_total}x{n_total}"
-        )
-    return p_dc
-
-
-def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule | None = None,
-              link: ControlLinkModel | None = None, prior=None,
+def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule = FrameSchedule(),
+              link: ControlLinkModel = ControlLinkModel(), prior=None,
               rng: np.random.Generator | None = None,
               adc: AdcModel | None = DEFAULT_ADC, start_us: int = 0,
               v_initial: float = 0.0) -> tuple[EventLog, SelectionDecision]:
@@ -444,9 +428,7 @@ def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule | Non
     transmitter fall back to ``prior`` - the last pair it applied - or to
     (antenna 1, middle frequency) when there is no prior.
     """
-    sched = sched if sched is not None else FrameSchedule()
-    link = link if link is not None else ControlLinkModel()
-    p_dc = check_dc_matrix(p_dc, sched)
+    p_dc = CandidateMatrix.from_powers(p_dc).values
     m_total, n_total = p_dc.shape
     fallback = np.subtract(prior_pair(prior, n_total), 1).reshape(1, 1, 2)
     batch = run_rounds(p_dc[None, None], [rect], sched, link, adc,
@@ -455,51 +437,3 @@ def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule | Non
     log = frame_log(batch, 0, 0, sched, start_us)
     return log, log.selection
 
-
-@dataclass(frozen=True)
-class ReceiverConsumption:
-    """Receiver-side consumption constants for the energy budget."""
-
-    soc_power_w: float = 2.6e-6
-    radio_power_w: float = 0.048
-    radio_bitrate_bps: float = 250e3
-    bytes_sent: int | None = None  # None: a byte per frame message (power_budget_report: 5)
-
-    def __post_init__(self):
-        check_finite(self, "soc_power_w", "radio_power_w", "radio_bitrate_bps")
-        for name in ("soc_power_w", "radio_power_w"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        if self.radio_bitrate_bps <= 0:
-            raise ValidationError("radio_bitrate_bps must be > 0")
-        if self.bytes_sent is not None and not 0 <= self.bytes_sent:  # NaN fails too
-            raise ValidationError(f"bytes_sent must be >= 0, got {self.bytes_sent!r}")
-
-
-@dataclass(frozen=True)
-class EnergyBudget:
-    """Per-frame receiver energy ledger."""
-
-    e_dc_j: float
-    e_soc_j: float
-    e_radio_j: float
-    e_consumed_j: float
-    e_net_j: float
-    efficiency: float
-    t_radio_s: float
-    frame_s: float
-    bytes_sent: int
-
-
-def energy_budget(harvested_training_j: float, harvested_wpt_j: float,
-                  frame_s: float, consumption: ReceiverConsumption,
-                  bytes_sent: int) -> EnergyBudget:
-    e_dc = harvested_training_j + harvested_wpt_j
-    e_soc = frame_s * consumption.soc_power_w
-    t_radio = 8.0 * bytes_sent / consumption.radio_bitrate_bps
-    e_radio = t_radio * consumption.radio_power_w
-    e_consumed = e_soc + e_radio
-    e_net = e_dc - e_consumed
-    eff = e_net / e_dc if e_dc > 0 else math.nan
-    return EnergyBudget(e_dc, e_soc, e_radio, e_consumed, e_net, eff,
-                        t_radio, frame_s, bytes_sent)

@@ -20,17 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import FrequencyGrid, LinkBudget, TapProfile, sample_channel
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 from .protocol import (
     DEFAULT_ADC,
     AdcModel,
     ControlLinkModel,
     FrameSchedule,
-    check_dc_matrix,
+    check_feedback_space,
     prior_pair,
     run_rounds,
 )
 from .rectenna import RectennaConfig
+from .selection import check_powers
 from .signal_chain import dc_power_matrix
 
 TRACE_COLUMNS = "frame,user,active_flag,antenna,frequency,p_dc_watts,energy_joules"
@@ -75,37 +76,36 @@ class TdmaResult:
 
 
 def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
-             profile: TapProfile, rng: np.random.Generator, sched: FrameSchedule | None = None,
-             link: ControlLinkModel | None = None,
-             adc: AdcModel | None = DEFAULT_ADC) -> TdmaResult:
+             profile: TapProfile, rng: np.random.Generator, sched: FrameSchedule = FrameSchedule(),
+             link: ControlLinkModel = ControlLinkModel(),
+             adc: AdcModel | None = DEFAULT_ADC, antennas: int = 4) -> TdmaResult:
     """Run ``frames`` TDMA frames over the given users.
 
-    Every round redraws each user's channel from ``profile`` and ``rng``,
-    with ``sched.training_slots // grid.count`` antennas. Each round is one
-    call of :func:`wptdas.protocol.run_rounds`, whose arrays give the trace
-    rows and update ``users`` in place; no event logs are built.
+    Every round redraws each user's channel from ``profile`` and ``rng``
+    with ``antennas`` antennas, so a frame trains ``antennas * grid.count``
+    slots. Each round is one call of :func:`wptdas.protocol.run_rounds`,
+    whose arrays give the trace rows and update ``users`` in place; no event
+    logs are built. Bad counts are rejected before the first draw.
     """
     if not users:
         raise ValidationError("need at least one user")
-    if frames < 1:
-        raise ValidationError("frames must be >= 1")
-    sched = sched if sched is not None else FrameSchedule()
-    link = link if link is not None else ControlLinkModel()
-    num_antennas = sched.training_slots // grid.count
+    frames = check_integer("frames", frames, low=1)
+    antennas = check_integer("antennas", antennas, low=1)
+    check_feedback_space(antennas, grid.count)
     k = len(users)
 
     rows: list[TraceRow] = []
-    frame_s = sched.frame_s
+    frame_s = sched.frame_us(antennas * grid.count) * 1e-6
 
     for start in range(0, frames, k):
         # each user's channel holds for the round, and so does its dc matrix
-        p_dc = np.stack([check_dc_matrix(dc_power_matrix(
-            sample_channel(profile, num_antennas, rng), grid, budget, u.rect.curve,
-            u.extra_loss_db), sched) for u in users])
+        p_dc = check_powers(np.stack([dc_power_matrix(
+            sample_channel(profile, antennas, rng), grid, budget, u.rect.curve,
+            u.extra_loss_db) for u in users]))
         count = min(k, frames - start)
         fallback = [[np.subtract(prior_pair(u.prior, grid.count), 1) for u in users]]
         batch = run_rounds(p_dc[None], [u.rect for u in users], sched, link, adc,
-                           link.draws(rng, (1, count, num_antennas + 1)),
+                           link.draws(rng, (1, count, antennas + 1)),
                            [[u.voltage_v for u in users]], fallback, count)
         for j in range(count):
             i = start + j

@@ -117,7 +117,6 @@ def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
     link = link if link is not None else ControlLinkModel()
     p_dc = check_powers(p_dc)
     m_total, n_total = p_dc.shape
-    assert m_total * n_total == sched.training_slots
     v_tgt = np.sqrt(p_dc * rect.load_ohms)
 
     slot_us = sched.slot_us
@@ -158,7 +157,7 @@ def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
     events.append(Event(t, "WptPhaseStart", antenna=applied_m, frequency=applied_n))
     e_wpt, v = harvest_delivery(v, float(v_tgt[applied_m - 1, applied_n - 1]), applied_p,
                                 sched, link, rect)
-    events.append(Event(start_us + sched.frame_us, "FrameEnd"))
+    events.append(Event(start_us + sched.frame_us(m_total * n_total), "FrameEnd"))
 
     log = EventLog(events=events, harvested_energy_training_j=e_train,
                    harvested_energy_wpt_j=e_wpt, frame_start_us=int(start_us),
@@ -181,28 +180,29 @@ def _passive_harvest(user, log, p_dc, sched, link):
 
 
 def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, link=None,
-             adc=None, keep_logs=False, p_dc=None):
+             adc=None, keep_logs=False, p_dc=None, antennas=4):
     """Round-robin TDMA, one frame at a time: the library's result, and each
     frame's event log in frame order when ``keep_logs`` asks for them.
 
     ``p_dc``, one matrix per user, stands in for the matrices of channels
-    drawn each round from ``profile``.
+    drawn each round from ``profile`` with ``antennas`` antennas.
     """
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
     k = len(users)
     rows, logs = [], []
-    frame_s = sched.frame_s
     for i in range(frames):
         if i % k == 0:
             round_dc = p_dc if p_dc is not None else [
-                dc_power_matrix(sample_channel(profile, sched.training_slots // grid.count, rng),
+                dc_power_matrix(sample_channel(profile, antennas, rng),
                                 grid, budget, u.rect.curve, u.extra_loss_db)
                 for u in users]
+            frame_us = sched.frame_us(round_dc[0].size)
+            frame_s = frame_us * 1e-6
         active = users[i % k]
         log, _sel = run_frame(round_dc[i % k], active.rect, sched=sched, link=link,
                               prior=active.prior, rng=rng, adc=adc,
-                              start_us=i * sched.frame_us, v_initial=active.voltage_v)
+                              start_us=i * frame_us, v_initial=active.voltage_v)
         if keep_logs:
             logs.append(log)
         active.prior = (log.applied_antenna, log.applied_frequency)
@@ -237,10 +237,9 @@ def protocol_values(cfg, sched=None, link=None, adc=None):
         dc = dc_tensor(cfg, r, r + 1)[0]
         link_rng = substream(cfg.seed, DOMAIN_LINK, r)
         for m, k, cols in cells:
-            cell_sched = FrameSchedule(sched.slot_s, m * k, sched.wpt_s)
             users = [UserState(user_id=u + 1, rect=cfg.rect) for u in range(cfg.users)]
             cell_dc = [dc[u, :m][:, cols] for u in range(cfg.users)]
-            res, _logs = run_tdma(users, cfg.users, None, None, sched=cell_sched, link=link,
+            res, _logs = run_tdma(users, cfg.users, None, None, sched=sched, link=link,
                                   rng=link_rng, adc=adc, p_dc=cell_dc)
             per_user = np.zeros(cfg.users)
             counts = np.zeros(cfg.users)

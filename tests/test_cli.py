@@ -171,9 +171,10 @@ class TestValidate:
 
     def test_rejects_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("[experiment]\nrealisations = 10\n")
-        assert run(["validate", "--config", str(cfg)], tmp_path) == 1
-        assert "error" in capsys.readouterr().err
+        for text in ("[experiment]\nrealisations = 10\n", "[consumption]\nbytes = 5\n"):
+            cfg.write_text(text)
+            assert run(["validate", "--config", str(cfg)], tmp_path) == 1
+            assert "error" in capsys.readouterr().err
 
     def test_rejects_unknown_section(self, tmp_path):
         cfg = tmp_path / "bad.ini"

@@ -15,8 +15,9 @@ import wptdas
 from wptdas.cli import _SCHEMA, load_settings, main
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile
 from wptdas.errors import FeedbackCapacityError, ValidationError
-from wptdas.experiments import ExperimentConfig, TransmitterConsumption, power_budget_report
-from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, ReceiverConsumption
+from wptdas.experiments import (ExperimentConfig, ReceiverConsumption, TransmitterConsumption,
+                                power_budget_report)
+from wptdas.protocol import DEFAULT_ADC, AdcModel, ControlLinkModel, FrameSchedule
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -62,7 +63,6 @@ NON_DEFAULT = {
     ("consumption", "soc_power_dbm"): "-20",
     ("consumption", "radio_power_dbm"): "10",
     ("consumption", "bitrate_bps"): "1e6",
-    ("consumption", "bytes"): "7",
     ("consumption", "pa_supply_dbm"): "40",
     ("budget", "train_power_dbm"): "-20",
     ("budget", "wpt_power_dbm"): "-10",
@@ -105,8 +105,9 @@ def resolved(st) -> tuple:
 
 
 def budget_of(st):
+    dims = (st.experiment.max_antennas, st.experiment.grid.count)
     return power_budget_report(sched=st.sched, consumption=st.consumption,
-                               tx=st.tx_consumption, **st.report_powers)
+                               tx=st.tx_consumption, dims=dims, **st.report_powers)
 
 
 class TestSchema:
@@ -168,16 +169,6 @@ class TestBadValues:
         assert main(["validate", "--config", write(tmp_path, text)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_negative_byte_count_fails_cleanly(self, tmp_path, capsys):
-        cfg = write(tmp_path, "[consumption]\nbytes = -5\n")
-        assert main(["budget", "--config", cfg, "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "bytes_sent" in err
-        assert not (tmp_path / "budget.txt").exists()
-        with pytest.raises(ValidationError, match="bytes_sent"):
-            ReceiverConsumption(bytes_sent=-1)
-        assert ReceiverConsumption(bytes_sent=0).bytes_sent == 0
-
     @pytest.mark.parametrize("build,field,bad", [
         *[(LinkBudget, name, bad)
           for name in ("tx_power_w", "path_loss_db", "tx_gain_dbi", "rx_gain_dbi")
@@ -194,10 +185,12 @@ class TestBadValues:
           for name in ("soc_power_w", "radio_power_w", "radio_bitrate_bps")
           for bad in (math.nan, math.inf, "1")],
         *[(ReceiverConsumption, name, -1.0) for name in ("soc_power_w", "radio_power_w")],
-        (ReceiverConsumption, "bytes_sent", math.nan),
         *[(TransmitterConsumption, name, bad)
           for name in ("pa_supply_w", "radio_power_w", "soc_power_w")
           for bad in (math.nan, math.inf, "1", -84.0)],
+        (FrameSchedule, "slot_s", "0.018"), (FrameSchedule, "wpt_s", True),
+        (ControlLinkModel, "drop_probability", True), (ControlLinkModel, "drop_probability", "0.1"),
+        (AdcModel, "bits", 12.5), (AdcModel, "bits", True), (AdcModel, "v_ref", "3.3"),
     ], ids=lambda v: getattr(v, "__qualname__", repr(v)))
     def test_library_input_fails_at_construction(self, build, field, bad):
         required = dict(profile=builtin_profile("model-E-NLOS"), grid=FrequencyGrid.uniform())

@@ -172,7 +172,7 @@ class TestRoundLogsAgainstScalarWalk:
         # of each round alone, from the same priors, voltages and link draws.
         m_total, n_total = dims
         k = len(user_rects)
-        sched = FrameSchedule(training_slots=m_total * n_total)
+        sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         p_dc = check_powers(np.random.default_rng(seed).exponential(
             1e-5, (rounds, k, m_total, n_total)))
@@ -191,7 +191,8 @@ class TestRoundLogsAgainstScalarWalk:
             _res, ref_logs = oracle.run_tdma(group, k, None, None, rng=substream(seed, b),
                                              sched=sched, link=link, adc=adc, keep_logs=True,
                                              p_dc=list(p_dc[b]))
-            logs = [frame_log(batch, b, j, sched, j * sched.frame_us) for j in range(k)]
+            frame_us = sched.frame_us(m_total * n_total)
+            logs = [frame_log(batch, b, j, sched, j * frame_us) for j in range(k)]
             assert logs == ref_logs
 
 

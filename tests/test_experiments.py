@@ -21,7 +21,7 @@ from wptdas.experiments import (
     run_sweep,
     watts_to_dbm,
 )
-from wptdas.protocol import AdcModel, ControlLinkModel, FrameSchedule
+from wptdas.protocol import AdcModel, ControlLinkModel, FrameSchedule, run_frame
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 from wptdas.rng import DOMAIN_CHANNEL, substream
 from wptdas.selection import STRATEGIES
@@ -262,8 +262,10 @@ class TestPowerBudgetReport:
         assert budget.e_dc_j == pytest.approx(63.8e-6, abs=0.1e-6)
         assert budget.e_soc_j == pytest.approx(10.4e-6, abs=0.1e-6)
         assert budget.e_radio_j == pytest.approx(7.68e-6, abs=0.1e-6)
+        assert budget.e_consumed_j == pytest.approx(18.1e-6, abs=0.05e-6)
         assert budget.e_net_j == pytest.approx(45.7e-6, abs=0.1e-6)
         assert budget.efficiency == pytest.approx(0.72, abs=0.01)
+        assert budget.t_radio_s == pytest.approx(0.16e-3, rel=1e-9)
         assert "efficiency 71.7 %" in report
         assert "transmitter draw 84.048003 W" in report
 
@@ -276,6 +278,7 @@ class TestPowerBudgetReport:
         budget, report = power_budget_report(train_avg_power_w=0.0,
                                              wpt_avg_power_w=1e-9)
         assert budget.e_net_j < 0.0
+        assert budget.efficiency < 0.0
         assert "net" in report
 
     def test_transmitter_totals(self):
@@ -283,8 +286,27 @@ class TestPowerBudgetReport:
         assert tx.total_w == pytest.approx(84.0480026, rel=1e-9)
 
     def test_rejects_negative_powers(self):
-        with pytest.raises(ValidationError):
-            power_budget_report(train_avg_power_w=-1e-6)
+        for field in ("train_avg_power_w", "wpt_avg_power_w"):
+            for bad in (-1e-6, math.nan, math.inf, -math.inf, "1e-6", None, True):
+                with pytest.raises(ValidationError, match=field):
+                    power_budget_report(**{field: bad})
+
+    @pytest.mark.parametrize("dims", [(0, 15), (4, 0), (2.5, 15), (4, True), ("4", 15)])
+    def test_rejects_dims_that_are_not_counts(self, dims):
+        with pytest.raises(ValidationError, match="dims"):
+            power_budget_report(dims=dims)
+
+    def test_consumption_validation(self):
+        with pytest.raises(ValidationError, match="radio_bitrate_bps"):
+            ReceiverConsumption(radio_bitrate_bps=0.0)
+
+    @pytest.mark.parametrize("dims", [(1, 15), (2, 15), (3, 15), (4, 15), (2, 3)])
+    def test_budget_and_frame_log_agree_on_the_frame_shape(self, dims):
+        log, _ = run_frame(np.full(dims, 1e-5), RectennaConfig())
+        budget, report = power_budget_report(dims=dims)
+        assert budget.bytes_sent == log.bytes_sent == dims[0] + 1
+        assert budget.frame_s == log.events[-1].t_us * 1e-6
+        assert report.startswith(f"frame      {budget.frame_s:.6f} s ({dims[0] * dims[1]} x ")
 
 
 def scalar_reference_sweep(cfg):

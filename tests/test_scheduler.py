@@ -14,6 +14,7 @@ from wptdas.rng import substream
 from wptdas.scheduler import TRACE_COLUMNS, UserState, run_tdma
 from wptdas.signal_chain import dc_power_matrix
 
+import scalar_oracle as oracle
 from scalar_oracle import _passive_harvest, select_one
 
 PROFILE = builtin_profile("model-E-NLOS")
@@ -48,31 +49,45 @@ class TestSingleUser:
             ch = sample_channel(PROFILE, 4, rng)
             log, _ = run_frame(dc_power_matrix(ch, GRID, BUDGET, RectennaConfig().curve),
                                RectennaConfig(), sched=sched,
-                               rng=rng, prior=prior, start_us=i * sched.frame_us,
+                               rng=rng, prior=prior, start_us=i * sched.frame_us(60),
                                v_initial=voltage)
             voltage = log.final_voltage_v
             prior = (log.applied_antenna, log.applied_frequency)
             energy += harvested(log)
             row = result.rows[i]
-            assert row.p_dc_w == harvested(log) / sched.frame_s
+            assert row.p_dc_w == harvested(log) / (sched.frame_us(60) * 1e-6)
             assert (row.antenna, row.frequency) == (log.applied_antenna,
                                                     log.applied_frequency)
         assert users[0].energy_j == energy
 
-    def test_schedule_must_fill_whole_antenna_blocks(self):
-        # 61 and 59 slots are no whole number of 15-frequency blocks; 10 is less than one
-        for slots in (61, 59, 10):
-            with pytest.raises(ValidationError):
-                run_tdma(make_users(1), 1, GRID, BUDGET, PROFILE, substream(0),
-                         sched=FrameSchedule(training_slots=slots))
+    def test_antenna_count_is_checked_before_the_first_draw(self):
+        # 5 x 15 pairs exceed the 6-bit feedback space
+        for antennas in (0, -1, 2.5, True, "4", 5):
+            rng = substream(0)
+            with pytest.raises(ValidationError, match="antennas"):
+                run_tdma(make_users(1), 1, GRID, BUDGET, PROFILE, rng, antennas=antennas)
+            assert rng.random() == substream(0).random()
+
+    def test_antenna_count_sets_the_array(self):
+        users = make_users(1)
+        result = run_tdma(users, 2, FrequencyGrid.uniform(count=7), BUDGET, PROFILE,
+                          substream(2), antennas=3)
+        assert all(1 <= r.antenna <= 3 and 1 <= r.frequency <= 7 for r in result.rows)
+        ref_users = make_users(1)
+        ref, _logs = oracle.run_tdma(ref_users, 2, FrequencyGrid.uniform(count=7), BUDGET,
+                                     PROFILE, substream(2), adc=DEFAULT_ADC, antennas=3)
+        assert result.rows == ref.rows
 
     def test_empty_users_rejected(self):
         with pytest.raises(ValidationError):
             run_tdma([], 1, GRID, BUDGET, rng=substream(0), profile=PROFILE)
 
     def test_bad_frame_count_rejected(self):
-        with pytest.raises(ValidationError):
-            run_tdma(make_users(1), 0, GRID, BUDGET, rng=substream(0), profile=PROFILE)
+        for frames in (0, 2.5, True):
+            rng = substream(0)
+            with pytest.raises(ValidationError, match="frames"):
+                run_tdma(make_users(1), frames, GRID, BUDGET, rng=rng, profile=PROFILE)
+            assert rng.random() == substream(0).random()
 
 
 class TestTwoUsers:
