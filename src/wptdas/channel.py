@@ -215,23 +215,24 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Operating-frequency grid: uniform in band or the 5 MHz channel plan."""
+    """Operating frequencies, and the ``mode`` that chose them: uniform in band or the plan."""
 
     mode: str
-    center_hz: float
-    bandwidth_hz: float
-    count: int
     frequencies_hz: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies_hz, dtype=float)
         object.__setattr__(self, "frequencies_hz", freqs)
-        if self.count < 1 or freqs.size != self.count:
-            raise ValidationError("grid count must match frequency list")
+        if freqs.ndim != 1 or freqs.size == 0:
+            raise ValidationError("grid needs a non-empty 1-D frequency list")
         if not np.all(freqs > 0):
             raise ValidationError("frequencies must be > 0")
         if freqs.size > 1 and not np.all(np.diff(freqs) > 0):
             raise ValidationError("frequencies must be strictly increasing")
+
+    @property
+    def count(self) -> int:
+        return int(self.frequencies_hz.size)
 
     @classmethod
     def uniform(cls, center_hz: float = 2.4e9, bandwidth_hz: float = 75e6,
@@ -246,7 +247,7 @@ class FrequencyGrid:
         else:
             freqs = np.linspace(center_hz - bandwidth_hz / 2.0,
                                 center_hz + bandwidth_hz / 2.0, count)
-        return cls("uniform-in-band", center_hz, bandwidth_hz, count, freqs)
+        return cls("uniform-in-band", freqs)
 
     @classmethod
     def ieee_plan(cls, count: int = 15) -> "FrequencyGrid":
@@ -256,6 +257,4 @@ class FrequencyGrid:
                 f"channel plan supports 1..{IEEE_PLAN_MAX_CHANNELS} power channels"
             )
         k = np.arange(1, count + 1)
-        freqs = IEEE_PLAN_BASE_HZ + IEEE_PLAN_STEP_HZ * k
-        center = float((freqs[0] + freqs[-1]) / 2.0)
-        return cls("ieee-channel-plan", center, float(freqs[-1] - freqs[0]), count, freqs)
+        return cls("ieee-channel-plan", IEEE_PLAN_BASE_HZ + IEEE_PLAN_STEP_HZ * k)

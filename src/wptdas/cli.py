@@ -355,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the experiment seed")
         p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or '.')")
         if name == "sweep":
-            p.add_argument("--jobs", type=int, default=1, help="parallel workers, at most one per CPU")
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers of the ideal "
+                           "pipeline, at most one per CPU; the protocol pipeline ignores it")
         p.add_argument("--quiet", action="store_true", help="suppress stdout summaries")
         p.set_defaults(func=func)
     return parser

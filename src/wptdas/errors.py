@@ -29,11 +29,22 @@ def check_finite(obj, *fields: str, low: float | None = None):
                 raise ValidationError(f"{name} must be >= {low:g}")
 
 
-def check_integer(name: str, value, low: int | None = None) -> int:
-    """``value`` as an int; raise :class:`ValidationError` naming ``name``
-    unless it is an integer (a bool is not) and at least ``low``, if given."""
+def check_integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int; raise :class:`ValidationError` naming ``name`` unless
+    it is an integer (a bool is not) within ``low`` and ``high``, if given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ValidationError(f"{name} must be >= {low}")
+    if high is not None and value > high:
+        raise ValidationError(f"{name} must be <= {high}")
     return int(value)
+
+
+def check_pair(name: str, value, dims: tuple = (None, None)) -> tuple[int, int] | None:
+    """None, or ``value`` as a pair of ints in 1..``dims``; raise naming ``name`` and it if not."""
+    if value is None:
+        return None
+    if not hasattr(value, "__len__") or len(value) != 2:
+        raise ValidationError(f"{name} must be a pair, got {value!r}")
+    return tuple(check_integer(f"{name} {value!r}", x, 1, hi) for x, hi in zip(value, dims))

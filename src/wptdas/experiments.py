@@ -43,7 +43,7 @@ from .protocol import (
 )
 from .rectenna import RectennaConfig
 from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, keyed_draws, substream_keys
-from .selection import STRATEGIES, check_powers, middle_index, select_pairs
+from .selection import STRATEGIES, check_powers, default_pair, select_pairs
 from .signal_chain import dc_power_matrix
 
 RESULT_COLUMNS = "M,N,strategy,user,avg_pdc_watts,stderr_watts,realizations,seed"
@@ -347,7 +347,7 @@ def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlL
         p_dc = dc[:, :, :m][..., cols]
         if cell_draws is not None:
             cell_draws = cell_draws.reshape(n_real, users, m + 1)
-        fallback = np.broadcast_to([0, middle_index(k) - 1], (n_real, users, 2))
+        fallback = np.broadcast_to(default_pair(k), (n_real, users, 2))
         batch = run_rounds(p_dc, [cfg.rect] * users, sched, link, adc, cell_draws,
                            np.zeros((n_real, users)), fallback, users)
         total = np.zeros((n_real, users))

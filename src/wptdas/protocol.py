@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (FeedbackCapacityError, FeedbackDecodeError, ValidationError,
-                     check_finite, check_integer)
+                     check_finite, check_integer, check_pair)
 from .rectenna import RectennaConfig, segment_energy, settle
-from .selection import CandidateMatrix, SelectionDecision, check_powers, middle_index, select_pairs
+from .selection import CandidateMatrix, SelectionDecision, check_powers, default_pair, select_pairs
 
 FEEDBACK_BITS = 6
 MESSAGE_SIZE_BYTES = 1
@@ -172,19 +172,17 @@ class Event:
 
 @dataclass
 class EventLog:
-    """Timestamped record of one simulated frame plus harvest accounting."""
+    """Timestamped record of one frame, which starts at its first event, plus harvest."""
 
     events: list
     harvested_energy_training_j: float
     harvested_energy_wpt_j: float
-    frame_start_us: int
-    schedule: FrameSchedule
     selection: SelectionDecision
     applied_antenna: int
     applied_frequency: int
     applied_power_w: float
-    # per-slot true emission: (antenna or None when the transmitter idled,
-    # frequency index); used to replay the frame against other receivers
+    # per-slot true emission, (antenna or None when idle, frequency index):
+    # the scalar reference replays the frame for a passive receiver from it
     emissions: list
     final_voltage_v: float
 
@@ -247,8 +245,9 @@ def run_rounds(p_dc: np.ndarray, rects: list, sched: FrameSchedule, link: Contro
     activations then the feedback, or None on a lossless link. A message
     gets through when its draw is at least the drop probability.
     ``v_initial`` (B, K) are the output voltages at the round start; they
-    carry from frame to frame. ``prior`` (B, K, 2) is the pair each user's
-    transmitter falls back to when that user's feedback is lost.
+    carry from frame to frame. ``prior`` (B, K, 2) is the pair, within the
+    matrix, that each user's transmitter falls back to when that user's
+    feedback is lost (:func:`fallback_pair`).
 
     The walk steps every (round, user) row's voltage through the frame's
     settling segments together, then takes every segment's energy at once;
@@ -274,23 +273,27 @@ def run_rounds(p_dc: np.ndarray, rects: list, sched: FrameSchedule, link: Contro
 
     # The frame's settling segments: one per slot, except that a slot whose
     # head is blanked splits in two, toward 0 over the head and then toward
-    # the pair.
+    # the pair. A row idle in a blanked slot decays over the whole slot in
+    # the head segment, where the duration term vanishes as the target is 0,
+    # then holds: decay 1, rise 0 and no energy in the tail (``idle_us``).
     blank = _blank_us(link, n_total, slot_us)
-    seg_slot, seg_us, heads = [], [], []
+    seg_slot, seg_us, idle_us, heads = [], [], [], []
     for s in range(slots):
         head = blank[s % n_total]
         if 0 < head < slot_us:
             heads.append(len(seg_slot))
             seg_slot += [s, s]
             seg_us += [head, slot_us - head]
+            idle_us += [slot_us, 0]
         else:
             seg_slot.append(s)
             seg_us.append(slot_us)
+            idle_us.append(slot_us)
     seg_dur = np.array(seg_us)[:, None, None] * 1e-6
     seg_decay = np.stack([decay(us) for us in seg_us])[:, None, :]
     seg_rise = np.stack([rise(us) for us in seg_us])[:, None, :]
-    heads = np.array(heads, dtype=np.intp)
-    head_slots = np.array(seg_slot, dtype=np.intp)[heads]
+    idle_decay = np.stack([decay(us) for us in idle_us])[:, None, :]
+    idle_rise = np.stack([rise(us) for us in idle_us])[:, None, :]
     slot_end = np.searchsorted(seg_slot, np.arange(slots), side="right")
     live = np.array(blank) < slot_us
     wpt_blank = min(link.latency_us, wpt_us)
@@ -299,10 +302,6 @@ def run_rounds(p_dc: np.ndarray, rects: list, sched: FrameSchedule, link: Contro
         else draws >= link.drop_probability
     activated, fed_back = ok[..., :m_total], ok[..., m_total]
     prior = np.asarray(prior)[:, :frames]
-    bad = ~fed_back & np.any((prior < 0) | (prior >= (m_total, n_total)), axis=-1)
-    if bad.any():
-        a, f = prior[np.nonzero(bad)][0] + 1
-        raise ValidationError(f"prior pair ({a},{f}) out of range")
 
     v_tgt = np.sqrt(p_dc * load[:, None, None])
     seg_tgt = v_tgt.reshape(n_rounds, k_users, slots).transpose(2, 0, 1)[seg_slot]
@@ -314,17 +313,10 @@ def run_rounds(p_dc: np.ndarray, rects: list, sched: FrameSchedule, link: Contro
     for j in range(frames):
         emitting = activated[:, j, :, None] & live
         emits = emitting.reshape(n_rounds, slots)
-        tgt = np.where(emits.T[seg_slot, :, None], seg_tgt, 0.0)
-        # A row idle in a blanked slot decays over the whole slot in the head
-        # segment, where the duration term vanishes as the target is 0, then
-        # holds: decay 1, rise 0 and no energy in the tail.
-        on = emits[:, head_slots].T[..., None]
-        dec = np.repeat(seg_decay, n_rounds, axis=1)
-        dec[heads] = np.where(on, dec[heads], decay(slot_us))
-        dec[heads + 1] = np.where(on, dec[heads + 1], 1.0)
-        ris = np.repeat(seg_rise, n_rounds, axis=1)
-        ris[heads] = np.where(on, ris[heads], rise(slot_us))
-        ris[heads + 1] = np.where(on, ris[heads + 1], 0.0)
+        on = emits.T[seg_slot, :, None]
+        tgt = np.where(on, seg_tgt, 0.0)
+        dec = np.where(on, seg_decay, idle_decay)
+        ris = np.where(on, seg_rise, idle_rise)
         volts = np.empty((len(seg_slot) + 1, n_rounds, k_users))
         volts[0] = v
         for g in range(len(seg_slot)):
@@ -377,7 +369,7 @@ def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
             events.append(Event(t, "AdcSample", antenna=m, frequency=n, value=next(samples)))
 
     sel_m, sel_n = (batch.selected[b, j] + 1).tolist()
-    selection = SelectionDecision(sel_m, sel_n, float(batch.selected_w[b, j]), "joint")
+    selection = SelectionDecision(sel_m, sel_n, float(batch.selected_w[b, j]))
     code = encode_feedback(sel_m, sel_n, (m_total, n_total))
     applied_m, applied_n = (batch.applied[b, j] + 1).tolist()
     events.append(Event(t, "MessageSent", value=code))
@@ -392,8 +384,6 @@ def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
         events=events,
         harvested_energy_training_j=float(batch.training_j[b, j, j]),
         harvested_energy_wpt_j=float(batch.wpt_j[b, j, j]),
-        frame_start_us=int(start_us),
-        schedule=sched,
         selection=selection,
         applied_antenna=applied_m,
         applied_frequency=applied_n,
@@ -404,12 +394,11 @@ def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
     )
 
 
-def prior_pair(prior, n_total: int) -> tuple[int, int]:
-    """1-based fallback pair: ``prior``, or antenna 1 at the middle frequency if None."""
-    if prior is None:
-        return 1, middle_index(n_total)
-    m, n = prior
-    return int(m), int(n)
+def fallback_pair(prior, m_total: int, n_total: int) -> tuple[int, int]:
+    """0-based pair served when the feedback is lost: the 1-based ``prior``
+    pair, checked against the matrix, or :func:`default_pair` when None."""
+    pair = check_pair("prior", prior, (m_total, n_total))
+    return default_pair(n_total) if pair is None else (pair[0] - 1, pair[1] - 1)
 
 
 def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule = FrameSchedule(),
@@ -430,7 +419,8 @@ def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule = Fra
     """
     p_dc = CandidateMatrix.from_powers(p_dc).values
     m_total, n_total = p_dc.shape
-    fallback = np.subtract(prior_pair(prior, n_total), 1).reshape(1, 1, 2)
+    fallback = [[fallback_pair(prior, m_total, n_total)]]
+    check_finite({"v_initial": v_initial}, "v_initial", low=0)
     batch = run_rounds(p_dc[None, None], [rect], sched, link, adc,
                        link.draws(rng, (1, 1, m_total + 1)), [[float(v_initial)]],
                        fallback, frames=1)

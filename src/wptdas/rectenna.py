@@ -102,8 +102,7 @@ class EfficiencyCurve:
             raise ValidationError("p_rf_w must be >= 0")
         scalar = p.ndim == 0 and np.ndim(freq_hz) == 0
         p = np.atleast_1d(p)
-        f = np.broadcast_to(np.atleast_1d(np.asarray(freq_hz, dtype=float)), p.shape) \
-            if np.ndim(freq_hz) != 0 else np.full(p.shape, float(freq_hz))
+        f = np.broadcast_to(np.asarray(freq_hz, dtype=float), p.shape)
         out = np.zeros(p.shape)
         live = p > 0
         if np.any(live):

@@ -20,14 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import FrequencyGrid, LinkBudget, TapProfile, sample_channel
-from .errors import ValidationError, check_integer
+from .errors import ValidationError, check_finite, check_integer, check_pair
 from .protocol import (
     DEFAULT_ADC,
     AdcModel,
     ControlLinkModel,
     FrameSchedule,
     check_feedback_space,
-    prior_pair,
+    fallback_pair,
     run_rounds,
 )
 from .rectenna import RectennaConfig
@@ -47,6 +47,11 @@ class UserState:
     prior: tuple[int, int] | None = None  # 1-based pair applied in its last frame
     energy_j: float = 0.0
     voltage_v: float = 0.0
+
+    def __post_init__(self):
+        check_finite(self, "extra_loss_db", "energy_j")
+        check_finite(self, "voltage_v", low=0)
+        check_pair("prior", self.prior)
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,7 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
     with ``antennas`` antennas, so a frame trains ``antennas * grid.count``
     slots. Each round is one call of :func:`wptdas.protocol.run_rounds`,
     whose arrays give the trace rows and update ``users`` in place; no event
-    logs are built. Bad counts are rejected before the first draw.
+    logs are built. Bad counts and priors are rejected before the first draw.
     """
     if not users:
         raise ValidationError("need at least one user")
@@ -98,12 +103,12 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
     frame_s = sched.frame_us(antennas * grid.count) * 1e-6
 
     for start in range(0, frames, k):
+        fallback = [[fallback_pair(u.prior, antennas, grid.count) for u in users]]
         # each user's channel holds for the round, and so does its dc matrix
         p_dc = check_powers(np.stack([dc_power_matrix(
             sample_channel(profile, antennas, rng), grid, budget, u.rect.curve,
             u.extra_loss_db) for u in users]))
         count = min(k, frames - start)
-        fallback = [[np.subtract(prior_pair(u.prior, grid.count), 1) for u in users]]
         batch = run_rounds(p_dc[None], [u.rect for u in users], sched, link, adc,
                            link.draws(rng, (1, count, antennas + 1)),
                            [[u.voltage_v for u in users]], fallback, count)

@@ -4,7 +4,7 @@ The transmitter activates one (antenna, frequency) pair at a time, so
 exploiting spatial and frequency diversity reduces to an argmax over the
 candidate matrix. :func:`select_pairs` applies one of four strategies to a
 stack of matrices: joint selection over the whole matrix, frequency-only
-(one fixed antenna), antenna-only (one fixed frequency), and no selection
+(antenna 1 fixed), antenna-only (middle frequency fixed) and no selection
 (both fixed). Ties break to the lowest antenna, then the lowest frequency.
 """
 
@@ -20,8 +20,14 @@ STRATEGIES = ("none", "frequency_only", "antenna_only", "joint")
 
 
 def middle_index(count: int) -> int:
-    """Default fixed frequency for the single-frequency baselines (1-based)."""
+    """The middle of ``count`` frequencies, 1-based."""
     return (count + 1) // 2
+
+
+def default_pair(n_total: int) -> tuple[int, int]:
+    """0-based (antenna 1, middle frequency) of an ``n_total``-frequency matrix: the
+    pair the baselines hold fixed, and the protocol's fallback with no earlier pair."""
+    return 0, middle_index(n_total) - 1
 
 
 def check_powers(values) -> np.ndarray:
@@ -38,34 +44,28 @@ def check_powers(values) -> np.ndarray:
     return v
 
 
-def select_pairs(values: np.ndarray, strategy: str, fixed_antenna: int = 1,
-                 fixed_frequency: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def select_pairs(values: np.ndarray, strategy: str) -> tuple[np.ndarray, np.ndarray]:
     """Apply ``strategy`` over the trailing (M, N) axes of checked powers.
 
     Returns 0-based antenna and frequency index arrays with the shape of the
-    leading axes. Ties go to the first index: joint scans the flattened M x N
+    leading axes; the baselines fix :func:`default_pair`'s antenna, frequency
+    or both. Ties go to the first index: joint scans the flattened M x N
     axes row-major, so the lowest antenna wins, then the lowest frequency.
     ``values`` must already have passed :func:`check_powers`.
     """
     *batch, m_total, n_total = values.shape
-    if fixed_frequency is None:
-        fixed_frequency = middle_index(n_total)
+    fixed_a, fixed_f = default_pair(n_total)
     if strategy == "joint":
         flat = values.reshape(*batch, m_total * n_total).argmax(axis=-1)
         return np.divmod(flat, n_total)
     if strategy == "frequency_only":
-        _check_index("antenna", fixed_antenna, m_total)
-        f = values[..., fixed_antenna - 1, :].argmax(axis=-1)
-        return np.full_like(f, fixed_antenna - 1), f
+        f = values[..., fixed_a, :].argmax(axis=-1)
+        return np.full_like(f, fixed_a), f
     if strategy == "antenna_only":
-        _check_index("frequency", fixed_frequency, n_total)
-        a = values[..., fixed_frequency - 1].argmax(axis=-1)
-        return a, np.full_like(a, fixed_frequency - 1)
+        a = values[..., fixed_f].argmax(axis=-1)
+        return a, np.full_like(a, fixed_f)
     if strategy == "none":
-        _check_index("antenna", fixed_antenna, m_total)
-        _check_index("frequency", fixed_frequency, n_total)
-        return (np.full(batch, fixed_antenna - 1, dtype=np.intp),
-                np.full(batch, fixed_frequency - 1, dtype=np.intp))
+        return np.full(batch, fixed_a, dtype=np.intp), np.full(batch, fixed_f, dtype=np.intp)
     raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
@@ -88,14 +88,8 @@ class CandidateMatrix:
 
 @dataclass(frozen=True)
 class SelectionDecision:
-    """Chosen 1-based (antenna, frequency) pair and its candidate value."""
+    """Joint selection's 1-based (antenna, frequency) pair and its candidate value."""
 
     antenna: int
     frequency: int
     value: float
-    strategy: str
-
-
-def _check_index(axis: str, index: int, count: int):
-    if not 1 <= index <= count:
-        raise ValidationError(f"{axis} {index} out of range 1..{count}")

@@ -34,5 +34,4 @@ def dc_power_matrix(ch: ChannelRealization, grid: FrequencyGrid, budget: LinkBud
     scale = np.array([budget.tx_power_w * 10.0 ** (-(budget.net_loss_db + float(x)) / 10.0)
                       for x in np.atleast_1d(extra_loss_db)])
     p_rf = (scale[:, None, None] if per_user else scale[0]) * amp2
-    freqs = np.broadcast_to(grid.frequencies_hz, p_rf.shape)
-    return p_rf * curve.efficiency(p_rf, freqs)
+    return p_rf * curve.efficiency(p_rf, grid.frequencies_hz)

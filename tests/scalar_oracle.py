@@ -48,10 +48,10 @@ def frequency_response(ch: ChannelRealization, antenna: int, freq_hz: float) -> 
     return h if freq_hz >= 0 else h.conjugate()
 
 
-def select_one(values, strategy, fixed_antenna=1, fixed_frequency=None):
+def select_one(values, strategy):
     """1-based (antenna, frequency, value) that ``select_pairs`` picks in one matrix."""
     v = check_powers(values)
-    a, f = (int(i) for i in select_pairs(v, strategy, fixed_antenna, fixed_frequency))
+    a, f = (int(i) for i in select_pairs(v, strategy))
     return a + 1, f + 1, v[a, f]
 
 
@@ -142,7 +142,7 @@ def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
                                 value=next(slot_samples)))
 
     best_m, best_n, best_w = select_one(adc_powers, "joint")
-    selection = SelectionDecision(best_m, best_n, float(best_w), "joint")
+    selection = SelectionDecision(best_m, best_n, float(best_w))
     code = encode_feedback(selection.antenna, selection.frequency, (m_total, n_total))
     fb_delivered = deliver(link, rng)
     events.append(Event(t, "MessageSent", value=code))
@@ -160,8 +160,7 @@ def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
     events.append(Event(start_us + sched.frame_us(m_total * n_total), "FrameEnd"))
 
     log = EventLog(events=events, harvested_energy_training_j=e_train,
-                   harvested_energy_wpt_j=e_wpt, frame_start_us=int(start_us),
-                   schedule=sched, selection=selection, applied_antenna=applied_m,
+                   harvested_energy_wpt_j=e_wpt, selection=selection, applied_antenna=applied_m,
                    applied_frequency=applied_n, applied_power_w=applied_p,
                    emissions=emissions, final_voltage_v=v)
     return log, selection
@@ -313,8 +312,7 @@ def grid_from_frequencies(freqs_hz, mode: str = "subset") -> FrequencyGrid:
     freqs = np.asarray(freqs_hz, dtype=float)
     if freqs.size == 0:
         raise ValidationError("frequency list is empty")
-    center = float((freqs[0] + freqs[-1]) / 2.0)
-    return FrequencyGrid(mode, center, float(freqs[-1] - freqs[0]), int(freqs.size), freqs)
+    return FrequencyGrid(mode, freqs)
 
 
 def phases(ch: ChannelRealization) -> np.ndarray:

@@ -72,7 +72,7 @@ def test_c03_frame_timing():
     assert kinds.count("SlotStart") == 60
     assert kinds.count("AdcSample") == 60
     assert log.events[kinds.index("WptPhaseStart")].t_us == 1_080_000
-    assert log.schedule.frame_us(60) == 4_000_000
+    assert FrameSchedule().frame_us(60) == 4_000_000
     assert log.events[-1].t_us == 4_000_000
     assert log.bytes_sent == 5
     assert time.perf_counter() - t0 < 1.0

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.experiments import ExperimentConfig, _protocol_values, nested_frequency_indices
-from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, frame_log, prior_pair,
+from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, fallback_pair, frame_log,
                              run_frame, run_rounds)
 from wptdas.rectenna import RectennaConfig, segment_energy, settle, settling_energy
 from wptdas.rng import substream
@@ -182,7 +182,7 @@ class TestRoundLogsAgainstScalarWalk:
         volts = data.draw(st.lists(st.lists(st.floats(0.0, 3.0), min_size=k, max_size=k),
                                    min_size=rounds, max_size=rounds))
         draws = [link.draws(substream(seed, b), (k, m_total + 1)) for b in range(rounds)]
-        fallback = [[np.subtract(prior_pair(p, n_total), 1) for p in row] for row in priors]
+        fallback = [[fallback_pair(p, m_total, n_total) for p in row] for row in priors]
         batch = run_rounds(p_dc, user_rects, sched, link, adc,
                            None if drop == 0.0 else np.stack(draws), volts, fallback, k)
         for b in range(rounds):

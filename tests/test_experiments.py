@@ -245,6 +245,23 @@ class TestProtocolExperiment:
         hi = ideal.get(4, 15, "joint").avg_pdc_w
         assert lo <= lossy.get(4, 15, "joint").avg_pdc_w <= hi
 
+    @pytest.mark.parametrize("grid, sizes", [(FrequencyGrid.uniform(count=15), (1, 2, 3, 5, 15)),
+                                             (FrequencyGrid.ieee_plan(7), (1, 2, 3, 4, 7))],
+                             ids=["uniform-15", "ieee-7"])
+    @pytest.mark.parametrize("latency_s", [0.0, 0.002])
+    @pytest.mark.parametrize("users", [1, 2])
+    def test_lost_link_equals_sweep_none(self, users, latency_s, grid, sizes):
+        # Every message lost: each frame serves the fallback pair, the pair the
+        # "none" baseline holds fixed. The lost-link twin of c07.
+        cfg = small_cfg(grid=grid, frequency_sweep=sizes, strategies=("none",), users=users,
+                        realizations=25, seed=4)
+        ideal = run_sweep(cfg)
+        lost = run_protocol_experiment(cfg, link=ControlLinkModel(1.0, latency_s), adc=None)
+        assert len(lost.rows) == len(ideal.rows)
+        for row in lost.rows:
+            ref = ideal.get(row.m, row.n, "none", row.user)
+            assert (row.avg_pdc_w, row.stderr_w) == (ref.avg_pdc_w, ref.stderr_w)
+
     def test_two_user_protocol_rows(self):
         cfg = small_cfg(users=2, antenna_sweep=(2,), frequency_sweep=(3,),
                         strategies=("joint",), realizations=4)

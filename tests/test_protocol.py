@@ -13,10 +13,12 @@ from wptdas.protocol import (
     FrameSchedule,
     decode_feedback,
     encode_feedback,
+    fallback_pair,
     run_frame,
 )
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 from wptdas.rng import substream
+from wptdas.selection import default_pair
 from wptdas.signal_chain import dc_power_matrix
 
 from scalar_oracle import select_one
@@ -127,7 +129,7 @@ class TestRunFrame:
         log, sel = default_frame()
         assert len(events_of(log, "SlotStart")) == 60
         assert len(events_of(log, "AdcSample")) == 60
-        assert log.schedule.frame_us(60) == 4_000_000
+        assert FrameSchedule().frame_us(60) == 4_000_000
         assert log.events[-1].kind == "FrameEnd"
         assert log.events[-1].t_us == 4_000_000
         assert log.bytes_sent == 5
@@ -178,6 +180,34 @@ class TestRunFrame:
         log, _ = default_frame(link=link, rng=substream(5))
         assert (log.applied_antenna, log.applied_frequency) == (1, 8)
 
+    @pytest.mark.parametrize("n_total", range(1, 17))
+    def test_fallback_without_prior_is_the_default_pair(self, n_total):
+        # the baselines hold the same pair fixed (test_selection)
+        p_dc = np.random.default_rng(n_total).uniform(0.0, 1e-5, (4, n_total))
+        log, _ = run_frame(p_dc, RECT, link=ControlLinkModel(drop_probability=1.0),
+                           rng=substream(n_total))
+        assert (log.applied_antenna, log.applied_frequency) == tuple(
+            np.add(default_pair(n_total), 1))
+
+    def test_fallback_pair_is_zero_based(self):
+        assert fallback_pair((2, 5), 4, 15) == (1, 4)
+        assert fallback_pair(np.array([4, 15]), 4, 15) == (3, 14)
+        assert fallback_pair(None, 4, 15) == default_pair(15) == (0, 7)
+
+    @pytest.mark.parametrize("drop", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("prior", [(9, 9), (0, 1), (5, 1), (1, 16), (1.5, 2), (True, 1),
+                                       ("1", "2"), (1,), (1, 2, 3), 7])
+    def test_prior_is_checked_whatever_the_link_draws(self, prior, drop):
+        link = ControlLinkModel(drop_probability=drop)
+        for seed in range(4):
+            with pytest.raises(ValidationError, match="prior"):
+                default_frame(link=link, rng=substream(seed), prior=prior)
+
+    @pytest.mark.parametrize("v_initial", [math.nan, math.inf, -5.0, "1", None, True])
+    def test_initial_voltage_is_checked(self, v_initial):
+        with pytest.raises(ValidationError, match="v_initial"):
+            default_frame(v_initial=v_initial)
+
     def test_all_drops_leave_transmitter_idle(self):
         link = ControlLinkModel(drop_probability=1.0)
         log, sel = default_frame(link=link, rng=substream(6), v_initial=0.0)
@@ -218,7 +248,7 @@ class TestRunFrame:
         log1, _ = frame(ch, RECT)
         log2, _ = frame(ch, RECT, start_us=log1.events[-1].t_us,
                         v_initial=log1.final_voltage_v)
-        assert log2.frame_start_us == 4_000_000
+        assert log2.events[0].t_us == 4_000_000
         assert log2.events[-1].t_us == 8_000_000
         first_sample = events_of(log2, "AdcSample")[0]
         assert first_sample.value >= 0.0

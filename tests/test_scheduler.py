@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -88,6 +89,32 @@ class TestSingleUser:
             with pytest.raises(ValidationError, match="frames"):
                 run_tdma(make_users(1), frames, GRID, BUDGET, rng=rng, profile=PROFILE)
             assert rng.random() == substream(0).random()
+
+    @pytest.mark.parametrize("drop", [0.0, 0.5])
+    @pytest.mark.parametrize("prior", [(5, 1), (1, 16), (0, 8)])
+    def test_prior_outside_the_matrix_fails_before_the_first_draw(self, prior, drop):
+        users = make_users(2)
+        users[1].prior = prior
+        rng = substream(0)
+        with pytest.raises(ValidationError, match="prior"):
+            run_tdma(users, 2, GRID, BUDGET, PROFILE, rng, link=ControlLinkModel(drop))
+        assert rng.random() == substream(0).random()
+
+
+class TestUserState:
+    @pytest.mark.parametrize("name, value", [
+        ("extra_loss_db", math.nan), ("extra_loss_db", math.inf), ("extra_loss_db", "3"),
+        ("voltage_v", math.nan), ("voltage_v", -5.0), ("voltage_v", "1"), ("voltage_v", None),
+        ("energy_j", math.nan), ("energy_j", -math.inf), ("energy_j", True),
+        ("prior", (1.5, 2)), ("prior", (0, 1)), ("prior", (1, -2)), ("prior", (True, 1)),
+        ("prior", (1,)), ("prior", (1, 2, 3)), ("prior", "12"), ("prior", 3)])
+    def test_fields_are_checked_when_built(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            UserState(user_id=1, **{name: value})
+
+    def test_checked_fields_are_kept(self):
+        u = UserState(user_id=1, extra_loss_db=-3, prior=(4, 15), energy_j=2e-3, voltage_v=0)
+        assert (u.extra_loss_db, u.prior, u.energy_j, u.voltage_v) == (-3, (4, 15), 2e-3, 0)
 
 
 class TestTwoUsers:

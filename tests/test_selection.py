@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wptdas.errors import ValidationError
-from wptdas.selection import STRATEGIES, CandidateMatrix, check_powers, middle_index, select_pairs
+from wptdas.selection import (STRATEGIES, CandidateMatrix, check_powers, default_pair, middle_index,
+                              select_pairs)
 
 from scalar_oracle import select_one
 
@@ -43,36 +44,31 @@ class TestJoint:
 
 class TestFrequencyOnly:
     def test_row_example(self):
-        assert select_one([[5e-6, 1e-6, 9e-6]], "frequency_only", 1)[1:] == (3, 9e-6)
+        assert select_one([[5e-6, 1e-6, 9e-6]], "frequency_only")[1:] == (3, 9e-6)
 
     def test_single_frequency_degenerate(self):
-        assert select_one([[7e-6]], "frequency_only", 1) == (1, 1, 7e-6)
+        assert select_one([[7e-6]], "frequency_only") == (1, 1, 7e-6)
 
     def test_reduces_to_joint_on_single_row(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             values = rng.uniform(0.0, 1e-5, size=(1, 15))
-            assert select_one(values, "frequency_only", 1) == select_one(values, "joint")
-
-    def test_antenna_bound_checked(self):
-        with pytest.raises(ValidationError):
-            select_one([[1e-6]], "frequency_only", 2)
+            assert select_one(values, "frequency_only") == select_one(values, "joint")
 
 
 class TestAntennaOnly:
     def test_column_tie_break(self):
-        d = select_one([[2e-6], [7e-6], [7e-6], [1e-6]], "antenna_only", fixed_frequency=1)
+        d = select_one([[2e-6], [7e-6], [7e-6], [1e-6]], "antenna_only")
         assert (d[0], d[2]) == (2, 7e-6)
 
     def test_single_antenna_degenerate(self):
-        assert select_one([[4e-6]], "antenna_only", fixed_frequency=1) == (1, 1, 4e-6)
+        assert select_one([[4e-6]], "antenna_only") == (1, 1, 4e-6)
 
     def test_reduces_to_joint_on_single_column(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             values = rng.uniform(0.0, 1e-5, size=(4, 1))
-            assert (select_one(values, "antenna_only", fixed_frequency=1)
-                    == select_one(values, "joint"))
+            assert select_one(values, "antenna_only") == select_one(values, "joint")
 
     def test_default_fixed_frequency_is_middle(self):
         values = np.zeros((4, 15))
@@ -84,16 +80,16 @@ class TestAntennaOnly:
 class TestNoSelection:
     def test_fixed_entry(self):
         values = np.arange(60, dtype=float).reshape(4, 15) * 1e-7
-        assert select_one(values, "none", 1, 8) == (1, 8, values[0, 7])
+        assert select_one(values, "none") == (1, 8, values[0, 7])
 
     def test_equals_joint_on_scalar_matrix(self):
-        assert select_one([[3e-6]], "none", 1, 1) == select_one([[3e-6]], "joint")
+        assert select_one([[3e-6]], "none") == select_one([[3e-6]], "joint")
 
     def test_dominated_by_joint(self):
         rng = np.random.default_rng(9)
         for _ in range(1000):
             values = rng.uniform(0.0, 1e-5, size=(4, 15))
-            assert select_one(values, "none", 1, 8)[2] <= select_one(values, "joint")[2]
+            assert select_one(values, "none")[2] <= select_one(values, "joint")[2]
 
 
 class TestProperties:
@@ -102,9 +98,9 @@ class TestProperties:
         for _ in range(300):
             values = rng.uniform(0.0, 1e-5, size=(4, 15))
             joint = select_one(values, "joint")[2]
-            ant = select_one(values, "antenna_only", fixed_frequency=8)[2]
-            frq = select_one(values, "frequency_only", 1)[2]
-            none = select_one(values, "none", 1, 8)[2]
+            ant = select_one(values, "antenna_only")[2]
+            frq = select_one(values, "frequency_only")[2]
+            none = select_one(values, "none")[2]
             assert joint >= ant >= none
             assert joint >= frq >= none
 
@@ -126,14 +122,12 @@ class TestProperties:
             assert scaled[2] == pytest.approx(base[2] * 37.5, rel=1e-12)
 
     def test_strategy_defaults(self):
+        # antenna 1 and frequency 2, the middle of 4, are the fixed pair
         values = np.arange(8, dtype=float).reshape(2, 4) * 1e-7
-        mid = middle_index(4)
         assert select_one(values, "joint") == (2, 4, values[1, 3])
-        assert select_one(values, "frequency_only") == select_one(values, "frequency_only", 1)
-        assert (select_one(values, "antenna_only")
-                == select_one(values, "antenna_only", fixed_frequency=mid))
-        assert (select_one(values, "none") == select_one(values, "none", 1, mid)
-                == (1, mid, values[0, 1]))
+        assert select_one(values, "frequency_only") == (1, 4, values[0, 3])
+        assert select_one(values, "antenna_only") == (2, 2, values[1, 1])
+        assert select_one(values, "none") == (1, 2, values[0, 1])
         with pytest.raises(ValidationError):
             select_one(values, "beamforming")
 
@@ -184,17 +178,23 @@ class TestSelectPairs:
             assert (af[b], col[aa[b]]) == (fixed_f, col.max()) and np.all(col[:aa[b]] < col[aa[b]])
 
     def test_none_is_the_fixed_pair(self):
-        a, f = select_pairs(np.zeros((3, 2, 5)), "none", fixed_antenna=2, fixed_frequency=4)
-        assert a.tolist() == [1, 1, 1] and f.tolist() == [3, 3, 3]
+        a, f = select_pairs(np.zeros((3, 2, 5)), "none")
+        assert a.tolist() == [0, 0, 0] and f.tolist() == [2, 2, 2]
 
-    def test_fixed_index_and_strategy_checked(self):
-        stack = np.zeros((2, 2, 3))
+    @pytest.mark.parametrize("n_total", range(1, 17))
+    def test_baselines_fix_the_default_pair(self, n_total):
+        # the pair the baselines hold is the protocol's fallback (test_protocol)
+        values = np.random.default_rng(n_total).uniform(0.0, 1e-5, (2, 4, n_total))
+        pair = default_pair(n_total)
+        assert pair == (0, middle_index(n_total) - 1)
+        assert [p.tolist() for p in select_pairs(np.zeros((2, 4, n_total)), "none")] == \
+            [[pair[0]] * 2, [pair[1]] * 2]
+        assert select_pairs(values, "frequency_only")[0].tolist() == [pair[0]] * 2
+        assert select_pairs(values, "antenna_only")[1].tolist() == [pair[1]] * 2
+
+    def test_unknown_strategy_rejected(self):
         with pytest.raises(ValidationError):
-            select_pairs(stack, "frequency_only", fixed_antenna=3)
-        with pytest.raises(ValidationError):
-            select_pairs(stack, "antenna_only", fixed_frequency=4)
-        with pytest.raises(ValidationError):
-            select_pairs(stack, "beamforming")
+            select_pairs(np.zeros((2, 2, 3)), "beamforming")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9])
     def test_check_powers_rejects_bad_batched_entries(self, bad):
