@@ -36,7 +36,6 @@ from .experiments import (
 from .protocol import (
     AdcModel,
     ControlLinkModel,
-    EventLog,
     FrameSchedule,
     decode_feedback,
     encode_feedback,
@@ -45,5 +44,5 @@ from .protocol import (
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 from .rng import substream
 from .scheduler import UserState, run_tdma
-from .selection import CandidateMatrix, SelectionDecision
+from .selection import CandidateMatrix
 from .signal_chain import dc_power_matrix

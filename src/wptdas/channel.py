@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ValidationError, check_finite
+from .errors import ValidationError, check_finite, check_integer
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, nominal round value used throughout
 
@@ -163,8 +163,7 @@ def gains_from_normals(profile: TapProfile, z: np.ndarray) -> np.ndarray:
 def sample_channel(profile: TapProfile, num_antennas: int,
                    rng: np.random.Generator) -> ChannelRealization:
     """Draw one channel realization per antenna from ``profile``."""
-    if num_antennas < 1:
-        raise ValidationError("num_antennas must be >= 1")
+    num_antennas = check_integer("num_antennas", num_antennas, low=1)
     z = rng.standard_normal((num_antennas, profile.num_taps, 2))
     return ChannelRealization(profile.delays_s, gains_from_normals(profile, z))
 
@@ -179,6 +178,9 @@ def response_matrix(ch: ChannelRealization, freqs_hz: np.ndarray) -> np.ndarray:
 def path_loss_db(distance_m: float, freq_hz: float,
                  tx_gain_dbi: float = 0.0, rx_gain_dbi: float = 0.0) -> float:
     """Free-space path loss in dB, net of antenna gains."""
+    args = dict(distance_m=distance_m, freq_hz=freq_hz, tx_gain_dbi=tx_gain_dbi,
+                rx_gain_dbi=rx_gain_dbi)
+    check_finite(args, *args)
     if distance_m <= 0:
         raise ValidationError("distance must be > 0")
     if freq_hz <= 0:
@@ -238,8 +240,7 @@ class FrequencyGrid:
     def uniform(cls, center_hz: float = 2.4e9, bandwidth_hz: float = 75e6,
                 count: int = 15) -> "FrequencyGrid":
         """``count`` points uniformly spanning the band, endpoints included."""
-        if count < 1:
-            raise ValidationError("count must be >= 1")
+        count = check_integer("count", count, low=1)
         if bandwidth_hz < 0 or center_hz <= 0:
             raise ValidationError("need center_hz > 0 and bandwidth_hz >= 0")
         if count == 1:
@@ -252,7 +253,7 @@ class FrequencyGrid:
     @classmethod
     def ieee_plan(cls, count: int = 15) -> "FrequencyGrid":
         """Channels 1..count of the 2.4 GHz plan (2405, 2410, ... MHz)."""
-        if not 1 <= count <= IEEE_PLAN_MAX_CHANNELS:
+        if check_integer("count", count, low=1) > IEEE_PLAN_MAX_CHANNELS:
             raise ValidationError(
                 f"channel plan supports 1..{IEEE_PLAN_MAX_CHANNELS} power channels"
             )

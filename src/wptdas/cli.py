@@ -36,7 +36,8 @@ from .experiments import (
     run_protocol_experiment,
     run_sweep,
 )
-from .protocol import AdcModel, ControlLinkModel, FrameSchedule, check_feedback_space, run_frame
+from .protocol import (AdcModel, ControlLinkModel, FrameSchedule, check_feedback_space,
+                       control_bytes, frame_log, run_frame, write_events)
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 from .rng import DOMAIN_LINK, DOMAIN_TDMA, substream
 from .scheduler import UserState, run_tdma
@@ -277,18 +278,19 @@ def cmd_frame(args) -> int:
     st = load_settings(args.config, args.seed)
     cfg = st.experiment
     # user 1 of realization 0, the draw the sweeps start from
-    log, sel = run_frame(_dc_tensor(cfg, 0, 1)[0, 0], cfg.rect, sched=st.sched,
-                         link=st.link, rng=substream(cfg.seed, DOMAIN_LINK, 0),
-                         adc=st.adc)
+    batch = run_frame(_dc_tensor(cfg, 0, 1)[0, 0], cfg.rect, sched=st.sched, link=st.link,
+                      rng=substream(cfg.seed, DOMAIN_LINK, 0), adc=st.adc)
     with _create(args, "frame_events.csv") as fh:
         fh.write(_header_lines(cfg.seed, protocol_fingerprint(cfg, st.sched, st.link, st.adc)))
-        log.to_csv(fh)
-    _say(args, f"selected antenna {sel.antenna}, frequency {sel.frequency} "
-               f"({sel.value * 1e6:.4g} uW at the ADC)")
-    _say(args, f"applied ({log.applied_antenna},{log.applied_frequency}); harvested "
-               f"{log.harvested_energy_training_j * 1e6:.4g} uJ training + "
-               f"{log.harvested_energy_wpt_j * 1e6:.4g} uJ delivery; "
-               f"{log.bytes_sent} control bytes -> {fh.name}")
+        write_events(fh, frame_log(batch, 0, 0, st.sched))
+    sel_m, sel_n = batch.selected[0, 0] + 1
+    applied_m, applied_n = batch.applied[0, 0] + 1
+    _say(args, f"selected antenna {sel_m}, frequency {sel_n} "
+               f"({batch.selected_w[0, 0] * 1e6:.4g} uW at the ADC)")
+    _say(args, f"applied ({applied_m},{applied_n}); harvested "
+               f"{batch.training_j[0, 0, 0] * 1e6:.4g} uJ training + "
+               f"{batch.wpt_j[0, 0, 0] * 1e6:.4g} uJ delivery; "
+               f"{control_bytes(cfg.max_antennas)} control bytes -> {fh.name}")
     return 0
 
 

@@ -35,10 +35,10 @@ from .channel import ChannelRealization, FrequencyGrid, LinkBudget, TapProfile, 
 from .errors import ValidationError, check_finite, check_integer
 from .protocol import (
     DEFAULT_ADC,
-    MESSAGE_SIZE_BYTES,
     AdcModel,
     ControlLinkModel,
     FrameSchedule,
+    control_bytes,
     run_rounds,
 )
 from .rectenna import RectennaConfig
@@ -303,10 +303,8 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     ``jobs`` only parallelizes, one worker per CPU at most; results are
     identical for any job count.
     """
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     r_total = cfg.realizations
-    jobs = min(jobs, r_total, os.cpu_count() or 1)
+    jobs = min(check_integer("jobs", jobs, low=1), r_total, os.cpu_count() or 1)
     if jobs <= 1 or r_total < 4:
         chunks = [_sweep_chunk((cfg, 0, r_total))]
     else:
@@ -366,7 +364,7 @@ def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule = FrameS
     realization (one frame per user) with joint selection at the receiver;
     the reported value is the delivery-phase dc power, so under ideal
     settings it must match :func:`run_sweep`'s joint value. No event logs
-    are built; :func:`wptdas.protocol.run_frame` gives one frame's.
+    are built; :func:`wptdas.protocol.frame_log` lists any frame's events.
     """
     values = _protocol_values(cfg, sched, link, adc)
 
@@ -441,7 +439,7 @@ def power_budget_report(train_avg_power_w: float = 3.9e-6,
     powers = dict(train_avg_power_w=train_avg_power_w, wpt_avg_power_w=wpt_avg_power_w)
     check_finite(powers, *powers, low=0)
     m_total, n_total = (check_integer("dims", x, low=1) for x in dims)
-    slots, bytes_sent = m_total * n_total, MESSAGE_SIZE_BYTES * (m_total + 1)
+    slots, bytes_sent = m_total * n_total, control_bytes(m_total)
     e_train = slots * sched.slot_us * 1e-6 * train_avg_power_w
     e_wpt = sched.wpt_us * 1e-6 * wpt_avg_power_w
     e_dc = e_train + e_wpt

@@ -16,16 +16,17 @@ Timing uses integer microseconds throughout, so the default frame closes
 at exactly 60 x 18 ms + 2.92 s = 4 s. Control messages occupy no airtime
 on the frame timeline; their cost appears only in the receiver's energy
 budget (:func:`wptdas.experiments.power_budget_report`). Each message -
-activation or feedback - is one byte.
+activation or feedback - is one byte, so a frame sends
+:func:`control_bytes`.
 
 One engine, :func:`run_rounds`, walks the frames of a whole batch of TDMA
 rounds at once: every (realization, user) row settles through the same
 slots, the training user's samples feed its selection, and the passive
-users harvest what the transmitter emits. The protocol sweep batches the
-realizations of a cell this way; :func:`run_frame` and
-:func:`wptdas.scheduler.run_tdma` walk a batch of one. Only
-:func:`run_frame` builds an event log from the walk's arrays
-(:func:`frame_log`); everything else reads the arrays.
+users harvest what the transmitter emits. Its :class:`RoundBatch` is the
+result of every caller: the protocol sweep batches the realizations of a
+cell, :func:`wptdas.scheduler.run_tdma` walks one round and
+:func:`run_frame` one frame. Event logs are built only on request, from the
+batch's arrays (:func:`frame_log`, written by :func:`write_events`).
 """
 
 from __future__ import annotations
@@ -40,10 +41,16 @@ import numpy as np
 from .errors import (FeedbackCapacityError, FeedbackDecodeError, ValidationError,
                      check_finite, check_integer, check_pair)
 from .rectenna import RectennaConfig, segment_energy, settle
-from .selection import CandidateMatrix, SelectionDecision, check_powers, default_pair, select_pairs
+from .selection import CandidateMatrix, check_powers, default_pair, select_pairs
 
 FEEDBACK_BITS = 6
 MESSAGE_SIZE_BYTES = 1
+
+
+def control_bytes(m_total: int) -> int:
+    """Control bytes a frame of ``m_total`` antennas sends: one activation per
+    antenna, then the feedback."""
+    return MESSAGE_SIZE_BYTES * (m_total + 1)
 
 
 def check_feedback_space(m_total: int, n_total: int):
@@ -170,38 +177,14 @@ class Event:
     value: float | int | None = None
 
 
-@dataclass
-class EventLog:
-    """Timestamped record of one frame, which starts at its first event, plus harvest."""
-
-    events: list
-    harvested_energy_training_j: float
-    harvested_energy_wpt_j: float
-    selection: SelectionDecision
-    applied_antenna: int
-    applied_frequency: int
-    applied_power_w: float
-    # per-slot true emission, (antenna or None when idle, frequency index):
-    # the scalar reference replays the frame for a passive receiver from it
-    emissions: list
-    final_voltage_v: float
-
-    @property
-    def bytes_sent(self) -> int:
-        return MESSAGE_SIZE_BYTES * sum(1 for e in self.events if e.kind == "MessageSent")
-
-    def to_csv(self, fh):
-        fh.write("t_us,event,antenna,frequency,value\n")
-        for e in self.events:
-            ant = "" if e.antenna is None else str(e.antenna)
-            frq = "" if e.frequency is None else str(e.frequency)
-            if e.value is None:
-                val = ""
-            elif isinstance(e.value, int):
-                val = str(e.value)
-            else:
-                val = f"{e.value:.12g}"
-            fh.write(f"{e.t_us},{e.kind},{ant},{frq},{val}\n")
+def write_events(fh, events: list):
+    """Write a frame's events as CSV, one row per event; a missing field is
+    empty and a float has 12 significant digits."""
+    fh.write("t_us,event,antenna,frequency,value\n")
+    for e in events:
+        ant, frq, val = ("" if x is None else f"{x:.12g}" if isinstance(x, float) else str(x)
+                         for x in (e.antenna, e.frequency, e.value))
+        fh.write(f"{e.t_us},{e.kind},{ant},{frq},{val}\n")
 
 
 def _blank_us(link: ControlLinkModel, n_total: int, slot_us: int) -> list:
@@ -350,15 +333,15 @@ def run_rounds(p_dc: np.ndarray, rects: list, sched: FrameSchedule, link: Contro
 
 
 def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
-              start_us: int = 0) -> EventLog:
-    """The event log of frame ``j`` of round ``b`` of a walk, for its training user."""
+              start_us: int = 0) -> list[Event]:
+    """The events of frame ``j`` of round ``b`` of a walk, for its training user,
+    from ``start_us`` on."""
     _, _, m_total, n_total = batch.emitting.shape
     slot_us = sched.slot_us
     activated = batch.activated[b, j].tolist()
-    emitting = batch.emitting[b, j].tolist()
     samples = iter(batch.samples[b, j].tolist())
     events: list[Event] = []
-    t = int(start_us)
+    t = start_us = check_integer("start_us", start_us, low=0)
     for m in range(1, m_total + 1):
         events.append(Event(t, "MessageSent", antenna=m))
         if not activated[m - 1]:
@@ -368,9 +351,7 @@ def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
             t += slot_us
             events.append(Event(t, "AdcSample", antenna=m, frequency=n, value=next(samples)))
 
-    sel_m, sel_n = (batch.selected[b, j] + 1).tolist()
-    selection = SelectionDecision(sel_m, sel_n, float(batch.selected_w[b, j]))
-    code = encode_feedback(sel_m, sel_n, (m_total, n_total))
+    code = encode_feedback(*(batch.selected[b, j] + 1).tolist(), (m_total, n_total))
     applied_m, applied_n = (batch.applied[b, j] + 1).tolist()
     events.append(Event(t, "MessageSent", value=code))
     if batch.fed_back[b, j]:
@@ -379,19 +360,7 @@ def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
         events.append(Event(t, "MessageDropped", value=code))
     events.append(Event(t, "WptPhaseStart", antenna=applied_m, frequency=applied_n))
     events.append(Event(start_us + sched.frame_us(m_total * n_total), "FrameEnd"))
-
-    return EventLog(
-        events=events,
-        harvested_energy_training_j=float(batch.training_j[b, j, j]),
-        harvested_energy_wpt_j=float(batch.wpt_j[b, j, j]),
-        selection=selection,
-        applied_antenna=applied_m,
-        applied_frequency=applied_n,
-        applied_power_w=float(batch.served_w[b, j, j]),
-        emissions=[(m + 1 if emitting[m][n] else None, n + 1)
-                   for m in range(m_total) for n in range(n_total)],
-        final_voltage_v=float(batch.voltage_v[b, j, j]),
-    )
+    return events
 
 
 def fallback_pair(prior, m_total: int, n_total: int) -> tuple[int, int]:
@@ -404,9 +373,9 @@ def fallback_pair(prior, m_total: int, n_total: int) -> tuple[int, int]:
 def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule = FrameSchedule(),
               link: ControlLinkModel = ControlLinkModel(), prior=None,
               rng: np.random.Generator | None = None,
-              adc: AdcModel | None = DEFAULT_ADC, start_us: int = 0,
-              v_initial: float = 0.0) -> tuple[EventLog, SelectionDecision]:
-    """Simulate one frame; returns the event log and the receiver's selection.
+              adc: AdcModel | None = DEFAULT_ADC, v_initial: float = 0.0) -> RoundBatch:
+    """Simulate one frame: the :func:`run_rounds` batch of one round, one frame
+    and one user, whose events :func:`frame_log` lists.
 
     ``p_dc`` is the receiver's steady dc power in watts per (antenna,
     frequency) pair, as :func:`wptdas.signal_chain.dc_power_matrix` gives it.
@@ -421,9 +390,6 @@ def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule = Fra
     m_total, n_total = p_dc.shape
     fallback = [[fallback_pair(prior, m_total, n_total)]]
     check_finite({"v_initial": v_initial}, "v_initial", low=0)
-    batch = run_rounds(p_dc[None, None], [rect], sched, link, adc,
-                       link.draws(rng, (1, 1, m_total + 1)), [[float(v_initial)]],
-                       fallback, frames=1)
-    log = frame_log(batch, 0, 0, sched, start_us)
-    return log, log.selection
-
+    return run_rounds(p_dc[None, None], [rect], sched, link, adc,
+                      link.draws(rng, (1, 1, m_total + 1)), [[float(v_initial)]],
+                      fallback, frames=1)

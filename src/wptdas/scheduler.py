@@ -71,6 +71,8 @@ class TdmaResult:
 
     def user_average_power_w(self, user_id: int) -> float:
         powers = [r.p_dc_w for r in self.rows if r.user_id == user_id]
+        if not powers:
+            raise KeyError(user_id)
         return float(np.mean(powers))
 
     def to_csv(self, fh):

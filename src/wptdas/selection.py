@@ -84,12 +84,3 @@ class CandidateMatrix:
     @classmethod
     def from_powers(cls, values) -> "CandidateMatrix":
         return cls(values)
-
-
-@dataclass(frozen=True)
-class SelectionDecision:
-    """Joint selection's 1-based (antenna, frequency) pair and its candidate value."""
-
-    antenna: int
-    frequency: int
-    value: float

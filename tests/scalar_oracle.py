@@ -24,11 +24,11 @@ import numpy as np
 from wptdas.channel import ChannelRealization, FrequencyGrid, sample_channel
 from wptdas.errors import ValidationError
 from wptdas.experiments import _sweep_cells
-from wptdas.protocol import ControlLinkModel, Event, EventLog, FrameSchedule, encode_feedback
+from wptdas.protocol import ControlLinkModel, Event, FrameSchedule, encode_feedback, frame_log
 from wptdas.rectenna import settle, settling_energy
 from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
 from wptdas.scheduler import TdmaResult, TraceRow
-from wptdas.selection import SelectionDecision, check_powers, middle_index, select_pairs
+from wptdas.selection import check_powers, middle_index, select_pairs
 from wptdas.signal_chain import dc_power_matrix
 
 
@@ -112,7 +112,8 @@ def _prior_pair(prior, n_total):
 
 def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
               start_us=0, v_initial=0.0):
-    """One frame, one slot at a time; same signature and result as the library's."""
+    """One frame, one slot at a time, from ``start_us`` on: the library's
+    arguments, and the frame as :func:`batch_frame` reads it from a walk."""
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
     p_dc = check_powers(p_dc)
@@ -142,12 +143,11 @@ def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
                                 value=next(slot_samples)))
 
     best_m, best_n, best_w = select_one(adc_powers, "joint")
-    selection = SelectionDecision(best_m, best_n, float(best_w))
-    code = encode_feedback(selection.antenna, selection.frequency, (m_total, n_total))
+    code = encode_feedback(best_m, best_n, (m_total, n_total))
     fb_delivered = deliver(link, rng)
     events.append(Event(t, "MessageSent", value=code))
     if fb_delivered:
-        applied_m, applied_n = selection.antenna, selection.frequency
+        applied_m, applied_n = best_m, best_n
         events.append(Event(t, "FeedbackApplied", antenna=applied_m, frequency=applied_n))
     else:
         events.append(Event(t, "MessageDropped", value=code))
@@ -159,19 +159,35 @@ def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
                                 sched, link, rect)
     events.append(Event(start_us + sched.frame_us(m_total * n_total), "FrameEnd"))
 
-    log = EventLog(events=events, harvested_energy_training_j=e_train,
-                   harvested_energy_wpt_j=e_wpt, selection=selection, applied_antenna=applied_m,
-                   applied_frequency=applied_n, applied_power_w=applied_p,
-                   emissions=emissions, final_voltage_v=v)
-    return log, selection
+    return dict(events=events, selected=(best_m, best_n), selected_w=float(best_w),
+                applied=(applied_m, applied_n), applied_w=applied_p, emissions=emissions,
+                training_j=e_train, wpt_j=e_wpt, voltage_v=v)
 
 
-def _passive_harvest(user, log, p_dc, sched, link):
-    """(energy, steady dc power at the served pair) of a passive user's replay."""
+def batch_frame(batch, b, j, sched, start_us=0):
+    """Frame ``j`` of round ``b`` of a library walk, for its training user, in
+    the terms of :func:`run_frame`: 1-based pairs, Python numbers, and each
+    slot's (antenna or None when the transmitter is idle, frequency)."""
+    emitting = batch.emitting[b, j].tolist()
+    return dict(events=frame_log(batch, b, j, sched, start_us),
+                selected=tuple((batch.selected[b, j] + 1).tolist()),
+                selected_w=float(batch.selected_w[b, j]),
+                applied=tuple((batch.applied[b, j] + 1).tolist()),
+                applied_w=float(batch.served_w[b, j, j]),
+                emissions=[(m + 1 if on else None, n + 1)
+                           for m, row in enumerate(emitting) for n, on in enumerate(row)],
+                training_j=float(batch.training_j[b, j, j]),
+                wpt_j=float(batch.wpt_j[b, j, j]),
+                voltage_v=float(batch.voltage_v[b, j, j]))
+
+
+def _passive_harvest(user, frame, p_dc, sched, link):
+    """(energy, steady dc power at the served pair) of a passive user's replay
+    of ``frame``'s emissions and served pair."""
     v_tgt = np.sqrt(p_dc * user.rect.load_ohms)
-    e_train, _v_ends, v = harvest_training(log.emissions, v_tgt, user.voltage_v,
+    e_train, _v_ends, v = harvest_training(frame["emissions"], v_tgt, user.voltage_v,
                                            sched, link, user.rect)
-    served = (log.applied_antenna - 1, log.applied_frequency - 1)
+    served = (frame["applied"][0] - 1, frame["applied"][1] - 1)
     applied_p = float(p_dc[served])
     e_wpt, user.voltage_v = harvest_delivery(v, float(v_tgt[served]), applied_p,
                                              sched, link, user.rect)
@@ -179,9 +195,9 @@ def _passive_harvest(user, log, p_dc, sched, link):
 
 
 def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, link=None,
-             adc=None, keep_logs=False, p_dc=None, antennas=4):
+             adc=None, keep_frames=False, p_dc=None, antennas=4):
     """Round-robin TDMA, one frame at a time: the library's result, and each
-    frame's event log in frame order when ``keep_logs`` asks for them.
+    frame's :func:`run_frame` result in frame order when ``keep_frames`` asks.
 
     ``p_dc``, one matrix per user, stands in for the matrices of channels
     drawn each round from ``profile`` with ``antennas`` antennas.
@@ -189,7 +205,7 @@ def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, li
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
     k = len(users)
-    rows, logs = [], []
+    rows, kept = [], []
     for i in range(frames):
         if i % k == 0:
             round_dc = p_dc if p_dc is not None else [
@@ -199,25 +215,25 @@ def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, li
             frame_us = sched.frame_us(round_dc[0].size)
             frame_s = frame_us * 1e-6
         active = users[i % k]
-        log, _sel = run_frame(round_dc[i % k], active.rect, sched=sched, link=link,
-                              prior=active.prior, rng=rng, adc=adc,
-                              start_us=i * frame_us, v_initial=active.voltage_v)
-        if keep_logs:
-            logs.append(log)
-        active.prior = (log.applied_antenna, log.applied_frequency)
-        active.voltage_v = log.final_voltage_v
-        e_active = log.harvested_energy_training_j + log.harvested_energy_wpt_j
+        frame = run_frame(round_dc[i % k], active.rect, sched=sched, link=link,
+                          prior=active.prior, rng=rng, adc=adc,
+                          start_us=i * frame_us, v_initial=active.voltage_v)
+        if keep_frames:
+            kept.append(frame)
+        antenna, frequency = active.prior = frame["applied"]
+        active.voltage_v = frame["voltage_v"]
+        e_active = frame["training_j"] + frame["wpt_j"]
         active.energy_j += e_active
-        rows.append(TraceRow(i, active.user_id, True, log.applied_antenna,
-                             log.applied_frequency, e_active / frame_s, active.energy_j))
+        rows.append(TraceRow(i, active.user_id, True, antenna, frequency,
+                             e_active / frame_s, active.energy_j))
         for u, u_dc in zip(users, round_dc):
             if u is active:
                 continue
-            e_passive, _p_served = _passive_harvest(u, log, u_dc, sched, link)
+            e_passive, _p_served = _passive_harvest(u, frame, u_dc, sched, link)
             u.energy_j += e_passive
-            rows.append(TraceRow(i, u.user_id, False, log.applied_antenna,
-                                 log.applied_frequency, e_passive / frame_s, u.energy_j))
-    return TdmaResult(rows), logs
+            rows.append(TraceRow(i, u.user_id, False, antenna, frequency,
+                                 e_passive / frame_s, u.energy_j))
+    return TdmaResult(rows), kept
 
 
 def protocol_values(cfg, sched=None, link=None, adc=None):
@@ -238,7 +254,7 @@ def protocol_values(cfg, sched=None, link=None, adc=None):
         for m, k, cols in cells:
             users = [UserState(user_id=u + 1, rect=cfg.rect) for u in range(cfg.users)]
             cell_dc = [dc[u, :m][:, cols] for u in range(cfg.users)]
-            res, _logs = run_tdma(users, cfg.users, None, None, sched=sched, link=link,
+            res, _frames = run_tdma(users, cfg.users, None, None, sched=sched, link=link,
                                   rng=link_rng, adc=adc, p_dc=cell_dc)
             per_user = np.zeros(cfg.users)
             counts = np.zeros(cfg.users)

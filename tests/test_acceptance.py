@@ -26,8 +26,8 @@ from wptdas.experiments import (
     power_budget_report,
     run_sweep,
 )
-from wptdas.protocol import (ControlLinkModel, FrameSchedule, decode_feedback, encode_feedback,
-                             run_frame)
+from wptdas.protocol import (MESSAGE_SIZE_BYTES, ControlLinkModel, FrameSchedule, decode_feedback,
+                             encode_feedback, frame_log, run_frame)
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 from wptdas.rng import DOMAIN_CHANNEL, substream
 from wptdas.signal_chain import dc_power_matrix
@@ -66,15 +66,16 @@ def test_c02_link_budget_constant():
 def test_c03_frame_timing():
     t0 = time.perf_counter()
     ch = sample_channel(MODEL_E, 4, substream(1, DOMAIN_CHANNEL, 0, 0))
-    log, _sel = run_frame(dc_power_matrix(ch, GRID15, LinkBudget(), RectennaConfig().curve),
-                          RectennaConfig())
-    kinds = [e.kind for e in log.events]
+    batch = run_frame(dc_power_matrix(ch, GRID15, LinkBudget(), RectennaConfig().curve),
+                      RectennaConfig())
+    log = frame_log(batch, 0, 0, FrameSchedule())
+    kinds = [e.kind for e in log]
     assert kinds.count("SlotStart") == 60
     assert kinds.count("AdcSample") == 60
-    assert log.events[kinds.index("WptPhaseStart")].t_us == 1_080_000
+    assert log[kinds.index("WptPhaseStart")].t_us == 1_080_000
     assert FrameSchedule().frame_us(60) == 4_000_000
-    assert log.events[-1].t_us == 4_000_000
-    assert log.bytes_sent == 5
+    assert log[-1].t_us == 4_000_000
+    assert MESSAGE_SIZE_BYTES * kinds.count("MessageSent") == 5
     assert time.perf_counter() - t0 < 1.0
     _report(3, "60 slots, training 1.080000 s, frame end 4.000000 s, 5 bytes")
 

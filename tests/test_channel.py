@@ -123,6 +123,13 @@ class TestSampleChannel:
         with pytest.raises(ValidationError):
             sample_channel(SINGLE_TAP, 0, substream(0))
 
+    @pytest.mark.parametrize("count", [2.5, True, "4", None])
+    def test_antenna_count_must_be_an_integer(self, count):
+        rng = substream(0)
+        with pytest.raises(ValidationError, match="num_antennas"):
+            sample_channel(SINGLE_TAP, count, rng)
+        assert rng.random() == substream(0).random()  # nothing was drawn
+
     def test_subset_view(self):
         ch = sample_channel(SINGLE_TAP, 4, substream(9))
         sub = subset(ch, 2)
@@ -198,6 +205,15 @@ class TestPathLoss:
         with pytest.raises(ValidationError):
             path_loss_db(1.0, -5.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position, name", enumerate(
+        ["distance_m", "freq_hz", "tx_gain_dbi", "rx_gain_dbi"]))
+    def test_rejects_non_finite_inputs(self, position, name, bad):
+        args = [10.0, 2.4e9, 0.0, 0.0]
+        args[position] = bad
+        with pytest.raises(ValidationError, match=name):
+            path_loss_db(*args)
+
 
 class TestReceivedRfPower:
     def test_reference_point(self):
@@ -251,3 +267,17 @@ class TestFrequencyGrid:
     def test_count_validation(self):
         with pytest.raises(ValidationError):
             FrequencyGrid.uniform(count=0)
+
+    @pytest.mark.parametrize("count", [2.5, True, "3", None, -1])
+    def test_uniform_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValidationError, match="count"):
+            FrequencyGrid.uniform(count=count)
+
+    @pytest.mark.parametrize("count", [2.5, True, "3", None, 0])
+    def test_ieee_plan_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValidationError, match="count"):
+            FrequencyGrid.ieee_plan(count)
+
+    def test_integer_counts_of_any_integer_type_build(self):
+        assert FrequencyGrid.uniform(count=np.int64(3)).count == 3
+        assert FrequencyGrid.ieee_plan(np.int64(7)).count == 7

@@ -73,12 +73,12 @@ class TestFrame:
         assert "5 control bytes" in out
 
     def test_user_loss_applies_to_the_frame(self, tmp_path, monkeypatch):
-        logs = []
+        batches = []
         real = cli.run_frame
 
         def recorded(*args, **kwargs):
-            logs.append(real(*args, **kwargs))
-            return logs[-1]
+            batches.append(real(*args, **kwargs))
+            return batches[-1]
 
         monkeypatch.setattr(cli, "run_frame", recorded)
         events = []
@@ -90,9 +90,9 @@ class TestFrame:
             text = (out / "frame_events.csv").read_text()
             events.append([ln for ln in text.splitlines() if not ln.startswith("#")])
         assert events[0] != events[1]
-        log = logs[1][0]
+        batch = batches[1]
         p_dc = _dc_tensor(load_settings(str(cfg), 1).experiment, 0, 1)[0, 0]
-        assert log.applied_power_w == p_dc[log.applied_antenna - 1, log.applied_frequency - 1]
+        assert batch.served_w[0, 0, 0] == p_dc[tuple(batch.applied[0, 0])]
 
     def test_adc_bits_beyond_a_float_fail_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "adc.ini"

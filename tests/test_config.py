@@ -231,7 +231,8 @@ class TestReadme:
     def test_library_example_runs(self, capsys):
         block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
         exec(compile(block, str(README), "exec"), {})
-        assert "SelectionDecision(" in capsys.readouterr().out
+        assert re.fullmatch(r"selected antenna [1-4], frequency (1[0-5]|[1-9]); "
+                            r"\d+(\.\d+)? uJ delivered\n", capsys.readouterr().out)
 
 
 def outputs(tmp_path, values: dict) -> dict:

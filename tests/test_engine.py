@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.experiments import ExperimentConfig, _protocol_values, nested_frequency_indices
-from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, fallback_pair, frame_log,
-                             run_frame, run_rounds)
+from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, fallback_pair, run_frame,
+                             run_rounds, write_events)
 from wptdas.rectenna import RectennaConfig, segment_energy, settle, settling_energy
 from wptdas.rng import substream
 from wptdas.scheduler import UserState, run_tdma
@@ -43,6 +43,12 @@ rects = st.builds(RectennaConfig,
 def csv_text(result) -> str:
     buf = io.StringIO()
     result.to_csv(buf)
+    return buf.getvalue()
+
+
+def events_text(events) -> str:
+    buf = io.StringIO()
+    write_events(buf, events)
     return buf.getvalue()
 
 
@@ -148,15 +154,17 @@ class TestFrameAgainstScalarWalk:
                                               v_initial, start_us):
         p_dc = dc_power_matrix(sample_channel(PROFILE, 4, substream(seed, 0)), GRID, BUDGET,
                                rect.curve)
+        sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        kwargs = dict(sched=FrameSchedule(), link=link, prior=prior, adc=adc,
-                      start_us=start_us, v_initial=v_initial)
+        kwargs = dict(sched=sched, link=link, prior=prior, adc=adc, v_initial=v_initial)
         rng_a, rng_b = substream(seed, 1), substream(seed, 1)
-        log, sel = run_frame(p_dc, rect, rng=rng_a, **kwargs)
-        ref_log, ref_sel = oracle.run_frame(p_dc, rect, rng=rng_b, **kwargs)
-        assert log == ref_log
-        assert sel == ref_sel
-        assert csv_text(log) == csv_text(ref_log)
+        batch = run_frame(p_dc, rect, rng=rng_a, **kwargs)
+        frame = oracle.batch_frame(batch, 0, 0, sched, start_us)
+        ref = oracle.run_frame(p_dc, rect, rng=rng_b, start_us=start_us, **kwargs)
+        # events, selected pair and value, applied pair and power, emissions,
+        # both energies and the final voltage
+        assert frame == ref
+        assert events_text(frame["events"]) == events_text(ref["events"])
         assert rng_a.random() == rng_b.random()  # the same draws were consumed
 
 
@@ -188,12 +196,12 @@ class TestRoundLogsAgainstScalarWalk:
         for b in range(rounds):
             group = [UserState(user_id=u + 1, rect=rect, prior=priors[b][u],
                                voltage_v=volts[b][u]) for u, rect in enumerate(user_rects)]
-            _res, ref_logs = oracle.run_tdma(group, k, None, None, rng=substream(seed, b),
-                                             sched=sched, link=link, adc=adc, keep_logs=True,
-                                             p_dc=list(p_dc[b]))
+            _res, ref_frames = oracle.run_tdma(group, k, None, None, rng=substream(seed, b),
+                                               sched=sched, link=link, adc=adc,
+                                               keep_frames=True, p_dc=list(p_dc[b]))
             frame_us = sched.frame_us(m_total * n_total)
-            logs = [frame_log(batch, b, j, sched, j * frame_us) for j in range(k)]
-            assert logs == ref_logs
+            frames = [oracle.batch_frame(batch, b, j, sched, j * frame_us) for j in range(k)]
+            assert frames == ref_frames
 
 
 class TestTdmaAgainstScalarWalk:
@@ -214,7 +222,7 @@ class TestTdmaAgainstScalarWalk:
             return res, [(u.energy_j, u.voltage_v, u.prior) for u in group], rng.random()
 
         res, state, after = walk(run_tdma)
-        (ref, _logs), ref_state, ref_after = walk(oracle.run_tdma)
+        (ref, _frames), ref_state, ref_after = walk(oracle.run_tdma)
         assert res.rows == ref.rows
         assert csv_text(res) == csv_text(ref)
         assert state == ref_state

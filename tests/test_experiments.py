@@ -21,7 +21,8 @@ from wptdas.experiments import (
     run_sweep,
     watts_to_dbm,
 )
-from wptdas.protocol import AdcModel, ControlLinkModel, FrameSchedule, run_frame
+from wptdas.protocol import (MESSAGE_SIZE_BYTES, AdcModel, ControlLinkModel, FrameSchedule,
+                             control_bytes, frame_log, run_frame)
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 from wptdas.rng import DOMAIN_CHANNEL, substream
 from wptdas.selection import STRATEGIES
@@ -165,9 +166,9 @@ class TestRunSweep:
         assert run_sweep(cfg, jobs=10_000).rows == serial
         assert started == [3, 2]
 
-    @pytest.mark.parametrize("jobs", [0, -4])
+    @pytest.mark.parametrize("jobs", [0, -4, 1.5, True, "2"])
     def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="jobs"):
             run_sweep(small_cfg(realizations=8), jobs=jobs)
 
     def test_two_user_rows_and_symmetry(self):
@@ -319,10 +320,11 @@ class TestPowerBudgetReport:
 
     @pytest.mark.parametrize("dims", [(1, 15), (2, 15), (3, 15), (4, 15), (2, 3)])
     def test_budget_and_frame_log_agree_on_the_frame_shape(self, dims):
-        log, _ = run_frame(np.full(dims, 1e-5), RectennaConfig())
+        log = frame_log(run_frame(np.full(dims, 1e-5), RectennaConfig()), 0, 0, FrameSchedule())
+        sent = MESSAGE_SIZE_BYTES * sum(e.kind == "MessageSent" for e in log)
         budget, report = power_budget_report(dims=dims)
-        assert budget.bytes_sent == log.bytes_sent == dims[0] + 1
-        assert budget.frame_s == log.events[-1].t_us * 1e-6
+        assert budget.bytes_sent == control_bytes(dims[0]) == sent == dims[0] + 1
+        assert budget.frame_s == log[-1].t_us * 1e-6
         assert report.startswith(f"frame      {budget.frame_s:.6f} s ({dims[0] * dims[1]} x ")
 
 

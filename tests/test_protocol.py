@@ -8,13 +8,18 @@ import pytest
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError
 from wptdas.protocol import (
+    MESSAGE_SIZE_BYTES,
     AdcModel,
     ControlLinkModel,
     FrameSchedule,
+    RoundBatch,
+    control_bytes,
     decode_feedback,
     encode_feedback,
     fallback_pair,
+    frame_log,
     run_frame,
+    write_events,
 )
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 from wptdas.rng import substream
@@ -39,8 +44,20 @@ def default_frame(seed=1, **kwargs):
     return frame(ch, **kwargs)
 
 
-def events_of(log, kind):
-    return [e for e in log.events if e.kind == kind]
+def log_of(batch, start_us=0):
+    return frame_log(batch, 0, 0, FrameSchedule(), start_us)
+
+
+def events_of(batch, kind):
+    return [e for e in log_of(batch) if e.kind == kind]
+
+
+def selected(batch):
+    return tuple((batch.selected[0, 0] + 1).tolist())
+
+
+def applied(batch):
+    return tuple((batch.applied[0, 0] + 1).tolist())
 
 
 class TestFeedbackCodec:
@@ -125,69 +142,78 @@ class TestAdcModel:
 
 
 class TestRunFrame:
+    def test_result_is_one_round_of_one_frame_and_user(self):
+        batch = default_frame()
+        assert isinstance(batch, RoundBatch)
+        assert batch.emitting.shape == (1, 1, 4, 15)
+        assert batch.samples.shape == (1, 1, 60)
+        assert batch.selected.shape == batch.applied.shape == (1, 1, 2)
+        for name in ("served_w", "training_j", "wpt_j", "voltage_v"):
+            assert getattr(batch, name).shape == (1, 1, 1)
+
     def test_default_frame_structure(self):
-        log, sel = default_frame()
-        assert len(events_of(log, "SlotStart")) == 60
-        assert len(events_of(log, "AdcSample")) == 60
+        batch = default_frame()
+        log = log_of(batch)
+        assert len(events_of(batch, "SlotStart")) == 60
+        assert len(events_of(batch, "AdcSample")) == 60
         assert FrameSchedule().frame_us(60) == 4_000_000
-        assert log.events[-1].kind == "FrameEnd"
-        assert log.events[-1].t_us == 4_000_000
-        assert log.bytes_sent == 5
-        activations = [e for e in events_of(log, "MessageSent") if e.antenna is not None]
+        assert log[-1].kind == "FrameEnd"
+        assert log[-1].t_us == 4_000_000
+        assert MESSAGE_SIZE_BYTES * len(events_of(batch, "MessageSent")) == control_bytes(4) == 5
+        activations = [e for e in events_of(batch, "MessageSent") if e.antenna is not None]
         assert [e.antenna for e in activations] == [1, 2, 3, 4]
-        assert 1 <= sel.antenna <= 4 and 1 <= sel.frequency <= 15
+        sel_m, sel_n = selected(batch)
+        assert 1 <= sel_m <= 4 and 1 <= sel_n <= 15
 
     def test_timestamps_non_decreasing(self):
-        log, _ = default_frame()
-        times = [e.t_us for e in log.events]
+        times = [e.t_us for e in log_of(default_frame())]
         assert all(a <= b for a, b in zip(times, times[1:]))
 
     def test_control_messages_mirror_events(self):
-        log, sel = default_frame()
-        sent = events_of(log, "MessageSent")
+        batch = default_frame()
+        sent = events_of(batch, "MessageSent")
         assert [e.antenna for e in sent] == [1, 2, 3, 4, None]  # activations, then feedback
-        assert len(sent) == log.bytes_sent == 5
-        assert sent[-1].value == encode_feedback(sel.antenna, sel.frequency, (4, 15))
+        assert len(sent) == control_bytes(4) == 5
+        assert sent[-1].value == encode_feedback(*selected(batch), (4, 15))
         assert sent[-1].value < 64
 
     def test_training_span(self):
-        log, _ = default_frame()
-        samples = events_of(log, "AdcSample")
+        batch = default_frame()
+        samples = events_of(batch, "AdcSample")
         assert samples[0].t_us == 18_000
         assert samples[-1].t_us == 1_080_000
-        assert events_of(log, "WptPhaseStart")[0].t_us == 1_080_000
+        assert events_of(batch, "WptPhaseStart")[0].t_us == 1_080_000
 
     def test_feedback_applied_at_true_maximum(self):
         # fast settling + no quantization: protocol achieves the joint argmax
         ch = sample_channel(PROFILE, 4, substream(3, 0, 0, 0))
         truth = dc_power_matrix(ch, GRID, BUDGET, RECT.curve)
         expected = select_one(truth, "joint")
-        log, sel = frame(ch, FAST_RECT, adc=None)
-        applied = events_of(log, "FeedbackApplied")
-        assert len(applied) == 1
-        assert (applied[0].antenna, applied[0].frequency) == expected[:2]
-        assert log.applied_power_w == pytest.approx(float(truth.max()), rel=1e-12)
-        assert log.harvested_energy_wpt_j == pytest.approx(truth.max() * 2.92, rel=1e-12)
+        batch = frame(ch, FAST_RECT, adc=None)
+        fed_back = events_of(batch, "FeedbackApplied")
+        assert len(fed_back) == 1
+        assert (fed_back[0].antenna, fed_back[0].frequency) == expected[:2]
+        assert batch.served_w[0, 0, 0] == pytest.approx(float(truth.max()), rel=1e-12)
+        assert batch.wpt_j[0, 0, 0] == pytest.approx(truth.max() * 2.92, rel=1e-12)
 
     def test_dropped_feedback_falls_back_to_prior(self):
         link = ControlLinkModel(drop_probability=1.0)
-        log, _ = default_frame(link=link, rng=substream(5), prior=(2, 5))
-        assert (log.applied_antenna, log.applied_frequency) == (2, 5)
-        assert not events_of(log, "FeedbackApplied")
+        batch = default_frame(link=link, rng=substream(5), prior=(2, 5))
+        assert applied(batch) == (2, 5)
+        assert not events_of(batch, "FeedbackApplied")
 
     def test_dropped_feedback_without_prior_uses_middle(self):
         link = ControlLinkModel(drop_probability=1.0)
-        log, _ = default_frame(link=link, rng=substream(5))
-        assert (log.applied_antenna, log.applied_frequency) == (1, 8)
+        batch = default_frame(link=link, rng=substream(5))
+        assert applied(batch) == (1, 8)
 
     @pytest.mark.parametrize("n_total", range(1, 17))
     def test_fallback_without_prior_is_the_default_pair(self, n_total):
         # the baselines hold the same pair fixed (test_selection)
         p_dc = np.random.default_rng(n_total).uniform(0.0, 1e-5, (4, n_total))
-        log, _ = run_frame(p_dc, RECT, link=ControlLinkModel(drop_probability=1.0),
-                           rng=substream(n_total))
-        assert (log.applied_antenna, log.applied_frequency) == tuple(
-            np.add(default_pair(n_total), 1))
+        batch = run_frame(p_dc, RECT, link=ControlLinkModel(drop_probability=1.0),
+                          rng=substream(n_total))
+        assert applied(batch) == tuple(np.add(default_pair(n_total), 1))
 
     def test_fallback_pair_is_zero_based(self):
         assert fallback_pair((2, 5), 4, 15) == (1, 4)
@@ -210,11 +236,11 @@ class TestRunFrame:
 
     def test_all_drops_leave_transmitter_idle(self):
         link = ControlLinkModel(drop_probability=1.0)
-        log, sel = default_frame(link=link, rng=substream(6), v_initial=0.0)
-        assert all(ant is None for ant, _ in log.emissions)
+        batch = default_frame(link=link, rng=substream(6), v_initial=0.0)
+        assert not batch.emitting.any()
         # decaying-from-zero output quantizes to zero everywhere -> tie-break
-        assert (sel.antenna, sel.frequency) == (1, 1)
-        assert log.harvested_energy_training_j == 0.0
+        assert selected(batch) == (1, 1)
+        assert batch.training_j[0, 0, 0] == 0.0
 
     def test_lossy_link_requires_rng(self):
         with pytest.raises(ValidationError):
@@ -222,66 +248,69 @@ class TestRunFrame:
 
     def test_slow_settling_still_yields_wellformed_log(self):
         slow = RectennaConfig(settle_tau_s=0.009)  # half a slot
-        log, sel = default_frame(rect=slow)
-        assert log.events[-1].kind == "FrameEnd"
-        assert len(events_of(log, "AdcSample")) == 60
-        assert 1 <= log.applied_antenna <= 4
-        assert 1 <= log.applied_frequency <= 15
-        assert log.harvested_energy_training_j >= 0.0
+        batch = default_frame(rect=slow)
+        assert log_of(batch)[-1].kind == "FrameEnd"
+        assert len(events_of(batch, "AdcSample")) == 60
+        antenna, frequency = applied(batch)
+        assert 1 <= antenna <= 4
+        assert 1 <= frequency <= 15
+        assert batch.training_j[0, 0, 0] >= 0.0
 
     def test_training_energy_close_to_steady_sum_when_fast(self):
         ch = sample_channel(PROFILE, 4, substream(8, 0, 0, 0))
         truth = dc_power_matrix(ch, GRID, BUDGET, RECT.curve)
-        log, _ = frame(ch, FAST_RECT, adc=None)
-        assert log.harvested_energy_training_j == pytest.approx(
-            truth.sum() * 0.018, rel=1e-2)
+        batch = frame(ch, FAST_RECT, adc=None)
+        assert batch.training_j[0, 0, 0] == pytest.approx(truth.sum() * 0.018, rel=1e-2)
 
     def test_energy_non_negative_and_ordering(self):
-        log, _ = default_frame()
-        assert log.harvested_energy_training_j >= 0.0
-        assert log.harvested_energy_wpt_j >= 0.0
-        assert (log.harvested_energy_training_j + log.harvested_energy_wpt_j
-                >= log.harvested_energy_wpt_j)
+        batch = default_frame()
+        e_train, e_wpt = batch.training_j[0, 0, 0], batch.wpt_j[0, 0, 0]
+        assert e_train >= 0.0
+        assert e_wpt >= 0.0
+        assert e_train + e_wpt >= e_wpt
 
     def test_voltage_carries_across_frames(self):
         ch = sample_channel(PROFILE, 4, substream(9, 0, 0, 0))
-        log1, _ = frame(ch, RECT)
-        log2, _ = frame(ch, RECT, start_us=log1.events[-1].t_us,
-                        v_initial=log1.final_voltage_v)
-        assert log2.events[0].t_us == 4_000_000
-        assert log2.events[-1].t_us == 8_000_000
-        first_sample = events_of(log2, "AdcSample")[0]
+        batch1 = frame(ch, RECT)
+        batch2 = frame(ch, RECT, v_initial=float(batch1.voltage_v[0, 0, 0]))
+        log2 = log_of(batch2, start_us=log_of(batch1)[-1].t_us)
+        assert log2[0].t_us == 4_000_000
+        assert log2[-1].t_us == 8_000_000
+        first_sample = [e for e in log2 if e.kind == "AdcSample"][0]
         assert first_sample.value >= 0.0
+
+    @pytest.mark.parametrize("start_us", [0.5, -7, 2.0, True, "3", None, math.nan])
+    def test_log_start_is_checked(self, start_us):
+        with pytest.raises(ValidationError, match="start_us"):
+            log_of(default_frame(), start_us=start_us)
 
     def test_frame_length_follows_the_matrix(self):
         ch = sample_channel(PROFILE, 3, substream(1))
-        log, _ = frame(ch, RECT)  # 3 x 15 under the default schedule
-        assert len(events_of(log, "SlotStart")) == 45
-        assert events_of(log, "WptPhaseStart")[0].t_us == 45 * 18_000
-        assert log.events[-1].t_us == 45 * 18_000 + 2_920_000
-        assert log.bytes_sent == 4
+        batch = frame(ch, RECT)  # 3 x 15 under the default schedule
+        assert len(events_of(batch, "SlotStart")) == 45
+        assert events_of(batch, "WptPhaseStart")[0].t_us == 45 * 18_000
+        assert log_of(batch)[-1].t_us == 45 * 18_000 + 2_920_000
+        assert MESSAGE_SIZE_BYTES * len(events_of(batch, "MessageSent")) == control_bytes(3) == 4
 
     def test_deterministic_given_seed(self):
-        a, _ = default_frame(seed=4)
-        b, _ = default_frame(seed=4)
-        assert a.events == b.events
-        assert a.harvested_energy_training_j == b.harvested_energy_training_j
+        a, b = default_frame(seed=4), default_frame(seed=4)
+        assert log_of(a) == log_of(b)
+        assert a.training_j[0, 0, 0] == b.training_j[0, 0, 0]
 
     def test_quantization_coarsens_matrix(self):
         ch = sample_channel(PROFILE, 4, substream(10, 0, 0, 0))
-        log_q, _ = frame(ch, FAST_RECT, adc=AdcModel(bits=4))
-        log_i, _ = frame(ch, FAST_RECT, adc=None)
-        vals_q = {e.value for e in events_of(log_q, "AdcSample")}
-        vals_i = {e.value for e in events_of(log_i, "AdcSample")}
+        batch_q = frame(ch, FAST_RECT, adc=AdcModel(bits=4))
+        batch_i = frame(ch, FAST_RECT, adc=None)
+        vals_q = {e.value for e in events_of(batch_q, "AdcSample")}
+        vals_i = {e.value for e in events_of(batch_i, "AdcSample")}
         assert len(vals_q) <= len(vals_i)
 
     def test_latency_blanks_block_start(self):
         link = ControlLinkModel(latency_s=0.004)
         ch = sample_channel(PROFILE, 4, substream(11, 0, 0, 0))
-        log_lat, _ = frame(ch, RECT, link=link)
-        log_ref, _ = frame(ch, RECT)
-        assert log_lat.harvested_energy_training_j < log_ref.harvested_energy_training_j
-        assert log_lat.harvested_energy_wpt_j < log_ref.harvested_energy_wpt_j
+        lat, ref = frame(ch, RECT, link=link), frame(ch, RECT)
+        assert lat.training_j[0, 0, 0] < ref.training_j[0, 0, 0]
+        assert lat.wpt_j[0, 0, 0] < ref.wpt_j[0, 0, 0]
 
     @pytest.mark.parametrize("p_dc", [
         np.full((4, 15), np.nan),
@@ -296,14 +325,13 @@ class TestRunFrame:
 
 class TestEventLogCsv:
     def test_columns_and_determinism(self):
-        log, _ = default_frame(seed=2)
+        log = log_of(default_frame(seed=2))
         buf1, buf2 = io.StringIO(), io.StringIO()
-        log.to_csv(buf1)
-        log.to_csv(buf2)
+        write_events(buf1, log)
+        write_events(buf2, log)
         text = buf1.getvalue()
         assert text == buf2.getvalue()
         lines = text.splitlines()
         assert lines[0] == "t_us,event,antenna,frequency,value"
-        assert len(lines) == 1 + len(log.events)
+        assert len(lines) == 1 + len(log)
         assert lines[1].startswith("0,MessageSent,1")
-

@@ -27,8 +27,8 @@ def make_users(k, **kwargs):
     return [UserState(user_id=u + 1, rect=RectennaConfig(), **kwargs) for u in range(k)]
 
 
-def harvested(log):
-    return log.harvested_energy_training_j + log.harvested_energy_wpt_j
+def harvested(batch):
+    return batch.training_j[0, 0, 0] + batch.wpt_j[0, 0, 0]
 
 
 def frames_trained(result, users):
@@ -48,17 +48,15 @@ class TestSingleUser:
         voltage, prior, energy = 0.0, None, 0.0
         for i in range(frames):
             ch = sample_channel(PROFILE, 4, rng)
-            log, _ = run_frame(dc_power_matrix(ch, GRID, BUDGET, RectennaConfig().curve),
-                               RectennaConfig(), sched=sched,
-                               rng=rng, prior=prior, start_us=i * sched.frame_us(60),
-                               v_initial=voltage)
-            voltage = log.final_voltage_v
-            prior = (log.applied_antenna, log.applied_frequency)
-            energy += harvested(log)
+            batch = run_frame(dc_power_matrix(ch, GRID, BUDGET, RectennaConfig().curve),
+                              RectennaConfig(), sched=sched, rng=rng, prior=prior,
+                              v_initial=voltage)
+            voltage = float(batch.voltage_v[0, 0, 0])
+            prior = tuple((batch.applied[0, 0] + 1).tolist())
+            energy += harvested(batch)
             row = result.rows[i]
-            assert row.p_dc_w == harvested(log) / (sched.frame_us(60) * 1e-6)
-            assert (row.antenna, row.frequency) == (log.applied_antenna,
-                                                    log.applied_frequency)
+            assert row.p_dc_w == harvested(batch) / (sched.frame_us(60) * 1e-6)
+            assert (row.antenna, row.frequency) == prior
         assert users[0].energy_j == energy
 
     def test_antenna_count_is_checked_before_the_first_draw(self):
@@ -75,7 +73,7 @@ class TestSingleUser:
                           substream(2), antennas=3)
         assert all(1 <= r.antenna <= 3 and 1 <= r.frequency <= 7 for r in result.rows)
         ref_users = make_users(1)
-        ref, _logs = oracle.run_tdma(ref_users, 2, FrequencyGrid.uniform(count=7), BUDGET,
+        ref, _frames = oracle.run_tdma(ref_users, 2, FrequencyGrid.uniform(count=7), BUDGET,
                                      PROFILE, substream(2), adc=DEFAULT_ADC, antennas=3)
         assert result.rows == ref.rows
 
@@ -125,6 +123,11 @@ class TestTwoUsers:
         avg1 = result.user_average_power_w(1)
         avg2 = result.user_average_power_w(2)
         assert abs(avg1 - avg2) / max(avg1, avg2) <= 0.05
+
+    def test_average_of_an_unknown_user_is_a_key_error(self):
+        result = run_tdma(make_users(1), 2, GRID, BUDGET, rng=substream(3), profile=PROFILE)
+        with pytest.raises(KeyError, match="9"):
+            result.user_average_power_w(9)
 
     def test_attenuated_user_harvests_less(self):
         users = make_users(2)
@@ -217,13 +220,14 @@ class TestPassiveReplay:
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         p_dc = dc_power_matrix(ch, GRID, BUDGET, rect.curve)
-        log, _ = run_frame(p_dc, rect, sched=sched, link=link, rng=rng,
-                           adc=DEFAULT_ADC if with_adc else None, v_initial=v_initial)
+        batch = run_frame(p_dc, rect, sched=sched, link=link, rng=rng,
+                          adc=DEFAULT_ADC if with_adc else None, v_initial=v_initial)
+        frame = oracle.batch_frame(batch, 0, 0, sched)
         twin = UserState(user_id=2, rect=rect, voltage_v=v_initial)
-        energy, p_served = _passive_harvest(twin, log, p_dc, sched, link)
-        assert energy == harvested(log)
-        assert p_served == log.applied_power_w
-        assert twin.voltage_v == log.final_voltage_v
+        energy, p_served = _passive_harvest(twin, frame, p_dc, sched, link)
+        assert energy == frame["training_j"] + frame["wpt_j"]
+        assert p_served == frame["applied_w"]
+        assert twin.voltage_v == frame["voltage_v"]
 
 
 class TestTrace:
