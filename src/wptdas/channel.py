@@ -241,6 +241,8 @@ class FrequencyGrid:
                 count: int = 15) -> "FrequencyGrid":
         """``count`` points uniformly spanning the band, endpoints included."""
         count = check_integer("count", count, low=1)
+        check_finite({"center_hz": center_hz, "bandwidth_hz": bandwidth_hz},
+                     "center_hz", "bandwidth_hz")
         if bandwidth_hz < 0 or center_hz <= 0:
             raise ValidationError("need center_hz > 0 and bandwidth_hz >= 0")
         if count == 1:

@@ -58,10 +58,10 @@ def dbm_to_watts(x_dbm):
 
 
 def watts_to_dbm(x_w):
-    """Watts to dBm; rejects non-positive powers."""
+    """Watts to dBm; rejects powers that are not finite and > 0."""
     x = np.asarray(x_w, dtype=float)
-    if np.any(x <= 0):
-        raise ValidationError("watts_to_dbm needs power > 0")
+    if not np.all((x > 0.0) & (x < math.inf)):
+        raise ValidationError("watts_to_dbm needs finite power > 0")
     out = 10.0 * np.log10(x) + 30.0
     return float(out) if out.ndim == 0 else out
 
@@ -319,6 +319,19 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
                             kind="sweep")
 
 
+def _cell_walks(slots: list) -> list:
+    """Consecutive runs of sweep cells that one engine walk takes together,
+    as ranges of cell indices: a run grows while its total of training slots
+    (``slots``, one count per cell) stays within the largest cell's."""
+    walks, cap = [], max(slots)
+    for i, s in enumerate(slots):
+        if walks and sum(slots[walks[-1].start:i]) + s <= cap:
+            walks[-1] = range(walks[-1].start, i + 1)
+        else:
+            walks.append(range(i, i + 1))
+    return walks
+
+
 def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlLinkModel,
                      adc: AdcModel | None) -> dict:
     """Per-realization delivery powers of the protocol sweep.
@@ -326,9 +339,11 @@ def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlL
     Returns {(m, k): array of shape (R, users)}. The ideal sweep's dc
     tensor is built once and each cell's matrices are a slice of it, so both
     pipelines see the same numbers. Each cell runs its round of one frame per
-    user for every realization at once. Realization r's link draws come from
-    its own substream, cell by cell and frame by frame, so they match a walk
-    of one realization at a time.
+    user for every realization at once, and consecutive cells share one
+    engine walk (:func:`_cell_walks`), which skips the energies the sweep
+    does not read. Realization r's link draws come from its own substream,
+    cell by cell and frame by frame, so they match a walk of one realization
+    at a time.
     """
     cells = list(_sweep_cells(cfg))
     n_real, users = cfg.realizations, cfg.users
@@ -337,21 +352,20 @@ def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlL
     draws = [None] * len(cells)
     if link.drop_probability > 0.0:  # a lossless link draws nothing
         keys = substream_keys(cfg.seed, DOMAIN_LINK, np.arange(n_real))
-        draws = np.split(keyed_draws(keys, "random", np.empty((n_real, sum(widths)))),
-                         np.cumsum(widths)[:-1], axis=1)
+        draws = [d.reshape(n_real, users, m + 1) for d, (m, _k, _cols) in zip(np.split(
+            keyed_draws(keys, "random", np.empty((n_real, sum(widths)))),
+            np.cumsum(widths)[:-1], axis=1), cells)]
 
     values = {}
-    for (m, k, cols), cell_draws in zip(cells, draws):
-        p_dc = dc[:, :, :m][..., cols]
-        if cell_draws is not None:
-            cell_draws = cell_draws.reshape(n_real, users, m + 1)
-        fallback = np.broadcast_to(default_pair(k), (n_real, users, 2))
-        batch = run_rounds(p_dc, [cfg.rect] * users, sched, link, adc, cell_draws,
-                           np.zeros((n_real, users)), fallback, users)
-        total = np.zeros((n_real, users))
-        for j in range(users):  # one add per frame, in frame order
-            total += batch.served_w[:, j]
-        values[(m, k)] = total / users
+    for walk in _cell_walks([m * k for m, k, _cols in cells]):
+        group = [cells[i] for i in walk]
+        batches = run_rounds([dc[:, :, :m][..., cols] for m, _k, cols in group],
+                             [cfg.rect] * users, sched, link, adc, [draws[i] for i in walk],
+                             [0.0] * len(walk), [default_pair(k) for _m, k, _cols in group],
+                             users, energy=False)
+        for (m, k, _cols), batch in zip(group, batches):
+            # summed frame by frame, in frame order
+            values[(m, k)] = np.add.accumulate(batch.served_w, axis=1)[:, -1] / users
     return values
 
 

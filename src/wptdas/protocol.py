@@ -22,16 +22,19 @@ activation or feedback - is one byte, so a frame sends
 One engine, :func:`run_rounds`, walks the frames of a whole batch of TDMA
 rounds at once: every (realization, user) row settles through the same
 slots, the training user's samples feed its selection, and the passive
-users harvest what the transmitter emits. Its :class:`RoundBatch` is the
-result of every caller: the protocol sweep batches the realizations of a
-cell, :func:`wptdas.scheduler.run_tdma` walks one round and
-:func:`run_frame` one frame. Event logs are built only on request, from the
-batch's arrays (:func:`frame_log`, written by :func:`write_events`).
+users harvest what the transmitter emits. A walk may hold several cells
+(candidate-matrix shapes) with their frames laid end to end, each with its
+own :class:`RoundBatch` of views into the walk's arrays; the training and
+delivery energies are None when the caller skips them. A batch is the
+result of every caller: the protocol sweep walks runs of consecutive cells
+over all realizations without the energies,
+:func:`wptdas.scheduler.run_tdma` walks one round and :func:`run_frame` one
+frame. Event logs are built only on request, from the batch's arrays
+(:func:`frame_log`, written by :func:`write_events`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -196,12 +199,15 @@ def _blank_us(link: ControlLinkModel, n_total: int, slot_us: int) -> list:
 
 @dataclass
 class RoundBatch:
-    """Arrays of ``B`` TDMA rounds walked side by side by :func:`run_rounds`.
+    """Arrays of ``B`` TDMA rounds of one cell, walked side by side by
+    :func:`run_rounds`.
 
     Frame ``j`` of a round trains user ``j``; every user of the round
     harvests in every frame. Pairs are 0-based (antenna, frequency) on the
     last axis. Shapes use ``B`` rounds, ``F`` frames, ``K`` users and
-    ``M x N`` pairs.
+    ``M x N`` pairs. The cells of one walk share its arrays: each cell's
+    batch is a set of views into them. The two energies are None when the
+    walk was run with ``energy=False``.
     """
 
     activated: np.ndarray  # (B, F, M) activation message delivered
@@ -212,124 +218,165 @@ class RoundBatch:
     selected_w: np.ndarray  # (B, F) sampled power at the selected pair
     applied: np.ndarray  # (B, F, 2) the pair served
     served_w: np.ndarray  # (B, F, K) each user's steady dc power at the served pair
-    training_j: np.ndarray  # (B, F, K) energy harvested during training
-    wpt_j: np.ndarray  # (B, F, K) energy harvested during delivery
+    training_j: np.ndarray | None  # (B, F, K) energy harvested during training
+    wpt_j: np.ndarray | None  # (B, F, K) energy harvested during delivery
     voltage_v: np.ndarray  # (B, F, K) output voltage at frame end
 
 
-def run_rounds(p_dc: np.ndarray, rects: list, sched: FrameSchedule, link: ControlLinkModel,
-               adc: AdcModel | None, draws: np.ndarray | None, v_initial, prior,
-               frames: int) -> RoundBatch:
-    """Walk ``frames`` frames of ``B`` independent rounds through the protocol.
+def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkModel,
+               adc: AdcModel | None, draws: list, v_initial: list, prior: list, frames: int,
+               energy: bool = True) -> list[RoundBatch]:
+    """Walk ``frames`` frames of ``B`` independent rounds of each of a list of
+    cells through the protocol; one :class:`RoundBatch` per cell.
 
-    ``p_dc`` is (B, K, M, N): each user's steady dc power per pair, already
-    through :func:`check_powers`; ``rects`` holds one rectenna per user.
-    ``draws`` is (B, frames, M + 1): each frame's link uniforms, M
-    activations then the feedback, or None on a lossless link. A message
-    gets through when its draw is at least the drop probability.
-    ``v_initial`` (B, K) are the output voltages at the round start; they
-    carry from frame to frame. ``prior`` (B, K, 2) is the pair, within the
-    matrix, that each user's transmitter falls back to when that user's
-    feedback is lost (:func:`fallback_pair`).
+    A cell is one candidate-matrix shape. Each of the per-cell lists holds
+    one entry per cell: ``p_dc`` (B, K, M, N), each user's steady dc power
+    per pair, already through :func:`check_powers`; ``draws`` (B, frames,
+    M + 1), each frame's link uniforms, M activations then the feedback, or
+    None on a lossless link (a message gets through when its draw is at
+    least the drop probability); ``v_initial``, the output voltages at the
+    round start, which carry from frame to frame, and ``prior``, the pair
+    within the matrix that each user's transmitter falls back to when that
+    user's feedback is lost (:func:`fallback_pair`), each (B, K) and
+    (B, K, 2) or broadcast to it. ``rects`` holds one rectenna per user,
+    shared by every cell. With ``energy=False`` the walk skips the training
+    and delivery energies and returns them as None.
 
-    The walk steps every (round, user) row's voltage through the frame's
-    settling segments together, then takes every segment's energy at once;
-    each element meets the same float operations, in the same order, as a
-    walk of one receiver through one frame.
+    The cells' frames lie end to end on the segment axis, and each cell
+    restarts from its own voltage. The walk steps every (round, user) row's
+    voltage through the frame's settling segments together, then takes
+    every segment's energy at once; each element meets the same float
+    operations, in the same order, as a walk of one receiver through one
+    frame of one cell.
     """
-    n_rounds, k_users, m_total, n_total = p_dc.shape
-    check_feedback_space(m_total, n_total)
-    slots = m_total * n_total
+    shapes = [p.shape[2:] for p in p_dc]
+    n_rounds, k_users = p_dc[0].shape[:2]
+    n_cells = len(p_dc)
+    for m_total, n_total in shapes:
+        check_feedback_space(m_total, n_total)
     slot_us, wpt_us = sched.slot_us, sched.wpt_us
     tau = np.array([r.settle_tau_s for r in rects])
     load = np.array([r.load_ohms for r in rects])
-
-    @functools.cache
-    def decay(us: int) -> np.ndarray:
-        """Per-user decay over ``us``: one exp per (duration, time constant)."""
-        return np.array([math.exp(-(us * 1e-6) / t) for t in tau.tolist()])
-
-    @functools.cache
-    def rise(us: int) -> np.ndarray:
-        """Per-user ``1 - decay(us)``, taken with ``expm1``."""
-        return np.array([-math.expm1(-(us * 1e-6) / t) for t in tau.tolist()])
-
-    # The frame's settling segments: one per slot, except that a slot whose
-    # head is blanked splits in two, toward 0 over the head and then toward
-    # the pair. A row idle in a blanked slot decays over the whole slot in
-    # the head segment, where the duration term vanishes as the target is 0,
-    # then holds: decay 1, rise 0 and no energy in the tail (``idle_us``).
-    blank = _blank_us(link, n_total, slot_us)
-    seg_slot, seg_us, idle_us, heads = [], [], [], []
-    for s in range(slots):
-        head = blank[s % n_total]
-        if 0 < head < slot_us:
-            heads.append(len(seg_slot))
-            seg_slot += [s, s]
-            seg_us += [head, slot_us - head]
-            idle_us += [slot_us, 0]
-        else:
-            seg_slot.append(s)
-            seg_us.append(slot_us)
-            idle_us.append(slot_us)
-    seg_dur = np.array(seg_us)[:, None, None] * 1e-6
-    seg_decay = np.stack([decay(us) for us in seg_us])[:, None, :]
-    seg_rise = np.stack([rise(us) for us in seg_us])[:, None, :]
-    idle_decay = np.stack([decay(us) for us in idle_us])[:, None, :]
-    idle_rise = np.stack([rise(us) for us in idle_us])[:, None, :]
-    slot_end = np.searchsorted(seg_slot, np.arange(slots), side="right")
-    live = np.array(blank) < slot_us
     wpt_blank = min(link.latency_us, wpt_us)
 
-    ok = np.ones((n_rounds, frames, m_total + 1), dtype=bool) if draws is None \
-        else draws >= link.drop_probability
-    activated, fed_back = ok[..., :m_total], ok[..., m_total]
-    prior = np.asarray(prior)[:, :frames]
+    # The settling segments, cell after cell: one per slot, except that a
+    # slot whose head is blanked splits in two, toward 0 over the head and
+    # then toward the pair. A row idle in a blanked slot decays over the
+    # whole slot in the head segment, where the duration term vanishes as
+    # the target is 0, then holds: decay 1, rise 0 and no energy in the tail
+    # (``idle_us``). ``volts`` has a start row before each cell's segments.
+    seg_slot, seg_us, idle_us, heads, seg_rows, cell_segs = [], [], [], [], [], []
+    slot_ant, slot_live, slot_end = [], [], []
+    antenna0 = 0
+    for c, (m_total, n_total) in enumerate(shapes):
+        blank = _blank_us(link, n_total, slot_us)
+        first = len(seg_us)
+        for s in range(m_total * n_total):
+            head = blank[s % n_total]
+            split = 0 < head < slot_us
+            if split:
+                heads.append(len(seg_us))
+            seg_us += [head, slot_us - head] if split else [slot_us]
+            idle_us += [slot_us, 0] if split else [slot_us]
+            seg_slot += [len(slot_end)] * (1 + split)
+            slot_ant.append(antenna0 + s // n_total)
+            slot_live.append(head < slot_us)
+            slot_end.append(len(seg_us) + c)
+        antenna0 += m_total
+        cell_segs.append((first, len(seg_us)))
+        seg_rows += range(first + c + 1, len(seg_us) + c + 1)
+    starts = [first + c for c, (first, _) in enumerate(cell_segs)]
+    lasts = [last + c for c, (_, last) in enumerate(cell_segs)]
 
-    v_tgt = np.sqrt(p_dc * load[:, None, None])
-    seg_tgt = v_tgt.reshape(n_rounds, k_users, slots).transpose(2, 0, 1)[seg_slot]
+    # one exp (and expm1) per (duration, time constant), then a row per segment
+    durations = sorted(set(seg_us + idle_us + [wpt_blank]))
+    code = {us: i for i, us in enumerate(durations)}
+    seg_code, idle_code = [code[us] for us in seg_us], [code[us] for us in idle_us]
+    decay = np.array([[math.exp(-(us * 1e-6) / t) for t in tau.tolist()] for us in durations])
+    seg_decay, idle_decay = decay[seg_code][:, None], decay[idle_code][:, None]
+    if energy:
+        rise = np.array([[-math.expm1(-(us * 1e-6) / t) for t in tau.tolist()]
+                         for us in durations])
+        seg_rise, idle_rise = rise[seg_code][:, None], rise[idle_code][:, None]
+        seg_dur = np.array(seg_us)[:, None, None] * 1e-6
+        seg_from = np.array(seg_rows) - 1  # each segment's start row in ``volts``
+
+    ok = [np.ones((n_rounds, frames, m + 1), dtype=bool) if d is None
+          else d >= link.drop_probability for d, (m, _) in zip(draws, shapes)]
+    fed_back = np.stack([o[..., m] for o, (m, _) in zip(ok, shapes)])  # (C, B, F)
+    emits = (np.concatenate([o[..., :m] for o, (m, _) in zip(ok, shapes)], axis=-1)
+             [..., slot_ant] & np.array(slot_live))  # (B, F, slots)
+    on = emits[..., seg_slot].transpose(1, 2, 0)[..., None]  # (F, segments, B, 1)
+    prior = np.stack([np.broadcast_to(p, (n_rounds, k_users, 2))[:, :frames] for p in prior])
+
+    p_flat = np.concatenate([p.reshape(n_rounds, k_users, -1) for p in p_dc], axis=-1)
+    v_flat = np.sqrt(p_flat * load[:, None])
+    seg_tgt = v_flat.transpose(2, 0, 1)[seg_slot]
     seg_tgt[heads] = 0.0  # (segments, B, K); every row settles toward 0 over a head
-    rows = np.arange(n_rounds)[:, None]
+
+    # selection reads each cell's samples zero-padded to the walk's largest
+    # shape: pair (0, 0) is real and scanned first, so a pad, at 0, never wins
+    m_pad, n_pad = max(m for m, _ in shapes), max(n for _, n in shapes)
+    slot_off = np.cumsum([0] + [m * n for m, n in shapes])
+    pad_idx = np.concatenate([c * m_pad * n_pad + np.add.outer(np.arange(m) * n_pad,
+                                                               np.arange(n)).ravel()
+                              for c, (m, n) in enumerate(shapes)])
+    padded = np.zeros((n_rounds, n_cells * m_pad * n_pad))
+    n_cols = np.array([n for _, n in shapes])[:, None]
+
+    rows = np.arange(n_rounds)
+    cells = np.arange(n_cells)[:, None]
     users = np.arange(k_users)
-    v = np.array(v_initial, dtype=float)
-    out = {}
+    v = np.stack([np.broadcast_to(np.asarray(x, dtype=float), (n_rounds, k_users))
+                  for x in v_initial])  # (C, B, K)
+    volts = np.empty((len(seg_us) + n_cells, n_rounds, k_users))
+    samples = np.empty((n_rounds, frames, slot_off[-1]))
+    out = {}  # (C, B, F, ...) per key
     for j in range(frames):
-        emitting = activated[:, j, :, None] & live
-        emits = emitting.reshape(n_rounds, slots)
-        on = emits.T[seg_slot, :, None]
-        tgt = np.where(on, seg_tgt, 0.0)
-        dec = np.where(on, seg_decay, idle_decay)
-        ris = np.where(on, seg_rise, idle_rise)
-        volts = np.empty((len(seg_slot) + 1, n_rounds, k_users))
-        volts[0] = v
-        for g in range(len(seg_slot)):
-            volts[g + 1] = settle(volts[g], tgt[g], dec[g])
-        # summed in segment order, as a walk adds them
-        energy = np.add.accumulate(segment_energy(volts[:-1], tgt, seg_dur, ris, tau, load))[-1]
-        v = volts[-1]
+        tgt = np.where(on[j], seg_tgt, 0.0)
+        dec = np.where(on[j], seg_decay, idle_decay)
+        volts[starts] = v
+        for g, row in enumerate(seg_rows):
+            volts[row] = settle(volts[row - 1], tgt[g], dec[g])
+        v = volts[lasts]
 
         ends = volts[slot_end, :, j].T
-        samples = ends if adc is None else adc.quantize(ends)
-        sampled_w = check_powers(np.square(samples).reshape(n_rounds, m_total, n_total)
-                                 / load[j])
-        selected = np.stack(select_pairs(sampled_w, "joint"), axis=-1)
-        applied = np.where(fed_back[:, j, None], selected, prior[:, j])
-        served = (rows, users, applied[:, :1], applied[:, 1:])
-        de = 0.0
+        samples[:, j] = ends if adc is None else adc.quantize(ends)
+        sampled_w = check_powers(np.square(samples[:, j]) / load[j])
+        padded[:, pad_idx] = sampled_w
+        a, f = select_pairs(padded.reshape(n_rounds, n_cells, m_pad, n_pad), "joint")
+        selected = np.stack((a.T, f.T), axis=-1)  # (C, B, 2)
+        applied = np.where(fed_back[:, :, j, None], selected, prior[:, :, j])
+        served = (rows[:, None], users, (slot_off[:-1, None] + applied[..., 0] * n_cols
+                                         + applied[..., 1])[..., None])
+        served_w = p_flat[served]
+        frame = dict(selected=selected, applied=applied, served_w=served_w,
+                     selected_w=padded[rows, (cells * m_pad + a.T) * n_pad + f.T])
+        if energy:
+            energy_j = segment_energy(volts[seg_from], tgt, seg_dur,
+                                      np.where(on[j], seg_rise, idle_rise), tau, load)
+            # summed in segment order, as a walk adds them
+            frame["training_j"] = np.stack([np.add.accumulate(energy_j[a0:a1])[-1]
+                                            for a0, a1 in cell_segs])
+            de = 0.0 if wpt_blank == 0 else segment_energy(
+                v, 0.0, wpt_blank * 1e-6, rise[code[wpt_blank]], tau, load)
+            frame["wpt_j"] = de + served_w * (wpt_us - wpt_blank) * 1e-6
         if wpt_blank > 0:
-            de = segment_energy(v, 0.0, wpt_blank * 1e-6, rise(wpt_blank), tau, load)
-            v = settle(v, 0.0, decay(wpt_blank))
+            v = settle(v, 0.0, decay[code[wpt_blank]])
         if wpt_us > wpt_blank:
-            v = v_tgt[served]
-        frame = dict(emitting=emitting, samples=samples, selected=selected,
-                     selected_w=sampled_w[rows[:, 0], selected[:, 0], selected[:, 1]],
-                     applied=applied, served_w=p_dc[served], training_j=energy,
-                     wpt_j=de + p_dc[served] * (wpt_us - wpt_blank) * 1e-6, voltage_v=v)
+            v = v_flat[served]
+        frame["voltage_v"] = v
         for key, value in frame.items():
             if key not in out:
-                out[key] = np.empty((n_rounds, frames) + value.shape[1:], value.dtype)
-            out[key][:, j] = value
-    return RoundBatch(activated=activated, fed_back=fed_back, **out)
+                out[key] = np.empty((n_cells, n_rounds, frames) + value.shape[2:], value.dtype)
+            out[key][:, :, j] = value
+
+    return [RoundBatch(activated=o[..., :m], fed_back=o[..., m],
+                       emitting=emits[..., s0:s1].reshape(n_rounds, frames, m, n),
+                       samples=samples[..., s0:s1],
+                       **{"training_j": None, "wpt_j": None}
+                       | {key: arr[c] for key, arr in out.items()})
+            for c, (o, (m, n), s0, s1) in enumerate(zip(ok, shapes, slot_off, slot_off[1:]))]
 
 
 def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
@@ -388,8 +435,7 @@ def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule = Fra
     """
     p_dc = CandidateMatrix.from_powers(p_dc).values
     m_total, n_total = p_dc.shape
-    fallback = [[fallback_pair(prior, m_total, n_total)]]
     check_finite({"v_initial": v_initial}, "v_initial", low=0)
-    return run_rounds(p_dc[None, None], [rect], sched, link, adc,
-                      link.draws(rng, (1, 1, m_total + 1)), [[float(v_initial)]],
-                      fallback, frames=1)
+    return run_rounds([p_dc[None, None]], [rect], sched, link, adc,
+                      [link.draws(rng, (1, 1, m_total + 1))], [float(v_initial)],
+                      [fallback_pair(prior, m_total, n_total)], frames=1)[0]

@@ -98,8 +98,8 @@ class EfficiencyCurve:
     def efficiency(self, p_rf_w, freq_hz):
         """Efficiency in [0, 1]; zero input power maps to zero. Vectorized."""
         p = np.asarray(p_rf_w, dtype=float)
-        if np.any(p < 0):
-            raise ValidationError("p_rf_w must be >= 0")
+        if not np.all((p >= 0.0) & (p < math.inf)):
+            raise ValidationError("p_rf_w must be finite and >= 0")
         scalar = p.ndim == 0 and np.ndim(freq_hz) == 0
         p = np.atleast_1d(p)
         f = np.broadcast_to(np.asarray(freq_hz, dtype=float), p.shape)

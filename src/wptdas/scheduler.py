@@ -111,9 +111,9 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
             sample_channel(profile, antennas, rng), grid, budget, u.rect.curve,
             u.extra_loss_db) for u in users]))
         count = min(k, frames - start)
-        batch = run_rounds(p_dc[None], [u.rect for u in users], sched, link, adc,
-                           link.draws(rng, (1, count, antennas + 1)),
-                           [[u.voltage_v for u in users]], fallback, count)
+        batch, = run_rounds([p_dc[None]], [u.rect for u in users], sched, link, adc,
+                            [link.draws(rng, (1, count, antennas + 1))],
+                            [[[u.voltage_v for u in users]]], [fallback], count)
         for j in range(count):
             i = start + j
             antenna, frequency = (batch.applied[0, j] + 1).tolist()

@@ -278,6 +278,15 @@ class TestFrequencyGrid:
         with pytest.raises(ValidationError, match="count"):
             FrequencyGrid.ieee_plan(count)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(center_hz=math.inf), "center_hz"),
+        (dict(bandwidth_hz=math.nan, count=1), "bandwidth_hz"),
+        (dict(center_hz="2.4e9"), "center_hz"),
+    ])
+    def test_uniform_band_must_be_finite_numbers(self, kwargs, field):
+        with pytest.raises(ValidationError, match=field):
+            FrequencyGrid.uniform(**kwargs)
+
     def test_integer_counts_of_any_integer_type_build(self):
         assert FrequencyGrid.uniform(count=np.int64(3)).count == 3
         assert FrequencyGrid.ieee_plan(np.int64(7)).count == 7

@@ -8,6 +8,7 @@ Python floats. The engine in :mod:`wptdas.protocol` walks every
 
 import io
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.experiments import ExperimentConfig, _protocol_values, nested_frequency_indices
-from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, fallback_pair, run_frame,
-                             run_rounds, write_events)
+from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, RoundBatch, fallback_pair,
+                             run_frame, run_rounds, write_events)
 from wptdas.rectenna import RectennaConfig, segment_energy, settle, settling_energy
 from wptdas.rng import substream
 from wptdas.scheduler import UserState, run_tdma
@@ -191,8 +192,8 @@ class TestRoundLogsAgainstScalarWalk:
                                    min_size=rounds, max_size=rounds))
         draws = [link.draws(substream(seed, b), (k, m_total + 1)) for b in range(rounds)]
         fallback = [[fallback_pair(p, m_total, n_total) for p in row] for row in priors]
-        batch = run_rounds(p_dc, user_rects, sched, link, adc,
-                           None if drop == 0.0 else np.stack(draws), volts, fallback, k)
+        batch, = run_rounds([p_dc], user_rects, sched, link, adc,
+                            [None if drop == 0.0 else np.stack(draws)], [volts], [fallback], k)
         for b in range(rounds):
             group = [UserState(user_id=u + 1, rect=rect, prior=priors[b][u],
                                voltage_v=volts[b][u]) for u, rect in enumerate(user_rects)]
@@ -202,6 +203,61 @@ class TestRoundLogsAgainstScalarWalk:
             frame_us = sched.frame_us(m_total * n_total)
             frames = [oracle.batch_frame(batch, b, j, sched, j * frame_us) for j in range(k)]
             assert frames == ref_frames
+
+
+def chained_cells(seed, rounds, k, frames, shapes, link):
+    """Per-cell lists for :func:`run_rounds`: dc powers with some exact zeros
+    (an all-zero cell ties every pair), link draws, start voltages and priors."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for m, n in shapes:
+        keep = rng.choice([0.0, 0.5, 1.0])
+        p_dc = check_powers(rng.exponential(1e-5, (rounds, k, m, n))
+                            * (rng.random((rounds, k, m, n)) < keep))
+        prior = np.stack([rng.integers(0, m, (rounds, k)), rng.integers(0, n, (rounds, k))], -1)
+        cells.append((p_dc, link.draws(rng, (rounds, frames, m + 1)),
+                      rng.uniform(0.0, 3.0, (rounds, k)), prior))
+    return [list(cell) for cell in zip(*cells)]
+
+
+class TestChainedWalk:
+    # Several cells laid end to end in one walk against each cell walked alone.
+    shapes = st.lists(st.sampled_from([(1, 1), (2, 3), (3, 5), (4, 15)]), min_size=1, max_size=4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, rounds=st.integers(1, 3), user_rects=st.lists(rects, min_size=1, max_size=3),
+           shapes=shapes, drop=drops, latency_s=latencies, adc=adcs, data=st.data())
+    def test_each_cell_equals_its_own_walk(self, seed, rounds, user_rects, shapes, drop,
+                                           latency_s, adc, data):
+        k = len(user_rects)
+        frames = data.draw(st.integers(1, k))
+        sched = FrameSchedule()
+        link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
+        p_dc, draws, volts, priors = chained_cells(seed, rounds, k, frames, shapes, link)
+        chained = run_rounds(p_dc, user_rects, sched, link, adc, draws, volts, priors, frames)
+        assert len(chained) == len(shapes)
+        for c, batch in enumerate(chained):
+            alone, = run_rounds(p_dc[c:c + 1], user_rects, sched, link, adc, draws[c:c + 1],
+                                volts[c:c + 1], priors[c:c + 1], frames)
+            for field in fields(RoundBatch):
+                assert np.array_equal(getattr(batch, field.name), getattr(alone, field.name))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=seeds, user_rects=st.lists(rects, min_size=1, max_size=3), shapes=shapes,
+           drop=drops, latency_s=latencies, adc=adcs)
+    def test_a_walk_without_energy_changes_nothing_else(self, seed, user_rects, shapes, drop,
+                                                        latency_s, adc):
+        k = len(user_rects)
+        link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
+        cells = chained_cells(seed, 2, k, k, shapes, link)
+        full = run_rounds(cells[0], user_rects, FrameSchedule(), link, adc, *cells[1:], k)
+        lean = run_rounds(cells[0], user_rects, FrameSchedule(), link, adc, *cells[1:], k,
+                          energy=False)
+        for batch, ref in zip(lean, full, strict=True):
+            assert batch.training_j is None and batch.wpt_j is None
+            for field in fields(RoundBatch):
+                if field.name not in ("training_j", "wpt_j"):
+                    assert np.array_equal(getattr(batch, field.name), getattr(ref, field.name))
 
 
 class TestTdmaAgainstScalarWalk:

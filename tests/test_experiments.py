@@ -15,7 +15,9 @@ from wptdas.experiments import (
     TransmitterConsumption,
     dbm_to_watts,
     nested_frequency_indices,
+    _cell_walks,
     _protocol_values,
+    _sweep_cells,
     power_budget_report,
     run_protocol_experiment,
     run_sweep,
@@ -58,6 +60,11 @@ class TestUnitConversions:
             watts_to_dbm(0.0)
         with pytest.raises(ValidationError):
             watts_to_dbm(-1e-6)
+
+    @pytest.mark.parametrize("x_w", [math.nan, math.inf, [1e-3, math.nan]])
+    def test_power_that_is_not_finite_rejected(self, x_w):
+        with pytest.raises(ValidationError, match="watts_to_dbm"):
+            watts_to_dbm(x_w)
 
 
 class TestNestedSubsets:
@@ -411,6 +418,27 @@ class TestBatchedSweep:
             with pytest.raises(ValidationError):
                 small_cfg(seed=seed)
         assert small_cfg(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
+class TestCellWalks:
+    @settings(max_examples=200, deadline=None)
+    @given(slots=st.lists(st.integers(1, 64), min_size=1, max_size=20))
+    def test_walks_keep_sweep_order_within_the_largest_cell(self, slots):
+        walks = _cell_walks(slots)
+        assert [i for walk in walks for i in walk] == list(range(len(slots)))
+        assert all(sum(slots[i] for i in walk) <= max(slots) for walk in walks)
+        # a walk closes only when the next cell would not fit
+        for walk, after in zip(walks, walks[1:]):
+            assert sum(slots[i] for i in walk) + slots[after.start] > max(slots)
+
+    def test_one_cell_is_one_walk(self):
+        assert _cell_walks([7]) == [range(1)]
+
+    def test_the_default_sweep_takes_five_walks(self):
+        # antenna sets 1..4 x frequency sets 1/3/5/15, the benchmark's sweep too
+        slots = [m * k for m, k, _cols in _sweep_cells(small_cfg())]
+        assert len(slots) == 16
+        assert [len(walk) for walk in _cell_walks(slots)] == [7, 4, 2, 2, 1]
 
 
 class TestFingerprint:

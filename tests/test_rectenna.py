@@ -78,6 +78,14 @@ class TestEfficiency:
         with pytest.raises(ValidationError):
             EfficiencyCurve.parametric().efficiency(-1e-6, 2.44e9)
 
+    @pytest.mark.parametrize("curve", [EfficiencyCurve.parametric(),
+                                       EfficiencyCurve.from_table([-20.0], [2.44e9], [[0.25]])],
+                             ids=["parametric", "table"])
+    @pytest.mark.parametrize("p_rf_w", [math.nan, math.inf, [1e-6, math.nan]])
+    def test_rejects_power_that_is_not_finite(self, curve, p_rf_w):
+        with pytest.raises(ValidationError, match="p_rf_w"):
+            curve.efficiency(p_rf_w, 2.44e9)
+
     def test_malformed_table_rejected_at_build(self):
         with pytest.raises(ValidationError):
             EfficiencyCurve.from_table([-10.0, -20.0], [2.4e9], [[0.2], [0.3]])
