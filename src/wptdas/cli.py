@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .channel import FrequencyGrid, LinkBudget, resolve_profile
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 from .experiments import (
     ExperimentConfig,
     ReceiverConsumption,
@@ -148,7 +148,7 @@ _SCHEMA = {
         **_keys(ExperimentConfig, _list(str), "strategies"),
         **_keys(ExperimentConfig, _list(_float), "user_loss_db"),
         **_keys(Settings, _choice("ideal", "protocol"), "pipeline"),
-        **_keys(Settings, int, "frames"),
+        "frames": (Settings, "frames", lambda raw: check_integer("frames", int(raw), low=1)),
     },
     "consumption": {
         "soc_power_dbm": (ReceiverConsumption, "soc_power_w", _dbm),
@@ -306,9 +306,10 @@ def cmd_tdma(args) -> int:
     with _create(args, "tdma_trace.csv") as fh:
         fh.write(_header_lines(cfg.seed, config_hash))
         result.to_csv(fh)
+    totals = {r.user_id: r.energy_j for r in result.rows}  # each user's last row
     for u in users:
         _say(args, f"user {u.user_id}: avg {result.user_average_power_w(u.user_id) * 1e6:.4g} uW "
-                   f"over {st.frames} frames, total {u.energy_j * 1e6:.4g} uJ")
+                   f"over {st.frames} frames, total {totals[u.user_id] * 1e6:.4g} uJ")
     _say(args, f"trace -> {fh.name}")
     return 0
 

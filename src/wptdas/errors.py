@@ -40,11 +40,3 @@ def check_integer(name: str, value, low: int | None = None, high: int | None = N
         raise ValidationError(f"{name} must be <= {high}")
     return int(value)
 
-
-def check_pair(name: str, value, dims: tuple = (None, None)) -> tuple[int, int] | None:
-    """None, or ``value`` as a pair of ints in 1..``dims``; raise naming ``name`` and it if not."""
-    if value is None:
-        return None
-    if not hasattr(value, "__len__") or len(value) != 2:
-        raise ValidationError(f"{name} must be a pair, got {value!r}")
-    return tuple(check_integer(f"{name} {value!r}", x, 1, hi) for x, hi in zip(value, dims))

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (FeedbackCapacityError, FeedbackDecodeError, ValidationError,
-                     check_finite, check_integer, check_pair)
+                     check_finite, check_integer)
 from .rectenna import RectennaConfig, segment_energy, settle
 from .selection import CandidateMatrix, check_powers, default_pair, select_pairs
 
@@ -235,12 +235,14 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
     M + 1), each frame's link uniforms, M activations then the feedback, or
     None on a lossless link (a message gets through when its draw is at
     least the drop probability); ``v_initial``, the output voltages at the
-    round start, which carry from frame to frame, and ``prior``, the pair
-    within the matrix that each user's transmitter falls back to when that
-    user's feedback is lost (:func:`fallback_pair`), each (B, K) and
-    (B, K, 2) or broadcast to it. ``rects`` holds one rectenna per user,
-    shared by every cell. With ``energy=False`` the walk skips the training
-    and delivery energies and returns them as None.
+    round start, which carry from frame to frame, and ``prior``, the 0-based
+    pair within the matrix that each user's transmitter falls back to when
+    that user's feedback is lost, each (B, K) and (B, K, 2) or broadcast to
+    it. ``rects`` holds one rectenna per user, shared by every cell. With
+    ``energy=False`` the walk skips the training and delivery energies and
+    returns them as None. Before the walk, a cell whose ``p_dc`` or
+    ``draws`` does not fit the first cell's B and K and ``frames`` (1..K),
+    or whose ``prior`` lies outside its matrix, is rejected.
 
     The cells' frames lie end to end on the segment axis, and each cell
     restarts from its own voltage. The walk steps every (round, user) row's
@@ -249,11 +251,22 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
     operations, in the same order, as a walk of one receiver through one
     frame of one cell.
     """
+    n_cells = len(p_dc)
+    if not n_cells == len(draws) == len(v_initial) == len(prior) >= 1:
+        raise ValidationError("need one p_dc, draws, v_initial and prior entry per cell")
     shapes = [p.shape[2:] for p in p_dc]
     n_rounds, k_users = p_dc[0].shape[:2]
-    n_cells = len(p_dc)
-    for m_total, n_total in shapes:
-        check_feedback_space(m_total, n_total)
+    frames = check_integer("frames", frames, low=1, high=k_users)
+    for c, (p, d) in enumerate(zip(p_dc, draws)):
+        if p.ndim != 4 or p.shape[:2] != (n_rounds, k_users) or (
+                d is not None and np.shape(d) != (n_rounds, frames, p.shape[2] + 1)):
+            raise ValidationError(f"cell {c}: p_dc {p.shape} and draws {np.shape(d)} do not fit "
+                                  f"{n_rounds} rounds, {k_users} users and {frames} frames")
+        check_feedback_space(*shapes[c])
+    prior = np.stack([np.broadcast_to(p, (n_rounds, k_users, 2)) for p in prior])
+    outside = (prior < 0) | (prior >= np.array(shapes)[:, None, None])
+    if prior.dtype.kind not in "iu" or outside.any():
+        raise ValidationError("prior pairs must be 0-based integers within each cell's matrix")
     slot_us, wpt_us = sched.slot_us, sched.wpt_us
     tau = np.array([r.settle_tau_s for r in rects])
     load = np.array([r.load_ohms for r in rects])
@@ -307,7 +320,6 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
     emits = (np.concatenate([o[..., :m] for o, (m, _) in zip(ok, shapes)], axis=-1)
              [..., slot_ant] & np.array(slot_live))  # (B, F, slots)
     on = emits[..., seg_slot].transpose(1, 2, 0)[..., None]  # (F, segments, B, 1)
-    prior = np.stack([np.broadcast_to(p, (n_rounds, k_users, 2))[:, :frames] for p in prior])
 
     p_flat = np.concatenate([p.reshape(n_rounds, k_users, -1) for p in p_dc], axis=-1)
     v_flat = np.sqrt(p_flat * load[:, None])
@@ -379,16 +391,15 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
             for c, (o, (m, n), s0, s1) in enumerate(zip(ok, shapes, slot_off, slot_off[1:]))]
 
 
-def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
-              start_us: int = 0) -> list[Event]:
+def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule) -> list[Event]:
     """The events of frame ``j`` of round ``b`` of a walk, for its training user,
-    from ``start_us`` on."""
+    from t = 0."""
     _, _, m_total, n_total = batch.emitting.shape
     slot_us = sched.slot_us
     activated = batch.activated[b, j].tolist()
     samples = iter(batch.samples[b, j].tolist())
     events: list[Event] = []
-    t = start_us = check_integer("start_us", start_us, low=0)
+    t = 0
     for m in range(1, m_total + 1):
         events.append(Event(t, "MessageSent", antenna=m))
         if not activated[m - 1]:
@@ -406,23 +417,15 @@ def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule,
     else:
         events.append(Event(t, "MessageDropped", value=code))
     events.append(Event(t, "WptPhaseStart", antenna=applied_m, frequency=applied_n))
-    events.append(Event(start_us + sched.frame_us(m_total * n_total), "FrameEnd"))
+    events.append(Event(sched.frame_us(m_total * n_total), "FrameEnd"))
     return events
 
 
-def fallback_pair(prior, m_total: int, n_total: int) -> tuple[int, int]:
-    """0-based pair served when the feedback is lost: the 1-based ``prior``
-    pair, checked against the matrix, or :func:`default_pair` when None."""
-    pair = check_pair("prior", prior, (m_total, n_total))
-    return default_pair(n_total) if pair is None else (pair[0] - 1, pair[1] - 1)
-
-
 def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule = FrameSchedule(),
-              link: ControlLinkModel = ControlLinkModel(), prior=None,
-              rng: np.random.Generator | None = None,
-              adc: AdcModel | None = DEFAULT_ADC, v_initial: float = 0.0) -> RoundBatch:
-    """Simulate one frame: the :func:`run_rounds` batch of one round, one frame
-    and one user, whose events :func:`frame_log` lists.
+              link: ControlLinkModel = ControlLinkModel(), rng: np.random.Generator | None = None,
+              adc: AdcModel | None = DEFAULT_ADC) -> RoundBatch:
+    """Simulate one frame from rest (0 V, no earlier pair): the :func:`run_rounds`
+    batch of one round, one frame and one user, whose events :func:`frame_log` lists.
 
     ``p_dc`` is the receiver's steady dc power in watts per (antenna,
     frequency) pair, as :func:`wptdas.signal_chain.dc_power_matrix` gives it.
@@ -430,12 +433,9 @@ def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule = Fra
     latency only blanks the start of each activation block. A dropped
     activation leaves the transmitter idle for that antenna's whole block
     (the receiver still samples every slot). A dropped feedback makes the
-    transmitter fall back to ``prior`` - the last pair it applied - or to
-    (antenna 1, middle frequency) when there is no prior.
+    transmitter fall back to (antenna 1, middle frequency).
     """
     p_dc = CandidateMatrix.from_powers(p_dc).values
     m_total, n_total = p_dc.shape
-    check_finite({"v_initial": v_initial}, "v_initial", low=0)
     return run_rounds([p_dc[None, None]], [rect], sched, link, adc,
-                      [link.draws(rng, (1, 1, m_total + 1))], [float(v_initial)],
-                      [fallback_pair(prior, m_total, n_total)], frames=1)[0]
+                      [link.draws(rng, (1, 1, m_total + 1))], [0.0], [default_pair(n_total)], 1)[0]

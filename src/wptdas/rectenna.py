@@ -98,11 +98,14 @@ class EfficiencyCurve:
     def efficiency(self, p_rf_w, freq_hz):
         """Efficiency in [0, 1]; zero input power maps to zero. Vectorized."""
         p = np.asarray(p_rf_w, dtype=float)
+        f = np.asarray(freq_hz)
         if not np.all((p >= 0.0) & (p < math.inf)):
             raise ValidationError("p_rf_w must be finite and >= 0")
-        scalar = p.ndim == 0 and np.ndim(freq_hz) == 0
+        if f.dtype.kind not in "iuf" or not np.all((f > 0) & (f < math.inf)):
+            raise ValidationError(f"freq_hz must be finite numbers > 0, got {freq_hz!r}")
+        scalar = p.ndim == 0 and f.ndim == 0
         p = np.atleast_1d(p)
-        f = np.broadcast_to(np.asarray(freq_hz, dtype=float), p.shape)
+        f = np.broadcast_to(f.astype(float, copy=False), p.shape)
         out = np.zeros(p.shape)
         live = p > 0
         if np.any(live):
@@ -179,23 +182,6 @@ class RectennaConfig:
             raise ValidationError("settle_tau_s must be > 0")
 
 
-def settling_energy(v_initial: float, v_target: float, duration_s: float,
-                    cfg: RectennaConfig) -> tuple[float, float]:
-    """Energy delivered to the load while settling, and the end voltage.
-
-    Integrates v(t)^2 / R in closed form over one settling segment, which
-    keeps per-slot energy accounting exact.
-    """
-    if duration_s < 0:
-        raise ValidationError("duration_s must be >= 0")
-    if duration_s == 0:
-        return 0.0, v_initial
-    tau = cfg.settle_tau_s
-    return (segment_energy(v_initial, v_target, duration_s, -math.expm1(-duration_s / tau),
-                           tau, cfg.load_ohms),
-            settle(v_initial, v_target, math.exp(-duration_s / tau)))
-
-
 # The closed form of one settling segment, split so that a batched walk can
 # step the voltage slot by slot and then take every segment's energy at
 # once. ``decay`` is ``math.exp(-duration_s / tau_s)`` and ``rise`` is
@@ -204,9 +190,9 @@ def settling_energy(v_initial: float, v_target: float, duration_s: float,
 # the caller computes both once per (duration, time constant). Every other
 # operand may be an array: each element then meets the same float
 # operations, in the same order, as Python floats do, so a batched walk and
-# :func:`settling_energy` agree exactly. Squares are ``x * x``: Python's
-# ``x ** 2`` calls ``pow``, which can differ from numpy's square in the last
-# bit.
+# a walk of one Python float at a time agree exactly. Squares are ``x * x``:
+# Python's ``x ** 2`` calls ``pow``, which can differ from numpy's square in
+# the last bit.
 
 def settle(v_initial, v_target, decay):
     """Output voltage at the end of a segment that starts at ``v_initial``."""

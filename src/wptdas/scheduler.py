@@ -20,38 +20,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import FrequencyGrid, LinkBudget, TapProfile, sample_channel
-from .errors import ValidationError, check_finite, check_integer, check_pair
+from .errors import ValidationError, check_finite, check_integer
 from .protocol import (
     DEFAULT_ADC,
     AdcModel,
     ControlLinkModel,
     FrameSchedule,
     check_feedback_space,
-    fallback_pair,
     run_rounds,
 )
 from .rectenna import RectennaConfig
-from .selection import check_powers
+from .selection import check_powers, default_pair
 from .signal_chain import dc_power_matrix
 
 TRACE_COLUMNS = "frame,user,active_flag,antenna,frequency,p_dc_watts,energy_joules"
 
 
-@dataclass
+@dataclass(frozen=True)
 class UserState:
-    """One receiver: its rectenna, last applied pair and accumulated harvest."""
+    """One receiver: its id, rectenna and extra path loss; runs start it at rest."""
 
     user_id: int
     rect: RectennaConfig = field(default_factory=RectennaConfig)
     extra_loss_db: float = 0.0  # deployment disparity (distance, blockage)
-    prior: tuple[int, int] | None = None  # 1-based pair applied in its last frame
-    energy_j: float = 0.0
-    voltage_v: float = 0.0
 
     def __post_init__(self):
-        check_finite(self, "extra_loss_db", "energy_j")
-        check_finite(self, "voltage_v", low=0)
-        check_pair("prior", self.prior)
+        check_finite(self, "extra_loss_db")
 
 
 @dataclass(frozen=True)
@@ -86,13 +80,15 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
              profile: TapProfile, rng: np.random.Generator, sched: FrameSchedule = FrameSchedule(),
              link: ControlLinkModel = ControlLinkModel(),
              adc: AdcModel | None = DEFAULT_ADC, antennas: int = 4) -> TdmaResult:
-    """Run ``frames`` TDMA frames over the given users.
+    """Run ``frames`` TDMA frames over the given users, from rest.
 
     Every round redraws each user's channel from ``profile`` and ``rng``
     with ``antennas`` antennas, so a frame trains ``antennas * grid.count``
     slots. Each round is one call of :func:`wptdas.protocol.run_rounds`,
-    whose arrays give the trace rows and update ``users`` in place; no event
-    logs are built. Bad counts and priors are rejected before the first draw.
+    given each user's output voltage and fallback pair (the pair applied in
+    its last frame, at first the default pair); its arrays give the trace
+    rows. ``users`` are left as they were, and no event logs are built.
+    Bad counts are rejected before the first draw.
     """
     if not users:
         raise ValidationError("need at least one user")
@@ -103,29 +99,28 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
 
     rows: list[TraceRow] = []
     frame_s = sched.frame_us(antennas * grid.count) * 1e-6
+    volts = np.zeros((1, k))
+    fallback = np.array([[default_pair(grid.count)] * k])  # (1, K, 2)
+    totals = [0.0] * k
 
     for start in range(0, frames, k):
-        fallback = [[fallback_pair(u.prior, antennas, grid.count) for u in users]]
         # each user's channel holds for the round, and so does its dc matrix
         p_dc = check_powers(np.stack([dc_power_matrix(
             sample_channel(profile, antennas, rng), grid, budget, u.rect.curve,
             u.extra_loss_db) for u in users]))
         count = min(k, frames - start)
         batch, = run_rounds([p_dc[None]], [u.rect for u in users], sched, link, adc,
-                            [link.draws(rng, (1, count, antennas + 1))],
-                            [[[u.voltage_v for u in users]]], [fallback], count)
+                            [link.draws(rng, (1, count, antennas + 1))], [volts], [fallback],
+                            count)
         for j in range(count):
-            i = start + j
             antenna, frequency = (batch.applied[0, j] + 1).tolist()
             energy = [e_train + e_wpt for e_train, e_wpt in
                       zip(batch.training_j[0, j].tolist(), batch.wpt_j[0, j].tolist())]
-            users[j].prior = (antenna, frequency)
-            for u_idx in [j] + [v for v in range(k) if v != j]:
-                u = users[u_idx]
-                u.energy_j += energy[u_idx]
-                rows.append(TraceRow(i, u.user_id, u_idx == j, antenna, frequency,
-                                     energy[u_idx] / frame_s, u.energy_j))
-            for u, v in zip(users, batch.voltage_v[0, j].tolist()):
-                u.voltage_v = v
+            for u in [j] + [v for v in range(k) if v != j]:
+                totals[u] += energy[u]
+                rows.append(TraceRow(start + j, users[u].user_id, u == j, antenna, frequency,
+                                     energy[u] / frame_s, totals[u]))
+        volts = batch.voltage_v[:, -1]
+        fallback = np.concatenate([batch.applied, fallback[:, count:]], axis=1)
 
     return TdmaResult(rows)

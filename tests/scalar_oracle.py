@@ -13,10 +13,16 @@ helpers at the end (received RF power, dc power and voltage, settled
 voltage, tap phases) state the rectenna and link formulas one number at a
 time for the unit tests; the antenna subset and the explicit frequency grid
 build a nested cell's own channel and grid.
+
+The library starts every run at rest (0 V, no earlier pair, t = 0). The
+oracle's frame walk also takes a start voltage, a prior pair and a time
+offset, and its TDMA walk keeps each user's running state to itself, so
+the tests can hold the engine's ``v_initial`` and ``prior`` to it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,11 +31,28 @@ from wptdas.channel import ChannelRealization, FrequencyGrid, sample_channel
 from wptdas.errors import ValidationError
 from wptdas.experiments import _sweep_cells
 from wptdas.protocol import ControlLinkModel, Event, FrameSchedule, encode_feedback, frame_log
-from wptdas.rectenna import settle, settling_energy
+from wptdas.rectenna import segment_energy, settle
 from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
 from wptdas.scheduler import TdmaResult, TraceRow
 from wptdas.selection import check_powers, middle_index, select_pairs
 from wptdas.signal_chain import dc_power_matrix
+
+
+def settling_energy(v_initial: float, v_target: float, duration_s: float,
+                    cfg) -> tuple[float, float]:
+    """Energy delivered to the load while settling, and the end voltage.
+
+    Integrates v(t)^2 / R in closed form over one settling segment: the
+    library's :func:`segment_energy` and :func:`settle` for one Python float.
+    """
+    if duration_s < 0:
+        raise ValidationError("duration_s must be >= 0")
+    if duration_s == 0:
+        return 0.0, v_initial
+    tau = cfg.settle_tau_s
+    return (segment_energy(v_initial, v_target, duration_s, -math.expm1(-duration_s / tau),
+                           tau, cfg.load_ohms),
+            settle(v_initial, v_target, math.exp(-duration_s / tau)))
 
 
 def frequency_response(ch: ChannelRealization, antenna: int, freq_hz: float) -> complex:
@@ -112,8 +135,10 @@ def _prior_pair(prior, n_total):
 
 def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
               start_us=0, v_initial=0.0):
-    """One frame, one slot at a time, from ``start_us`` on: the library's
-    arguments, and the frame as :func:`batch_frame` reads it from a walk."""
+    """One frame, one slot at a time: the library's arguments plus the start
+    state a walk takes (a 1-based ``prior`` pair or None, ``v_initial``) and
+    a log that starts at ``start_us``; the frame as :func:`batch_frame`
+    reads it from a walk."""
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
     p_dc = check_powers(p_dc)
@@ -166,10 +191,13 @@ def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
 
 def batch_frame(batch, b, j, sched, start_us=0):
     """Frame ``j`` of round ``b`` of a library walk, for its training user, in
-    the terms of :func:`run_frame`: 1-based pairs, Python numbers, and each
-    slot's (antenna or None when the transmitter is idle, frequency)."""
+    the terms of :func:`run_frame`: 1-based pairs, Python numbers, each
+    slot's (antenna or None when the transmitter is idle, frequency), and
+    the frame's events moved ``start_us`` on from the library's t = 0."""
     emitting = batch.emitting[b, j].tolist()
-    return dict(events=frame_log(batch, b, j, sched, start_us),
+    events = [dataclasses.replace(e, t_us=e.t_us + start_us)
+              for e in frame_log(batch, b, j, sched)]
+    return dict(events=events,
                 selected=tuple((batch.selected[b, j] + 1).tolist()),
                 selected_w=float(batch.selected_w[b, j]),
                 applied=tuple((batch.applied[b, j] + 1).tolist()),
@@ -181,30 +209,34 @@ def batch_frame(batch, b, j, sched, start_us=0):
                 voltage_v=float(batch.voltage_v[b, j, j]))
 
 
-def _passive_harvest(user, frame, p_dc, sched, link):
-    """(energy, steady dc power at the served pair) of a passive user's replay
-    of ``frame``'s emissions and served pair."""
-    v_tgt = np.sqrt(p_dc * user.rect.load_ohms)
-    e_train, _v_ends, v = harvest_training(frame["emissions"], v_tgt, user.voltage_v,
-                                           sched, link, user.rect)
+def _passive_harvest(rect, v, frame, p_dc, sched, link):
+    """(energy, steady dc power at the served pair, end voltage) of a passive
+    user's replay of ``frame``'s emissions and served pair from voltage ``v``."""
+    v_tgt = np.sqrt(p_dc * rect.load_ohms)
+    e_train, _v_ends, v = harvest_training(frame["emissions"], v_tgt, v, sched, link, rect)
     served = (frame["applied"][0] - 1, frame["applied"][1] - 1)
     applied_p = float(p_dc[served])
-    e_wpt, user.voltage_v = harvest_delivery(v, float(v_tgt[served]), applied_p,
-                                             sched, link, user.rect)
-    return e_train + e_wpt, applied_p
+    e_wpt, v = harvest_delivery(v, float(v_tgt[served]), applied_p, sched, link, rect)
+    return e_train + e_wpt, applied_p, v
 
 
 def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, link=None,
-             adc=None, keep_frames=False, p_dc=None, antennas=4):
+             adc=None, keep_frames=False, p_dc=None, antennas=4, priors=None, volts=None):
     """Round-robin TDMA, one frame at a time: the library's result, and each
     frame's :func:`run_frame` result in frame order when ``keep_frames`` asks.
 
     ``p_dc``, one matrix per user, stands in for the matrices of channels
-    drawn each round from ``profile`` with ``antennas`` antennas.
+    drawn each round from ``profile`` with ``antennas`` antennas. Each
+    user's prior pair, output voltage and harvest are kept here, starting
+    from ``priors`` (1-based pairs or None) and ``volts`` when given, and
+    from rest when not.
     """
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
     k = len(users)
+    prior = list(priors) if priors is not None else [None] * k
+    voltage = list(volts) if volts is not None else [0.0] * k
+    energy = [0.0] * k
     rows, kept = [], []
     for i in range(frames):
         if i % k == 0:
@@ -214,25 +246,26 @@ def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, li
                 for u in users]
             frame_us = sched.frame_us(round_dc[0].size)
             frame_s = frame_us * 1e-6
-        active = users[i % k]
-        frame = run_frame(round_dc[i % k], active.rect, sched=sched, link=link,
-                          prior=active.prior, rng=rng, adc=adc,
-                          start_us=i * frame_us, v_initial=active.voltage_v)
+        a = i % k
+        frame = run_frame(round_dc[a], users[a].rect, sched=sched, link=link,
+                          prior=prior[a], rng=rng, adc=adc,
+                          start_us=i * frame_us, v_initial=voltage[a])
         if keep_frames:
             kept.append(frame)
-        antenna, frequency = active.prior = frame["applied"]
-        active.voltage_v = frame["voltage_v"]
+        antenna, frequency = prior[a] = frame["applied"]
+        voltage[a] = frame["voltage_v"]
         e_active = frame["training_j"] + frame["wpt_j"]
-        active.energy_j += e_active
-        rows.append(TraceRow(i, active.user_id, True, antenna, frequency,
-                             e_active / frame_s, active.energy_j))
-        for u, u_dc in zip(users, round_dc):
-            if u is active:
+        energy[a] += e_active
+        rows.append(TraceRow(i, users[a].user_id, True, antenna, frequency,
+                             e_active / frame_s, energy[a]))
+        for u, u_dc in enumerate(round_dc):
+            if u == a:
                 continue
-            e_passive, _p_served = _passive_harvest(u, frame, u_dc, sched, link)
-            u.energy_j += e_passive
-            rows.append(TraceRow(i, u.user_id, False, antenna, frequency,
-                                 e_passive / frame_s, u.energy_j))
+            e_passive, _p_served, voltage[u] = _passive_harvest(users[u].rect, voltage[u],
+                                                                frame, u_dc, sched, link)
+            energy[u] += e_passive
+            rows.append(TraceRow(i, users[u].user_id, False, antenna, frequency,
+                                 e_passive / frame_s, energy[u]))
     return TdmaResult(rows), kept
 
 

@@ -159,7 +159,11 @@ class TestTdma:
         data = [ln for ln in lines if not ln.startswith("#")]
         assert data[0] == "frame,user,active_flag,antenna,frequency,p_dc_watts,energy_joules"
         assert len(data) == 1 + 4 * 2
-        assert "user 1" in capsys.readouterr().out
+        said = capsys.readouterr().out.splitlines()
+        for user in ("1", "2"):  # each total is the user's last trace row
+            last = [ln.split(",") for ln in data[1:] if ln.split(",")[1] == user][-1]
+            line, = [ln for ln in said if ln.startswith(f"user {user}: ")]
+            assert line.endswith(f"total {float(last[-1]) * 1e6:.4g} uJ")
 
 
 class TestValidate:
@@ -203,6 +207,16 @@ class TestValidate:
         cfg.write_text("[experiment]\nantenna_sweep = 5\n")  # 5 x 15 = 75 > 64
         assert run(["validate", "--config", str(cfg)], tmp_path) == 1
         assert "feedback" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "sweep", "frame", "tdma", "budget"])
+    @pytest.mark.parametrize("frames", ["0", "-3", "2.5"])
+    def test_rejects_a_frame_count_below_one_in_every_command(self, tmp_path, capsys, command,
+                                                              frames):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[experiment]\nframes = {frames}\nrealizations = 2\n")
+        assert run([command, "--config", str(cfg)], tmp_path) == 1
+        assert "frames" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.txt"))
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["validate", "--config", str(tmp_path / "nope.ini")], tmp_path) == 1

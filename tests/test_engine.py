@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.experiments import ExperimentConfig, _protocol_values, nested_frequency_indices
-from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, RoundBatch, fallback_pair,
-                             run_frame, run_rounds, write_events)
-from wptdas.rectenna import RectennaConfig, segment_energy, settle, settling_energy
+from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, RoundBatch, run_frame,
+                             run_rounds, write_events)
+from wptdas.rectenna import RectennaConfig, segment_energy, settle
 from wptdas.rng import substream
 from wptdas.scheduler import UserState, run_tdma
-from wptdas.selection import check_powers, select_pairs
+from wptdas.selection import check_powers, default_pair, select_pairs
 from wptdas.signal_chain import dc_power_matrix
 
 PROFILE = builtin_profile("model-E-NLOS")
@@ -70,7 +70,7 @@ class TestSettlingStep:
                                 np.full(v.shape, load_ohms))
         end = settle(v, targets, math.exp(-duration_s / tau_s))
         for i, x in enumerate(v0):
-            assert (energy[i], end[i]) == settling_energy(x, vt, duration_s, cfg)
+            assert (energy[i], end[i]) == oracle.settling_energy(x, vt, duration_s, cfg)
 
     @settings(max_examples=200, deadline=None)
     @given(v0=st.floats(0.0, 3.0), vt=st.floats(0.0, 3.0),
@@ -91,9 +91,9 @@ class TestSettlingStep:
             return (vt * vt * d + abs(2.0 * vt * delta * tau_s * (1.0 - decay))
                     + delta * delta * tau_s / 2.0 * (1.0 - decay * decay)) / load_ohms
 
-        whole, _ = settling_energy(v0, vt, d1 + d2, cfg)
-        first, v_mid = settling_energy(v0, vt, d1, cfg)
-        second, _ = settling_energy(v_mid, vt, d2, cfg)
+        whole, _ = oracle.settling_energy(v0, vt, d1 + d2, cfg)
+        first, v_mid = oracle.settling_energy(v0, vt, d1, cfg)
+        second, _ = oracle.settling_energy(v_mid, vt, d2, cfg)
         scale = max(magnitude(v0, d1 + d2), magnitude(v0, d1), magnitude(v_mid, d2))
         assert abs(first + second - whole) <= 32 * math.ulp(scale)
 
@@ -104,7 +104,7 @@ class TestSettlingStep:
         # Segments of at least 1 ms, up to 50 time constants long; shorter
         # segments wait for the cancellation fix of the closed form.
         cfg = RectennaConfig(settle_tau_s=duration_s / ratio)
-        energy, v_end = settling_energy(v0, vt, duration_s, cfg)
+        energy, v_end = oracle.settling_energy(v0, vt, duration_s, cfg)
         t = np.linspace(0.0, duration_s, 200_001)
         v = vt + (v0 - vt) * np.exp(-t / cfg.settle_tau_s)
         integral = np.trapezoid(v * v, t) / cfg.load_ohms
@@ -148,25 +148,44 @@ class TestNestedSelection:
 
 class TestFrameAgainstScalarWalk:
     @settings(max_examples=60, deadline=None)
-    @given(seed=seeds, drop=drops, latency_s=latencies, adc=adcs, rect=rects,
-           prior=st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(1, 15))),
-           v_initial=st.floats(0.0, 3.0), start_us=st.integers(0, 10 ** 9))
-    def test_event_log_equals_the_scalar_walk(self, seed, drop, latency_s, adc, rect, prior,
-                                              v_initial, start_us):
+    @given(seed=seeds, drop=drops, latency_s=latencies, adc=adcs, rect=rects)
+    def test_a_frame_from_rest_equals_the_scalar_walk(self, seed, drop, latency_s, adc, rect):
         p_dc = dc_power_matrix(sample_channel(PROFILE, 4, substream(seed, 0)), GRID, BUDGET,
                                rect.curve)
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        kwargs = dict(sched=sched, link=link, prior=prior, adc=adc, v_initial=v_initial)
         rng_a, rng_b = substream(seed, 1), substream(seed, 1)
-        batch = run_frame(p_dc, rect, rng=rng_a, **kwargs)
-        frame = oracle.batch_frame(batch, 0, 0, sched, start_us)
-        ref = oracle.run_frame(p_dc, rect, rng=rng_b, start_us=start_us, **kwargs)
+        batch = run_frame(p_dc, rect, sched=sched, link=link, rng=rng_a, adc=adc)
+        frame = oracle.batch_frame(batch, 0, 0, sched)
+        ref = oracle.run_frame(p_dc, rect, sched=sched, link=link, rng=rng_b, adc=adc)
         # events, selected pair and value, applied pair and power, emissions,
         # both energies and the final voltage
         assert frame == ref
         assert events_text(frame["events"]) == events_text(ref["events"])
         assert rng_a.random() == rng_b.random()  # the same draws were consumed
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, drop=drops, latency_s=latencies, adc=adcs, rect=rects,
+           prior=st.tuples(st.integers(1, 4), st.integers(1, 15)),
+           v_initial=st.floats(0.0, 3.0), start_us=st.integers(0, 10 ** 9))
+    def test_event_log_equals_the_scalar_walk(
+            self, seed, drop, latency_s, adc, rect, prior, v_initial, start_us):
+        # the engine's start voltage and fallback pair, and a log moved on to
+        # a later frame's start, as a TDMA walk chains them
+        p_dc = dc_power_matrix(sample_channel(PROFILE, 4, substream(seed, 0)), GRID, BUDGET,
+                               rect.curve)
+        sched = FrameSchedule()
+        link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
+        rng_a, rng_b = substream(seed, 1), substream(seed, 1)
+        batch, = run_rounds([p_dc[None, None]], [rect], sched, link, adc,
+                            [link.draws(rng_a, (1, 1, 5))], [v_initial],
+                            [np.subtract(prior, 1)], 1)
+        frame = oracle.batch_frame(batch, 0, 0, sched, start_us)
+        ref = oracle.run_frame(p_dc, rect, sched=sched, link=link, prior=prior, rng=rng_b,
+                               adc=adc, start_us=start_us, v_initial=v_initial)
+        assert frame == ref
+        assert events_text(frame["events"]) == events_text(ref["events"])
+        assert rng_a.random() == rng_b.random()
 
 
 class TestRoundLogsAgainstScalarWalk:
@@ -191,15 +210,16 @@ class TestRoundLogsAgainstScalarWalk:
         volts = data.draw(st.lists(st.lists(st.floats(0.0, 3.0), min_size=k, max_size=k),
                                    min_size=rounds, max_size=rounds))
         draws = [link.draws(substream(seed, b), (k, m_total + 1)) for b in range(rounds)]
-        fallback = [[fallback_pair(p, m_total, n_total) for p in row] for row in priors]
+        fallback = [[default_pair(n_total) if p is None else (p[0] - 1, p[1] - 1) for p in row]
+                    for row in priors]
         batch, = run_rounds([p_dc], user_rects, sched, link, adc,
                             [None if drop == 0.0 else np.stack(draws)], [volts], [fallback], k)
+        group = [UserState(user_id=u + 1, rect=rect) for u, rect in enumerate(user_rects)]
         for b in range(rounds):
-            group = [UserState(user_id=u + 1, rect=rect, prior=priors[b][u],
-                               voltage_v=volts[b][u]) for u, rect in enumerate(user_rects)]
             _res, ref_frames = oracle.run_tdma(group, k, None, None, rng=substream(seed, b),
                                                sched=sched, link=link, adc=adc,
-                                               keep_frames=True, p_dc=list(p_dc[b]))
+                                               keep_frames=True, p_dc=list(p_dc[b]),
+                                               priors=priors[b], volts=volts[b])
             frame_us = sched.frame_us(m_total * n_total)
             frames = [oracle.batch_frame(batch, b, j, sched, j * frame_us) for j in range(k)]
             assert frames == ref_frames
@@ -269,19 +289,19 @@ class TestTdmaAgainstScalarWalk:
                                           losses):
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
 
+        group = [UserState(user_id=u + 1, rect=rect, extra_loss_db=losses[u])
+                 for u, rect in enumerate(users)]
+
         def walk(run):
-            group = [UserState(user_id=u + 1, rect=rect, extra_loss_db=losses[u])
-                     for u, rect in enumerate(users)]
             rng = substream(seed, 2)
             res = run(group, frames, GRID, BUDGET, sched=FrameSchedule(), link=link, rng=rng,
                       profile=PROFILE, adc=adc)
-            return res, [(u.energy_j, u.voltage_v, u.prior) for u in group], rng.random()
+            return res, rng.random()
 
-        res, state, after = walk(run_tdma)
-        (ref, _frames), ref_state, ref_after = walk(oracle.run_tdma)
+        res, after = walk(run_tdma)
+        (ref, _frames), ref_after = walk(oracle.run_tdma)
         assert res.rows == ref.rows
         assert csv_text(res) == csv_text(ref)
-        assert state == ref_state
         assert after == ref_after
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
+from wptdas.channel import FrequencyGrid, builtin_profile, sample_channel
 from wptdas.errors import ValidationError
 from wptdas.experiments import (
     SUM_USER,
@@ -15,7 +15,9 @@ from wptdas.experiments import (
     TransmitterConsumption,
     dbm_to_watts,
     nested_frequency_indices,
+    _cell_values,
     _cell_walks,
+    _dc_tensor,
     _protocol_values,
     _sweep_cells,
     power_budget_report,
@@ -418,6 +420,41 @@ class TestBatchedSweep:
             with pytest.raises(ValidationError):
                 small_cfg(seed=seed)
         assert small_cfg(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
+class TestFrequencyDiversity:
+    # Two frequencies df apart on two equal taps 50 ns apart: |H|^2 at each is
+    # a unit exponential, with power correlation rho = cos^2(pi df 50 ns).
+    # Dual selection over correlated Rayleigh gives E[max] = 1 + sqrt(1 - rho) / 2.
+    CASES = [(2e6, 0.9045), (10e6, 0.0), (25e6, 0.5), (75e6, 0.5)]
+
+    @pytest.mark.parametrize("df_hz, rho", CASES, ids=[f"{df / 1e6:g}MHz" for df, _ in CASES])
+    def test_frequency_selection_gain_matches_the_closed_form(self, df_hz, rho):
+        profile = builtin_profile("two-tap-test")
+        assert abs(np.sum(profile.powers * np.exp(-2j * np.pi * df_hz * profile.delays_s))) ** 2 \
+            == pytest.approx(rho, abs=5e-5)
+        cfg = ExperimentConfig(profile=profile,
+                               grid=FrequencyGrid.uniform(bandwidth_hz=df_hz, count=2),
+                               rect=RectennaConfig(curve=CONST_CURVE),
+                               antenna_sweep=(1,), frequency_sweep=(2,),
+                               strategies=("none", "frequency_only"),
+                               realizations=10_000, seed=123)
+        res = run_sweep(cfg)
+        ratio = res.get(1, 2, "frequency_only").avg_pdc_w / res.get(1, 2, "none").avg_pdc_w
+        assert ratio == pytest.approx(1.0 + 0.5 * math.sqrt(1.0 - rho), rel=0.03)  # as c06
+
+    def test_no_delay_spread_gives_no_frequency_diversity(self):
+        # a flat channel and a frequency-flat curve give every frequency the
+        # same power, so frequency selection adds nothing to either baseline
+        cfg = ExperimentConfig(profile=FLAT, grid=FrequencyGrid.uniform(),
+                               antenna_sweep=(1, 4), frequency_sweep=(1, 3, 15),
+                               realizations=500, seed=5)
+        values = _cell_values(cfg, _dc_tensor(cfg, 0, cfg.realizations))
+        for m in (1, 4):
+            for k in (1, 3, 15):
+                assert np.array_equal(values[m, k, "frequency_only"], values[m, k, "none"])
+                assert np.array_equal(values[m, k, "joint"], values[m, k, "antenna_only"])
+        assert not np.array_equal(values[4, 15, "joint"], values[4, 15, "none"])
 
 
 class TestCellWalks:

@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module or a test file imports is used in that file.
 
 ``__init__.py`` is left out: its imports are the package's public re-exports.
 """
@@ -11,6 +11,7 @@ import pytest
 import wptdas
 
 MODULES = sorted(p for p in Path(wptdas.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -27,7 +28,8 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_FILES])
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

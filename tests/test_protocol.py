@@ -8,6 +8,7 @@ import pytest
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError
 from wptdas.protocol import (
+    DEFAULT_ADC,
     MESSAGE_SIZE_BYTES,
     AdcModel,
     ControlLinkModel,
@@ -16,16 +17,17 @@ from wptdas.protocol import (
     control_bytes,
     decode_feedback,
     encode_feedback,
-    fallback_pair,
     frame_log,
     run_frame,
+    run_rounds,
     write_events,
 )
-from wptdas.rectenna import EfficiencyCurve, RectennaConfig
+from wptdas.rectenna import RectennaConfig
 from wptdas.rng import substream
 from wptdas.selection import default_pair
 from wptdas.signal_chain import dc_power_matrix
 
+import scalar_oracle as oracle
 from scalar_oracle import select_one
 
 PROFILE = builtin_profile("model-E-NLOS")
@@ -44,8 +46,18 @@ def default_frame(seed=1, **kwargs):
     return frame(ch, **kwargs)
 
 
-def log_of(batch, start_us=0):
-    return frame_log(batch, 0, 0, FrameSchedule(), start_us)
+def log_of(batch):
+    return frame_log(batch, 0, 0, FrameSchedule())
+
+
+def one_frame(p_dc, rect=RECT, link=ControlLinkModel(), rng=None, v_initial=0.0, prior=None):
+    """One engine frame of one user from a given start voltage and 0-based
+    fallback pair (by default the pair :func:`run_frame` falls back to)."""
+    m_total, n_total = p_dc.shape
+    batch, = run_rounds([p_dc[None, None]], [rect], FrameSchedule(), link, DEFAULT_ADC,
+                        [link.draws(rng, (1, 1, m_total + 1))], [v_initial],
+                        [default_pair(n_total) if prior is None else prior], 1)
+    return batch
 
 
 def events_of(batch, kind):
@@ -197,10 +209,14 @@ class TestRunFrame:
         assert batch.wpt_j[0, 0, 0] == pytest.approx(truth.max() * 2.92, rel=1e-12)
 
     def test_dropped_feedback_falls_back_to_prior(self):
+        # a TDMA walk passes the pair a user's last frame applied
         link = ControlLinkModel(drop_probability=1.0)
-        batch = default_frame(link=link, rng=substream(5), prior=(2, 5))
+        p_dc = dc_power_matrix(sample_channel(PROFILE, 4, substream(1, 0, 0, 0)), GRID, BUDGET,
+                               RECT.curve)
+        batch = one_frame(p_dc, link=link, rng=substream(5), prior=(1, 4))
         assert applied(batch) == (2, 5)
         assert not events_of(batch, "FeedbackApplied")
+        assert events_of(batch, "WptPhaseStart")[0].antenna == 2
 
     def test_dropped_feedback_without_prior_uses_middle(self):
         link = ControlLinkModel(drop_probability=1.0)
@@ -215,28 +231,9 @@ class TestRunFrame:
                           rng=substream(n_total))
         assert applied(batch) == tuple(np.add(default_pair(n_total), 1))
 
-    def test_fallback_pair_is_zero_based(self):
-        assert fallback_pair((2, 5), 4, 15) == (1, 4)
-        assert fallback_pair(np.array([4, 15]), 4, 15) == (3, 14)
-        assert fallback_pair(None, 4, 15) == default_pair(15) == (0, 7)
-
-    @pytest.mark.parametrize("drop", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("prior", [(9, 9), (0, 1), (5, 1), (1, 16), (1.5, 2), (True, 1),
-                                       ("1", "2"), (1,), (1, 2, 3), 7])
-    def test_prior_is_checked_whatever_the_link_draws(self, prior, drop):
-        link = ControlLinkModel(drop_probability=drop)
-        for seed in range(4):
-            with pytest.raises(ValidationError, match="prior"):
-                default_frame(link=link, rng=substream(seed), prior=prior)
-
-    @pytest.mark.parametrize("v_initial", [math.nan, math.inf, -5.0, "1", None, True])
-    def test_initial_voltage_is_checked(self, v_initial):
-        with pytest.raises(ValidationError, match="v_initial"):
-            default_frame(v_initial=v_initial)
-
     def test_all_drops_leave_transmitter_idle(self):
         link = ControlLinkModel(drop_probability=1.0)
-        batch = default_frame(link=link, rng=substream(6), v_initial=0.0)
+        batch = default_frame(link=link, rng=substream(6))
         assert not batch.emitting.any()
         # decaying-from-zero output quantizes to zero everywhere -> tie-break
         assert selected(batch) == (1, 1)
@@ -270,19 +267,22 @@ class TestRunFrame:
         assert e_train + e_wpt >= e_wpt
 
     def test_voltage_carries_across_frames(self):
+        # a second frame that starts where the first ended, on one timeline
         ch = sample_channel(PROFILE, 4, substream(9, 0, 0, 0))
+        p_dc = dc_power_matrix(ch, GRID, BUDGET, RECT.curve)
         batch1 = frame(ch, RECT)
-        batch2 = frame(ch, RECT, v_initial=float(batch1.voltage_v[0, 0, 0]))
-        log2 = log_of(batch2, start_us=log_of(batch1)[-1].t_us)
+        v_end = float(batch1.voltage_v[0, 0, 0])
+        batch2 = one_frame(p_dc, v_initial=v_end)
+        start_us = log_of(batch1)[-1].t_us
+        frame2 = oracle.batch_frame(batch2, 0, 0, FrameSchedule(), start_us)
+        assert frame2 == oracle.run_frame(p_dc, RECT, adc=DEFAULT_ADC, start_us=start_us,
+                                          v_initial=v_end)
+        log2 = frame2["events"]
         assert log2[0].t_us == 4_000_000
         assert log2[-1].t_us == 8_000_000
         first_sample = [e for e in log2 if e.kind == "AdcSample"][0]
         assert first_sample.value >= 0.0
-
-    @pytest.mark.parametrize("start_us", [0.5, -7, 2.0, True, "3", None, math.nan])
-    def test_log_start_is_checked(self, start_us):
-        with pytest.raises(ValidationError, match="start_us"):
-            log_of(default_frame(), start_us=start_us)
+        assert batch2.training_j[0, 0, 0] != batch1.training_j[0, 0, 0]  # not from rest
 
     def test_frame_length_follows_the_matrix(self):
         ch = sample_channel(PROFILE, 3, substream(1))
@@ -322,6 +322,63 @@ class TestRunFrame:
     def test_bad_dc_matrix_rejected(self, p_dc):
         with pytest.raises(ValidationError):
             run_frame(p_dc, RECT)
+
+class TestRunRoundsShapes:
+    LOSSY = ControlLinkModel(drop_probability=0.5)
+
+    def walk(self, p_dc, draws, frames=1, prior=None):
+        prior = [(0, 0)] * len(p_dc) if prior is None else prior
+        return run_rounds(p_dc, [RECT], FrameSchedule(), self.LOSSY, DEFAULT_ADC, draws,
+                          [0.0] * len(p_dc), prior, frames)
+
+    @pytest.mark.parametrize("draws_shape", [(1, 2, 3), (1, 1, 4), (2, 1, 3), (1, 3)])
+    def test_draws_that_do_not_fit_the_walk_name_the_cell(self, draws_shape):
+        # (1, 2, 3) draws for a one-frame walk of a 2 x 3 cell once ended in a
+        # bare numpy reshape error
+        with pytest.raises(ValidationError, match="cell 0: .* draws"):
+            self.walk([np.full((1, 1, 2, 3), 1e-6)], [np.full(draws_shape, 0.9)])
+
+    def test_the_failing_cell_is_named(self):
+        cells = [np.full((1, 1, 2, 3), 1e-6), np.full((1, 1, 1, 1), 1e-6)]
+        with pytest.raises(ValidationError, match="cell 1"):
+            self.walk(cells, [np.full((1, 1, 3), 0.9), np.full((1, 1, 3), 0.9)])
+        batches = self.walk(cells, [np.full((1, 1, 3), 0.9), np.full((1, 1, 2), 0.9)])
+        assert [b.emitting.shape for b in batches] == [(1, 1, 2, 3), (1, 1, 1, 1)]
+
+    @pytest.mark.parametrize("shape", [(2, 1, 2, 3), (1, 2, 2, 3), (1, 2, 3)])
+    def test_a_cell_must_share_the_first_cells_rounds_and_users(self, shape):
+        cells = [np.full((1, 1, 2, 3), 1e-6), np.full(shape, 1e-6)]
+        with pytest.raises(ValidationError, match="cell 1: p_dc"):
+            self.walk(cells, [None, None])
+
+
+    @pytest.mark.parametrize("frames", [0, 2, 1.0, True])
+    def test_a_walk_trains_each_user_at_most_once(self, frames):
+        # frame j of a round trains user j, so a one-user walk has one frame
+        with pytest.raises(ValidationError, match="frames"):
+            self.walk([np.full((1, 1, 2, 3), 1e-6)], [None], frames=frames)
+
+    def test_every_cell_needs_each_input(self):
+        cells = [np.full((1, 1, 2, 3), 1e-6)] * 2
+        with pytest.raises(ValidationError, match="per cell"):
+            self.walk(cells, [None, None], prior=[(0, 0)])
+        with pytest.raises(ValidationError, match="per cell"):
+            self.walk(cells, [None])
+        with pytest.raises(ValidationError, match="per cell"):
+            self.walk([], [])
+
+    @pytest.mark.parametrize("prior", [(2, 0), (0, 3), (1, 3), (0, -1), (0.0, 1.0),
+                                       np.array([[[0, 1], [2, 0]]])])
+    def test_a_fallback_pair_outside_its_cell_is_rejected(self, prior):
+        # (1, 3) in a 2 x 3 cell once served the next cell's power when the
+        # feedback was lost
+        cells = [np.full((1, 2, 2, 3), 1e-6), np.full((1, 2, 1, 1), 9e-6)]
+        draws = [np.zeros((1, 1, 3)), np.zeros((1, 1, 2))]
+        with pytest.raises(ValidationError, match="prior pairs"):
+            self.walk(cells, draws, prior=[prior, (0, 0)])
+        batch, _ = self.walk(cells, draws, prior=[(1, 2), (0, 0)])
+        assert batch.applied.tolist() == [[[1, 2]]]
+
 
 class TestEventLogCsv:
     def test_columns_and_determinism(self):

@@ -4,17 +4,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from scalar_oracle import dc_voltage, output_dc_power, settled_voltage
+from scalar_oracle import dc_voltage, output_dc_power, settled_voltage, settling_energy
 from wptdas.errors import ValidationError
 from wptdas.experiments import dbm_to_watts
-from wptdas.rectenna import (
-    EfficiencyCurve,
-    RectennaConfig,
-    load_efficiency_table,
-    settling_energy,
-)
+from wptdas.rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 
 CONST_CURVE = EfficiencyCurve.from_table([-20.0], [2.44e9], [[0.25]])
+
+
+def shipped_table() -> EfficiencyCurve:
+    from importlib import resources
+    ref = resources.files("wptdas.data").joinpath("efficiency-table-sample.txt")
+    with resources.as_file(ref) as path:
+        return load_efficiency_table(path)
 
 
 class TestEfficiency:
@@ -85,6 +87,22 @@ class TestEfficiency:
     def test_rejects_power_that_is_not_finite(self, curve, p_rf_w):
         with pytest.raises(ValidationError, match="p_rf_w"):
             curve.efficiency(p_rf_w, 2.44e9)
+
+    @pytest.mark.parametrize("curve", [EfficiencyCurve.parametric(), shipped_table()],
+                             ids=["parametric", "shipped-table"])
+    @pytest.mark.parametrize("freq_hz", [math.nan, math.inf, -math.inf, "2.4e9", -1.0, 0.0, True,
+                                         None, [2.44e9, math.nan], np.array([2.44e9, -1.0])])
+    def test_rejects_frequency_that_is_not_finite_and_positive(self, curve, freq_hz):
+        with pytest.raises(ValidationError, match="freq_hz"):
+            curve.efficiency(1e-3, freq_hz)
+
+    @pytest.mark.parametrize("curve", [EfficiencyCurve.parametric(), shipped_table()],
+                             ids=["parametric", "shipped-table"])
+    def test_integer_and_array_frequencies_are_read_as_floats(self, curve):
+        p = dbm_to_watts(np.array([-20.0, -5.0]))
+        assert curve.efficiency(1e-3, 2_440_000_000) == curve.efficiency(1e-3, 2.44e9)
+        npt.assert_array_equal(curve.efficiency(p, np.array([2_405_000_000, 2_475_000_000])),
+                               curve.efficiency(p, [2.405e9, 2.475e9]))
 
     def test_malformed_table_rejected_at_build(self):
         with pytest.raises(ValidationError):
@@ -199,6 +217,10 @@ class TestSettling:
         energy, v_end = settling_energy(0.3, 0.7, 0.0, self.CFG)
         assert energy == 0.0
         assert v_end == 0.3
+
+    def test_energy_negative_duration_rejected(self):
+        with pytest.raises(ValidationError, match="duration_s"):
+            settling_energy(0.3, 0.7, -1e-9, self.CFG)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -1,7 +1,6 @@
 import io
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +8,11 @@ from hypothesis import strategies as st
 from wptdas import protocol, scheduler
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.errors import ValidationError
-from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, run_frame
+from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, run_rounds
 from wptdas.rectenna import RectennaConfig
 from wptdas.rng import substream
 from wptdas.scheduler import TRACE_COLUMNS, UserState, run_tdma
+from wptdas.selection import default_pair
 from wptdas.signal_chain import dc_power_matrix
 
 import scalar_oracle as oracle
@@ -36,28 +36,29 @@ def frames_trained(result, users):
 
 
 class TestSingleUser:
-    def test_reduces_to_repeated_run_frame(self):
+    def test_reduces_to_repeated_one_frame_walks(self):
         frames = 10
         users = make_users(1)
         result = run_tdma(users, frames, GRID, BUDGET, rng=substream(1),
                           profile=PROFILE)
 
-        # oracle: replay the documented stream consumption by hand
+        # oracle: replay the documented stream consumption by hand, carrying
+        # the output voltage and the fallback pair from frame to frame
         rng = substream(1)
         sched = FrameSchedule()
-        voltage, prior, energy = 0.0, None, 0.0
+        voltage, fallback, energy = 0.0, default_pair(15), 0.0
         for i in range(frames):
             ch = sample_channel(PROFILE, 4, rng)
-            batch = run_frame(dc_power_matrix(ch, GRID, BUDGET, RectennaConfig().curve),
-                              RectennaConfig(), sched=sched, rng=rng, prior=prior,
-                              v_initial=voltage)
-            voltage = float(batch.voltage_v[0, 0, 0])
-            prior = tuple((batch.applied[0, 0] + 1).tolist())
+            p_dc = dc_power_matrix(ch, GRID, BUDGET, RectennaConfig().curve)
+            batch, = run_rounds([p_dc[None, None]], [RectennaConfig()], sched,
+                                ControlLinkModel(), DEFAULT_ADC, [None], [voltage], [fallback], 1)
+            voltage = batch.voltage_v[:, 0]
+            fallback = batch.applied[:, 0]
             energy += harvested(batch)
             row = result.rows[i]
             assert row.p_dc_w == harvested(batch) / (sched.frame_us(60) * 1e-6)
-            assert (row.antenna, row.frequency) == prior
-        assert users[0].energy_j == energy
+            assert (row.antenna, row.frequency) == tuple((fallback[0] + 1).tolist())
+            assert row.energy_j == energy
 
     def test_antenna_count_is_checked_before_the_first_draw(self):
         # 5 x 15 pairs exceed the 6-bit feedback space
@@ -88,31 +89,27 @@ class TestSingleUser:
                 run_tdma(make_users(1), frames, GRID, BUDGET, rng=rng, profile=PROFILE)
             assert rng.random() == substream(0).random()
 
-    @pytest.mark.parametrize("drop", [0.0, 0.5])
-    @pytest.mark.parametrize("prior", [(5, 1), (1, 16), (0, 8)])
-    def test_prior_outside_the_matrix_fails_before_the_first_draw(self, prior, drop):
+    @pytest.mark.parametrize("drop", [0.0, 0.5, 1.0])
+    def test_users_are_left_as_they_were(self, drop):
         users = make_users(2)
-        users[1].prior = prior
-        rng = substream(0)
-        with pytest.raises(ValidationError, match="prior"):
-            run_tdma(users, 2, GRID, BUDGET, PROFILE, rng, link=ControlLinkModel(drop))
-        assert rng.random() == substream(0).random()
+        before = [(u.user_id, u.rect, u.extra_loss_db) for u in users]
+        run_tdma(users, 5, GRID, BUDGET, PROFILE, substream(0), link=ControlLinkModel(drop))
+        assert [(u.user_id, u.rect, u.extra_loss_db) for u in users] == before
 
 
 class TestUserState:
     @pytest.mark.parametrize("name, value", [
         ("extra_loss_db", math.nan), ("extra_loss_db", math.inf), ("extra_loss_db", "3"),
-        ("voltage_v", math.nan), ("voltage_v", -5.0), ("voltage_v", "1"), ("voltage_v", None),
-        ("energy_j", math.nan), ("energy_j", -math.inf), ("energy_j", True),
-        ("prior", (1.5, 2)), ("prior", (0, 1)), ("prior", (1, -2)), ("prior", (True, 1)),
-        ("prior", (1,)), ("prior", (1, 2, 3)), ("prior", "12"), ("prior", 3)])
+        ("extra_loss_db", None), ("extra_loss_db", True)])
     def test_fields_are_checked_when_built(self, name, value):
         with pytest.raises(ValidationError, match=name):
             UserState(user_id=1, **{name: value})
 
     def test_checked_fields_are_kept(self):
-        u = UserState(user_id=1, extra_loss_db=-3, prior=(4, 15), energy_j=2e-3, voltage_v=0)
-        assert (u.extra_loss_db, u.prior, u.energy_j, u.voltage_v) == (-3, (4, 15), 2e-3, 0)
+        u = UserState(user_id=1, extra_loss_db=-3)
+        assert (u.user_id, u.rect, u.extra_loss_db) == (1, RectennaConfig(), -3)
+        with pytest.raises(AttributeError):
+            u.extra_loss_db = 20.0
 
 
 class TestTwoUsers:
@@ -130,8 +127,7 @@ class TestTwoUsers:
             result.user_average_power_w(9)
 
     def test_attenuated_user_harvests_less(self):
-        users = make_users(2)
-        users[1].extra_loss_db = 20.0
+        users = [UserState(user_id=1), UserState(user_id=2, extra_loss_db=20.0)]
         result = run_tdma(users, 20, GRID, BUDGET, rng=substream(3),
                           profile=PROFILE)
         assert result.user_average_power_w(2) < result.user_average_power_w(1)
@@ -170,9 +166,8 @@ class TestTwoUsers:
                           profile=PROFILE)
         for uid in (1, 2):
             series = [r.energy_j for r in result.rows if r.user_id == uid]
+            assert series[0] >= 0.0
             assert all(a <= b for a, b in zip(series, series[1:]))
-        for u in users:
-            assert u.energy_j >= 0.0
 
     def test_passive_harvest_positive_with_shared_emissions(self):
         users = make_users(2)
@@ -220,14 +215,14 @@ class TestPassiveReplay:
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         p_dc = dc_power_matrix(ch, GRID, BUDGET, rect.curve)
-        batch = run_frame(p_dc, rect, sched=sched, link=link, rng=rng,
-                          adc=DEFAULT_ADC if with_adc else None, v_initial=v_initial)
+        batch, = run_rounds([p_dc[None, None]], [rect], sched, link,
+                            DEFAULT_ADC if with_adc else None, [link.draws(rng, (1, 1, 5))],
+                            [v_initial], [default_pair(15)], 1)
         frame = oracle.batch_frame(batch, 0, 0, sched)
-        twin = UserState(user_id=2, rect=rect, voltage_v=v_initial)
-        energy, p_served = _passive_harvest(twin, frame, p_dc, sched, link)
+        energy, p_served, v_end = _passive_harvest(rect, v_initial, frame, p_dc, sched, link)
         assert energy == frame["training_j"] + frame["wpt_j"]
         assert p_served == frame["applied_w"]
-        assert twin.voltage_v == frame["voltage_v"]
+        assert v_end == frame["voltage_v"]
 
 
 class TestTrace:
