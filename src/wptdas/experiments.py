@@ -319,29 +319,16 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
                             kind="sweep")
 
 
-def _cell_walks(slots: list) -> list:
-    """Consecutive runs of sweep cells that one engine walk takes together,
-    as ranges of cell indices: a run grows while its total of training slots
-    (``slots``, one count per cell) stays within the largest cell's."""
-    walks, cap = [], max(slots)
-    for i, s in enumerate(slots):
-        if walks and sum(slots[walks[-1].start:i]) + s <= cap:
-            walks[-1] = range(walks[-1].start, i + 1)
-        else:
-            walks.append(range(i, i + 1))
-    return walks
-
-
 def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlLinkModel,
                      adc: AdcModel | None) -> dict:
     """Per-realization delivery powers of the protocol sweep.
 
     Returns {(m, k): array of shape (R, users)}. The ideal sweep's dc
     tensor is built once and each cell's matrices are a slice of it, so both
-    pipelines see the same numbers. Each cell runs its round of one frame per
-    user for every realization at once, and consecutive cells share one
-    engine walk (:func:`_cell_walks`), which skips the energies the sweep
-    does not read. Realization r's link draws come from its own substream,
+    pipelines see the same numbers. Every cell runs its round of one frame
+    per user for every realization in one engine walk, which packs the cells
+    side by side into lanes and skips the energies the sweep does not read.
+    Realization r's link draws come from its own substream,
     cell by cell and frame by frame, so they match a walk of one realization
     at a time.
     """
@@ -356,17 +343,12 @@ def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlL
             keyed_draws(keys, "random", np.empty((n_real, sum(widths)))),
             np.cumsum(widths)[:-1], axis=1), cells)]
 
-    values = {}
-    for walk in _cell_walks([m * k for m, k, _cols in cells]):
-        group = [cells[i] for i in walk]
-        batches = run_rounds([dc[:, :, :m][..., cols] for m, _k, cols in group],
-                             [cfg.rect] * users, sched, link, adc, [draws[i] for i in walk],
-                             [0.0] * len(walk), [default_pair(k) for _m, k, _cols in group],
-                             users, energy=False)
-        for (m, k, _cols), batch in zip(group, batches):
-            # summed frame by frame, in frame order
-            values[(m, k)] = np.add.accumulate(batch.served_w, axis=1)[:, -1] / users
-    return values
+    batches = run_rounds([dc[:, :, :m][..., cols] for m, _k, cols in cells], [cfg.rect] * users,
+                         sched, link, adc, draws, [0.0] * len(cells),
+                         [default_pair(k) for _m, k, _cols in cells], users, energy=False)
+    # summed frame by frame, in frame order
+    return {(m, k): np.add.accumulate(batch.served_w, axis=1)[:, -1] / users
+            for (m, k, _cols), batch in zip(cells, batches)}
 
 
 def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule = FrameSchedule(),

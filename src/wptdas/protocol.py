@@ -23,13 +23,16 @@ One engine, :func:`run_rounds`, walks the frames of a whole batch of TDMA
 rounds at once: every (realization, user) row settles through the same
 slots, the training user's samples feed its selection, and the passive
 users harvest what the transmitter emits. A walk may hold several cells
-(candidate-matrix shapes) with their frames laid end to end, each with its
-own :class:`RoundBatch` of views into the walk's arrays; the training and
-delivery energies are None when the caller skips them. A batch is the
-result of every caller: the protocol sweep walks runs of consecutive cells
-over all realizations without the energies,
+(candidate-matrix shapes) side by side in lanes: each cell's frame is a
+start step, which loads the cell's own voltage, then one settling step per
+segment, and every lane steps at once. Each cell gets its own
+:class:`RoundBatch` of views into the walk's arrays; the training and
+delivery energies are None when the caller skips them, and then only the
+training user's column is stepped unless delivery is fully blanked. A
+batch is the result of every caller: the protocol sweep walks all its
+cells over all realizations in one call without the energies,
 :func:`wptdas.scheduler.run_tdma` walks one round and :func:`run_frame` one
-frame. Event logs are built only on request, from the batch's arrays
+frame, each one cell in one lane. Event logs are built only on request, from the batch's arrays
 (:func:`frame_log`, written by :func:`write_events`).
 """
 
@@ -197,6 +200,59 @@ def _blank_us(link: ControlLinkModel, n_total: int, slot_us: int) -> list:
     return [min(max(link.latency_us - n * slot_us, 0), slot_us) for n in range(n_total)]
 
 
+def _segments(m_total: int, blank: list, slot_us: int) -> list:
+    """The settling segments of a cell of ``m_total`` antennas in slot order,
+    as (slot, us, idle_us, head), given each frequency's blanked head
+    (:func:`_blank_us`).
+
+    One per slot, except that a slot whose head is blanked splits in two,
+    toward 0 over the head and then toward the pair. A row idle in a blanked
+    slot decays over the whole slot in the head segment, where the duration
+    term vanishes as the target is 0, then holds: decay 1, rise 0 and no
+    energy in the tail (``idle_us`` 0). A slot ends with its one segment that
+    is not a head.
+    """
+    segs = []
+    for s in range(m_total * len(blank)):
+        head = blank[s % len(blank)]
+        segs += ([(s, head, slot_us, True), (s, slot_us - head, 0, False)]
+                 if 0 < head < slot_us else [(s, slot_us, slot_us, False)])
+    return segs
+
+
+def _pack_lanes(steps: list) -> tuple[int, list]:
+    """First-fit-decreasing packing of cells of ``steps`` steps each into lanes
+    as long as the longest cell: the longest cell first (ties in cell order),
+    each into the first lane it fits. Returns the lane count and each cell's
+    (lane, first step); every lane starts with a cell at step 0."""
+    length, ends, place = max(steps), [], [None] * len(steps)
+    for c in sorted(range(len(steps)), key=lambda c: -steps[c]):
+        lane = next((i for i, end in enumerate(ends) if end + steps[c] <= length), len(ends))
+        if lane == len(ends):
+            ends.append(0)
+        place[c] = (lane, ends[lane])
+        ends[lane] += steps[c]
+    return len(ends), place
+
+
+def _per_cell(name: str, values: list, shape: tuple, dtype) -> np.ndarray:
+    """``values``, one entry per cell, each broadcast to ``shape``, stacked on a
+    cell axis as ``dtype``: ``np.intp`` takes integers, ``float`` real numbers."""
+    out = np.empty((len(values),) + shape, dtype=dtype)
+    kinds = "iu" if out.dtype.kind == "i" else "iuf"
+    for c, x in enumerate(values):
+        try:
+            x = np.asarray(x)
+            if x.dtype.kind not in kinds:
+                raise TypeError
+            out[c] = x
+        except (TypeError, ValueError, OverflowError):
+            what = "integers" if kinds == "iu" else "real numbers"
+            raise ValidationError(f"cell {c}: {name} must be {what} that broadcast to "
+                                  f"{shape}") from None
+    return out
+
+
 @dataclass
 class RoundBatch:
     """Arrays of ``B`` TDMA rounds of one cell, walked side by side by
@@ -242,14 +298,20 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
     ``energy=False`` the walk skips the training and delivery energies and
     returns them as None. Before the walk, a cell whose ``p_dc`` or
     ``draws`` does not fit the first cell's B and K and ``frames`` (1..K),
-    or whose ``prior`` lies outside its matrix, is rejected.
+    whose start voltages are not finite and >= 0, or whose ``prior`` lies
+    outside its matrix, is rejected.
 
-    The cells' frames lie end to end on the segment axis, and each cell
-    restarts from its own voltage. The walk steps every (round, user) row's
-    voltage through the frame's settling segments together, then takes
-    every segment's energy at once; each element meets the same float
-    operations, in the same order, as a walk of one receiver through one
-    frame of one cell.
+    Each cell's frame is a run of settling steps: a start step, which loads
+    the cell's voltage (decay 0, target v: ``v + (0 - v) * 0 == v``), then
+    one step per segment. The cells are packed side by side into lanes as
+    long as the longest cell's run (:func:`_pack_lanes`), and a lane's
+    unused tail holds its voltage (decay 1, target 0). Each frame steps
+    every lane at once through the steps, then takes the energies cell by
+    cell; each element meets the same float operations, in the same order,
+    as a walk of one receiver through one frame of one cell. When the walk
+    skips the energies and delivery is not fully blanked, every frame-end
+    voltage is the served pair's steady voltage, so only the training
+    user's column is walked.
     """
     n_cells = len(p_dc)
     if not n_cells == len(draws) == len(v_initial) == len(prior) >= 1:
@@ -263,120 +325,122 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
             raise ValidationError(f"cell {c}: p_dc {p.shape} and draws {np.shape(d)} do not fit "
                                   f"{n_rounds} rounds, {k_users} users and {frames} frames")
         check_feedback_space(*shapes[c])
-    prior = np.stack([np.broadcast_to(p, (n_rounds, k_users, 2)) for p in prior])
-    outside = (prior < 0) | (prior >= np.array(shapes)[:, None, None])
-    if prior.dtype.kind not in "iu" or outside.any():
+    v = _per_cell("v_initial", v_initial, (n_rounds, k_users), float)  # (C, B, K)
+    bad = ~((v >= 0.0) & (v < math.inf))  # NaN fails both
+    if bad.any():
+        raise ValidationError(f"cell {np.argwhere(bad)[0, 0]}: v_initial must be finite "
+                              "voltages >= 0")
+    prior = _per_cell("prior pairs", prior, (n_rounds, k_users, 2), np.intp)
+    if ((prior < 0) | (prior >= np.array(shapes)[:, None, None])).any():
         raise ValidationError("prior pairs must be 0-based integers within each cell's matrix")
     slot_us, wpt_us = sched.slot_us, sched.wpt_us
     tau = np.array([r.settle_tau_s for r in rects])
     load = np.array([r.load_ohms for r in rects])
     wpt_blank = min(link.latency_us, wpt_us)
+    trim = not energy and wpt_us > wpt_blank  # walk only the training user's column
 
-    # The settling segments, cell after cell: one per slot, except that a
-    # slot whose head is blanked splits in two, toward 0 over the head and
-    # then toward the pair. A row idle in a blanked slot decays over the
-    # whole slot in the head segment, where the duration term vanishes as
-    # the target is 0, then holds: decay 1, rise 0 and no energy in the tail
-    # (``idle_us``). ``volts`` has a start row before each cell's segments.
-    seg_slot, seg_us, idle_us, heads, seg_rows, cell_segs = [], [], [], [], [], []
-    slot_ant, slot_live, slot_end = [], [], []
-    antenna0 = 0
-    for c, (m_total, n_total) in enumerate(shapes):
-        blank = _blank_us(link, n_total, slot_us)
-        first = len(seg_us)
-        for s in range(m_total * n_total):
-            head = blank[s % n_total]
-            split = 0 < head < slot_us
-            if split:
-                heads.append(len(seg_us))
-            seg_us += [head, slot_us - head] if split else [slot_us]
-            idle_us += [slot_us, 0] if split else [slot_us]
-            seg_slot += [len(slot_end)] * (1 + split)
-            slot_ant.append(antenna0 + s // n_total)
-            slot_live.append(head < slot_us)
-            slot_end.append(len(seg_us) + c)
-        antenna0 += m_total
-        cell_segs.append((first, len(seg_us)))
-        seg_rows += range(first + c + 1, len(seg_us) + c + 1)
-    starts = [first + c for c, (first, _) in enumerate(cell_segs)]
-    lasts = [last + c for c, (_, last) in enumerate(cell_segs)]
-
-    # one exp (and expm1) per (duration, time constant), then a row per segment
-    durations = sorted(set(seg_us + idle_us + [wpt_blank]))
+    # The step tables, (steps, lanes): the pair (and slot) each step settles
+    # toward, its decay codes when emitting and when idle, and whether its
+    # target is 0 whatever is emitted (heads, start steps and tails).
+    blanks = {n: _blank_us(link, n, slot_us) for _, n in shapes}
+    segs = [_segments(m, blanks[n], slot_us) for m, n in shapes]
+    n_lanes, place = _pack_lanes([len(cell) + 1 for cell in segs])
+    length = max(len(cell) for cell in segs) + 1
+    durations = sorted({us for cell in segs for _, us, idle, _ in cell for us in (us, idle)}
+                       | {0, wpt_blank})
     code = {us: i for i, us in enumerate(durations)}
-    seg_code, idle_code = [code[us] for us in seg_us], [code[us] for us in idle_us]
-    decay = np.array([[math.exp(-(us * 1e-6) / t) for t in tau.tolist()] for us in durations])
-    seg_decay, idle_decay = decay[seg_code][:, None], decay[idle_code][:, None]
-    if energy:
+    start = len(durations)  # the start step's decay, 0
+    table = [(0, code[0], code[0], True)] * (length * n_lanes)  # a tail holds
+    slot_ant, slot_live, slot_end = [], [], []
+    slot_off = np.cumsum([0] + [m * n for m, n in shapes])
+    antenna0 = 0
+    for c, ((m_total, n_total), (lane, first)) in enumerate(zip(shapes, place)):
+        table[first * n_lanes + lane] = (0, start, start, True)
+        for step, (s, us, idle, head) in enumerate(segs[c], first + 1):
+            table[step * n_lanes + lane] = (int(slot_off[c]) + s, code[us], code[idle], head)
+            if not head:
+                slot_end.append(step * n_lanes + lane)
+        slot_ant += [antenna0 + s // n_total for s in range(m_total * n_total)]
+        slot_live += [blanks[n_total][s % n_total] < slot_us for s in range(m_total * n_total)]
+        antenna0 += m_total
+    step_pair, seg_code, idle_code, dark = np.array(table).reshape(length, n_lanes, 4).transpose(
+        2, 0, 1)
+    dark = dark.astype(bool)[..., None, None]
+    cell_lane, cell_first = map(list, zip(*place))
+    cell_last = [first + len(cell) for first, cell in zip(cell_first, segs)]
+
+    # one exp (and expm1) per (duration, time constant), then a row per step
+    decay = np.array([[math.exp(-(us * 1e-6) / t) for t in tau.tolist()] for us in durations]
+                     + [[0.0] * tau.size])
+    seg_decay, idle_decay = decay[seg_code][:, :, None], decay[idle_code][:, :, None]
+    if energy:  # a start step takes 0 us
         rise = np.array([[-math.expm1(-(us * 1e-6) / t) for t in tau.tolist()]
-                         for us in durations])
-        seg_rise, idle_rise = rise[seg_code][:, None], rise[idle_code][:, None]
-        seg_dur = np.array(seg_us)[:, None, None] * 1e-6
-        seg_from = np.array(seg_rows) - 1  # each segment's start row in ``volts``
+                         for us in durations + [0]])
+        seg_rise, idle_rise = rise[seg_code][:, :, None], rise[idle_code][:, :, None]
+        seg_dur = np.array(durations + [0])[seg_code][..., None, None] * 1e-6
 
     ok = [np.ones((n_rounds, frames, m + 1), dtype=bool) if d is None
           else d >= link.drop_probability for d, (m, _) in zip(draws, shapes)]
     fed_back = np.stack([o[..., m] for o, (m, _) in zip(ok, shapes)])  # (C, B, F)
     emits = (np.concatenate([o[..., :m] for o, (m, _) in zip(ok, shapes)], axis=-1)
              [..., slot_ant] & np.array(slot_live))  # (B, F, slots)
-    on = emits[..., seg_slot].transpose(1, 2, 0)[..., None]  # (F, segments, B, 1)
 
-    p_flat = np.concatenate([p.reshape(n_rounds, k_users, -1) for p in p_dc], axis=-1)
-    v_flat = np.sqrt(p_flat * load[:, None])
-    seg_tgt = v_flat.transpose(2, 0, 1)[seg_slot]
-    seg_tgt[heads] = 0.0  # (segments, B, K); every row settles toward 0 over a head
-
-    # selection reads each cell's samples zero-padded to the walk's largest
-    # shape: pair (0, 0) is real and scanned first, so a pad, at 0, never wins
-    m_pad, n_pad = max(m for m, _ in shapes), max(n for _, n in shapes)
-    slot_off = np.cumsum([0] + [m * n for m, n in shapes])
-    pad_idx = np.concatenate([c * m_pad * n_pad + np.add.outer(np.arange(m) * n_pad,
-                                                               np.arange(n)).ravel()
-                              for c, (m, n) in enumerate(shapes)])
-    padded = np.zeros((n_rounds, n_cells * m_pad * n_pad))
+    # each user's powers pair by pair, (pairs, B, K), over every cell's pairs
+    p_pairs = np.concatenate([p.reshape(n_rounds, k_users, -1).transpose(2, 0, 1)
+                              for p in p_dc])
     n_cols = np.array([n for _, n in shapes])[:, None]
-
     rows = np.arange(n_rounds)
-    cells = np.arange(n_cells)[:, None]
     users = np.arange(k_users)
-    v = np.stack([np.broadcast_to(np.asarray(x, dtype=float), (n_rounds, k_users))
-                  for x in v_initial])  # (C, B, K)
-    volts = np.empty((len(seg_us) + n_cells, n_rounds, k_users))
+    width = 1 if trim else k_users
+    tgt = np.empty((length, n_lanes, n_rounds, width))
+    dec = np.empty_like(tgt)
+    # a lean walk reads no target after its step, so the voltages overwrite them
+    volts = tgt if trim else np.empty_like(tgt)
     samples = np.empty((n_rounds, frames, slot_off[-1]))
     out = {}  # (C, B, F, ...) per key
     for j in range(frames):
-        tgt = np.where(on[j], seg_tgt, 0.0)
-        dec = np.where(on[j], seg_decay, idle_decay)
-        volts[starts] = v
-        for g, row in enumerate(seg_rows):
-            volts[row] = settle(volts[row - 1], tgt[g], dec[g])
-        v = volts[lasts]
+        cols = slice(j, j + 1) if trim else slice(None)
+        off = ~emits[:, j, step_pair].transpose(1, 2, 0)[..., None]  # (steps, lanes, B, 1)
+        np.take(p_pairs[..., cols], step_pair, axis=0, out=tgt, mode="clip")
+        tgt *= load[cols]
+        np.sqrt(tgt, out=tgt)
+        np.copyto(tgt, 0.0, where=off | dark)
+        tgt[cell_first, cell_lane] = v[..., cols]
+        np.copyto(dec, seg_decay[..., cols])
+        np.copyto(dec, idle_decay[..., cols], where=off)
+        volts[0] = tgt[0]  # every lane opens with a start step
+        for s in range(1, length):
+            volts[s] = settle(volts[s - 1], tgt[s], dec[s])
 
-        ends = volts[slot_end, :, j].T
+        ends = volts.reshape(-1, n_rounds, width)[slot_end, :, 0 if trim else j].T
         samples[:, j] = ends if adc is None else adc.quantize(ends)
         sampled_w = check_powers(np.square(samples[:, j]) / load[j])
-        padded[:, pad_idx] = sampled_w
-        a, f = select_pairs(padded.reshape(n_rounds, n_cells, m_pad, n_pad), "joint")
-        selected = np.stack((a.T, f.T), axis=-1)  # (C, B, 2)
+        picks = np.array([select_pairs(sampled_w[:, s0:s1].reshape(n_rounds, m, n), "joint")
+                          for (m, n), s0, s1 in zip(shapes, slot_off, slot_off[1:])])
+        selected = picks.transpose(0, 2, 1)  # (C, B, 2)
         applied = np.where(fed_back[:, :, j, None], selected, prior[:, :, j])
-        served = (rows[:, None], users, (slot_off[:-1, None] + applied[..., 0] * n_cols
-                                         + applied[..., 1])[..., None])
-        served_w = p_flat[served]
+        served_w = p_pairs[(slot_off[:-1, None] + applied[..., 0] * n_cols
+                            + applied[..., 1])[..., None], rows[:, None], users]  # (C, B, K)
         frame = dict(selected=selected, applied=applied, served_w=served_w,
-                     selected_w=padded[rows, (cells * m_pad + a.T) * n_pad + f.T])
+                     selected_w=sampled_w[rows, slot_off[:-1, None] + picks[:, 0] * n_cols
+                                          + picks[:, 1]])
+        if not trim:
+            v = volts[cell_last, cell_lane]
         if energy:
-            energy_j = segment_energy(volts[seg_from], tgt, seg_dur,
-                                      np.where(on[j], seg_rise, idle_rise), tau, load)
-            # summed in segment order, as a walk adds them
-            frame["training_j"] = np.stack([np.add.accumulate(energy_j[a0:a1])[-1]
-                                            for a0, a1 in cell_segs])
+            # every step's energy at once; each cell's summed in segment order,
+            # as a walk adds them
+            energy_j = segment_energy(volts[:-1], tgt[1:], seg_dur[1:],
+                                      np.where(off[1:], idle_rise[1:], seg_rise[1:]), tau, load)
+            frame["training_j"] = np.stack([
+                np.add.accumulate(energy_j[f:l, lane])[-1]
+                for lane, f, l in zip(cell_lane, cell_first, cell_last)])
             de = 0.0 if wpt_blank == 0 else segment_energy(
                 v, 0.0, wpt_blank * 1e-6, rise[code[wpt_blank]], tau, load)
             frame["wpt_j"] = de + served_w * (wpt_us - wpt_blank) * 1e-6
-        if wpt_blank > 0:
+        if wpt_blank > 0 and not trim:
             v = settle(v, 0.0, decay[code[wpt_blank]])
         if wpt_us > wpt_blank:
-            v = v_flat[served]
+            v = np.sqrt(served_w * load)
         frame["voltage_v"] = v
         for key, value in frame.items():
             if key not in out:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
+from wptdas import experiments
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.experiments import ExperimentConfig, _protocol_values, nested_frequency_indices
 from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, RoundBatch, run_frame,
@@ -241,32 +242,41 @@ def chained_cells(seed, rounds, k, frames, shapes, link):
 
 
 class TestChainedWalk:
-    # Several cells laid end to end in one walk against each cell walked alone.
-    shapes = st.lists(st.sampled_from([(1, 1), (2, 3), (3, 5), (4, 15)]), min_size=1, max_size=4)
+    # Up to 16 cells packed side by side into lanes in one walk, against each
+    # cell walked alone and against the walk that takes the energies.
+    shapes = st.lists(st.tuples(st.integers(1, 4), st.sampled_from([1, 3, 5, 15])),
+                      min_size=1, max_size=16)
+
+    @staticmethod
+    def assert_same(batch, ref, names):
+        for name in names:
+            assert np.array_equal(getattr(batch, name), getattr(ref, name)), name
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=seeds, rounds=st.integers(1, 3), user_rects=st.lists(rects, min_size=1, max_size=3),
-           shapes=shapes, drop=drops, latency_s=latencies, adc=adcs, data=st.data())
+    @given(seed=seeds, rounds=st.integers(1, 3), user_rects=st.lists(rects, min_size=1, max_size=4),
+           shapes=shapes, drop=drops, latency_s=latencies, adc=adcs, energy=st.booleans(),
+           data=st.data())
     def test_each_cell_equals_its_own_walk(self, seed, rounds, user_rects, shapes, drop,
-                                           latency_s, adc, data):
+                                           latency_s, adc, energy, data):
         k = len(user_rects)
         frames = data.draw(st.integers(1, k))
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         p_dc, draws, volts, priors = chained_cells(seed, rounds, k, frames, shapes, link)
-        chained = run_rounds(p_dc, user_rects, sched, link, adc, draws, volts, priors, frames)
+        chained = run_rounds(p_dc, user_rects, sched, link, adc, draws, volts, priors, frames,
+                             energy=energy)
         assert len(chained) == len(shapes)
         for c, batch in enumerate(chained):
             alone, = run_rounds(p_dc[c:c + 1], user_rects, sched, link, adc, draws[c:c + 1],
-                                volts[c:c + 1], priors[c:c + 1], frames)
-            for field in fields(RoundBatch):
-                assert np.array_equal(getattr(batch, field.name), getattr(alone, field.name))
+                                volts[c:c + 1], priors[c:c + 1], frames, energy=energy)
+            self.assert_same(batch, alone, [field.name for field in fields(RoundBatch)])
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=seeds, user_rects=st.lists(rects, min_size=1, max_size=3), shapes=shapes,
+    @given(seed=seeds, user_rects=st.lists(rects, min_size=1, max_size=4), shapes=shapes,
            drop=drops, latency_s=latencies, adc=adcs)
     def test_a_walk_without_energy_changes_nothing_else(self, seed, user_rects, shapes, drop,
                                                         latency_s, adc):
+        # below wpt_s the lean walk steps only the training user's column
         k = len(user_rects)
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         cells = chained_cells(seed, 2, k, k, shapes, link)
@@ -275,9 +285,44 @@ class TestChainedWalk:
                           energy=False)
         for batch, ref in zip(lean, full, strict=True):
             assert batch.training_j is None and batch.wpt_j is None
-            for field in fields(RoundBatch):
-                if field.name not in ("training_j", "wpt_j"):
-                    assert np.array_equal(getattr(batch, field.name), getattr(ref, field.name))
+            self.assert_same(batch, ref, [field.name for field in fields(RoundBatch)
+                                          if field.name not in ("training_j", "wpt_j")])
+
+    def test_a_fully_blanked_delivery_walks_every_user(self):
+        # with no delivery left, each user's voltage carries into the next
+        # frame, so the lean walk must step the passive users too
+        link = ControlLinkModel(latency_s=3.5)
+        user_rects = [RectennaConfig(settle_tau_s=0.05)] * 2
+        cells = chained_cells(1, 2, 2, 2, [(2, 3), (1, 1)], link)
+        full = run_rounds(cells[0], user_rects, FrameSchedule(), link, None, *cells[1:], 2)
+        lean = run_rounds(cells[0], user_rects, FrameSchedule(), link, None, *cells[1:], 2,
+                          energy=False)
+        for batch, ref in zip(lean, full, strict=True):
+            assert np.all(batch.voltage_v > 0.0)
+            self.assert_same(batch, ref, ["samples", "voltage_v"])
+
+    def test_the_default_sweep_equals_each_cell_alone(self, monkeypatch):
+        # the protocol sweep's own inputs: 16 cells, seed 1, 2 users, 0.1 drop,
+        # 2 ms latency and a 12-bit ADC, in its one engine call
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs, run_rounds(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(experiments, "run_rounds", spy)
+        cfg = ExperimentConfig(profile=PROFILE, grid=GRID, users=2, realizations=30, seed=1,
+                               strategies=("joint",))
+        _protocol_values(cfg, FrameSchedule(), ControlLinkModel(drop_probability=0.1,
+                                                                latency_s=0.002),
+                         AdcModel(bits=12))
+        (args, kwargs, chained), = calls
+        p_dc, user_rects, sched, link, adc, draws, volts, priors, frames = args
+        assert len(chained) == 16
+        for c, batch in enumerate(chained):
+            alone, = run_rounds(p_dc[c:c + 1], user_rects, sched, link, adc, draws[c:c + 1],
+                                volts[c:c + 1], priors[c:c + 1], frames, **kwargs)
+            self.assert_same(batch, alone, [field.name for field in fields(RoundBatch)])
 
 
 class TestTdmaAgainstScalarWalk:

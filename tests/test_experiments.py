@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wptdas import experiments
 from wptdas.channel import FrequencyGrid, builtin_profile, sample_channel
 from wptdas.errors import ValidationError
 from wptdas.experiments import (
@@ -16,7 +17,6 @@ from wptdas.experiments import (
     dbm_to_watts,
     nested_frequency_indices,
     _cell_values,
-    _cell_walks,
     _dc_tensor,
     _protocol_values,
     _sweep_cells,
@@ -26,7 +26,8 @@ from wptdas.experiments import (
     watts_to_dbm,
 )
 from wptdas.protocol import (MESSAGE_SIZE_BYTES, AdcModel, ControlLinkModel, FrameSchedule,
-                             control_bytes, frame_log, run_frame)
+                             _blank_us, _pack_lanes, _segments, control_bytes, frame_log,
+                             run_frame, run_rounds)
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 from wptdas.rng import DOMAIN_CHANNEL, substream
 from wptdas.selection import STRATEGIES
@@ -457,25 +458,51 @@ class TestFrequencyDiversity:
         assert not np.array_equal(values[4, 15, "joint"], values[4, 15, "none"])
 
 
-class TestCellWalks:
+class TestLanePacking:
     @settings(max_examples=200, deadline=None)
-    @given(slots=st.lists(st.integers(1, 64), min_size=1, max_size=20))
-    def test_walks_keep_sweep_order_within_the_largest_cell(self, slots):
-        walks = _cell_walks(slots)
-        assert [i for walk in walks for i in walk] == list(range(len(slots)))
-        assert all(sum(slots[i] for i in walk) <= max(slots) for walk in walks)
-        # a walk closes only when the next cell would not fit
-        for walk, after in zip(walks, walks[1:]):
-            assert sum(slots[i] for i in walk) + slots[after.start] > max(slots)
+    @given(steps=st.lists(st.integers(1, 65), min_size=1, max_size=20))
+    def test_every_cell_gets_its_own_run_of_steps(self, steps):
+        n_lanes, place = _pack_lanes(steps)
+        assert len(place) == len(steps)
+        length = max(steps)  # no lane is longer than the longest cell
+        held = np.zeros((n_lanes, length), dtype=int)
+        for (lane, first), n in zip(place, steps):
+            assert 0 <= lane < n_lanes and 0 <= first and first + n <= length
+            held[lane, first:first + n] += 1
+        assert held.max() == 1  # no two cells overlap
+        assert held[:, 0].all()  # every lane opens with a cell
 
-    def test_one_cell_is_one_walk(self):
-        assert _cell_walks([7]) == [range(1)]
+    def test_one_cell_is_one_lane(self):
+        assert _pack_lanes([7]) == (1, [(0, 0)])
 
-    def test_the_default_sweep_takes_five_walks(self):
-        # antenna sets 1..4 x frequency sets 1/3/5/15, the benchmark's sweep too
-        slots = [m * k for m, k, _cols in _sweep_cells(small_cfg())]
-        assert len(slots) == 16
-        assert [len(walk) for walk in _cell_walks(slots)] == [7, 4, 2, 2, 1]
+    @pytest.mark.parametrize("link, lanes, length", [
+        (ControlLinkModel(drop_probability=0.1, latency_s=0.002), 5, 65),
+        (ControlLinkModel(), 5, 61)])
+    def test_the_default_sweep_packs_into_five_lanes(self, link, lanes, length):
+        # antenna sets 1..4 x frequency sets 1/3/5/15, the benchmark's sweep
+        # too: a start step, then one step per slot, plus one per antenna block
+        # whose first slot a 2 ms latency splits
+        slot_us = FrameSchedule().slot_us
+        steps = [len(_segments(m, _blank_us(link, k, slot_us), slot_us)) + 1
+                 for m, k, _cols in _sweep_cells(small_cfg())]
+        assert len(steps) == 16
+        n_lanes, _place = _pack_lanes(steps)
+        assert (n_lanes, max(steps)) == (lanes, length)
+
+
+class TestProtocolSweepIsOneWalk:
+    def test_a_sweep_makes_one_engine_call(self, monkeypatch):
+        calls = []
+
+        def spy(p_dc, *args, **kwargs):
+            calls.append(len(p_dc))
+            return run_rounds(p_dc, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_rounds", spy)
+        cfg = small_cfg(users=2, realizations=3, strategies=("joint",))
+        run_protocol_experiment(cfg, link=ControlLinkModel(drop_probability=0.1,
+                                                           latency_s=0.002))
+        assert calls == [16]
 
 
 class TestFingerprint:

@@ -379,6 +379,22 @@ class TestRunRoundsShapes:
         batch, _ = self.walk(cells, draws, prior=[(1, 2), (0, 0)])
         assert batch.applied.tolist() == [[[1, 2]]]
 
+    @pytest.mark.parametrize("v_initial", [-2.0, -1e-300, math.nan, math.inf, -math.inf, None,
+                                           [0.1, 0.2, 0.3], "volts", [[0.1], [math.nan]]])
+    def test_a_start_voltage_must_be_finite_and_at_least_0(self, v_initial):
+        # -2 V was once walked, NaN failed as a bad candidate power and a
+        # 3-element list in numpy's broadcast
+        cells = [np.full((2, 2, 2, 3), 1e-6), np.full((2, 2, 1, 1), 9e-6)]
+        with pytest.raises(ValidationError, match="cell 1: v_initial"):
+            run_rounds(cells, [RECT], FrameSchedule(), ControlLinkModel(), DEFAULT_ADC,
+                       [None, None], [0.0, v_initial], [(0, 0)] * 2, 1)
+
+    @pytest.mark.parametrize("prior", [(0, 0, 0), [(0, 0)] * 3, [(0, 1), (0,)]])
+    def test_a_fallback_pair_that_does_not_broadcast_names_the_cell(self, prior):
+        cells = [np.full((1, 2, 2, 3), 1e-6)]
+        with pytest.raises(ValidationError, match="cell 0: prior pairs"):
+            self.walk(cells, [np.zeros((1, 1, 3))], prior=[prior])
+
 
 class TestEventLogCsv:
     def test_columns_and_determinism(self):
