@@ -43,7 +43,7 @@ from .protocol import (
 )
 from .rectenna import RectennaConfig
 from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, keyed_draws, substream_keys
-from .selection import STRATEGIES, check_powers, default_pair, select_pairs
+from .selection import STRATEGIES, check_powers, select_pairs
 from .signal_chain import dc_power_matrix
 
 RESULT_COLUMNS = "M,N,strategy,user,avg_pdc_watts,stderr_watts,realizations,seed"
@@ -343,9 +343,8 @@ def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlL
             keyed_draws(keys, "random", np.empty((n_real, sum(widths)))),
             np.cumsum(widths)[:-1], axis=1), cells)]
 
-    batches = run_rounds([dc[:, :, :m][..., cols] for m, _k, cols in cells], [cfg.rect] * users,
-                         sched, link, adc, draws, [0.0] * len(cells),
-                         [default_pair(k) for _m, k, _cols in cells], users, energy=False)
+    batches = run_rounds([dc[:, None, :, :m][..., cols] for m, _k, cols in cells],
+                         [cfg.rect] * users, sched, link, adc, draws, users, energy=False)
     # summed frame by frame, in frame order
     return {(m, k): np.add.accumulate(batch.served_w, axis=1)[:, -1] / users
             for (m, k, _cols), batch in zip(cells, batches)}

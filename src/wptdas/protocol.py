@@ -19,21 +19,23 @@ budget (:func:`wptdas.experiments.power_budget_report`). Each message -
 activation or feedback - is one byte, so a frame sends
 :func:`control_bytes`.
 
-One engine, :func:`run_rounds`, walks the frames of a whole batch of TDMA
-rounds at once: every (realization, user) row settles through the same
-slots, the training user's samples feed its selection, and the passive
-users harvest what the transmitter emits. A walk may hold several cells
-(candidate-matrix shapes) side by side in lanes: each cell's frame is a
-start step, which loads the cell's own voltage, then one settling step per
-segment, and every lane steps at once. Each cell gets its own
-:class:`RoundBatch` of views into the walk's arrays; the training and
-delivery energies are None when the caller skips them, and then only the
-training user's column is stepped unless delivery is fully blanked. A
-batch is the result of every caller: the protocol sweep walks all its
-cells over all realizations in one call without the energies,
-:func:`wptdas.scheduler.run_tdma` walks one round and :func:`run_frame` one
-frame, each one cell in one lane. Event logs are built only on request, from the batch's arrays
-(:func:`frame_log`, written by :func:`write_events`).
+One engine, :func:`run_rounds`, walks every frame of a whole batch of
+independent TDMA runs at once: every (run, user) row settles through the
+same slots, the training user's samples feed its selection, and the
+passive users harvest what the transmitter emits. Every run starts at
+rest (0 V, no earlier pair), and the engine alone carries each output
+voltage and each user's fallback pair from frame to frame. A walk may
+hold several cells (candidate-matrix shapes) side by side in lanes: each
+cell's frame is a start step, which loads the cell's own voltage, then one
+settling step per segment, and every lane steps at once. Each cell gets
+its own :class:`RoundBatch` of views into the walk's arrays; the training
+and delivery energies are None when the caller skips them, and then only
+the training user's column is stepped unless delivery is fully blanked. A
+batch is the result of every caller, each of which makes one call: the
+protocol sweep walks all its cells over all realizations without the
+energies, :func:`wptdas.scheduler.run_tdma` walks all its rounds and
+:func:`run_frame` one frame. Event logs are built only on request, from
+the batch's arrays (:func:`frame_log`, written by :func:`write_events`).
 """
 
 from __future__ import annotations
@@ -235,35 +237,17 @@ def _pack_lanes(steps: list) -> tuple[int, list]:
     return len(ends), place
 
 
-def _per_cell(name: str, values: list, shape: tuple, dtype) -> np.ndarray:
-    """``values``, one entry per cell, each broadcast to ``shape``, stacked on a
-    cell axis as ``dtype``: ``np.intp`` takes integers, ``float`` real numbers."""
-    out = np.empty((len(values),) + shape, dtype=dtype)
-    kinds = "iu" if out.dtype.kind == "i" else "iuf"
-    for c, x in enumerate(values):
-        try:
-            x = np.asarray(x)
-            if x.dtype.kind not in kinds:
-                raise TypeError
-            out[c] = x
-        except (TypeError, ValueError, OverflowError):
-            what = "integers" if kinds == "iu" else "real numbers"
-            raise ValidationError(f"cell {c}: {name} must be {what} that broadcast to "
-                                  f"{shape}") from None
-    return out
-
-
 @dataclass
 class RoundBatch:
-    """Arrays of ``B`` TDMA rounds of one cell, walked side by side by
+    """Arrays of ``B`` independent runs of one cell, walked side by side by
     :func:`run_rounds`.
 
-    Frame ``j`` of a round trains user ``j``; every user of the round
-    harvests in every frame. Pairs are 0-based (antenna, frequency) on the
-    last axis. Shapes use ``B`` rounds, ``F`` frames, ``K`` users and
-    ``M x N`` pairs. The cells of one walk share its arrays: each cell's
-    batch is a set of views into them. The two energies are None when the
-    walk was run with ``energy=False``.
+    Frame ``f`` of a run trains user ``f % K`` in round ``f // K``; every
+    user of the run harvests in every frame. Pairs are 0-based (antenna,
+    frequency) on the last axis. Shapes use ``B`` runs, ``F`` frames, ``K``
+    users and ``M x N`` pairs. The cells of one walk share its arrays: each
+    cell's batch is a set of views into them. The two energies are None
+    when the walk was run with ``energy=False``.
     """
 
     activated: np.ndarray  # (B, F, M) activation message delivered
@@ -280,26 +264,30 @@ class RoundBatch:
 
 
 def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkModel,
-               adc: AdcModel | None, draws: list, v_initial: list, prior: list, frames: int,
+               adc: AdcModel | None, draws: list, frames: int,
                energy: bool = True) -> list[RoundBatch]:
-    """Walk ``frames`` frames of ``B`` independent rounds of each of a list of
-    cells through the protocol; one :class:`RoundBatch` per cell.
+    """Walk ``frames`` frames of ``B`` independent runs of each of a list of
+    cells through the protocol, from rest; one :class:`RoundBatch` per cell.
 
     A cell is one candidate-matrix shape. Each of the per-cell lists holds
-    one entry per cell: ``p_dc`` (B, K, M, N), each user's steady dc power
-    per pair, already through :func:`check_powers`; ``draws`` (B, frames,
-    M + 1), each frame's link uniforms, M activations then the feedback, or
-    None on a lossless link (a message gets through when its draw is at
-    least the drop probability); ``v_initial``, the output voltages at the
-    round start, which carry from frame to frame, and ``prior``, the 0-based
-    pair within the matrix that each user's transmitter falls back to when
-    that user's feedback is lost, each (B, K) and (B, K, 2) or broadcast to
-    it. ``rects`` holds one rectenna per user, shared by every cell. With
-    ``energy=False`` the walk skips the training and delivery energies and
-    returns them as None. Before the walk, a cell whose ``p_dc`` or
-    ``draws`` does not fit the first cell's B and K and ``frames`` (1..K),
-    whose start voltages are not finite and >= 0, or whose ``prior`` lies
-    outside its matrix, is rejected.
+    one entry per cell: ``p_dc`` (B, R, K, M, N), each user's steady dc
+    power per pair in each of ``R`` rounds, already through
+    :func:`check_powers`, and ``draws`` (B, frames, M + 1), each frame's
+    link uniforms, M activations then the feedback, or None on a lossless
+    link (a message gets through when its draw is at least the drop
+    probability). Frame ``f`` trains user ``f % K`` with round ``f // K``'s
+    powers, so ``frames`` lies in ((R - 1) K, R K]. ``rects`` holds one
+    rectenna per user, shared by every cell. With ``energy=False`` the walk
+    skips the training and delivery energies and returns them as None.
+    Before the walk, a cell whose ``p_dc`` is not 5-D or does not share the
+    first cell's B, R and K, or whose ``draws`` do not fit it, is rejected,
+    and so are a rectenna count other than K and a frame count outside the
+    rounds.
+
+    Every run starts at rest: each output at 0 V, and each user's
+    transmitter falls back to :func:`default_pair` when its feedback is
+    lost. The output voltage carries from frame to frame, and the pair a
+    frame serves becomes its training user's fallback.
 
     Each cell's frame is a run of settling steps: a start step, which loads
     the cell's voltage (decay 0, target v: ``v + (0 - v) * 0 == v``), then
@@ -314,25 +302,24 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
     user's column is walked.
     """
     n_cells = len(p_dc)
-    if not n_cells == len(draws) == len(v_initial) == len(prior) >= 1:
-        raise ValidationError("need one p_dc, draws, v_initial and prior entry per cell")
-    shapes = [p.shape[2:] for p in p_dc]
-    n_rounds, k_users = p_dc[0].shape[:2]
-    frames = check_integer("frames", frames, low=1, high=k_users)
-    for c, (p, d) in enumerate(zip(p_dc, draws)):
-        if p.ndim != 4 or p.shape[:2] != (n_rounds, k_users) or (
-                d is not None and np.shape(d) != (n_rounds, frames, p.shape[2] + 1)):
-            raise ValidationError(f"cell {c}: p_dc {p.shape} and draws {np.shape(d)} do not fit "
-                                  f"{n_rounds} rounds, {k_users} users and {frames} frames")
-        check_feedback_space(*shapes[c])
-    v = _per_cell("v_initial", v_initial, (n_rounds, k_users), float)  # (C, B, K)
-    bad = ~((v >= 0.0) & (v < math.inf))  # NaN fails both
-    if bad.any():
-        raise ValidationError(f"cell {np.argwhere(bad)[0, 0]}: v_initial must be finite "
-                              "voltages >= 0")
-    prior = _per_cell("prior pairs", prior, (n_rounds, k_users, 2), np.intp)
-    if ((prior < 0) | (prior >= np.array(shapes)[:, None, None])).any():
-        raise ValidationError("prior pairs must be 0-based integers within each cell's matrix")
+    if not n_cells == len(draws) >= 1:
+        raise ValidationError("need one p_dc and one draws entry per cell")
+    dims = np.shape(p_dc[0])[:3]
+    for c, p in enumerate(p_dc):
+        if np.ndim(p) != 5 or p.shape[:3] != dims:
+            raise ValidationError(f"cell {c}: p_dc {np.shape(p)} is not (runs, rounds, users, "
+                                  f"M, N) with the first cell's {dims}")
+        check_feedback_space(*p.shape[3:])
+    n_runs, n_rounds, k_users = dims
+    if len(rects) != k_users:
+        raise ValidationError(f"need one rectenna per user: {len(rects)} for {k_users} users")
+    frames = check_integer("frames", frames, low=(n_rounds - 1) * k_users + 1,
+                           high=n_rounds * k_users)
+    shapes = [p.shape[3:] for p in p_dc]
+    for c, (d, (m_total, _)) in enumerate(zip(draws, shapes)):
+        if d is not None and np.shape(d) != (n_runs, frames, m_total + 1):
+            raise ValidationError(f"cell {c}: draws {np.shape(d)} do not fit {n_runs} runs, "
+                                  f"{frames} frames and {m_total} antennas")
     slot_us, wpt_us = sched.slot_us, sched.wpt_us
     tau = np.array([r.settle_tau_s for r in rects])
     load = np.array([r.load_ohms for r in rects])
@@ -379,29 +366,34 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
         seg_rise, idle_rise = rise[seg_code][:, :, None], rise[idle_code][:, :, None]
         seg_dur = np.array(durations + [0])[seg_code][..., None, None] * 1e-6
 
-    ok = [np.ones((n_rounds, frames, m + 1), dtype=bool) if d is None
+    ok = [np.ones((n_runs, frames, m + 1), dtype=bool) if d is None
           else d >= link.drop_probability for d, (m, _) in zip(draws, shapes)]
     fed_back = np.stack([o[..., m] for o, (m, _) in zip(ok, shapes)])  # (C, B, F)
     emits = (np.concatenate([o[..., :m] for o, (m, _) in zip(ok, shapes)], axis=-1)
              [..., slot_ant] & np.array(slot_live))  # (B, F, slots)
 
-    # each user's powers pair by pair, (pairs, B, K), over every cell's pairs
-    p_pairs = np.concatenate([p.reshape(n_rounds, k_users, -1).transpose(2, 0, 1)
-                              for p in p_dc])
+    # each user's powers pair by pair, (R, pairs, B, K), over every cell's pairs
+    p_pairs = np.concatenate([p.reshape(n_runs, n_rounds, k_users, -1).transpose(1, 3, 0, 2)
+                              for p in p_dc], axis=1)
     n_cols = np.array([n for _, n in shapes])[:, None]
-    rows = np.arange(n_rounds)
+    rows = np.arange(n_runs)
     users = np.arange(k_users)
     width = 1 if trim else k_users
-    tgt = np.empty((length, n_lanes, n_rounds, width))
+    tgt = np.empty((length, n_lanes, n_runs, width))
     dec = np.empty_like(tgt)
     # a lean walk reads no target after its step, so the voltages overwrite them
     volts = tgt if trim else np.empty_like(tgt)
-    samples = np.empty((n_rounds, frames, slot_off[-1]))
+    samples = np.empty((n_runs, frames, slot_off[-1]))
+    v = np.zeros((n_cells, n_runs, k_users))  # every output starts at 0 V
+    last = np.empty((n_cells, n_runs, k_users, 2), dtype=np.intp)  # each user's fallback
+    last[...] = np.array([default_pair(n) for _, n in shapes])[:, None, None]
     out = {}  # (C, B, F, ...) per key
-    for j in range(frames):
+    for f in range(frames):
+        r, j = divmod(f, k_users)  # the round and its training user
+        p_round = p_pairs[r]
         cols = slice(j, j + 1) if trim else slice(None)
-        off = ~emits[:, j, step_pair].transpose(1, 2, 0)[..., None]  # (steps, lanes, B, 1)
-        np.take(p_pairs[..., cols], step_pair, axis=0, out=tgt, mode="clip")
+        off = ~emits[:, f, step_pair].transpose(1, 2, 0)[..., None]  # (steps, lanes, B, 1)
+        np.take(p_round[..., cols], step_pair, axis=0, out=tgt, mode="clip")
         tgt *= load[cols]
         np.sqrt(tgt, out=tgt)
         np.copyto(tgt, 0.0, where=off | dark)
@@ -412,14 +404,14 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
         for s in range(1, length):
             volts[s] = settle(volts[s - 1], tgt[s], dec[s])
 
-        ends = volts.reshape(-1, n_rounds, width)[slot_end, :, 0 if trim else j].T
-        samples[:, j] = ends if adc is None else adc.quantize(ends)
-        sampled_w = check_powers(np.square(samples[:, j]) / load[j])
-        picks = np.array([select_pairs(sampled_w[:, s0:s1].reshape(n_rounds, m, n), "joint")
+        ends = volts.reshape(-1, n_runs, width)[slot_end, :, 0 if trim else j].T
+        samples[:, f] = ends if adc is None else adc.quantize(ends)
+        sampled_w = check_powers(np.square(samples[:, f]) / load[j])
+        picks = np.array([select_pairs(sampled_w[:, s0:s1].reshape(n_runs, m, n), "joint")
                           for (m, n), s0, s1 in zip(shapes, slot_off, slot_off[1:])])
         selected = picks.transpose(0, 2, 1)  # (C, B, 2)
-        applied = np.where(fed_back[:, :, j, None], selected, prior[:, :, j])
-        served_w = p_pairs[(slot_off[:-1, None] + applied[..., 0] * n_cols
+        applied = last[:, :, j] = np.where(fed_back[:, :, f, None], selected, last[:, :, j])
+        served_w = p_round[(slot_off[:-1, None] + applied[..., 0] * n_cols
                             + applied[..., 1])[..., None], rows[:, None], users]  # (C, B, K)
         frame = dict(selected=selected, applied=applied, served_w=served_w,
                      selected_w=sampled_w[rows, slot_off[:-1, None] + picks[:, 0] * n_cols
@@ -432,8 +424,8 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
             energy_j = segment_energy(volts[:-1], tgt[1:], seg_dur[1:],
                                       np.where(off[1:], idle_rise[1:], seg_rise[1:]), tau, load)
             frame["training_j"] = np.stack([
-                np.add.accumulate(energy_j[f:l, lane])[-1]
-                for lane, f, l in zip(cell_lane, cell_first, cell_last)])
+                np.add.accumulate(energy_j[f0:l0, lane])[-1]
+                for lane, f0, l0 in zip(cell_lane, cell_first, cell_last)])
             de = 0.0 if wpt_blank == 0 else segment_energy(
                 v, 0.0, wpt_blank * 1e-6, rise[code[wpt_blank]], tau, load)
             frame["wpt_j"] = de + served_w * (wpt_us - wpt_blank) * 1e-6
@@ -444,11 +436,11 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
         frame["voltage_v"] = v
         for key, value in frame.items():
             if key not in out:
-                out[key] = np.empty((n_cells, n_rounds, frames) + value.shape[2:], value.dtype)
-            out[key][:, :, j] = value
+                out[key] = np.empty((n_cells, n_runs, frames) + value.shape[2:], value.dtype)
+            out[key][:, :, f] = value
 
     return [RoundBatch(activated=o[..., :m], fed_back=o[..., m],
-                       emitting=emits[..., s0:s1].reshape(n_rounds, frames, m, n),
+                       emitting=emits[..., s0:s1].reshape(n_runs, frames, m, n),
                        samples=samples[..., s0:s1],
                        **{"training_j": None, "wpt_j": None}
                        | {key: arr[c] for key, arr in out.items()})
@@ -456,7 +448,7 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
 
 
 def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule) -> list[Event]:
-    """The events of frame ``j`` of round ``b`` of a walk, for its training user,
+    """The events of frame ``j`` of run ``b`` of a walk, for its training user,
     from t = 0."""
     _, _, m_total, n_total = batch.emitting.shape
     slot_us = sched.slot_us
@@ -488,8 +480,8 @@ def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule) -> list[E
 def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule = FrameSchedule(),
               link: ControlLinkModel = ControlLinkModel(), rng: np.random.Generator | None = None,
               adc: AdcModel | None = DEFAULT_ADC) -> RoundBatch:
-    """Simulate one frame from rest (0 V, no earlier pair): the :func:`run_rounds`
-    batch of one round, one frame and one user, whose events :func:`frame_log` lists.
+    """Simulate one frame from rest: the :func:`run_rounds` batch of one run,
+    one round, one user and one frame, whose events :func:`frame_log` lists.
 
     ``p_dc`` is the receiver's steady dc power in watts per (antenna,
     frequency) pair, as :func:`wptdas.signal_chain.dc_power_matrix` gives it.
@@ -500,6 +492,5 @@ def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule = Fra
     transmitter fall back to (antenna 1, middle frequency).
     """
     p_dc = CandidateMatrix.from_powers(p_dc).values
-    m_total, n_total = p_dc.shape
-    return run_rounds([p_dc[None, None]], [rect], sched, link, adc,
-                      [link.draws(rng, (1, 1, m_total + 1))], [0.0], [default_pair(n_total)], 1)[0]
+    return run_rounds([p_dc[None, None, None]], [rect], sched, link, adc,
+                      [link.draws(rng, (1, 1, p_dc.shape[0] + 1))], 1)[0]

@@ -9,8 +9,9 @@ phase - through its own channel and rectenna.
 Every user's channel is redrawn from the tap profile at the start of each
 round (one round = K consecutive frames), so one round is one Monte Carlo
 realization: each user trains exactly once per realization and the
-channel is block-static within it. Redraws consume the supplied stream in
-user order, before any frame of the round runs.
+channel is block-static within it. Each round's redraws consume the
+supplied stream in user order, then the round's link draws follow; every
+round is drawn before the first frame runs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .protocol import (
     run_rounds,
 )
 from .rectenna import RectennaConfig
-from .selection import check_powers, default_pair
+from .selection import check_powers
 from .signal_chain import dc_power_matrix
 
 TRACE_COLUMNS = "frame,user,active_flag,antenna,frequency,p_dc_watts,energy_joules"
@@ -84,11 +85,11 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
 
     Every round redraws each user's channel from ``profile`` and ``rng``
     with ``antennas`` antennas, so a frame trains ``antennas * grid.count``
-    slots. Each round is one call of :func:`wptdas.protocol.run_rounds`,
-    given each user's output voltage and fallback pair (the pair applied in
-    its last frame, at first the default pair); its arrays give the trace
-    rows. ``users`` are left as they were, and no event logs are built.
-    Bad counts are rejected before the first draw.
+    slots; the round's link draws follow its channels. All rounds are one
+    walk of :func:`wptdas.protocol.run_rounds`, which carries each user's
+    output voltage and fallback pair from frame to frame; its arrays give
+    the trace rows. ``users`` are left as they were, and no event logs are
+    built. Bad counts are rejected before the first draw.
     """
     if not users:
         raise ValidationError("need at least one user")
@@ -97,30 +98,24 @@ def run_tdma(users: list, frames: int, grid: FrequencyGrid, budget: LinkBudget,
     check_feedback_space(antennas, grid.count)
     k = len(users)
 
-    rows: list[TraceRow] = []
-    frame_s = sched.frame_us(antennas * grid.count) * 1e-6
-    volts = np.zeros((1, k))
-    fallback = np.array([[default_pair(grid.count)] * k])  # (1, K, 2)
-    totals = [0.0] * k
-
+    p_dc, draws = [], []
     for start in range(0, frames, k):
         # each user's channel holds for the round, and so does its dc matrix
-        p_dc = check_powers(np.stack([dc_power_matrix(
-            sample_channel(profile, antennas, rng), grid, budget, u.rect.curve,
-            u.extra_loss_db) for u in users]))
-        count = min(k, frames - start)
-        batch, = run_rounds([p_dc[None]], [u.rect for u in users], sched, link, adc,
-                            [link.draws(rng, (1, count, antennas + 1))], [volts], [fallback],
-                            count)
-        for j in range(count):
-            antenna, frequency = (batch.applied[0, j] + 1).tolist()
-            energy = [e_train + e_wpt for e_train, e_wpt in
-                      zip(batch.training_j[0, j].tolist(), batch.wpt_j[0, j].tolist())]
-            for u in [j] + [v for v in range(k) if v != j]:
-                totals[u] += energy[u]
-                rows.append(TraceRow(start + j, users[u].user_id, u == j, antenna, frequency,
-                                     energy[u] / frame_s, totals[u]))
-        volts = batch.voltage_v[:, -1]
-        fallback = np.concatenate([batch.applied, fallback[:, count:]], axis=1)
+        p_dc.append([dc_power_matrix(sample_channel(profile, antennas, rng), grid, budget,
+                                     u.rect.curve, u.extra_loss_db) for u in users])
+        draws.append(link.draws(rng, (1, min(k, frames - start), antennas + 1)))
+    batch, = run_rounds([check_powers(np.array(p_dc)[None])], [u.rect for u in users], sched,
+                        link, adc, [None if draws[0] is None else np.concatenate(draws, axis=1)],
+                        frames)
 
+    frame_s = sched.frame_us(antennas * grid.count) * 1e-6
+    rows: list[TraceRow] = []
+    totals = [0.0] * k
+    for f, ((antenna, frequency), energy) in enumerate(zip(
+            (batch.applied[0] + 1).tolist(), (batch.training_j[0] + batch.wpt_j[0]).tolist())):
+        j = f % k
+        for u in [j] + [v for v in range(k) if v != j]:
+            totals[u] += energy[u]
+            rows.append(TraceRow(f, users[u].user_id, u == j, antenna, frequency,
+                                 energy[u] / frame_s, totals[u]))
     return TdmaResult(rows)

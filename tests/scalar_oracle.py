@@ -15,9 +15,9 @@ time for the unit tests; the antenna subset and the explicit frequency grid
 build a nested cell's own channel and grid.
 
 The library starts every run at rest (0 V, no earlier pair, t = 0). The
-oracle's frame walk also takes a start voltage, a prior pair and a time
-offset, and its TDMA walk keeps each user's running state to itself, so
-the tests can hold the engine's ``v_initial`` and ``prior`` to it.
+oracle's frame walk takes a start voltage, a prior pair and a time offset,
+which its TDMA walk carries from frame to frame, one user at a time, as
+the library's engine carries them for a whole batch.
 """
 
 from __future__ import annotations
@@ -184,63 +184,92 @@ def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
                                 sched, link, rect)
     events.append(Event(start_us + sched.frame_us(m_total * n_total), "FrameEnd"))
 
-    return dict(events=events, selected=(best_m, best_n), selected_w=float(best_w),
+    return dict(events=events, activated=delivered, fed_back=fb_delivered, samples=samples,
+                selected=(best_m, best_n), selected_w=float(best_w),
                 applied=(applied_m, applied_n), applied_w=applied_p, emissions=emissions,
                 training_j=e_train, wpt_j=e_wpt, voltage_v=v)
 
 
 def batch_frame(batch, b, j, sched, start_us=0):
-    """Frame ``j`` of round ``b`` of a library walk, for its training user, in
+    """Frame ``j`` of run ``b`` of a library walk, for its training user, in
     the terms of :func:`run_frame`: 1-based pairs, Python numbers, each
     slot's (antenna or None when the transmitter is idle, frequency), and
-    the frame's events moved ``start_us`` on from the library's t = 0."""
+    the frame's events moved ``start_us`` on from the library's t = 0; with
+    every user's energies, served power and end voltage under "users", as
+    :func:`run_tdma` keeps them."""
+    u = j % batch.served_w.shape[-1]
     emitting = batch.emitting[b, j].tolist()
     events = [dataclasses.replace(e, t_us=e.t_us + start_us)
               for e in frame_log(batch, b, j, sched)]
     return dict(events=events,
+                activated=batch.activated[b, j].tolist(),
+                fed_back=bool(batch.fed_back[b, j]),
+                samples=batch.samples[b, j].tolist(),
                 selected=tuple((batch.selected[b, j] + 1).tolist()),
                 selected_w=float(batch.selected_w[b, j]),
                 applied=tuple((batch.applied[b, j] + 1).tolist()),
-                applied_w=float(batch.served_w[b, j, j]),
+                applied_w=float(batch.served_w[b, j, u]),
                 emissions=[(m + 1 if on else None, n + 1)
                            for m, row in enumerate(emitting) for n, on in enumerate(row)],
-                training_j=float(batch.training_j[b, j, j]),
-                wpt_j=float(batch.wpt_j[b, j, j]),
-                voltage_v=float(batch.voltage_v[b, j, j]))
+                training_j=float(batch.training_j[b, j, u]),
+                wpt_j=float(batch.wpt_j[b, j, u]),
+                voltage_v=float(batch.voltage_v[b, j, u]),
+                users=list(zip(*(getattr(batch, name)[b, j].tolist() for name in
+                                 ("training_j", "wpt_j", "served_w", "voltage_v")))))
+
+
+def batch_fields(kept):
+    """The :class:`wptdas.protocol.RoundBatch` fields of one run, (F, ...)
+    arrays, from the frames :func:`run_tdma` kept."""
+    m_total = len(kept[0]["activated"])
+    users = np.array([frame["users"] for frame in kept])  # (F, K, 4)
+    return dict(
+        activated=np.array([frame["activated"] for frame in kept]),
+        fed_back=np.array([frame["fed_back"] for frame in kept]),
+        emitting=np.array([[m is not None for m, _n in frame["emissions"]]
+                           for frame in kept]).reshape(len(kept), m_total, -1),
+        samples=np.array([frame["samples"] for frame in kept]),
+        selected=np.array([frame["selected"] for frame in kept]) - 1,
+        selected_w=np.array([frame["selected_w"] for frame in kept]),
+        applied=np.array([frame["applied"] for frame in kept]) - 1,
+        training_j=users[..., 0], wpt_j=users[..., 1], served_w=users[..., 2],
+        voltage_v=users[..., 3])
 
 
 def _passive_harvest(rect, v, frame, p_dc, sched, link):
-    """(energy, steady dc power at the served pair, end voltage) of a passive
-    user's replay of ``frame``'s emissions and served pair from voltage ``v``."""
+    """(training energy, delivery energy, steady dc power at the served pair,
+    end voltage) of a passive user's replay of ``frame``'s emissions and
+    served pair from voltage ``v``."""
     v_tgt = np.sqrt(p_dc * rect.load_ohms)
     e_train, _v_ends, v = harvest_training(frame["emissions"], v_tgt, v, sched, link, rect)
     served = (frame["applied"][0] - 1, frame["applied"][1] - 1)
     applied_p = float(p_dc[served])
     e_wpt, v = harvest_delivery(v, float(v_tgt[served]), applied_p, sched, link, rect)
-    return e_train + e_wpt, applied_p, v
+    return e_train, e_wpt, applied_p, v
 
 
 def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, link=None,
-             adc=None, keep_frames=False, p_dc=None, antennas=4, priors=None, volts=None):
-    """Round-robin TDMA, one frame at a time: the library's result, and each
-    frame's :func:`run_frame` result in frame order when ``keep_frames`` asks.
+             adc=None, keep_frames=False, p_dc=None, antennas=4):
+    """Round-robin TDMA from rest, one frame at a time: the library's result,
+    and each frame's :func:`run_frame` result in frame order when
+    ``keep_frames`` asks, with each user's (training energy, delivery
+    energy, steady dc power at the served pair, end voltage) under "users".
 
-    ``p_dc``, one matrix per user, stands in for the matrices of channels
-    drawn each round from ``profile`` with ``antennas`` antennas. Each
-    user's prior pair, output voltage and harvest are kept here, starting
-    from ``priors`` (1-based pairs or None) and ``volts`` when given, and
-    from rest when not.
+    ``p_dc``, one list of one matrix per user for each round, stands in for
+    the matrices of channels drawn each round from ``profile`` with
+    ``antennas`` antennas. Each user's prior pair, output voltage and
+    harvest are kept here, from frame to frame.
     """
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
     k = len(users)
-    prior = list(priors) if priors is not None else [None] * k
-    voltage = list(volts) if volts is not None else [0.0] * k
+    prior = [None] * k
+    voltage = [0.0] * k
     energy = [0.0] * k
     rows, kept = [], []
     for i in range(frames):
         if i % k == 0:
-            round_dc = p_dc if p_dc is not None else [
+            round_dc = p_dc[i // k] if p_dc is not None else [
                 dc_power_matrix(sample_channel(profile, antennas, rng),
                                 grid, budget, u.rect.curve, u.extra_loss_db)
                 for u in users]
@@ -250,10 +279,10 @@ def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, li
         frame = run_frame(round_dc[a], users[a].rect, sched=sched, link=link,
                           prior=prior[a], rng=rng, adc=adc,
                           start_us=i * frame_us, v_initial=voltage[a])
-        if keep_frames:
-            kept.append(frame)
         antenna, frequency = prior[a] = frame["applied"]
         voltage[a] = frame["voltage_v"]
+        per_user = [None] * k
+        per_user[a] = (frame["training_j"], frame["wpt_j"], frame["applied_w"], voltage[a])
         e_active = frame["training_j"] + frame["wpt_j"]
         energy[a] += e_active
         rows.append(TraceRow(i, users[a].user_id, True, antenna, frequency,
@@ -261,11 +290,15 @@ def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, li
         for u, u_dc in enumerate(round_dc):
             if u == a:
                 continue
-            e_passive, _p_served, voltage[u] = _passive_harvest(users[u].rect, voltage[u],
-                                                                frame, u_dc, sched, link)
+            e_train, e_wpt, p_served, voltage[u] = _passive_harvest(
+                users[u].rect, voltage[u], frame, u_dc, sched, link)
+            per_user[u] = (e_train, e_wpt, p_served, voltage[u])
+            e_passive = e_train + e_wpt
             energy[u] += e_passive
             rows.append(TraceRow(i, users[u].user_id, False, antenna, frequency,
                                  e_passive / frame_s, energy[u]))
+        if keep_frames:
+            kept.append(dict(frame, users=per_user))
     return TdmaResult(rows), kept
 
 
@@ -288,7 +321,7 @@ def protocol_values(cfg, sched=None, link=None, adc=None):
             users = [UserState(user_id=u + 1, rect=cfg.rect) for u in range(cfg.users)]
             cell_dc = [dc[u, :m][:, cols] for u in range(cfg.users)]
             res, _frames = run_tdma(users, cfg.users, None, None, sched=sched, link=link,
-                                  rng=link_rng, adc=adc, p_dc=cell_dc)
+                                  rng=link_rng, adc=adc, p_dc=[cell_dc])
             per_user = np.zeros(cfg.users)
             counts = np.zeros(cfg.users)
             for row in res.rows:

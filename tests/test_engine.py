@@ -24,7 +24,7 @@ from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, RoundBat
 from wptdas.rectenna import RectennaConfig, segment_energy, settle
 from wptdas.rng import substream
 from wptdas.scheduler import UserState, run_tdma
-from wptdas.selection import check_powers, default_pair, select_pairs
+from wptdas.selection import check_powers, select_pairs
 from wptdas.signal_chain import dc_power_matrix
 
 PROFILE = builtin_profile("model-E-NLOS")
@@ -158,87 +158,85 @@ class TestFrameAgainstScalarWalk:
         rng_a, rng_b = substream(seed, 1), substream(seed, 1)
         batch = run_frame(p_dc, rect, sched=sched, link=link, rng=rng_a, adc=adc)
         frame = oracle.batch_frame(batch, 0, 0, sched)
-        ref = oracle.run_frame(p_dc, rect, sched=sched, link=link, rng=rng_b, adc=adc)
-        # events, selected pair and value, applied pair and power, emissions,
-        # both energies and the final voltage
+        _res, (ref,) = oracle.run_tdma([UserState(user_id=1, rect=rect)], 1, None, None,
+                                       rng=rng_b, sched=sched, link=link, adc=adc,
+                                       keep_frames=True, p_dc=[[p_dc]])
+        # events, message outcomes, samples, selected pair and value, applied
+        # pair and power, emissions, both energies and the final voltage
         assert frame == ref
         assert events_text(frame["events"]) == events_text(ref["events"])
         assert rng_a.random() == rng_b.random()  # the same draws were consumed
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=seeds, drop=drops, latency_s=latencies, adc=adcs, rect=rects,
-           prior=st.tuples(st.integers(1, 4), st.integers(1, 15)),
-           v_initial=st.floats(0.0, 3.0), start_us=st.integers(0, 10 ** 9))
-    def test_event_log_equals_the_scalar_walk(
-            self, seed, drop, latency_s, adc, rect, prior, v_initial, start_us):
-        # the engine's start voltage and fallback pair, and a log moved on to
-        # a later frame's start, as a TDMA walk chains them
-        p_dc = dc_power_matrix(sample_channel(PROFILE, 4, substream(seed, 0)), GRID, BUDGET,
-                               rect.curve)
+    @given(seed=seeds, rounds=st.integers(1, 3), drop=drops, latency_s=latencies, adc=adcs,
+           rect=rects)
+    def test_a_walk_over_rounds_equals_the_scalar_walk(self, seed, rounds, drop, latency_s,
+                                                       adc, rect):
+        # one receiver over rounds of fresh channels, from rest: each frame
+        # starts from the last one's voltage, falls back to the pair it served
+        # and logs on from its end
+        p_dc = check_powers([[dc_power_matrix(sample_channel(PROFILE, 4, substream(seed, 0, r)),
+                                              GRID, BUDGET, rect.curve)] for r in range(rounds)])
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         rng_a, rng_b = substream(seed, 1), substream(seed, 1)
-        batch, = run_rounds([p_dc[None, None]], [rect], sched, link, adc,
-                            [link.draws(rng_a, (1, 1, 5))], [v_initial],
-                            [np.subtract(prior, 1)], 1)
-        frame = oracle.batch_frame(batch, 0, 0, sched, start_us)
-        ref = oracle.run_frame(p_dc, rect, sched=sched, link=link, prior=prior, rng=rng_b,
-                               adc=adc, start_us=start_us, v_initial=v_initial)
-        assert frame == ref
-        assert events_text(frame["events"]) == events_text(ref["events"])
+        batch, = run_rounds([p_dc[None]], [rect], sched, link, adc,
+                            [link.draws(rng_a, (1, rounds, 5))], rounds)
+        _res, kept = oracle.run_tdma([UserState(user_id=1, rect=rect)], rounds, None, None,
+                                     rng=rng_b, sched=sched, link=link, adc=adc,
+                                     keep_frames=True, p_dc=list(p_dc))
+        frames = [oracle.batch_frame(batch, 0, f, sched, f * sched.frame_us(60))
+                  for f in range(rounds)]
+        assert frames == kept
+        assert [events_text(frame["events"]) for frame in frames] == [
+            events_text(frame["events"]) for frame in kept]
         assert rng_a.random() == rng_b.random()
 
 
 class TestRoundLogsAgainstScalarWalk:
     @settings(max_examples=40, deadline=None)
-    @given(seed=seeds, rounds=st.integers(1, 3),
+    @given(seed=seeds, runs=st.integers(1, 3), rounds=st.integers(1, 3),
            user_rects=st.lists(rects, min_size=1, max_size=3),
            dims=st.sampled_from([(1, 1), (2, 3), (3, 5), (4, 15)]), drop=drops,
            latency_s=latencies, adc=adcs, data=st.data())
-    def test_frame_logs_equal_the_scalar_walk(self, seed, rounds, user_rects, dims, drop,
-                                              latency_s, adc, data):
-        # One engine walk of B rounds of K frames against the scalar TDMA walk
-        # of each round alone, from the same priors, voltages and link draws.
+    def test_every_field_and_log_equals_the_scalar_walk(self, seed, runs, rounds, user_rects,
+                                                        dims, drop, latency_s, adc, data):
+        # One engine walk of B runs of R rounds from rest, the last round
+        # perhaps cut short, against the scalar TDMA walk of each run alone
+        # from the same powers and link draws.
         m_total, n_total = dims
         k = len(user_rects)
+        frames = data.draw(st.integers((rounds - 1) * k + 1, rounds * k))
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         p_dc = check_powers(np.random.default_rng(seed).exponential(
-            1e-5, (rounds, k, m_total, n_total)))
-        pairs = st.one_of(st.none(), st.tuples(st.integers(1, m_total), st.integers(1, n_total)))
-        priors = data.draw(st.lists(st.lists(pairs, min_size=k, max_size=k),
-                                    min_size=rounds, max_size=rounds))
-        volts = data.draw(st.lists(st.lists(st.floats(0.0, 3.0), min_size=k, max_size=k),
-                                   min_size=rounds, max_size=rounds))
-        draws = [link.draws(substream(seed, b), (k, m_total + 1)) for b in range(rounds)]
-        fallback = [[default_pair(n_total) if p is None else (p[0] - 1, p[1] - 1) for p in row]
-                    for row in priors]
+            1e-5, (runs, rounds, k, m_total, n_total)))
+        draws = [link.draws(substream(seed, b), (frames, m_total + 1)) for b in range(runs)]
         batch, = run_rounds([p_dc], user_rects, sched, link, adc,
-                            [None if drop == 0.0 else np.stack(draws)], [volts], [fallback], k)
+                            [None if drop == 0.0 else np.stack(draws)], frames)
         group = [UserState(user_id=u + 1, rect=rect) for u, rect in enumerate(user_rects)]
-        for b in range(rounds):
-            _res, ref_frames = oracle.run_tdma(group, k, None, None, rng=substream(seed, b),
-                                               sched=sched, link=link, adc=adc,
-                                               keep_frames=True, p_dc=list(p_dc[b]),
-                                               priors=priors[b], volts=volts[b])
-            frame_us = sched.frame_us(m_total * n_total)
-            frames = [oracle.batch_frame(batch, b, j, sched, j * frame_us) for j in range(k)]
-            assert frames == ref_frames
+        frame_us = sched.frame_us(m_total * n_total)
+        for b in range(runs):
+            _res, kept = oracle.run_tdma(group, frames, None, None, rng=substream(seed, b),
+                                         sched=sched, link=link, adc=adc, keep_frames=True,
+                                         p_dc=[list(round_dc) for round_dc in p_dc[b]])
+            for name, ref in oracle.batch_fields(kept).items():
+                assert np.array_equal(getattr(batch, name)[b], ref), name
+            assert [oracle.batch_frame(batch, b, f, sched, f * frame_us)["events"]
+                    for f in range(frames)] == [frame["events"] for frame in kept]
 
 
-def chained_cells(seed, rounds, k, frames, shapes, link):
-    """Per-cell lists for :func:`run_rounds`: dc powers with some exact zeros
-    (an all-zero cell ties every pair), link draws, start voltages and priors."""
+def chained_cells(seed, runs, rounds, k, frames, shapes, link):
+    """``p_dc`` and ``draws`` lists for :func:`run_rounds`: dc powers with some
+    exact zeros (an all-zero cell ties every pair) and link draws."""
     rng = np.random.default_rng(seed)
-    cells = []
+    p_dc, draws = [], []
     for m, n in shapes:
         keep = rng.choice([0.0, 0.5, 1.0])
-        p_dc = check_powers(rng.exponential(1e-5, (rounds, k, m, n))
-                            * (rng.random((rounds, k, m, n)) < keep))
-        prior = np.stack([rng.integers(0, m, (rounds, k)), rng.integers(0, n, (rounds, k))], -1)
-        cells.append((p_dc, link.draws(rng, (rounds, frames, m + 1)),
-                      rng.uniform(0.0, 3.0, (rounds, k)), prior))
-    return [list(cell) for cell in zip(*cells)]
+        shape = (runs, rounds, k, m, n)
+        p_dc.append(check_powers(rng.exponential(1e-5, shape) * (rng.random(shape) < keep)))
+        draws.append(link.draws(rng, (runs, frames, m + 1)))
+    return p_dc, draws
 
 
 class TestChainedWalk:
@@ -253,35 +251,35 @@ class TestChainedWalk:
             assert np.array_equal(getattr(batch, name), getattr(ref, name)), name
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=seeds, rounds=st.integers(1, 3), user_rects=st.lists(rects, min_size=1, max_size=4),
-           shapes=shapes, drop=drops, latency_s=latencies, adc=adcs, energy=st.booleans(),
-           data=st.data())
-    def test_each_cell_equals_its_own_walk(self, seed, rounds, user_rects, shapes, drop,
+    @given(seed=seeds, runs=st.integers(1, 3), rounds=st.integers(1, 3),
+           user_rects=st.lists(rects, min_size=1, max_size=4), shapes=shapes, drop=drops,
+           latency_s=latencies, adc=adcs, energy=st.booleans(), data=st.data())
+    def test_each_cell_equals_its_own_walk(self, seed, runs, rounds, user_rects, shapes, drop,
                                            latency_s, adc, energy, data):
         k = len(user_rects)
-        frames = data.draw(st.integers(1, k))
+        frames = data.draw(st.integers((rounds - 1) * k + 1, rounds * k))
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        p_dc, draws, volts, priors = chained_cells(seed, rounds, k, frames, shapes, link)
-        chained = run_rounds(p_dc, user_rects, sched, link, adc, draws, volts, priors, frames,
-                             energy=energy)
+        p_dc, draws = chained_cells(seed, runs, rounds, k, frames, shapes, link)
+        chained = run_rounds(p_dc, user_rects, sched, link, adc, draws, frames, energy=energy)
         assert len(chained) == len(shapes)
         for c, batch in enumerate(chained):
             alone, = run_rounds(p_dc[c:c + 1], user_rects, sched, link, adc, draws[c:c + 1],
-                                volts[c:c + 1], priors[c:c + 1], frames, energy=energy)
+                                frames, energy=energy)
             self.assert_same(batch, alone, [field.name for field in fields(RoundBatch)])
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=seeds, user_rects=st.lists(rects, min_size=1, max_size=4), shapes=shapes,
-           drop=drops, latency_s=latencies, adc=adcs)
-    def test_a_walk_without_energy_changes_nothing_else(self, seed, user_rects, shapes, drop,
-                                                        latency_s, adc):
+    @given(seed=seeds, rounds=st.integers(1, 3), user_rects=st.lists(rects, min_size=1, max_size=4),
+           shapes=shapes, drop=drops, latency_s=latencies, adc=adcs, data=st.data())
+    def test_a_walk_without_energy_changes_nothing_else(self, seed, rounds, user_rects, shapes,
+                                                        drop, latency_s, adc, data):
         # below wpt_s the lean walk steps only the training user's column
         k = len(user_rects)
+        frames = data.draw(st.integers((rounds - 1) * k + 1, rounds * k))
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        cells = chained_cells(seed, 2, k, k, shapes, link)
-        full = run_rounds(cells[0], user_rects, FrameSchedule(), link, adc, *cells[1:], k)
-        lean = run_rounds(cells[0], user_rects, FrameSchedule(), link, adc, *cells[1:], k,
+        p_dc, draws = chained_cells(seed, 2, rounds, k, frames, shapes, link)
+        full = run_rounds(p_dc, user_rects, FrameSchedule(), link, adc, draws, frames)
+        lean = run_rounds(p_dc, user_rects, FrameSchedule(), link, adc, draws, frames,
                           energy=False)
         for batch, ref in zip(lean, full, strict=True):
             assert batch.training_j is None and batch.wpt_j is None
@@ -291,12 +289,13 @@ class TestChainedWalk:
     def test_a_fully_blanked_delivery_walks_every_user(self):
         # with no delivery left, each user's voltage carries into the next
         # frame, so the lean walk must step the passive users too
-        link = ControlLinkModel(latency_s=3.5)
+        sched = FrameSchedule(wpt_s=0.001)
+        link = ControlLinkModel(latency_s=0.002)
         user_rects = [RectennaConfig(settle_tau_s=0.05)] * 2
-        cells = chained_cells(1, 2, 2, 2, [(2, 3), (1, 1)], link)
-        full = run_rounds(cells[0], user_rects, FrameSchedule(), link, None, *cells[1:], 2)
-        lean = run_rounds(cells[0], user_rects, FrameSchedule(), link, None, *cells[1:], 2,
-                          energy=False)
+        rng = np.random.default_rng(1)
+        p_dc = [check_powers(rng.exponential(1e-5, (2, 2, 2, m, n))) for m, n in [(2, 3), (1, 1)]]
+        full = run_rounds(p_dc, user_rects, sched, link, None, [None, None], 3)
+        lean = run_rounds(p_dc, user_rects, sched, link, None, [None, None], 3, energy=False)
         for batch, ref in zip(lean, full, strict=True):
             assert np.all(batch.voltage_v > 0.0)
             self.assert_same(batch, ref, ["samples", "voltage_v"])
@@ -317,11 +316,11 @@ class TestChainedWalk:
                                                                 latency_s=0.002),
                          AdcModel(bits=12))
         (args, kwargs, chained), = calls
-        p_dc, user_rects, sched, link, adc, draws, volts, priors, frames = args
+        p_dc, user_rects, sched, link, adc, draws, frames = args
         assert len(chained) == 16
         for c, batch in enumerate(chained):
             alone, = run_rounds(p_dc[c:c + 1], user_rects, sched, link, adc, draws[c:c + 1],
-                                volts[c:c + 1], priors[c:c + 1], frames, **kwargs)
+                                frames, **kwargs)
             self.assert_same(batch, alone, [field.name for field in fields(RoundBatch)])
 
 

@@ -7,10 +7,14 @@ trace, so a change that moves any of them fails here.
 
 Regenerate them only for an intended output change:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --write
+
+Run as a script with any other arguments, or none, it prints its usage,
+writes nothing and exits with status 2.
 """
 
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -130,12 +134,38 @@ def test_output_matches_golden(config, command, filename, tmp_path):
     assert (out / filename).read_bytes() == expected
 
 
-if __name__ == "__main__":
-    import tempfile
+USAGE = "usage: PYTHONPATH=src python tests/test_golden.py --write"
 
-    GOLDEN.mkdir(parents=True, exist_ok=True)
+
+def write_goldens(argv: list, golden: Path = GOLDEN) -> int:
+    """Rewrite every golden file under ``golden`` when ``argv`` is exactly
+    ``["--write"]``; otherwise print the usage and return 2."""
+    if argv != ["--write"]:
+        print(USAGE, file=sys.stderr)
+        return 2
+    golden.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for config, command, filename in CASES:
             out = write_output(config, command, Path(tmp))
-            (GOLDEN / golden_name(config, filename)).write_bytes((out / filename).read_bytes())
+            (golden / golden_name(config, filename)).write_bytes((out / filename).read_bytes())
             print(f"wrote {golden_name(config, filename)}", file=sys.stderr)
+    return 0
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-w"], ["write"], ["--write", "--help"]])
+def test_the_script_writes_only_when_asked(argv, tmp_path, capsys):
+    # any other call once overwrote every golden file
+    assert write_goldens(argv, tmp_path / "golden") == 2
+    assert not (tmp_path / "golden").exists()
+    assert capsys.readouterr().err == USAGE + "\n"
+
+
+def test_the_script_writes_the_goldens(tmp_path):
+    assert write_goldens(["--write"], tmp_path) == 0
+    for config, _command, filename in CASES:
+        name = golden_name(config, filename)
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    sys.exit(write_goldens(sys.argv[1:]))

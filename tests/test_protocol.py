@@ -24,6 +24,7 @@ from wptdas.protocol import (
 )
 from wptdas.rectenna import RectennaConfig
 from wptdas.rng import substream
+from wptdas.scheduler import UserState
 from wptdas.selection import default_pair
 from wptdas.signal_chain import dc_power_matrix
 
@@ -50,26 +51,24 @@ def log_of(batch):
     return frame_log(batch, 0, 0, FrameSchedule())
 
 
-def one_frame(p_dc, rect=RECT, link=ControlLinkModel(), rng=None, v_initial=0.0, prior=None):
-    """One engine frame of one user from a given start voltage and 0-based
-    fallback pair (by default the pair :func:`run_frame` falls back to)."""
-    m_total, n_total = p_dc.shape
-    batch, = run_rounds([p_dc[None, None]], [rect], FrameSchedule(), link, DEFAULT_ADC,
-                        [link.draws(rng, (1, 1, m_total + 1))], [v_initial],
-                        [default_pair(n_total) if prior is None else prior], 1)
+def one_user_walk(p_dc, link=ControlLinkModel(), draws=None):
+    """One engine walk of one user from rest, one frame per round of ``p_dc``
+    (R, M, N), with the link uniforms ``draws`` (R, M + 1)."""
+    batch, = run_rounds([p_dc[None, :, None]], [RECT], FrameSchedule(), link, DEFAULT_ADC,
+                        [None if draws is None else np.asarray(draws)[None]], len(p_dc))
     return batch
 
 
-def events_of(batch, kind):
-    return [e for e in log_of(batch) if e.kind == kind]
+def events_of(batch, kind, j=0):
+    return [e for e in frame_log(batch, 0, j, FrameSchedule()) if e.kind == kind]
 
 
-def selected(batch):
-    return tuple((batch.selected[0, 0] + 1).tolist())
+def selected(batch, j=0):
+    return tuple((batch.selected[0, j] + 1).tolist())
 
 
-def applied(batch):
-    return tuple((batch.applied[0, 0] + 1).tolist())
+def applied(batch, j=0):
+    return tuple((batch.applied[0, j] + 1).tolist())
 
 
 class TestFeedbackCodec:
@@ -208,15 +207,18 @@ class TestRunFrame:
         assert batch.served_w[0, 0, 0] == pytest.approx(float(truth.max()), rel=1e-12)
         assert batch.wpt_j[0, 0, 0] == pytest.approx(truth.max() * 2.92, rel=1e-12)
 
-    def test_dropped_feedback_falls_back_to_prior(self):
-        # a TDMA walk passes the pair a user's last frame applied
-        link = ControlLinkModel(drop_probability=1.0)
-        p_dc = dc_power_matrix(sample_channel(PROFILE, 4, substream(1, 0, 0, 0)), GRID, BUDGET,
-                               RECT.curve)
-        batch = one_frame(p_dc, link=link, rng=substream(5), prior=(1, 4))
-        assert applied(batch) == (2, 5)
-        assert not events_of(batch, "FeedbackApplied")
-        assert events_of(batch, "WptPhaseStart")[0].antenna == 2
+    def test_dropped_feedback_falls_back_to_the_pair_served_last(self):
+        # every message of the first round gets through; the second round
+        # loses only its feedback, so it serves the first round's pair
+        link = ControlLinkModel(drop_probability=0.5)
+        p_dc = np.stack([dc_power_matrix(sample_channel(PROFILE, 4, substream(seed, 0, 0, 0)),
+                                         GRID, BUDGET, RECT.curve) for seed in (1, 2)])
+        batch = one_user_walk(p_dc, link, draws=[[0.9] * 5, [0.9] * 4 + [0.1]])
+        assert batch.fed_back.tolist() == [[True, False]]
+        assert selected(batch, 1) != selected(batch, 0) == applied(batch, 0)
+        assert applied(batch, 1) == applied(batch, 0) != (1, 8)
+        assert not events_of(batch, "FeedbackApplied", 1)
+        assert events_of(batch, "WptPhaseStart", 1)[0].antenna == applied(batch, 0)[0]
 
     def test_dropped_feedback_without_prior_uses_middle(self):
         link = ControlLinkModel(drop_probability=1.0)
@@ -267,22 +269,25 @@ class TestRunFrame:
         assert e_train + e_wpt >= e_wpt
 
     def test_voltage_carries_across_frames(self):
-        # a second frame that starts where the first ended, on one timeline
+        # a second round over the same channel starts where the first ended,
+        # on one timeline
         ch = sample_channel(PROFILE, 4, substream(9, 0, 0, 0))
         p_dc = dc_power_matrix(ch, GRID, BUDGET, RECT.curve)
-        batch1 = frame(ch, RECT)
-        v_end = float(batch1.voltage_v[0, 0, 0])
-        batch2 = one_frame(p_dc, v_initial=v_end)
-        start_us = log_of(batch1)[-1].t_us
-        frame2 = oracle.batch_frame(batch2, 0, 0, FrameSchedule(), start_us)
-        assert frame2 == oracle.run_frame(p_dc, RECT, adc=DEFAULT_ADC, start_us=start_us,
-                                          v_initial=v_end)
+        batch = one_user_walk(np.stack([p_dc, p_dc]))
+        first = frame(ch, RECT)  # a frame from rest
+        for name in ("samples", "training_j", "wpt_j", "voltage_v"):
+            assert np.array_equal(getattr(batch, name)[:, :1], getattr(first, name)), name
+        start_us = log_of(first)[-1].t_us
+        _res, kept = oracle.run_tdma([UserState(user_id=1, rect=RECT)], 2, None, None,
+                                     adc=DEFAULT_ADC, keep_frames=True, p_dc=[[p_dc], [p_dc]])
+        frame2 = oracle.batch_frame(batch, 0, 1, FrameSchedule(), start_us)
+        assert frame2 == kept[1]
         log2 = frame2["events"]
         assert log2[0].t_us == 4_000_000
         assert log2[-1].t_us == 8_000_000
         first_sample = [e for e in log2 if e.kind == "AdcSample"][0]
         assert first_sample.value >= 0.0
-        assert batch2.training_j[0, 0, 0] != batch1.training_j[0, 0, 0]  # not from rest
+        assert batch.training_j[0, 1, 0] != batch.training_j[0, 0, 0]  # not from rest
 
     def test_frame_length_follows_the_matrix(self):
         ch = sample_channel(PROFILE, 3, substream(1))
@@ -326,74 +331,64 @@ class TestRunFrame:
 class TestRunRoundsShapes:
     LOSSY = ControlLinkModel(drop_probability=0.5)
 
-    def walk(self, p_dc, draws, frames=1, prior=None):
-        prior = [(0, 0)] * len(p_dc) if prior is None else prior
-        return run_rounds(p_dc, [RECT], FrameSchedule(), self.LOSSY, DEFAULT_ADC, draws,
-                          [0.0] * len(p_dc), prior, frames)
+    def walk(self, p_dc, draws, frames=1, users=1):
+        return run_rounds(p_dc, [RECT] * users, FrameSchedule(), self.LOSSY, DEFAULT_ADC, draws,
+                          frames)
 
     @pytest.mark.parametrize("draws_shape", [(1, 2, 3), (1, 1, 4), (2, 1, 3), (1, 3)])
     def test_draws_that_do_not_fit_the_walk_name_the_cell(self, draws_shape):
         # (1, 2, 3) draws for a one-frame walk of a 2 x 3 cell once ended in a
         # bare numpy reshape error
-        with pytest.raises(ValidationError, match="cell 0: .* draws"):
-            self.walk([np.full((1, 1, 2, 3), 1e-6)], [np.full(draws_shape, 0.9)])
+        with pytest.raises(ValidationError, match="cell 0: draws"):
+            self.walk([np.full((1, 1, 1, 2, 3), 1e-6)], [np.full(draws_shape, 0.9)])
 
     def test_the_failing_cell_is_named(self):
-        cells = [np.full((1, 1, 2, 3), 1e-6), np.full((1, 1, 1, 1), 1e-6)]
+        cells = [np.full((1, 1, 1, 2, 3), 1e-6), np.full((1, 1, 1, 1, 1), 1e-6)]
         with pytest.raises(ValidationError, match="cell 1"):
             self.walk(cells, [np.full((1, 1, 3), 0.9), np.full((1, 1, 3), 0.9)])
         batches = self.walk(cells, [np.full((1, 1, 3), 0.9), np.full((1, 1, 2), 0.9)])
         assert [b.emitting.shape for b in batches] == [(1, 1, 2, 3), (1, 1, 1, 1)]
 
-    @pytest.mark.parametrize("shape", [(2, 1, 2, 3), (1, 2, 2, 3), (1, 2, 3)])
-    def test_a_cell_must_share_the_first_cells_rounds_and_users(self, shape):
-        cells = [np.full((1, 1, 2, 3), 1e-6), np.full(shape, 1e-6)]
+    @pytest.mark.parametrize("shape", [(2, 1, 1, 2, 3), (1, 2, 1, 2, 3), (1, 1, 2, 2, 3),
+                                       (1, 1, 2, 3)])
+    def test_a_cell_must_share_the_first_cells_runs_rounds_and_users(self, shape):
+        cells = [np.full((1, 1, 1, 2, 3), 1e-6), np.full(shape, 1e-6)]
         with pytest.raises(ValidationError, match="cell 1: p_dc"):
             self.walk(cells, [None, None])
 
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 3), (2, 3), (1, 1, 1, 1, 2, 3)])
+    def test_powers_must_be_five_dimensional(self, shape):
+        # (runs, rounds, users, antennas, frequencies); a 4-D cell was the
+        # form of a walk of one round
+        with pytest.raises(ValidationError, match="cell 0: p_dc"):
+            self.walk([np.full(shape, 1e-6)], [None])
 
-    @pytest.mark.parametrize("frames", [0, 2, 1.0, True])
-    def test_a_walk_trains_each_user_at_most_once(self, frames):
-        # frame j of a round trains user j, so a one-user walk has one frame
+    @pytest.mark.parametrize("frames", [0, 2, 5, 1.0, True])
+    def test_frames_must_end_in_the_last_round(self, frames):
+        # frame f trains user f % K in round f // K: 2 rounds of 2 users walk
+        # 3 or 4 frames
         with pytest.raises(ValidationError, match="frames"):
-            self.walk([np.full((1, 1, 2, 3), 1e-6)], [None], frames=frames)
+            self.walk([np.full((1, 2, 2, 2, 3), 1e-6)], [None], frames=frames, users=2)
+
+    @pytest.mark.parametrize("frames", [3, 4])
+    def test_the_last_round_may_be_cut_short(self, frames):
+        batch, = self.walk([np.full((1, 2, 2, 2, 3), 1e-6)], [np.full((1, frames, 3), 0.9)],
+                           frames=frames, users=2)
+        assert batch.served_w.shape == (1, frames, 2)
+
+    @pytest.mark.parametrize("users, frames", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_each_user_needs_its_own_rectenna(self, users, frames):
+        # with one rectenna for 2 users, a one-frame walk once ran on it and a
+        # two-frame walk ended in a bare IndexError
+        with pytest.raises(ValidationError, match="rectenna"):
+            self.walk([np.full((1, 1, 2, 2, 3), 1e-6)], [None], frames=frames, users=users)
 
     def test_every_cell_needs_each_input(self):
-        cells = [np.full((1, 1, 2, 3), 1e-6)] * 2
-        with pytest.raises(ValidationError, match="per cell"):
-            self.walk(cells, [None, None], prior=[(0, 0)])
+        cells = [np.full((1, 1, 1, 2, 3), 1e-6)] * 2
         with pytest.raises(ValidationError, match="per cell"):
             self.walk(cells, [None])
         with pytest.raises(ValidationError, match="per cell"):
             self.walk([], [])
-
-    @pytest.mark.parametrize("prior", [(2, 0), (0, 3), (1, 3), (0, -1), (0.0, 1.0),
-                                       np.array([[[0, 1], [2, 0]]])])
-    def test_a_fallback_pair_outside_its_cell_is_rejected(self, prior):
-        # (1, 3) in a 2 x 3 cell once served the next cell's power when the
-        # feedback was lost
-        cells = [np.full((1, 2, 2, 3), 1e-6), np.full((1, 2, 1, 1), 9e-6)]
-        draws = [np.zeros((1, 1, 3)), np.zeros((1, 1, 2))]
-        with pytest.raises(ValidationError, match="prior pairs"):
-            self.walk(cells, draws, prior=[prior, (0, 0)])
-        batch, _ = self.walk(cells, draws, prior=[(1, 2), (0, 0)])
-        assert batch.applied.tolist() == [[[1, 2]]]
-
-    @pytest.mark.parametrize("v_initial", [-2.0, -1e-300, math.nan, math.inf, -math.inf, None,
-                                           [0.1, 0.2, 0.3], "volts", [[0.1], [math.nan]]])
-    def test_a_start_voltage_must_be_finite_and_at_least_0(self, v_initial):
-        # -2 V was once walked, NaN failed as a bad candidate power and a
-        # 3-element list in numpy's broadcast
-        cells = [np.full((2, 2, 2, 3), 1e-6), np.full((2, 2, 1, 1), 9e-6)]
-        with pytest.raises(ValidationError, match="cell 1: v_initial"):
-            run_rounds(cells, [RECT], FrameSchedule(), ControlLinkModel(), DEFAULT_ADC,
-                       [None, None], [0.0, v_initial], [(0, 0)] * 2, 1)
-
-    @pytest.mark.parametrize("prior", [(0, 0, 0), [(0, 0)] * 3, [(0, 1), (0,)]])
-    def test_a_fallback_pair_that_does_not_broadcast_names_the_cell(self, prior):
-        cells = [np.full((1, 2, 2, 3), 1e-6)]
-        with pytest.raises(ValidationError, match="cell 0: prior pairs"):
-            self.walk(cells, [np.zeros((1, 1, 3))], prior=[prior])
 
 
 class TestEventLogCsv:

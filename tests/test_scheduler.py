@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, run_ro
 from wptdas.rectenna import RectennaConfig
 from wptdas.rng import substream
 from wptdas.scheduler import TRACE_COLUMNS, UserState, run_tdma
-from wptdas.selection import default_pair
 from wptdas.signal_chain import dc_power_matrix
 
 import scalar_oracle as oracle
@@ -27,38 +27,33 @@ def make_users(k, **kwargs):
     return [UserState(user_id=u + 1, rect=RectennaConfig(), **kwargs) for u in range(k)]
 
 
-def harvested(batch):
-    return batch.training_j[0, 0, 0] + batch.wpt_j[0, 0, 0]
-
-
 def frames_trained(result, users):
     return [sum(r.active for r in result.rows if r.user_id == u.user_id) for u in users]
 
 
 class TestSingleUser:
-    def test_reduces_to_repeated_one_frame_walks(self):
+    def test_rows_are_one_walk_over_the_drawn_rounds(self):
         frames = 10
         users = make_users(1)
         result = run_tdma(users, frames, GRID, BUDGET, rng=substream(1),
                           profile=PROFILE)
 
-        # oracle: replay the documented stream consumption by hand, carrying
-        # the output voltage and the fallback pair from frame to frame
+        # replay the documented stream consumption by hand: one channel per
+        # round, then one engine walk from rest over all ten rounds
         rng = substream(1)
         sched = FrameSchedule()
-        voltage, fallback, energy = 0.0, default_pair(15), 0.0
-        for i in range(frames):
-            ch = sample_channel(PROFILE, 4, rng)
-            p_dc = dc_power_matrix(ch, GRID, BUDGET, RectennaConfig().curve)
-            batch, = run_rounds([p_dc[None, None]], [RectennaConfig()], sched,
-                                ControlLinkModel(), DEFAULT_ADC, [None], [voltage], [fallback], 1)
-            voltage = batch.voltage_v[:, 0]
-            fallback = batch.applied[:, 0]
-            energy += harvested(batch)
-            row = result.rows[i]
-            assert row.p_dc_w == harvested(batch) / (sched.frame_us(60) * 1e-6)
-            assert (row.antenna, row.frequency) == tuple((fallback[0] + 1).tolist())
+        p_dc = np.array([[dc_power_matrix(sample_channel(PROFILE, 4, rng), GRID, BUDGET,
+                                          RectennaConfig().curve)] for _ in range(frames)])
+        batch, = run_rounds([p_dc[None]], [RectennaConfig()], sched, ControlLinkModel(),
+                            DEFAULT_ADC, [None], frames)
+        energy = 0.0
+        for i, row in enumerate(result.rows):
+            harvested = batch.training_j[0, i, 0] + batch.wpt_j[0, i, 0]
+            energy += harvested
+            assert row.p_dc_w == harvested / (sched.frame_us(60) * 1e-6)
+            assert (row.antenna, row.frequency) == tuple((batch.applied[0, i] + 1).tolist())
             assert row.energy_j == energy
+        assert len(result.rows) == frames
 
     def test_antenna_count_is_checked_before_the_first_draw(self):
         # 5 x 15 pairs exceed the 6-bit feedback space
@@ -192,6 +187,21 @@ class TestTwoUsers:
         assert len(calls) == 4  # 2 rounds x 2 users; each round's frames share them
         assert len({id(ch) for ch in calls}) == 4
 
+    def test_one_engine_walk_for_every_round(self, monkeypatch):
+        # 3 users and 7 frames: two full rounds and one cut short
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return run_rounds(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "run_rounds", spy)
+        users = make_users(3)
+        result = run_tdma(users, 7, GRID, BUDGET, PROFILE, substream(13),
+                          link=ControlLinkModel(drop_probability=0.3))
+        assert len(calls) == 1
+        assert frames_trained(result, users) == [3, 2, 2]
+
     def test_three_users_round_robin(self):
         users = make_users(3)
         result = run_tdma(users, 9, GRID, BUDGET, rng=substream(10), profile=PROFILE)
@@ -201,28 +211,32 @@ class TestTwoUsers:
 class TestPassiveReplay:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
+           rounds=st.integers(1, 3),
            drop=st.sampled_from([0.0, 0.3, 1.0]),
            # none, inside one slot, a few slots, past an antenna block (15 x 18 ms),
            # past the whole training phase, past the delivery phase
            latency_s=st.sampled_from([0.0, 0.002, 0.05, 0.3, 1.2, 3.5]),
-           with_adc=st.booleans(),
-           v_initial=st.floats(0.0, 3.0))
-    def test_replay_against_the_active_user_reproduces_its_frame(
-            self, seed, drop, latency_s, with_adc, v_initial):
+           with_adc=st.booleans())
+    def test_replay_against_the_active_user_reproduces_its_frames(
+            self, seed, rounds, drop, latency_s, with_adc):
+        # one user over several rounds from rest: each frame, replayed from
+        # the voltage the last one ended at, gives the engine's frame
         rng = substream(seed)
-        ch = sample_channel(PROFILE, 4, rng)
         rect = RectennaConfig()
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        p_dc = dc_power_matrix(ch, GRID, BUDGET, rect.curve)
-        batch, = run_rounds([p_dc[None, None]], [rect], sched, link,
-                            DEFAULT_ADC if with_adc else None, [link.draws(rng, (1, 1, 5))],
-                            [v_initial], [default_pair(15)], 1)
-        frame = oracle.batch_frame(batch, 0, 0, sched)
-        energy, p_served, v_end = _passive_harvest(rect, v_initial, frame, p_dc, sched, link)
-        assert energy == frame["training_j"] + frame["wpt_j"]
-        assert p_served == frame["applied_w"]
-        assert v_end == frame["voltage_v"]
+        p_dc = np.array([dc_power_matrix(sample_channel(PROFILE, 4, rng), GRID, BUDGET,
+                                         rect.curve) for _ in range(rounds)])
+        batch, = run_rounds([p_dc[None, :, None]], [rect], sched, link,
+                            DEFAULT_ADC if with_adc else None,
+                            [link.draws(rng, (1, rounds, 5))], rounds)
+        v = 0.0
+        for f in range(rounds):
+            frame = oracle.batch_frame(batch, 0, f, sched)
+            e_train, e_wpt, p_served, v = _passive_harvest(rect, v, frame, p_dc[f], sched, link)
+            assert (e_train, e_wpt) == (frame["training_j"], frame["wpt_j"])
+            assert p_served == frame["applied_w"]
+            assert v == frame["voltage_v"]
 
 
 class TestTrace:
