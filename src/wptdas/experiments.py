@@ -27,6 +27,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,6 +133,9 @@ class ExperimentConfig:
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValidationError(f"unknown strategies: {sorted(unknown)}")
+        for name in ("antenna_sweep", "frequency_sweep", "strategies"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ValidationError(f"{name} repeats an entry: {getattr(self, name)!r}")
         if len(self.user_loss_db) not in (0, self.users):
             raise ValidationError("user_loss_db must have one entry per user")
 
@@ -173,8 +177,7 @@ class ExperimentConfig:
         return h.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     m: int
     n: int
     strategy: str
@@ -211,17 +214,18 @@ class ExperimentResult:
 def _summary_rows(values: dict) -> list:
     """Rows of per-realization values {(m, k, strategy): (R, users)} in key order,
     one per user, then the users' sum if there are several: one ``mean`` and one
-    ``std`` call over a (series, R) array give each series' own numbers."""
-    users = next(iter(values.values())).shape[1]
+    ``std`` call over a C-contiguous (series, R) array give each series' own numbers."""
+    stacked = np.array(list(values.values()))  # (cells, R, users)
+    n_real, users = stacked.shape[1:]
     ids = list(range(1, users + 1)) + ([SUM_USER] if users > 1 else [])
-    series = np.array([arr[:, u - 1] if u != SUM_USER else arr.sum(axis=1)
-                       for arr in values.values() for u in ids])
-    mean, n_real = series.mean(axis=1), series.shape[1]
+    sums = [stacked.sum(axis=2, keepdims=True)] if users > 1 else []
+    series = np.concatenate([stacked, *sums], axis=2).transpose(0, 2, 1).reshape(-1, n_real)
+    mean = series.mean(axis=1)
     stderr = (np.std(series, axis=1, ddof=1) / math.sqrt(n_real) if n_real > 1
               else np.zeros_like(mean))
     labels = [(m, k, s, u) for m, k, s in values for u in ids]
-    return [ResultRow(*label, float(a), float(e))
-            for label, a, e in zip(labels, mean, stderr, strict=True)]
+    return [ResultRow(*label, a, e)
+            for label, a, e in zip(labels, mean.tolist(), stderr.tolist(), strict=True)]
 
 
 def _sweep_cells(cfg: ExperimentConfig):
@@ -262,33 +266,36 @@ def _cell_values(cfg: ExperimentConfig, dc: np.ndarray) -> dict:
 
     Returns {(m, k, strategy): array of shape (R, users)}. User u's value is
     the round average of its own selection plus, for every other user v in
-    ascending order, what u harvests passively at v's selected pair.
+    ascending order, what u harvests passively at v's selected pair. Each
+    frequency set is copied out once; one gather reads a cell's strategies.
     """
     dc = check_powers(dc)
-    n_real, users = dc.shape[:2]
-    rows = np.arange(n_real)[:, None, None]
-    user = np.arange(users)
-    out = {}
-    for m, k, cols in _sweep_cells(cfg):
-        sub = dc[:, :, :m][..., cols]
-        for strategy in cfg.strategies:
-            a, f = select_pairs(sub, strategy)
-            # harvest[r, u, v]: user u's power at the pair user v selected
-            harvest = sub[rows, user[:, None], a[:, None, :], f[:, None, :]]
-            own = harvest[:, user, user]
-            harvest[:, user, user] = 0.0
-            passive = np.zeros((n_real, users))
+    n_real, users, m_max, n_total = dc.shape
+    flat, user = dc.ravel(), np.arange(users)
+    base = np.arange(0, dc.size, m_max * n_total).reshape(n_real, users, 1)  # (r, u)'s matrix
+    out = dict.fromkeys((m, k, s) for m in cfg.antenna_sweep for k in cfg.frequency_sweep
+                        for s in cfg.strategies)  # in _sweep_cells' order
+    for k in cfg.frequency_sweep:
+        cols = nested_frequency_indices(cfg.grid.count, k)
+        sub = dc[..., cols]
+        # the baselines that hold antenna 1 pick the same pair in every antenna set
+        held = {s: select_pairs(sub, s) for s in ("frequency_only", "none") if s in cfg.strategies}
+        for m in cfg.antenna_sweep:
+            a, f = np.array([held[s] if s in held else select_pairs(sub[:, :, :m], s)
+                             for s in cfg.strategies]).swapaxes(0, 1)  # (S, R, U) each
+            # harvest[s, r, u, v]: user u's power at the pair user v selected
+            harvest = flat[base + (a * n_total + cols[f])[:, :, None, :]]
+            own = harvest[..., user, user]
+            harvest[..., user, user] = 0.0
+            passive = np.zeros(own.shape)
             for v in range(users):  # one add per user, as a scalar sum would
-                passive += harvest[:, :, v]
-            out[(m, k, strategy)] = (own + passive) / users
+                passive += harvest[..., v]
+            out.update(zip([(m, k, s) for s in cfg.strategies], (own + passive) / users))
     return out
 
 
 def _sweep_chunk(args) -> dict:
-    """Per-realization strategy values for realizations [r0, r1).
-
-    Returns {(m, k, strategy): array of shape (r1 - r0, users)}.
-    """
+    """:func:`_cell_values` of realizations [r0, r1), one worker's share of a sweep."""
     cfg, r0, r1 = args
     return _cell_values(cfg, _dc_tensor(cfg, r0, r1))
 

@@ -59,12 +59,9 @@ class EfficiencyCurve:
     def __post_init__(self):
         check_finite(self, "eta_peak", "peak_dbm", "rise_slope", "breakdown_dbm", "breakdown_slope")
         if self.source == "table":
-            p = np.asarray(self.power_axis_dbm, dtype=float)
-            f = np.asarray(self.freq_axis_hz, dtype=float)
-            t = np.asarray(self.table, dtype=float)
-            object.__setattr__(self, "power_axis_dbm", p)
-            object.__setattr__(self, "freq_axis_hz", f)
-            object.__setattr__(self, "table", t)
+            for name in ("power_axis_dbm", "freq_axis_hz", "table"):
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            p, f, t = self.power_axis_dbm, self.freq_axis_hz, self.table
             if p.ndim != 1 or f.ndim != 1 or t.shape != (p.size, f.size):
                 raise ValidationError("table must be (len(power_axis), len(freq_axis))")
             if p.size > 1 and not np.all(np.diff(p) > 0):
@@ -91,12 +88,12 @@ class EfficiencyCurve:
 
     @classmethod
     def from_table(cls, power_axis_dbm, freq_axis_hz, table) -> "EfficiencyCurve":
-        return cls("table", power_axis_dbm=np.asarray(power_axis_dbm, dtype=float),
-                   freq_axis_hz=np.asarray(freq_axis_hz, dtype=float),
-                   table=np.asarray(table, dtype=float))
+        return cls("table", power_axis_dbm=power_axis_dbm, freq_axis_hz=freq_axis_hz,
+                   table=table)
 
     def efficiency(self, p_rf_w, freq_hz):
-        """Efficiency in [0, 1]; zero input power maps to zero. Vectorized."""
+        """Efficiency in [0, 1]; zero input power maps to zero. Vectorized over
+        powers; ``freq_hz`` broadcasts to their shape (a scalar power is one)."""
         p = np.asarray(p_rf_w, dtype=float)
         f = np.asarray(freq_hz)
         if not np.all((p >= 0.0) & (p < math.inf)):
@@ -105,13 +102,17 @@ class EfficiencyCurve:
             raise ValidationError(f"freq_hz must be finite numbers > 0, got {freq_hz!r}")
         scalar = p.ndim == 0 and f.ndim == 0
         p = np.atleast_1d(p)
-        f = np.broadcast_to(f.astype(float, copy=False), p.shape)
+        try:
+            np.broadcast_to(f, p.shape)
+        except ValueError:
+            raise ValidationError(f"freq_hz of shape {f.shape} does not broadcast to "
+                                  f"p_rf_w's shape {p.shape}") from None
         out = np.zeros(p.shape)
         live = p > 0
         if np.any(live):
             p_dbm = 10.0 * np.log10(p[live]) + 30.0
             if self.source == "table":
-                out[live] = self._lookup(p_dbm, f[live])
+                out[live] = self._lookup(p_dbm, f.astype(float, copy=False), live)
             else:
                 out[live] = self._closed_form(p_dbm)
         return float(out[0]) if scalar else out
@@ -125,23 +126,29 @@ class EfficiencyCurve:
                                   * (p_dbm[over] - self.breakdown_dbm) / 10.0)
         return np.clip(eta, 0.0, 1.0)
 
-    def _lookup(self, p_dbm: np.ndarray, f_hz: np.ndarray) -> np.ndarray:
-        i0, i1, wp = _axis_weights(self.power_axis_dbm, p_dbm)
-        j0, j1, wf = _axis_weights(self.freq_axis_hz, f_hz)
-        t = self.table
-        return ((1 - wp) * (1 - wf) * t[i0, j0] + (1 - wp) * wf * t[i0, j1]
-                + wp * (1 - wf) * t[i1, j0] + wp * wf * t[i1, j1])
+    def _lookup(self, p_dbm: np.ndarray, f_hz: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Bilinear lookup of the ``live`` entries' powers ``p_dbm`` at ``f_hz``,
+        which broadcasts to ``live``'s shape and is weighted once per frequency."""
+        i0, wp = _axis_weights(self.power_axis_dbm, p_dbm)
+        j0, wf = (np.broadcast_to(x, live.shape)[live]
+                  for x in _axis_weights(self.freq_axis_hz, f_hz))
+        t, n_f = self.table.ravel(), self.freq_axis_hz.size
+        # on an axis longer than one the upper corner is the next entry, else the same
+        lo = i0 * n_f + j0
+        hi = lo + (n_f if self.power_axis_dbm.size > 1 else 0)
+        dj = int(n_f > 1)
+        return ((1 - wp) * (1 - wf) * t.take(lo) + (1 - wp) * wf * t.take(lo + dj)
+                + wp * (1 - wf) * t.take(hi) + wp * wf * t.take(hi + dj))
 
 
 def _axis_weights(axis: np.ndarray, x: np.ndarray):
-    """Clamped linear-interpolation indices and weights along one axis."""
+    """Clamped linear-interpolation lower indices and weights along one axis."""
     if axis.size == 1:
-        z = np.zeros(x.shape, dtype=int)
-        return z, z, np.zeros(x.shape)
+        return np.zeros(x.shape, dtype=np.intp), np.zeros(x.shape)
     hi = np.clip(np.searchsorted(axis, x, side="right"), 1, axis.size - 1)
     lo = hi - 1
     w = (x - axis[lo]) / (axis[hi] - axis[lo])
-    return lo, hi, np.clip(w, 0.0, 1.0)
+    return lo, np.clip(w, 0.0, 1.0)
 
 
 def load_efficiency_table(path) -> EfficiencyCurve:

@@ -14,6 +14,12 @@ voltage, tap phases) state the rectenna and link formulas one number at a
 time for the unit tests; the antenna subset and the explicit frequency grid
 build a nested cell's own channel and grid.
 
+The ideal sweep's strategy values are formed one (cell, strategy) at a
+time, each cell's matrices copied out of the dc tensor, and a table
+curve's efficiency weighs every entry's frequency on its own and reads each
+corner with a two-index gather: the forms the library had before it
+gathered a cell's strategies, and a lookup's corners, in one pass each.
+
 The library starts every run at rest (0 V, no earlier pair, t = 0). The
 oracle's frame walk takes a start voltage, a prior pair and a time offset,
 which its TDMA walk carries from frame to frame, one user at a time, as
@@ -330,6 +336,57 @@ def protocol_values(cfg, sched=None, link=None, adc=None):
                 counts[row.user_id - 1] += 1
             values[(m, k)][r] = per_user / counts
     return values
+
+
+def cell_values(cfg, dc):
+    """Per-realization strategy values {(m, k, strategy): (R, users) array} of a
+    (R, U, M_max, N) dc tensor, one cell and strategy at a time."""
+    dc = check_powers(dc)
+    n_real, users = dc.shape[:2]
+    rows = np.arange(n_real)[:, None, None]
+    user = np.arange(users)
+    out = {}
+    for m, k, cols in _sweep_cells(cfg):
+        sub = dc[:, :, :m][..., cols]
+        for strategy in cfg.strategies:
+            a, f = select_pairs(sub, strategy)
+            # harvest[r, u, v]: user u's power at the pair user v selected
+            harvest = sub[rows, user[:, None], a[:, None, :], f[:, None, :]]
+            own = harvest[:, user, user]
+            harvest[:, user, user] = 0.0
+            passive = np.zeros((n_real, users))
+            for v in range(users):  # one add per user, as a scalar sum would
+                passive += harvest[:, :, v]
+            out[(m, k, strategy)] = (own + passive) / users
+    return out
+
+
+def _axis_weights(axis, x):
+    """Clamped linear-interpolation indices and weights along one axis."""
+    if axis.size == 1:
+        z = np.zeros(x.shape, dtype=int)
+        return z, z, np.zeros(x.shape)
+    hi = np.clip(np.searchsorted(axis, x, side="right"), 1, axis.size - 1)
+    lo = hi - 1
+    w = (x - axis[lo]) / (axis[hi] - axis[lo])
+    return lo, hi, np.clip(w, 0.0, 1.0)
+
+
+def table_efficiency(curve, p_rf_w, freq_hz):
+    """A table curve's efficiency as an array of at least one dimension, each
+    entry's frequency broadcast out and weighted on its own."""
+    p = np.atleast_1d(np.asarray(p_rf_w, dtype=float))
+    f = np.broadcast_to(np.asarray(freq_hz, dtype=float), p.shape)
+    out = np.zeros(p.shape)
+    live = p > 0
+    if np.any(live):
+        p_dbm = 10.0 * np.log10(p[live]) + 30.0
+        i0, i1, wp = _axis_weights(curve.power_axis_dbm, p_dbm)
+        j0, j1, wf = _axis_weights(curve.freq_axis_hz, f[live])
+        t = curve.table
+        out[live] = ((1 - wp) * (1 - wf) * t[i0, j0] + (1 - wp) * wf * t[i0, j1]
+                     + wp * (1 - wf) * t[i1, j0] + wp * wf * t[i1, j1])
+    return out
 
 
 def dc_tensor(cfg, r0, r1):

@@ -197,6 +197,19 @@ class TestValidate:
         assert run(["validate", "--config", str(cfg)], tmp_path) == 1
         assert "strategies" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    @pytest.mark.parametrize("line,field", [
+        ("antenna_sweep = 2, 2, 1\nfrequency_sweep = 3, 3", "antenna_sweep"),
+        ("frequency_sweep = 3, 1, 3", "frequency_sweep"),
+        ("strategies = joint, none, joint", "strategies")])
+    def test_rejects_a_repeated_sweep_entry(self, tmp_path, capsys, command, line, field):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[experiment]\n{line}\nrealizations = 2\n")
+        assert run([command, "--config", str(cfg)], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not any(tmp_path.glob("*.csv"))
+
     def test_rejects_oversized_frequency_subset(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[experiment]\nfrequency_sweep = 20\n")

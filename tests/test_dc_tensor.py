@@ -6,9 +6,13 @@ stacked ``dc_power_matrix`` call for all users of a block. Every entry must
 equal, bit for bit, what a lone realization and user gives, whatever the
 block boundaries or the range's start. The protocol sweep's cells are
 slices of the same tensor, so under ideal protocol settings its values
-equal the ideal sweep's joint values exactly.
+equal the ideal sweep's joint values exactly. The ideal sweep's strategy
+values, read off the tensor, must equal the one-cell-and-strategy-at-a-time
+oracle's exactly, on tensors full of ties, in no more working memory than
+the oracle's plus one tensor.
 """
 
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -26,6 +30,7 @@ from wptdas.experiments import (DC_BLOCK_DRAWS, ExperimentConfig, _cell_values, 
 from wptdas.protocol import ControlLinkModel, FrameSchedule
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 from wptdas.rng import DOMAIN_CHANNEL, substream
+from wptdas.selection import STRATEGIES
 from wptdas.signal_chain import dc_power_matrix
 
 TABLE = load_efficiency_table(Path(__file__).resolve().parents[1] / "src" / "wptdas" / "data"
@@ -89,6 +94,67 @@ def test_working_memory_does_not_grow_with_realizations(users):
     _dc_tensor(cfg, 0, 1)  # first-call caches are not working memory
     small = _working_bytes(cfg, 256)
     assert _working_bytes(cfg, 4096) <= small + 16 * 1024
+
+
+@st.composite
+def tied_tensors(draw):
+    """A config with sweeps and strategies in any order, and a dc tensor of
+    small integers, all zeros, or constant along its antennas or frequencies."""
+    users, count = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    antennas = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True))
+    cfg = ExperimentConfig(
+        PROFILES["single-tap-flat"], FrequencyGrid.uniform(count=count),
+        antenna_sweep=antennas,
+        frequency_sweep=draw(st.lists(st.integers(1, count), min_size=1, max_size=4,
+                                      unique=True)),
+        strategies=draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=4,
+                                 unique=True)),
+        users=users, realizations=draw(st.integers(1, 5)))
+    shape = (cfg.realizations, users, max(antennas) + draw(st.integers(0, 1)), count)
+    dc = np.reshape(draw(st.lists(st.integers(0, 3), min_size=math.prod(shape),
+                                  max_size=math.prod(shape))), shape).astype(float)
+    tie = draw(st.sampled_from(["none", "zeros", "antennas", "frequencies"]))
+    if tie == "zeros":
+        dc[...] = 0.0
+    elif tie == "antennas":  # every antenna sees the same powers
+        dc[...] = dc[:, :, :1]
+    elif tie == "frequencies":
+        dc[...] = dc[..., :1]
+    return cfg, dc
+
+
+class TestCellValues:
+    @settings(max_examples=150, deadline=None)
+    @given(case=tied_tensors())
+    def test_equals_the_per_cell_oracle(self, case):
+        cfg, dc = case
+        got, ref = _cell_values(cfg, dc), oracle.cell_values(cfg, dc)
+        assert list(got) == list(ref)
+        for key, value in ref.items():
+            assert np.array_equal(got[key], value), key
+
+    @staticmethod
+    def _working_bytes(cell_values, cfg, dc) -> int:
+        """tracemalloc peak of one ``cell_values`` call, less its output."""
+        tracemalloc.start()
+        try:
+            out = cell_values(cfg, dc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(value.nbytes for value in out.values())
+
+    @pytest.mark.parametrize("n_real,users", [(60, 4), (300, 1)])
+    def test_working_memory_is_within_one_tensor_of_the_oracles(self, n_real, users):
+        # The peak resident memory of a sweep must not grow: a cell may copy
+        # out at most one tensor's worth more than the oracle's cell slices.
+        cfg = ExperimentConfig(PROFILES["model-E-NLOS"], GRIDS["uniform"], users=users,
+                               realizations=n_real)
+        dc = np.random.default_rng(3).exponential(1e-5, (n_real, users, 4, 15))
+        for cell_values in (_cell_values, oracle.cell_values):  # first-call caches
+            cell_values(cfg, dc)
+        assert (self._working_bytes(_cell_values, cfg, dc)
+                <= self._working_bytes(oracle.cell_values, cfg, dc) + dc.nbytes)
 
 
 def _stacked_channel(users: int, n_real: int = 3, seed: int = 7) -> ChannelRealization:

@@ -223,6 +223,14 @@ class TestRunSweep:
         with pytest.raises(ValidationError):
             small_cfg(users=2, user_loss_db=(1.0,))
 
+    @pytest.mark.parametrize("field,values", [
+        ("antenna_sweep", (2, 2, 1)), ("antenna_sweep", (1, 2.0, 2)),
+        ("frequency_sweep", (3, 3)), ("strategies", ("joint", "none", "joint"))])
+    def test_repeated_sweep_entry_rejected(self, field, values):
+        # a repeated cell would collapse into one set of rows
+        with pytest.raises(ValidationError, match=field):
+            small_cfg(**{field: values})
+
 
 class TestProtocolExperiment:
     FAST = RectennaConfig(settle_tau_s=10e-6)
@@ -443,6 +451,20 @@ class TestFrequencyDiversity:
         res = run_sweep(cfg)
         ratio = res.get(1, 2, "frequency_only").avg_pdc_w / res.get(1, 2, "none").avg_pdc_w
         assert ratio == pytest.approx(1.0 + 0.5 * math.sqrt(1.0 - rho), rel=0.03)  # as c06
+
+    def test_joint_selection_gain_matches_the_harmonic_numbers(self):
+        # At rho = 0 the 2M pairs of M antennas x 2 frequencies are i.i.d. unit
+        # exponentials, so joint selection gives E[max] = H_2M over no selection.
+        cfg = ExperimentConfig(profile=builtin_profile("two-tap-test"),
+                               grid=FrequencyGrid.uniform(bandwidth_hz=10e6, count=2),
+                               rect=RectennaConfig(curve=CONST_CURVE),
+                               antenna_sweep=(1, 2, 3, 4), frequency_sweep=(2,),
+                               strategies=("none", "joint"), realizations=10_000, seed=123)
+        res = run_sweep(cfg)
+        for m in cfg.antenna_sweep:
+            ratio = res.get(m, 2, "joint").avg_pdc_w / res.get(m, 2, "none").avg_pdc_w
+            harmonic = sum(1.0 / i for i in range(1, 2 * m + 1))
+            assert ratio == pytest.approx(harmonic, rel=0.03), m  # as c06
 
     def test_no_delay_spread_gives_no_frequency_diversity(self):
         # a flat channel and a frequency-flat curve give every frequency the

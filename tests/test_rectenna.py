@@ -3,8 +3,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scalar_oracle import dc_voltage, output_dc_power, settled_voltage, settling_energy
+from scalar_oracle import (dc_voltage, output_dc_power, settled_voltage, settling_energy,
+                           table_efficiency)
 from wptdas.errors import ValidationError
 from wptdas.experiments import dbm_to_watts
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
@@ -104,6 +107,18 @@ class TestEfficiency:
         npt.assert_array_equal(curve.efficiency(p, np.array([2_405_000_000, 2_475_000_000])),
                                curve.efficiency(p, [2.405e9, 2.475e9]))
 
+    @pytest.mark.parametrize("curve", [EfficiencyCurve.parametric(), shipped_table()],
+                             ids=["parametric", "shipped-table"])
+    @pytest.mark.parametrize("p_rf_w,freq_hz", [
+        ([1e-3, 2e-3, 3e-3], [2.405e9, 2.475e9]),
+        (1e-3, [2.405e9, 2.475e9]),
+        (np.full((2, 3), 1e-3), np.full((2, 1, 3), 2.44e9)),
+    ], ids=["3-powers-2-frequencies", "1-power-2-frequencies", "more-axes-than-powers"])
+    def test_rejects_frequencies_that_do_not_broadcast_to_the_powers(self, curve, p_rf_w,
+                                                                    freq_hz):
+        with pytest.raises(ValidationError, match="freq_hz"):
+            curve.efficiency(p_rf_w, freq_hz)
+
     def test_malformed_table_rejected_at_build(self):
         with pytest.raises(ValidationError):
             EfficiencyCurve.from_table([-10.0, -20.0], [2.4e9], [[0.2], [0.3]])
@@ -130,6 +145,40 @@ class TestEfficiency:
             curve = load_efficiency_table(path)
         eta = curve.efficiency(dbm_to_watts(-20.0), 2.44e9)
         assert eta == pytest.approx(0.25, abs=0.01)
+
+
+@st.composite
+def table_lookups(draw):
+    """A table curve of 1-4 rows and columns on integer axes, with generic
+    efficiencies, and powers and frequencies on its axis points, between
+    them or outside both axes; some powers are zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    p_axis = np.sort(rng.choice(np.arange(-40.0, 11.0), rows, replace=False))
+    f_axis = np.sort(rng.choice(np.arange(2400, 2501), cols, replace=False)) * 1e6
+    curve = EfficiencyCurve.from_table(p_axis, f_axis, rng.uniform(0.0, 1.0, (rows, cols)))
+    n = draw(st.integers(1, 5))
+    # (power shape, frequency shape): scalars, one frequency for all powers,
+    # one per power, one per column of a matrix of powers
+    p_shape, f_shape = draw(st.sampled_from([((), ()), ((n,), ()), ((n,), (n,)),
+                                             ((n, 3), (3,))]))
+
+    def points(axis, margin, shape):
+        return np.where(rng.random(shape) < 0.3, rng.choice(axis, shape),
+                        rng.uniform(axis[0] - margin, axis[-1] + margin, shape))
+
+    p = np.where(rng.random(p_shape) < 0.2, 0.0, dbm_to_watts(points(p_axis, 10.0, p_shape)))
+    return curve, p, points(f_axis, 50e6, f_shape)
+
+
+class TestTableLookupOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=table_lookups())
+    def test_equals_the_per_entry_lookup_bit_for_bit(self, case):
+        curve, p, f = case
+        got = np.atleast_1d(curve.efficiency(p, f))
+        ref = table_efficiency(curve, p, f)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 class TestOutputDcPower:
