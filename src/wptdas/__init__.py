@@ -43,6 +43,6 @@ from .protocol import (
 )
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 from .rng import substream
-from .scheduler import UserState, run_tdma
+from .scheduler import run_tdma
 from .selection import CandidateMatrix
 from .signal_chain import dc_power_matrix

@@ -52,14 +52,14 @@ class TapProfile:
             raise ValidationError("profile needs matching 1-D delay and power lists")
         if delays.size == 0:
             raise ValidationError("profile has no taps")
+        if not np.all(np.isfinite(delays)) or not np.all(np.isfinite(powers)):
+            raise ValidationError("profile values must be finite")
         if delays[0] < 0:
             raise ValidationError("first tap delay must be >= 0")
         if delays.size > 1 and not np.all(np.diff(delays) > 0):
             raise ValidationError("tap delays must be strictly increasing")
         if not np.all(powers > 0):
             raise ValidationError("tap powers must all be > 0")
-        if not np.all(np.isfinite(delays)) or not np.all(np.isfinite(powers)):
-            raise ValidationError("profile values must be finite")
         if abs(powers.sum() - 1.0) > 1e-9:
             raise ValidationError(
                 f"tap powers must sum to 1 (got {powers.sum():.12g}); "
@@ -70,9 +70,11 @@ class TapProfile:
     def normalized(cls, name: str, delays_s, linear_powers) -> "TapProfile":
         """Build a profile, rescaling the given linear powers to unit sum."""
         p = np.asarray(linear_powers, dtype=float)
-        if p.size == 0 or not np.all(p > 0):
-            raise ValidationError("tap powers must be a non-empty positive list")
-        return cls(name, np.asarray(delays_s, dtype=float), p / p.sum())
+        with np.errstate(over="ignore"):
+            total = p.sum()
+        if p.size == 0 or not (np.all(p > 0) and total < math.inf):
+            raise ValidationError("tap powers must be a non-empty positive list with a finite sum")
+        return cls(name, np.asarray(delays_s, dtype=float), p / total)
 
     @property
     def num_taps(self) -> int:
@@ -81,7 +83,7 @@ class TapProfile:
 
 def load_tap_profile(path, name: str | None = None) -> TapProfile:
     """Load a PDP file (``delay_ns power_db`` per line, ``#`` comments)."""
-    delays_ns, powers_db = [], []
+    delays_ns, powers_db, linenos = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -95,10 +97,15 @@ def load_tap_profile(path, name: str | None = None) -> TapProfile:
                 powers_db.append(float(parts[1]))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            linenos.append(lineno)
     if not delays_ns:
         raise ValidationError(f"{path}: no taps found")
     delays_s = np.asarray(delays_ns) * 1e-9
-    linear = 10.0 ** (np.asarray(powers_db) / 10.0)
+    with np.errstate(over="ignore"):
+        linear = 10.0 ** (np.asarray(powers_db) / 10.0)
+    bad = np.flatnonzero(~(np.isfinite(delays_s) & np.isfinite(powers_db) & np.isfinite(linear)))
+    if bad.size:
+        raise ValidationError(f"{path}:{linenos[bad[0]]}: delay or power beyond a finite float")
     return TapProfile.normalized(name or str(path), delays_s, linear)
 
 

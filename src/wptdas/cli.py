@@ -39,8 +39,8 @@ from .experiments import (
 from .protocol import (AdcModel, ControlLinkModel, FrameSchedule, check_feedback_space,
                        control_bytes, frame_log, run_frame, write_events)
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
-from .rng import DOMAIN_LINK, DOMAIN_TDMA, substream
-from .scheduler import UserState, run_tdma
+from .rng import DOMAIN_LINK, substream
+from .scheduler import run_tdma
 
 OUT_DIR_ENV = "WPTDAS_OUT"
 
@@ -297,19 +297,15 @@ def cmd_frame(args) -> int:
 def cmd_tdma(args) -> int:
     st = load_settings(args.config, args.seed)
     cfg = st.experiment
-    users = [UserState(user_id=u + 1, rect=cfg.rect, extra_loss_db=cfg.loss_for_user(u))
-             for u in range(cfg.users)]
-    result = run_tdma(users, st.frames, cfg.grid, cfg.budget, cfg.profile,
-                      substream(cfg.seed, DOMAIN_TDMA), sched=st.sched, link=st.link,
-                      adc=st.adc, antennas=cfg.max_antennas)
+    result = run_tdma(cfg, st.frames, sched=st.sched, link=st.link, adc=st.adc)
     config_hash = protocol_fingerprint(cfg, st.sched, st.link, st.adc, (st.frames,))
     with _create(args, "tdma_trace.csv") as fh:
         fh.write(_header_lines(cfg.seed, config_hash))
         result.to_csv(fh)
     totals = {r.user_id: r.energy_j for r in result.rows}  # each user's last row
-    for u in users:
-        _say(args, f"user {u.user_id}: avg {result.user_average_power_w(u.user_id) * 1e6:.4g} uW "
-                   f"over {st.frames} frames, total {totals[u.user_id] * 1e6:.4g} uJ")
+    for u in range(1, cfg.users + 1):
+        _say(args, f"user {u}: avg {result.user_average_power_w(u) * 1e6:.4g} uW "
+                   f"over {st.frames} frames, total {totals[u] * 1e6:.4g} uJ")
     _say(args, f"trace -> {fh.name}")
     return 0
 

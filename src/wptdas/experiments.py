@@ -49,7 +49,7 @@ from .signal_chain import dc_power_matrix
 
 RESULT_COLUMNS = "M,N,strategy,user,avg_pdc_watts,stderr_watts,realizations,seed"
 SUM_USER = 0  # user id used for multi-user sum rows
-DC_BLOCK_DRAWS = 64  # channel draws per block of _dc_tensor: amortizes calls, bounds memory
+DC_BLOCK_DRAWS = 64  # channel draws per block of _users_dc: amortizes calls, bounds memory
 
 
 def dbm_to_watts(x_dbm):
@@ -234,31 +234,32 @@ def _sweep_cells(cfg: ExperimentConfig):
             yield m, k, nested_frequency_indices(cfg.grid.count, k)
 
 
-def _channel_gains(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
-    """Tap gains (R, U, M_max, L) of realizations [r0, r1), each (realization,
-    user) from its own substream, so they do not depend on the range drawn."""
-    keys = substream_keys(cfg.seed, DOMAIN_CHANNEL, np.arange(r0, r1)[:, None],
-                          np.arange(cfg.users))
-    z = np.empty((r1 - r0, cfg.users, cfg.max_antennas, cfg.profile.num_taps, 2))
-    return gains_from_normals(cfg.profile, keyed_draws(keys, "standard_normal", z))
+def _users_dc(cfg: ExperimentConfig, count: int, fill) -> np.ndarray:
+    """Steady-state dc powers (count, U, M_max, N) of every user's channel, with
+    its loss, from the normals ``fill(a, z)`` writes for draws a, a + 1, ... into
+    ``z`` (draws, U, M_max, L, 2): one stacked :func:`dc_power_matrix` call per
+    block of ``DC_BLOCK_DRAWS`` (draw, user) pairs, bit-identical to each alone."""
+    dc = np.empty((count, cfg.users, cfg.max_antennas, cfg.grid.count))
+    losses = [cfg.loss_for_user(u) for u in range(cfg.users)]
+    step = max(1, DC_BLOCK_DRAWS // cfg.users)
+    z = np.empty((min(step, count), cfg.users, cfg.max_antennas, cfg.profile.num_taps, 2))
+    for a in range(0, count, step):
+        block = z[:min(step, count - a)]
+        fill(a, block)
+        ch = ChannelRealization(cfg.profile.delays_s, gains_from_normals(cfg.profile, block))
+        dc[a:a + len(block)] = dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve, losses)
+    return dc
 
 
 def _dc_tensor(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
-    """Steady-state dc powers of realizations [r0, r1), shape (R, U, M_max, N).
+    """Steady-state dc powers (R, U, M_max, N) of realizations [r0, r1), each
+    (realization, user) from its own substream, whatever the range drawn."""
+    def fill(a, z):
+        r = np.arange(r0 + a, r0 + a + len(z))
+        keyed_draws(substream_keys(cfg.seed, DOMAIN_CHANNEL, r[:, None], np.arange(cfg.users)),
+                    "standard_normal", z)
 
-    Channels are drawn in blocks of at most ``DC_BLOCK_DRAWS`` (realization,
-    user) pairs, with one stacked :func:`dc_power_matrix` call for all users
-    of a block; every entry is bit-identical to computing its realization and
-    user alone.
-    """
-    dc = np.empty((r1 - r0, cfg.users, cfg.max_antennas, cfg.grid.count))
-    losses = [cfg.loss_for_user(u) for u in range(cfg.users)]
-    step = max(1, DC_BLOCK_DRAWS // cfg.users)
-    for a in range(r0, r1, step):
-        b = min(a + step, r1)
-        ch = ChannelRealization(cfg.profile.delays_s, _channel_gains(cfg, a, b))
-        dc[a - r0:b - r0] = dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve, losses)
-    return dc
+    return _users_dc(cfg, r1 - r0, fill)
 
 
 def _cell_values(cfg: ExperimentConfig, dc: np.ndarray) -> dict:
@@ -351,7 +352,7 @@ def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlL
             np.cumsum(widths)[:-1], axis=1), cells)]
 
     batches = run_rounds([dc[:, None, :, :m][..., cols] for m, _k, cols in cells],
-                         [cfg.rect] * users, sched, link, adc, draws, users, energy=False)
+                         cfg.rect, sched, link, adc, draws, users, energy=False)
     # summed frame by frame, in frame order
     return {(m, k): np.add.accumulate(batch.served_w, axis=1)[:, -1] / users
             for (m, k, _cols), batch in zip(cells, batches)}

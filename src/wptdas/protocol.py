@@ -263,7 +263,7 @@ class RoundBatch:
     voltage_v: np.ndarray  # (B, F, K) output voltage at frame end
 
 
-def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkModel,
+def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: ControlLinkModel,
                adc: AdcModel | None, draws: list, frames: int,
                energy: bool = True) -> list[RoundBatch]:
     """Walk ``frames`` frames of ``B`` independent runs of each of a list of
@@ -276,13 +276,12 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
     link uniforms, M activations then the feedback, or None on a lossless
     link (a message gets through when its draw is at least the drop
     probability). Frame ``f`` trains user ``f % K`` with round ``f // K``'s
-    powers, so ``frames`` lies in ((R - 1) K, R K]. ``rects`` holds one
-    rectenna per user, shared by every cell. With ``energy=False`` the walk
-    skips the training and delivery energies and returns them as None.
-    Before the walk, a cell whose ``p_dc`` is not 5-D or does not share the
-    first cell's B, R and K, or whose ``draws`` do not fit it, is rejected,
-    and so are a rectenna count other than K and a frame count outside the
-    rounds.
+    powers, so ``frames`` lies in ((R - 1) K, R K]. Every user of every
+    cell harvests through the one rectenna ``rect``. With ``energy=False``
+    the walk skips the training and delivery energies and returns them as
+    None. Before the walk, a cell whose ``p_dc`` is not 5-D or does not
+    share the first cell's B, R and K, or whose ``draws`` do not fit it, is
+    rejected, and so is a frame count outside the rounds.
 
     Every run starts at rest: each output at 0 V, and each user's
     transmitter falls back to :func:`default_pair` when its feedback is
@@ -311,8 +310,6 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
                                   f"M, N) with the first cell's {dims}")
         check_feedback_space(*p.shape[3:])
     n_runs, n_rounds, k_users = dims
-    if len(rects) != k_users:
-        raise ValidationError(f"need one rectenna per user: {len(rects)} for {k_users} users")
     frames = check_integer("frames", frames, low=(n_rounds - 1) * k_users + 1,
                            high=n_rounds * k_users)
     shapes = [p.shape[3:] for p in p_dc]
@@ -321,8 +318,7 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
             raise ValidationError(f"cell {c}: draws {np.shape(d)} do not fit {n_runs} runs, "
                                   f"{frames} frames and {m_total} antennas")
     slot_us, wpt_us = sched.slot_us, sched.wpt_us
-    tau = np.array([r.settle_tau_s for r in rects])
-    load = np.array([r.load_ohms for r in rects])
+    tau, load = rect.settle_tau_s, rect.load_ohms
     wpt_blank = min(link.latency_us, wpt_us)
     trim = not energy and wpt_us > wpt_blank  # walk only the training user's column
 
@@ -356,14 +352,12 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
     cell_lane, cell_first = map(list, zip(*place))
     cell_last = [first + len(cell) for first, cell in zip(cell_first, segs)]
 
-    # one exp (and expm1) per (duration, time constant), then a row per step
-    decay = np.array([[math.exp(-(us * 1e-6) / t) for t in tau.tolist()] for us in durations]
-                     + [[0.0] * tau.size])
-    seg_decay, idle_decay = decay[seg_code][:, :, None], decay[idle_code][:, :, None]
+    # one exp (and expm1) per duration, then a row per step
+    decay = np.array([math.exp(-(us * 1e-6) / tau) for us in durations] + [0.0])
+    seg_decay, idle_decay = decay[seg_code][..., None, None], decay[idle_code][..., None, None]
     if energy:  # a start step takes 0 us
-        rise = np.array([[-math.expm1(-(us * 1e-6) / t) for t in tau.tolist()]
-                         for us in durations + [0]])
-        seg_rise, idle_rise = rise[seg_code][:, :, None], rise[idle_code][:, :, None]
+        rise = np.array([-math.expm1(-(us * 1e-6) / tau) for us in durations + [0]])
+        seg_rise, idle_rise = rise[seg_code][..., None, None], rise[idle_code][..., None, None]
         seg_dur = np.array(durations + [0])[seg_code][..., None, None] * 1e-6
 
     ok = [np.ones((n_runs, frames, m + 1), dtype=bool) if d is None
@@ -380,9 +374,9 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
     users = np.arange(k_users)
     width = 1 if trim else k_users
     tgt = np.empty((length, n_lanes, n_runs, width))
-    dec = np.empty_like(tgt)
     # a lean walk reads no target after its step, so the voltages overwrite them
     volts = tgt if trim else np.empty_like(tgt)
+    dec = np.empty(tgt.shape[:-1] + (1,))  # each step's decay, shared by every user
     samples = np.empty((n_runs, frames, slot_off[-1]))
     v = np.zeros((n_cells, n_runs, k_users))  # every output starts at 0 V
     last = np.empty((n_cells, n_runs, k_users, 2), dtype=np.intp)  # each user's fallback
@@ -394,19 +388,19 @@ def run_rounds(p_dc: list, rects: list, sched: FrameSchedule, link: ControlLinkM
         cols = slice(j, j + 1) if trim else slice(None)
         off = ~emits[:, f, step_pair].transpose(1, 2, 0)[..., None]  # (steps, lanes, B, 1)
         np.take(p_round[..., cols], step_pair, axis=0, out=tgt, mode="clip")
-        tgt *= load[cols]
+        tgt *= load
         np.sqrt(tgt, out=tgt)
         np.copyto(tgt, 0.0, where=off | dark)
         tgt[cell_first, cell_lane] = v[..., cols]
-        np.copyto(dec, seg_decay[..., cols])
-        np.copyto(dec, idle_decay[..., cols], where=off)
+        np.copyto(dec, seg_decay)
+        np.copyto(dec, idle_decay, where=off)
         volts[0] = tgt[0]  # every lane opens with a start step
         for s in range(1, length):
             volts[s] = settle(volts[s - 1], tgt[s], dec[s])
 
         ends = volts.reshape(-1, n_runs, width)[slot_end, :, 0 if trim else j].T
         samples[:, f] = ends if adc is None else adc.quantize(ends)
-        sampled_w = check_powers(np.square(samples[:, f]) / load[j])
+        sampled_w = check_powers(np.square(samples[:, f]) / load)
         picks = np.array([select_pairs(sampled_w[:, s0:s1].reshape(n_runs, m, n), "joint")
                           for (m, n), s0, s1 in zip(shapes, slot_off, slot_off[1:])])
         selected = picks.transpose(0, 2, 1)  # (C, B, 2)
@@ -492,5 +486,5 @@ def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule = Fra
     transmitter fall back to (antenna 1, middle frequency).
     """
     p_dc = CandidateMatrix.from_powers(p_dc).values
-    return run_rounds([p_dc[None, None, None]], [rect], sched, link, adc,
+    return run_rounds([p_dc[None, None, None]], rect, sched, link, adc,
                       [link.draws(rng, (1, 1, p_dc.shape[0] + 1))], 1)[0]

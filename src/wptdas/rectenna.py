@@ -64,6 +64,9 @@ class EfficiencyCurve:
             p, f, t = self.power_axis_dbm, self.freq_axis_hz, self.table
             if p.ndim != 1 or f.ndim != 1 or t.shape != (p.size, f.size):
                 raise ValidationError("table must be (len(power_axis), len(freq_axis))")
+            for name, axis in (("power_axis_dbm", p), ("freq_axis_hz", f)):
+                if not np.all(np.isfinite(axis)):
+                    raise ValidationError(f"{name} entries must be finite")
             if p.size > 1 and not np.all(np.diff(p) > 0):
                 raise ValidationError("power axis must be strictly increasing")
             if f.size > 1 and not np.all(np.diff(f) > 0):
@@ -170,7 +173,7 @@ def load_efficiency_table(path) -> EfficiencyCurve:
     if any(len(r) != width for r in rows[1:]):
         raise ValidationError(f"{path}: body rows must have {width} columns")
     body = np.asarray(rows[1:])
-    return EfficiencyCurve.from_table(body[:, 0], freq_mhz * 1e6, body[:, 1:])
+    return EfficiencyCurve.from_table(body[:, 0], [x * 1e6 for x in rows[0]], body[:, 1:])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ streams and produce identical results.
 Stream domains used by the experiment runners:
   0 -> channel sampling, path (0, realization, user)
   1 -> control-link drops, path (1, realization)
-  2 -> ``wptdas tdma``: every round's channel redraws and every control-link
+  2 -> TDMA runs (``run_tdma``): every round's channel redraws and every control-link
        drop, in run order, from the single stream of path (2,)
 
 The sweeps draw their domain-0 and domain-1 streams in batches

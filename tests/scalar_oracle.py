@@ -38,7 +38,7 @@ from wptdas.errors import ValidationError
 from wptdas.experiments import _sweep_cells
 from wptdas.protocol import ControlLinkModel, Event, FrameSchedule, encode_feedback, frame_log
 from wptdas.rectenna import segment_energy, settle
-from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
+from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, DOMAIN_TDMA, substream
 from wptdas.scheduler import TdmaResult, TraceRow
 from wptdas.selection import check_powers, middle_index, select_pairs
 from wptdas.signal_chain import dc_power_matrix
@@ -254,21 +254,27 @@ def _passive_harvest(rect, v, frame, p_dc, sched, link):
     return e_train, e_wpt, applied_p, v
 
 
-def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, link=None,
-             adc=None, keep_frames=False, p_dc=None, antennas=4):
-    """Round-robin TDMA from rest, one frame at a time: the library's result,
-    and each frame's :func:`run_frame` result in frame order when
-    ``keep_frames`` asks, with each user's (training energy, delivery
-    energy, steady dc power at the served pair, end voltage) under "users".
+def run_tdma(cfg, frames, sched=None, link=None, adc=None, keep_frames=False, p_dc=None,
+             rng=None):
+    """Round-robin TDMA from rest over users ``1..cfg.users``, all with the
+    rectenna ``cfg.rect``, one frame at a time: the library's result, and
+    each frame's :func:`run_frame` result in frame order when ``keep_frames``
+    asks, with each user's (training energy, delivery energy, steady dc power
+    at the served pair, end voltage) under "users".
 
-    ``p_dc``, one list of one matrix per user for each round, stands in for
-    the matrices of channels drawn each round from ``profile`` with
-    ``antennas`` antennas. Each user's prior pair, output voltage and
+    Each round draws user u's channel alone with :func:`sample_channel`, with
+    ``cfg.max_antennas`` antennas, and takes its dc matrix with loss
+    ``cfg.loss_for_user(u)``; the round's link draws follow, all from
+    ``substream(cfg.seed, DOMAIN_TDMA)``. ``p_dc``, one list of one matrix per
+    user for each round, stands in for the drawn matrices, and then the link
+    draws come from ``rng``. Each user's prior pair, output voltage and
     harvest are kept here, from frame to frame.
     """
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
-    k = len(users)
+    if p_dc is None:
+        rng = substream(cfg.seed, DOMAIN_TDMA)
+    rect, k = cfg.rect, cfg.users
     prior = [None] * k
     voltage = [0.0] * k
     energy = [0.0] * k
@@ -276,13 +282,13 @@ def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, li
     for i in range(frames):
         if i % k == 0:
             round_dc = p_dc[i // k] if p_dc is not None else [
-                dc_power_matrix(sample_channel(profile, antennas, rng),
-                                grid, budget, u.rect.curve, u.extra_loss_db)
-                for u in users]
+                dc_power_matrix(sample_channel(cfg.profile, cfg.max_antennas, rng), cfg.grid,
+                                cfg.budget, rect.curve, cfg.loss_for_user(u))
+                for u in range(k)]
             frame_us = sched.frame_us(round_dc[0].size)
             frame_s = frame_us * 1e-6
         a = i % k
-        frame = run_frame(round_dc[a], users[a].rect, sched=sched, link=link,
+        frame = run_frame(round_dc[a], rect, sched=sched, link=link,
                           prior=prior[a], rng=rng, adc=adc,
                           start_us=i * frame_us, v_initial=voltage[a])
         antenna, frequency = prior[a] = frame["applied"]
@@ -291,17 +297,16 @@ def run_tdma(users, frames, grid, budget, profile=None, rng=None, sched=None, li
         per_user[a] = (frame["training_j"], frame["wpt_j"], frame["applied_w"], voltage[a])
         e_active = frame["training_j"] + frame["wpt_j"]
         energy[a] += e_active
-        rows.append(TraceRow(i, users[a].user_id, True, antenna, frequency,
-                             e_active / frame_s, energy[a]))
+        rows.append(TraceRow(i, a + 1, True, antenna, frequency, e_active / frame_s, energy[a]))
         for u, u_dc in enumerate(round_dc):
             if u == a:
                 continue
             e_train, e_wpt, p_served, voltage[u] = _passive_harvest(
-                users[u].rect, voltage[u], frame, u_dc, sched, link)
+                rect, voltage[u], frame, u_dc, sched, link)
             per_user[u] = (e_train, e_wpt, p_served, voltage[u])
             e_passive = e_train + e_wpt
             energy[u] += e_passive
-            rows.append(TraceRow(i, users[u].user_id, False, antenna, frequency,
+            rows.append(TraceRow(i, u + 1, False, antenna, frequency,
                                  e_passive / frame_s, energy[u]))
         if keep_frames:
             kept.append(dict(frame, users=per_user))
@@ -314,8 +319,6 @@ def protocol_values(cfg, sched=None, link=None, adc=None):
     the pair served in each frame of the round, averaged over the round. Each
     cell's matrices are the slice of the realization's full-grid dc matrices
     at the cell's antennas and frequencies."""
-    from wptdas.scheduler import UserState
-
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
     cells = list(_sweep_cells(cfg))
@@ -324,10 +327,9 @@ def protocol_values(cfg, sched=None, link=None, adc=None):
         dc = dc_tensor(cfg, r, r + 1)[0]
         link_rng = substream(cfg.seed, DOMAIN_LINK, r)
         for m, k, cols in cells:
-            users = [UserState(user_id=u + 1, rect=cfg.rect) for u in range(cfg.users)]
             cell_dc = [dc[u, :m][:, cols] for u in range(cfg.users)]
-            res, _frames = run_tdma(users, cfg.users, None, None, sched=sched, link=link,
-                                  rng=link_rng, adc=adc, p_dc=[cell_dc])
+            res, _frames = run_tdma(cfg, cfg.users, sched=sched, link=link, adc=adc,
+                                    p_dc=[cell_dc], rng=link_rng)
             per_user = np.zeros(cfg.users)
             counts = np.zeros(cfg.users)
             for row in res.rows:

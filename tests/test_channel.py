@@ -71,6 +71,33 @@ class TestTapProfile:
         with pytest.raises(ValidationError):
             load_tap_profile(f)
 
+    @pytest.mark.parametrize("text, line", [
+        ("0 0\n10 4000\n", 2),  # 10**400 is beyond a float
+        ("0 0\n10 inf\n", 2),
+        ("0 -inf\n", 1),
+        ("# delays\nnan 0\n10 0\n", 2),
+        ("0 0\n10 nan\n", 2),
+        ("0 0\ninf 0\n", 2),
+    ])
+    def test_load_rejects_non_finite_taps_at_their_line(self, tmp_path, text, line):
+        # the suite turns warnings into errors: a power beyond a float once
+        # warned twice and was then reported as not > 0, a NaN delay as not
+        # increasing
+        f = tmp_path / "p.pdp"
+        f.write_text(text)
+        with pytest.raises(ValidationError, match=f"p.pdp:{line}: "):
+            load_tap_profile(f)
+
+    def test_linear_powers_must_sum_within_a_float(self, tmp_path):
+        f = tmp_path / "p.pdp"
+        f.write_text("0 3080\n10 3080\n")
+        with pytest.raises(ValidationError, match="sum"):
+            load_tap_profile(f)
+
+    def test_non_finite_delay_named_before_the_order(self):
+        with pytest.raises(ValidationError, match="finite"):
+            TapProfile("bad", [0.0, math.nan], [0.5, 0.5])
+
     def test_unknown_builtin(self):
         with pytest.raises(ValidationError):
             builtin_profile("no-such-profile")

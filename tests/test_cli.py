@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from wptdas import cli
 from wptdas.cli import load_settings, main
 from wptdas.experiments import _dc_tensor
 
+TABLE = (Path(__file__).resolve().parents[1] / "src" / "wptdas" / "data"
+         / "efficiency-table-sample.txt")
 SWEEP_CONFIG = """\
 [experiment]
 realizations = 10
@@ -230,6 +233,21 @@ class TestValidate:
         assert run([command, "--config", str(cfg)], tmp_path) == 1
         assert "frames" in capsys.readouterr().err
         assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.txt"))
+
+    @pytest.mark.parametrize("row, value, field", [
+        (1, "-inf", "power_axis_dbm"), (-1, "inf", "power_axis_dbm"),
+        (0, "inf", "freq_axis_hz"), (0, "1e303", "freq_axis_hz")])  # 1e303 MHz is inf Hz
+    def test_rejects_a_non_finite_table_axis(self, tmp_path, capsys, row, value, field):
+        # a -inf first power row once validated, and an inf last row swept a flat curve
+        lines = [ln for ln in TABLE.read_text().splitlines() if ln and not ln.startswith("#")]
+        lines[row] = " ".join([value, *lines[row].split()[1:]])
+        table = tmp_path / "eta.txt"
+        table.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[rectenna]\ncurve = {table}\n")
+        assert run(["validate", "--config", str(cfg)], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["validate", "--config", str(tmp_path / "nope.ini")], tmp_path) == 1

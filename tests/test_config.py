@@ -179,7 +179,8 @@ class TestBadValues:
           for name in ("eta_peak", "peak_dbm", "rise_slope", "breakdown_dbm", "breakdown_slope")],
         *[(ExperimentConfig, name, bad) for name, bad in [
             ("user_loss_db", (math.nan,)), ("user_loss_db", (-math.inf,)),
-            ("user_loss_db", ("3",)), ("user_loss_db", 3.0), ("antenna_sweep", 1),
+            ("user_loss_db", ("3",)), ("user_loss_db", (None,)), ("user_loss_db", (True,)),
+            ("user_loss_db", 3.0), ("antenna_sweep", 1),
             ("frequency_sweep", None), ("strategies", 7)]],
         *[(ReceiverConsumption, name, bad)
           for name in ("soc_power_w", "radio_power_w", "radio_bitrate_bps")

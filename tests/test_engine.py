@@ -9,6 +9,7 @@ Python floats. The engine in :mod:`wptdas.protocol` walks every
 import io
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,15 +22,17 @@ from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_ch
 from wptdas.experiments import ExperimentConfig, _protocol_values, nested_frequency_indices
 from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, RoundBatch, run_frame,
                              run_rounds, write_events)
-from wptdas.rectenna import RectennaConfig, segment_energy, settle
+from wptdas.rectenna import RectennaConfig, load_efficiency_table, segment_energy, settle
 from wptdas.rng import substream
-from wptdas.scheduler import UserState, run_tdma
+from wptdas.scheduler import run_tdma
 from wptdas.selection import check_powers, select_pairs
 from wptdas.signal_chain import dc_power_matrix
 
 PROFILE = builtin_profile("model-E-NLOS")
 GRID = FrequencyGrid.uniform()
 BUDGET = LinkBudget()
+TABLE = load_efficiency_table(Path(__file__).resolve().parents[1] / "src" / "wptdas" / "data"
+                              / "efficiency-table-sample.txt")
 
 seeds = st.integers(0, 2 ** 32 - 1)
 drops = st.sampled_from([0.0, 0.3, 1.0])
@@ -40,6 +43,11 @@ adcs = st.sampled_from([None, AdcModel(bits=12), AdcModel(bits=1)])
 rects = st.builds(RectennaConfig,
                   settle_tau_s=st.sampled_from([1e-5, 0.002, 0.009, 0.05]),
                   load_ohms=st.sampled_from([500.0, 10_000.0, 47_000.0]))
+
+
+def walk_cfg(rect, users=1):
+    """The config of the oracle's TDMA walk over given powers: its users and rectenna."""
+    return ExperimentConfig(PROFILE, GRID, rect=rect, users=users)
 
 
 def csv_text(result) -> str:
@@ -158,9 +166,8 @@ class TestFrameAgainstScalarWalk:
         rng_a, rng_b = substream(seed, 1), substream(seed, 1)
         batch = run_frame(p_dc, rect, sched=sched, link=link, rng=rng_a, adc=adc)
         frame = oracle.batch_frame(batch, 0, 0, sched)
-        _res, (ref,) = oracle.run_tdma([UserState(user_id=1, rect=rect)], 1, None, None,
-                                       rng=rng_b, sched=sched, link=link, adc=adc,
-                                       keep_frames=True, p_dc=[[p_dc]])
+        _res, (ref,) = oracle.run_tdma(walk_cfg(rect), 1, sched=sched, link=link, adc=adc,
+                                       keep_frames=True, p_dc=[[p_dc]], rng=rng_b)
         # events, message outcomes, samples, selected pair and value, applied
         # pair and power, emissions, both energies and the final voltage
         assert frame == ref
@@ -180,11 +187,10 @@ class TestFrameAgainstScalarWalk:
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         rng_a, rng_b = substream(seed, 1), substream(seed, 1)
-        batch, = run_rounds([p_dc[None]], [rect], sched, link, adc,
+        batch, = run_rounds([p_dc[None]], rect, sched, link, adc,
                             [link.draws(rng_a, (1, rounds, 5))], rounds)
-        _res, kept = oracle.run_tdma([UserState(user_id=1, rect=rect)], rounds, None, None,
-                                     rng=rng_b, sched=sched, link=link, adc=adc,
-                                     keep_frames=True, p_dc=list(p_dc))
+        _res, kept = oracle.run_tdma(walk_cfg(rect), rounds, sched=sched, link=link, adc=adc,
+                                     keep_frames=True, p_dc=list(p_dc), rng=rng_b)
         frames = [oracle.batch_frame(batch, 0, f, sched, f * sched.frame_us(60))
                   for f in range(rounds)]
         assert frames == kept
@@ -195,31 +201,29 @@ class TestFrameAgainstScalarWalk:
 
 class TestRoundLogsAgainstScalarWalk:
     @settings(max_examples=40, deadline=None)
-    @given(seed=seeds, runs=st.integers(1, 3), rounds=st.integers(1, 3),
-           user_rects=st.lists(rects, min_size=1, max_size=3),
-           dims=st.sampled_from([(1, 1), (2, 3), (3, 5), (4, 15)]), drop=drops,
+    @given(seed=seeds, runs=st.integers(1, 3), rounds=st.integers(1, 3), k=st.integers(1, 3),
+           rect=rects, dims=st.sampled_from([(1, 1), (2, 3), (3, 5), (4, 15)]), drop=drops,
            latency_s=latencies, adc=adcs, data=st.data())
-    def test_every_field_and_log_equals_the_scalar_walk(self, seed, runs, rounds, user_rects,
+    def test_every_field_and_log_equals_the_scalar_walk(self, seed, runs, rounds, k, rect,
                                                         dims, drop, latency_s, adc, data):
         # One engine walk of B runs of R rounds from rest, the last round
         # perhaps cut short, against the scalar TDMA walk of each run alone
         # from the same powers and link draws.
         m_total, n_total = dims
-        k = len(user_rects)
         frames = data.draw(st.integers((rounds - 1) * k + 1, rounds * k))
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         p_dc = check_powers(np.random.default_rng(seed).exponential(
             1e-5, (runs, rounds, k, m_total, n_total)))
         draws = [link.draws(substream(seed, b), (frames, m_total + 1)) for b in range(runs)]
-        batch, = run_rounds([p_dc], user_rects, sched, link, adc,
+        batch, = run_rounds([p_dc], rect, sched, link, adc,
                             [None if drop == 0.0 else np.stack(draws)], frames)
-        group = [UserState(user_id=u + 1, rect=rect) for u, rect in enumerate(user_rects)]
         frame_us = sched.frame_us(m_total * n_total)
         for b in range(runs):
-            _res, kept = oracle.run_tdma(group, frames, None, None, rng=substream(seed, b),
-                                         sched=sched, link=link, adc=adc, keep_frames=True,
-                                         p_dc=[list(round_dc) for round_dc in p_dc[b]])
+            _res, kept = oracle.run_tdma(walk_cfg(rect, k), frames, sched=sched, link=link,
+                                         adc=adc, keep_frames=True,
+                                         p_dc=[list(round_dc) for round_dc in p_dc[b]],
+                                         rng=substream(seed, b))
             for name, ref in oracle.batch_fields(kept).items():
                 assert np.array_equal(getattr(batch, name)[b], ref), name
             assert [oracle.batch_frame(batch, b, f, sched, f * frame_us)["events"]
@@ -251,36 +255,33 @@ class TestChainedWalk:
             assert np.array_equal(getattr(batch, name), getattr(ref, name)), name
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=seeds, runs=st.integers(1, 3), rounds=st.integers(1, 3),
-           user_rects=st.lists(rects, min_size=1, max_size=4), shapes=shapes, drop=drops,
-           latency_s=latencies, adc=adcs, energy=st.booleans(), data=st.data())
-    def test_each_cell_equals_its_own_walk(self, seed, runs, rounds, user_rects, shapes, drop,
+    @given(seed=seeds, runs=st.integers(1, 3), rounds=st.integers(1, 3), k=st.integers(1, 4),
+           rect=rects, shapes=shapes, drop=drops, latency_s=latencies, adc=adcs,
+           energy=st.booleans(), data=st.data())
+    def test_each_cell_equals_its_own_walk(self, seed, runs, rounds, k, rect, shapes, drop,
                                            latency_s, adc, energy, data):
-        k = len(user_rects)
         frames = data.draw(st.integers((rounds - 1) * k + 1, rounds * k))
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         p_dc, draws = chained_cells(seed, runs, rounds, k, frames, shapes, link)
-        chained = run_rounds(p_dc, user_rects, sched, link, adc, draws, frames, energy=energy)
+        chained = run_rounds(p_dc, rect, sched, link, adc, draws, frames, energy=energy)
         assert len(chained) == len(shapes)
         for c, batch in enumerate(chained):
-            alone, = run_rounds(p_dc[c:c + 1], user_rects, sched, link, adc, draws[c:c + 1],
+            alone, = run_rounds(p_dc[c:c + 1], rect, sched, link, adc, draws[c:c + 1],
                                 frames, energy=energy)
             self.assert_same(batch, alone, [field.name for field in fields(RoundBatch)])
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=seeds, rounds=st.integers(1, 3), user_rects=st.lists(rects, min_size=1, max_size=4),
+    @given(seed=seeds, rounds=st.integers(1, 3), k=st.integers(1, 4), rect=rects,
            shapes=shapes, drop=drops, latency_s=latencies, adc=adcs, data=st.data())
-    def test_a_walk_without_energy_changes_nothing_else(self, seed, rounds, user_rects, shapes,
+    def test_a_walk_without_energy_changes_nothing_else(self, seed, rounds, k, rect, shapes,
                                                         drop, latency_s, adc, data):
         # below wpt_s the lean walk steps only the training user's column
-        k = len(user_rects)
         frames = data.draw(st.integers((rounds - 1) * k + 1, rounds * k))
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         p_dc, draws = chained_cells(seed, 2, rounds, k, frames, shapes, link)
-        full = run_rounds(p_dc, user_rects, FrameSchedule(), link, adc, draws, frames)
-        lean = run_rounds(p_dc, user_rects, FrameSchedule(), link, adc, draws, frames,
-                          energy=False)
+        full = run_rounds(p_dc, rect, FrameSchedule(), link, adc, draws, frames)
+        lean = run_rounds(p_dc, rect, FrameSchedule(), link, adc, draws, frames, energy=False)
         for batch, ref in zip(lean, full, strict=True):
             assert batch.training_j is None and batch.wpt_j is None
             self.assert_same(batch, ref, [field.name for field in fields(RoundBatch)
@@ -291,11 +292,11 @@ class TestChainedWalk:
         # frame, so the lean walk must step the passive users too
         sched = FrameSchedule(wpt_s=0.001)
         link = ControlLinkModel(latency_s=0.002)
-        user_rects = [RectennaConfig(settle_tau_s=0.05)] * 2
+        rect = RectennaConfig(settle_tau_s=0.05)
         rng = np.random.default_rng(1)
         p_dc = [check_powers(rng.exponential(1e-5, (2, 2, 2, m, n))) for m, n in [(2, 3), (1, 1)]]
-        full = run_rounds(p_dc, user_rects, sched, link, None, [None, None], 3)
-        lean = run_rounds(p_dc, user_rects, sched, link, None, [None, None], 3, energy=False)
+        full = run_rounds(p_dc, rect, sched, link, None, [None, None], 3)
+        lean = run_rounds(p_dc, rect, sched, link, None, [None, None], 3, energy=False)
         for batch, ref in zip(lean, full, strict=True):
             assert np.all(batch.voltage_v > 0.0)
             self.assert_same(batch, ref, ["samples", "voltage_v"])
@@ -316,37 +317,38 @@ class TestChainedWalk:
                                                                 latency_s=0.002),
                          AdcModel(bits=12))
         (args, kwargs, chained), = calls
-        p_dc, user_rects, sched, link, adc, draws, frames = args
+        p_dc, rect, sched, link, adc, draws, frames = args
+        assert rect is cfg.rect
         assert len(chained) == 16
         for c, batch in enumerate(chained):
-            alone, = run_rounds(p_dc[c:c + 1], user_rects, sched, link, adc, draws[c:c + 1],
+            alone, = run_rounds(p_dc[c:c + 1], rect, sched, link, adc, draws[c:c + 1],
                                 frames, **kwargs)
             self.assert_same(batch, alone, [field.name for field in fields(RoundBatch)])
 
 
 class TestTdmaAgainstScalarWalk:
     @settings(max_examples=40, deadline=None)
-    @given(seed=seeds, users=st.lists(rects, min_size=1, max_size=3), drop=drops,
-           latency_s=latencies, adc=adcs, frames=st.integers(1, 7),
-           losses=st.lists(st.sampled_from([0.0, 3.0, 10.0]), min_size=3, max_size=3))
-    def test_trace_equals_the_scalar_walk(self, seed, users, drop, latency_s, adc, frames,
-                                          losses):
-        link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-
-        group = [UserState(user_id=u + 1, rect=rect, extra_loss_db=losses[u])
-                 for u, rect in enumerate(users)]
-
-        def walk(run):
-            rng = substream(seed, 2)
-            res = run(group, frames, GRID, BUDGET, sched=FrameSchedule(), link=link, rng=rng,
-                      profile=PROFILE, adc=adc)
-            return res, rng.random()
-
-        res, after = walk(run_tdma)
-        (ref, _frames), ref_after = walk(oracle.run_tdma)
+    @given(seed=seeds, k=st.integers(1, 4), rounds=st.integers(1, 3), drop=drops,
+           latency_s=latencies, adc=adcs, rect=rects, table=st.booleans(),
+           antenna_sweep=st.sampled_from([(1,), (2, 4), (3,)]),
+           losses=st.lists(st.sampled_from([0.0, 3.0, 10.0]), min_size=4, max_size=4),
+           data=st.data())
+    def test_trace_equals_the_scalar_walk(self, seed, k, rounds, drop, latency_s, adc, rect,
+                                          table, antenna_sweep, losses, data):
+        # the last round may be cut short, after 1..k of its frames
+        frames = (rounds - 1) * k + data.draw(st.integers(1, k))
+        if table:
+            rect = RectennaConfig(curve=TABLE, load_ohms=rect.load_ohms,
+                                  settle_tau_s=rect.settle_tau_s)
+        cfg = ExperimentConfig(PROFILE, FrequencyGrid.ieee_plan() if table else GRID, rect=rect,
+                               antenna_sweep=antenna_sweep, users=k, seed=seed,
+                               user_loss_db=losses[:k])
+        sched, link = FrameSchedule(), ControlLinkModel(drop_probability=drop,
+                                                        latency_s=latency_s)
+        res = run_tdma(cfg, frames, sched=sched, link=link, adc=adc)
+        ref, _frames = oracle.run_tdma(cfg, frames, sched=sched, link=link, adc=adc)
         assert res.rows == ref.rows
         assert csv_text(res) == csv_text(ref)
-        assert after == ref_after
 
 
 class TestSweepAgainstScalarWalk:

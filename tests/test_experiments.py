@@ -216,6 +216,8 @@ class TestRunSweep:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             small_cfg(realizations=0)
+        with pytest.raises(ValidationError, match="users"):
+            small_cfg(users=0)
         with pytest.raises(ValidationError):
             small_cfg(frequency_sweep=(16,))
         with pytest.raises(ValidationError):

@@ -101,6 +101,20 @@ users = 4
 user_loss_db = 0, 2, 4, 6
 realizations = 40
 """,
+    # two users with unequal losses and the shipped table over the lossy link;
+    # 25 frames cut the last round short
+    "g": LOSSY + f"""
+[channel]
+grid = ieee
+
+[rectenna]
+curve = {TABLE}
+
+[experiment]
+users = 2
+user_loss_db = 0, 6
+frames = 25
+""",
 }
 
 # (config, subcommand, file it writes)
@@ -112,6 +126,7 @@ CASES = [
     ("d", "tdma", "tdma_trace.csv"),
     ("e", "sweep", "sweep_results.csv"),
     ("f", "sweep", "sweep_results.csv"),
+    ("g", "tdma", "tdma_trace.csv"),
 ]
 
 

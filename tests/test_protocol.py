@@ -7,6 +7,7 @@ import pytest
 
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError
+from wptdas.experiments import ExperimentConfig
 from wptdas.protocol import (
     DEFAULT_ADC,
     MESSAGE_SIZE_BYTES,
@@ -24,7 +25,6 @@ from wptdas.protocol import (
 )
 from wptdas.rectenna import RectennaConfig
 from wptdas.rng import substream
-from wptdas.scheduler import UserState
 from wptdas.selection import default_pair
 from wptdas.signal_chain import dc_power_matrix
 
@@ -54,7 +54,7 @@ def log_of(batch):
 def one_user_walk(p_dc, link=ControlLinkModel(), draws=None):
     """One engine walk of one user from rest, one frame per round of ``p_dc``
     (R, M, N), with the link uniforms ``draws`` (R, M + 1)."""
-    batch, = run_rounds([p_dc[None, :, None]], [RECT], FrameSchedule(), link, DEFAULT_ADC,
+    batch, = run_rounds([p_dc[None, :, None]], RECT, FrameSchedule(), link, DEFAULT_ADC,
                         [None if draws is None else np.asarray(draws)[None]], len(p_dc))
     return batch
 
@@ -278,7 +278,7 @@ class TestRunFrame:
         for name in ("samples", "training_j", "wpt_j", "voltage_v"):
             assert np.array_equal(getattr(batch, name)[:, :1], getattr(first, name)), name
         start_us = log_of(first)[-1].t_us
-        _res, kept = oracle.run_tdma([UserState(user_id=1, rect=RECT)], 2, None, None,
+        _res, kept = oracle.run_tdma(ExperimentConfig(PROFILE, GRID, rect=RECT), 2,
                                      adc=DEFAULT_ADC, keep_frames=True, p_dc=[[p_dc], [p_dc]])
         frame2 = oracle.batch_frame(batch, 0, 1, FrameSchedule(), start_us)
         assert frame2 == kept[1]
@@ -331,9 +331,8 @@ class TestRunFrame:
 class TestRunRoundsShapes:
     LOSSY = ControlLinkModel(drop_probability=0.5)
 
-    def walk(self, p_dc, draws, frames=1, users=1):
-        return run_rounds(p_dc, [RECT] * users, FrameSchedule(), self.LOSSY, DEFAULT_ADC, draws,
-                          frames)
+    def walk(self, p_dc, draws, frames=1):
+        return run_rounds(p_dc, RECT, FrameSchedule(), self.LOSSY, DEFAULT_ADC, draws, frames)
 
     @pytest.mark.parametrize("draws_shape", [(1, 2, 3), (1, 1, 4), (2, 1, 3), (1, 3)])
     def test_draws_that_do_not_fit_the_walk_name_the_cell(self, draws_shape):
@@ -368,20 +367,13 @@ class TestRunRoundsShapes:
         # frame f trains user f % K in round f // K: 2 rounds of 2 users walk
         # 3 or 4 frames
         with pytest.raises(ValidationError, match="frames"):
-            self.walk([np.full((1, 2, 2, 2, 3), 1e-6)], [None], frames=frames, users=2)
+            self.walk([np.full((1, 2, 2, 2, 3), 1e-6)], [None], frames=frames)
 
     @pytest.mark.parametrize("frames", [3, 4])
     def test_the_last_round_may_be_cut_short(self, frames):
         batch, = self.walk([np.full((1, 2, 2, 2, 3), 1e-6)], [np.full((1, frames, 3), 0.9)],
-                           frames=frames, users=2)
+                           frames=frames)
         assert batch.served_w.shape == (1, frames, 2)
-
-    @pytest.mark.parametrize("users, frames", [(1, 1), (1, 2), (3, 1), (3, 2)])
-    def test_each_user_needs_its_own_rectenna(self, users, frames):
-        # with one rectenna for 2 users, a one-frame walk once ran on it and a
-        # two-frame walk ended in a bare IndexError
-        with pytest.raises(ValidationError, match="rectenna"):
-            self.walk([np.full((1, 1, 2, 2, 3), 1e-6)], [None], frames=frames, users=users)
 
     def test_every_cell_needs_each_input(self):
         cells = [np.full((1, 1, 1, 2, 3), 1e-6)] * 2

@@ -125,6 +125,20 @@ class TestEfficiency:
         with pytest.raises(ValidationError):
             EfficiencyCurve.from_table([-20.0], [2.4e9], [[1.5]])
 
+    @pytest.mark.parametrize("power_axis, freq_axis, field", [
+        ([-math.inf, -10.0], [2.4e9], "power_axis_dbm"),
+        ([-20.0, math.inf], [2.4e9], "power_axis_dbm"),
+        ([-20.0, math.nan], [2.4e9], "power_axis_dbm"),
+        ([-20.0], [math.nan], "freq_axis_hz"),
+        ([-20.0], [2.4e9, math.inf], "freq_axis_hz"),
+    ])
+    def test_non_finite_axis_entry_rejected(self, power_axis, freq_axis, field):
+        # a -inf first power row once passed validation and failed the sweep
+        # on its candidate powers; an inf last row gave a flat curve
+        table = np.full((len(power_axis), len(freq_axis)), 0.25)
+        with pytest.raises(ValidationError, match=field):
+            EfficiencyCurve.from_table(power_axis, freq_axis, table)
+
     def test_table_file_roundtrip(self, tmp_path):
         f = tmp_path / "eta.txt"
         f.write_text("# demo\n2400 2480\n-20 0.2 0.3\n-10 0.4 0.5\n")

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from wptdas.channel import FrequencyGrid, builtin_profile, sample_channel
 from wptdas.errors import ValidationError
-from wptdas.experiments import SUM_USER, ExperimentConfig, _channel_gains, _summary_rows
+from wptdas.experiments import SUM_USER, ExperimentConfig, _dc_tensor, _summary_rows
 from wptdas.protocol import ControlLinkModel
 from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, keyed_draws, substream, substream_keys
+from wptdas.signal_chain import dc_power_matrix
 
 U32 = 2 ** 32 - 1
 SEEDS = st.one_of(st.sampled_from([0, 1, U32, 2 ** 32, 2 ** 64 - 1]),
@@ -85,15 +86,16 @@ class TestKeyedDraws:
     @settings(max_examples=25, deadline=None)
     @given(seed=SEEDS, r0=st.sampled_from([0, 1, 63, U32 - 3]), n_real=st.integers(0, 3),
            users=st.integers(1, 3), antennas=st.integers(1, 4))
-    def test_channel_gains_equal_fresh_substreams(self, seed, r0, n_real, users, antennas):
+    def test_channel_draws_equal_fresh_substreams(self, seed, r0, n_real, users, antennas):
         cfg = ExperimentConfig(MODEL_E, FrequencyGrid.uniform(), antenna_sweep=(antennas,),
                                users=users, seed=seed)
-        gains = _channel_gains(cfg, r0, r0 + n_real)
-        assert gains.shape == (n_real, users, antennas, MODEL_E.num_taps)
+        dc = _dc_tensor(cfg, r0, r0 + n_real)
+        assert dc.shape == (n_real, users, antennas, cfg.grid.count)
         for i in range(n_real):
             for u in range(users):
                 ch = sample_channel(MODEL_E, antennas, substream(seed, DOMAIN_CHANNEL, r0 + i, u))
-                assert gains[i, u].tobytes() == ch.gains.tobytes()
+                want = dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve)
+                assert dc[i, u].tobytes() == want.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=SEEDS, n_real=st.integers(1, 4), width=st.integers(1, 70),
