@@ -216,10 +216,21 @@ class LinkBudget:
             raise ValidationError("tx_power_w must be > 0")
         if self.path_loss_db < 0:
             raise ValidationError("path_loss_db must be >= 0")
+        if not math.isfinite(self.scale()):
+            raise ValidationError(f"tx_power_w at a net gain (tx_gain_dbi + rx_gain_dbi - "
+                                  f"path_loss_db) of {-self.net_loss_db:g} dB overflows")
 
     @property
     def net_loss_db(self) -> float:
         return self.path_loss_db - self.tx_gain_dbi - self.rx_gain_dbi
+
+    def scale(self, extra_loss_db: float = 0.0) -> float:
+        """Received power per unit channel gain, ``tx_power_w`` over the net loss
+        plus ``extra_loss_db``; inf where that overflows a float."""
+        try:
+            return self.tx_power_w * 10.0 ** (-(self.net_loss_db + extra_loss_db) / 10.0)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)

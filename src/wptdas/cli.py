@@ -26,6 +26,7 @@ from . import __version__
 from .channel import FrequencyGrid, LinkBudget, resolve_profile
 from .errors import ValidationError, check_integer
 from .experiments import (
+    SWEEP_BLOCK,
     ExperimentConfig,
     ReceiverConsumption,
     TransmitterConsumption,
@@ -263,8 +264,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     st = load_settings(args.config, args.seed)
     if st.pipeline == "protocol":
-        result = run_protocol_experiment(st.experiment, sched=st.sched, link=st.link,
-                                         adc=st.adc)
+        result = run_protocol_experiment(st.experiment, st.sched, st.link, st.adc, args.jobs)
     else:
         result = run_sweep(st.experiment, jobs=args.jobs)
     with _create(args, "sweep_results.csv") as fh:
@@ -354,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the experiment seed")
         p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or '.')")
         if name == "sweep":
-            p.add_argument("--jobs", type=int, default=1, help="parallel workers of the ideal "
-                           "pipeline, at most one per CPU; the protocol pipeline ignores it")
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers, at most one "
+                           f"per CPU; either pipeline walks blocks of {SWEEP_BLOCK} realizations")
         p.add_argument("--quiet", action="store_true", help="suppress stdout summaries")
         p.set_defaults(func=func)
     return parser

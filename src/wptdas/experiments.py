@@ -27,6 +27,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +51,7 @@ from .signal_chain import dc_power_matrix
 RESULT_COLUMNS = "M,N,strategy,user,avg_pdc_watts,stderr_watts,realizations,seed"
 SUM_USER = 0  # user id used for multi-user sum rows
 DC_BLOCK_DRAWS = 64  # channel draws per block of _users_dc: amortizes calls, bounds memory
+SWEEP_BLOCK = 1024  # realizations per block of a sweep: bounds its working memory
 
 
 def dbm_to_watts(x_dbm):
@@ -122,6 +124,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(int(x) for x in values))
         check_finite(self, "user_loss_db")
         object.__setattr__(self, "user_loss_db", tuple(float(x) for x in self.user_loss_db))
+        for loss in self.user_loss_db:
+            if not math.isfinite(self.budget.scale(loss)):
+                raise ValidationError(f"user_loss_db entry {loss:g} gives a received power "
+                                      "scale that overflows")
         if not 0 <= self.seed < 2 ** 64:
             raise ValidationError("seed must be an unsigned 64-bit value")
         if not (self.antenna_sweep and self.frequency_sweep and self.strategies):
@@ -263,14 +269,13 @@ def _dc_tensor(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
 
 
 def _cell_values(cfg: ExperimentConfig, dc: np.ndarray) -> dict:
-    """Per-realization strategy values from a (R, U, M_max, N) dc tensor.
+    """Per-realization strategy values from a checked (R, U, M_max, N) dc tensor.
 
     Returns {(m, k, strategy): array of shape (R, users)}. User u's value is
     the round average of its own selection plus, for every other user v in
     ascending order, what u harvests passively at v's selected pair. Each
     frequency set is copied out once; one gather reads a cell's strategies.
     """
-    dc = check_powers(dc)
     n_real, users, m_max, n_total = dc.shape
     flat, user = dc.ravel(), np.arange(users)
     base = np.arange(0, dc.size, m_max * n_total).reshape(n_real, users, 1)  # (r, u)'s matrix
@@ -295,10 +300,56 @@ def _cell_values(cfg: ExperimentConfig, dc: np.ndarray) -> dict:
     return out
 
 
-def _sweep_chunk(args) -> dict:
-    """:func:`_cell_values` of realizations [r0, r1), one worker's share of a sweep."""
-    cfg, r0, r1 = args
-    return _cell_values(cfg, _dc_tensor(cfg, r0, r1))
+def _block_values(cfg: ExperimentConfig, protocol: tuple | None, r0: int, r1: int) -> dict:
+    """Per-realization values {(m, k, strategy): array of shape (r1 - r0, users)}
+    of realizations [r0, r1): :func:`_cell_values` of their dc tensor, or with a
+    ``protocol`` (schedule, link, ADC), the delivery powers of joint selection.
+
+    Each protocol cell's matrices are a slice of the same tensor, and every
+    cell runs its round of one frame per user for every realization in one
+    engine walk, which packs the cells side by side into lanes and skips the
+    energies the sweep does not read. Realization r's draws come from its own
+    substreams, so a block's values are those of any walk that holds it.
+    """
+    dc = check_powers(_dc_tensor(cfg, r0, r1))
+    if protocol is None:
+        return _cell_values(cfg, dc)
+    sched, link, adc = protocol
+    cells, users = list(_sweep_cells(cfg)), cfg.users
+    widths = [users * (m + 1) for m, _k, _cols in cells]
+    draws = [None] * len(cells)
+    if link.drop_probability > 0.0:  # a lossless link draws nothing
+        keys = substream_keys(cfg.seed, DOMAIN_LINK, np.arange(r0, r1))
+        draws = [d.reshape(r1 - r0, users, m + 1) for d, (m, _k, _cols) in zip(np.split(
+            keyed_draws(keys, "random", np.empty((r1 - r0, sum(widths)))),
+            np.cumsum(widths)[:-1], axis=1), cells)]
+
+    batches = run_rounds([dc[:, None, :, :m][..., cols] for m, _k, cols in cells],
+                         cfg.rect, sched, link, adc, draws, users, energy=False)
+    # summed frame by frame, in frame order
+    return {(m, k, "joint"): np.add.accumulate(batch.served_w, axis=1)[:, -1] / users
+            for (m, k, _cols), batch in zip(cells, batches)}
+
+
+def _sweep_rows(cfg: ExperimentConfig, protocol: tuple | None, jobs: int) -> list:
+    """Summary rows of :func:`_block_values` over all realizations, walked in
+    max(jobs, ceil(R / SWEEP_BLOCK)) near-equal blocks by this process, or by
+    ``jobs`` workers, one per CPU at most; rows are identical for any split."""
+    r_total = cfg.realizations
+    jobs = min(check_integer("jobs", jobs, low=1), r_total, os.cpu_count() or 1)
+    count = max(jobs, -(-r_total // SWEEP_BLOCK))
+    edges = [r_total * i // count for i in range(count + 1)]
+    spans = (repeat(cfg), repeat(protocol), edges[:-1], edges[1:])
+    if jobs == 1:
+        blocks = list(map(_block_values, *spans))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            blocks = list(pool.map(_block_values, *spans))
+    values = blocks[0] if count == 1 else {
+        key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
+    del blocks  # free the per-block arrays before _summary_rows copies the joined ones
+    return _summary_rows(values)
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
@@ -308,59 +359,15 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     candidate powers, no frame protocol. With multiple users, frame i of a
     round serves user i's selection while the others harvest passively at
     the served pair; reported values are per-round (cycle) averages.
-    ``jobs`` only parallelizes, one worker per CPU at most; results are
-    identical for any job count.
+    ``jobs`` only parallelizes; results are identical for any job count.
     """
-    r_total = cfg.realizations
-    jobs = min(check_integer("jobs", jobs, low=1), r_total, os.cpu_count() or 1)
-    if jobs <= 1 or r_total < 4:
-        chunks = [_sweep_chunk((cfg, 0, r_total))]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        edges = np.linspace(0, r_total, jobs + 1).astype(int)
-        spans = [(cfg, int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            chunks = list(pool.map(_sweep_chunk, spans))
-    merged = chunks[0] if len(chunks) == 1 else {
-        key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
-    return ExperimentResult(_summary_rows(merged), r_total, cfg.seed, cfg.fingerprint(),
-                            kind="sweep")
-
-
-def _protocol_values(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlLinkModel,
-                     adc: AdcModel | None) -> dict:
-    """Per-realization delivery powers of the protocol sweep.
-
-    Returns {(m, k): array of shape (R, users)}. The ideal sweep's dc
-    tensor is built once and each cell's matrices are a slice of it, so both
-    pipelines see the same numbers. Every cell runs its round of one frame
-    per user for every realization in one engine walk, which packs the cells
-    side by side into lanes and skips the energies the sweep does not read.
-    Realization r's link draws come from its own substream,
-    cell by cell and frame by frame, so they match a walk of one realization
-    at a time.
-    """
-    cells = list(_sweep_cells(cfg))
-    n_real, users = cfg.realizations, cfg.users
-    dc = check_powers(_dc_tensor(cfg, 0, n_real))
-    widths = [users * (m + 1) for m, _k, _cols in cells]
-    draws = [None] * len(cells)
-    if link.drop_probability > 0.0:  # a lossless link draws nothing
-        keys = substream_keys(cfg.seed, DOMAIN_LINK, np.arange(n_real))
-        draws = [d.reshape(n_real, users, m + 1) for d, (m, _k, _cols) in zip(np.split(
-            keyed_draws(keys, "random", np.empty((n_real, sum(widths)))),
-            np.cumsum(widths)[:-1], axis=1), cells)]
-
-    batches = run_rounds([dc[:, None, :, :m][..., cols] for m, _k, cols in cells],
-                         cfg.rect, sched, link, adc, draws, users, energy=False)
-    # summed frame by frame, in frame order
-    return {(m, k): np.add.accumulate(batch.served_w, axis=1)[:, -1] / users
-            for (m, k, _cols), batch in zip(cells, batches)}
+    return ExperimentResult(_sweep_rows(cfg, None, jobs), cfg.realizations, cfg.seed,
+                            cfg.fingerprint(), kind="sweep")
 
 
 def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule = FrameSchedule(),
                             link: ControlLinkModel = ControlLinkModel(),
-                            adc: AdcModel | None = DEFAULT_ADC) -> ExperimentResult:
+                            adc: AdcModel | None = DEFAULT_ADC, jobs: int = 1) -> ExperimentResult:
     """The sweep realized through the frame protocol.
 
     Every (antenna set, frequency set) cell runs one TDMA round per
@@ -369,11 +376,8 @@ def run_protocol_experiment(cfg: ExperimentConfig, sched: FrameSchedule = FrameS
     settings it must match :func:`run_sweep`'s joint value. No event logs
     are built; :func:`wptdas.protocol.frame_log` lists any frame's events.
     """
-    values = _protocol_values(cfg, sched, link, adc)
-
-    rows = _summary_rows({(m, k, "joint"): arr for (m, k), arr in values.items()})
-    config_hash = protocol_fingerprint(cfg, sched, link, adc)
-    return ExperimentResult(rows, cfg.realizations, cfg.seed, config_hash, kind="protocol")
+    return ExperimentResult(_sweep_rows(cfg, (sched, link, adc), jobs), cfg.realizations,
+                            cfg.seed, protocol_fingerprint(cfg, sched, link, adc), kind="protocol")
 
 
 def protocol_fingerprint(cfg: ExperimentConfig, sched: FrameSchedule, link: ControlLinkModel,

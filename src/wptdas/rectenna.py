@@ -121,7 +121,8 @@ class EfficiencyCurve:
         return float(out[0]) if scalar else out
 
     def _closed_form(self, p_dbm: np.ndarray) -> np.ndarray:
-        rise = _sigmoid(self.rise_slope * (p_dbm - self.peak_dbm) + _RISE_SHOULDER)
+        with np.errstate(over="ignore"):  # a steep rise saturates the logistic at 0 or 1
+            rise = _sigmoid(self.rise_slope * (p_dbm - self.peak_dbm) + _RISE_SHOULDER)
         eta = self.eta_peak * rise / _sigmoid(_RISE_SHOULDER)
         over = p_dbm > self.breakdown_dbm
         if np.any(over):

@@ -31,7 +31,6 @@ def dc_power_matrix(ch: ChannelRealization, grid: FrequencyGrid, budget: LinkBud
     if per_user and (amp2.ndim < 3 or len(extra_loss_db) != amp2.shape[-3]):
         raise ValidationError("extra_loss_db needs one loss per user of the stack")
     # each user's scale in Python floats, as a lone call forms it
-    scale = np.array([budget.tx_power_w * 10.0 ** (-(budget.net_loss_db + float(x)) / 10.0)
-                      for x in np.atleast_1d(extra_loss_db)])
+    scale = np.array([budget.scale(float(x)) for x in np.atleast_1d(extra_loss_db)])
     p_rf = (scale[:, None, None] if per_user else scale[0]) * amp2
     return p_rf * curve.efficiency(p_rf, grid.frequencies_hz)

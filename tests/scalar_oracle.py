@@ -314,7 +314,7 @@ def run_tdma(cfg, frames, sched=None, link=None, adc=None, keep_frames=False, p_
 
 
 def protocol_values(cfg, sched=None, link=None, adc=None):
-    """Per-realization values {(m, k): (R, users) array} of the protocol sweep,
+    """Per-realization values {(m, k, "joint"): (R, users) array} of the protocol sweep,
     one realization, cell and frame at a time: each user's steady dc power at
     the pair served in each frame of the round, averaged over the round. Each
     cell's matrices are the slice of the realization's full-grid dc matrices
@@ -322,7 +322,7 @@ def protocol_values(cfg, sched=None, link=None, adc=None):
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
     cells = list(_sweep_cells(cfg))
-    values = {(m, k): np.zeros((cfg.realizations, cfg.users)) for m, k, _ in cells}
+    values = {(m, k, "joint"): np.zeros((cfg.realizations, cfg.users)) for m, k, _ in cells}
     for r in range(cfg.realizations):
         dc = dc_tensor(cfg, r, r + 1)[0]
         link_rng = substream(cfg.seed, DOMAIN_LINK, r)
@@ -336,7 +336,7 @@ def protocol_values(cfg, sched=None, link=None, adc=None):
                 per_user[row.user_id - 1] += float(
                     cell_dc[row.user_id - 1][row.antenna - 1, row.frequency - 1])
                 counts[row.user_id - 1] += 1
-            values[(m, k)][r] = per_user / counts
+            values[(m, k, "joint")][r] = per_user / counts
     return values
 
 

@@ -22,7 +22,7 @@ from wptdas.cli import main
 from wptdas.experiments import (
     SUM_USER,
     ExperimentConfig,
-    _protocol_values,
+    _block_values,
     power_budget_report,
     run_sweep,
 )
@@ -141,7 +141,8 @@ def test_c07_two_pipeline_equivalence():
                            antenna_sweep=(4,), frequency_sweep=(15,),
                            strategies=("joint",), realizations=100, seed=9)
     # one user: each realization's value is its served power, 0 + x divided by 1
-    delivered = _protocol_values(cfg, FrameSchedule(), ControlLinkModel(), None)[(4, 15)][:, 0]
+    protocol = (FrameSchedule(), ControlLinkModel(), None)
+    delivered = _block_values(cfg, protocol, 0, 100)[(4, 15, "joint")][:, 0]
     assert len(delivered) == 100
     for r, value in enumerate(delivered):
         ch = sample_channel(MODEL_E, 4, substream(9, DOMAIN_CHANNEL, r, 0))

@@ -270,6 +270,10 @@ class TestReceivedRfPower:
             LinkBudget(path_loss_db=-1.0)
         with pytest.raises(ValidationError):
             received_rf_power(LinkBudget(), -0.5)
+        # a net gain past ~3,080 dB overflows the scale: 10**394 raises, 1e308 + 1e308 is inf
+        for gains in ((4000.0, 0.0), (1e308, 1e308)):
+            with pytest.raises(ValidationError, match="tx_gain_dbi"):
+                LinkBudget(tx_gain_dbi=gains[0], rx_gain_dbi=gains[1])
 
 
 class TestFrequencyGrid:

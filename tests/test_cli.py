@@ -1,6 +1,8 @@
+import configparser
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -152,6 +154,13 @@ class TestSweep:
         text = (tmp_path / "sweep_results.csv").read_text()
         assert "# kind=protocol" in text
 
+    def test_a_steep_rise_saturates_without_a_warning(self, tmp_path):
+        # the logistic's exp overflows for a steep rise; the warning is an error here
+        cfg = tmp_path / "steep.ini"
+        cfg.write_text(SWEEP_CONFIG + "\n[rectenna]\nrise_slope = 4000\n")
+        assert run(["sweep", "--config", str(cfg), "--quiet"], tmp_path) == 0
+        assert len((tmp_path / "sweep_results.csv").read_text().splitlines()) == 5 + 4 * 4
+
 
 class TestTdma:
     def test_trace_written(self, tmp_path, capsys):
@@ -249,6 +258,20 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
 
+    @pytest.mark.parametrize("lines,key", [
+        ("[experiment]\nuser_loss_db = -4000\n", "user_loss_db"),
+        ("[channel]\ntx_gain_dbi = 1e308\nrx_gain_dbi = 1e308\n", "rx_gain_dbi")],
+        ids=["user_loss", "gains"])
+    def test_rejects_a_received_power_scale_that_overflows(self, tmp_path, capsys, lines, key):
+        # once accepted, then a sweep ended in an OverflowError traceback or
+        # failed on p_rf_w, which names the wrong input
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(lines)
+        for command in ("validate", "sweep"):
+            assert run([command, "--config", str(cfg), "--quiet"], tmp_path) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["validate", "--config", str(tmp_path / "nope.ini")], tmp_path) == 1
         assert "error" in capsys.readouterr().err
@@ -287,6 +310,53 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--jobs" in err
         assert not (tmp_path / "sweep_results.csv").exists()
+
+
+# Every INI key is set alone to each of these on a small lossy config, then
+# run through validate, which reads every key, and the runs that read its
+# section. A protocol sweep reads the schedule, link and ADC; an ideal one does not.
+FUZZ_VALUES = ("0", "-1", "1e-300", "4000", "-4000", "1e308", "-1e308")
+FUZZ_BASE = {"experiment": {"realizations": "2", "frames": "2"},
+             "link": {"delivery": "lossy", "drop_probability": "0.1", "latency_s": "0.002"}}
+FUZZ_RUNS = {"protocol": ("sweep", {"pipeline": "protocol"})}  # the rest are plain commands
+FUZZ_READERS = {
+    "channel": ("sweep", "protocol", "frame", "tdma"),
+    "rectenna": ("sweep", "protocol", "frame", "tdma"),
+    "schedule": ("protocol", "frame", "tdma", "budget"),
+    "link": ("protocol", "frame", "tdma"),
+    "adc": ("protocol", "frame", "tdma"),
+    "experiment": ("sweep", "protocol", "frame", "tdma", "budget"),
+    "consumption": ("budget",),
+    "budget": ("budget",),
+}
+# A valid count of 4000 only makes a long run (4000 users' passive harvest
+# alone is a 1 GB array), so it is validated but not run.
+FUZZ_COUNTS = ("users", "realizations", "frames")
+
+
+@pytest.mark.parametrize("section,key", [(section, key) for section in cli._SCHEMA
+                                         for key in cli._SCHEMA[section]])
+def test_every_key_fails_cleanly_or_runs(tmp_path, capsys, section, key):
+    for value in FUZZ_VALUES:
+        for run_name in ("validate", *FUZZ_READERS[section]):
+            command, extra = FUZZ_RUNS.get(run_name, (run_name, {}))
+            ini = configparser.ConfigParser()
+            ini.read_dict(FUZZ_BASE)
+            ini.read_dict({"experiment": extra})
+            ini.read_dict({section: {key: value}})
+            with open(tmp_path / "fuzz.ini", "w", encoding="utf-8") as fh:
+                ini.write(fh)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run([command, "--config", str(tmp_path / "fuzz.ini"), "--quiet"],
+                           tmp_path / "out")
+            err = capsys.readouterr().err
+            if run_name == "validate" and code == 1:
+                assert err.startswith("error:"), (value, err)
+                break  # every command loads the config validate rejected
+            assert (code, err) == (0, ""), (run_name, value, code, err)
+            if key in FUZZ_COUNTS and value == "4000":
+                break
 
 
 def test_importing_the_cli_loads_no_process_pool(tmp_path):

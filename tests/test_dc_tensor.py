@@ -25,8 +25,8 @@ import scalar_oracle as oracle
 from wptdas.channel import (ChannelRealization, FrequencyGrid, LinkBudget, builtin_profile,
                             sample_channel)
 from wptdas.errors import ValidationError
-from wptdas.experiments import (DC_BLOCK_DRAWS, ExperimentConfig, _cell_values, _dc_tensor,
-                                _protocol_values, _sweep_cells)
+from wptdas.experiments import (DC_BLOCK_DRAWS, ExperimentConfig, _block_values, _cell_values,
+                                _dc_tensor, _sweep_cells)
 from wptdas.protocol import ControlLinkModel, FrameSchedule
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 from wptdas.rng import DOMAIN_CHANNEL, substream
@@ -220,8 +220,8 @@ class TestIdealEqualsProtocol:
         cfg = ExperimentConfig(PROFILES["model-E-NLOS"], GRIDS[grid],
                                rect=RectennaConfig(settle_tau_s=10e-6), strategies=("joint",),
                                users=users, user_loss_db=losses, realizations=60, seed=seed)
-        values = _protocol_values(cfg, FrameSchedule(), ControlLinkModel(), None)
+        values = _block_values(cfg, (FrameSchedule(), ControlLinkModel(), None), 0, 60)
         ideal = _cell_values(cfg, _dc_tensor(cfg, 0, cfg.realizations))
         assert len(values) == 16
-        for (m, k), got in values.items():
-            assert np.array_equal(got, ideal[(m, k, "joint")])
+        for key, got in values.items():
+            assert np.array_equal(got, ideal[key])

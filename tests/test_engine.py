@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from wptdas import experiments
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
-from wptdas.experiments import ExperimentConfig, _protocol_values, nested_frequency_indices
+from wptdas.experiments import ExperimentConfig, _block_values, nested_frequency_indices
 from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, RoundBatch, run_frame,
                              run_rounds, write_events)
 from wptdas.rectenna import RectennaConfig, load_efficiency_table, segment_energy, settle
@@ -313,9 +313,8 @@ class TestChainedWalk:
         monkeypatch.setattr(experiments, "run_rounds", spy)
         cfg = ExperimentConfig(profile=PROFILE, grid=GRID, users=2, realizations=30, seed=1,
                                strategies=("joint",))
-        _protocol_values(cfg, FrameSchedule(), ControlLinkModel(drop_probability=0.1,
-                                                                latency_s=0.002),
-                         AdcModel(bits=12))
+        link = ControlLinkModel(drop_probability=0.1, latency_s=0.002)
+        _block_values(cfg, (FrameSchedule(), link, AdcModel(bits=12)), 0, 30)
         (args, kwargs, chained), = calls
         p_dc, rect, sched, link, adc, draws, frames = args
         assert rect is cfg.rect
@@ -364,7 +363,7 @@ class TestSweepAgainstScalarWalk:
                                antenna_sweep=antenna_sweep, frequency_sweep=frequency_sweep,
                                strategies=("joint",))
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        values = _protocol_values(cfg, FrameSchedule(), link, adc)
+        values = _block_values(cfg, (FrameSchedule(), link, adc), 0, realizations)
         ref_values = oracle.protocol_values(cfg, FrameSchedule(), link, adc)
         assert values.keys() == ref_values.keys()
         for key, arr in values.items():

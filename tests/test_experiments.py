@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from wptdas.experiments import (
     TransmitterConsumption,
     dbm_to_watts,
     nested_frequency_indices,
+    _block_values,
     _cell_values,
     _dc_tensor,
-    _protocol_values,
     _sweep_cells,
     power_budget_report,
     run_protocol_experiment,
@@ -163,23 +164,25 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
         cfg = small_cfg(realizations=40)
-        serial = run_sweep(cfg).rows
-        assert run_sweep(cfg, jobs=10_000).rows == serial
-        assert run_sweep(cfg, jobs=2).rows == serial
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-        assert run_sweep(cfg, jobs=10_000).rows == serial
-        assert started == [3, 2]
+        for run in (run_sweep, run_protocol_experiment):
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+            serial = run(cfg).rows
+            assert run(cfg, jobs=10_000).rows == serial
+            assert run(cfg, jobs=2).rows == serial
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+            assert run(cfg, jobs=10_000).rows == serial
+        assert started == [3, 2, 3, 2]
 
     @pytest.mark.parametrize("jobs", [0, -4, 1.5, True, "2"])
     def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(ValidationError, match="jobs"):
-            run_sweep(small_cfg(realizations=8), jobs=jobs)
+        for run in (run_sweep, run_protocol_experiment):
+            with pytest.raises(ValidationError, match="jobs"):
+                run(small_cfg(realizations=8), jobs=jobs)
 
     def test_two_user_rows_and_symmetry(self):
         cfg = small_cfg(users=2, realizations=100)
@@ -224,6 +227,8 @@ class TestRunSweep:
             small_cfg(strategies=("beamforming",))
         with pytest.raises(ValidationError):
             small_cfg(users=2, user_loss_db=(1.0,))
+        with pytest.raises(ValidationError, match="user_loss_db"):
+            small_cfg(users=2, user_loss_db=(0.0, -4000.0))  # 10**394 overflows a float
 
     @pytest.mark.parametrize("field,values", [
         ("antenna_sweep", (2, 2, 1)), ("antenna_sweep", (1, 2.0, 2)),
@@ -240,7 +245,8 @@ class TestProtocolExperiment:
     def test_matches_ideal_pipeline_per_realization(self):
         cfg = small_cfg(rect=self.FAST, antenna_sweep=(4,), frequency_sweep=(15,),
                         strategies=("joint",), realizations=50, seed=9)
-        delivered = _protocol_values(cfg, FrameSchedule(), ControlLinkModel(), None)[(4, 15)]
+        protocol = (FrameSchedule(), ControlLinkModel(), None)
+        delivered = _block_values(cfg, protocol, 0, 50)[(4, 15, "joint")]
         assert delivered.shape == (50, 1)
         for r, value in enumerate(delivered[:, 0]):
             ch = sample_channel(MODEL_E, 4, substream(9, DOMAIN_CHANNEL, r, 0))
@@ -393,7 +399,7 @@ def sweep_configs(draw, min_realizations=1):
 
 
 class TestBatchedSweep:
-    # the process pool starts only from 4 realizations
+    # the parallel case draws at least 4 realizations, two per worker
     @pytest.mark.parametrize("jobs,min_realizations,examples", [(1, 1, 40), (2, 4, 8)])
     def test_equals_scalar_reference_exactly(self, jobs, min_realizations, examples):
         @settings(max_examples=examples, deadline=None)
@@ -527,6 +533,53 @@ class TestProtocolSweepIsOneWalk:
         run_protocol_experiment(cfg, link=ControlLinkModel(drop_probability=0.1,
                                                            latency_s=0.002))
         assert calls == [16]
+
+
+class TestSweepBlocks:
+    # Both pipelines walk blocks of at most SWEEP_BLOCK realizations, in this
+    # process or over the pool, and every split must give the same rows.
+    LOSSY = (FrameSchedule(), ControlLinkModel(drop_probability=0.1, latency_s=0.002),
+             AdcModel(bits=12))
+
+    def rows(self, pipeline, cfg, jobs):
+        if pipeline == "ideal":
+            return run_sweep(cfg, jobs=jobs).rows
+        return run_protocol_experiment(cfg, *self.LOSSY, jobs=jobs).rows
+
+    @pytest.mark.parametrize("pipeline", ["ideal", "protocol"])
+    @pytest.mark.parametrize("realizations,sizes", [(30, [6] * 5), (32, [6, 6, 7, 6, 7])])
+    def test_any_split_equals_one_walk(self, monkeypatch, pipeline, realizations, sizes):
+        cfg = small_cfg(users=2, realizations=realizations)
+        whole = self.rows(pipeline, cfg, 1)  # one block
+        monkeypatch.setattr(experiments, "SWEEP_BLOCK", 7)
+        assert self.rows(pipeline, cfg, 2) == whole
+        spans, block_values = [], experiments._block_values
+
+        def spy(cfg, protocol, r0, r1):
+            spans.append(r1 - r0)
+            return block_values(cfg, protocol, r0, r1)
+
+        monkeypatch.setattr(experiments, "_block_values", spy)  # not picklable: serial only
+        assert self.rows(pipeline, cfg, 1) == whole
+        assert spans == sizes
+
+    @staticmethod
+    def _peak(cfg, protocol) -> int:
+        """tracemalloc peak of one protocol sweep."""
+        tracemalloc.start()
+        try:
+            run_protocol_experiment(cfg, *protocol)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_protocol_memory_does_not_grow_with_the_block_count(self, monkeypatch):
+        # A block of 32 realizations walks in about 1 MB, so one walk of all 256
+        # would peak near 4 MB; in blocks, only the values outlive a block.
+        monkeypatch.setattr(experiments, "SWEEP_BLOCK", 32)
+        two, eight = (small_cfg(users=2, realizations=blocks * 32) for blocks in (2, 8))
+        run_protocol_experiment(two, *self.LOSSY)  # first-call caches
+        assert self._peak(eight, self.LOSSY) <= self._peak(two, self.LOSSY) + 256 * 1024
 
 
 class TestFingerprint:
