@@ -7,7 +7,7 @@ pair at a time. Receivers sound every candidate pair, feed back the index
 of the best one in a single byte, and harvest at the served pair for the
 rest of the frame; multiple receivers share the frame schedule round-robin.
 The package provides the fading channel and rectifier models, the frame
-protocol and TDMA scheduler, Monte Carlo experiment runners, and a CLI.
+protocol, Monte Carlo and round-robin TDMA runners, and a CLI.
 """
 
 __version__ = "0.1.0"
@@ -31,6 +31,7 @@ from .experiments import (
     power_budget_report,
     run_protocol_experiment,
     run_sweep,
+    run_tdma,
     watts_to_dbm,
 )
 from .protocol import (
@@ -43,6 +44,5 @@ from .protocol import (
 )
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 from .rng import substream
-from .scheduler import run_tdma
 from .selection import CandidateMatrix
 from .signal_chain import dc_power_matrix

@@ -36,12 +36,12 @@ from .experiments import (
     protocol_fingerprint,
     run_protocol_experiment,
     run_sweep,
+    run_tdma,
 )
 from .protocol import (AdcModel, ControlLinkModel, FrameSchedule, check_feedback_space,
                        control_bytes, frame_log, run_frame, write_events)
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 from .rng import DOMAIN_LINK, substream
-from .scheduler import run_tdma
 
 OUT_DIR_ENV = "WPTDAS_OUT"
 
@@ -302,10 +302,9 @@ def cmd_tdma(args) -> int:
     with _create(args, "tdma_trace.csv") as fh:
         fh.write(_header_lines(cfg.seed, config_hash))
         result.to_csv(fh)
-    totals = {r.user_id: r.energy_j for r in result.rows}  # each user's last row
-    for u in range(1, cfg.users + 1):
+    for u, total in enumerate(result.energy_j[-1].tolist(), 1):
         _say(args, f"user {u}: avg {result.user_average_power_w(u) * 1e6:.4g} uW "
-                   f"over {st.frames} frames, total {totals[u] * 1e6:.4g} uJ")
+                   f"over {st.frames} frames, total {total * 1e6:.4g} uJ")
     _say(args, f"trace -> {fh.name}")
     return 0
 

@@ -10,7 +10,8 @@ Two pipelines share every realization's steady-state dc powers:
 Agreement of the two pipelines under idealized protocol settings is a
 regression oracle, so both read one dc tensor built from the same
 per-realization substreams (see :mod:`wptdas.rng`); the protocol sweep's
-cells are slices of it.
+cells are slices of it. :func:`run_tdma` walks one run of round-robin
+frames through the same protocol and keeps every frame's energies.
 
 Sweeps over the candidate-set size are nested: the size-k frequency set is
 always a subset of the size-(k+1) choice from the same master grid (middle
@@ -26,6 +27,7 @@ import hashlib
 import math
 import numbers
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -40,15 +42,17 @@ from .protocol import (
     AdcModel,
     ControlLinkModel,
     FrameSchedule,
+    check_feedback_space,
     control_bytes,
     run_rounds,
 )
 from .rectenna import RectennaConfig
-from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, keyed_draws, substream_keys
+from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, DOMAIN_TDMA, keyed_draws, substream, substream_keys
 from .selection import STRATEGIES, check_powers, select_pairs
 from .signal_chain import dc_power_matrix
 
 RESULT_COLUMNS = "M,N,strategy,user,avg_pdc_watts,stderr_watts,realizations,seed"
+TRACE_COLUMNS = "frame,user,active_flag,antenna,frequency,p_dc_watts,energy_joules"
 SUM_USER = 0  # user id used for multi-user sum rows
 DC_BLOCK_DRAWS = 64  # channel draws per block of _users_dc: amortizes calls, bounds memory
 SWEEP_BLOCK = 1024  # realizations per block of a sweep: bounds its working memory
@@ -217,23 +221,6 @@ class ExperimentResult:
                      f"{r.stderr_w:.12g},{self.realizations},{self.seed}\n")
 
 
-def _summary_rows(values: dict) -> list:
-    """Rows of per-realization values {(m, k, strategy): (R, users)} in key order,
-    one per user, then the users' sum if there are several: one ``mean`` and one
-    ``std`` call over a C-contiguous (series, R) array give each series' own numbers."""
-    stacked = np.array(list(values.values()))  # (cells, R, users)
-    n_real, users = stacked.shape[1:]
-    ids = list(range(1, users + 1)) + ([SUM_USER] if users > 1 else [])
-    sums = [stacked.sum(axis=2, keepdims=True)] if users > 1 else []
-    series = np.concatenate([stacked, *sums], axis=2).transpose(0, 2, 1).reshape(-1, n_real)
-    mean = series.mean(axis=1)
-    stderr = (np.std(series, axis=1, ddof=1) / math.sqrt(n_real) if n_real > 1
-              else np.zeros_like(mean))
-    labels = [(m, k, s, u) for m, k, s in values for u in ids]
-    return [ResultRow(*label, a, e)
-            for label, a, e in zip(labels, mean.tolist(), stderr.tolist(), strict=True)]
-
-
 def _sweep_cells(cfg: ExperimentConfig):
     for m in cfg.antenna_sweep:
         for k in cfg.frequency_sweep:
@@ -266,6 +253,65 @@ def _dc_tensor(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
                     "standard_normal", z)
 
     return _users_dc(cfg, r1 - r0, fill)
+
+
+@dataclass(frozen=True)
+class TdmaResult:
+    """Frame by frame, a TDMA run's served pair and every user's harvest."""
+
+    applied: np.ndarray  # (F, 2) the pair served, 1-based
+    p_dc_w: np.ndarray  # (F, K) frame-average dc power (frame energy / frame duration)
+    energy_j: np.ndarray  # (F, K) cumulative harvested energy
+
+    def user_average_power_w(self, user_id: int) -> float:
+        if user_id not in range(1, self.p_dc_w.shape[1] + 1):
+            raise KeyError(user_id)
+        return float(np.mean(self.p_dc_w[:, int(user_id) - 1]))
+
+    def to_csv(self, fh):
+        """One row per frame and user, the frame's training user first."""
+        fh.write(TRACE_COLUMNS + "\n")
+        for f, ((antenna, frequency), powers, energies) in enumerate(zip(
+                self.applied.tolist(), self.p_dc_w.tolist(), self.energy_j.tolist())):
+            j = f % len(powers)
+            for u in [j] + [v for v in range(len(powers)) if v != j]:
+                fh.write(f"{f},{u + 1},{int(u == j)},{antenna},{frequency},"
+                         f"{powers[u]:.12g},{energies[u]:.12g}\n")
+
+
+def run_tdma(cfg: ExperimentConfig, frames: int, sched: FrameSchedule = FrameSchedule(),
+             link: ControlLinkModel = ControlLinkModel(),
+             adc: AdcModel | None = DEFAULT_ADC) -> TdmaResult:
+    """Run ``frames`` round-robin TDMA frames over users ``1..cfg.users`` from rest.
+
+    Frame i trains user ``i mod K``: it runs the full training/feedback cycle
+    and the transmitter serves its selection, while every other user
+    harvests passively, through its own channel, whatever the transmitter
+    emits - slot by slot in training, then the served pair. Users share the
+    rectenna ``cfg.rect`` and differ only in channel and ``cfg.user_loss_db``.
+    Each round (K consecutive frames, one Monte Carlo realization) redraws
+    every user's channel (``cfg.max_antennas`` antennas), user by user, then
+    takes its link draws, from ``substream(cfg.seed, DOMAIN_TDMA)``; every
+    round is drawn before one :func:`wptdas.protocol.run_rounds` walk of all
+    of them. Bad counts fail before the first draw.
+    """
+    frames = check_integer("frames", frames, low=1)
+    check_feedback_space(cfg.max_antennas, cfg.grid.count)
+    k, m_total = cfg.users, cfg.max_antennas
+    rng, draws = substream(cfg.seed, DOMAIN_TDMA), []
+
+    def fill(a, z):  # each round's channels, user by user, then its link draws
+        for r, z_round in enumerate(z, a):
+            rng.standard_normal(out=z_round)
+            draws.append(link.draws(rng, (1, min(k, frames - r * k), m_total + 1)))
+
+    p_dc = _users_dc(cfg, -(-frames // k), fill)  # each round's dc matrices
+    batch, = run_rounds([check_powers(p_dc[None])], cfg.rect, sched, link, adc,
+                        [None if draws[0] is None else np.concatenate(draws, axis=1)], frames)
+    energy = batch.training_j[0] + batch.wpt_j[0]
+    frame_s = sched.frame_us(m_total * cfg.grid.count) * 1e-6
+    # summed frame by frame, in frame order
+    return TdmaResult(batch.applied[0] + 1, energy / frame_s, np.add.accumulate(energy))
 
 
 def _cell_values(cfg: ExperimentConfig, dc: np.ndarray) -> dict:
@@ -334,22 +380,37 @@ def _block_values(cfg: ExperimentConfig, protocol: tuple | None, r0: int, r1: in
 def _sweep_rows(cfg: ExperimentConfig, protocol: tuple | None, jobs: int) -> list:
     """Summary rows of :func:`_block_values` over all realizations, walked in
     max(jobs, ceil(R / SWEEP_BLOCK)) near-equal blocks by this process, or by
-    ``jobs`` workers, one per CPU at most; rows are identical for any split."""
-    r_total = cfg.realizations
+    ``jobs`` workers, one per CPU at most; rows are identical for any split.
+    Each block fills its span of one (cells, users [+ sum], R) array as it
+    arrives; one ``mean`` and one ``std`` over its rows give every series."""
+    r_total, users = cfg.realizations, cfg.users
     jobs = min(check_integer("jobs", jobs, low=1), r_total, os.cpu_count() or 1)
     count = max(jobs, -(-r_total // SWEEP_BLOCK))
     edges = [r_total * i // count for i in range(count + 1)]
     spans = (repeat(cfg), repeat(protocol), edges[:-1], edges[1:])
     if jobs == 1:
-        blocks = list(map(_block_values, *spans))
+        pool, mapper = nullcontext(), map
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(_block_values, *spans))
-    values = blocks[0] if count == 1 else {
-        key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
-    del blocks  # free the per-block arrays before _summary_rows copies the joined ones
-    return _summary_rows(values)
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        mapper = pool.map
+    ids = list(range(1, users + 1)) + ([SUM_USER] if users > 1 else [])
+    with pool:
+        for r0, r1, block in zip(edges, edges[1:], mapper(_block_values, *spans)):
+            stacked = np.array(list(block.values()))  # (cells, r1 - r0, users)
+            if r0 == 0:
+                cells = list(block)
+                values = np.empty((len(cells), len(ids), r_total))
+            values[:, :users, r0:r1] = stacked.transpose(0, 2, 1)
+            if users > 1:
+                values[:, users, r0:r1] = stacked.sum(axis=2)
+    series = values.reshape(-1, r_total)
+    mean = series.mean(axis=1)
+    stderr = (np.std(series, axis=1, ddof=1) / math.sqrt(r_total) if r_total > 1
+              else np.zeros_like(mean))
+    labels = [(m, k, s, u) for m, k, s in cells for u in ids]
+    return [ResultRow(*label, a, e)
+            for label, a, e in zip(labels, mean.tolist(), stderr.tolist(), strict=True)]
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:

@@ -33,7 +33,7 @@ and delivery energies are None when the caller skips them, and then only
 the training user's column is stepped unless delivery is fully blanked. A
 batch is the result of every caller, each of which makes one call: the
 protocol sweep walks all its cells over all realizations without the
-energies, :func:`wptdas.scheduler.run_tdma` walks all its rounds and
+energies, :func:`wptdas.experiments.run_tdma` walks all its rounds and
 :func:`run_frame` one frame. Event logs are built only on request, from
 the batch's arrays (:func:`frame_log`, written by :func:`write_events`).
 """

@@ -23,23 +23,26 @@ gathered a cell's strategies, and a lookup's corners, in one pass each.
 The library starts every run at rest (0 V, no earlier pair, t = 0). The
 oracle's frame walk takes a start voltage, a prior pair and a time offset,
 which its TDMA walk carries from frame to frame, one user at a time, as
-the library's engine carries them for a whole batch.
+the library's engine carries them for a whole batch. That walk builds one
+trace row per frame and user, the form the library's TDMA trace had before
+it kept whole arrays, and writes them out one row at a time.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from wptdas.channel import ChannelRealization, FrequencyGrid, sample_channel
 from wptdas.errors import ValidationError
-from wptdas.experiments import _sweep_cells
+from wptdas.experiments import TRACE_COLUMNS, _sweep_cells
 from wptdas.protocol import ControlLinkModel, Event, FrameSchedule, encode_feedback, frame_log
 from wptdas.rectenna import segment_energy, settle
 from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, DOMAIN_TDMA, substream
-from wptdas.scheduler import TdmaResult, TraceRow
 from wptdas.selection import check_powers, middle_index, select_pairs
 from wptdas.signal_chain import dc_power_matrix
 
@@ -254,13 +257,46 @@ def _passive_harvest(rect, v, frame, p_dc, sched, link):
     return e_train, e_wpt, applied_p, v
 
 
+class TraceRow(NamedTuple):
+    frame: int
+    user_id: int
+    active: bool
+    antenna: int
+    frequency: int
+    p_dc_w: float  # frame-average dc power (frame energy / frame duration)
+    energy_j: float  # cumulative harvested energy for this user
+
+
+def trace_csv(rows) -> str:
+    """The rows as the library's TDMA trace writes them."""
+    return TRACE_COLUMNS + "\n" + "".join(
+        f"{r.frame},{r.user_id},{int(r.active)},{r.antenna},"
+        f"{r.frequency},{r.p_dc_w:.12g},{r.energy_j:.12g}\n" for r in rows)
+
+
+def assert_same_trace(result, rows):
+    """The library's TDMA arrays equal the rows' values exactly, and its trace
+    writes them in the rows' order."""
+    frames, users = result.p_dc_w.shape
+    assert len(rows) == frames * users
+    for r in rows:
+        assert tuple(result.applied[r.frame].tolist()) == (r.antenna, r.frequency)
+        assert result.p_dc_w[r.frame, r.user_id - 1] == r.p_dc_w
+        assert result.energy_j[r.frame, r.user_id - 1] == r.energy_j
+    buf = io.StringIO()
+    result.to_csv(buf)
+    assert buf.getvalue() == trace_csv(rows)
+
+
 def run_tdma(cfg, frames, sched=None, link=None, adc=None, keep_frames=False, p_dc=None,
              rng=None):
     """Round-robin TDMA from rest over users ``1..cfg.users``, all with the
-    rectenna ``cfg.rect``, one frame at a time: the library's result, and
-    each frame's :func:`run_frame` result in frame order when ``keep_frames``
-    asks, with each user's (training energy, delivery energy, steady dc power
-    at the served pair, end voltage) under "users".
+    rectenna ``cfg.rect``, one frame at a time: the trace rows in the order
+    the library writes them (each frame's training user first, then the
+    others in ascending order), and each frame's :func:`run_frame` result in
+    frame order when ``keep_frames`` asks, with each user's (training energy,
+    delivery energy, steady dc power at the served pair, end voltage) under
+    "users".
 
     Each round draws user u's channel alone with :func:`sample_channel`, with
     ``cfg.max_antennas`` antennas, and takes its dc matrix with loss
@@ -310,7 +346,7 @@ def run_tdma(cfg, frames, sched=None, link=None, adc=None, keep_frames=False, p_
                                  e_passive / frame_s, energy[u]))
         if keep_frames:
             kept.append(dict(frame, users=per_user))
-    return TdmaResult(rows), kept
+    return rows, kept
 
 
 def protocol_values(cfg, sched=None, link=None, adc=None):
@@ -328,11 +364,11 @@ def protocol_values(cfg, sched=None, link=None, adc=None):
         link_rng = substream(cfg.seed, DOMAIN_LINK, r)
         for m, k, cols in cells:
             cell_dc = [dc[u, :m][:, cols] for u in range(cfg.users)]
-            res, _frames = run_tdma(cfg, cfg.users, sched=sched, link=link, adc=adc,
-                                    p_dc=[cell_dc], rng=link_rng)
+            rows, _frames = run_tdma(cfg, cfg.users, sched=sched, link=link, adc=adc,
+                                     p_dc=[cell_dc], rng=link_rng)
             per_user = np.zeros(cfg.users)
             counts = np.zeros(cfg.users)
-            for row in res.rows:
+            for row in rows:
                 per_user[row.user_id - 1] += float(
                     cell_dc[row.user_id - 1][row.antenna - 1, row.frequency - 1])
                 counts[row.user_id - 1] += 1

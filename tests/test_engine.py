@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from wptdas import experiments
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
-from wptdas.experiments import ExperimentConfig, _block_values, nested_frequency_indices
+from wptdas.experiments import (ExperimentConfig, _block_values, nested_frequency_indices,
+                                run_tdma)
 from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, RoundBatch, run_frame,
                              run_rounds, write_events)
 from wptdas.rectenna import RectennaConfig, load_efficiency_table, segment_energy, settle
 from wptdas.rng import substream
-from wptdas.scheduler import run_tdma
 from wptdas.selection import check_powers, select_pairs
 from wptdas.signal_chain import dc_power_matrix
 
@@ -48,12 +48,6 @@ rects = st.builds(RectennaConfig,
 def walk_cfg(rect, users=1):
     """The config of the oracle's TDMA walk over given powers: its users and rectenna."""
     return ExperimentConfig(PROFILE, GRID, rect=rect, users=users)
-
-
-def csv_text(result) -> str:
-    buf = io.StringIO()
-    result.to_csv(buf)
-    return buf.getvalue()
 
 
 def events_text(events) -> str:
@@ -345,9 +339,8 @@ class TestTdmaAgainstScalarWalk:
         sched, link = FrameSchedule(), ControlLinkModel(drop_probability=drop,
                                                         latency_s=latency_s)
         res = run_tdma(cfg, frames, sched=sched, link=link, adc=adc)
-        ref, _frames = oracle.run_tdma(cfg, frames, sched=sched, link=link, adc=adc)
-        assert res.rows == ref.rows
-        assert csv_text(res) == csv_text(ref)
+        rows, _frames = oracle.run_tdma(cfg, frames, sched=sched, link=link, adc=adc)
+        oracle.assert_same_trace(res, rows)
 
 
 class TestSweepAgainstScalarWalk:

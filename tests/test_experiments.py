@@ -581,6 +581,23 @@ class TestSweepBlocks:
         run_protocol_experiment(two, *self.LOSSY)  # first-call caches
         assert self._peak(eight, self.LOSSY) <= self._peak(two, self.LOSSY) + 256 * 1024
 
+    @pytest.mark.parametrize("users", [1, 2])
+    def test_ideal_sweep_peak_is_near_its_value_array(self, monkeypatch, users):
+        # The blocks fill one (cells, series, R) array as they arrive and np.std
+        # takes one more of its size, so the peak stays near twice the array.
+        monkeypatch.setattr(experiments, "SWEEP_BLOCK", 256)
+        cfg = small_cfg(users=users, realizations=4096)
+        run_sweep(small_cfg(users=users, realizations=8))  # first-call caches
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = len(cfg.antenna_sweep) * len(cfg.frequency_sweep) * len(cfg.strategies)
+        series = users + (users > 1)
+        assert peak < 2.5 * cells * series * cfg.realizations * 8
+
 
 class TestFingerprint:
     def test_default_parametric_hash_is_stable(self):

@@ -1,9 +1,10 @@
 """Byte-for-byte golden outputs of the subcommands.
 
 Each case runs one subcommand on a small config and compares the file it
-writes with the copy under ``tests/data/golden/``. The goldens pin every
-digit of the ideal and protocol sweeps, the frame event log and the TDMA
-trace, so a change that moves any of them fails here.
+writes, or its stdout with the output directory masked, with the copy under
+``tests/data/golden/``. The goldens pin every digit of the ideal and
+protocol sweeps, the frame event log, the TDMA trace and the TDMA users'
+averages and totals, so a change that moves any of them fails here.
 
 Regenerate them only for an intended output change:
 
@@ -15,6 +16,8 @@ writes nothing and exits with status 2.
 
 import sys
 import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -117,16 +120,19 @@ frames = 25
 """,
 }
 
-# (config, subcommand, file it writes)
+# (config, subcommand, file it writes); STDOUT is the masked stdout
+STDOUT = "stdout.txt"
 CASES = [
     ("a", "sweep", "sweep_results.csv"),
     ("b", "sweep", "sweep_results.csv"),
     ("b", "frame", "frame_events.csv"),
     ("c", "sweep", "sweep_results.csv"),
     ("d", "tdma", "tdma_trace.csv"),
+    ("d", "tdma", STDOUT),
     ("e", "sweep", "sweep_results.csv"),
     ("f", "sweep", "sweep_results.csv"),
     ("g", "tdma", "tdma_trace.csv"),
+    ("g", "tdma", STDOUT),
 ]
 
 
@@ -138,7 +144,9 @@ def write_output(config: str, command: str, workdir: Path) -> Path:
     ini = workdir / f"{config}.ini"
     ini.write_text(CONFIGS[config], encoding="utf-8")
     out = workdir / f"{config}-{command}"
-    assert main([command, "--config", str(ini), "--out", str(out), "--quiet"]) == 0
+    with redirect_stdout(StringIO()) as stdout:
+        assert main([command, "--config", str(ini), "--out", str(out)]) == 0
+    (out / STDOUT).write_text(stdout.getvalue().replace(str(out), "<out>"), encoding="utf-8")
     return out
 
 

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wptdas import experiments
 from wptdas.channel import FrequencyGrid, builtin_profile, sample_channel
 from wptdas.errors import ValidationError
-from wptdas.experiments import SUM_USER, ExperimentConfig, _dc_tensor, _summary_rows
+from wptdas.experiments import SUM_USER, ExperimentConfig, _dc_tensor
 from wptdas.protocol import ControlLinkModel
 from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, keyed_draws, substream, substream_keys
 from wptdas.signal_chain import dc_power_matrix
@@ -133,13 +134,23 @@ def per_series_rows(values: dict) -> list:
 
 
 @pytest.mark.parametrize("n_real", [1, 2, 7, 8, 9, 127, 128, 129, 300])
-@pytest.mark.parametrize("users", [1, 2, 3, 4])
-def test_summary_rows_equal_per_series_reduction(n_real, users):
+# from 8 users on, the users' sum takes numpy's pairwise path
+@pytest.mark.parametrize("users", [1, 2, 3, 4, 8, 9])
+# one block, or uneven blocks of at most 7 realizations
+@pytest.mark.parametrize("block", [1024, 7])
+def test_summary_rows_equal_per_series_reduction(monkeypatch, n_real, users, block):
     rng = np.random.default_rng(n_real * 10 + users)
     values = {(m, k, s): rng.exponential(1e-5, (n_real, users)) * rng.uniform(0.5, 2.0)
               for m in (1, 4) for k in (1, 3, 15) for s in ("joint", "none")}
+
+    def block_values(cfg, protocol, r0, r1):
+        return {key: arr[r0:r1] for key, arr in values.items()}
+
+    monkeypatch.setattr(experiments, "_block_values", block_values)  # serial only
+    monkeypatch.setattr(experiments, "SWEEP_BLOCK", block)
+    cfg = ExperimentConfig(MODEL_E, FrequencyGrid.uniform(), users=users, realizations=n_real)
     got = [(r.m, r.n, r.strategy, r.user, r.avg_pdc_w, r.stderr_w)
-           for r in _summary_rows(values)]
+           for r in experiments._sweep_rows(cfg, None, 1)]
     assert got == per_series_rows(values)
     if n_real == 1:
         assert {row[5] for row in got} == {0.0}

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptdas import experiments, scheduler
+from wptdas import experiments
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.errors import FeedbackCapacityError, ValidationError
-from wptdas.experiments import ExperimentConfig
+from wptdas.experiments import TRACE_COLUMNS, ExperimentConfig, run_tdma
 from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, run_rounds
 from wptdas.rectenna import RectennaConfig
 from wptdas.rng import DOMAIN_TDMA, substream
-from wptdas.scheduler import TRACE_COLUMNS, run_tdma
 from wptdas.signal_chain import dc_power_matrix
 
 import scalar_oracle as oracle
@@ -27,8 +26,21 @@ def config(users=1, seed=1, **kwargs):
     return ExperimentConfig(PROFILE, GRID, users=users, seed=seed, **kwargs)
 
 
+def csv_text(result) -> str:
+    buf = io.StringIO()
+    result.to_csv(buf)
+    return buf.getvalue()
+
+
+def active_users(result) -> dict:
+    """{frame: user} of the trace rows whose active flag is set."""
+    rows = [line.split(",") for line in csv_text(result).splitlines()[1:]]
+    return {int(r[0]): int(r[1]) for r in rows if r[2] == "1"}
+
+
 def frames_trained(result, users):
-    return [sum(r.active for r in result.rows if r.user_id == u) for u in range(1, users + 1)]
+    trained = list(active_users(result).values())
+    return [trained.count(u) for u in range(1, users + 1)]
 
 
 @pytest.fixture
@@ -40,7 +52,7 @@ def streams(monkeypatch):
         opened.append(path)
         return substream(*path)
 
-    monkeypatch.setattr(scheduler, "substream", spy)
+    monkeypatch.setattr(experiments, "substream", spy)
     return opened
 
 
@@ -58,13 +70,13 @@ class TestSingleUser:
         batch, = run_rounds([p_dc[None]], RectennaConfig(), sched, ControlLinkModel(),
                             DEFAULT_ADC, [None], frames)
         energy = 0.0
-        for i, row in enumerate(result.rows):
+        for i in range(frames):
             harvested = batch.training_j[0, i, 0] + batch.wpt_j[0, i, 0]
             energy += harvested
-            assert row.p_dc_w == harvested / (sched.frame_us(60) * 1e-6)
-            assert (row.antenna, row.frequency) == tuple((batch.applied[0, i] + 1).tolist())
-            assert row.energy_j == energy
-        assert len(result.rows) == frames
+            assert result.p_dc_w[i, 0] == harvested / (sched.frame_us(60) * 1e-6)
+            assert (result.applied[i] == batch.applied[0, i] + 1).all()
+            assert result.energy_j[i, 0] == energy
+        assert result.p_dc_w.shape == result.energy_j.shape == (frames, 1)
 
     def test_feedback_space_is_checked_before_the_first_draw(self, streams):
         # 5 x 15 pairs exceed the 6-bit feedback space
@@ -76,9 +88,9 @@ class TestSingleUser:
         cfg = ExperimentConfig(PROFILE, FrequencyGrid.uniform(count=7), antenna_sweep=(1, 3),
                                frequency_sweep=(1,), seed=2)
         result = run_tdma(cfg, 2)
-        assert all(1 <= r.antenna <= 3 and 1 <= r.frequency <= 7 for r in result.rows)
-        ref, _frames = oracle.run_tdma(cfg, 2, adc=DEFAULT_ADC)
-        assert result.rows == ref.rows
+        assert ((1 <= result.applied) & (result.applied <= [3, 7])).all()
+        rows, _frames = oracle.run_tdma(cfg, 2, adc=DEFAULT_ADC)
+        oracle.assert_same_trace(result, rows)
 
     def test_bad_frame_count_rejected(self, streams):
         for frames in (0, 2.5, True):
@@ -100,8 +112,10 @@ class TestTwoUsers:
 
     def test_average_of_an_unknown_user_is_a_key_error(self):
         result = run_tdma(config(seed=3), 2)
-        with pytest.raises(KeyError, match="9"):
-            result.user_average_power_w(9)
+        for user in (0, 9, 1.5, "1"):  # 0 must not read the last column
+            with pytest.raises(KeyError, match=str(user)):
+                result.user_average_power_w(user)
+        assert result.user_average_power_w(1.0) == result.user_average_power_w(1)
 
     def test_attenuated_user_harvests_less(self):
         result = run_tdma(config(users=2, seed=3, user_loss_db=(0.0, 20.0)), 20)
@@ -113,8 +127,10 @@ class TestTwoUsers:
 
     def test_active_user_first_in_round_robin(self):
         result = run_tdma(config(users=2, seed=5), 4)
-        active_by_frame = {r.frame: r.user_id for r in result.rows if r.active}
-        assert active_by_frame == {0: 1, 1: 2, 2: 1, 3: 2}
+        assert active_users(result) == {0: 1, 1: 2, 2: 1, 3: 2}
+        frame_users = [line.split(",")[:2] for line in csv_text(result).splitlines()[1:]]
+        assert frame_users == [["0", "1"], ["0", "2"], ["1", "2"], ["1", "1"],
+                               ["2", "1"], ["2", "2"], ["3", "2"], ["3", "1"]]
 
     def test_applied_pair_maximizes_active_matrix_only(self):
         # the round draws user 1's channel, then user 2's, from the stream first
@@ -125,23 +141,18 @@ class TestTwoUsers:
         result = run_tdma(config(users=2, seed=6, rect=fast), 2, adc=None)
         best1, best2 = (select_one(dc_power_matrix(ch, GRID, BUDGET, fast.curve), "joint")[:2]
                         for ch in (ch1, ch2))
-        frame0 = [r for r in result.rows if r.frame == 0]
-        frame1 = [r for r in result.rows if r.frame == 1]
-        assert all((r.antenna, r.frequency) == best1 for r in frame0)
-        assert all((r.antenna, r.frequency) == best2 for r in frame1)
+        assert [tuple(pair) for pair in result.applied.tolist()] == [best1, best2]
         assert best1 != best2
 
     def test_energy_non_decreasing(self):
         result = run_tdma(config(users=2, seed=8), 10)
-        for uid in (1, 2):
-            series = [r.energy_j for r in result.rows if r.user_id == uid]
-            assert series[0] >= 0.0
-            assert all(a <= b for a, b in zip(series, series[1:]))
+        assert (result.energy_j[0] >= 0.0).all()
+        assert (np.diff(result.energy_j, axis=0) >= 0.0).all()
 
     def test_passive_harvest_positive_with_shared_emissions(self):
         result = run_tdma(config(users=2, seed=9), 2)
-        passive_rows = [r for r in result.rows if not r.active]
-        assert passive_rows and all(r.p_dc_w > 0.0 for r in passive_rows)
+        # user 2 is passive in frame 0, user 1 in frame 1
+        assert result.p_dc_w[0, 1] > 0.0 and result.p_dc_w[1, 0] > 0.0
 
     def test_one_dc_matrix_call_per_block_of_rounds(self, monkeypatch):
         # 2 users and 9 frames are 5 rounds; 4 draws per block hold 2 rounds
@@ -159,7 +170,8 @@ class TestTwoUsers:
         monkeypatch.setattr(experiments, "DC_BLOCK_DRAWS", 4)
         blocked = run_tdma(cfg, 9, link=link)
         assert calls == [(2, 2, 4, PROFILE.num_taps)] * 2 + [(1, 2, 4, PROFILE.num_taps)]
-        assert blocked.rows == whole.rows
+        for name in ("applied", "p_dc_w", "energy_j"):
+            assert (getattr(blocked, name) == getattr(whole, name)).all()
 
     def test_one_engine_walk_for_every_round(self, monkeypatch):
         # 3 users and 7 frames: two full rounds and one cut short
@@ -169,7 +181,7 @@ class TestTwoUsers:
             calls.append(args)
             return run_rounds(*args, **kwargs)
 
-        monkeypatch.setattr(scheduler, "run_rounds", spy)
+        monkeypatch.setattr(experiments, "run_rounds", spy)
         result = run_tdma(config(users=3, seed=13), 7,
                           link=ControlLinkModel(drop_probability=0.3))
         assert len(calls) == 1
@@ -213,10 +225,19 @@ class TestPassiveReplay:
 
 class TestTrace:
     def test_csv_columns(self):
-        result = run_tdma(config(users=2, seed=11), 2)
-        buf = io.StringIO()
-        result.to_csv(buf)
-        lines = buf.getvalue().splitlines()
+        lines = csv_text(run_tdma(config(users=2, seed=11), 2)).splitlines()
         assert lines[0] == TRACE_COLUMNS
         assert len(lines) == 1 + 2 * 2  # two users x two frames
         assert lines[1].startswith("0,1,1,")
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), users=st.integers(1, 4),
+           drop=st.sampled_from([0.0, 0.3, 1.0]), rounds=st.integers(0, 2), data=st.data())
+    def test_csv_equals_the_scalar_rows(self, seed, users, drop, rounds, data):
+        # with several users the last round is cut short
+        frames = rounds * users + data.draw(st.integers(1, max(1, users - 1)))
+        cfg = config(users=users, seed=seed, antenna_sweep=(2,),
+                     user_loss_db=[3.0 * u for u in range(users)])
+        link = ControlLinkModel(drop_probability=drop, latency_s=0.002)
+        rows, _frames = oracle.run_tdma(cfg, frames, link=link, adc=DEFAULT_ADC)
+        assert csv_text(run_tdma(cfg, frames, link=link)) == oracle.trace_csv(rows)
