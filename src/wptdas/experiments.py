@@ -54,7 +54,7 @@ from .signal_chain import dc_power_matrix
 RESULT_COLUMNS = "M,N,strategy,user,avg_pdc_watts,stderr_watts,realizations,seed"
 TRACE_COLUMNS = "frame,user,active_flag,antenna,frequency,p_dc_watts,energy_joules"
 SUM_USER = 0  # user id used for multi-user sum rows
-DC_BLOCK_DRAWS = 64  # channel draws per block of _users_dc: amortizes calls, bounds memory
+DC_BLOCK_DRAWS = 64  # (draw, user) pairs per dc-power call: bounds the rate pass's temporaries
 SWEEP_BLOCK = 1024  # realizations per block of a sweep: bounds its working memory
 
 
@@ -227,32 +227,34 @@ def _sweep_cells(cfg: ExperimentConfig):
             yield m, k, nested_frequency_indices(cfg.grid.count, k)
 
 
-def _users_dc(cfg: ExperimentConfig, count: int, fill) -> np.ndarray:
+def _normals(cfg: ExperimentConfig, count: int) -> np.ndarray:
+    """Uninitialized normals (count, U, M_max, L, 2) of ``count`` draws of every user."""
+    return np.empty((count, cfg.users, cfg.max_antennas, cfg.profile.num_taps, 2))
+
+
+def _users_dc(cfg: ExperimentConfig, count: int, normals) -> np.ndarray:
     """Steady-state dc powers (count, U, M_max, N) of every user's channel, with
-    its loss, from the normals ``fill(a, z)`` writes for draws a, a + 1, ... into
-    ``z`` (draws, U, M_max, L, 2): one stacked :func:`dc_power_matrix` call per
-    block of ``DC_BLOCK_DRAWS`` (draw, user) pairs, bit-identical to each alone."""
+    its loss, from the normals ``normals(a, b)`` returns for draws [a, b) (see
+    :func:`_normals`): one stacked :func:`dc_power_matrix` call per chunk of at
+    most ``DC_BLOCK_DRAWS`` (draw, user) pairs, bit-identical to each alone."""
     dc = np.empty((count, cfg.users, cfg.max_antennas, cfg.grid.count))
     losses = [cfg.loss_for_user(u) for u in range(cfg.users)]
     step = max(1, DC_BLOCK_DRAWS // cfg.users)
-    z = np.empty((min(step, count), cfg.users, cfg.max_antennas, cfg.profile.num_taps, 2))
     for a in range(0, count, step):
-        block = z[:min(step, count - a)]
-        fill(a, block)
-        ch = ChannelRealization(cfg.profile.delays_s, gains_from_normals(cfg.profile, block))
-        dc[a:a + len(block)] = dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve, losses)
+        b = min(a + step, count)
+        gains = gains_from_normals(cfg.profile, normals(a, b))
+        dc[a:b] = dc_power_matrix(ChannelRealization(cfg.profile.delays_s, gains), cfg.grid,
+                                  cfg.budget, cfg.rect.curve, losses)
     return dc
 
 
 def _dc_tensor(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
     """Steady-state dc powers (R, U, M_max, N) of realizations [r0, r1), each
-    (realization, user) from its own substream, whatever the range drawn."""
-    def fill(a, z):
-        r = np.arange(r0 + a, r0 + a + len(z))
-        keyed_draws(substream_keys(cfg.seed, DOMAIN_CHANNEL, r[:, None], np.arange(cfg.users)),
-                    "standard_normal", z)
-
-    return _users_dc(cfg, r1 - r0, fill)
+    (realization, user) from its own substream, whatever the range drawn; all
+    their streams are keyed in one pass and drawn in one fill."""
+    z = keyed_draws(substream_keys(cfg.seed, DOMAIN_CHANNEL, np.arange(r0, r1)[:, None],
+                                   np.arange(cfg.users)), "standard_normal", _normals(cfg, r1 - r0))
+    return _users_dc(cfg, r1 - r0, lambda a, b: z[a:b])
 
 
 @dataclass(frozen=True)
@@ -300,12 +302,14 @@ def run_tdma(cfg: ExperimentConfig, frames: int, sched: FrameSchedule = FrameSch
     k, m_total = cfg.users, cfg.max_antennas
     rng, draws = substream(cfg.seed, DOMAIN_TDMA), []
 
-    def fill(a, z):  # each round's channels, user by user, then its link draws
+    def normals(a, b):  # each round's channels, user by user, then its link draws
+        z = _normals(cfg, b - a)
         for r, z_round in enumerate(z, a):
             rng.standard_normal(out=z_round)
             draws.append(link.draws(rng, (1, min(k, frames - r * k), m_total + 1)))
+        return z
 
-    p_dc = _users_dc(cfg, -(-frames // k), fill)  # each round's dc matrices
+    p_dc = _users_dc(cfg, -(-frames // k), normals)  # each round's dc matrices
     batch, = run_rounds([check_powers(p_dc[None])], cfg.rect, sched, link, adc,
                         [None if draws[0] is None else np.concatenate(draws, axis=1)], frames)
     energy = batch.training_j[0] + batch.wpt_j[0]
@@ -320,11 +324,12 @@ def _cell_values(cfg: ExperimentConfig, dc: np.ndarray) -> dict:
     Returns {(m, k, strategy): array of shape (R, users)}. User u's value is
     the round average of its own selection plus, for every other user v in
     ascending order, what u harvests passively at v's selected pair. Each
-    frequency set is copied out once; one gather reads a cell's strategies.
+    frequency set is copied out once; one gather per selecting user v reads
+    every strategy's and user's harvest at v's pick.
     """
     n_real, users, m_max, n_total = dc.shape
-    flat, user = dc.ravel(), np.arange(users)
-    base = np.arange(0, dc.size, m_max * n_total).reshape(n_real, users, 1)  # (r, u)'s matrix
+    flat = dc.ravel()
+    base = np.arange(0, dc.size, m_max * n_total).reshape(n_real, users)  # (r, u)'s matrix
     out = dict.fromkeys((m, k, s) for m in cfg.antenna_sweep for k in cfg.frequency_sweep
                         for s in cfg.strategies)  # in _sweep_cells' order
     for k in cfg.frequency_sweep:
@@ -335,13 +340,13 @@ def _cell_values(cfg: ExperimentConfig, dc: np.ndarray) -> dict:
         for m in cfg.antenna_sweep:
             a, f = np.array([held[s] if s in held else select_pairs(sub[:, :, :m], s)
                              for s in cfg.strategies]).swapaxes(0, 1)  # (S, R, U) each
-            # harvest[s, r, u, v]: user u's power at the pair user v selected
-            harvest = flat[base + (a * n_total + cols[f])[:, :, None, :]]
-            own = harvest[..., user, user]
-            harvest[..., user, user] = 0.0
-            passive = np.zeros(own.shape)
+            pick = a * n_total + cols[f]  # (S, R, U) offset of v's pair in a matrix
+            own, passive = np.empty(pick.shape), np.zeros(pick.shape)
             for v in range(users):  # one add per user, as a scalar sum would
-                passive += harvest[..., v]
+                harvest = flat[base + pick[..., v, None]]  # (S, R, U) powers at v's pair
+                own[..., v] = harvest[..., v]
+                harvest[..., v] = 0.0
+                passive += harvest
             out.update(zip([(m, k, s) for s in cfg.strategies], (own + passive) / users))
     return out
 

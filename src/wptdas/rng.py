@@ -12,8 +12,9 @@ Stream domains used by the experiment runners:
   2 -> TDMA runs (``run_tdma``): every round's channel redraws and every control-link
        drop, in run order, from the single stream of path (2,)
 
-The sweeps draw their domain-0 and domain-1 streams in batches
-(:func:`substream_keys`, :func:`keyed_draws`); they are the streams
+The sweeps draw their domain-0 and domain-1 streams in batches: a sweep block
+keys all of its streams of one domain in one :func:`substream_keys` call and
+draws them in one :func:`keyed_draws` call. They are the streams
 :func:`substream` returns, so seeds keep their meaning.
 """
 
@@ -78,11 +79,16 @@ def substream_keys(master_seed: int, *path) -> np.ndarray:
 def keyed_draws(keys: np.ndarray, method: str, out: np.ndarray) -> np.ndarray:
     """Fill ``out[i]`` with ``Generator.<method>`` draws from the stream of
     ``keys[i]``, in C order, and return ``out``. One Philox serves every key,
-    reset before each fill to a fresh :func:`substream`'s state."""
+    reset before each fill to a fresh :func:`substream`'s state. That state
+    is held in Python ints, which the Philox state setter reads faster than
+    numpy scalars: per key, one reset and one fill call."""
     bitgen = np.random.Philox(0)
     draw = getattr(np.random.Generator(bitgen), method)
-    fresh = bitgen.state  # counter 0, empty buffer, no cached uint32: only the key differs
-    for key, row in zip(keys.reshape(-1, 2), out.reshape(-1, *out.shape[keys.ndim - 1:])):
+    state = bitgen.state  # counter 0, empty buffer, no cached uint32: only the key differs
+    fresh = dict(state, buffer=state["buffer"].tolist(),
+                 state={"counter": state["state"]["counter"].tolist(), "key": None})
+    rows = out.reshape(-1, *out.shape[keys.ndim - 1:])
+    for key, row in zip(keys.reshape(-1, 2).tolist(), rows):
         fresh["state"]["key"] = key
         bitgen.state = fresh
         draw(out=row)

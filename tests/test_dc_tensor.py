@@ -1,10 +1,12 @@
 """The blocked dc tensor both sweeps read, against the one-realization-at-a-
 time oracle, and the bound on its working memory.
 
-``_dc_tensor`` draws (realization, user) channels in blocks and runs one
-stacked ``dc_power_matrix`` call for all users of a block. Every entry must
-equal, bit for bit, what a lone realization and user gives, whatever the
-block boundaries or the range's start. The protocol sweep's cells are
+``_dc_tensor`` draws every (realization, user) channel of its range in one
+key pass and one fill, then rates them in chunks, one stacked
+``dc_power_matrix`` call for all users of a chunk. Every entry must equal,
+bit for bit, what a lone realization and user gives, whatever the chunk
+boundaries or the range's start. A sweep block makes one key pass and one
+fill per stream domain it draws. The protocol sweep's cells are
 slices of the same tensor, so under ideal protocol settings its values
 equal the ideal sweep's joint values exactly. The ideal sweep's strategy
 values, read off the tensor, must equal the one-cell-and-strategy-at-a-time
@@ -14,6 +16,7 @@ the oracle's plus one tensor.
 
 import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
+from wptdas import experiments
 from wptdas.channel import (ChannelRealization, FrequencyGrid, LinkBudget, builtin_profile,
                             sample_channel)
 from wptdas.errors import ValidationError
 from wptdas.experiments import (DC_BLOCK_DRAWS, ExperimentConfig, _block_values, _cell_values,
-                                _dc_tensor, _sweep_cells)
+                                _dc_tensor, _sweep_cells, run_protocol_experiment, run_sweep)
 from wptdas.protocol import ControlLinkModel, FrameSchedule
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
-from wptdas.rng import DOMAIN_CHANNEL, substream
+from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
 from wptdas.selection import STRATEGIES
 from wptdas.signal_chain import dc_power_matrix
 
@@ -41,7 +45,7 @@ CURVES = {"parametric": EfficiencyCurve.parametric(), "table": TABLE}
 
 
 def block(users: int) -> int:
-    """Realizations per block."""
+    """Realizations per rate chunk."""
     return max(1, DC_BLOCK_DRAWS // users)
 
 
@@ -75,21 +79,25 @@ class TestBlockedTensor:
 
 
 def _working_bytes(cfg, n_real: int) -> int:
-    """tracemalloc peak of one ``_dc_tensor`` call, less its output."""
+    """tracemalloc peak of one ``_dc_tensor`` call, less its output and the
+    normals it draws (float64 pairs per realization, user, antenna and tap)."""
     tracemalloc.start()
     try:
         out = _dc_tensor(cfg, 0, n_real)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - out.nbytes
+    return peak - out.nbytes - n_real * cfg.users * cfg.max_antennas * cfg.profile.num_taps * 16
 
 
 @pytest.mark.parametrize("users", [1, 4])
 def test_working_memory_does_not_grow_with_realizations(users):
-    # The block bound keeps the temporaries at one block's worth (~0.3 MB
-    # for 64 draws); stacking every realization at once would grow them
-    # ~16x here. The slack covers allocator noise of a few hundred bytes.
+    # A call holds its range's normals, which the sweep driver caps at
+    # SWEEP_BLOCK realizations (TestSweepBlocks in test_experiments.py holds
+    # the sweep to that). Beyond them, the rate chunks keep the temporaries
+    # at one chunk's worth (~0.2 MB for 64 draws); rating every realization
+    # at once, or keeping the stream keys through the rate pass, would grow
+    # them with the range. The slack covers allocator noise of a few hundred bytes.
     cfg = ExperimentConfig(PROFILES["model-E-NLOS"], GRIDS["uniform"], users=users)
     _dc_tensor(cfg, 0, 1)  # first-call caches are not working memory
     small = _working_bytes(cfg, 256)
@@ -155,6 +163,68 @@ class TestCellValues:
             cell_values(cfg, dc)
         assert (self._working_bytes(_cell_values, cfg, dc)
                 <= self._working_bytes(oracle.cell_values, cfg, dc) + dc.nbytes)
+
+    def test_working_memory_grows_linearly_with_the_user_count(self):
+        # One gather per selecting user holds an (S, R, U) harvest at a time;
+        # one (S, R, U, U) gather of every pair would about triple the
+        # working memory from 16 to 32 users, as its share grows with U².
+        work = []
+        for users in (16, 32):
+            cfg = ExperimentConfig(PROFILES["model-E-NLOS"], GRIDS["uniform"], users=users,
+                                   realizations=256)
+            dc = np.random.default_rng(3).exponential(1e-5, (256, users, 4, 15))
+            _cell_values(cfg, dc)  # first-call caches
+            work.append(self._working_bytes(_cell_values, cfg, dc))
+        assert work[1] <= 2.25 * work[0]
+
+
+class TestBlockStructure:
+    # A sweep block keys all of its channel streams in one pass and draws them
+    # in one fill; a protocol block does the same once more for its link
+    # streams. The block then rates its draws in chunks of DC_BLOCK_DRAWS
+    # (realization, user) pairs, ceil(span * U / DC_BLOCK_DRAWS) dc-power
+    # calls for a user count that divides DC_BLOCK_DRAWS.
+    LOSSY = (FrameSchedule(), ControlLinkModel(drop_probability=0.1, latency_s=0.002), None)
+
+    @pytest.mark.parametrize("pipeline", ["ideal", "protocol"])
+    @pytest.mark.parametrize("users", [1, 2, 4])
+    def test_one_key_pass_and_one_fill_per_block(self, monkeypatch, pipeline, users):
+        blocks = []
+
+        def spy(name, label):
+            func = getattr(experiments, name)
+
+            def counted(*args):
+                blocks[-1][1][(name, label(*args))] += 1
+                return func(*args)
+
+            monkeypatch.setattr(experiments, name, counted)
+
+        spy("substream_keys", lambda seed, domain, *path: domain)
+        spy("keyed_draws", lambda keys, method, out: method)
+        spy("dc_power_matrix", lambda *args: None)
+        block_values = experiments._block_values
+
+        def spy_block(cfg, protocol, r0, r1):
+            blocks.append((r1 - r0, Counter()))
+            return block_values(cfg, protocol, r0, r1)
+
+        monkeypatch.setattr(experiments, "_block_values", spy_block)  # not picklable: serial only
+        monkeypatch.setattr(experiments, "SWEEP_BLOCK", 70)
+        cfg = ExperimentConfig(PROFILES["model-E-NLOS"], GRIDS["uniform"], users=users,
+                               realizations=200)
+        if pipeline == "ideal":
+            run_sweep(cfg)
+        else:
+            run_protocol_experiment(cfg, *self.LOSSY)
+        assert [span for span, _calls in blocks] == [66, 67, 67]
+        for span, calls in blocks:
+            expected = Counter({("substream_keys", DOMAIN_CHANNEL): 1,
+                                ("keyed_draws", "standard_normal"): 1,
+                                ("dc_power_matrix", None): -(-span * users // DC_BLOCK_DRAWS)})
+            if pipeline == "protocol":
+                expected.update({("substream_keys", DOMAIN_LINK): 1, ("keyed_draws", "random"): 1})
+            assert calls == expected
 
 
 def _stacked_channel(users: int, n_real: int = 3, seed: int = 7) -> ChannelRealization:

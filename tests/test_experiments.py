@@ -564,11 +564,14 @@ class TestSweepBlocks:
         assert spans == sizes
 
     @staticmethod
-    def _peak(cfg, protocol) -> int:
-        """tracemalloc peak of one protocol sweep."""
+    def _peak(cfg, protocol=None) -> int:
+        """tracemalloc peak of one sweep: ideal, or with a ``protocol``, a protocol sweep."""
         tracemalloc.start()
         try:
-            run_protocol_experiment(cfg, *protocol)
+            if protocol is None:
+                run_sweep(cfg)
+            else:
+                run_protocol_experiment(cfg, *protocol)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -580,6 +583,20 @@ class TestSweepBlocks:
         two, eight = (small_cfg(users=2, realizations=blocks * 32) for blocks in (2, 8))
         run_protocol_experiment(two, *self.LOSSY)  # first-call caches
         assert self._peak(eight, self.LOSSY) <= self._peak(two, self.LOSSY) + 256 * 1024
+
+    @pytest.mark.parametrize("users", [1, 2])
+    def test_ideal_memory_does_not_grow_with_the_block_count(self, monkeypatch, users):
+        # A block of 32 realizations holds its normals, dc tensor and values
+        # in about 0.2-0.3 MB, so one walk of all 256 would peak 0.3-0.6 MB
+        # higher; in blocks, only the value array outlives a block.
+        monkeypatch.setattr(experiments, "SWEEP_BLOCK", 32)
+        two, eight = (small_cfg(users=users, realizations=blocks * 32, antenna_sweep=(1, 4),
+                                frequency_sweep=(15,)) for blocks in (2, 8))
+        run_sweep(two)  # first-call caches
+        cells = len(two.antenna_sweep) * len(two.frequency_sweep) * len(two.strategies)
+        series = users + (users > 1)
+        work = [self._peak(cfg) - cells * series * cfg.realizations * 8 for cfg in (two, eight)]
+        assert work[1] <= work[0] + 64 * 1024
 
     @pytest.mark.parametrize("users", [1, 2])
     def test_ideal_sweep_peak_is_near_its_value_array(self, monkeypatch, users):

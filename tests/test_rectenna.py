@@ -195,6 +195,53 @@ class TestTableLookupOracle:
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
+@st.composite
+def efficiency_calls(draw):
+    """A curve of either source, powers of 0 to 3 axes from the noise floor
+    past breakdown, with or without zeros, and one frequency for all of them
+    or an array that broadcasts to their shape."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    curve = draw(st.sampled_from([EfficiencyCurve.parametric(), shipped_table()]))
+    shape = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
+    p = dbm_to_watts(rng.uniform(-60.0, 30.0, shape))
+    if draw(st.booleans()):
+        p = np.where(rng.random(shape) < 0.3, 0.0, p)
+    f_shape = draw(st.sampled_from([None, (), shape[-1:], (1,) * len(shape), shape]))
+    f = rng.uniform(2.38e9, 2.50e9, f_shape)  # None: a Python float
+    return curve, p, f
+
+
+class TestMaskFreeEfficiency:
+    # Powers with no zero are evaluated as they are, the others through the
+    # live-entry mask; both must give what one scalar call per entry gives.
+    @settings(max_examples=200, deadline=None)
+    @given(case=efficiency_calls())
+    def test_equals_the_per_entry_calls_bit_for_bit(self, case):
+        curve, p, f = case
+        got = curve.efficiency(p, f)
+        shape = np.broadcast_shapes(np.shape(p), np.shape(f))
+        ref = np.array([curve.efficiency(float(x), float(y)) for x, y in
+                        zip(np.broadcast_to(p, shape).ravel(), np.broadcast_to(f, shape).ravel())])
+        if np.ndim(p) == 0 and np.ndim(f) == 0:
+            assert isinstance(got, float)
+        else:
+            assert got.shape == np.atleast_1d(p).shape
+        assert np.asarray(got).tobytes() == ref.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=efficiency_calls(), bad=st.sampled_from([-1e-6, -0.0 - 1e-300, math.nan,
+                                                          math.inf, -math.inf]),
+           where=st.integers(0, 63))
+    def test_a_bad_power_anywhere_is_rejected(self, case, bad, where):
+        curve, p, f = case
+        p = np.array(p, dtype=float)
+        p.flat[where % p.size] = bad
+        with pytest.raises(ValidationError, match="p_rf_w"):
+            curve.efficiency(p, f)
+        with pytest.raises(ValidationError, match="freq_hz"):
+            curve.efficiency(np.abs(np.nan_to_num(p)), np.full(np.shape(f) or (1,), -1.0))
+
+
 class TestOutputDcPower:
     def test_definition(self):
         assert output_dc_power(10e-6, CONST_CURVE, 2.44e9) == pytest.approx(2.5e-6, rel=1e-12)
