@@ -110,16 +110,15 @@ class EfficiencyCurve:
         except ValueError:
             raise ValidationError(f"freq_hz of shape {f.shape} does not broadcast to "
                                   f"p_rf_w's shape {p.shape}") from None
-        live = p > 0
-        pick = ... if live.all() else live  # no zero power: no gather or scatter
-        p_dbm = 10.0 * np.log10(p[pick]) + 30.0
+        with np.errstate(divide="ignore"):  # zero power is -inf dBm, which both forms clamp
+            p_dbm = 10.0 * np.log10(p) + 30.0
         if self.source == "table":
-            out = self._lookup(p_dbm, f.astype(float, copy=False), p.shape, pick)
+            out = self._lookup(p_dbm, f.astype(float, copy=False))
         else:
             out = self._closed_form(p_dbm)
-        if pick is not ...:  # zero power maps to zero
-            out, eta = np.zeros(p.shape), out
-            out[live] = eta
+        live = p > 0
+        if not live.all():  # zero power maps to zero
+            out[~live] = 0.0
         return float(out[0]) if scalar else out
 
     def _closed_form(self, p_dbm: np.ndarray) -> np.ndarray:
@@ -132,13 +131,11 @@ class EfficiencyCurve:
                                   * (p_dbm[over] - self.breakdown_dbm) / 10.0)
         return np.clip(eta, 0.0, 1.0)
 
-    def _lookup(self, p_dbm: np.ndarray, f_hz: np.ndarray, shape: tuple, pick) -> np.ndarray:
-        """Bilinear lookup of the powers ``p_dbm`` at ``f_hz``: ``pick`` takes them
-        from an array of ``shape``, to which ``f_hz`` broadcasts, and ``f_hz`` is
-        weighted once per frequency."""
+    def _lookup(self, p_dbm: np.ndarray, f_hz: np.ndarray) -> np.ndarray:
+        """Bilinear lookup of the powers ``p_dbm`` at ``f_hz``, which broadcasts to
+        their shape and is weighted once per frequency."""
         i0, wp = _axis_weights(self.power_axis_dbm, p_dbm)
-        j0, wf = (np.broadcast_to(x, shape)[pick]
-                  for x in _axis_weights(self.freq_axis_hz, f_hz))
+        j0, wf = _axis_weights(self.freq_axis_hz, f_hz)
         t, n_f = self.table.ravel(), self.freq_axis_hz.size
         # on an axis longer than one the upper corner is the next entry, else the same
         lo = i0 * n_f + j0

@@ -212,8 +212,9 @@ def efficiency_calls(draw):
 
 
 class TestMaskFreeEfficiency:
-    # Powers with no zero are evaluated as they are, the others through the
-    # live-entry mask; both must give what one scalar call per entry gives.
+    # The whole power array is evaluated at once, with no live-entry mask, and
+    # its zero powers are set to zero afterwards; that must give what one
+    # scalar call per entry gives, and exactly zero at every zero power.
     @settings(max_examples=200, deadline=None)
     @given(case=efficiency_calls())
     def test_equals_the_per_entry_calls_bit_for_bit(self, case):
@@ -227,6 +228,7 @@ class TestMaskFreeEfficiency:
         else:
             assert got.shape == np.atleast_1d(p).shape
         assert np.asarray(got).tobytes() == ref.tobytes()
+        assert np.all(ref[np.broadcast_to(p, shape).ravel() == 0.0] == 0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(case=efficiency_calls(), bad=st.sampled_from([-1e-6, -0.0 - 1e-300, math.nan,
