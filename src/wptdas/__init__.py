@@ -32,7 +32,6 @@ from .experiments import (
     run_protocol_experiment,
     run_sweep,
     run_tdma,
-    watts_to_dbm,
 )
 from .protocol import (
     AdcModel,

@@ -150,14 +150,6 @@ class ChannelRealization:
         if not np.all(np.isfinite(gains)):
             raise ValidationError("tap gains must be finite")
 
-    @property
-    def num_antennas(self) -> int:
-        return int(self.gains.shape[-2])
-
-    @property
-    def num_taps(self) -> int:
-        return int(self.delays_s.size)
-
 
 def gains_from_normals(profile: TapProfile, z: np.ndarray) -> np.ndarray:
     """Tap gains (..., num_antennas, num_taps) from standard normals ``z`` (...,

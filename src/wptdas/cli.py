@@ -206,11 +206,16 @@ def load_settings(config_path: str | None, seed_override: int | None = None) -> 
     if antennas and min(antennas) >= 1:
         check_feedback_space(max(antennas),
                              given[FrequencyGrid].get("count", _default(make_grid, "count")))
+    # a value that the choices leave unused is still checked by the object it sets
+    if choices.delivery == "ideal" and "drop_probability" in given[ControlLinkModel]:
+        ControlLinkModel(drop_probability=given[ControlLinkModel].pop("drop_probability"))
+    for target, unused in ((FrequencyGrid.uniform, choices.grid != "uniform"),
+                           (EfficiencyCurve.parametric, choices.curve != "parametric"),
+                           (AdcModel, not choices.adc)):
+        if unused and given[target]:
+            target(**given[target])
 
-    if choices.grid == "uniform":
-        grid = FrequencyGrid.uniform(**given[FrequencyGrid.uniform], **given[FrequencyGrid])
-    else:
-        grid = FrequencyGrid.ieee_plan(**given[FrequencyGrid])
+    grid = make_grid(**given[make_grid], **given[FrequencyGrid])  # the plan takes only a count
     if choices.curve == "parametric":
         curve = EfficiencyCurve.parametric(**given[EfficiencyCurve.parametric])
     else:
@@ -222,8 +227,6 @@ def load_settings(config_path: str | None, seed_override: int | None = None) -> 
         **given[ExperimentConfig],
     )
 
-    if choices.delivery == "ideal":
-        given[ControlLinkModel].update(drop_probability=0.0)
     return Settings(
         experiment=experiment,
         sched=FrameSchedule(**given[FrameSchedule]),

@@ -29,14 +29,12 @@ def check_finite(obj, *fields: str, low: float | None = None):
                 raise ValidationError(f"{name} must be >= {low:g}")
 
 
-def check_integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
+def check_integer(name: str, value, low: int | None = None) -> int:
     """``value`` as an int; raise :class:`ValidationError` naming ``name`` unless
-    it is an integer (a bool is not) within ``low`` and ``high``, if given."""
+    it is an integer (a bool is not) of at least ``low``, if given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ValidationError(f"{name} must be >= {low}")
-    if high is not None and value > high:
-        raise ValidationError(f"{name} must be <= {high}")
     return int(value)
 

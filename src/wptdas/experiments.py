@@ -54,22 +54,13 @@ from .signal_chain import dc_power_matrix
 RESULT_COLUMNS = "M,N,strategy,user,avg_pdc_watts,stderr_watts,realizations,seed"
 TRACE_COLUMNS = "frame,user,active_flag,antenna,frequency,p_dc_watts,energy_joules"
 SUM_USER = 0  # user id used for multi-user sum rows
-DC_BLOCK_DRAWS = 64  # (draw, user) pairs per dc-power call: bounds the rate pass's temporaries
+DC_BLOCK_DRAWS = 64  # (draw, user) pairs per dc-power call, or U if more: bounds its temporaries
 SWEEP_BLOCK = 1024  # realizations per block of a sweep: bounds its working memory
 
 
 def dbm_to_watts(x_dbm):
     """dBm to watts."""
     out = 10.0 ** ((np.asarray(x_dbm, dtype=float) - 30.0) / 10.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def watts_to_dbm(x_w):
-    """Watts to dBm; rejects powers that are not finite and > 0."""
-    x = np.asarray(x_w, dtype=float)
-    if not np.all((x > 0.0) & (x < math.inf)):
-        raise ValidationError("watts_to_dbm needs finite power > 0")
-    out = 10.0 * np.log10(x) + 30.0
     return float(out) if out.ndim == 0 else out
 
 
@@ -235,8 +226,9 @@ def _normals(cfg: ExperimentConfig, count: int) -> np.ndarray:
 def _users_dc(cfg: ExperimentConfig, count: int, normals) -> np.ndarray:
     """Steady-state dc powers (count, U, M_max, N) of every user's channel, with
     its loss, from the normals ``normals(a, b)`` returns for draws [a, b) (see
-    :func:`_normals`): one stacked :func:`dc_power_matrix` call per chunk of at
-    most ``DC_BLOCK_DRAWS`` (draw, user) pairs, bit-identical to each alone."""
+    :func:`_normals`), bit-identical to each alone: one :func:`dc_power_matrix`
+    call per chunk of whole draws, max(1, DC_BLOCK_DRAWS // U) of them, so at
+    most max(DC_BLOCK_DRAWS, U) (draw, user) pairs."""
     dc = np.empty((count, cfg.users, cfg.max_antennas, cfg.grid.count))
     losses = [cfg.loss_for_user(u) for u in range(cfg.users)]
     step = max(1, DC_BLOCK_DRAWS // cfg.users)
@@ -293,9 +285,11 @@ def run_tdma(cfg: ExperimentConfig, frames: int, sched: FrameSchedule = FrameSch
     rectenna ``cfg.rect`` and differ only in channel and ``cfg.user_loss_db``.
     Each round (K consecutive frames, one Monte Carlo realization) redraws
     every user's channel (``cfg.max_antennas`` antennas), user by user, then
-    takes its link draws, from ``substream(cfg.seed, DOMAIN_TDMA)``; every
-    round is drawn before one :func:`wptdas.protocol.run_rounds` walk of all
-    of them. Bad counts fail before the first draw.
+    takes the link draws of its K frames, from ``substream(cfg.seed, DOMAIN_TDMA)``.
+    One :func:`wptdas.protocol.run_rounds` walk takes all ceil(frames / K)
+    rounds, drawn first, and the result keeps its first ``frames`` frames; the
+    rest come last in the walk and in the stream, so they change no kept
+    value. Bad counts fail before the first draw.
     """
     frames = check_integer("frames", frames, low=1)
     check_feedback_space(cfg.max_antennas, cfg.grid.count)
@@ -304,18 +298,18 @@ def run_tdma(cfg: ExperimentConfig, frames: int, sched: FrameSchedule = FrameSch
 
     def normals(a, b):  # each round's channels, user by user, then its link draws
         z = _normals(cfg, b - a)
-        for r, z_round in enumerate(z, a):
+        for z_round in z:
             rng.standard_normal(out=z_round)
-            draws.append(link.draws(rng, (1, min(k, frames - r * k), m_total + 1)))
+            draws.append(link.draws(rng, (1, k, m_total + 1)))
         return z
 
     p_dc = _users_dc(cfg, -(-frames // k), normals)  # each round's dc matrices
     batch, = run_rounds([check_powers(p_dc[None])], cfg.rect, sched, link, adc,
-                        [None if draws[0] is None else np.concatenate(draws, axis=1)], frames)
-    energy = batch.training_j[0] + batch.wpt_j[0]
+                        [None if draws[0] is None else np.concatenate(draws, axis=1)])
+    energy = (batch.training_j[0] + batch.wpt_j[0])[:frames]
     frame_s = sched.frame_us(m_total * cfg.grid.count) * 1e-6
     # summed frame by frame, in frame order
-    return TdmaResult(batch.applied[0] + 1, energy / frame_s, np.add.accumulate(energy))
+    return TdmaResult(batch.applied[0, :frames] + 1, energy / frame_s, np.add.accumulate(energy))
 
 
 def _cell_values(cfg: ExperimentConfig, dc: np.ndarray) -> dict:
@@ -376,7 +370,7 @@ def _block_values(cfg: ExperimentConfig, protocol: tuple | None, r0: int, r1: in
             np.cumsum(widths)[:-1], axis=1), cells)]
 
     batches = run_rounds([dc[:, None, :, :m][..., cols] for m, _k, cols in cells],
-                         cfg.rect, sched, link, adc, draws, users, energy=False)
+                         cfg.rect, sched, link, adc, draws, energy=False)
     # summed frame by frame, in frame order
     return {(m, k, "joint"): np.add.accumulate(batch.served_w, axis=1)[:, -1] / users
             for (m, k, _cols), batch in zip(cells, batches)}

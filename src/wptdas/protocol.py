@@ -244,10 +244,10 @@ class RoundBatch:
 
     Frame ``f`` of a run trains user ``f % K`` in round ``f // K``; every
     user of the run harvests in every frame. Pairs are 0-based (antenna,
-    frequency) on the last axis. Shapes use ``B`` runs, ``F`` frames, ``K``
-    users and ``M x N`` pairs. The cells of one walk share its arrays: each
-    cell's batch is a set of views into them. The two energies are None
-    when the walk was run with ``energy=False``.
+    frequency) on the last axis. Shapes use ``B`` runs, ``F`` frames (whole
+    rounds), ``K`` users and ``M x N`` pairs. The cells of one walk share
+    its arrays: each cell's batch is a set of views into them. The two
+    energies are None when the walk was run with ``energy=False``.
     """
 
     activated: np.ndarray  # (B, F, M) activation message delivered
@@ -264,24 +264,21 @@ class RoundBatch:
 
 
 def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: ControlLinkModel,
-               adc: AdcModel | None, draws: list, frames: int,
-               energy: bool = True) -> list[RoundBatch]:
-    """Walk ``frames`` frames of ``B`` independent runs of each of a list of
+               adc: AdcModel | None, draws: list, *, energy: bool = True) -> list[RoundBatch]:
+    """Walk ``R`` whole rounds of ``B`` independent runs of each of a list of
     cells through the protocol, from rest; one :class:`RoundBatch` per cell.
 
-    A cell is one candidate-matrix shape. Each of the per-cell lists holds
-    one entry per cell: ``p_dc`` (B, R, K, M, N), each user's steady dc
-    power per pair in each of ``R`` rounds, already through
-    :func:`check_powers`, and ``draws`` (B, frames, M + 1), each frame's
-    link uniforms, M activations then the feedback, or None on a lossless
-    link (a message gets through when its draw is at least the drop
-    probability). Frame ``f`` trains user ``f % K`` with round ``f // K``'s
-    powers, so ``frames`` lies in ((R - 1) K, R K]. Every user of every
-    cell harvests through the one rectenna ``rect``. With ``energy=False``
-    the walk skips the training and delivery energies and returns them as
-    None. Before the walk, a cell whose ``p_dc`` is not 5-D or does not
-    share the first cell's B, R and K, or whose ``draws`` do not fit it, is
-    rejected, and so is a frame count outside the rounds.
+    A cell is one candidate-matrix shape. Each of the per-cell lists holds one
+    entry per cell: ``p_dc`` (B, R, K, M, N), each user's steady dc power per
+    pair in each of ``R`` rounds, already through :func:`check_powers`, and
+    ``draws`` (B, R K, M + 1), each frame's link uniforms, M activations then
+    the feedback, or None on a lossless link (a message gets through when its
+    draw is at least the drop probability). Frame ``f`` trains user ``f % K``
+    with round ``f // K``'s powers. Every user of every cell harvests through
+    the one rectenna ``rect``. With ``energy=False`` the walk skips the training
+    and delivery energies and returns them as None. Before the walk, a cell
+    whose ``p_dc`` is not 5-D or does not share the first cell's B, R and K, or
+    whose ``draws`` do not fit it, is rejected.
 
     Every run starts at rest: each output at 0 V, and each user's
     transmitter falls back to :func:`default_pair` when its feedback is
@@ -310,8 +307,7 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
                                   f"M, N) with the first cell's {dims}")
         check_feedback_space(*p.shape[3:])
     n_runs, n_rounds, k_users = dims
-    frames = check_integer("frames", frames, low=(n_rounds - 1) * k_users + 1,
-                           high=n_rounds * k_users)
+    frames = n_rounds * k_users
     shapes = [p.shape[3:] for p in p_dc]
     for c, (d, (m_total, _)) in enumerate(zip(draws, shapes)):
         if d is not None and np.shape(d) != (n_runs, frames, m_total + 1):
@@ -487,4 +483,4 @@ def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule = Fra
     """
     p_dc = CandidateMatrix.from_powers(p_dc).values
     return run_rounds([p_dc[None, None, None]], rect, sched, link, adc,
-                      [link.draws(rng, (1, 1, p_dc.shape[0] + 1))], 1)[0]
+                      [link.draws(rng, (1, 1, p_dc.shape[0] + 1))])[0]

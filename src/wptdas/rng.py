@@ -59,8 +59,6 @@ def substream_keys(master_seed: int, *path) -> np.ndarray:
     elements, the pool's four words on a last axis."""
     first = next((i for i, p in enumerate(path) if np.ndim(p)), len(path))
     ss = np.random.SeedSequence(master_seed, spawn_key=path[:first])
-    if first == len(path):
-        return ss.generate_state(2, np.uint64)
     # the pool took 4 hash steps to fill, 12 to mix, and 4 per entropy word past 4
     words = [max(1, -(-int(x).bit_length() // 32)) for x in (master_seed, *path[:first])]
     steps = 16 + 4 * (max(words[0] - 4, 0) + sum(words[1:]))

@@ -73,8 +73,8 @@ def frequency_response(ch: ChannelRealization, antenna: int, freq_hz: float) -> 
     """
     if ch.gains.ndim != 2:
         raise ValidationError("frequency_response takes one realization, not a stack")
-    if not 1 <= antenna <= ch.num_antennas:
-        raise IndexError(f"antenna {antenna} out of range 1..{ch.num_antennas}")
+    if not 1 <= antenna <= ch.gains.shape[-2]:
+        raise IndexError(f"antenna {antenna} out of range 1..{ch.gains.shape[-2]}")
     g = ch.gains[antenna - 1]
     h = complex(np.sum(g * np.exp(-2j * np.pi * abs(freq_hz) * ch.delays_s)))
     return h if freq_hz >= 0 else h.conjugate()
@@ -479,7 +479,7 @@ def settled_voltage(v_target: float, v_initial: float, elapsed_s: float, cfg) ->
 
 def subset(ch: ChannelRealization, num_antennas: int) -> ChannelRealization:
     """View of the first ``num_antennas`` antennas (nested antenna sets)."""
-    if not 1 <= num_antennas <= ch.num_antennas:
+    if not 1 <= num_antennas <= ch.gains.shape[-2]:
         raise ValidationError("antenna subset out of range")
     return ChannelRealization(ch.delays_s, ch.gains[..., :num_antennas, :])
 

@@ -18,7 +18,6 @@ from wptdas.channel import (
     sample_channel,
 )
 from wptdas.errors import ValidationError
-from wptdas.experiments import watts_to_dbm
 from wptdas.rng import substream
 
 SINGLE_TAP = TapProfile("flat", [0.0], [1.0])
@@ -107,7 +106,6 @@ class TestSampleChannel:
     def test_shape_contract(self):
         ch = sample_channel(builtin_profile("model-E-NLOS"), 4, substream(0, 0))
         assert ch.gains.shape == (4, 18)
-        assert ch.num_antennas == 4
 
     def test_seed_reproducible(self):
         a = sample_channel(SINGLE_TAP, 4, substream(7, 1, 2))
@@ -190,7 +188,7 @@ class TestFrequencyResponse:
         for m in range(1, 4):
             expected = sum(
                 ch.gains[m - 1, l] * cmath.exp(-2j * cmath.pi * f * ch.delays_s[l])
-                for l in range(ch.num_taps)
+                for l in range(ch.delays_s.size)
             )
             got = frequency_response(ch, m, f)
             assert abs(got - expected) <= 1e-12 * abs(expected)
@@ -246,15 +244,15 @@ class TestReceivedRfPower:
     def test_reference_point(self):
         budget = LinkBudget()  # 36 dBm, 60.046 dB
         p = received_rf_power(budget, 1.0)
-        assert watts_to_dbm(p) == pytest.approx(36.0 - 60.046, abs=1e-9)
+        assert 10.0 * math.log10(p) + 30.0 == pytest.approx(36.0 - 60.046, abs=1e-9)
 
     def test_zero_amplitude(self):
         assert received_rf_power(LinkBudget(), 0.0) == 0.0
 
     def test_linear_in_amplitude_squared(self):
         budget = LinkBudget()
-        ratio_db = watts_to_dbm(received_rf_power(budget, math.sqrt(2.0))) \
-            - watts_to_dbm(received_rf_power(budget, 1.0))
+        ratio_db = 10.0 * math.log10(received_rf_power(budget, math.sqrt(2.0))
+                                     / received_rf_power(budget, 1.0))
         assert ratio_db == pytest.approx(10.0 * math.log10(2.0), abs=1e-9)
 
     def test_gain_fields_offset_loss(self):

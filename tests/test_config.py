@@ -169,6 +169,25 @@ class TestBadValues:
         assert main(["validate", "--config", write(tmp_path, text)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("choice,key,bad,good", [
+        ("[link]\ndelivery = ideal\n", "drop_probability", "-1", "0.3"),
+        ("[adc]\nenabled = false\n", "bits", "0", "8"),
+        ("[adc]\nenabled = false\n", "vref", "-3", "1.8"),
+        ("[channel]\ngrid = ieee\n", "center_mhz", "-5", "2450"),
+        ("[channel]\ngrid = ieee\n", "bandwidth_mhz", "-75", "50"),
+        (f"[rectenna]\ncurve = {TABLE}\n", "eta_peak", "5", "0.5"),
+    ], ids=["drop_probability", "bits", "vref", "center_mhz", "bandwidth_mhz", "eta_peak"])
+    def test_a_value_the_choices_leave_unused_is_still_checked(self, tmp_path, capsys, choice,
+                                                               key, bad, good):
+        # each bad value once validated: the choice that skips its object
+        # dropped it unchecked
+        assert main(["validate", "--config", write(tmp_path, f"{choice}{key} = {bad}\n")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        # a valid one is still ignored
+        alone = load_settings(write(tmp_path, choice, "alone.ini"))
+        given = load_settings(write(tmp_path, f"{choice}{key} = {good}\n", "good.ini"))
+        assert resolved(given) == resolved(alone)
+
     @pytest.mark.parametrize("build,field,bad", [
         *[(LinkBudget, name, bad)
           for name in ("tx_power_w", "path_loss_db", "tx_gain_dbi", "rx_gain_dbi")

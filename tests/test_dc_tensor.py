@@ -181,13 +181,13 @@ class TestCellValues:
 class TestBlockStructure:
     # A sweep block keys all of its channel streams in one pass and draws them
     # in one fill; a protocol block does the same once more for its link
-    # streams. The block then rates its draws in chunks of DC_BLOCK_DRAWS
-    # (realization, user) pairs, ceil(span * U / DC_BLOCK_DRAWS) dc-power
-    # calls for a user count that divides DC_BLOCK_DRAWS.
+    # streams. The block then rates its draws in chunks of whole
+    # realizations, max(1, DC_BLOCK_DRAWS // U) of them: with more users than
+    # DC_BLOCK_DRAWS, each realization gets its own dc-power call.
     LOSSY = (FrameSchedule(), ControlLinkModel(drop_probability=0.1, latency_s=0.002), None)
 
     @pytest.mark.parametrize("pipeline", ["ideal", "protocol"])
-    @pytest.mark.parametrize("users", [1, 2, 4])
+    @pytest.mark.parametrize("users", [1, 2, 4, 100])
     def test_one_key_pass_and_one_fill_per_block(self, monkeypatch, pipeline, users):
         blocks = []
 
@@ -221,7 +221,8 @@ class TestBlockStructure:
         for span, calls in blocks:
             expected = Counter({("substream_keys", DOMAIN_CHANNEL): 1,
                                 ("keyed_draws", "standard_normal"): 1,
-                                ("dc_power_matrix", None): -(-span * users // DC_BLOCK_DRAWS)})
+                                ("dc_power_matrix", None):
+                                    -(-span // max(1, DC_BLOCK_DRAWS // users))})
             if pipeline == "protocol":
                 expected.update({("substream_keys", DOMAIN_LINK): 1, ("keyed_draws", "random"): 1})
             assert calls == expected

@@ -182,7 +182,7 @@ class TestFrameAgainstScalarWalk:
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         rng_a, rng_b = substream(seed, 1), substream(seed, 1)
         batch, = run_rounds([p_dc[None]], rect, sched, link, adc,
-                            [link.draws(rng_a, (1, rounds, 5))], rounds)
+                            [link.draws(rng_a, (1, rounds, 5))])
         _res, kept = oracle.run_tdma(walk_cfg(rect), rounds, sched=sched, link=link, adc=adc,
                                      keep_frames=True, p_dc=list(p_dc), rng=rng_b)
         frames = [oracle.batch_frame(batch, 0, f, sched, f * sched.frame_us(60))
@@ -197,21 +197,20 @@ class TestRoundLogsAgainstScalarWalk:
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds, runs=st.integers(1, 3), rounds=st.integers(1, 3), k=st.integers(1, 3),
            rect=rects, dims=st.sampled_from([(1, 1), (2, 3), (3, 5), (4, 15)]), drop=drops,
-           latency_s=latencies, adc=adcs, data=st.data())
+           latency_s=latencies, adc=adcs)
     def test_every_field_and_log_equals_the_scalar_walk(self, seed, runs, rounds, k, rect,
-                                                        dims, drop, latency_s, adc, data):
-        # One engine walk of B runs of R rounds from rest, the last round
-        # perhaps cut short, against the scalar TDMA walk of each run alone
-        # from the same powers and link draws.
+                                                        dims, drop, latency_s, adc):
+        # One engine walk of B runs of R rounds from rest against the scalar
+        # TDMA walk of each run alone from the same powers and link draws.
         m_total, n_total = dims
-        frames = data.draw(st.integers((rounds - 1) * k + 1, rounds * k))
+        frames = rounds * k
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         p_dc = check_powers(np.random.default_rng(seed).exponential(
             1e-5, (runs, rounds, k, m_total, n_total)))
         draws = [link.draws(substream(seed, b), (frames, m_total + 1)) for b in range(runs)]
         batch, = run_rounds([p_dc], rect, sched, link, adc,
-                            [None if drop == 0.0 else np.stack(draws)], frames)
+                            [None if drop == 0.0 else np.stack(draws)])
         frame_us = sched.frame_us(m_total * n_total)
         for b in range(runs):
             _res, kept = oracle.run_tdma(walk_cfg(rect, k), frames, sched=sched, link=link,
@@ -224,7 +223,7 @@ class TestRoundLogsAgainstScalarWalk:
                     for f in range(frames)] == [frame["events"] for frame in kept]
 
 
-def chained_cells(seed, runs, rounds, k, frames, shapes, link):
+def chained_cells(seed, runs, rounds, k, shapes, link):
     """``p_dc`` and ``draws`` lists for :func:`run_rounds`: dc powers with some
     exact zeros (an all-zero cell ties every pair) and link draws."""
     rng = np.random.default_rng(seed)
@@ -233,7 +232,7 @@ def chained_cells(seed, runs, rounds, k, frames, shapes, link):
         keep = rng.choice([0.0, 0.5, 1.0])
         shape = (runs, rounds, k, m, n)
         p_dc.append(check_powers(rng.exponential(1e-5, shape) * (rng.random(shape) < keep)))
-        draws.append(link.draws(rng, (runs, frames, m + 1)))
+        draws.append(link.draws(rng, (runs, rounds * k, m + 1)))
     return p_dc, draws
 
 
@@ -251,31 +250,29 @@ class TestChainedWalk:
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds, runs=st.integers(1, 3), rounds=st.integers(1, 3), k=st.integers(1, 4),
            rect=rects, shapes=shapes, drop=drops, latency_s=latencies, adc=adcs,
-           energy=st.booleans(), data=st.data())
+           energy=st.booleans())
     def test_each_cell_equals_its_own_walk(self, seed, runs, rounds, k, rect, shapes, drop,
-                                           latency_s, adc, energy, data):
-        frames = data.draw(st.integers((rounds - 1) * k + 1, rounds * k))
+                                           latency_s, adc, energy):
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        p_dc, draws = chained_cells(seed, runs, rounds, k, frames, shapes, link)
-        chained = run_rounds(p_dc, rect, sched, link, adc, draws, frames, energy=energy)
+        p_dc, draws = chained_cells(seed, runs, rounds, k, shapes, link)
+        chained = run_rounds(p_dc, rect, sched, link, adc, draws, energy=energy)
         assert len(chained) == len(shapes)
         for c, batch in enumerate(chained):
             alone, = run_rounds(p_dc[c:c + 1], rect, sched, link, adc, draws[c:c + 1],
-                                frames, energy=energy)
+                                energy=energy)
             self.assert_same(batch, alone, [field.name for field in fields(RoundBatch)])
 
     @settings(max_examples=25, deadline=None)
     @given(seed=seeds, rounds=st.integers(1, 3), k=st.integers(1, 4), rect=rects,
-           shapes=shapes, drop=drops, latency_s=latencies, adc=adcs, data=st.data())
+           shapes=shapes, drop=drops, latency_s=latencies, adc=adcs)
     def test_a_walk_without_energy_changes_nothing_else(self, seed, rounds, k, rect, shapes,
-                                                        drop, latency_s, adc, data):
+                                                        drop, latency_s, adc):
         # below wpt_s the lean walk steps only the training user's column
-        frames = data.draw(st.integers((rounds - 1) * k + 1, rounds * k))
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        p_dc, draws = chained_cells(seed, 2, rounds, k, frames, shapes, link)
-        full = run_rounds(p_dc, rect, FrameSchedule(), link, adc, draws, frames)
-        lean = run_rounds(p_dc, rect, FrameSchedule(), link, adc, draws, frames, energy=False)
+        p_dc, draws = chained_cells(seed, 2, rounds, k, shapes, link)
+        full = run_rounds(p_dc, rect, FrameSchedule(), link, adc, draws)
+        lean = run_rounds(p_dc, rect, FrameSchedule(), link, adc, draws, energy=False)
         for batch, ref in zip(lean, full, strict=True):
             assert batch.training_j is None and batch.wpt_j is None
             self.assert_same(batch, ref, [field.name for field in fields(RoundBatch)
@@ -289,8 +286,8 @@ class TestChainedWalk:
         rect = RectennaConfig(settle_tau_s=0.05)
         rng = np.random.default_rng(1)
         p_dc = [check_powers(rng.exponential(1e-5, (2, 2, 2, m, n))) for m, n in [(2, 3), (1, 1)]]
-        full = run_rounds(p_dc, rect, sched, link, None, [None, None], 3)
-        lean = run_rounds(p_dc, rect, sched, link, None, [None, None], 3, energy=False)
+        full = run_rounds(p_dc, rect, sched, link, None, [None, None])
+        lean = run_rounds(p_dc, rect, sched, link, None, [None, None], energy=False)
         for batch, ref in zip(lean, full, strict=True):
             assert np.all(batch.voltage_v > 0.0)
             self.assert_same(batch, ref, ["samples", "voltage_v"])
@@ -310,12 +307,12 @@ class TestChainedWalk:
         link = ControlLinkModel(drop_probability=0.1, latency_s=0.002)
         _block_values(cfg, (FrameSchedule(), link, AdcModel(bits=12)), 0, 30)
         (args, kwargs, chained), = calls
-        p_dc, rect, sched, link, adc, draws, frames = args
+        p_dc, rect, sched, link, adc, draws = args
         assert rect is cfg.rect
         assert len(chained) == 16
         for c, batch in enumerate(chained):
             alone, = run_rounds(p_dc[c:c + 1], rect, sched, link, adc, draws[c:c + 1],
-                                frames, **kwargs)
+                                **kwargs)
             self.assert_same(batch, alone, [field.name for field in fields(RoundBatch)])
 
 
@@ -328,7 +325,7 @@ class TestTdmaAgainstScalarWalk:
            data=st.data())
     def test_trace_equals_the_scalar_walk(self, seed, k, rounds, drop, latency_s, adc, rect,
                                           table, antenna_sweep, losses, data):
-        # the last round may be cut short, after 1..k of its frames
+        # the trace may end partway through the last round, after 1..k of its frames
         frames = (rounds - 1) * k + data.draw(st.integers(1, k))
         if table:
             rect = RectennaConfig(curve=TABLE, load_ohms=rect.load_ohms,

@@ -24,7 +24,6 @@ from wptdas.experiments import (
     power_budget_report,
     run_protocol_experiment,
     run_sweep,
-    watts_to_dbm,
 )
 from wptdas.protocol import (MESSAGE_SIZE_BYTES, AdcModel, ControlLinkModel, FrameSchedule,
                              _blank_us, _pack_lanes, _segments, control_bytes, frame_log,
@@ -56,19 +55,8 @@ class TestUnitConversions:
     def test_roundtrip(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-60.0, 40.0, size=100)
-        back = watts_to_dbm(dbm_to_watts(x))
+        back = 10.0 * np.log10(dbm_to_watts(x)) + 30.0
         assert np.max(np.abs(back - x)) <= 1e-12 * np.max(np.abs(x))
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValidationError):
-            watts_to_dbm(0.0)
-        with pytest.raises(ValidationError):
-            watts_to_dbm(-1e-6)
-
-    @pytest.mark.parametrize("x_w", [math.nan, math.inf, [1e-3, math.nan]])
-    def test_power_that_is_not_finite_rejected(self, x_w):
-        with pytest.raises(ValidationError, match="watts_to_dbm"):
-            watts_to_dbm(x_w)
 
 
 class TestNestedSubsets:

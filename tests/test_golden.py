@@ -3,8 +3,9 @@
 Each case runs one subcommand on a small config and compares the file it
 writes, or its stdout with the output directory masked, with the copy under
 ``tests/data/golden/``. The goldens pin every digit of the ideal and
-protocol sweeps, the frame event log, the TDMA trace and the TDMA users'
-averages and totals, so a change that moves any of them fails here.
+protocol sweeps, the frame event log, the TDMA trace, the TDMA users'
+averages and totals, the energy budget and the validation summary, so a
+change that moves any of them fails here.
 
 Regenerate them only for an intended output change:
 
@@ -105,7 +106,7 @@ user_loss_db = 0, 2, 4, 6
 realizations = 40
 """,
     # two users with unequal losses and the shipped table over the lossy link;
-    # 25 frames cut the last round short
+    # 25 frames end partway through the last round
     "g": LOSSY + f"""
 [channel]
 grid = ieee
@@ -117,6 +118,24 @@ curve = {TABLE}
 users = 2
 user_loss_db = 0, 6
 frames = 25
+""",
+    # every default
+    "h": "",
+    # a faster schedule, other consumption constants and measured phase powers
+    "i": """\
+[schedule]
+slot_s = 0.01
+wpt_s = 1.5
+
+[consumption]
+soc_power_dbm = -20
+radio_power_dbm = 10
+bitrate_bps = 1e6
+pa_supply_dbm = 45
+
+[budget]
+train_power_dbm = -25
+wpt_power_dbm = -15
 """,
 }
 
@@ -133,6 +152,9 @@ CASES = [
     ("f", "sweep", "sweep_results.csv"),
     ("g", "tdma", "tdma_trace.csv"),
     ("g", "tdma", STDOUT),
+    ("h", "budget", "budget.txt"),
+    ("i", "budget", "budget.txt"),
+    ("i", "validate", STDOUT),
 ]
 
 
@@ -146,6 +168,7 @@ def write_output(config: str, command: str, workdir: Path) -> Path:
     out = workdir / f"{config}-{command}"
     with redirect_stdout(StringIO()) as stdout:
         assert main([command, "--config", str(ini), "--out", str(out)]) == 0
+    out.mkdir(exist_ok=True)  # validate writes no file
     (out / STDOUT).write_text(stdout.getvalue().replace(str(out), "<out>"), encoding="utf-8")
     return out
 

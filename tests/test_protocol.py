@@ -55,7 +55,7 @@ def one_user_walk(p_dc, link=ControlLinkModel(), draws=None):
     """One engine walk of one user from rest, one frame per round of ``p_dc``
     (R, M, N), with the link uniforms ``draws`` (R, M + 1)."""
     batch, = run_rounds([p_dc[None, :, None]], RECT, FrameSchedule(), link, DEFAULT_ADC,
-                        [None if draws is None else np.asarray(draws)[None]], len(p_dc))
+                        [None if draws is None else np.asarray(draws)[None]])
     return batch
 
 
@@ -331,8 +331,8 @@ class TestRunFrame:
 class TestRunRoundsShapes:
     LOSSY = ControlLinkModel(drop_probability=0.5)
 
-    def walk(self, p_dc, draws, frames=1):
-        return run_rounds(p_dc, RECT, FrameSchedule(), self.LOSSY, DEFAULT_ADC, draws, frames)
+    def walk(self, p_dc, draws):
+        return run_rounds(p_dc, RECT, FrameSchedule(), self.LOSSY, DEFAULT_ADC, draws)
 
     @pytest.mark.parametrize("draws_shape", [(1, 2, 3), (1, 1, 4), (2, 1, 3), (1, 3)])
     def test_draws_that_do_not_fit_the_walk_name_the_cell(self, draws_shape):
@@ -362,18 +362,14 @@ class TestRunRoundsShapes:
         with pytest.raises(ValidationError, match="cell 0: p_dc"):
             self.walk([np.full(shape, 1e-6)], [None])
 
-    @pytest.mark.parametrize("frames", [0, 2, 5, 1.0, True])
-    def test_frames_must_end_in_the_last_round(self, frames):
+    def test_a_walk_is_whole_rounds(self):
         # frame f trains user f % K in round f // K: 2 rounds of 2 users walk
-        # 3 or 4 frames
-        with pytest.raises(ValidationError, match="frames"):
-            self.walk([np.full((1, 2, 2, 2, 3), 1e-6)], [None], frames=frames)
-
-    @pytest.mark.parametrize("frames", [3, 4])
-    def test_the_last_round_may_be_cut_short(self, frames):
-        batch, = self.walk([np.full((1, 2, 2, 2, 3), 1e-6)], [np.full((1, frames, 3), 0.9)],
-                           frames=frames)
-        assert batch.served_w.shape == (1, frames, 2)
+        # 4 frames, and 3 frames of draws do not fit them
+        cell = np.full((1, 2, 2, 2, 3), 1e-6)
+        batch, = self.walk([cell], [np.full((1, 4, 3), 0.9)])
+        assert batch.served_w.shape == (1, 4, 2)
+        with pytest.raises(ValidationError, match="cell 0: draws"):
+            self.walk([cell], [np.full((1, 3, 3), 0.9)])
 
     def test_every_cell_needs_each_input(self):
         cells = [np.full((1, 1, 1, 2, 3), 1e-6)] * 2

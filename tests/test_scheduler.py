@@ -68,7 +68,7 @@ class TestSingleUser:
         p_dc = np.array([[dc_power_matrix(sample_channel(PROFILE, 4, rng), GRID, BUDGET,
                                           RectennaConfig().curve)] for _ in range(frames)])
         batch, = run_rounds([p_dc[None]], RectennaConfig(), sched, ControlLinkModel(),
-                            DEFAULT_ADC, [None], frames)
+                            DEFAULT_ADC, [None])
         energy = 0.0
         for i in range(frames):
             harvested = batch.training_j[0, i, 0] + batch.wpt_j[0, i, 0]
@@ -174,7 +174,8 @@ class TestTwoUsers:
             assert (getattr(blocked, name) == getattr(whole, name)).all()
 
     def test_one_engine_walk_for_every_round(self, monkeypatch):
-        # 3 users and 7 frames: two full rounds and one cut short
+        # 3 users and 7 frames: the engine walks three whole rounds, and the
+        # trace keeps their first 7 frames
         calls = []
 
         def spy(*args, **kwargs):
@@ -184,12 +185,30 @@ class TestTwoUsers:
         monkeypatch.setattr(experiments, "run_rounds", spy)
         result = run_tdma(config(users=3, seed=13), 7,
                           link=ControlLinkModel(drop_probability=0.3))
-        assert len(calls) == 1
+        (p_dc, *_, draws), = calls
+        assert p_dc[0].shape[:3] == (1, 3, 3) and draws[0].shape == (1, 9, 5)
         assert frames_trained(result, 3) == [3, 2, 2]
 
     def test_three_users_round_robin(self):
         result = run_tdma(config(users=3, seed=10), 9)
         assert frames_trained(result, 3) == [3, 3, 3]
+
+
+class TestPrefix:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), users=st.integers(1, 4), frames=st.integers(1, 9),
+           drop=st.sampled_from([0.0, 0.3]), with_adc=st.booleans())
+    def test_a_trace_is_the_head_of_every_longer_trace(self, seed, users, frames, drop,
+                                                         with_adc):
+        # the frames past the last one kept come last in the walk and in the
+        # stream, so they change no earlier frame
+        kwargs = dict(link=ControlLinkModel(drop_probability=drop),
+                      adc=DEFAULT_ADC if with_adc else None)
+        short = run_tdma(config(users=users, seed=seed), frames, **kwargs)
+        for longer in (-(-frames // users) * users, frames + users):
+            long = run_tdma(config(users=users, seed=seed), longer, **kwargs)
+            for name in ("applied", "p_dc_w", "energy_j"):
+                assert np.array_equal(getattr(long, name)[:frames], getattr(short, name)), name
 
 
 class TestPassiveReplay:
@@ -213,7 +232,7 @@ class TestPassiveReplay:
                                          rect.curve) for _ in range(rounds)])
         batch, = run_rounds([p_dc[None, :, None]], rect, sched, link,
                             DEFAULT_ADC if with_adc else None,
-                            [link.draws(rng, (1, rounds, 5))], rounds)
+                            [link.draws(rng, (1, rounds, 5))])
         v = 0.0
         for f in range(rounds):
             frame = oracle.batch_frame(batch, 0, f, sched)
@@ -234,7 +253,7 @@ class TestTrace:
     @given(seed=st.integers(0, 2 ** 32 - 1), users=st.integers(1, 4),
            drop=st.sampled_from([0.0, 0.3, 1.0]), rounds=st.integers(0, 2), data=st.data())
     def test_csv_equals_the_scalar_rows(self, seed, users, drop, rounds, data):
-        # with several users the last round is cut short
+        # with several users the trace ends partway through the last round
         frames = rounds * users + data.draw(st.integers(1, max(1, users - 1)))
         cfg = config(users=users, seed=seed, antenna_sweep=(2,),
                      user_loss_db=[3.0 * u for u in range(users)])
