@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ValidationError, check_finite, check_integer
+from .errors import ValidationError, check_axis, check_finite, check_integer, read_rows
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, nominal round value used throughout
 
@@ -44,22 +44,14 @@ class TapProfile:
     powers: np.ndarray
 
     def __post_init__(self):
-        delays = np.asarray(self.delays_s, dtype=float)
+        delays = check_axis("delays_s", self.delays_s)
         powers = np.asarray(self.powers, dtype=float)
         object.__setattr__(self, "delays_s", delays)
         object.__setattr__(self, "powers", powers)
-        if delays.ndim != 1 or powers.ndim != 1 or delays.size != powers.size:
-            raise ValidationError("profile needs matching 1-D delay and power lists")
-        if delays.size == 0:
-            raise ValidationError("profile has no taps")
-        if not np.all(np.isfinite(delays)) or not np.all(np.isfinite(powers)):
-            raise ValidationError("profile values must be finite")
         if delays[0] < 0:
             raise ValidationError("first tap delay must be >= 0")
-        if delays.size > 1 and not np.all(np.diff(delays) > 0):
-            raise ValidationError("tap delays must be strictly increasing")
-        if not np.all(powers > 0):
-            raise ValidationError("tap powers must all be > 0")
+        if powers.shape != delays.shape or not np.all((powers > 0) & (powers < math.inf)):
+            raise ValidationError("profile needs one finite tap power > 0 per delay")
         if abs(powers.sum() - 1.0) > 1e-9:
             raise ValidationError(
                 f"tap powers must sum to 1 (got {powers.sum():.12g}); "
@@ -83,30 +75,19 @@ class TapProfile:
 
 def load_tap_profile(path, name: str | None = None) -> TapProfile:
     """Load a PDP file (``delay_ns power_db`` per line, ``#`` comments)."""
-    delays_ns, powers_db, linenos = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'delay_ns power_db'")
-            try:
-                delays_ns.append(float(parts[0]))
-                powers_db.append(float(parts[1]))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            linenos.append(lineno)
-    if not delays_ns:
+    rows = list(read_rows(path))
+    if not rows:
         raise ValidationError(f"{path}: no taps found")
-    delays_s = np.asarray(delays_ns) * 1e-9
+    for lineno, row in rows:
+        if len(row) != 2:
+            raise ValidationError(f"{path}:{lineno}: expected 'delay_ns power_db'")
+    delays_ns, powers_db = np.array([row for _, row in rows]).T
     with np.errstate(over="ignore"):
-        linear = 10.0 ** (np.asarray(powers_db) / 10.0)
-    bad = np.flatnonzero(~(np.isfinite(delays_s) & np.isfinite(powers_db) & np.isfinite(linear)))
+        linear = 10.0 ** (powers_db / 10.0)
+    bad = np.flatnonzero(~(np.isfinite(delays_ns) & np.isfinite(powers_db) & np.isfinite(linear)))
     if bad.size:
-        raise ValidationError(f"{path}:{linenos[bad[0]]}: delay or power beyond a finite float")
-    return TapProfile.normalized(name or str(path), delays_s, linear)
+        raise ValidationError(f"{path}:{rows[bad[0]][0]}: delay or power beyond a finite float")
+    return TapProfile.normalized(name or str(path), delays_ns * 1e-9, linear)
 
 
 def builtin_profile(name: str) -> TapProfile:
@@ -233,14 +214,10 @@ class FrequencyGrid:
     frequencies_hz: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        freqs = np.asarray(self.frequencies_hz, dtype=float)
+        freqs = check_axis("frequencies_hz", self.frequencies_hz)
         object.__setattr__(self, "frequencies_hz", freqs)
-        if freqs.ndim != 1 or freqs.size == 0:
-            raise ValidationError("grid needs a non-empty 1-D frequency list")
-        if not np.all(freqs > 0):
+        if freqs[0] <= 0:
             raise ValidationError("frequencies must be > 0")
-        if freqs.size > 1 and not np.all(np.diff(freqs) > 0):
-            raise ValidationError("frequencies must be strictly increasing")
 
     @property
     def count(self) -> int:
@@ -255,6 +232,8 @@ class FrequencyGrid:
                      "center_hz", "bandwidth_hz")
         if bandwidth_hz < 0 or center_hz <= 0:
             raise ValidationError("need center_hz > 0 and bandwidth_hz >= 0")
+        if not math.isfinite(float(center_hz) + float(bandwidth_hz) / 2.0):
+            raise ValidationError("the band's top edge center_hz + bandwidth_hz / 2 overflows")
         if count == 1:
             freqs = np.array([center_hz])
         else:

@@ -1,7 +1,10 @@
-"""Exceptions shared across the simulator, and the number checks."""
+"""Exceptions shared across the simulator, the number checks, and the one reader
+of its data files (rows of numbers, ``#`` comments, errors that name ``path:line``)."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -38,3 +41,26 @@ def check_integer(name: str, value, low: int | None = None) -> int:
         raise ValidationError(f"{name} must be >= {low}")
     return int(value)
 
+
+def check_axis(name: str, values) -> np.ndarray:
+    """``values`` as a float array; raise :class:`ValidationError` naming ``name``
+    unless it is non-empty, 1-D, finite and strictly increasing."""
+    axis = np.asarray(values, dtype=float)
+    if not (axis.ndim == 1 and axis.size > 0 and np.all(np.isfinite(axis))
+            and np.all(axis[1:] > axis[:-1])):
+        raise ValidationError(f"{name} must be non-empty, 1-D, finite and strictly increasing")
+    return axis
+
+
+def read_rows(path):
+    """Yield (line number, numbers) for each line of the data file at ``path``
+    that holds any once ``#`` comments are stripped; a token that is not a
+    number fails naming ``path:line``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                row = [float(tok) for tok in raw.split("#", 1)[0].split()]
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            if row:
+                yield lineno, row

@@ -48,7 +48,7 @@ from .protocol import (
 )
 from .rectenna import RectennaConfig
 from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, DOMAIN_TDMA, keyed_draws, substream, substream_keys
-from .selection import STRATEGIES, check_powers, select_pairs
+from .selection import STRATEGIES, check_powers, middle_index, select_pairs
 from .signal_chain import dc_power_matrix
 
 RESULT_COLUMNS = "M,N,strategy,user,avg_pdc_watts,stderr_watts,realizations,seed"
@@ -73,7 +73,7 @@ def nested_frequency_indices(total: int, count: int) -> np.ndarray:
     """
     if not 1 <= count <= total:
         raise ValidationError(f"subset size {count} outside 1..{total}")
-    mid = (total + 1) // 2
+    mid = middle_index(total)
     lq = (mid + 1) // 2
     uq = mid + (total - mid + 1) // 2
     priority: list[int] = []

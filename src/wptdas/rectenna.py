@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_finite
+from .errors import ValidationError, check_axis, check_finite, read_rows
 
 # Logistic argument at the peak-power anchor: sigma(ln 9) = 0.9, which with
 # the default slope ln(7)/20 puts the rise exactly through (-20 dBm, 0.25)
@@ -59,18 +59,12 @@ class EfficiencyCurve:
     def __post_init__(self):
         check_finite(self, "eta_peak", "peak_dbm", "rise_slope", "breakdown_dbm", "breakdown_slope")
         if self.source == "table":
-            for name in ("power_axis_dbm", "freq_axis_hz", "table"):
-                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            for name in ("power_axis_dbm", "freq_axis_hz"):
+                object.__setattr__(self, name, check_axis(name, getattr(self, name)))
+            object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
             p, f, t = self.power_axis_dbm, self.freq_axis_hz, self.table
-            if p.ndim != 1 or f.ndim != 1 or t.shape != (p.size, f.size):
+            if t.shape != (p.size, f.size):
                 raise ValidationError("table must be (len(power_axis), len(freq_axis))")
-            for name, axis in (("power_axis_dbm", p), ("freq_axis_hz", f)):
-                if not np.all(np.isfinite(axis)):
-                    raise ValidationError(f"{name} entries must be finite")
-            if p.size > 1 and not np.all(np.diff(p) > 0):
-                raise ValidationError("power axis must be strictly increasing")
-            if f.size > 1 and not np.all(np.diff(f) > 0):
-                raise ValidationError("frequency axis must be strictly increasing")
             if not np.all((t >= 0.0) & (t <= 1.0)):
                 raise ValidationError("efficiencies must lie in [0, 1]")
         elif self.source == "parametric":
@@ -157,24 +151,15 @@ def _axis_weights(axis: np.ndarray, x: np.ndarray):
 
 def load_efficiency_table(path) -> EfficiencyCurve:
     """Load a plain-text efficiency table (see module docstring for format)."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split()])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    rows = list(read_rows(path))
     if len(rows) < 2:
         raise ValidationError(f"{path}: need a frequency row plus at least one power row")
-    freq_mhz = np.asarray(rows[0])
-    width = freq_mhz.size + 1
-    if any(len(r) != width for r in rows[1:]):
-        raise ValidationError(f"{path}: body rows must have {width} columns")
-    body = np.asarray(rows[1:])
-    return EfficiencyCurve.from_table(body[:, 0], [x * 1e6 for x in rows[0]], body[:, 1:])
+    (_, freq_mhz), *body = rows
+    for lineno, row in body:
+        if len(row) != len(freq_mhz) + 1:
+            raise ValidationError(f"{path}:{lineno}: expected {len(freq_mhz) + 1} columns")
+    table = np.array([row for _, row in body])
+    return EfficiencyCurve.from_table(table[:, 0], [x * 1e6 for x in freq_mhz], table[:, 1:])
 
 
 @dataclass(frozen=True)

@@ -311,10 +311,18 @@ class TestFrequencyGrid:
         (dict(center_hz=math.inf), "center_hz"),
         (dict(bandwidth_hz=math.nan, count=1), "bandwidth_hz"),
         (dict(center_hz="2.4e9"), "center_hz"),
+        # each is finite, but the band's top edge is not
+        (dict(center_hz=1.5e308, bandwidth_hz=1e308), r"center_hz \+ bandwidth_hz"),
+        (dict(center_hz=np.float64(1.7e308), bandwidth_hz=np.float64(2e307)),
+         r"center_hz \+ bandwidth_hz"),
     ])
     def test_uniform_band_must_be_finite_numbers(self, kwargs, field):
         with pytest.raises(ValidationError, match=field):
             FrequencyGrid.uniform(**kwargs)
+
+    def test_uniform_band_up_to_the_largest_float_builds(self):
+        g = FrequencyGrid.uniform(1e308, 1e308, 3)
+        npt.assert_allclose(g.frequencies_hz, [0.5e308, 1e308, 1.5e308])
 
     def test_integer_counts_of_any_integer_type_build(self):
         assert FrequencyGrid.uniform(count=np.int64(3)).count == 3

@@ -258,6 +258,33 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
 
+    @pytest.mark.parametrize("key, filename, text, expected", [
+        ("profile", "p.pdp", "0 0\n10 x\n", "p.pdp:2: "),
+        ("profile", "p.pdp", "# taps\n0 0\n10 -3 7\n", "p.pdp:3: "),
+        ("profile", "p.pdp", "0 0\nnan -3\n", "p.pdp:2: "),
+        ("profile", "p.pdp", "0 0\n10 inf\n", "p.pdp:2: "),
+        ("profile", "p.pdp", "0 0\n10 4000\n", "p.pdp:2: "),  # 10**400 is beyond a float
+        ("profile", "p.pdp", "# no taps\n\n", "no taps"),
+        ("curve", "eta.txt", "2400 2480\n-20 0.2 x\n", "eta.txt:2: "),
+        ("curve", "eta.txt", "2400 2480\n-20 0.2 0.3\n# short\n-10 0.4\n", "eta.txt:4: "),
+        ("curve", "eta.txt", "2400 2480\nnan 0.2 0.3\n", "power_axis_dbm"),
+        ("curve", "eta.txt", "2400 inf\n-20 0.2 0.3\n", "freq_axis_hz"),
+        ("curve", "eta.txt", "2400 2480\n-20 0.2 inf\n", "efficiencies"),
+        ("curve", "eta.txt", "# no rows\n", "frequency row"),
+    ], ids=["pdp-token", "pdp-count", "pdp-nan", "pdp-inf", "pdp-overflow", "pdp-comments",
+            "table-token", "table-width", "table-nan", "table-inf", "table-eta-inf",
+            "table-comments"])
+    def test_rejects_a_malformed_data_file(self, tmp_path, capsys, key, filename, text,
+                                           expected):
+        # the suite turns warnings into errors, so none may be raised on the way
+        data = tmp_path / filename
+        data.write_text(text)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{'channel' if key == 'profile' else 'rectenna'}]\n{key} = {data}\n")
+        assert run(["validate", "--config", str(cfg)], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and expected in err
+
     @pytest.mark.parametrize("lines,key", [
         ("[experiment]\nuser_loss_db = -4000\n", "user_loss_db"),
         ("[channel]\ntx_gain_dbi = 1e308\nrx_gain_dbi = 1e308\n", "rx_gain_dbi")],

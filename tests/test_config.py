@@ -164,6 +164,9 @@ class TestBadValues:
         "[schedule]\nslot_s = 1e303\n",  # finite seconds, infinite microseconds
         "[schedule]\nwpt_s = 1e303\n",
         "[link]\nlatency_s = 1e303\n",
+        # each key is finite alone, but the band's top edge 1.5e308 + 1e308 / 2 Hz
+        # is not: np.linspace warned on it, and the grid then failed as not > 0
+        "[channel]\ncenter_mhz = 1.5e302\nbandwidth_mhz = 1e302\n",
     ])
     def test_overflowing_value_fails_cleanly(self, tmp_path, capsys, text):
         assert main(["validate", "--config", write(tmp_path, text)]) == 1

@@ -151,6 +151,9 @@ class TestEfficiency:
         f.write_text("2400 2480\n-20 0.2\n")
         with pytest.raises(ValidationError):
             load_efficiency_table(f)
+        f.write_text("2400 2480\n-20 0.2 0.3\n-10 0.4\n")
+        with pytest.raises(ValidationError, match="eta.txt:3: "):
+            load_efficiency_table(f)
 
     def test_packaged_sample_table_loads(self):
         from importlib import resources
