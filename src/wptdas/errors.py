@@ -1,8 +1,8 @@
 """Exceptions shared across the simulator, the number checks, and the one reader
 of its data files (rows of numbers, ``#`` comments, errors that name ``path:line``)."""
 
-import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -21,12 +21,13 @@ class FeedbackDecodeError(ValidationError):
 
 def check_finite(obj, *fields: str, low: float | None = None):
     """Raise :class:`ValidationError` naming the first of ``fields`` of ``obj``
-    (attributes, or keys of a dict) that is not a finite real number, or a
-    tuple of them, or that is below ``low`` if given."""
+    (attributes, or keys of a dict) that is not a real number within the float
+    range, or a tuple of them, or that is below ``low`` if given."""
     for name in fields:
         value = obj[name] if isinstance(obj, dict) else getattr(obj, name)
         for x in value if isinstance(value, tuple) else (value,):
-            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+            if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+                    or not abs(x) <= sys.float_info.max):  # nan, inf or a huge int
                 raise ValidationError(f"{name} must be finite numbers, got {value!r}")
             if low is not None and x < low:
                 raise ValidationError(f"{name} must be >= {low:g}")

@@ -316,10 +316,10 @@ def _cell_values(cfg: ExperimentConfig, dc: np.ndarray) -> dict:
     """Per-realization strategy values from a checked (R, U, M_max, N) dc tensor.
 
     Returns {(m, k, strategy): array of shape (R, users)}. User u's value is
-    the round average of its own selection plus, for every other user v in
-    ascending order, what u harvests passively at v's selected pair. Each
-    frequency set is copied out once; one gather per selecting user v reads
-    every strategy's and user's harvest at v's pick.
+    its round average: frame v serves user v's selected pair, and u's harvest
+    at each frame's pair is summed in frame order, as the protocol sweep and
+    :func:`run_tdma` sum them. Each frequency set is copied out once; one
+    gather per frame v reads every strategy's and user's harvest at v's pick.
     """
     n_real, users, m_max, n_total = dc.shape
     flat = dc.ravel()
@@ -335,13 +335,10 @@ def _cell_values(cfg: ExperimentConfig, dc: np.ndarray) -> dict:
             a, f = np.array([held[s] if s in held else select_pairs(sub[:, :, :m], s)
                              for s in cfg.strategies]).swapaxes(0, 1)  # (S, R, U) each
             pick = a * n_total + cols[f]  # (S, R, U) offset of v's pair in a matrix
-            own, passive = np.empty(pick.shape), np.zeros(pick.shape)
-            for v in range(users):  # one add per user, as a scalar sum would
-                harvest = flat[base + pick[..., v, None]]  # (S, R, U) powers at v's pair
-                own[..., v] = harvest[..., v]
-                harvest[..., v] = 0.0
-                passive += harvest
-            out.update(zip([(m, k, s) for s in cfg.strategies], (own + passive) / users))
+            total = np.zeros(pick.shape)
+            for v in range(users):  # frame v serves user v's pick, in frame order
+                total += flat[base + pick[..., v, None]]
+            out.update(zip([(m, k, s) for s in cfg.strategies], total / users))
     return out
 
 
@@ -418,7 +415,8 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     The per-realization pipeline is the idealized one: steady-state
     candidate powers, no frame protocol. With multiple users, frame i of a
     round serves user i's selection while the others harvest passively at
-    the served pair; reported values are per-round (cycle) averages.
+    the served pair; reported values are per-round (cycle) averages, each
+    user's frames summed in frame order as in the protocol sweep.
     ``jobs`` only parallelizes; results are identical for any job count.
     """
     return ExperimentResult(_sweep_rows(cfg, None, jobs), cfg.realizations, cfg.seed,

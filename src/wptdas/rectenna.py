@@ -145,7 +145,8 @@ def _axis_weights(axis: np.ndarray, x: np.ndarray):
         return np.zeros(x.shape, dtype=np.intp), np.zeros(x.shape)
     hi = np.clip(np.searchsorted(axis, x, side="right"), 1, axis.size - 1)
     lo = hi - 1
-    w = (x - axis[lo]) / (axis[hi] - axis[lo])
+    half = 0.5 * axis  # exact: no difference overflows, and w keeps its bits above subnormals
+    w = (0.5 * x - half[lo]) / (half[hi] - half[lo])
     return lo, np.clip(w, 0.0, 1.0)
 
 

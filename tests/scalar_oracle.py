@@ -390,12 +390,10 @@ def cell_values(cfg, dc):
             a, f = select_pairs(sub, strategy)
             # harvest[r, u, v]: user u's power at the pair user v selected
             harvest = sub[rows, user[:, None], a[:, None, :], f[:, None, :]]
-            own = harvest[:, user, user]
-            harvest[:, user, user] = 0.0
-            passive = np.zeros((n_real, users))
-            for v in range(users):  # one add per user, as a scalar sum would
-                passive += harvest[:, :, v]
-            out[(m, k, strategy)] = (own + passive) / users
+            total = np.zeros((n_real, users))
+            for v in range(users):  # frame v serves user v's pick, in frame order
+                total += harvest[:, :, v]
+            out[(m, k, strategy)] = total / users
     return out
 
 

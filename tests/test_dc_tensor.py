@@ -7,8 +7,9 @@ key pass and one fill, then rates them in chunks, one stacked
 bit for bit, what a lone realization and user gives, whatever the chunk
 boundaries or the range's start. A sweep block makes one key pass and one
 fill per stream domain it draws. The protocol sweep's cells are
-slices of the same tensor, so under ideal protocol settings its values
-equal the ideal sweep's joint values exactly. The ideal sweep's strategy
+slices of the same tensor, and both sum a round's frames in frame order,
+so under ideal protocol settings its values equal the ideal sweep's joint
+values exactly at any user count. The ideal sweep's strategy
 values, read off the tensor, must equal the one-cell-and-strategy-at-a-time
 oracle's exactly, on tensors full of ties, in no more working memory than
 the oracle's plus one tensor.
@@ -107,7 +108,8 @@ def test_working_memory_does_not_grow_with_realizations(users):
 @st.composite
 def tied_tensors(draw):
     """A config with sweeps and strategies in any order, and a dc tensor of
-    small integers, all zeros, or constant along its antennas or frequencies."""
+    small integers or of reals, whose sums depend on their order, all zeros,
+    or constant along its antennas or frequencies."""
     users, count = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     antennas = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True))
     cfg = ExperimentConfig(
@@ -119,7 +121,8 @@ def tied_tensors(draw):
                                  unique=True)),
         users=users, realizations=draw(st.integers(1, 5)))
     shape = (cfg.realizations, users, max(antennas) + draw(st.integers(0, 1)), count)
-    dc = np.reshape(draw(st.lists(st.integers(0, 3), min_size=math.prod(shape),
+    powers = st.floats(0.0, 1.0) if draw(st.booleans()) else st.integers(0, 3)
+    dc = np.reshape(draw(st.lists(powers, min_size=math.prod(shape),
                                   max_size=math.prod(shape))), shape).astype(float)
     tie = draw(st.sampled_from(["none", "zeros", "antennas", "frequencies"]))
     if tie == "zeros":
@@ -284,7 +287,9 @@ class TestCellSlices:
 class TestIdealEqualsProtocol:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("grid", sorted(GRIDS))
-    @pytest.mark.parametrize("users,losses", [(1, ()), (1, (3.0,)), (2, ()), (2, (0.0, 3.0))])
+    @pytest.mark.parametrize("users,losses", [
+        (1, ()), (1, (3.0,)), (2, ()), (2, (0.0, 3.0)),
+        (3, ()), (3, (0.0, 2.0, 4.0)), (4, ()), (4, (0.0, 2.0, 4.0, 6.0))])
     def test_every_cell_is_exact(self, users, losses, grid, seed):
         # Fast settling, no ADC and a perfect control link: the protocol
         # selects and delivers each cell's steady-state joint optimum.

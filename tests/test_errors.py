@@ -1,12 +1,15 @@
-"""``errors.check_axis`` at every sorted axis that goes through it."""
+"""``errors.check_axis`` at every sorted axis that goes through it, and
+``errors.check_finite`` on a number beyond the float range."""
 
 import math
 
 import numpy as np
 import pytest
 
-from wptdas.channel import FrequencyGrid, TapProfile
+from wptdas.channel import FrequencyGrid, LinkBudget, TapProfile
 from wptdas.errors import ValidationError
+from wptdas.experiments import ReceiverConsumption
+from wptdas.protocol import FrameSchedule
 from wptdas.rectenna import EfficiencyCurve
 
 
@@ -46,3 +49,21 @@ def test_every_sorted_axis_rejects_a_bad_list_by_name(build, name, entries, bad)
     build(list(entries))  # the two entries alone build
     with pytest.raises(ValidationError, match=name):
         build(bad(*entries))
+
+
+# (builder of one field, the field); soc_power_w is also checked against a low bound
+FINITE_SITES = [
+    (lambda x: FrequencyGrid.uniform(center_hz=x), "center_hz"),
+    (lambda x: LinkBudget(path_loss_db=x), "path_loss_db"),
+    (lambda x: FrameSchedule(slot_s=x), "slot_s"),
+    (lambda x: ReceiverConsumption(soc_power_w=x), "soc_power_w"),
+]
+
+
+@pytest.mark.parametrize("build, name", FINITE_SITES, ids=[name for _, name in FINITE_SITES])
+@pytest.mark.parametrize("huge", [10 ** 400, -10 ** 400], ids=["10**400", "-10**400"])
+def test_an_int_beyond_the_float_range_is_rejected_by_name(build, name, huge):
+    # math.isfinite once raised a bare OverflowError on such an int, and
+    # 10 ** 400 < math.inf holds, so a bounds check alone would accept it
+    with pytest.raises(ValidationError, match=name):
+        build(huge)

@@ -358,11 +358,10 @@ def scalar_reference_sweep(cfg):
                     decisions = [select_one(sub, strategy) for sub in subs]
                     arr = values.setdefault((m, k, strategy),
                                             np.zeros((cfg.realizations, cfg.users)))
-                    for u in range(cfg.users):
-                        passive = sum(
+                    for u in range(cfg.users):  # frame v serves v's pick, in frame order
+                        arr[r, u] = sum(
                             float(subs[u][decisions[v][0] - 1, decisions[v][1] - 1])
-                            for v in range(cfg.users) if v != u)
-                        arr[r, u] = (float(decisions[u][2]) + passive) / cfg.users
+                            for v in range(cfg.users)) / cfg.users
     return values
 
 

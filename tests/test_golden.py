@@ -7,6 +7,11 @@ protocol sweeps, the frame event log, the TDMA trace, the TDMA users'
 averages and totals, the energy budget and the validation summary, so a
 change that moves any of them fails here.
 
+The digest matrix pins more runs than a golden file each would: ``sweep``,
+``frame`` and ``tdma`` on the benchmark's three workload configs at seeds
+1-3, one sha256 per output file and per masked stdout, in
+``tests/data/golden/workloads.sha256``.
+
 Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -15,6 +20,7 @@ Run as a script with any other arguments, or none, it prints its usage,
 writes nothing and exits with status 2.
 """
 
+import hashlib
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -139,6 +145,36 @@ wpt_power_dbm = -15
 """,
 }
 
+# the benchmark's workloads (perfbench/workloads.py), copied
+SWEEP_SHAPE = """\
+[channel]
+profile = model-E-NLOS
+frequencies = 15
+grid = {grid}
+
+[experiment]
+pipeline = {pipeline}
+users = {users}
+realizations = {realizations}
+antenna_sweep = 1, 2, 3, 4
+frequency_sweep = 1, 3, 5, 15
+strategies = {strategies}
+"""
+ALL_STRATEGIES = "none, frequency_only, antenna_only, joint"
+WORKLOADS = {
+    "ideal-1u": SWEEP_SHAPE.format(grid="uniform", pipeline="ideal", users=1,
+                                   realizations=300, strategies=ALL_STRATEGIES),
+    "protocol-2u-lossy": SWEEP_SHAPE.format(grid="uniform", pipeline="protocol", users=2,
+                                            realizations=30, strategies="joint") + "\n" + LOSSY,
+    "ideal-4u-table": SWEEP_SHAPE.format(grid="ieee", pipeline="ideal", users=4,
+                                         realizations=60, strategies=ALL_STRATEGIES)
+    + f"user_loss_db = 0, 2, 4, 6\n\n[rectenna]\ncurve = {TABLE}\n",
+}
+DIGESTS = GOLDEN / "workloads.sha256"
+# (workload, seed, subcommand) of every run the digests pin
+MATRIX = [(w, seed, command) for w in WORKLOADS for seed in (1, 2, 3)
+          for command in ("sweep", "frame", "tdma")]
+
 # (config, subcommand, file it writes); STDOUT is the masked stdout
 STDOUT = "stdout.txt"
 CASES = [
@@ -162,12 +198,15 @@ def golden_name(config: str, filename: str) -> str:
     return f"{config}_{filename}"
 
 
-def write_output(config: str, command: str, workdir: Path) -> Path:
+def write_output(config: str, command: str, workdir: Path, seed: int | None = None) -> Path:
+    """Run ``command`` on the config or workload named ``config``, at ``seed``
+    if given, into a new directory of ``workdir`` that also holds the stdout."""
     ini = workdir / f"{config}.ini"
-    ini.write_text(CONFIGS[config], encoding="utf-8")
-    out = workdir / f"{config}-{command}"
+    ini.write_text(CONFIGS[config] if config in CONFIGS else WORKLOADS[config], encoding="utf-8")
+    seeded = [] if seed is None else ["--seed", str(seed)]
+    out = workdir / "-".join([config, *seeded[1:], command])
     with redirect_stdout(StringIO()) as stdout:
-        assert main([command, "--config", str(ini), "--out", str(out)]) == 0
+        assert main([command, "--config", str(ini), "--out", str(out), *seeded]) == 0
     out.mkdir(exist_ok=True)  # validate writes no file
     (out / STDOUT).write_text(stdout.getvalue().replace(str(out), "<out>"), encoding="utf-8")
     return out
@@ -180,12 +219,31 @@ def test_output_matches_golden(config, command, filename, tmp_path):
     assert (out / filename).read_bytes() == expected
 
 
+def run_digests(workload: str, seed: int, command: str, workdir: Path) -> dict:
+    """{"workload/seed/command/file": sha256} of every file one matrix run writes."""
+    out = write_output(workload, command, workdir, seed)
+    return {f"{workload}/{seed}/{command}/{path.name}":
+            hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())}
+
+
+def read_digests() -> dict:
+    return {name: digest for digest, name in
+            (line.split("  ") for line in DIGESTS.read_text(encoding="utf-8").splitlines())}
+
+
+@pytest.mark.parametrize("workload,seed,command", MATRIX)
+def test_workload_outputs_match_digests(workload, seed, command, tmp_path):
+    prefix = f"{workload}/{seed}/{command}/"
+    pinned = {name: d for name, d in read_digests().items() if name.startswith(prefix)}
+    assert run_digests(workload, seed, command, tmp_path) == pinned
+
+
 USAGE = "usage: PYTHONPATH=src python tests/test_golden.py --write"
 
 
 def write_goldens(argv: list, golden: Path = GOLDEN) -> int:
-    """Rewrite every golden file under ``golden`` when ``argv`` is exactly
-    ``["--write"]``; otherwise print the usage and return 2."""
+    """Rewrite every golden file and the digest matrix under ``golden`` when
+    ``argv`` is exactly ``["--write"]``; otherwise print the usage and return 2."""
     if argv != ["--write"]:
         print(USAGE, file=sys.stderr)
         return 2
@@ -195,6 +253,12 @@ def write_goldens(argv: list, golden: Path = GOLDEN) -> int:
             out = write_output(config, command, Path(tmp))
             (golden / golden_name(config, filename)).write_bytes((out / filename).read_bytes())
             print(f"wrote {golden_name(config, filename)}", file=sys.stderr)
+        digests = {}
+        for run in MATRIX:
+            digests.update(run_digests(*run, Path(tmp)))
+    (golden / DIGESTS.name).write_text("".join(f"{d}  {name}\n" for name, d in digests.items()),
+                                       encoding="utf-8")
+    print(f"wrote {DIGESTS.name}", file=sys.stderr)
     return 0
 
 
@@ -211,6 +275,7 @@ def test_the_script_writes_the_goldens(tmp_path):
     for config, _command, filename in CASES:
         name = golden_name(config, filename)
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+    assert (tmp_path / DIGESTS.name).read_bytes() == DIGESTS.read_bytes()
 
 
 if __name__ == "__main__":

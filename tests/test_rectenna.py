@@ -139,6 +139,11 @@ class TestEfficiency:
         with pytest.raises(ValidationError, match=field):
             EfficiencyCurve.from_table(power_axis, freq_axis, table)
 
+    def test_axis_spanning_more_than_the_float_range_interpolates(self):
+        # its rows' difference once overflowed to inf in the weights
+        curve = EfficiencyCurve.from_table([-1e308, 1e308], [2.4e9], [[0.1], [0.5]])
+        assert curve.efficiency(np.array([1e-3]), 2.4e9) == pytest.approx([0.3])
+
     def test_table_file_roundtrip(self, tmp_path):
         f = tmp_path / "eta.txt"
         f.write_text("# demo\n2400 2480\n-20 0.2 0.3\n-10 0.4 0.5\n")
