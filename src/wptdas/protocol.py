@@ -204,21 +204,18 @@ def _blank_us(link: ControlLinkModel, n_total: int, slot_us: int) -> list:
 
 def _segments(m_total: int, blank: list, slot_us: int) -> list:
     """The settling segments of a cell of ``m_total`` antennas in slot order,
-    as (slot, us, idle_us, head), given each frequency's blanked head
-    (:func:`_blank_us`).
+    as (slot, us, head), given each frequency's blanked head (:func:`_blank_us`).
 
-    One per slot, except that a slot whose head is blanked splits in two,
-    toward 0 over the head and then toward the pair. A row idle in a blanked
-    slot decays over the whole slot in the head segment, where the duration
-    term vanishes as the target is 0, then holds: decay 1, rise 0 and no
-    energy in the tail (``idle_us`` 0). A slot ends with its one segment that
-    is not a head.
+    One per slot, except that a slot whose head is blanked splits in two for
+    every row: toward 0 over the head, then toward the row's target, which
+    is 0 where the transmitter is idle. A slot ends with its one segment
+    that is not a head.
     """
     segs = []
     for s in range(m_total * len(blank)):
         head = blank[s % len(blank)]
-        segs += ([(s, head, slot_us, True), (s, slot_us - head, 0, False)]
-                 if 0 < head < slot_us else [(s, slot_us, slot_us, False)])
+        segs += ([(s, head, True), (s, slot_us - head, False)]
+                 if 0 < head < slot_us else [(s, slot_us, False)])
     return segs
 
 
@@ -278,7 +275,8 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
     the one rectenna ``rect``. With ``energy=False`` the walk skips the training
     and delivery energies and returns them as None. Before the walk, a cell
     whose ``p_dc`` is not 5-D or does not share the first cell's B, R and K, or
-    whose ``draws`` do not fit it, is rejected.
+    whose ``draws`` do not fit it, is rejected, and so is a load whose output
+    voltage ``sqrt(p * load)`` would overflow.
 
     Every run starts at rest: each output at 0 V, and each user's
     transmitter falls back to :func:`default_pair` when its feedback is
@@ -287,15 +285,17 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
 
     Each cell's frame is a run of settling steps: a start step, which loads
     the cell's voltage (decay 0, target v: ``v + (0 - v) * 0 == v``), then
-    one step per segment. The cells are packed side by side into lanes as
-    long as the longest cell's run (:func:`_pack_lanes`), and a lane's
-    unused tail holds its voltage (decay 1, target 0). Each frame steps
-    every lane at once through the steps, then takes the energies cell by
-    cell; each element meets the same float operations, in the same order,
-    as a walk of one receiver through one frame of one cell. When the walk
-    skips the energies and delivery is not fully blanked, every frame-end
-    voltage is the served pair's steady voltage, so only the training
-    user's column is walked.
+    one step per segment (:func:`_segments`). A step's decay depends only on
+    its duration; whether the transmitter emits sets only each row's target,
+    so a dropped activation is a zero-power emission. The cells are packed
+    side by side into lanes as long as the longest cell's run
+    (:func:`_pack_lanes`), and a lane's unused tail holds its voltage (decay
+    1, target 0). Each frame steps every lane at once through the steps,
+    then takes the energies cell by cell; each element meets the same float
+    operations, in the same order, as a walk of one receiver through one
+    frame of one cell. When the walk skips the energies and delivery is not
+    fully blanked, every frame-end voltage is the served pair's steady
+    voltage, so only the training user's column is walked.
     """
     n_cells = len(p_dc)
     if not n_cells == len(draws) >= 1:
@@ -315,45 +315,49 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
                                   f"{frames} frames and {m_total} antennas")
     slot_us, wpt_us = sched.slot_us, sched.wpt_us
     tau, load = rect.settle_tau_s, rect.load_ohms
+    # no voltage exceeds sqrt(p * load), so no energy term exceeds a few p * load
+    # times the longest segment or tau
+    p_max = max(float(p.max(initial=0.0)) for p in p_dc)
+    if not p_max * load * 4.0 * (1.0 + slot_us * 1e-6 + tau) < math.inf:
+        raise ValidationError(f"load_ohms = {load!r} overflows the output voltage "
+                              f"sqrt(p * load) at p = {p_max!r} W")
     wpt_blank = min(link.latency_us, wpt_us)
     trim = not energy and wpt_us > wpt_blank  # walk only the training user's column
 
     # The step tables, (steps, lanes): the pair (and slot) each step settles
-    # toward, its decay codes when emitting and when idle, and whether its
-    # target is 0 whatever is emitted (heads, start steps and tails).
+    # toward, its duration's code, and whether its target is 0 whatever is
+    # emitted (heads, start steps and tails).
     blanks = {n: _blank_us(link, n, slot_us) for _, n in shapes}
     segs = [_segments(m, blanks[n], slot_us) for m, n in shapes]
     n_lanes, place = _pack_lanes([len(cell) + 1 for cell in segs])
     length = max(len(cell) for cell in segs) + 1
-    durations = sorted({us for cell in segs for _, us, idle, _ in cell for us in (us, idle)}
-                       | {0, wpt_blank})
+    durations = sorted({us for cell in segs for _, us, _ in cell} | {0, wpt_blank})
     code = {us: i for i, us in enumerate(durations)}
     start = len(durations)  # the start step's decay, 0
-    table = [(0, code[0], code[0], True)] * (length * n_lanes)  # a tail holds
+    table = [(0, code[0], True)] * (length * n_lanes)  # a tail holds
     slot_ant, slot_live, slot_end = [], [], []
     slot_off = np.cumsum([0] + [m * n for m, n in shapes])
     antenna0 = 0
     for c, ((m_total, n_total), (lane, first)) in enumerate(zip(shapes, place)):
-        table[first * n_lanes + lane] = (0, start, start, True)
-        for step, (s, us, idle, head) in enumerate(segs[c], first + 1):
-            table[step * n_lanes + lane] = (int(slot_off[c]) + s, code[us], code[idle], head)
+        table[first * n_lanes + lane] = (0, start, True)
+        for step, (s, us, head) in enumerate(segs[c], first + 1):
+            table[step * n_lanes + lane] = (int(slot_off[c]) + s, code[us], head)
             if not head:
                 slot_end.append(step * n_lanes + lane)
         slot_ant += [antenna0 + s // n_total for s in range(m_total * n_total)]
         slot_live += [blanks[n_total][s % n_total] < slot_us for s in range(m_total * n_total)]
         antenna0 += m_total
-    step_pair, seg_code, idle_code, dark = np.array(table).reshape(length, n_lanes, 4).transpose(
-        2, 0, 1)
+    step_pair, seg_code, dark = np.array(table).reshape(length, n_lanes, 3).transpose(2, 0, 1)
     dark = dark.astype(bool)[..., None, None]
     cell_lane, cell_first = map(list, zip(*place))
     cell_last = [first + len(cell) for first, cell in zip(cell_first, segs)]
 
     # one exp (and expm1) per duration, then a row per step
     decay = np.array([math.exp(-(us * 1e-6) / tau) for us in durations] + [0.0])
-    seg_decay, idle_decay = decay[seg_code][..., None, None], decay[idle_code][..., None, None]
+    seg_decay = decay[seg_code][..., None, None]
     if energy:  # a start step takes 0 us
         rise = np.array([-math.expm1(-(us * 1e-6) / tau) for us in durations + [0]])
-        seg_rise, idle_rise = rise[seg_code][..., None, None], rise[idle_code][..., None, None]
+        seg_rise = rise[seg_code][..., None, None]
         seg_dur = np.array(durations + [0])[seg_code][..., None, None] * 1e-6
 
     ok = [np.ones((n_runs, frames, m + 1), dtype=bool) if d is None
@@ -372,7 +376,6 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
     tgt = np.empty((length, n_lanes, n_runs, width))
     # a lean walk reads no target after its step, so the voltages overwrite them
     volts = tgt if trim else np.empty_like(tgt)
-    dec = np.empty(tgt.shape[:-1] + (1,))  # each step's decay, shared by every user
     samples = np.empty((n_runs, frames, slot_off[-1]))
     v = np.zeros((n_cells, n_runs, k_users))  # every output starts at 0 V
     last = np.empty((n_cells, n_runs, k_users, 2), dtype=np.intp)  # each user's fallback
@@ -382,17 +385,14 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
         r, j = divmod(f, k_users)  # the round and its training user
         p_round = p_pairs[r]
         cols = slice(j, j + 1) if trim else slice(None)
-        off = ~emits[:, f, step_pair].transpose(1, 2, 0)[..., None]  # (steps, lanes, B, 1)
         np.take(p_round[..., cols], step_pair, axis=0, out=tgt, mode="clip")
         tgt *= load
         np.sqrt(tgt, out=tgt)
-        np.copyto(tgt, 0.0, where=off | dark)
+        np.copyto(tgt, 0.0, where=dark | ~emits[:, f, step_pair].transpose(1, 2, 0)[..., None])
         tgt[cell_first, cell_lane] = v[..., cols]
-        np.copyto(dec, seg_decay)
-        np.copyto(dec, idle_decay, where=off)
         volts[0] = tgt[0]  # every lane opens with a start step
         for s in range(1, length):
-            volts[s] = settle(volts[s - 1], tgt[s], dec[s])
+            volts[s] = settle(volts[s - 1], tgt[s], seg_decay[s])
 
         ends = volts.reshape(-1, n_runs, width)[slot_end, :, 0 if trim else j].T
         samples[:, f] = ends if adc is None else adc.quantize(ends)
@@ -408,11 +408,8 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
                                           + picks[:, 1]])
         if not trim:
             v = volts[cell_last, cell_lane]
-        if energy:
-            # every step's energy at once; each cell's summed in segment order,
-            # as a walk adds them
-            energy_j = segment_energy(volts[:-1], tgt[1:], seg_dur[1:],
-                                      np.where(off[1:], idle_rise[1:], seg_rise[1:]), tau, load)
+        if energy:  # every step's energy at once, each cell's summed in segment order
+            energy_j = segment_energy(volts[:-1], tgt[1:], seg_dur[1:], seg_rise[1:], tau, load)
             frame["training_j"] = np.stack([
                 np.add.accumulate(energy_j[f0:l0, lane])[-1]
                 for lane, f0, l0 in zip(cell_lane, cell_first, cell_last)])

@@ -23,6 +23,7 @@ constant therefore yield ADC samples that misstate the steady state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,8 +174,8 @@ class RectennaConfig:
 
     def __post_init__(self):
         check_finite(self, "load_ohms", "settle_tau_s")
-        if self.load_ohms <= 0:
-            raise ValidationError("load_ohms must be > 0")
+        if self.load_ohms < sys.float_info.min:  # a subnormal load zeroes v * v / load
+            raise ValidationError(f"load_ohms must be a normal float > 0, got {self.load_ohms!r}")
         if self.settle_tau_s <= 0:
             raise ValidationError("settle_tau_s must be > 0")
 

@@ -111,12 +111,12 @@ def harvest_training(emissions, v_tgt, v, sched, link, rect):
     energy = 0.0
     v_ends = []
     for ant, n in emissions:
-        blank_us = slot_us if ant is None else _blank_us(link, n, slot_us)
+        blank_us = _blank_us(link, n, slot_us)
         if blank_us > 0:
             de, v = settling_energy(v, 0.0, blank_us * 1e-6, rect)
             energy += de
         if blank_us < slot_us:
-            de, v = settling_energy(v, float(v_tgt[ant - 1, n - 1]),
+            de, v = settling_energy(v, 0.0 if ant is None else float(v_tgt[ant - 1, n - 1]),
                                     (slot_us - blank_us) * 1e-6, rect)
             energy += de
         v_ends.append(v)

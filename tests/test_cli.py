@@ -299,6 +299,21 @@ class TestValidate:
             err = capsys.readouterr().err
             assert err.startswith("error:") and key in err
 
+    @pytest.mark.parametrize("command,pipeline", [("sweep", "protocol"), ("frame", "ideal"),
+                                                  ("tdma", "ideal")])
+    def test_rejects_a_load_whose_output_voltage_overflows(self, tmp_path, capsys, command,
+                                                           pipeline):
+        # finite powers through this load once overflowed in the settling walk,
+        # which then failed on "candidate powers must be finite", the wrong input
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[channel]\ntx_power_dbm = 3000\npath_loss_db = 0\n\n"
+                       f"[rectenna]\ncurve = {TABLE}\nload_ohms = 1e20\n\n"
+                       f"[experiment]\npipeline = {pipeline}\nrealizations = 2\nframes = 2\n")
+        assert run(["validate", "--config", str(cfg), "--quiet"], tmp_path) == 0
+        assert run([command, "--config", str(cfg), "--quiet"], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "load_ohms" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["validate", "--config", str(tmp_path / "nope.ini")], tmp_path) == 1
         assert "error" in capsys.readouterr().err

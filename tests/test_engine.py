@@ -316,6 +316,35 @@ class TestChainedWalk:
             self.assert_same(batch, alone, [field.name for field in fields(RoundBatch)])
 
 
+class TestDroppedActivation:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, k=st.integers(1, 3), rect=rects,
+           dims=st.sampled_from([(1, 1), (2, 3), (3, 5), (4, 15)]),
+           latency_s=st.sampled_from([0.0005, 0.002, 0.018, 0.02]),
+           adc=st.sampled_from([None, AdcModel(bits=12)]))
+    def test_is_a_zero_power_emission(self, seed, k, rect, dims, latency_s, adc):
+        # With no delivery phase the first round's voltages carry into the
+        # second, whose frames either lose every activation (and deliver the
+        # feedback) or deliver every message at zero power: no RF reaches a
+        # rectenna in either, so every receiver sees the same frames.
+        sched = FrameSchedule(wpt_s=0.0)
+        link = ControlLinkModel(drop_probability=0.5, latency_s=latency_s)
+        runs, (m, n) = 4, dims
+        rng = np.random.default_rng(seed)
+        p_dc = check_powers(rng.exponential(1e-5, (runs, 2, k, m, n)))
+        draws = np.ones((runs, 2 * k, m + 1))
+        draws[:, :k] = rng.random((runs, k, m + 1))
+        dropped = draws.copy()
+        dropped[:, k:, :m] = 0.0
+        silent = p_dc.copy()
+        silent[:, 1] = 0.0
+        idle, = run_rounds([p_dc], rect, sched, link, adc, [dropped])
+        zero, = run_rounds([silent], rect, sched, link, adc, [draws])
+        assert not idle.activated[:, k:].any() and zero.activated[:, k:].all()
+        for name in ("samples", "selected", "training_j", "voltage_v"):
+            assert np.array_equal(getattr(idle, name), getattr(zero, name)), name
+
+
 class TestTdmaAgainstScalarWalk:
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds, k=st.integers(1, 4), rounds=st.integers(1, 3), drop=drops,

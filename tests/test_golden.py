@@ -8,9 +8,9 @@ averages and totals, the energy budget and the validation summary, so a
 change that moves any of them fails here.
 
 The digest matrix pins more runs than a golden file each would: ``sweep``,
-``frame`` and ``tdma`` on the benchmark's three workload configs at seeds
-1-3, one sha256 per output file and per masked stdout, in
-``tests/data/golden/workloads.sha256``.
+``frame`` and ``tdma`` on the benchmark's three workload configs, and on one
+config whose late link splits slots, at seeds 1-3, one sha256 per output
+file and per masked stdout, in ``tests/data/golden/workloads.sha256``.
 
 Regenerate them only for an intended output change:
 
@@ -145,7 +145,7 @@ wpt_power_dbm = -15
 """,
 }
 
-# the benchmark's workloads (perfbench/workloads.py), copied
+# the benchmark's workloads (perfbench/workloads.py), copied, and one more config
 SWEEP_SHAPE = """\
 [channel]
 profile = model-E-NLOS
@@ -169,6 +169,20 @@ WORKLOADS = {
     "ideal-4u-table": SWEEP_SHAPE.format(grid="ieee", pipeline="ideal", users=4,
                                          realizations=60, strategies=ALL_STRATEGIES)
     + f"user_loss_db = 0, 2, 4, 6\n\n[rectenna]\ncurve = {TABLE}\n",
+    # not a benchmark workload: a 0.5 ms latency splits each antenna block's
+    # first slot, and three users over a lossy link leave rows idle in it
+    "split-3u-lossy": SWEEP_SHAPE.format(grid="uniform", pipeline="protocol", users=3,
+                                         realizations=40, strategies="joint") + """\
+frames = 60
+
+[link]
+delivery = lossy
+drop_probability = 0.3
+latency_s = 0.0005
+
+[adc]
+enabled = false
+""",
 }
 DIGESTS = GOLDEN / "workloads.sha256"
 # (workload, seed, subcommand) of every run the digests pin

@@ -379,6 +379,39 @@ class TestRunRoundsShapes:
             self.walk([], [])
 
 
+class TestLoadBound:
+    @pytest.mark.parametrize("slot_s,tau_s,latency_s", [(0.018, 0.002, 0.0),
+                                                        (0.018, 0.002, 0.005),
+                                                        (5.0, 40.0, 12.0)])
+    def test_the_largest_accepted_load_keeps_every_value_finite(self, slot_s, tau_s,
+                                                                latency_s):
+        # the walk rejects a load whose output voltage, or an energy term built
+        # from it, overflows; found by bisecting the float bit patterns
+        sched = FrameSchedule(slot_s=slot_s, wpt_s=1.0)
+        link = ControlLinkModel(latency_s=latency_s)
+        p_dc = np.array([[[[[1.0, 0.5, 0.0], [0.25, 1.0, 0.125]]]]])
+
+        def walk(bits):
+            load = float(np.int64(bits).view(np.float64))
+            return run_rounds([p_dc], RectennaConfig(load_ohms=load, settle_tau_s=tau_s),
+                              sched, link, None, [None])[0]
+
+        lo, hi = (int(np.float64(x).view(np.int64)) for x in (1.0, sys.float_info.max))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                walk(mid)
+                lo = mid
+            except ValidationError:
+                hi = mid
+        batch = walk(lo)
+        assert batch.voltage_v.max() > 1e150
+        for name in ("samples", "training_j", "wpt_j", "voltage_v"):
+            assert np.all(np.isfinite(getattr(batch, name))), name
+        with pytest.raises(ValidationError, match="load_ohms"):
+            walk(hi)
+
+
 class TestEventLogCsv:
     def test_columns_and_determinism(self):
         log = log_of(default_frame(seed=2))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +11,7 @@ from scalar_oracle import (dc_voltage, output_dc_power, settled_voltage, settlin
                            table_efficiency)
 from wptdas.errors import ValidationError
 from wptdas.experiments import dbm_to_watts
+from wptdas.protocol import run_frame
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 
 CONST_CURVE = EfficiencyCurve.from_table([-20.0], [2.44e9], [[0.25]])
@@ -347,3 +349,16 @@ class TestSettling:
             RectennaConfig(load_ohms=-1.0)
         with pytest.raises(ValidationError):
             RectennaConfig(settle_tau_s=0.0)
+
+    @pytest.mark.parametrize("load_ohms", [5e-324, 1e-320])
+    def test_rejects_a_subnormal_load(self, load_ohms):
+        # 1e-320 once passed, and a frame's training energy, v * v / load,
+        # underflowed to 0
+        with pytest.raises(ValidationError, match="load_ohms"):
+            RectennaConfig(load_ohms=load_ohms)
+
+    def test_the_smallest_normal_load_harvests_as_a_usual_one(self):
+        p_dc = np.random.default_rng(1).exponential(1e-5, (4, 15))
+        tiny, usual = (run_frame(p_dc, RectennaConfig(load_ohms=load), adc=None).training_j
+                       for load in (sys.float_info.min, 10_000.0))
+        assert tiny == pytest.approx(usual, rel=1e-6)
