@@ -199,39 +199,31 @@ def load_settings(config_path: str | None, seed_override: int | None = None) -> 
     if seed_override is not None:
         given[ExperimentConfig].update(seed=seed_override)
 
-    # the pair count needs only the grid's size, so check it before the grid exists
-    make_grid = FrequencyGrid.uniform if choices.grid == "uniform" else FrequencyGrid.ieee_plan
+    # check the pair count before any grid exists; a valid antenna set has an antenna
+    builder = FrequencyGrid.ieee_plan if choices.grid == "ieee" else FrequencyGrid.uniform
     antennas = given[ExperimentConfig].get("antenna_sweep",
                                            _default(ExperimentConfig, "antenna_sweep"))
-    if antennas and min(antennas) >= 1:
-        check_feedback_space(max(antennas),
-                             given[FrequencyGrid].get("count", _default(make_grid, "count")))
-    # a value that the choices leave unused is still checked by the object it sets
-    if choices.delivery == "ideal" and "drop_probability" in given[ControlLinkModel]:
-        ControlLinkModel(drop_probability=given[ControlLinkModel].pop("drop_probability"))
-    for target, unused in ((FrequencyGrid.uniform, choices.grid != "uniform"),
-                           (EfficiencyCurve.parametric, choices.curve != "parametric"),
-                           (AdcModel, not choices.adc)):
-        if unused and given[target]:
-            target(**given[target])
-
-    grid = make_grid(**given[make_grid], **given[FrequencyGrid])  # the plan takes only a count
-    if choices.curve == "parametric":
-        curve = EfficiencyCurve.parametric(**given[EfficiencyCurve.parametric])
-    else:
-        curve = load_efficiency_table(choices.curve)
+    check_feedback_space(max((1, *antennas)),
+                         given[FrequencyGrid].get("count", _default(builder, "count")))
+    # build every object the config sets, so each value is checked; the choices pick
+    grid = FrequencyGrid.uniform(**given[FrequencyGrid.uniform], **given[FrequencyGrid])
+    curve = EfficiencyCurve.parametric(**given[EfficiencyCurve.parametric])
+    link = ControlLinkModel(**given[ControlLinkModel])
+    adc = AdcModel(**given[AdcModel])
     experiment = ExperimentConfig(
-        profile=resolve_profile(choices.profile), grid=grid,
+        profile=resolve_profile(choices.profile),
+        grid=FrequencyGrid.ieee_plan(**given[FrequencyGrid]) if choices.grid == "ieee" else grid,
         budget=LinkBudget(**given[LinkBudget]),
-        rect=RectennaConfig(curve=curve, **given[RectennaConfig]),
+        rect=RectennaConfig(curve=curve if choices.curve == "parametric"
+                            else load_efficiency_table(choices.curve), **given[RectennaConfig]),
         **given[ExperimentConfig],
     )
 
     return Settings(
         experiment=experiment,
         sched=FrameSchedule(**given[FrameSchedule]),
-        link=ControlLinkModel(**given[ControlLinkModel]),
-        adc=AdcModel(**given[AdcModel]) if choices.adc else None,
+        link=link if choices.delivery == "lossy" else ControlLinkModel(latency_s=link.latency_s),
+        adc=adc if choices.adc else None,
         consumption=ReceiverConsumption(**given[ReceiverConsumption]),
         tx_consumption=TransmitterConsumption(**given[TransmitterConsumption]),
         report_powers=given[power_budget_report],

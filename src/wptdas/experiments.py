@@ -401,9 +401,12 @@ def _sweep_rows(cfg: ExperimentConfig, protocol: tuple | None, jobs: int) -> lis
             if users > 1:
                 values[:, users, r0:r1] = stacked.sum(axis=2)
     series = values.reshape(-1, r_total)
-    mean = series.mean(axis=1)
-    stderr = (np.std(series, axis=1, ddof=1) / math.sqrt(r_total) if r_total > 1
-              else np.zeros_like(mean))
+    # a row past 2**480 is scaled down to it by an exact power of two: no square overflows
+    shift = np.maximum(np.frexp(series.max(axis=1))[1] - 480, 0)
+    np.ldexp(series, -shift[:, None], out=series)
+    mean = np.ldexp(series.mean(axis=1), shift)
+    stderr = (np.ldexp(np.std(series, axis=1, ddof=1) / math.sqrt(r_total), shift)
+              if r_total > 1 else np.zeros_like(mean))
     labels = [(m, k, s, u) for m, k, s in cells for u in ids]
     return [ResultRow(*label, a, e)
             for label, a, e in zip(labels, mean.tolist(), stderr.tolist(), strict=True)]

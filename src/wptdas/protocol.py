@@ -27,13 +27,14 @@ rest (0 V, no earlier pair), and the engine alone carries each output
 voltage and each user's fallback pair from frame to frame. A walk may
 hold several cells (candidate-matrix shapes) side by side in lanes: each
 cell's frame is a start step, which loads the cell's own voltage, then one
-settling step per segment, and every lane steps at once. Each cell gets
-its own :class:`RoundBatch` of views into the walk's arrays; the training
-and delivery energies are None when the caller skips them, and then only
-the training user's column is stepped unless delivery is fully blanked. A
-batch is the result of every caller, each of which makes one call: the
-protocol sweep walks all its cells over all realizations without the
-energies, :func:`wptdas.experiments.run_tdma` walks all its rounds and
+settling step per segment, the delivery phase's blanked head last, and
+every lane steps at once. Each cell gets its own :class:`RoundBatch` of
+views into the walk's arrays; the training and delivery energies are None
+when the caller skips them, and then only the training user's column is
+stepped unless delivery is fully blanked. A batch is the result of every
+caller, each of which makes one call: the protocol sweep walks all its
+cells over all realizations without the energies,
+:func:`wptdas.experiments.run_tdma` walks all its rounds and
 :func:`run_frame` one frame. Event logs are built only on request, from
 the batch's arrays (:func:`frame_log`, written by :func:`write_events`).
 """
@@ -202,21 +203,22 @@ def _blank_us(link: ControlLinkModel, n_total: int, slot_us: int) -> list:
     return [min(max(link.latency_us - n * slot_us, 0), slot_us) for n in range(n_total)]
 
 
-def _segments(m_total: int, blank: list, slot_us: int) -> list:
-    """The settling segments of a cell of ``m_total`` antennas in slot order,
-    as (slot, us, head), given each frequency's blanked head (:func:`_blank_us`).
+def _segments(m_total: int, blank: list, slot_us: int, wpt_blank: int) -> list:
+    """A frame's settling segments for ``m_total`` antennas in time order, as
+    (slot, us, head), given each frequency's blanked head (:func:`_blank_us`).
 
     One per slot, except that a slot whose head is blanked splits in two for
     every row: toward 0 over the head, then toward the row's target, which
     is 0 where the transmitter is idle. A slot ends with its one segment
-    that is not a head.
+    that is not a head. Last comes the delivery phase's head of ``wpt_blank``
+    us, dark and ending no slot; at 0 us it holds the voltage.
     """
     segs = []
     for s in range(m_total * len(blank)):
         head = blank[s % len(blank)]
         segs += ([(s, head, True), (s, slot_us - head, False)]
                  if 0 < head < slot_us else [(s, slot_us, False)])
-    return segs
+    return segs + [(0, wpt_blank, True)]
 
 
 def _pack_lanes(steps: list) -> tuple[int, list]:
@@ -285,13 +287,16 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
 
     Each cell's frame is a run of settling steps: a start step, which loads
     the cell's voltage (decay 0, target v: ``v + (0 - v) * 0 == v``), then
-    one step per segment (:func:`_segments`). A step's decay depends only on
-    its duration; whether the transmitter emits sets only each row's target,
-    so a dropped activation is a zero-power emission. The cells are packed
-    side by side into lanes as long as the longest cell's run
+    one step per segment (:func:`_segments`), the last the delivery phase's
+    head, dark until the feedback takes effect. A step's decay depends only
+    on its duration; whether the transmitter emits sets only each row's
+    target, so a dropped activation is a zero-power emission. The cells are
+    packed side by side into lanes as long as the longest cell's run
     (:func:`_pack_lanes`), and a lane's unused tail holds its voltage (decay
-    1, target 0). Each frame steps every lane at once through the steps,
-    then takes the energies cell by cell; each element meets the same float
+    1, target 0). Each frame steps every lane at once, then takes every
+    step's energy in one pass: a cell's training energy sums its steps
+    before the head, its delivery energy is the head's plus the served
+    power over the rest of the phase. Each element meets the same float
     operations, in the same order, as a walk of one receiver through one
     frame of one cell. When the walk skips the energies and delivery is not
     fully blanked, every frame-end voltage is the served pair's steady
@@ -321,17 +326,17 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
     if not p_max * load * 4.0 * (1.0 + slot_us * 1e-6 + tau) < math.inf:
         raise ValidationError(f"load_ohms = {load!r} overflows the output voltage "
                               f"sqrt(p * load) at p = {p_max!r} W")
-    wpt_blank = min(link.latency_us, wpt_us)
+    wpt_blank = _blank_us(link, 1, wpt_us)[0]
     trim = not energy and wpt_us > wpt_blank  # walk only the training user's column
 
     # The step tables, (steps, lanes): the pair (and slot) each step settles
     # toward, its duration's code, and whether its target is 0 whatever is
     # emitted (heads, start steps and tails).
     blanks = {n: _blank_us(link, n, slot_us) for _, n in shapes}
-    segs = [_segments(m, blanks[n], slot_us) for m, n in shapes]
+    segs = [_segments(m, blanks[n], slot_us, wpt_blank) for m, n in shapes]
     n_lanes, place = _pack_lanes([len(cell) + 1 for cell in segs])
     length = max(len(cell) for cell in segs) + 1
-    durations = sorted({us for cell in segs for _, us, _ in cell} | {0, wpt_blank})
+    durations = sorted({us for cell in segs for _, us, _ in cell} | {0})
     code = {us: i for i, us in enumerate(durations)}
     start = len(durations)  # the start step's decay, 0
     table = [(0, code[0], True)] * (length * n_lanes)  # a tail holds
@@ -349,8 +354,8 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
         antenna0 += m_total
     step_pair, seg_code, dark = np.array(table).reshape(length, n_lanes, 3).transpose(2, 0, 1)
     dark = dark.astype(bool)[..., None, None]
-    cell_lane, cell_first = map(list, zip(*place))
-    cell_last = [first + len(cell) for first, cell in zip(cell_first, segs)]
+    cell_lane, cell_first = np.array(place).T
+    cell_last = cell_first + [len(cell) for cell in segs]  # each cell's delivery head
 
     # one exp (and expm1) per duration, then a row per step
     decay = np.array([math.exp(-(us * 1e-6) / tau) for us in durations] + [0.0])
@@ -408,16 +413,13 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
                                           + picks[:, 1]])
         if not trim:
             v = volts[cell_last, cell_lane]
-        if energy:  # every step's energy at once, each cell's summed in segment order
+        if energy:  # every step's energy at once, each cell's training summed in order
             energy_j = segment_energy(volts[:-1], tgt[1:], seg_dur[1:], seg_rise[1:], tau, load)
             frame["training_j"] = np.stack([
-                np.add.accumulate(energy_j[f0:l0, lane])[-1]
+                np.add.accumulate(energy_j[f0:l0 - 1, lane])[-1]
                 for lane, f0, l0 in zip(cell_lane, cell_first, cell_last)])
-            de = 0.0 if wpt_blank == 0 else segment_energy(
-                v, 0.0, wpt_blank * 1e-6, rise[code[wpt_blank]], tau, load)
-            frame["wpt_j"] = de + served_w * (wpt_us - wpt_blank) * 1e-6
-        if wpt_blank > 0 and not trim:
-            v = settle(v, 0.0, decay[code[wpt_blank]])
+            frame["wpt_j"] = (energy_j[cell_last - 1, cell_lane]
+                              + served_w * (wpt_us - wpt_blank) * 1e-6)
         if wpt_us > wpt_blank:
             v = np.sqrt(served_w * load)
         frame["voltage_v"] = v

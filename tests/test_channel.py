@@ -44,6 +44,10 @@ class TestTapProfile:
         with pytest.raises(ValidationError):
             TapProfile("bad", [10e-9, 0.0], [0.5, 0.5])
 
+    def test_rejects_a_negative_first_delay(self):
+        with pytest.raises(ValidationError, match="first tap delay"):
+            TapProfile("bad", [-1e-9, 10e-9], [0.5, 0.5])
+
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValidationError):
             TapProfile("bad", [0.0, 10e-9], [1.0, 0.0])
@@ -100,6 +104,18 @@ class TestTapProfile:
     def test_unknown_builtin(self):
         with pytest.raises(ValidationError):
             builtin_profile("no-such-profile")
+
+
+class TestChannelRealization:
+    @pytest.mark.parametrize("gains", [[0.5, 0.5], [[0.5, 0.5, 0.5]]], ids=["1-D", "taps"])
+    def test_rejects_gains_of_the_wrong_shape(self, gains):
+        with pytest.raises(ValidationError, match="num_antennas, num_taps"):
+            ChannelRealization([0.0, 10e-9], gains)
+
+    @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(0.0, math.nan)])
+    def test_rejects_non_finite_gains(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            ChannelRealization([0.0, 10e-9], [[0.5, bad]])
 
 
 class TestSampleChannel:

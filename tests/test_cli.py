@@ -1,5 +1,7 @@
 import configparser
+import math
 import os
+import statistics
 import subprocess
 import sys
 import warnings
@@ -9,7 +11,7 @@ import pytest
 
 from wptdas import cli
 from wptdas.cli import load_settings, main
-from wptdas.experiments import _dc_tensor
+from wptdas.experiments import _block_values, _dc_tensor
 
 TABLE = (Path(__file__).resolve().parents[1] / "src" / "wptdas" / "data"
          / "efficiency-table-sample.txt")
@@ -160,6 +162,22 @@ class TestSweep:
         cfg.write_text(SWEEP_CONFIG + "\n[rectenna]\nrise_slope = 4000\n")
         assert run(["sweep", "--config", str(cfg), "--quiet"], tmp_path) == 0
         assert len((tmp_path / "sweep_results.csv").read_text().splitlines()) == 5 + 4 * 4
+
+    def test_huge_finite_powers_give_finite_standard_errors(self, tmp_path):
+        # np.std once squared these powers past the float range and wrote inf
+        # in every stderr cell; the overflow warning is an error here
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text(f"[channel]\ntx_power_dbm = 3000\npath_loss_db = 0\n\n"
+                       f"[rectenna]\ncurve = {TABLE}\n\n[experiment]\nrealizations = 4\n")
+        assert run(["sweep", "--config", str(cfg), "--quiet"], tmp_path) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "sweep_results.csv").read_text().splitlines()
+                if ln[:1].isdigit()]
+        assert len(rows) == 64
+        values = _block_values(load_settings(str(cfg)).experiment, None, 0, 4)
+        for m, n, strategy, _user, mean, stderr, _r, _seed in rows:
+            series = values[int(m), int(n), strategy][:, 0].tolist()
+            assert float(mean) > 1e293 and math.isfinite(float(stderr))
+            assert float(stderr) == pytest.approx(statistics.stdev(series) / 2, rel=1e-10)
 
 
 class TestTdma:
@@ -314,6 +332,15 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "load_ohms" in err
 
+    def test_rejects_a_negative_first_tap_delay(self, tmp_path, capsys):
+        pdp = tmp_path / "p.pdp"
+        pdp.write_text("-5 0\n10 -3\n")
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[channel]\nprofile = {pdp}\n")
+        assert run(["validate", "--config", str(cfg)], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "first tap delay" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["validate", "--config", str(tmp_path / "nope.ini")], tmp_path) == 1
         assert "error" in capsys.readouterr().err
@@ -416,3 +443,73 @@ def test_importing_the_cli_loads_no_process_pool(tmp_path):
                          env=env, check=True).stdout
     assert out.splitlines() == ["[]", "[]"]
     assert (tmp_path / "sweep_results.csv").exists()
+
+
+# Every simulation output names its config's hash on a "# config=" line, so
+# two runs whose bodies differ must differ there too. Each _SCHEMA key is set
+# alone to another valid value on a small two-user lossy base config, and
+# every run that writes a hash is compared with the base's. budget.txt has no
+# hash (only simulation outputs carry one), so budget is not run, and the
+# keys that only the budget reads change no body here.
+PRINT_BASE = {
+    "channel": {"frequencies": "5"},
+    "rectenna": {"peak_dbm": "-30", "breakdown_dbm": "-25"},  # the breakdown bites
+    "experiment": {"users": "2", "realizations": "3", "frames": "4",
+                   "antenna_sweep": "1, 2", "frequency_sweep": "1, 3"},
+    "link": {"delivery": "lossy", "drop_probability": "0.1", "latency_s": "0.002"},
+}
+PRINT_VALUES = {
+    "channel": {"profile": "single-tap-flat", "grid": "ieee", "center_mhz": "2450",
+                "bandwidth_mhz": "50", "frequencies": "4", "tx_power_dbm": "33",
+                "path_loss_db": "55", "tx_gain_dbi": "2", "rx_gain_dbi": "2"},
+    "rectenna": {"curve": str(TABLE), "eta_peak": "0.5", "peak_dbm": "-35", "rise_slope": "0.2",
+                 "breakdown_dbm": "-20", "breakdown_slope": "2", "load_ohms": "5000",
+                 "settle_tau_s": "0.004"},
+    "schedule": {"slot_s": "0.01", "wpt_s": "1.5"},
+    "link": {"delivery": "ideal", "drop_probability": "0.4", "latency_s": "0.005"},
+    "adc": {"enabled": "false", "bits": "8", "vref": "2.5"},
+    "experiment": {"realizations": "4", "seed": "9", "users": "3", "antenna_sweep": "1, 3",
+                   "frequency_sweep": "1, 5", "strategies": "joint, none",
+                   "user_loss_db": "0, 3", "pipeline": "protocol", "frames": "5"},
+    "consumption": {"soc_power_dbm": "-20", "radio_power_dbm": "10", "bitrate_bps": "1e6",
+                    "pa_supply_dbm": "45"},
+    "budget": {"train_power_dbm": "-25", "wpt_power_dbm": "-15"},
+}
+PRINT_RUNS = {"ideal": ("sweep", "sweep_results.csv"), "protocol": ("sweep", "sweep_results.csv"),
+              "frame": ("frame", "frame_events.csv"), "tdma": ("tdma", "tdma_trace.csv")}
+
+
+def test_every_key_that_changes_an_output_changes_its_config_hash(tmp_path):
+    assert {s: set(keys) for s, keys in PRINT_VALUES.items()} == \
+        {s: set(keys) for s, keys in cli._SCHEMA.items()}
+
+    def outputs(section=None, key=None):
+        """{run: (config line, body)} of every hashed run, with ``key`` changed."""
+        got = {}
+        for name, (command, filename) in PRINT_RUNS.items():
+            ini = configparser.ConfigParser()
+            ini.read_dict(PRINT_BASE)
+            if command == "sweep":
+                ini.read_dict({"experiment": {"pipeline": name}})
+            if key is not None:
+                ini.read_dict({section: {key: PRINT_VALUES[section][key]}})
+            with open(tmp_path / "print.ini", "w", encoding="utf-8") as fh:
+                ini.write(fh)
+            out = tmp_path / "out"
+            assert run([command, "--config", str(tmp_path / "print.ini"), "--quiet"], out) == 0
+            lines = (out / filename).read_text().splitlines()
+            config, = [ln for ln in lines if ln.startswith("# config=")]
+            got[name] = config, [ln for ln in lines if not ln.startswith("#")]
+        return got
+
+    base = outputs()
+    silent = set()
+    for section, keys in cli._SCHEMA.items():
+        for key in keys:
+            changed = outputs(section, key)
+            moved = [name for name in PRINT_RUNS if changed[name][1] != base[name][1]]
+            for name in moved:
+                assert changed[name][0] != base[name][0], (section, key, name)
+            if not moved:
+                silent.add((section, key))
+    assert silent == {(s, key) for s in ("consumption", "budget") for key in cli._SCHEMA[s]}

@@ -90,6 +90,12 @@ class TestRunSweep:
         values = {res.get(1, 1, s).avg_pdc_w for s in cfg.strategies}
         assert len(values) == 1
 
+    def test_get_rejects_a_missing_row(self):
+        res = run_sweep(small_cfg(antenna_sweep=(1,), frequency_sweep=(1,), realizations=2))
+        assert res.get(1, 1, "joint").m == 1
+        with pytest.raises(KeyError):
+            res.get(2, 1, "joint")
+
     def test_antenna_selection_gain_matches_order_statistics(self):
         # flat fading + constant efficiency: selection gain over M antennas
         # is the expected maximum of M unit-mean exponentials, H_M
@@ -493,14 +499,16 @@ class TestLanePacking:
         assert _pack_lanes([7]) == (1, [(0, 0)])
 
     @pytest.mark.parametrize("link, lanes, length", [
-        (ControlLinkModel(drop_probability=0.1, latency_s=0.002), 5, 65),
-        (ControlLinkModel(), 5, 61)])
+        (ControlLinkModel(drop_probability=0.1, latency_s=0.002), 5, 66),
+        (ControlLinkModel(), 5, 62)])
     def test_the_default_sweep_packs_into_five_lanes(self, link, lanes, length):
         # antenna sets 1..4 x frequency sets 1/3/5/15, the benchmark's sweep
         # too: a start step, then one step per slot, plus one per antenna block
-        # whose first slot a 2 ms latency splits
-        slot_us = FrameSchedule().slot_us
-        steps = [len(_segments(m, _blank_us(link, k, slot_us), slot_us)) + 1
+        # whose first slot a 2 ms latency splits, then the delivery head
+        sched = FrameSchedule()
+        wpt_blank = _blank_us(link, 1, sched.wpt_us)[0]
+        steps = [len(_segments(m, _blank_us(link, k, sched.slot_us), sched.slot_us,
+                               wpt_blank)) + 1
                  for m, k, _cols in _sweep_cells(small_cfg())]
         assert len(steps) == 16
         n_lanes, _place = _pack_lanes(steps)

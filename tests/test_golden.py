@@ -8,8 +8,9 @@ averages and totals, the energy budget and the validation summary, so a
 change that moves any of them fails here.
 
 The digest matrix pins more runs than a golden file each would: ``sweep``,
-``frame`` and ``tdma`` on the benchmark's three workload configs, and on one
-config whose late link splits slots, at seeds 1-3, one sha256 per output
+``frame`` and ``tdma`` on the benchmark's three workload configs, on one
+config whose late link splits slots, one whose feedback lands after delivery
+ends and one with no delivery phase, at seeds 1-3, one sha256 per output
 file and per masked stdout, in ``tests/data/golden/workloads.sha256``.
 
 Regenerate them only for an intended output change:
@@ -179,6 +180,39 @@ frames = 60
 delivery = lossy
 drop_probability = 0.3
 latency_s = 0.0005
+
+[adc]
+enabled = false
+""",
+    # not a benchmark workload: the feedback lands after a 40 ms delivery phase
+    # ends, and the latency blanks two whole slots and the start of a third
+    "dark-2u-late": SWEEP_SHAPE.format(grid="uniform", pipeline="protocol", users=2,
+                                       realizations=40, strategies="joint") + """\
+frames = 60
+
+[schedule]
+wpt_s = 0.04
+
+[link]
+delivery = lossy
+drop_probability = 0.2
+latency_s = 0.05
+
+[adc]
+enabled = true
+""",
+    # not a benchmark workload: frames with no delivery phase at all
+    "nowpt-2u": SWEEP_SHAPE.format(grid="uniform", pipeline="protocol", users=2,
+                                   realizations=40, strategies="joint") + """\
+frames = 60
+
+[schedule]
+wpt_s = 0
+
+[link]
+delivery = lossy
+drop_probability = 0.3
+latency_s = 0.002
 
 [adc]
 enabled = false

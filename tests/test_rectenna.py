@@ -24,6 +24,16 @@ def shipped_table() -> EfficiencyCurve:
         return load_efficiency_table(path)
 
 
+class TestCurveChecks:
+    def test_rejects_a_table_whose_shape_does_not_match_its_axes(self):
+        with pytest.raises(ValidationError, match=r"len\(power_axis\), len\(freq_axis\)"):
+            EfficiencyCurve.from_table([-20.0, 0.0], [2.44e9], [[0.1, 0.2]])
+
+    def test_rejects_an_unknown_source(self):
+        with pytest.raises(ValidationError, match="unknown curve source 'spline'"):
+            EfficiencyCurve("spline")
+
+
 class TestEfficiency:
     def test_zero_input_zero_efficiency(self):
         assert EfficiencyCurve.parametric().efficiency(0.0, 2.44e9) == 0.0
