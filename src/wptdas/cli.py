@@ -29,7 +29,6 @@ from .experiments import (
     SWEEP_BLOCK,
     ExperimentConfig,
     ReceiverConsumption,
-    TransmitterConsumption,
     _dc_tensor,
     dbm_to_watts,
     power_budget_report,
@@ -66,8 +65,7 @@ class Settings:
     link: ControlLinkModel
     adc: AdcModel | None
     consumption: ReceiverConsumption
-    tx_consumption: TransmitterConsumption
-    report_powers: dict  # the phase powers of power_budget_report the config sets
+    report_powers: dict  # the powers of power_budget_report the config sets
     pipeline: str = "ideal"
     frames: int = 10  # tdma subcommand only
 
@@ -155,7 +153,7 @@ _SCHEMA = {
         "soc_power_dbm": (ReceiverConsumption, "soc_power_w", _dbm),
         "radio_power_dbm": (ReceiverConsumption, "radio_power_w", _dbm),
         "bitrate_bps": (ReceiverConsumption, "radio_bitrate_bps", _float),
-        "pa_supply_dbm": (TransmitterConsumption, "pa_supply_w", _dbm),
+        "pa_supply_dbm": (power_budget_report, "pa_supply_w", _dbm),
     },
     "budget": {
         "train_power_dbm": (power_budget_report, "train_avg_power_w", _dbm),
@@ -225,7 +223,6 @@ def load_settings(config_path: str | None, seed_override: int | None = None) -> 
         link=link if choices.delivery == "lossy" else ControlLinkModel(latency_s=link.latency_s),
         adc=adc if choices.adc else None,
         consumption=ReceiverConsumption(**given[ReceiverConsumption]),
-        tx_consumption=TransmitterConsumption(**given[TransmitterConsumption]),
         report_powers=given[power_budget_report],
         **given[Settings],
     )
@@ -250,14 +247,13 @@ def _header_lines(seed: int, config_hash: str | None = None) -> str:
 
 def _budget_report(st: Settings) -> str:
     cfg = st.experiment
-    return power_budget_report(sched=st.sched, consumption=st.consumption, tx=st.tx_consumption,
+    return power_budget_report(sched=st.sched, consumption=st.consumption,
                                dims=(cfg.max_antennas, cfg.grid.count), **st.report_powers)[1]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, st: Settings) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
-    st = load_settings(args.config, args.seed)
     if st.pipeline == "protocol":
         result = run_protocol_experiment(st.experiment, st.sched, st.link, st.adc, args.jobs)
     else:
@@ -269,8 +265,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_frame(args) -> int:
-    st = load_settings(args.config, args.seed)
+def cmd_frame(args, st: Settings) -> int:
     cfg = st.experiment
     # user 1 of realization 0, the draw the sweeps start from
     batch = run_frame(_dc_tensor(cfg, 0, 1)[0, 0], cfg.rect, sched=st.sched, link=st.link,
@@ -289,8 +284,7 @@ def cmd_frame(args) -> int:
     return 0
 
 
-def cmd_tdma(args) -> int:
-    st = load_settings(args.config, args.seed)
+def cmd_tdma(args, st: Settings) -> int:
     cfg = st.experiment
     result = run_tdma(cfg, st.frames, sched=st.sched, link=st.link, adc=st.adc)
     config_hash = protocol_fingerprint(cfg, st.sched, st.link, st.adc, (st.frames,))
@@ -304,8 +298,7 @@ def cmd_tdma(args) -> int:
     return 0
 
 
-def cmd_budget(args) -> int:
-    st = load_settings(args.config, args.seed)
+def cmd_budget(args, st: Settings) -> int:
     report = _budget_report(st)
     with _create(args, "budget.txt") as fh:
         fh.write(_header_lines(st.experiment.seed))
@@ -314,8 +307,7 @@ def cmd_budget(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    st = load_settings(args.config, args.seed)
+def cmd_validate(args, st: Settings) -> int:
     # touch the pieces every subcommand builds so acceptance = constructibility
     _budget_report(st)
     cfg = st.experiment
@@ -358,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValidationError, configparser.Error, OSError) as exc:
+        return args.func(args, load_settings(args.config, args.seed))
+    except (ValidationError, configparser.Error, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -56,6 +56,7 @@ TRACE_COLUMNS = "frame,user,active_flag,antenna,frequency,p_dc_watts,energy_joul
 SUM_USER = 0  # user id used for multi-user sum rows
 DC_BLOCK_DRAWS = 64  # (draw, user) pairs per dc-power call, or U if more: bounds its temporaries
 SWEEP_BLOCK = 1024  # realizations per block of a sweep: bounds its working memory
+TX_RADIO_W, TX_SOC_W = 0.048, 2.6e-6  # the transmitter's 802.15.4 radio and controller
 
 
 def dbm_to_watts(x_dbm):
@@ -465,22 +466,6 @@ class ReceiverConsumption:
 
 
 @dataclass(frozen=True)
-class TransmitterConsumption:
-    """Transmitter-side draw, reported alongside the receiver budget."""
-
-    pa_supply_w: float = 84.0  # 28 V rail at 3 A
-    radio_power_w: float = 0.048
-    soc_power_w: float = 2.6e-6
-
-    def __post_init__(self):
-        check_finite(self, "pa_supply_w", "radio_power_w", "soc_power_w", low=0)
-
-    @property
-    def total_w(self) -> float:
-        return self.pa_supply_w + self.radio_power_w + self.soc_power_w
-
-
-@dataclass(frozen=True)
 class EnergyBudget:
     """Per-frame receiver energy ledger."""
 
@@ -499,12 +484,15 @@ def power_budget_report(train_avg_power_w: float = 3.9e-6,
                         wpt_avg_power_w: float = 20.4e-6,
                         sched: FrameSchedule = FrameSchedule(),
                         consumption: ReceiverConsumption = ReceiverConsumption(),
-                        tx: TransmitterConsumption = TransmitterConsumption(),
+                        pa_supply_w: float = 84.0,
                         dims: tuple[int, int] = (4, 15)) -> tuple[EnergyBudget, str]:
     """Per-frame energy ledger from phase-average powers, plus a report. A frame
     of ``dims`` (antennas, frequencies) trains one slot per pair and sends one
-    control byte per antenna activation, then the feedback byte."""
-    powers = dict(train_avg_power_w=train_avg_power_w, wpt_avg_power_w=wpt_avg_power_w)
+    control byte per antenna activation, then the feedback byte. The report
+    ends with the transmitter's draw: ``pa_supply_w`` for the amplifier (a 28 V
+    rail at 3 A by default) plus its radio and controller."""
+    powers = dict(train_avg_power_w=train_avg_power_w, wpt_avg_power_w=wpt_avg_power_w,
+                  pa_supply_w=pa_supply_w)
     check_finite(powers, *powers, low=0)
     m_total, n_total = (check_integer("dims", x, low=1) for x in dims)
     slots, bytes_sent = m_total * n_total, control_bytes(m_total)
@@ -534,7 +522,7 @@ def power_budget_report(train_avg_power_w: float = 3.9e-6,
         f"net        {b.e_net_j * uj:.3f} uJ",
         f"efficiency {b.efficiency * 100:.1f} %" if not math.isnan(b.efficiency)
         else "efficiency n/a (no harvest)",
-        f"transmitter draw {tx.total_w:.6f} W (amplifier {tx.pa_supply_w:g} W "
-        f"+ radio {tx.radio_power_w * 1e3:g} mW + controller {tx.soc_power_w * 1e6:g} uW)",
+        f"transmitter draw {pa_supply_w + TX_RADIO_W + TX_SOC_W:.6f} W (amplifier "
+        f"{pa_supply_w:g} W + radio {TX_RADIO_W * 1e3:g} mW + controller {TX_SOC_W * 1e6:g} uW)",
     ]
     return b, "\n".join(lines)

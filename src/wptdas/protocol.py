@@ -411,8 +411,6 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
         frame = dict(selected=selected, applied=applied, served_w=served_w,
                      selected_w=sampled_w[rows, slot_off[:-1, None] + picks[:, 0] * n_cols
                                           + picks[:, 1]])
-        if not trim:
-            v = volts[cell_last, cell_lane]
         if energy:  # every step's energy at once, each cell's training summed in order
             energy_j = segment_energy(volts[:-1], tgt[1:], seg_dur[1:], seg_rise[1:], tau, load)
             frame["training_j"] = np.stack([
@@ -420,8 +418,7 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
                 for lane, f0, l0 in zip(cell_lane, cell_first, cell_last)])
             frame["wpt_j"] = (energy_j[cell_last - 1, cell_lane]
                               + served_w * (wpt_us - wpt_blank) * 1e-6)
-        if wpt_us > wpt_blank:
-            v = np.sqrt(served_w * load)
+        v = np.sqrt(served_w * load) if wpt_us > wpt_blank else volts[cell_last, cell_lane]
         frame["voltage_v"] = v
         for key, value in frame.items():
             if key not in out:

@@ -341,6 +341,16 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "first tap delay" in err
 
+    @pytest.mark.parametrize("command,key", [("tdma", "frames"), ("tdma", "users"),
+                                             ("frame", "users")])
+    def test_a_count_too_large_to_allocate_fails_cleanly(self, tmp_path, capsys, command, key):
+        # arrays of PiB, which numpy refuses at once; these once ended in a traceback
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text(f"[experiment]\n{key} = {10 ** 15}\n")
+        assert run([command, "--config", str(cfg), "--quiet"], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["validate", "--config", str(tmp_path / "nope.ini")], tmp_path) == 1
         assert "error" in capsys.readouterr().err

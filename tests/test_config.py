@@ -15,8 +15,7 @@ import wptdas
 from wptdas.cli import _SCHEMA, load_settings, main
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile
 from wptdas.errors import FeedbackCapacityError, ValidationError
-from wptdas.experiments import (ExperimentConfig, ReceiverConsumption, TransmitterConsumption,
-                                power_budget_report)
+from wptdas.experiments import ExperimentConfig, ReceiverConsumption, power_budget_report
 from wptdas.protocol import DEFAULT_ADC, AdcModel, ControlLinkModel, FrameSchedule
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 
@@ -101,13 +100,13 @@ def write(tmp_path, text: str, name: str = "cfg.ini") -> str:
 def resolved(st) -> tuple:
     """Everything a Settings holds, in a form that compares with ==."""
     return (st.experiment.fingerprint(), st.sched, st.link, st.adc, st.consumption,
-            st.tx_consumption, st.report_powers, st.pipeline, st.frames)
+            st.report_powers, st.pipeline, st.frames)
 
 
 def budget_of(st):
     dims = (st.experiment.max_antennas, st.experiment.grid.count)
-    return power_budget_report(sched=st.sched, consumption=st.consumption,
-                               tx=st.tx_consumption, dims=dims, **st.report_powers)
+    return power_budget_report(sched=st.sched, consumption=st.consumption, dims=dims,
+                               **st.report_powers)
 
 
 class TestSchema:
@@ -117,7 +116,6 @@ class TestSchema:
         assert st.link == ControlLinkModel()
         assert st.adc == DEFAULT_ADC
         assert st.consumption == ReceiverConsumption()
-        assert st.tx_consumption == TransmitterConsumption()
         assert st.experiment.fingerprint() == "ea1af8e37eab7b14"
         assert budget_of(st) == power_budget_report()
 
@@ -208,9 +206,7 @@ class TestBadValues:
           for name in ("soc_power_w", "radio_power_w", "radio_bitrate_bps")
           for bad in (math.nan, math.inf, "1")],
         *[(ReceiverConsumption, name, -1.0) for name in ("soc_power_w", "radio_power_w")],
-        *[(TransmitterConsumption, name, bad)
-          for name in ("pa_supply_w", "radio_power_w", "soc_power_w")
-          for bad in (math.nan, math.inf, "1", -84.0)],
+        *[(power_budget_report, "pa_supply_w", bad) for bad in (math.nan, math.inf, "1", -84.0)],
         (FrameSchedule, "slot_s", "0.018"), (FrameSchedule, "wpt_s", True),
         (ControlLinkModel, "drop_probability", True), (ControlLinkModel, "drop_probability", "0.1"),
         (AdcModel, "bits", 12.5), (AdcModel, "bits", True), (AdcModel, "v_ref", "3.3"),
@@ -249,7 +245,7 @@ class TestReadme:
         assert resolved(doc)[:4] == resolved(std)[:4]
         # dBm values in the example are rounded to 0.001 dB
         assert budget_of(doc)[0].e_net_j == pytest.approx(budget_of(std)[0].e_net_j, rel=1e-3)
-        assert doc.tx_consumption.total_w == pytest.approx(std.tx_consumption.total_w, rel=1e-3)
+        assert doc.report_powers["pa_supply_w"] == pytest.approx(84.0, rel=1e-3)
 
     def test_library_example_runs(self, capsys):
         block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)

@@ -14,7 +14,6 @@ from wptdas.experiments import (
     SUM_USER,
     ExperimentConfig,
     ReceiverConsumption,
-    TransmitterConsumption,
     dbm_to_watts,
     nested_frequency_indices,
     _block_values,
@@ -320,8 +319,7 @@ class TestPowerBudgetReport:
         assert "net" in report
 
     def test_transmitter_totals(self):
-        tx = TransmitterConsumption()
-        assert tx.total_w == pytest.approx(84.0480026, rel=1e-9)
+        assert "transmitter draw 31.670779 W" in power_budget_report(pa_supply_w=10 ** 1.5)[1]
 
     def test_rejects_negative_powers(self):
         for field in ("train_avg_power_w", "wpt_avg_power_w"):
@@ -432,6 +430,26 @@ class TestBatchedSweep:
         assert small_cfg(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
+def pair_maximum_mean(mp, rho: float, m: int):
+    """E[max] of m i.i.d. pairs of unit exponentials with power correlation
+    ``rho``, with the mpmath module ``mp``: the integral of 1 - F(y)^m, where
+    1 - F(y) = (1 - rho) sum_k rho^k (1 - P(k + 1, b)^2) at b = y / (1 - rho)
+    is the tail of Kibble's bivariate exponential, P the regularized lower
+    incomplete gamma function."""
+    def tail(y):
+        b = y / (1 - rho)
+        term = upper = mp.exp(-b)  # e^-b b^k / k! and 1 - P(k + 1, b)
+        total, weight, k = 0, mp.mpf(1), 0
+        while weight > mp.eps:
+            total += weight * upper * (2 - upper)
+            k += 1
+            term *= b / k
+            upper += term
+            weight *= rho
+        return (1 - rho) * total
+    return mp.quad(lambda y: -mp.expm1(m * mp.log1p(-tail(y))), [0, mp.inf])
+
+
 class TestFrequencyDiversity:
     # Two frequencies df apart on two equal taps 50 ns apart: |H|^2 at each is
     # a unit exponential, with power correlation rho = cos^2(pi df 50 ns).
@@ -466,6 +484,33 @@ class TestFrequencyDiversity:
             ratio = res.get(m, 2, "joint").avg_pdc_w / res.get(m, 2, "none").avg_pdc_w
             harmonic = sum(1.0 / i for i in range(1, 2 * m + 1))
             assert ratio == pytest.approx(harmonic, rel=0.03), m  # as c06
+
+    # E[max] over M antennas x 2 frequencies at rho > 0 is the integral over
+    # y >= 0 of 1 - F(y)^M, F the joint cdf of one antenna's correlated pair,
+    # for M = 2, 3, 4 (pair_maximum_mean re-derives the 25 and 75 MHz values);
+    # M = 1 is the dual-selection closed form above
+    JOINT_CASES = [(2e6, 0.9045, (1.692756, 2.046479, 2.309967)),
+                   (25e6, 0.5, (1.923620, 2.290238, 2.560804)),
+                   (75e6, 0.5, (1.923620, 2.290238, 2.560804))]
+
+    @pytest.mark.parametrize("df_hz, rho, gains", JOINT_CASES,
+                             ids=[f"{df / 1e6:g}MHz" for df, _, _ in JOINT_CASES])
+    def test_joint_selection_gain_matches_the_correlated_pair_maxima(self, df_hz, rho, gains):
+        cfg = ExperimentConfig(profile=builtin_profile("two-tap-test"),
+                               grid=FrequencyGrid.uniform(bandwidth_hz=df_hz, count=2),
+                               rect=RectennaConfig(curve=CONST_CURVE),
+                               antenna_sweep=(1, 2, 3, 4), frequency_sweep=(2,),
+                               strategies=("none", "joint"), realizations=10_000, seed=123)
+        res = run_sweep(cfg)
+        for m, gain in zip(cfg.antenna_sweep, (1.0 + 0.5 * math.sqrt(1.0 - rho), *gains)):
+            ratio = res.get(m, 2, "joint").avg_pdc_w / res.get(m, 2, "none").avg_pdc_w
+            assert ratio == pytest.approx(gain, rel=0.03), m  # as c06
+
+    def test_the_pinned_gains_are_the_integral(self):
+        mpmath = pytest.importorskip("mpmath")
+        rho, gains = self.JOINT_CASES[1][1:]
+        for m, gain in zip((1, 2, 3, 4), (1.0 + 0.5 * math.sqrt(1.0 - rho), *gains)):
+            assert float(pair_maximum_mean(mpmath, rho, m)) == pytest.approx(gain, abs=1e-6), m
 
     def test_no_delay_spread_gives_no_frequency_diversity(self):
         # a flat channel and a frequency-flat curve give every frequency the

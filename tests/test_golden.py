@@ -8,10 +8,11 @@ averages and totals, the energy budget and the validation summary, so a
 change that moves any of them fails here.
 
 The digest matrix pins more runs than a golden file each would: ``sweep``,
-``frame`` and ``tdma`` on the benchmark's three workload configs, on one
-config whose late link splits slots, one whose feedback lands after delivery
-ends and one with no delivery phase, at seeds 1-3, one sha256 per output
-file and per masked stdout, in ``tests/data/golden/workloads.sha256``.
+``frame``, ``tdma``, ``budget`` and ``validate`` on the benchmark's three
+workload configs, on one config whose late link splits slots, one whose
+feedback lands after delivery ends and one with no delivery phase, at seeds
+1-3, one sha256 per output file and per masked stdout, in
+``tests/data/golden/workloads.sha256``.
 
 Regenerate them only for an intended output change:
 
@@ -221,7 +222,7 @@ enabled = false
 DIGESTS = GOLDEN / "workloads.sha256"
 # (workload, seed, subcommand) of every run the digests pin
 MATRIX = [(w, seed, command) for w in WORKLOADS for seed in (1, 2, 3)
-          for command in ("sweep", "frame", "tdma")]
+          for command in ("sweep", "frame", "tdma", "budget", "validate")]
 
 # (config, subcommand, file it writes); STDOUT is the masked stdout
 STDOUT = "stdout.txt"
