@@ -267,7 +267,7 @@ def cmd_sweep(args, st: Settings) -> int:
 
 def cmd_frame(args, st: Settings) -> int:
     cfg = st.experiment
-    # user 1 of realization 0, the draw the sweeps start from
+    # user 1 of realization 0: the sweeps' first draw and TDMA's frame 0
     batch = run_frame(_dc_tensor(cfg, 0, 1)[0, 0], cfg.rect, sched=st.sched, link=st.link,
                       rng=substream(cfg.seed, DOMAIN_LINK, 0), adc=st.adc)
     with _create(args, "frame_events.csv") as fh:

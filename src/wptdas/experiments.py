@@ -11,7 +11,8 @@ Agreement of the two pipelines under idealized protocol settings is a
 regression oracle, so both read one dc tensor built from the same
 per-realization substreams (see :mod:`wptdas.rng`); the protocol sweep's
 cells are slices of it. :func:`run_tdma` walks one run of round-robin
-frames through the same protocol and keeps every frame's energies.
+frames through the same protocol, round r drawn as realization r, and keeps
+every frame's energies.
 
 Sweeps over the candidate-set size are nested: the size-k frequency set is
 always a subset of the size-(k+1) choice from the same master grid (middle
@@ -47,7 +48,7 @@ from .protocol import (
     run_rounds,
 )
 from .rectenna import RectennaConfig
-from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, DOMAIN_TDMA, keyed_draws, substream, substream_keys
+from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, keyed_draws, substream_keys
 from .selection import STRATEGIES, check_powers, middle_index, select_pairs
 from .signal_chain import dc_power_matrix
 
@@ -105,8 +106,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_integer("seed", self.seed))
-        for name in ("users", "realizations"):
+        for name in ("users", "realizations"):  # each indexes one 32-bit stream path word
             object.__setattr__(self, name, check_integer(name, getattr(self, name), low=1))
+            if getattr(self, name) > 2 ** 32:
+                raise ValidationError(f"{name} must be at most 2**32")
         for name in ("antenna_sweep", "frequency_sweep", "strategies", "user_loss_db"):
             values = getattr(self, name)
             if isinstance(values, str) or not hasattr(values, "__iter__"):
@@ -114,8 +117,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(values))
         for name in ("antenna_sweep", "frequency_sweep"):
             values = getattr(self, name)
-            if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                       and float(x).is_integer() for x in values):
+            if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) and (
+                    isinstance(x, numbers.Integral) or float(x).is_integer()) for x in values):
                 raise ValidationError(f"{name} entries must be whole numbers, got {values!r}")
             object.__setattr__(self, name, tuple(int(x) for x in values))
         check_finite(self, "user_loss_db")
@@ -219,35 +222,33 @@ def _sweep_cells(cfg: ExperimentConfig):
             yield m, k, nested_frequency_indices(cfg.grid.count, k)
 
 
-def _normals(cfg: ExperimentConfig, count: int) -> np.ndarray:
-    """Uninitialized normals (count, U, M_max, L, 2) of ``count`` draws of every user."""
-    return np.empty((count, cfg.users, cfg.max_antennas, cfg.profile.num_taps, 2))
-
-
-def _users_dc(cfg: ExperimentConfig, count: int, normals) -> np.ndarray:
-    """Steady-state dc powers (count, U, M_max, N) of every user's channel, with
-    its loss, from the normals ``normals(a, b)`` returns for draws [a, b) (see
-    :func:`_normals`), bit-identical to each alone: one :func:`dc_power_matrix`
-    call per chunk of whole draws, max(1, DC_BLOCK_DRAWS // U) of them, so at
-    most max(DC_BLOCK_DRAWS, U) (draw, user) pairs."""
-    dc = np.empty((count, cfg.users, cfg.max_antennas, cfg.grid.count))
-    losses = [cfg.loss_for_user(u) for u in range(cfg.users)]
-    step = max(1, DC_BLOCK_DRAWS // cfg.users)
+def _dc_tensor(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
+    """Steady-state dc powers (R, U, M_max, N) of realizations [r0, r1), each
+    (r, u) from stream (DOMAIN_CHANNEL, r, u) with u's loss, whatever the range:
+    keyed in one pass, drawn in one fill, and rated max(1, DC_BLOCK_DRAWS // U)
+    realizations per :func:`dc_power_matrix` call, bit-identical to one at a time."""
+    count, users = r1 - r0, cfg.users
+    z = keyed_draws(substream_keys(cfg.seed, DOMAIN_CHANNEL, np.arange(r0, r1)[:, None],
+                                   np.arange(users)), "standard_normal",
+                    np.empty((count, users, cfg.max_antennas, cfg.profile.num_taps, 2)))
+    dc = np.empty((count, users, cfg.max_antennas, cfg.grid.count))
+    losses = [cfg.loss_for_user(u) for u in range(users)]
+    step = max(1, DC_BLOCK_DRAWS // users)
     for a in range(0, count, step):
-        b = min(a + step, count)
-        gains = gains_from_normals(cfg.profile, normals(a, b))
-        dc[a:b] = dc_power_matrix(ChannelRealization(cfg.profile.delays_s, gains), cfg.grid,
-                                  cfg.budget, cfg.rect.curve, losses)
+        gains = gains_from_normals(cfg.profile, z[a:a + step])
+        dc[a:a + step] = dc_power_matrix(ChannelRealization(cfg.profile.delays_s, gains),
+                                         cfg.grid, cfg.budget, cfg.rect.curve, losses)
     return dc
 
 
-def _dc_tensor(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
-    """Steady-state dc powers (R, U, M_max, N) of realizations [r0, r1), each
-    (realization, user) from its own substream, whatever the range drawn; all
-    their streams are keyed in one pass and drawn in one fill."""
-    z = keyed_draws(substream_keys(cfg.seed, DOMAIN_CHANNEL, np.arange(r0, r1)[:, None],
-                                   np.arange(cfg.users)), "standard_normal", _normals(cfg, r1 - r0))
-    return _users_dc(cfg, r1 - r0, lambda a, b: z[a:b])
+def _link_draws(cfg: ExperimentConfig, link: ControlLinkModel, r0: int, r1: int,
+                width: int) -> np.ndarray | None:
+    """Link uniforms (R, width) of realizations [r0, r1), each r's from stream
+    (DOMAIN_LINK, r), keyed in one pass and drawn in one fill; None if lossless."""
+    if link.drop_probability <= 0.0:
+        return None
+    keys = substream_keys(cfg.seed, DOMAIN_LINK, np.arange(r0, r1))
+    return keyed_draws(keys, "random", np.empty((r1 - r0, width)))
 
 
 @dataclass(frozen=True)
@@ -284,29 +285,27 @@ def run_tdma(cfg: ExperimentConfig, frames: int, sched: FrameSchedule = FrameSch
     harvests passively, through its own channel, whatever the transmitter
     emits - slot by slot in training, then the served pair. Users share the
     rectenna ``cfg.rect`` and differ only in channel and ``cfg.user_loss_db``.
-    Each round (K consecutive frames, one Monte Carlo realization) redraws
-    every user's channel (``cfg.max_antennas`` antennas), user by user, then
-    takes the link draws of its K frames, from ``substream(cfg.seed, DOMAIN_TDMA)``.
-    One :func:`wptdas.protocol.run_rounds` walk takes all ceil(frames / K)
-    rounds, drawn first, and the result keeps its first ``frames`` frames; the
-    rest come last in the walk and in the stream, so they change no kept
-    value. Bad counts fail before the first draw.
+    Round r (K frames) is the sweeps' realization r: :func:`_dc_tensor` draws
+    its channels (``cfg.max_antennas`` antennas), max(1, DC_BLOCK_DRAWS // K)
+    rounds at a time, and (DOMAIN_LINK, r) its frames' link draws, so a link
+    setting moves no channel. One :func:`wptdas.protocol.run_rounds` walk takes
+    all ceil(frames / K) rounds and the result keeps the first ``frames``
+    frames; the rest come last and change no kept value. Bad counts fail
+    before the first draw.
     """
     frames = check_integer("frames", frames, low=1)
     check_feedback_space(cfg.max_antennas, cfg.grid.count)
     k, m_total = cfg.users, cfg.max_antennas
-    rng, draws = substream(cfg.seed, DOMAIN_TDMA), []
-
-    def normals(a, b):  # each round's channels, user by user, then its link draws
-        z = _normals(cfg, b - a)
-        for z_round in z:
-            rng.standard_normal(out=z_round)
-            draws.append(link.draws(rng, (1, k, m_total + 1)))
-        return z
-
-    p_dc = _users_dc(cfg, -(-frames // k), normals)  # each round's dc matrices
+    rounds = -(-frames // k)
+    if rounds > 2 ** 32:  # a round's index is one 32-bit stream path word
+        raise ValidationError(f"frames must be at most 2**32 rounds of {k} user(s)")
+    p_dc = np.empty((rounds, k, m_total, cfg.grid.count))  # each round's dc matrices
+    step = max(1, DC_BLOCK_DRAWS // k)
+    for a in range(0, rounds, step):
+        p_dc[a:a + step] = _dc_tensor(cfg, a, min(a + step, rounds))
+    draws = _link_draws(cfg, link, 0, rounds, k * (m_total + 1))
     batch, = run_rounds([check_powers(p_dc[None])], cfg.rect, sched, link, adc,
-                        [None if draws[0] is None else np.concatenate(draws, axis=1)])
+                        [None if draws is None else draws.reshape(1, rounds * k, m_total + 1)])
     energy = (batch.training_j[0] + batch.wpt_j[0])[:frames]
     frame_s = sched.frame_us(m_total * cfg.grid.count) * 1e-6
     # summed frame by frame, in frame order
@@ -360,12 +359,10 @@ def _block_values(cfg: ExperimentConfig, protocol: tuple | None, r0: int, r1: in
     sched, link, adc = protocol
     cells, users = list(_sweep_cells(cfg)), cfg.users
     widths = [users * (m + 1) for m, _k, _cols in cells]
-    draws = [None] * len(cells)
-    if link.drop_probability > 0.0:  # a lossless link draws nothing
-        keys = substream_keys(cfg.seed, DOMAIN_LINK, np.arange(r0, r1))
-        draws = [d.reshape(r1 - r0, users, m + 1) for d, (m, _k, _cols) in zip(np.split(
-            keyed_draws(keys, "random", np.empty((r1 - r0, sum(widths)))),
-            np.cumsum(widths)[:-1], axis=1), cells)]
+    draws = _link_draws(cfg, link, r0, r1, sum(widths))
+    draws = [None] * len(cells) if draws is None else [
+        d.reshape(r1 - r0, users, m + 1) for d, (m, _k, _cols) in
+        zip(np.split(draws, np.cumsum(widths)[:-1], axis=1), cells)]
 
     batches = run_rounds([dc[:, None, :, :m][..., cols] for m, _k, cols in cells],
                          cfg.rect, sched, link, adc, draws, energy=False)
@@ -383,21 +380,24 @@ def _sweep_rows(cfg: ExperimentConfig, protocol: tuple | None, jobs: int) -> lis
     r_total, users = cfg.realizations, cfg.users
     jobs = min(check_integer("jobs", jobs, low=1), r_total, os.cpu_count() or 1)
     count = max(jobs, -(-r_total // SWEEP_BLOCK))
-    edges = [r_total * i // count for i in range(count + 1)]
-    spans = (repeat(cfg), repeat(protocol), edges[:-1], edges[1:])
+
+    def edge(i):  # block i spans [edge(i), edge(i + 1)); no list grows with R
+        return r_total * i // count
+
+    spans = (repeat(cfg), repeat(protocol), map(edge, range(count)), map(edge, range(1, count + 1)))
     if jobs == 1:
         pool, mapper = nullcontext(), map
     else:
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=jobs)
         mapper = pool.map
-    ids = list(range(1, users + 1)) + ([SUM_USER] if users > 1 else [])
     with pool:
-        for r0, r1, block in zip(edges, edges[1:], mapper(_block_values, *spans)):
+        for i, block in enumerate(mapper(_block_values, *spans)):
+            r0, r1 = edge(i), edge(i + 1)
             stacked = np.array(list(block.values()))  # (cells, r1 - r0, users)
             if r0 == 0:
                 cells = list(block)
-                values = np.empty((len(cells), len(ids), r_total))
+                values = np.empty((len(cells), users + (users > 1), r_total))
             values[:, :users, r0:r1] = stacked.transpose(0, 2, 1)
             if users > 1:
                 values[:, users, r0:r1] = stacked.sum(axis=2)
@@ -408,6 +408,7 @@ def _sweep_rows(cfg: ExperimentConfig, protocol: tuple | None, jobs: int) -> lis
     mean = np.ldexp(series.mean(axis=1), shift)
     stderr = (np.ldexp(np.std(series, axis=1, ddof=1) / math.sqrt(r_total), shift)
               if r_total > 1 else np.zeros_like(mean))
+    ids = list(range(1, users + 1)) + ([SUM_USER] if users > 1 else [])
     labels = [(m, k, s, u) for m, k, s in cells for u in ids]
     return [ResultRow(*label, a, e)
             for label, a, e in zip(labels, mean.tolist(), stderr.tolist(), strict=True)]

@@ -6,16 +6,15 @@ one frame's control link) can be regenerated in isolation. Serial and
 parallel executions of the same experiment therefore consume identical
 streams and produce identical results.
 
-Stream domains used by the experiment runners:
+Stream domains used by the experiment runners, one layout for all of them
+(a TDMA run's round r is realization r):
   0 -> channel sampling, path (0, realization, user)
   1 -> control-link drops, path (1, realization)
-  2 -> TDMA runs (``run_tdma``): every round's channel redraws and every control-link
-       drop, in run order, from the single stream of path (2,)
 
-The sweeps draw their domain-0 and domain-1 streams in batches: a sweep block
-keys all of its streams of one domain in one :func:`substream_keys` call and
-draws them in one :func:`keyed_draws` call. They are the streams
-:func:`substream` returns, so seeds keep their meaning.
+The runners draw their streams in batches: a block of realizations keys all
+of its streams of one domain in one :func:`substream_keys` call and draws
+them in one :func:`keyed_draws` call. They are the streams :func:`substream`
+returns, so seeds keep their meaning.
 """
 
 import numpy as np
@@ -24,7 +23,6 @@ from .errors import ValidationError
 
 DOMAIN_CHANNEL = 0
 DOMAIN_LINK = 1
-DOMAIN_TDMA = 2
 
 # numpy SeedSequence's hashes (initial constant, multiplier) and pool mixing
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875

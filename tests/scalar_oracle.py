@@ -42,7 +42,7 @@ from wptdas.errors import ValidationError
 from wptdas.experiments import TRACE_COLUMNS, _sweep_cells
 from wptdas.protocol import ControlLinkModel, Event, FrameSchedule, encode_feedback, frame_log
 from wptdas.rectenna import segment_energy, settle
-from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, DOMAIN_TDMA, substream
+from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
 from wptdas.selection import check_powers, middle_index, select_pairs
 from wptdas.signal_chain import dc_power_matrix
 
@@ -298,18 +298,17 @@ def run_tdma(cfg, frames, sched=None, link=None, adc=None, keep_frames=False, p_
     delivery energy, steady dc power at the served pair, end voltage) under
     "users".
 
-    Each round draws user u's channel alone with :func:`sample_channel`, with
-    ``cfg.max_antennas`` antennas, and takes its dc matrix with loss
-    ``cfg.loss_for_user(u)``; the round's link draws follow, all from
-    ``substream(cfg.seed, DOMAIN_TDMA)``. ``p_dc``, one list of one matrix per
-    user for each round, stands in for the drawn matrices, and then the link
-    draws come from ``rng``. Each user's prior pair, output voltage and
-    harvest are kept here, from frame to frame.
+    Round r draws user u's channel alone with :func:`sample_channel`, with
+    ``cfg.max_antennas`` antennas, from ``substream(cfg.seed, DOMAIN_CHANNEL,
+    r, u)``, and takes its dc matrix with loss ``cfg.loss_for_user(u)``; its
+    frames' link draws come from ``substream(cfg.seed, DOMAIN_LINK, r)``.
+    ``p_dc``, one list of one matrix per user for each round, stands in for
+    the drawn matrices, and then the link draws come from ``rng``. Each
+    user's prior pair, output voltage and harvest are kept here, from frame
+    to frame.
     """
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()
-    if p_dc is None:
-        rng = substream(cfg.seed, DOMAIN_TDMA)
     rect, k = cfg.rect, cfg.users
     prior = [None] * k
     voltage = [0.0] * k
@@ -317,10 +316,15 @@ def run_tdma(cfg, frames, sched=None, link=None, adc=None, keep_frames=False, p_
     rows, kept = [], []
     for i in range(frames):
         if i % k == 0:
-            round_dc = p_dc[i // k] if p_dc is not None else [
-                dc_power_matrix(sample_channel(cfg.profile, cfg.max_antennas, rng), cfg.grid,
-                                cfg.budget, rect.curve, cfg.loss_for_user(u))
-                for u in range(k)]
+            r = i // k
+            if p_dc is None:  # round r is realization r
+                round_dc = [dc_power_matrix(
+                    sample_channel(cfg.profile, cfg.max_antennas,
+                                   substream(cfg.seed, DOMAIN_CHANNEL, r, u)),
+                    cfg.grid, cfg.budget, rect.curve, cfg.loss_for_user(u)) for u in range(k)]
+                rng = substream(cfg.seed, DOMAIN_LINK, r)
+            else:
+                round_dc = p_dc[r]
             frame_us = sched.frame_us(round_dc[0].size)
             frame_s = frame_us * 1e-6
         a = i % k

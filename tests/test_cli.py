@@ -341,15 +341,57 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "first tap delay" in err
 
-    @pytest.mark.parametrize("command,key", [("tdma", "frames"), ("tdma", "users"),
-                                             ("frame", "users")])
-    def test_a_count_too_large_to_allocate_fails_cleanly(self, tmp_path, capsys, command, key):
-        # arrays of PiB, which numpy refuses at once; these once ended in a traceback
+    @pytest.mark.parametrize("command,lines,expected", [
+        ("tdma", f"frames = {10 ** 15}", "error: frames"),
+        ("tdma", f"users = {10 ** 15}", "error: users"),
+        ("frame", f"users = {10 ** 15}", "error: users"),
+        # 1,024 rounds of 2**32 users: a 1.9 PiB array, which numpy refuses at once
+        ("tdma", f"users = {2 ** 32}\nframes = {2 ** 42}", "error: Unable to allocate")],
+        ids=["tdma-frames", "tdma-users", "frame-users", "tdma-allocation"])
+    def test_a_count_too_large_to_allocate_fails_cleanly(self, tmp_path, capsys, command, lines,
+                                                         expected):
+        # these once ended in a traceback; a count past a 32-bit stream path
+        # word now fails by name before any array is asked for
         cfg = tmp_path / "huge.ini"
-        cfg.write_text(f"[experiment]\n{key} = {10 ** 15}\n")
+        cfg.write_text(f"[experiment]\n{lines}\n")
         assert run([command, "--config", str(cfg), "--quiet"], tmp_path) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+        assert err.startswith(expected) and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("validate", "frequency_sweep", 10 ** 400),
+        ("sweep", "realizations", 2 ** 32 + 1),
+        ("validate", "users", 10 ** 400),
+        ("tdma", "frames", 10 ** 400),
+        ("frame", "users", 10 ** 400)],
+        ids=["validate-frequency_sweep", "sweep-realizations", "validate-users", "tdma-frames",
+             "frame-users"])
+    def test_an_entry_too_large_fails_in_one_line(self, tmp_path, capsys, command, key, value):
+        # once an OverflowError or numpy traceback, an OK, or a failure once a
+        # sweep block reached realization 2**32, hours in
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text(f"[experiment]\n{key} = {value}\n")
+        assert run([command, "--config", str(cfg), "--quiet"], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key.split("_")[0] in err
+
+    def test_a_huge_user_count_fails_at_the_first_array(self, tmp_path):
+        # in a child held to 4 GiB of address space, so a list that grows with
+        # the user count cannot touch the machine's memory: the sweep must ask
+        # numpy for its first array before it builds any such list
+        cfg = tmp_path / "users.ini"
+        cfg.write_text(f"[experiment]\nusers = {2 ** 31}\n")
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+                "from wptdas.cli import main\n"
+                f"sys.exit(main(['sweep', '--config', {str(cfg)!r}, "
+                f"'--out', {str(tmp_path)!r}, '--quiet']))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: Unable to allocate"), out.stderr
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["validate", "--config", str(tmp_path / "nope.ini")], tmp_path) == 1

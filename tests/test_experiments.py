@@ -223,6 +223,15 @@ class TestRunSweep:
         with pytest.raises(ValidationError, match="user_loss_db"):
             small_cfg(users=2, user_loss_db=(0.0, -4000.0))  # 10**394 overflows a float
 
+    @pytest.mark.parametrize("field,value", [
+        ("frequency_sweep", (10 ** 400,)), ("frequency_sweep", (True,)),
+        ("users", 2 ** 32 + 1), ("realizations", 2 ** 32 + 1)])
+    def test_an_entry_too_large_or_a_bool_rejected(self, field, value):
+        # 10**400 once overflowed the whole-number check; counts index 32-bit
+        # stream path words
+        with pytest.raises(ValidationError, match=field.split("_")[0]):
+            small_cfg(**{field: value})
+
     @pytest.mark.parametrize("field,values", [
         ("antenna_sweep", (2, 2, 1)), ("antenna_sweep", (1, 2.0, 2)),
         ("frequency_sweep", (3, 3)), ("strategies", ("joint", "none", "joint"))])

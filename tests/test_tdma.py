@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from wptdas import experiments
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.errors import FeedbackCapacityError, ValidationError
-from wptdas.experiments import TRACE_COLUMNS, ExperimentConfig, run_tdma
-from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, run_rounds
+from wptdas.experiments import TRACE_COLUMNS, ExperimentConfig, _dc_tensor, run_tdma
+from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, run_frame, run_rounds
 from wptdas.rectenna import RectennaConfig
-from wptdas.rng import DOMAIN_TDMA, substream
+from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
+from wptdas.selection import select_pairs
 from wptdas.signal_chain import dc_power_matrix
 
 import scalar_oracle as oracle
@@ -45,15 +46,15 @@ def frames_trained(result, users):
 
 @pytest.fixture
 def streams(monkeypatch):
-    """The paths of every stream run_tdma opens."""
-    opened = []
+    """The paths of every batch of streams run_tdma keys."""
+    keyed, real = [], experiments.substream_keys
 
     def spy(*path):
-        opened.append(path)
-        return substream(*path)
+        keyed.append(path)
+        return real(*path)
 
-    monkeypatch.setattr(experiments, "substream", spy)
-    return opened
+    monkeypatch.setattr(experiments, "substream_keys", spy)
+    return keyed
 
 
 class TestSingleUser:
@@ -61,12 +62,13 @@ class TestSingleUser:
         frames = 10
         result = run_tdma(config(seed=1), frames)
 
-        # replay the documented stream consumption by hand: one channel per
-        # round, then one engine walk from rest over all ten rounds
-        rng = substream(1, DOMAIN_TDMA)
+        # replay the documented streams by hand: round r's channel from
+        # realization r's stream, then one engine walk from rest over all ten rounds
         sched = FrameSchedule()
-        p_dc = np.array([[dc_power_matrix(sample_channel(PROFILE, 4, rng), GRID, BUDGET,
-                                          RectennaConfig().curve)] for _ in range(frames)])
+        p_dc = np.array([[dc_power_matrix(sample_channel(PROFILE, 4,
+                                                         substream(1, DOMAIN_CHANNEL, r, 0)),
+                                          GRID, BUDGET, RectennaConfig().curve)]
+                         for r in range(frames)])
         batch, = run_rounds([p_dc[None]], RectennaConfig(), sched, ControlLinkModel(),
                             DEFAULT_ADC, [None])
         energy = 0.0
@@ -98,9 +100,11 @@ class TestSingleUser:
                 run_tdma(config(), frames)
         assert streams == []
 
-    def test_the_run_draws_from_its_own_stream(self, streams):
-        run_tdma(config(seed=7), 3)
-        assert streams == [(7, DOMAIN_TDMA)]
+    def test_more_rounds_than_a_stream_word_indexes_rejected(self, streams):
+        # 2**32 + 1 rounds of two users: round 2**32 has no 32-bit stream path word
+        with pytest.raises(ValidationError, match="frames"):
+            run_tdma(config(users=2), 2 ** 33 + 1)
+        assert streams == []
 
 
 class TestTwoUsers:
@@ -133,10 +137,9 @@ class TestTwoUsers:
                                ["2", "1"], ["2", "2"], ["3", "2"], ["3", "1"]]
 
     def test_applied_pair_maximizes_active_matrix_only(self):
-        # the round draws user 1's channel, then user 2's, from the stream first
-        rng = substream(6, DOMAIN_TDMA)
-        ch1 = sample_channel(PROFILE, 4, rng)
-        ch2 = sample_channel(PROFILE, 4, rng)
+        # round 0 draws user u's channel from realization 0's stream of u
+        ch1, ch2 = (sample_channel(PROFILE, 4, substream(6, DOMAIN_CHANNEL, 0, u))
+                    for u in (0, 1))
         fast = RectennaConfig(settle_tau_s=10e-6)
         result = run_tdma(config(users=2, seed=6, rect=fast), 2, adc=None)
         best1, best2 = (select_one(dc_power_matrix(ch, GRID, BUDGET, fast.curve), "joint")[:2]
@@ -194,14 +197,47 @@ class TestTwoUsers:
         assert frames_trained(result, 3) == [3, 3, 3]
 
 
+class TestStreamLayout:
+    """Round r draws realization r's streams, as the sweeps and ``frame`` do."""
+
+    def test_a_link_setting_moves_no_channel(self):
+        # a drop probability that drops nothing still draws the link uniforms
+        runs = [run_tdma(config(users=2, seed=1), 6, adc=None,
+                         link=ControlLinkModel(drop_probability=drop)) for drop in (0.0, 1e-12)]
+        for name in ("applied", "p_dc_w", "energy_j"):
+            assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
+
+    @pytest.mark.parametrize("users", [1, 2, 3])
+    @pytest.mark.parametrize("drop", [0.0, 0.3])
+    def test_the_frame_command_runs_tdma_frame_0(self, users, drop):
+        cfg = config(users=users, seed=4)
+        link = ControlLinkModel(drop_probability=drop, latency_s=0.002)
+        batch = run_frame(_dc_tensor(cfg, 0, 1)[0, 0], cfg.rect, link=link,
+                          rng=substream(cfg.seed, DOMAIN_LINK, 0), adc=DEFAULT_ADC)
+        result = run_tdma(cfg, 1, link=link)
+        assert (result.applied[0] == batch.applied[0, 0] + 1).all()
+        assert result.energy_j[0, 0] == batch.training_j[0, 0, 0] + batch.wpt_j[0, 0, 0]
+
+    @pytest.mark.parametrize("users", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ideal_settings_serve_the_ideal_sweeps_joint_pick(self, users, seed):
+        # a settled ADC-free receiver on a lossless, prompt link picks the
+        # steady-state best pair; frame r K + j serves user j's at realization r
+        rounds = 40
+        cfg = config(users=users, seed=seed, rect=RectennaConfig(settle_tau_s=10e-6))
+        result = run_tdma(cfg, rounds * users, adc=None)
+        a, f = select_pairs(_dc_tensor(cfg, 0, rounds), "joint")  # (R, U) each
+        assert np.array_equal(result.applied - 1, np.stack([a, f], axis=-1).reshape(-1, 2))
+
+
 class TestPrefix:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), users=st.integers(1, 4), frames=st.integers(1, 9),
            drop=st.sampled_from([0.0, 0.3]), with_adc=st.booleans())
     def test_a_trace_is_the_head_of_every_longer_trace(self, seed, users, frames, drop,
                                                          with_adc):
-        # the frames past the last one kept come last in the walk and in the
-        # stream, so they change no earlier frame
+        # the frames past the last one kept come last in the walk and draw
+        # from their own rounds' streams, so they change no earlier frame
         kwargs = dict(link=ControlLinkModel(drop_probability=drop),
                       adc=DEFAULT_ADC if with_adc else None)
         short = run_tdma(config(users=users, seed=seed), frames, **kwargs)
