@@ -26,7 +26,6 @@ from .errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,
-    ReceiverConsumption,
     dbm_to_watts,
     power_budget_report,
     run_protocol_experiment,

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .channel import FrequencyGrid, LinkBudget, resolve_profile
 from .errors import ValidationError, check_integer
 from .experiments import (
     SWEEP_BLOCK,
+    EnergyBudget,
     ExperimentConfig,
-    ReceiverConsumption,
     _dc_tensor,
     dbm_to_watts,
     power_budget_report,
@@ -64,8 +64,7 @@ class Settings:
     sched: FrameSchedule
     link: ControlLinkModel
     adc: AdcModel | None
-    consumption: ReceiverConsumption
-    report_powers: dict  # the powers of power_budget_report the config sets
+    energy_budget: tuple[EnergyBudget, str]  # power_budget_report's ledger and report
     pipeline: str = "ideal"
     frames: int = 10  # tdma subcommand only
 
@@ -150,9 +149,9 @@ _SCHEMA = {
         "frames": (Settings, "frames", lambda raw: check_integer("frames", int(raw), low=1)),
     },
     "consumption": {
-        "soc_power_dbm": (ReceiverConsumption, "soc_power_w", _dbm),
-        "radio_power_dbm": (ReceiverConsumption, "radio_power_w", _dbm),
-        "bitrate_bps": (ReceiverConsumption, "radio_bitrate_bps", _float),
+        "soc_power_dbm": (power_budget_report, "soc_power_w", _dbm),
+        "radio_power_dbm": (power_budget_report, "radio_power_w", _dbm),
+        "bitrate_bps": (power_budget_report, "radio_bitrate_bps", _float),
         "pa_supply_dbm": (power_budget_report, "pa_supply_w", _dbm),
     },
     "budget": {
@@ -217,13 +216,14 @@ def load_settings(config_path: str | None, seed_override: int | None = None) -> 
         **given[ExperimentConfig],
     )
 
+    sched = FrameSchedule(**given[FrameSchedule])
     return Settings(
         experiment=experiment,
-        sched=FrameSchedule(**given[FrameSchedule]),
+        sched=sched,
         link=link if choices.delivery == "lossy" else ControlLinkModel(latency_s=link.latency_s),
         adc=adc if choices.adc else None,
-        consumption=ReceiverConsumption(**given[ReceiverConsumption]),
-        report_powers=given[power_budget_report],
+        energy_budget=power_budget_report(sched=sched, **given[power_budget_report],
+                                          dims=(experiment.max_antennas, experiment.grid.count)),
         **given[Settings],
     )
 
@@ -245,12 +245,6 @@ def _header_lines(seed: int, config_hash: str | None = None) -> str:
     return f"# wptdas {__version__}\n# seed={seed}\n{config}"
 
 
-def _budget_report(st: Settings) -> str:
-    cfg = st.experiment
-    return power_budget_report(sched=st.sched, consumption=st.consumption,
-                               dims=(cfg.max_antennas, cfg.grid.count), **st.report_powers)[1]
-
-
 def cmd_sweep(args, st: Settings) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
@@ -267,8 +261,10 @@ def cmd_sweep(args, st: Settings) -> int:
 
 def cmd_frame(args, st: Settings) -> int:
     cfg = st.experiment
-    # user 1 of realization 0: the sweeps' first draw and TDMA's frame 0
-    batch = run_frame(_dc_tensor(cfg, 0, 1)[0, 0], cfg.rect, sched=st.sched, link=st.link,
+    # user 1 of realization 0: the sweeps' first draw and TDMA's frame 0; only
+    # its channel is drawn, as stream (DOMAIN_CHANNEL, 0, 0) with its loss
+    user1 = replace(cfg, users=1, user_loss_db=cfg.user_loss_db[:1])
+    batch = run_frame(_dc_tensor(user1, 0, 1)[0, 0], cfg.rect, sched=st.sched, link=st.link,
                       rng=substream(cfg.seed, DOMAIN_LINK, 0), adc=st.adc)
     with _create(args, "frame_events.csv") as fh:
         fh.write(_header_lines(cfg.seed, protocol_fingerprint(cfg, st.sched, st.link, st.adc)))
@@ -299,7 +295,7 @@ def cmd_tdma(args, st: Settings) -> int:
 
 
 def cmd_budget(args, st: Settings) -> int:
-    report = _budget_report(st)
+    report = st.energy_budget[1]
     with _create(args, "budget.txt") as fh:
         fh.write(_header_lines(st.experiment.seed))
         fh.write(report + "\n")
@@ -308,8 +304,7 @@ def cmd_budget(args, st: Settings) -> int:
 
 
 def cmd_validate(args, st: Settings) -> int:
-    # touch the pieces every subcommand builds so acceptance = constructibility
-    _budget_report(st)
+    # load_settings builds everything a subcommand builds, so loading is validating
     cfg = st.experiment
     _say(args, f"OK: {cfg.users} user(s), "
                f"{cfg.max_antennas} antennas x {cfg.grid.count} frequencies, "

@@ -132,7 +132,7 @@ class ExperimentConfig:
         if not (self.antenna_sweep and self.frequency_sweep and self.strategies):
             raise ValidationError("sweep lists and strategies must be non-empty")
         if min(self.antenna_sweep) < 1:
-            raise ValidationError("antenna counts must be >= 1")
+            raise ValidationError("antenna_sweep counts must be >= 1")
         if min(self.frequency_sweep) < 1 or max(self.frequency_sweep) > self.grid.count:
             raise ValidationError("frequency subset sizes must lie in 1..grid.count")
         unknown = set(self.strategies) - set(STRATEGIES)
@@ -452,21 +452,6 @@ def protocol_fingerprint(cfg: ExperimentConfig, sched: FrameSchedule, link: Cont
 
 
 @dataclass(frozen=True)
-class ReceiverConsumption:
-    """Receiver-side consumption constants for the energy budget."""
-
-    soc_power_w: float = 2.6e-6
-    radio_power_w: float = 0.048
-    radio_bitrate_bps: float = 250e3
-
-    def __post_init__(self):
-        check_finite(self, "soc_power_w", "radio_power_w", low=0)
-        check_finite(self, "radio_bitrate_bps")
-        if self.radio_bitrate_bps <= 0:
-            raise ValidationError("radio_bitrate_bps must be > 0")
-
-
-@dataclass(frozen=True)
 class EnergyBudget:
     """Per-frame receiver energy ledger."""
 
@@ -484,26 +469,34 @@ class EnergyBudget:
 def power_budget_report(train_avg_power_w: float = 3.9e-6,
                         wpt_avg_power_w: float = 20.4e-6,
                         sched: FrameSchedule = FrameSchedule(),
-                        consumption: ReceiverConsumption = ReceiverConsumption(),
+                        soc_power_w: float = 2.6e-6,
+                        radio_power_w: float = 0.048,
+                        radio_bitrate_bps: float = 250e3,
                         pa_supply_w: float = 84.0,
                         dims: tuple[int, int] = (4, 15)) -> tuple[EnergyBudget, str]:
     """Per-frame energy ledger from phase-average powers, plus a report. A frame
     of ``dims`` (antennas, frequencies) trains one slot per pair and sends one
-    control byte per antenna activation, then the feedback byte. The report
-    ends with the transmitter's draw: ``pa_supply_w`` for the amplifier (a 28 V
-    rail at 3 A by default) plus its radio and controller."""
-    powers = dict(train_avg_power_w=train_avg_power_w, wpt_avg_power_w=wpt_avg_power_w,
-                  pa_supply_w=pa_supply_w)
-    check_finite(powers, *powers, low=0)
+    control byte per antenna activation, then the feedback byte. The receiver's
+    controller draws ``soc_power_w`` all frame; its radio draws ``radio_power_w``
+    while it sends those bytes at ``radio_bitrate_bps``. The report ends with
+    the transmitter's draw: ``pa_supply_w`` for the amplifier (a 28 V rail at
+    3 A by default) plus its radio and controller."""
+    inputs = dict(train_avg_power_w=train_avg_power_w, wpt_avg_power_w=wpt_avg_power_w,
+                  soc_power_w=soc_power_w, radio_power_w=radio_power_w,
+                  radio_bitrate_bps=radio_bitrate_bps, pa_supply_w=pa_supply_w)
+    check_finite(inputs, *inputs, low=0)
     m_total, n_total = (check_integer("dims", x, low=1) for x in dims)
     slots, bytes_sent = m_total * n_total, control_bytes(m_total)
+    t_radio = 8.0 * bytes_sent / radio_bitrate_bps if radio_bitrate_bps > 0 else math.inf
+    if not math.isfinite(t_radio):  # a subnormal bitrate overflows the radio time
+        raise ValidationError(f"radio_bitrate_bps must be > 0 and send {bytes_sent} B in a "
+                              f"finite time, got {radio_bitrate_bps:g}")
     e_train = slots * sched.slot_us * 1e-6 * train_avg_power_w
     e_wpt = sched.wpt_us * 1e-6 * wpt_avg_power_w
     e_dc = e_train + e_wpt
     frame_s = sched.frame_us(slots) * 1e-6
-    e_soc = frame_s * consumption.soc_power_w
-    t_radio = 8.0 * bytes_sent / consumption.radio_bitrate_bps
-    e_radio = t_radio * consumption.radio_power_w
+    e_soc = frame_s * soc_power_w
+    e_radio = t_radio * radio_power_w
     e_consumed = e_soc + e_radio
     e_net = e_dc - e_consumed
     b = EnergyBudget(e_dc, e_soc, e_radio, e_consumed, e_net,
@@ -514,11 +507,10 @@ def power_budget_report(train_avg_power_w: float = 3.9e-6,
         f"training + {sched.wpt_s:.6f} s delivery)",
         f"harvested  {b.e_dc_j * uj:.3f} uJ (training {e_train * uj:.3f} uJ "
         f"+ delivery {e_wpt * uj:.3f} uJ)",
-        f"controller {b.e_soc_j * uj:.3f} uJ ({consumption.soc_power_w * uj:.3f} uW "
-        f"x {b.frame_s:.3f} s)",
+        f"controller {b.e_soc_j * uj:.3f} uJ ({soc_power_w * uj:.3f} uW x {b.frame_s:.3f} s)",
         f"radio      {b.e_radio_j * uj:.3f} uJ ({b.bytes_sent} B @ "
-        f"{consumption.radio_bitrate_bps / 1e3:.1f} kbps -> {b.t_radio_s * 1e3:.3f} ms "
-        f"x {consumption.radio_power_w * 1e3:.1f} mW)",
+        f"{radio_bitrate_bps / 1e3:.1f} kbps -> {b.t_radio_s * 1e3:.3f} ms "
+        f"x {radio_power_w * 1e3:.1f} mW)",
         f"consumed   {b.e_consumed_j * uj:.3f} uJ",
         f"net        {b.e_net_j * uj:.3f} uJ",
         f"efficiency {b.efficiency * 100:.1f} %" if not math.isnan(b.efficiency)

@@ -73,7 +73,7 @@ class EfficiencyCurve:
                 # sigma(shoulder) = 0.9 caps the logistic ceiling at eta_peak/0.9
                 raise ValidationError("eta_peak must be in (0, 0.9]")
             if self.rise_slope <= 0 or self.breakdown_slope <= 0:
-                raise ValidationError("slopes must be > 0")
+                raise ValidationError("rise_slope and breakdown_slope must be > 0")
             if self.breakdown_dbm < self.peak_dbm:
                 raise ValidationError("breakdown_dbm must be >= peak_dbm")
         else:

@@ -327,6 +327,8 @@ class TestFrequencyGrid:
         (dict(center_hz=math.inf), "center_hz"),
         (dict(bandwidth_hz=math.nan, count=1), "bandwidth_hz"),
         (dict(center_hz="2.4e9"), "center_hz"),
+        # one point spans no band, so only the sign check sees this bandwidth
+        (dict(bandwidth_hz=-1.0, count=1), "bandwidth_hz"),
         # each is finite, but the band's top edge is not
         (dict(center_hz=1.5e308, bandwidth_hz=1e308), r"center_hz \+ bandwidth_hz"),
         (dict(center_hz=np.float64(1.7e308), bandwidth_hz=np.float64(2e307)),

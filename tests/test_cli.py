@@ -1,6 +1,7 @@
 import configparser
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wptdas import cli
+from wptdas import cli, experiments
 from wptdas.cli import load_settings, main
 from wptdas.experiments import _block_values, _dc_tensor
 
@@ -56,6 +57,17 @@ class TestBudget:
         assert run(["frame", "--config", str(cfg), "--seed", "1"], tmp_path) == 0
         assert "; 3 control bytes" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["validate", "sweep", "budget"])
+    def test_a_bitrate_whose_radio_time_overflows_fails_cleanly(self, tmp_path, capsys,
+                                                                command):
+        # 8 x 5 B / 1e-320 bit/s is inf: budget once wrote "radio inf uJ" and exited 0
+        cfg = tmp_path / "slow.ini"
+        cfg.write_text("[consumption]\nbitrate_bps = 1e-320\n\n[experiment]\nrealizations = 2\n")
+        assert run([command, "--config", str(cfg), "--quiet"], tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: radio_bitrate_bps")
+        assert not (tmp_path / "out").exists()
+
 
 class TestFrame:
     def test_same_seed_identical_event_logs(self, tmp_path):
@@ -100,6 +112,22 @@ class TestFrame:
         batch = batches[1]
         p_dc = _dc_tensor(load_settings(str(cfg), 1).experiment, 0, 1)[0, 0]
         assert batch.served_w[0, 0, 0] == p_dc[tuple(batch.applied[0, 0])]
+
+    @pytest.mark.parametrize("users", [1, 50])
+    def test_draws_only_its_users_channel(self, tmp_path, monkeypatch, users):
+        shapes = []
+        real = experiments.keyed_draws
+
+        def recorded(keys, method, out):
+            shapes.append((method, out.shape))
+            return real(keys, method, out)
+
+        monkeypatch.setattr(experiments, "keyed_draws", recorded)
+        cfg = tmp_path / "users.ini"
+        cfg.write_text(f"[experiment]\nusers = {users}\n")
+        assert run(["frame", "--config", str(cfg), "--quiet"], tmp_path) == 0
+        normals = [shape for method, shape in shapes if method == "standard_normal"]
+        assert normals and all(shape[:2] == (1, 1) for shape in normals), shapes
 
     def test_adc_bits_beyond_a_float_fail_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "adc.ini"
@@ -436,7 +464,9 @@ class TestFlags:
 # Every INI key is set alone to each of these on a small lossy config, then
 # run through validate, which reads every key, and the runs that read its
 # section. A protocol sweep reads the schedule, link and ADC; an ideal one does not.
-FUZZ_VALUES = ("0", "-1", "1e-300", "4000", "-4000", "1e308", "-1e308")
+# A run that succeeds must write only finite numbers.
+FUZZ_VALUES = ("0", "-1", "1e-300", "1e-320", "4000", "-4000", "1e308", "-1e308")
+NON_FINITE = re.compile(r"\b(inf|nan)\b", re.IGNORECASE)
 FUZZ_BASE = {"experiment": {"realizations": "2", "frames": "2"},
              "link": {"delivery": "lossy", "drop_probability": "0.1", "latency_s": "0.002"}}
 FUZZ_RUNS = {"protocol": ("sweep", {"pipeline": "protocol"})}  # the rest are plain commands
@@ -476,6 +506,10 @@ def test_every_key_fails_cleanly_or_runs(tmp_path, capsys, section, key):
                 assert err.startswith("error:"), (value, err)
                 break  # every command loads the config validate rejected
             assert (code, err) == (0, ""), (run_name, value, code, err)
+            out = tmp_path / "out"
+            for path in sorted(out.iterdir()) if out.exists() else ():
+                assert not NON_FINITE.search(path.read_text()), (run_name, value, path.name)
+                path.unlink()
             if key in FUZZ_COUNTS and value == "4000":
                 break
 

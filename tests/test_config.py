@@ -15,7 +15,7 @@ import wptdas
 from wptdas.cli import _SCHEMA, load_settings, main
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile
 from wptdas.errors import FeedbackCapacityError, ValidationError
-from wptdas.experiments import ExperimentConfig, ReceiverConsumption, power_budget_report
+from wptdas.experiments import ExperimentConfig, power_budget_report
 from wptdas.protocol import DEFAULT_ADC, AdcModel, ControlLinkModel, FrameSchedule
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 
@@ -99,14 +99,8 @@ def write(tmp_path, text: str, name: str = "cfg.ini") -> str:
 
 def resolved(st) -> tuple:
     """Everything a Settings holds, in a form that compares with ==."""
-    return (st.experiment.fingerprint(), st.sched, st.link, st.adc, st.consumption,
-            st.report_powers, st.pipeline, st.frames)
-
-
-def budget_of(st):
-    dims = (st.experiment.max_antennas, st.experiment.grid.count)
-    return power_budget_report(sched=st.sched, consumption=st.consumption, dims=dims,
-                               **st.report_powers)
+    return (st.experiment.fingerprint(), st.sched, st.link, st.adc, st.energy_budget,
+            st.pipeline, st.frames)
 
 
 class TestSchema:
@@ -115,9 +109,8 @@ class TestSchema:
         assert st.sched == FrameSchedule()
         assert st.link == ControlLinkModel()
         assert st.adc == DEFAULT_ADC
-        assert st.consumption == ReceiverConsumption()
         assert st.experiment.fingerprint() == "ea1af8e37eab7b14"
-        assert budget_of(st) == power_budget_report()
+        assert st.energy_budget == power_budget_report()
 
     def test_every_key_has_a_test_value(self):
         assert set(NON_DEFAULT) == set(SCHEMA_KEYS)
@@ -170,6 +163,14 @@ class TestBadValues:
         assert main(["validate", "--config", write(tmp_path, text)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("section,key,bad", [
+        ("channel", "grid", "foo"), ("link", "delivery", "baz"), ("experiment", "pipeline", "bar")])
+    def test_a_choice_outside_its_names_is_rejected(self, tmp_path, capsys, section, key, bad):
+        # an unknown name would otherwise run as the default
+        assert main(["validate", "--config", write(tmp_path, f"[{section}]\n{key} = {bad}\n")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"[{section}] {key}" in err
+
     @pytest.mark.parametrize("choice,key,bad,good", [
         ("[link]\ndelivery = ideal\n", "drop_probability", "-1", "0.3"),
         ("[adc]\nenabled = false\n", "bits", "0", "8"),
@@ -197,15 +198,17 @@ class TestBadValues:
           for bad in (math.nan, "1")],
         *[(EfficiencyCurve.parametric, name, math.nan)
           for name in ("eta_peak", "peak_dbm", "rise_slope", "breakdown_dbm", "breakdown_slope")],
+        (EfficiencyCurve.parametric, "rise_slope", -0.1),
+        (EfficiencyCurve.parametric, "breakdown_slope", -0.1),
         *[(ExperimentConfig, name, bad) for name, bad in [
             ("user_loss_db", (math.nan,)), ("user_loss_db", (-math.inf,)),
             ("user_loss_db", ("3",)), ("user_loss_db", (None,)), ("user_loss_db", (True,)),
-            ("user_loss_db", 3.0), ("antenna_sweep", 1),
+            ("user_loss_db", 3.0), ("antenna_sweep", 1), ("antenna_sweep", (0, 2)),
+            ("antenna_sweep", (-1, 2)),
             ("frequency_sweep", None), ("strategies", 7)]],
-        *[(ReceiverConsumption, name, bad)
+        *[(power_budget_report, name, bad)
           for name in ("soc_power_w", "radio_power_w", "radio_bitrate_bps")
-          for bad in (math.nan, math.inf, "1")],
-        *[(ReceiverConsumption, name, -1.0) for name in ("soc_power_w", "radio_power_w")],
+          for bad in (math.nan, math.inf, "1", -1.0)],
         *[(power_budget_report, "pa_supply_w", bad) for bad in (math.nan, math.inf, "1", -84.0)],
         (FrameSchedule, "slot_s", "0.018"), (FrameSchedule, "wpt_s", True),
         (ControlLinkModel, "drop_probability", True), (ControlLinkModel, "drop_probability", "0.1"),
@@ -244,8 +247,9 @@ class TestReadme:
         doc, std = load_settings(cfg), load_settings(None)
         assert resolved(doc)[:4] == resolved(std)[:4]
         # dBm values in the example are rounded to 0.001 dB
-        assert budget_of(doc)[0].e_net_j == pytest.approx(budget_of(std)[0].e_net_j, rel=1e-3)
-        assert doc.report_powers["pa_supply_w"] == pytest.approx(84.0, rel=1e-3)
+        assert doc.energy_budget[0].e_net_j == pytest.approx(std.energy_budget[0].e_net_j, rel=1e-3)
+        amplifier = re.search(r"amplifier (\S+) W", doc.energy_budget[1]).group(1)
+        assert float(amplifier) == pytest.approx(84.0, rel=1e-3)
 
     def test_library_example_runs(self, capsys):
         block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)

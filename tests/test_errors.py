@@ -8,7 +8,7 @@ import pytest
 
 from wptdas.channel import FrequencyGrid, LinkBudget, TapProfile
 from wptdas.errors import ValidationError
-from wptdas.experiments import ReceiverConsumption
+from wptdas.experiments import power_budget_report
 from wptdas.protocol import FrameSchedule
 from wptdas.rectenna import EfficiencyCurve
 
@@ -56,7 +56,7 @@ FINITE_SITES = [
     (lambda x: FrequencyGrid.uniform(center_hz=x), "center_hz"),
     (lambda x: LinkBudget(path_loss_db=x), "path_loss_db"),
     (lambda x: FrameSchedule(slot_s=x), "slot_s"),
-    (lambda x: ReceiverConsumption(soc_power_w=x), "soc_power_w"),
+    (lambda x: power_budget_report(soc_power_w=x), "soc_power_w"),
 ]
 
 

@@ -13,7 +13,6 @@ from wptdas.errors import ValidationError
 from wptdas.experiments import (
     SUM_USER,
     ExperimentConfig,
-    ReceiverConsumption,
     dbm_to_watts,
     nested_frequency_indices,
     _block_values,
@@ -316,8 +315,7 @@ class TestPowerBudgetReport:
         assert "transmitter draw 84.048003 W" in report
 
     def test_zero_consumption_is_lossless(self):
-        c = ReceiverConsumption(soc_power_w=0.0, radio_power_w=0.0)
-        budget, _ = power_budget_report(consumption=c)
+        budget, _ = power_budget_report(soc_power_w=0.0, radio_power_w=0.0)
         assert budget.efficiency == pytest.approx(1.0)
 
     def test_consumption_exceeding_harvest_reports_negative(self):
@@ -343,7 +341,7 @@ class TestPowerBudgetReport:
 
     def test_consumption_validation(self):
         with pytest.raises(ValidationError, match="radio_bitrate_bps"):
-            ReceiverConsumption(radio_bitrate_bps=0.0)
+            power_budget_report(radio_bitrate_bps=0.0)
 
     @pytest.mark.parametrize("dims", [(1, 15), (2, 15), (3, 15), (4, 15), (2, 3)])
     def test_budget_and_frame_log_agree_on_the_frame_shape(self, dims):
