@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -90,15 +91,18 @@ def load_tap_profile(path, name: str | None = None) -> TapProfile:
     return TapProfile.normalized(name or str(path), delays_ns * 1e-9, linear)
 
 
+@cache
 def builtin_profile(name: str) -> TapProfile:
-    """Load one of the packaged profiles by name."""
+    """Load one of the packaged profiles by name, once per process; its arrays are read-only."""
     if name not in _BUILTIN_PROFILES:
         raise ValidationError(
             f"unknown builtin profile {name!r}; available: {', '.join(_BUILTIN_PROFILES)}"
         )
     ref = resources.files("wptdas.data").joinpath(f"{name}.pdp")
     with resources.as_file(ref) as path:
-        return load_tap_profile(path, name=name)
+        profile = load_tap_profile(path, name=name)
+    profile.delays_s.flags.writeable = profile.powers.flags.writeable = False
+    return profile
 
 
 def resolve_profile(name_or_path: str) -> TapProfile:

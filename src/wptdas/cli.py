@@ -19,6 +19,7 @@ import os
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -312,6 +313,7 @@ def cmd_validate(args, st: Settings) -> int:
     return 0
 
 
+@cache  # nothing it reads changes within a process, so every main call shares one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wptdas",

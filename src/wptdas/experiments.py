@@ -28,6 +28,7 @@ import hashlib
 import math
 import numbers
 import os
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -487,10 +488,9 @@ def power_budget_report(train_avg_power_w: float = 3.9e-6,
     check_finite(inputs, *inputs, low=0)
     m_total, n_total = (check_integer("dims", x, low=1) for x in dims)
     slots, bytes_sent = m_total * n_total, control_bytes(m_total)
+    if sched.frame_us(slots) > sys.float_info.max:  # an int no float holds
+        raise ValidationError(f"the frame of {slots} x slot_s + wpt_s overflows")
     t_radio = 8.0 * bytes_sent / radio_bitrate_bps if radio_bitrate_bps > 0 else math.inf
-    if not math.isfinite(t_radio):  # a subnormal bitrate overflows the radio time
-        raise ValidationError(f"radio_bitrate_bps must be > 0 and send {bytes_sent} B in a "
-                              f"finite time, got {radio_bitrate_bps:g}")
     e_train = slots * sched.slot_us * 1e-6 * train_avg_power_w
     e_wpt = sched.wpt_us * 1e-6 * wpt_avg_power_w
     e_dc = e_train + e_wpt
@@ -502,6 +502,20 @@ def power_budget_report(train_avg_power_w: float = 3.9e-6,
     b = EnergyBudget(e_dc, e_soc, e_radio, e_consumed, e_net,
                      e_net / e_dc if e_dc > 0 else math.nan, t_radio, frame_s, bytes_sent)
     uj = 1e6
+    # finite inputs can overflow together: each number the report prints, in its unit
+    printed = {"radio_bitrate_bps gives a radio time in ms": t_radio * 1e3,
+               "slot_s x train_avg_power_w give a training energy in uJ": e_train * uj,
+               "wpt_s x wpt_avg_power_w give a delivery energy in uJ": e_wpt * uj,
+               "soc_power_w gives a controller power in uW": soc_power_w * uj,
+               "radio_power_w gives a radio power in mW": radio_power_w * 1e3,
+               "slot_s, wpt_s x soc_power_w give a controller energy in uJ": e_soc * uj,
+               "radio_bitrate_bps, radio_power_w give a radio energy in uJ": e_radio * uj,
+               "train_avg_power_w + wpt_avg_power_w give a harvest in uJ": e_dc * uj,
+               "soc_power_w + radio_power_w give a consumption in uJ": e_consumed * uj,
+               "train_avg_power_w, wpt_avg_power_w give an efficiency in %": b.efficiency * 100}
+    for what, value in printed.items():  # a nan follows an inf above, or is "n/a" efficiency
+        if math.isinf(value):
+            raise ValidationError(f"{what} that is not finite ({value:g})")
     lines = [
         f"frame      {b.frame_s:.6f} s ({slots} x {sched.slot_s * 1e3:.3f} ms "
         f"training + {sched.wpt_s:.6f} s delivery)",

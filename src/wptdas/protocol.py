@@ -324,8 +324,8 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
     # times the longest segment or tau
     p_max = max(float(p.max(initial=0.0)) for p in p_dc)
     if not p_max * load * 4.0 * (1.0 + slot_us * 1e-6 + tau) < math.inf:
-        raise ValidationError(f"load_ohms = {load!r} overflows the output voltage "
-                              f"sqrt(p * load) at p = {p_max!r} W")
+        raise ValidationError(f"load_ohms = {load!r}, settle_tau_s = {tau!r} or slot_s = "
+                              f"{sched.slot_s!r} overflows the energy bound at p = {p_max!r} W")
     wpt_blank = _blank_us(link, 1, wpt_us)[0]
     trim = not energy and wpt_us > wpt_blank  # walk only the training user's column
 

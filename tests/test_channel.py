@@ -102,8 +102,21 @@ class TestTapProfile:
             TapProfile("bad", [0.0, math.nan], [0.5, 0.5])
 
     def test_unknown_builtin(self):
-        with pytest.raises(ValidationError):
-            builtin_profile("no-such-profile")
+        for _ in range(2):  # a failed load is not cached
+            with pytest.raises(ValidationError):
+                builtin_profile("no-such-profile")
+
+    @pytest.mark.parametrize("name", ["model-E-NLOS", "single-tap-flat", "two-tap-test"])
+    def test_a_builtin_profile_is_loaded_once_and_read_only(self, name):
+        profile = builtin_profile(name)
+        assert builtin_profile(name) is profile
+        before = profile.powers.copy(), profile.delays_s.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            profile.powers[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            profile.delays_s *= 2.0
+        npt.assert_array_equal(builtin_profile(name).powers, before[0])
+        npt.assert_array_equal(builtin_profile(name).delays_s, before[1])
 
 
 class TestChannelRealization:

@@ -360,6 +360,17 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "load_ohms" in err
 
+    def test_an_overflowing_settling_time_is_named(self, tmp_path, capsys):
+        # the bound 4 p load (1 + slot_s + settle_tau_s) overflows through tau,
+        # which the message once left out, naming only load_ohms
+        cfg = tmp_path / "tau.ini"
+        cfg.write_text("[rectenna]\nsettle_tau_s = 1e308\n\n[channel]\npath_loss_db = 0\n")
+        assert run(["validate", "--config", str(cfg), "--quiet"], tmp_path) == 0
+        assert run(["frame", "--config", str(cfg), "--quiet"], tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert all(name in err[0] for name in ("settle_tau_s", "slot_s", "load_ohms"))
+
     def test_rejects_a_negative_first_tap_delay(self, tmp_path, capsys):
         pdp = tmp_path / "p.pdp"
         pdp.write_text("-5 0\n10 -3\n")
@@ -429,6 +440,31 @@ class TestValidate:
         cfg = tmp_path / "empty.ini"
         cfg.write_text("")
         assert run(["validate", "--config", str(cfg)], tmp_path) == 0
+
+
+class TestOneParser:
+    def test_every_call_shares_one_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_between_leave_a_sweep_unchanged(self, tmp_path, capsys):
+        # help, a parse error, another seed and another command go through the
+        # same parser as the two sweeps, which must not see any of them
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG)
+        sweep = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]
+        csv = tmp_path / "sweep" / "sweep_results.csv"
+        assert main(sweep) == 0
+        first = capsys.readouterr().out, csv.read_bytes()
+        for argv, code in ((["--help"], 0), (["sweep", "--help"], 0), (["sweep", "--frob"], 2)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        assert run(["sweep", "--config", str(cfg), "--seed", "2"], tmp_path / "seed2") == 0
+        assert (tmp_path / "seed2" / "sweep_results.csv").read_bytes() != first[1]
+        assert run(["frame", "--config", str(cfg)], tmp_path / "frame") == 0
+        capsys.readouterr()
+        assert main(sweep) == 0
+        assert (capsys.readouterr().out, csv.read_bytes()) == first
 
 
 class TestFlags:

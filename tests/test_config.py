@@ -8,7 +8,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wptdas
@@ -111,6 +111,20 @@ class TestSchema:
         assert st.adc == DEFAULT_ADC
         assert st.experiment.fingerprint() == "ea1af8e37eab7b14"
         assert st.energy_budget == power_budget_report()
+
+    def test_a_pdp_file_is_read_again_on_every_load(self, tmp_path):
+        # only the packaged profiles are loaded once per process
+        pdp, out = tmp_path / "taps.pdp", tmp_path / "out"
+        cfg = write(tmp_path, f"[channel]\nprofile = {pdp}\n")
+        config_lines = []
+        for delay_ns in (10, 20):
+            pdp.write_text(f"0 0\n{delay_ns} -3\n")
+            profile = load_settings(cfg).experiment.profile
+            assert profile.delays_s[1] == pytest.approx(delay_ns * 1e-9)
+            assert main(["frame", "--config", cfg, "--quiet", "--out", str(out)]) == 0
+            lines = (out / "frame_events.csv").read_text().splitlines()
+            config_lines += [ln for ln in lines if ln.startswith("# config=")]
+        assert len(config_lines) == 2 and config_lines[0] != config_lines[1]
 
     def test_every_key_has_a_test_value(self):
         assert set(NON_DEFAULT) == set(SCHEMA_KEYS)
@@ -231,10 +245,22 @@ class TestBadValues:
             st.sampled_from(["", "junk", "1, 2", "2 3", "uniform", "ieee", "lossy",
                              "protocol", "yes", "off", "joint, none", "0x10", "%"]),
         )), min_size=1, max_size=3))
+    # finite values that overflow only together once wrote inf into budget.txt
+    @example([(("consumption", "bitrate_bps"), "1e-300"),
+              (("consumption", "radio_power_dbm"), "100")])
+    @example([(("consumption", "soc_power_dbm"), "3000"), (("schedule", "slot_s"), "1e10")])
+    @example([(("budget", "train_power_dbm"), "-3100"), (("budget", "wpt_power_dbm"), "-3100")])
+    # an int frame length beyond the float range once raised a bare OverflowError
+    @example([(("schedule", "slot_s"), "1e302")])
     def test_fuzzed_config_exits_zero_or_one(self, entries):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write(Path(tmp), ini(dict(entries)))
-            assert main(["validate", "--config", cfg, "--quiet"]) in (0, 1)
+            code = main(["validate", "--config", cfg, "--quiet"])
+            assert code in (0, 1)
+            if code == 0:  # budget simulates nothing, so every valid config runs it
+                assert main(["budget", "--config", cfg, "--quiet", "--out", tmp]) == 0
+                report = (Path(tmp) / "budget.txt").read_text()
+                assert not re.search(r"\b(inf|nan)\b", report, re.I), report
 
 
 class TestReadme:
