@@ -30,8 +30,8 @@ from .experiments import (
     SWEEP_BLOCK,
     EnergyBudget,
     ExperimentConfig,
-    _dc_tensor,
     dbm_to_watts,
+    header_lines,
     power_budget_report,
     protocol_fingerprint,
     run_protocol_experiment,
@@ -39,9 +39,8 @@ from .experiments import (
     run_tdma,
 )
 from .protocol import (AdcModel, ControlLinkModel, FrameSchedule, check_feedback_space,
-                       control_bytes, frame_log, run_frame, write_events)
+                       control_bytes, frame_log, write_events)
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
-from .rng import DOMAIN_LINK, substream
 
 OUT_DIR_ENV = "WPTDAS_OUT"
 
@@ -241,11 +240,6 @@ def _say(args, text: str):
         print(text)
 
 
-def _header_lines(seed: int, config_hash: str | None = None) -> str:
-    config = "" if config_hash is None else f"# config={config_hash}\n"
-    return f"# wptdas {__version__}\n# seed={seed}\n{config}"
-
-
 def cmd_sweep(args, st: Settings) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
@@ -262,13 +256,11 @@ def cmd_sweep(args, st: Settings) -> int:
 
 def cmd_frame(args, st: Settings) -> int:
     cfg = st.experiment
-    # user 1 of realization 0: the sweeps' first draw and TDMA's frame 0; only
-    # its channel is drawn, as stream (DOMAIN_CHANNEL, 0, 0) with its loss
-    user1 = replace(cfg, users=1, user_loss_db=cfg.user_loss_db[:1])
-    batch = run_frame(_dc_tensor(user1, 0, 1)[0, 0], cfg.rect, sched=st.sched, link=st.link,
-                      rng=substream(cfg.seed, DOMAIN_LINK, 0), adc=st.adc)
+    # TDMA frame 0, which trains user 1 of realization 0; only its channel is drawn
+    batch = run_tdma(replace(cfg, users=1, user_loss_db=cfg.user_loss_db[:1]), 1,
+                     sched=st.sched, link=st.link, adc=st.adc).batch
     with _create(args, "frame_events.csv") as fh:
-        fh.write(_header_lines(cfg.seed, protocol_fingerprint(cfg, st.sched, st.link, st.adc)))
+        fh.write(header_lines(cfg.seed, protocol_fingerprint(cfg, st.sched, st.link, st.adc)))
         write_events(fh, frame_log(batch, 0, 0, st.sched))
     sel_m, sel_n = batch.selected[0, 0] + 1
     applied_m, applied_n = batch.applied[0, 0] + 1
@@ -286,7 +278,7 @@ def cmd_tdma(args, st: Settings) -> int:
     result = run_tdma(cfg, st.frames, sched=st.sched, link=st.link, adc=st.adc)
     config_hash = protocol_fingerprint(cfg, st.sched, st.link, st.adc, (st.frames,))
     with _create(args, "tdma_trace.csv") as fh:
-        fh.write(_header_lines(cfg.seed, config_hash))
+        fh.write(header_lines(cfg.seed, config_hash))
         result.to_csv(fh)
     for u, total in enumerate(result.energy_j[-1].tolist(), 1):
         _say(args, f"user {u}: avg {result.user_average_power_w(u) * 1e6:.4g} uW "
@@ -298,7 +290,7 @@ def cmd_tdma(args, st: Settings) -> int:
 def cmd_budget(args, st: Settings) -> int:
     report = st.energy_budget[1]
     with _create(args, "budget.txt") as fh:
-        fh.write(_header_lines(st.experiment.seed))
+        fh.write(header_lines(st.experiment.seed))
         fh.write(report + "\n")
     _say(args, report)
     return 0

@@ -44,6 +44,7 @@ from .protocol import (
     AdcModel,
     ControlLinkModel,
     FrameSchedule,
+    RoundBatch,
     check_feedback_space,
     control_bytes,
     run_rounds,
@@ -58,6 +59,7 @@ TRACE_COLUMNS = "frame,user,active_flag,antenna,frequency,p_dc_watts,energy_joul
 SUM_USER = 0  # user id used for multi-user sum rows
 DC_BLOCK_DRAWS = 64  # (draw, user) pairs per dc-power call, or U if more: bounds its temporaries
 SWEEP_BLOCK = 1024  # realizations per block of a sweep: bounds its working memory
+REDUCE_CHUNK = 2 ** 16  # values per chunk of a sweep's series reduction, or R if more
 TX_RADIO_W, TX_SOC_W = 0.048, 2.6e-6  # the transmitter's 802.15.4 radio and controller
 
 
@@ -65,6 +67,13 @@ def dbm_to_watts(x_dbm):
     """dBm to watts."""
     out = 10.0 ** ((np.asarray(x_dbm, dtype=float) - 30.0) / 10.0)
     return float(out) if out.ndim == 0 else out
+
+
+def header_lines(seed: int, config_hash: str | None = None, kind: str | None = None) -> str:
+    """The ``#`` lines that open every output file; kind and config hash only if given."""
+    kind_line = "" if kind is None else f"# kind={kind}\n"
+    config = "" if config_hash is None else f"# config={config_hash}\n"
+    return f"# wptdas {__version__}\n{kind_line}# seed={seed}\n{config}"
 
 
 def nested_frequency_indices(total: int, count: int) -> np.ndarray:
@@ -207,11 +216,7 @@ class ExperimentResult:
         raise KeyError((m, n, strategy, user))
 
     def to_csv(self, fh):
-        fh.write(f"# wptdas {__version__}\n")
-        fh.write(f"# kind={self.kind}\n")
-        fh.write(f"# seed={self.seed}\n")
-        fh.write(f"# config={self.config_hash}\n")
-        fh.write(RESULT_COLUMNS + "\n")
+        fh.write(header_lines(self.seed, self.config_hash, self.kind) + RESULT_COLUMNS + "\n")
         for r in self.rows:
             fh.write(f"{r.m},{r.n},{r.strategy},{r.user},{r.avg_pdc_w:.12g},"
                      f"{r.stderr_w:.12g},{self.realizations},{self.seed}\n")
@@ -259,6 +264,7 @@ class TdmaResult:
     applied: np.ndarray  # (F, 2) the pair served, 1-based
     p_dc_w: np.ndarray  # (F, K) frame-average dc power (frame energy / frame duration)
     energy_j: np.ndarray  # (F, K) cumulative harvested energy
+    batch: RoundBatch  # the walk, in whole rounds: one run of ceil(F / K) K frames
 
     def user_average_power_w(self, user_id: int) -> float:
         if user_id not in range(1, self.p_dc_w.shape[1] + 1):
@@ -291,8 +297,8 @@ def run_tdma(cfg: ExperimentConfig, frames: int, sched: FrameSchedule = FrameSch
     rounds at a time, and (DOMAIN_LINK, r) its frames' link draws, so a link
     setting moves no channel. One :func:`wptdas.protocol.run_rounds` walk takes
     all ceil(frames / K) rounds and the result keeps the first ``frames``
-    frames; the rest come last and change no kept value. Bad counts fail
-    before the first draw.
+    frames, and the walk's whole batch; the rest come last and change no kept
+    value. Bad counts fail before the first draw.
     """
     frames = check_integer("frames", frames, low=1)
     check_feedback_space(cfg.max_antennas, cfg.grid.count)
@@ -310,7 +316,8 @@ def run_tdma(cfg: ExperimentConfig, frames: int, sched: FrameSchedule = FrameSch
     energy = (batch.training_j[0] + batch.wpt_j[0])[:frames]
     frame_s = sched.frame_us(m_total * cfg.grid.count) * 1e-6
     # summed frame by frame, in frame order
-    return TdmaResult(batch.applied[0, :frames] + 1, energy / frame_s, np.add.accumulate(energy))
+    return TdmaResult(batch.applied[0, :frames] + 1, energy / frame_s, np.add.accumulate(energy),
+                      batch)
 
 
 def _cell_values(cfg: ExperimentConfig, dc: np.ndarray) -> dict:
@@ -377,7 +384,7 @@ def _sweep_rows(cfg: ExperimentConfig, protocol: tuple | None, jobs: int) -> lis
     max(jobs, ceil(R / SWEEP_BLOCK)) near-equal blocks by this process, or by
     ``jobs`` workers, one per CPU at most; rows are identical for any split.
     Each block fills its span of one (cells, users [+ sum], R) array as it
-    arrives; one ``mean`` and one ``std`` over its rows give every series."""
+    arrives; ``mean`` and ``std`` per chunk of max(1, REDUCE_CHUNK // R) rows give each series."""
     r_total, users = cfg.realizations, cfg.users
     jobs = min(check_integer("jobs", jobs, low=1), r_total, os.cpu_count() or 1)
     count = max(jobs, -(-r_total // SWEEP_BLOCK))
@@ -403,12 +410,16 @@ def _sweep_rows(cfg: ExperimentConfig, protocol: tuple | None, jobs: int) -> lis
             if users > 1:
                 values[:, users, r0:r1] = stacked.sum(axis=2)
     series = values.reshape(-1, r_total)
-    # a row past 2**480 is scaled down to it by an exact power of two: no square overflows
-    shift = np.maximum(np.frexp(series.max(axis=1))[1] - 480, 0)
-    np.ldexp(series, -shift[:, None], out=series)
-    mean = np.ldexp(series.mean(axis=1), shift)
-    stderr = (np.ldexp(np.std(series, axis=1, ddof=1) / math.sqrt(r_total), shift)
-              if r_total > 1 else np.zeros_like(mean))
+    mean, stderr = np.empty(len(series)), np.zeros(len(series))
+    step = max(1, REDUCE_CHUNK // r_total)  # rows per reduction: bounds np.std's temporary
+    for a in range(0, len(series), step):
+        rows = series[a:a + step]
+        # a row past 2**480 is scaled down to it by an exact power of two: no square overflows
+        shift = np.maximum(np.frexp(rows.max(axis=1))[1] - 480, 0)
+        np.ldexp(rows, -shift[:, None], out=rows)
+        mean[a:a + step] = np.ldexp(rows.mean(axis=1), shift)
+        if r_total > 1:
+            stderr[a:a + step] = np.ldexp(np.std(rows, axis=1, ddof=1) / math.sqrt(r_total), shift)
     ids = list(range(1, users + 1)) + ([SUM_USER] if users > 1 else [])
     labels = [(m, k, s, u) for m, k, s in cells for u in ids]
     return [ResultRow(*label, a, e)

@@ -277,8 +277,8 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
     the one rectenna ``rect``. With ``energy=False`` the walk skips the training
     and delivery energies and returns them as None. Before the walk, a cell
     whose ``p_dc`` is not 5-D or does not share the first cell's B, R and K, or
-    whose ``draws`` do not fit it, is rejected, and so is a load whose output
-    voltage ``sqrt(p * load)`` would overflow.
+    whose ``draws`` do not fit it or are None on a lossy link, is rejected, and
+    so is a load whose output voltage ``sqrt(p * load)`` would overflow.
 
     Every run starts at rest: each output at 0 V, and each user's
     transmitter falls back to :func:`default_pair` when its feedback is
@@ -315,6 +315,8 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
     frames = n_rounds * k_users
     shapes = [p.shape[3:] for p in p_dc]
     for c, (d, (m_total, _)) in enumerate(zip(draws, shapes)):
+        if d is None and link.drop_probability > 0.0:
+            raise ValidationError(f"cell {c}: a lossy control link needs draws, got None")
         if d is not None and np.shape(d) != (n_runs, frames, m_total + 1):
             raise ValidationError(f"cell {c}: draws {np.shape(d)} do not fit {n_runs} runs, "
                                   f"{frames} frames and {m_total} antennas")

@@ -93,13 +93,14 @@ class TestFrame:
 
     def test_user_loss_applies_to_the_frame(self, tmp_path, monkeypatch):
         batches = []
-        real = cli.run_frame
+        real = cli.run_tdma
 
         def recorded(*args, **kwargs):
-            batches.append(real(*args, **kwargs))
-            return batches[-1]
+            result = real(*args, **kwargs)
+            batches.append(result.batch)
+            return result
 
-        monkeypatch.setattr(cli, "run_frame", recorded)
+        monkeypatch.setattr(cli, "run_tdma", recorded)
         events = []
         for loss in (0, 10):
             cfg = tmp_path / f"loss{loss}.ini"
@@ -183,6 +184,21 @@ class TestSweep:
         assert run(["sweep", "--config", str(cfg), "--quiet"], tmp_path) == 0
         text = (tmp_path / "sweep_results.csv").read_text()
         assert "# kind=protocol" in text
+
+    def test_the_protocol_pipeline_ignores_strategies(self, tmp_path):
+        # it runs joint selection whatever the list holds; the key still enters
+        # the config hash, as every key does
+        texts = []
+        for i, strategies in enumerate(("none", "none, antenna_only")):
+            cfg = tmp_path / f"proto{i}.ini"
+            cfg.write_text(SWEEP_CONFIG + f"pipeline = protocol\nstrategies = {strategies}\n")
+            assert run(["sweep", "--config", str(cfg), "--quiet"], tmp_path / str(i)) == 0
+            texts.append((tmp_path / str(i) / "sweep_results.csv").read_text().splitlines())
+        body = [ln for ln in texts[0] if ln[:1].isdigit()]
+        assert len(body) == 4 and {ln.split(",")[2] for ln in body} == {"joint"}
+        assert body == [ln for ln in texts[1] if ln[:1].isdigit()]
+        hashes = [[ln for ln in text if ln.startswith("# config=")] for text in texts]
+        assert hashes[0] != hashes[1]
 
     def test_a_steep_rise_saturates_without_a_warning(self, tmp_path):
         # the logistic's exp overflows for a steep rise; the warning is an error here

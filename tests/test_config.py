@@ -1,10 +1,12 @@
 """The INI schema of the CLI: defaults, key coverage, bad values, flags, and
 the config hash line of the frame and TDMA outputs."""
 
+import io
 import math
 import re
 import tempfile
 import tracemalloc
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
@@ -82,6 +84,15 @@ def _reads_floats(cast) -> bool:
 
 
 FLOAT_KEYS = [(s, k) for s, k in SCHEMA_KEYS if _reads_floats(_SCHEMA[s][k][2])]
+
+
+# The multi-key fuzz runs the simulating commands on every config that validate
+# accepts, as small as the single-key fuzz runs them. A protocol sweep keeps
+# U frames of U users' powers per realization and cell, so a config past
+# FUZZ_RUN_SIZE users**2 x realizations is validated but not run.
+FUZZ_BASE = {("experiment", "realizations"): "2", ("experiment", "frames"): "2"}
+FUZZ_COMMANDS = [("sweep", "ideal"), ("sweep", "protocol"), ("frame", "ideal"), ("tdma", "ideal")]
+FUZZ_RUN_SIZE = 100_000
 
 
 def ini(values: dict) -> str:
@@ -252,15 +263,35 @@ class TestBadValues:
     @example([(("budget", "train_power_dbm"), "-3100"), (("budget", "wpt_power_dbm"), "-3100")])
     # an int frame length beyond the float range once raised a bare OverflowError
     @example([(("schedule", "slot_s"), "1e302")])
+    # validate accepts it; the simulating commands reject its energy bound
+    @example([(("rectenna", "settle_tau_s"), "1e308"), (("channel", "path_loss_db"), "0")])
     def test_fuzzed_config_exits_zero_or_one(self, entries):
+        given = {**FUZZ_BASE, **dict(entries)}
         with tempfile.TemporaryDirectory() as tmp:
-            cfg = write(Path(tmp), ini(dict(entries)))
+            cfg = write(Path(tmp), ini(given))
             code = main(["validate", "--config", cfg, "--quiet"])
             assert code in (0, 1)
-            if code == 0:  # budget simulates nothing, so every valid config runs it
-                assert main(["budget", "--config", cfg, "--quiet", "--out", tmp]) == 0
-                report = (Path(tmp) / "budget.txt").read_text()
-                assert not re.search(r"\b(inf|nan)\b", report, re.I), report
+            if code == 1:
+                return
+            # budget simulates nothing, so every valid config runs it
+            assert main(["budget", "--config", cfg, "--quiet", "--out", tmp]) == 0
+            report = (Path(tmp) / "budget.txt").read_text()
+            assert not re.search(r"\b(inf|nan)\b", report, re.I), report
+            experiment = load_settings(cfg).experiment
+            if experiment.users ** 2 * experiment.realizations > FUZZ_RUN_SIZE:
+                return
+            for command, pipeline in FUZZ_COMMANDS:
+                out = Path(tmp) / f"{command}-{pipeline}"
+                path = write(Path(tmp), ini({**given, ("experiment", "pipeline"): pipeline}),
+                             "run.ini")
+                with redirect_stderr(io.StringIO()) as err:
+                    code = main([command, "--config", path, "--quiet", "--out", str(out)])
+                assert (code, err.getvalue()) == (0, "") or (
+                    code == 1 and re.fullmatch(r"error: [^\n]*\n", err.getvalue())), \
+                    (command, pipeline, code, err.getvalue())
+                for written in out.iterdir() if out.exists() else ():
+                    text = written.read_text()
+                    assert not re.search(r"\b(inf|nan)\b", text, re.I), (command, text)
 
 
 class TestReadme:

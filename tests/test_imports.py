@@ -37,3 +37,14 @@ def test_every_imported_name_is_used(path):
 def test_an_unused_import_is_found():
     source = "import os\nfrom .errors import EventLog, check_finite\ncheck_finite(os)\n"
     assert unused_imports(source) == [(2, "EventLog")]
+
+
+def test_the_cli_imports_no_private_library_name():
+    # the stream layout and the dc tensor stay behind the library's public runners
+    tree = ast.parse((Path(wptdas.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "wptdas")
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []

@@ -371,6 +371,14 @@ class TestRunRoundsShapes:
         with pytest.raises(ValidationError, match="cell 0: draws"):
             self.walk([cell], [np.full((1, 3, 3), 0.9)])
 
+    @pytest.mark.parametrize("drop", [1.0, 1e-12])
+    def test_a_lossy_link_without_draws_names_the_cell(self, drop):
+        # a cell whose draws were None once ran a lossy link as a lossless one
+        cells = [np.full((1, 1, 1, 2, 3), 1e-6)] * 2
+        link = ControlLinkModel(drop_probability=drop)
+        with pytest.raises(ValidationError, match="cell 1: a lossy control link needs draws"):
+            run_rounds(cells, RECT, FrameSchedule(), link, None, [np.full((1, 1, 3), 0.9), None])
+
     def test_every_cell_needs_each_input(self):
         cells = [np.full((1, 1, 1, 2, 3), 1e-6)] * 2
         with pytest.raises(ValidationError, match="per cell"):

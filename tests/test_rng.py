@@ -138,7 +138,9 @@ def per_series_rows(values: dict) -> list:
 @pytest.mark.parametrize("users", [1, 2, 3, 4, 8, 9])
 # one block, or uneven blocks of at most 7 realizations
 @pytest.mark.parametrize("block", [1024, 7])
-def test_summary_rows_equal_per_series_reduction(monkeypatch, n_real, users, block):
+# one reduction chunk, or uneven chunks down to one series
+@pytest.mark.parametrize("chunk", [2 ** 16, 100])
+def test_summary_rows_equal_per_series_reduction(monkeypatch, n_real, users, block, chunk):
     rng = np.random.default_rng(n_real * 10 + users)
     values = {(m, k, s): rng.exponential(1e-5, (n_real, users)) * rng.uniform(0.5, 2.0)
               for m in (1, 4) for k in (1, 3, 15) for s in ("joint", "none")}
@@ -148,6 +150,7 @@ def test_summary_rows_equal_per_series_reduction(monkeypatch, n_real, users, blo
 
     monkeypatch.setattr(experiments, "_block_values", block_values)  # serial only
     monkeypatch.setattr(experiments, "SWEEP_BLOCK", block)
+    monkeypatch.setattr(experiments, "REDUCE_CHUNK", chunk)
     cfg = ExperimentConfig(MODEL_E, FrequencyGrid.uniform(), users=users, realizations=n_real)
     got = [(r.m, r.n, r.strategy, r.user, r.avg_pdc_w, r.stderr_w)
            for r in experiments._sweep_rows(cfg, None, 1)]

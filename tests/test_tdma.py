@@ -1,4 +1,5 @@
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from wptdas import experiments
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
 from wptdas.errors import FeedbackCapacityError, ValidationError
 from wptdas.experiments import TRACE_COLUMNS, ExperimentConfig, _dc_tensor, run_tdma
-from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, run_frame, run_rounds
+from wptdas.protocol import (DEFAULT_ADC, ControlLinkModel, FrameSchedule, RoundBatch, run_frame,
+                             run_rounds)
 from wptdas.rectenna import RectennaConfig
 from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
 from wptdas.selection import select_pairs
@@ -217,6 +219,12 @@ class TestStreamLayout:
         result = run_tdma(cfg, 1, link=link)
         assert (result.applied[0] == batch.applied[0, 0] + 1).all()
         assert result.energy_j[0, 0] == batch.training_j[0, 0, 0] + batch.wpt_j[0, 0, 0]
+        # the walk's frame 0, and for the fields kept per user its user 1
+        for name in (f.name for f in fields(RoundBatch)):
+            walk = getattr(result.batch, name)[:, :1]
+            if name in ("served_w", "training_j", "wpt_j", "voltage_v"):
+                walk = walk[..., :1]
+            assert np.array_equal(getattr(batch, name), walk), name
 
     @pytest.mark.parametrize("users", [1, 2, 3])
     @pytest.mark.parametrize("seed", [1, 2, 3])
