@@ -223,9 +223,10 @@ class ExperimentResult:
 
 
 def _sweep_cells(cfg: ExperimentConfig):
+    cols = {k: nested_frequency_indices(cfg.grid.count, k) for k in cfg.frequency_sweep}
     for m in cfg.antenna_sweep:
         for k in cfg.frequency_sweep:
-            yield m, k, nested_frequency_indices(cfg.grid.count, k)
+            yield m, k, cols[k]
 
 
 def _dc_tensor(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
@@ -375,8 +376,8 @@ def _block_values(cfg: ExperimentConfig, protocol: tuple | None, r0: int, r1: in
     batches = run_rounds([dc[:, None, :, :m][..., cols] for m, _k, cols in cells],
                          cfg.rect, sched, link, adc, draws, energy=False)
     # summed frame by frame, in frame order
-    return {(m, k, "joint"): np.add.accumulate(batch.served_w, axis=1)[:, -1] / users
-            for (m, k, _cols), batch in zip(cells, batches)}
+    totals = np.add.accumulate(np.stack([batch.served_w for batch in batches]), axis=2)
+    return {(m, k, "joint"): total / users for (m, k, _cols), total in zip(cells, totals[:, :, -1])}
 
 
 def _sweep_rows(cfg: ExperimentConfig, protocol: tuple | None, jobs: int) -> list:

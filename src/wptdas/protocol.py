@@ -50,7 +50,7 @@ import numpy as np
 from .errors import (FeedbackCapacityError, FeedbackDecodeError, ValidationError,
                      check_finite, check_integer)
 from .rectenna import RectennaConfig, segment_energy, settle
-from .selection import CandidateMatrix, check_powers, default_pair, select_pairs
+from .selection import CandidateMatrix, check_powers, default_pair
 
 FEEDBACK_BITS = 6
 MESSAGE_SIZE_BYTES = 1
@@ -203,9 +203,10 @@ def _blank_us(link: ControlLinkModel, n_total: int, slot_us: int) -> list:
     return [min(max(link.latency_us - n * slot_us, 0), slot_us) for n in range(n_total)]
 
 
-def _segments(m_total: int, blank: list, slot_us: int, wpt_blank: int) -> list:
-    """A frame's settling segments for ``m_total`` antennas in time order, as
-    (slot, us, head), given each frequency's blanked head (:func:`_blank_us`).
+def _segments(blank: list, slot_us: int, wpt_blank: int) -> list:
+    """One antenna block's settling segments in time order, as (frequency,
+    us, head), given each frequency's blanked head (:func:`_blank_us`); a
+    frame of M antennas runs M such blocks.
 
     One per slot, except that a slot whose head is blanked splits in two for
     every row: toward 0 over the head, then toward the row's target, which
@@ -214,10 +215,9 @@ def _segments(m_total: int, blank: list, slot_us: int, wpt_blank: int) -> list:
     us, dark and ending no slot; at 0 us it holds the voltage.
     """
     segs = []
-    for s in range(m_total * len(blank)):
-        head = blank[s % len(blank)]
-        segs += ([(s, head, True), (s, slot_us - head, False)]
-                 if 0 < head < slot_us else [(s, slot_us, False)])
+    for n, head in enumerate(blank):
+        segs += ([(n, head, True), (n, slot_us - head, False)]
+                 if 0 < head < slot_us else [(n, slot_us, False)])
     return segs + [(0, wpt_blank, True)]
 
 
@@ -290,10 +290,18 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
     one step per segment (:func:`_segments`), the last the delivery phase's
     head, dark until the feedback takes effect. A step's decay depends only
     on its duration; whether the transmitter emits sets only each row's
-    target, so a dropped activation is a zero-power emission. The cells are
-    packed side by side into lanes as long as the longest cell's run
+    target, so a dropped activation is a zero-power emission. The plan is
+    built as arrays from one antenna block of segments for the most
+    frequencies: a frequency's blanked head does not depend on the cell, so
+    cell (M, N) runs M copies of the block's first N frequencies, and each
+    step's pair, duration and darkness follow by index arithmetic. The cells
+    are packed side by side into lanes as long as the longest cell's run
     (:func:`_pack_lanes`), and a lane's unused tail holds its voltage (decay
-    1, target 0). Each frame steps every lane at once, then takes every
+    1, target 0). Each frame steps every lane at once, then picks every
+    cell's pair in one pass over all cells' samples: each cell's largest
+    sampled power, then the first of its slots that holds it, so a tie goes
+    to the lowest antenna, then frequency, as in
+    :func:`wptdas.selection.select_pairs`. With the energies, it takes every
     step's energy in one pass: a cell's training energy sums its steps
     before the head, its delivery energy is the head's plus the served
     power over the rest of the phase. Each element meets the same float
@@ -322,42 +330,59 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
                                   f"{frames} frames and {m_total} antennas")
     slot_us, wpt_us = sched.slot_us, sched.wpt_us
     tau, load = rect.settle_tau_s, rect.load_ohms
+    # each user's powers pair by pair, (R, pairs, B, K), over every cell's pairs
+    p_pairs = np.concatenate([p.reshape(n_runs, n_rounds, k_users, -1).transpose(1, 3, 0, 2)
+                              for p in p_dc], axis=1)
     # no voltage exceeds sqrt(p * load), so no energy term exceeds a few p * load
     # times the longest segment or tau
-    p_max = max(float(p.max(initial=0.0)) for p in p_dc)
+    p_max = float(p_pairs.max(initial=0.0))
     if not p_max * load * 4.0 * (1.0 + slot_us * 1e-6 + tau) < math.inf:
         raise ValidationError(f"load_ohms = {load!r}, settle_tau_s = {tau!r} or slot_s = "
                               f"{sched.slot_s!r} overflows the energy bound at p = {p_max!r} W")
     wpt_blank = _blank_us(link, 1, wpt_us)[0]
     trim = not energy and wpt_us > wpt_blank  # walk only the training user's column
 
-    # The step tables, (steps, lanes): the pair (and slot) each step settles
-    # toward, its duration's code, and whether its target is 0 whatever is
-    # emitted (heads, start steps and tails).
-    blanks = {n: _blank_us(link, n, slot_us) for _, n in shapes}
-    segs = [_segments(m, blanks[n], slot_us, wpt_blank) for m, n in shapes]
-    n_lanes, place = _pack_lanes([len(cell) + 1 for cell in segs])
-    length = max(len(cell) for cell in segs) + 1
-    durations = sorted({us for cell in segs for _, us, _ in cell} | {0})
-    code = {us: i for i, us in enumerate(durations)}
-    start = len(durations)  # the start step's decay, 0
-    table = [(0, code[0], True)] * (length * n_lanes)  # a tail holds
-    slot_ant, slot_live, slot_end = [], [], []
-    slot_off = np.cumsum([0] + [m * n for m, n in shapes])
-    antenna0 = 0
-    for c, ((m_total, n_total), (lane, first)) in enumerate(zip(shapes, place)):
-        table[first * n_lanes + lane] = (0, start, True)
-        for step, (s, us, head) in enumerate(segs[c], first + 1):
-            table[step * n_lanes + lane] = (int(slot_off[c]) + s, code[us], head)
-            if not head:
-                slot_end.append(step * n_lanes + lane)
-        slot_ant += [antenna0 + s // n_total for s in range(m_total * n_total)]
-        slot_live += [blanks[n_total][s % n_total] < slot_us for s in range(m_total * n_total)]
-        antenna0 += m_total
-    step_pair, seg_code, dark = np.array(table).reshape(length, n_lanes, 3).transpose(2, 0, 1)
-    dark = dark.astype(bool)[..., None, None]
+    # The step tables, (steps, lanes): the pair each step settles toward, its
+    # duration's code, and whether its target is 0 whatever is emitted (heads,
+    # start steps and tails). Cell (m, n) runs m copies of the first n
+    # frequencies of one antenna block for the most frequencies, ``block``,
+    # whose delivery head comes last and start step after it (index -1).
+    ms, ns = np.array(shapes).T
+    blank = _blank_us(link, ns.max(), slot_us)
+    block = _segments(blank, slot_us, wpt_blank) + [(0, 0, True)]
+    blk_freq = np.array([s for s, _, _ in block])
+    blk_head = np.array([head for _, _, head in block])
+    # Python ints, code 0 a lane's tail: slot_us can pass int64
+    durations = [0] + [us for _, us, _ in block[:-1]]
+    per = np.searchsorted(blk_freq[:-2], ns)  # segments per antenna
+    steps = ms * per + 2  # a start step, the slots' segments, the delivery head
+    n_lanes, place = _pack_lanes(steps.tolist())
     cell_lane, cell_first = np.array(place).T
-    cell_last = cell_first + [len(cell) for cell in segs]  # each cell's delivery head
+    cell_last = cell_first + steps - 1  # each cell's delivery head
+    length = steps.max()
+    cell = np.repeat(np.arange(n_cells), steps)  # each step's cell and index in it
+    i = np.arange(cell.size) - np.repeat(np.cumsum(steps) - steps, steps)
+    a, t = np.divmod(i - 1, per[cell])  # antenna and block segment of a step in a slot
+    t[i == 0], t[i == steps[cell] - 1] = len(block) - 1, len(block) - 2
+    slot_off = np.concatenate([[0], np.cumsum(ms * ns)])
+    at = (cell_first[cell] + i) * n_lanes + cell_lane[cell]
+    step_pair, seg_code = np.zeros((2, length, n_lanes), np.intp)
+    dark = np.ones((length, n_lanes, 1, 1), bool)
+    step_pair.flat[at] = np.where(blk_head[t], 0, slot_off[cell] + a * ns[cell] + blk_freq[t])
+    seg_code.flat[at], dark.flat[at] = t + 1, blk_head[t]
+    slot_end = at[~blk_head[t]]
+
+    # each slot's cell, 0-based pair and activation message, and whether it
+    # emits at all when its activation gets through
+    slot_cell = np.repeat(np.arange(n_cells), ms * ns)
+    slot_pair = np.stack(np.divmod(np.arange(slot_off[-1]) - slot_off[slot_cell],
+                                   ns[slot_cell]), axis=-1)
+    msg_off = np.cumsum(ms + 1) - ms - 1  # each cell's first message
+    ok = np.concatenate([np.ones((n_runs, frames, m + 1)) if d is None else d
+                         for d, (m, _) in zip(draws, shapes)], axis=-1) >= link.drop_probability
+    emits = ok[..., msg_off[slot_cell] + slot_pair[:, 0]] & np.array(
+        [b < slot_us for b in blank])[slot_pair[:, 1]]  # (B, F, slots)
+    fed_back = ok[..., msg_off + ms].transpose(2, 0, 1)  # (C, B, F)
 
     # one exp (and expm1) per duration, then a row per step
     decay = np.array([math.exp(-(us * 1e-6) / tau) for us in durations] + [0.0])
@@ -367,27 +392,27 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
         seg_rise = rise[seg_code][..., None, None]
         seg_dur = np.array(durations + [0])[seg_code][..., None, None] * 1e-6
 
-    ok = [np.ones((n_runs, frames, m + 1), dtype=bool) if d is None
-          else d >= link.drop_probability for d, (m, _) in zip(draws, shapes)]
-    fed_back = np.stack([o[..., m] for o, (m, _) in zip(ok, shapes)])  # (C, B, F)
-    emits = (np.concatenate([o[..., :m] for o, (m, _) in zip(ok, shapes)], axis=-1)
-             [..., slot_ant] & np.array(slot_live))  # (B, F, slots)
-
-    # each user's powers pair by pair, (R, pairs, B, K), over every cell's pairs
-    p_pairs = np.concatenate([p.reshape(n_runs, n_rounds, k_users, -1).transpose(1, 3, 0, 2)
-                              for p in p_dc], axis=1)
-    n_cols = np.array([n for _, n in shapes])[:, None]
     rows = np.arange(n_runs)
-    users = np.arange(k_users)
+    firsts = slot_off[:-1]
     width = 1 if trim else k_users
     tgt = np.empty((length, n_lanes, n_runs, width))
     # a lean walk reads no target after its step, so the voltages overwrite them
     volts = tgt if trim else np.empty_like(tgt)
     samples = np.empty((n_runs, frames, slot_off[-1]))
     v = np.zeros((n_cells, n_runs, k_users))  # every output starts at 0 V
-    last = np.empty((n_cells, n_runs, k_users, 2), dtype=np.intp)  # each user's fallback
-    last[...] = np.array([default_pair(n) for _, n in shapes])[:, None, None]
-    out = {}  # (C, B, F, ...) per key
+    antenna, frequency = default_pair(ns)
+    last = np.empty((n_cells, n_runs, k_users), np.intp)  # each user's fallback slot
+    last[...] = (firsts + antenna * ns + frequency)[:, None, None]
+    picks, served = np.empty((2, n_cells, n_runs, frames), np.intp)  # slots, (C, B, F)
+    selected_w = np.empty((n_cells, n_runs, frames))
+    served_w, voltage_v = np.empty((2, n_cells, n_runs, frames, k_users))
+    training_j = wpt_j = None
+    if energy:
+        training_j, wpt_j = np.empty((2, n_cells, n_runs, frames, k_users))
+    # each step's rows, as views made once: every frame reuses the buffers
+    step_rows = list(zip(volts[:-1], tgt[1:], seg_decay[1:], volts[1:]))
+    slot_ids = np.arange(slot_off[-1])[:, None]
+    ends = np.empty((slot_off[-1], n_runs))  # each frame's slot-end voltages, then powers
     for f in range(frames):
         r, j = divmod(f, k_users)  # the round and its training user
         p_round = p_pairs[r]
@@ -398,41 +423,39 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
         np.copyto(tgt, 0.0, where=dark | ~emits[:, f, step_pair].transpose(1, 2, 0)[..., None])
         tgt[cell_first, cell_lane] = v[..., cols]
         volts[0] = tgt[0]  # every lane opens with a start step
-        for s in range(1, length):
-            volts[s] = settle(volts[s - 1], tgt[s], seg_decay[s])
+        for start, target, decay_s, end in step_rows:
+            settle(start, target, decay_s, out=end)
 
-        ends = volts.reshape(-1, n_runs, width)[slot_end, :, 0 if trim else j].T
-        samples[:, f] = ends if adc is None else adc.quantize(ends)
-        sampled_w = check_powers(np.square(samples[:, f]) / load)
-        picks = np.array([select_pairs(sampled_w[:, s0:s1].reshape(n_runs, m, n), "joint")
-                          for (m, n), s0, s1 in zip(shapes, slot_off, slot_off[1:])])
-        selected = picks.transpose(0, 2, 1)  # (C, B, 2)
-        applied = last[:, :, j] = np.where(fed_back[:, :, f, None], selected, last[:, :, j])
-        served_w = p_round[(slot_off[:-1, None] + applied[..., 0] * n_cols
-                            + applied[..., 1])[..., None], rows[:, None], users]  # (C, B, K)
-        frame = dict(selected=selected, applied=applied, served_w=served_w,
-                     selected_w=sampled_w[rows, slot_off[:-1, None] + picks[:, 0] * n_cols
-                                          + picks[:, 1]])
+        np.take(volts.reshape(-1, n_runs, width)[..., 0 if trim else j], slot_end, axis=0,
+                out=ends, mode="clip")
+        sampled = ends if adc is None else adc.quantize(ends)
+        samples[:, f] = sampled.T
+        sampled_w = check_powers(np.divide(np.square(sampled, out=ends), load, out=ends))
+        del sampled  # the next frame's quantization need not hold this one's samples
+        # each cell's largest sampled power, and its first slot that holds it:
+        # the lowest antenna, then frequency
+        top = selected_w[:, :, f] = np.maximum.reduceat(sampled_w, firsts)  # (C, B)
+        pick = picks[:, :, f] = np.minimum.reduceat(
+            np.where(sampled_w == top[slot_cell], slot_ids, slot_off[-1]), firsts)
+        serve = served[:, :, f] = last[..., j] = np.where(fed_back[..., f], pick, last[..., j])
+        p_served = served_w[:, :, f] = p_round[serve, rows]  # (C, B, K)
         if energy:  # every step's energy at once, each cell's training summed in order
             energy_j = segment_energy(volts[:-1], tgt[1:], seg_dur[1:], seg_rise[1:], tau, load)
-            frame["training_j"] = np.stack([
-                np.add.accumulate(energy_j[f0:l0 - 1, lane])[-1]
-                for lane, f0, l0 in zip(cell_lane, cell_first, cell_last)])
-            frame["wpt_j"] = (energy_j[cell_last - 1, cell_lane]
-                              + served_w * (wpt_us - wpt_blank) * 1e-6)
-        v = np.sqrt(served_w * load) if wpt_us > wpt_blank else volts[cell_last, cell_lane]
-        frame["voltage_v"] = v
-        for key, value in frame.items():
-            if key not in out:
-                out[key] = np.empty((n_cells, n_runs, frames) + value.shape[2:], value.dtype)
-            out[key][:, :, f] = value
+            for c, (lane, f0, l0) in enumerate(zip(cell_lane, cell_first, cell_last)):
+                training_j[c, :, f] = np.add.accumulate(energy_j[f0:l0 - 1, lane])[-1]
+            wpt_j[:, :, f] = (energy_j[cell_last - 1, cell_lane]
+                              + p_served * (wpt_us - wpt_blank) * 1e-6)
+        v = np.sqrt(p_served * load) if wpt_us > wpt_blank else volts[cell_last, cell_lane]
+        voltage_v[:, :, f] = v
 
-    return [RoundBatch(activated=o[..., :m], fed_back=o[..., m],
+    selected, applied = slot_pair[picks], slot_pair[served]
+    return [RoundBatch(activated=ok[..., m0:m0 + m], fed_back=ok[..., m0 + m],
                        emitting=emits[..., s0:s1].reshape(n_runs, frames, m, n),
-                       samples=samples[..., s0:s1],
-                       **{"training_j": None, "wpt_j": None}
-                       | {key: arr[c] for key, arr in out.items()})
-            for c, (o, (m, n), s0, s1) in enumerate(zip(ok, shapes, slot_off, slot_off[1:]))]
+                       samples=samples[..., s0:s1], selected=selected[c],
+                       selected_w=selected_w[c], applied=applied[c], served_w=served_w[c],
+                       training_j=None if training_j is None else training_j[c],
+                       wpt_j=None if wpt_j is None else wpt_j[c], voltage_v=voltage_v[c])
+            for c, ((m, n), m0, s0, s1) in enumerate(zip(shapes, msg_off, slot_off, slot_off[1:]))]
 
 
 def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule) -> list[Event]:

@@ -192,9 +192,10 @@ class RectennaConfig:
 # Python's ``x ** 2`` calls ``pow``, which can differ from numpy's square in
 # the last bit.
 
-def settle(v_initial, v_target, decay):
-    """Output voltage at the end of a segment that starts at ``v_initial``."""
-    return v_target + (v_initial - v_target) * decay
+def settle(v_initial, v_target, decay, out=None):
+    """Output voltage at the end of a segment that starts at ``v_initial``,
+    written into ``out`` if given, which may be ``v_target`` itself."""
+    return np.add(v_target, (v_initial - v_target) * decay, out=out)
 
 
 def segment_energy(v_initial, v_target, duration_s, rise, tau_s, load_ohms):

@@ -265,6 +265,10 @@ class TestBadValues:
     @example([(("schedule", "slot_s"), "1e302")])
     # validate accepts it; the simulating commands reject its energy bound
     @example([(("rectenna", "settle_tau_s"), "1e308"), (("channel", "path_loss_db"), "0")])
+    # a slot_us past int64, with and without a lossy, late link: each command exits 0
+    @example([(("schedule", "slot_s"), "9223372036855.0")])
+    @example([(("schedule", "slot_s"), "9223372036855.0"), (("link", "delivery"), "lossy"),
+              (("link", "latency_s"), "0.002")])
     def test_fuzzed_config_exits_zero_or_one(self, entries):
         given = {**FUZZ_BASE, **dict(entries)}
         with tempfile.TemporaryDirectory() as tmp:

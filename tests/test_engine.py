@@ -316,6 +316,32 @@ class TestChainedWalk:
             self.assert_same(batch, alone, [field.name for field in fields(RoundBatch)])
 
 
+class TestJointPickTies:
+    # A walk picks every cell's pair in one pass over all cells' samples. A
+    # coarse ADC ties many slots, and a dropped activation darkens whole
+    # blocks (every sample 0 from rest); each tie goes to the lowest antenna,
+    # then frequency, as select_pairs breaks it for that cell alone.
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, runs=st.integers(1, 3), rounds=st.integers(1, 2), k=st.integers(1, 3),
+           shapes=TestChainedWalk.shapes, latency_s=latencies,
+           drop=st.sampled_from([0.0, 0.3, 1.0]),
+           adc=st.sampled_from([None, AdcModel(bits=1, v_ref=0.4), AdcModel(bits=2, v_ref=0.6)]))
+    def test_each_cell_picks_as_select_pairs(self, seed, runs, rounds, k, shapes, latency_s,
+                                             drop, adc):
+        rect = RectennaConfig()
+        link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
+        p_dc, draws = chained_cells(seed, runs, rounds, k, shapes, link)
+        walk = run_rounds(p_dc, rect, FrameSchedule(), link, adc, draws, energy=False)
+        for batch, (m, n) in zip(walk, shapes, strict=True):
+            sampled_w = np.square(batch.samples) / rect.load_ohms
+            pairs = select_pairs(check_powers(sampled_w.reshape(runs, rounds * k, m, n)), "joint")
+            assert np.array_equal(batch.selected, np.stack(pairs, axis=-1))
+            at = (pairs[0] * n + pairs[1])[..., None]
+            assert np.array_equal(batch.selected_w, np.take_along_axis(sampled_w, at, -1)[..., 0])
+            if drop == 1.0:  # the first frame of every run is dark throughout
+                assert not batch.samples[:, 0].any() and not batch.selected[:, 0].any()
+
+
 class TestDroppedActivation:
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds, k=st.integers(1, 3), rect=rects,
