@@ -312,8 +312,9 @@ def run_tdma(cfg: ExperimentConfig, frames: int, sched: FrameSchedule = FrameSch
     for a in range(0, rounds, step):
         p_dc[a:a + step] = _dc_tensor(cfg, a, min(a + step, rounds))
     draws = _link_draws(cfg, link, 0, rounds, k * (m_total + 1))
-    batch, = run_rounds([check_powers(p_dc[None])], cfg.rect, sched, link, adc,
-                        [None if draws is None else draws.reshape(1, rounds * k, m_total + 1)])
+    batch, = run_rounds(check_powers(p_dc[None]),
+                        [np.arange(m_total * cfg.grid.count).reshape(m_total, -1)], cfg.rect,
+                        sched, link, adc, None if draws is None else draws[None])
     energy = (batch.training_j[0] + batch.wpt_j[0])[:frames]
     frame_s = sched.frame_us(m_total * cfg.grid.count) * 1e-6
     # summed frame by frame, in frame order
@@ -356,10 +357,10 @@ def _block_values(cfg: ExperimentConfig, protocol: tuple | None, r0: int, r1: in
     of realizations [r0, r1): :func:`_cell_values` of their dc tensor, or with a
     ``protocol`` (schedule, link, ADC), the delivery powers of joint selection.
 
-    Each protocol cell's matrices are a slice of the same tensor, and every
-    cell runs its round of one frame per user for every realization in one
-    engine walk, which packs the cells side by side into lanes and skips the
-    energies the sweep does not read. Realization r's draws come from its own
+    Each protocol cell is a set of offsets into every matrix of the one dc
+    tensor, and every cell runs its round of one frame per user for every
+    realization in one engine walk of that tensor, which skips the energies
+    the sweep does not read. Realization r's draws come from its own
     substreams, so a block's values are those of any walk that holds it.
     """
     dc = check_powers(_dc_tensor(cfg, r0, r1))
@@ -367,14 +368,10 @@ def _block_values(cfg: ExperimentConfig, protocol: tuple | None, r0: int, r1: in
         return _cell_values(cfg, dc)
     sched, link, adc = protocol
     cells, users = list(_sweep_cells(cfg)), cfg.users
-    widths = [users * (m + 1) for m, _k, _cols in cells]
-    draws = _link_draws(cfg, link, r0, r1, sum(widths))
-    draws = [None] * len(cells) if draws is None else [
-        d.reshape(r1 - r0, users, m + 1) for d, (m, _k, _cols) in
-        zip(np.split(draws, np.cumsum(widths)[:-1], axis=1), cells)]
-
-    batches = run_rounds([dc[:, None, :, :m][..., cols] for m, _k, cols in cells],
-                         cfg.rect, sched, link, adc, draws, energy=False)
+    draws = _link_draws(cfg, link, r0, r1, users * sum(m + 1 for m, _k, _cols in cells))
+    offsets = [np.arange(m)[:, None] * cfg.grid.count + cols for m, _k, cols in cells]
+    batches = run_rounds(dc[:, None], offsets, cfg.rect, sched, link, adc,
+                         None if draws is None else draws[:, None], energy=False)
     # summed frame by frame, in frame order
     totals = np.add.accumulate(np.stack([batch.served_w for batch in batches]), axis=2)
     return {(m, k, "joint"): total / users for (m, k, _cols), total in zip(cells, totals[:, :, -1])}

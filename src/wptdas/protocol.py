@@ -19,24 +19,18 @@ budget (:func:`wptdas.experiments.power_budget_report`). Each message -
 activation or feedback - is one byte, so a frame sends
 :func:`control_bytes`.
 
-One engine, :func:`run_rounds`, walks every frame of a whole batch of
-independent TDMA runs at once: every (run, user) row settles through the
-same slots, the training user's samples feed its selection, and the
-passive users harvest what the transmitter emits. Every run starts at
-rest (0 V, no earlier pair), and the engine alone carries each output
-voltage and each user's fallback pair from frame to frame. A walk may
-hold several cells (candidate-matrix shapes) side by side in lanes: each
-cell's frame is a start step, which loads the cell's own voltage, then one
-settling step per segment, the delivery phase's blanked head last, and
-every lane steps at once. Each cell gets its own :class:`RoundBatch` of
-views into the walk's arrays; the training and delivery energies are None
-when the caller skips them, and then only the training user's column is
-stepped unless delivery is fully blanked. A batch is the result of every
-caller, each of which makes one call: the protocol sweep walks all its
-cells over all realizations without the energies,
-:func:`wptdas.experiments.run_tdma` walks all its rounds and
-:func:`run_frame` one frame. Event logs are built only on request, from
-the batch's arrays (:func:`frame_log`, written by :func:`write_events`).
+One engine, :func:`run_rounds`, walks every frame of a batch of independent
+TDMA runs at once, from rest (0 V, no earlier pair): every (run, user) row
+settles through the same slots, the training user's samples feed its
+selection, and the passive users harvest what the transmitter emits. The
+engine alone carries each output voltage and each user's fallback pair
+from frame to frame. Its cells, walked side by side in lanes, are candidate
+sets: offsets into every M x N matrix of one dc tensor. Each gets a
+:class:`RoundBatch` of views into the walk's arrays. The protocol sweep
+walks its nested cells over all realizations in one call without the
+energies; :func:`wptdas.experiments.run_tdma` and :func:`run_frame` walk one
+cell that covers the whole matrix. Event logs are built only on request,
+from the batch's arrays (:func:`frame_log`, written by :func:`write_events`).
 """
 
 from __future__ import annotations
@@ -262,92 +256,96 @@ class RoundBatch:
     voltage_v: np.ndarray  # (B, F, K) output voltage at frame end
 
 
-def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: ControlLinkModel,
-               adc: AdcModel | None, draws: list, *, energy: bool = True) -> list[RoundBatch]:
+def run_rounds(p_dc: np.ndarray, cells: list, rect: RectennaConfig, sched: FrameSchedule,
+               link: ControlLinkModel, adc: AdcModel | None, draws: np.ndarray | None, *,
+               energy: bool = True) -> list[RoundBatch]:
     """Walk ``R`` whole rounds of ``B`` independent runs of each of a list of
     cells through the protocol, from rest; one :class:`RoundBatch` per cell.
 
-    A cell is one candidate-matrix shape. Each of the per-cell lists holds one
-    entry per cell: ``p_dc`` (B, R, K, M, N), each user's steady dc power per
-    pair in each of ``R`` rounds, already through :func:`check_powers`, and
-    ``draws`` (B, R K, M + 1), each frame's link uniforms, M activations then
-    the feedback, or None on a lossless link (a message gets through when its
-    draw is at least the drop probability). Frame ``f`` trains user ``f % K``
-    with round ``f // K``'s powers. Every user of every cell harvests through
-    the one rectenna ``rect``. With ``energy=False`` the walk skips the training
-    and delivery energies and returns them as None. Before the walk, a cell
-    whose ``p_dc`` is not 5-D or does not share the first cell's B, R and K, or
-    whose ``draws`` do not fit it or are None on a lossy link, is rejected, and
-    so is a load whose output voltage ``sqrt(p * load)`` would overflow.
+    ``p_dc`` (B, R, K, M, N) holds each user's steady dc power per pair in
+    each round, already through :func:`check_powers`; frame ``f`` trains user
+    ``f % K`` with round ``f // K``'s powers. A cell is an (m, n) integer
+    array: entry (a, i) is the offset, in a user's flattened M x N matrix, of
+    the pair it trains as antenna a + 1 at frequency i + 1. ``draws`` (B, R,
+    K S), S the sum of the cells' m + 1, holds the link uniforms in stream
+    order (cell by cell, user by user, m activations then the feedback), or
+    is None on a lossless link; a message gets through when its draw is at
+    least the drop probability. Every user harvests through the one
+    rectenna ``rect``. With ``energy=False`` the walk skips the training and
+    delivery energies and returns them as None. Rejected before the walk: a
+    tensor that is not 5-D, no cell, a cell that is not a non-empty 2-D
+    array of offsets into the matrix within the feedback space, draws that
+    do not fit or are None on a lossy link, and a load whose output voltage
+    ``sqrt(p * load)`` would overflow at a cell's pair.
 
     Every run starts at rest: each output at 0 V, and each user's
     transmitter falls back to :func:`default_pair` when its feedback is
     lost. The output voltage carries from frame to frame, and the pair a
     frame serves becomes its training user's fallback.
 
-    Each cell's frame is a run of settling steps: a start step, which loads
-    the cell's voltage (decay 0, target v: ``v + (0 - v) * 0 == v``), then
-    one step per segment (:func:`_segments`), the last the delivery phase's
-    head, dark until the feedback takes effect. A step's decay depends only
-    on its duration; whether the transmitter emits sets only each row's
-    target, so a dropped activation is a zero-power emission. The plan is
-    built as arrays from one antenna block of segments for the most
-    frequencies: a frequency's blanked head does not depend on the cell, so
-    cell (M, N) runs M copies of the block's first N frequencies, and each
-    step's pair, duration and darkness follow by index arithmetic. The cells
-    are packed side by side into lanes as long as the longest cell's run
-    (:func:`_pack_lanes`), and a lane's unused tail holds its voltage (decay
-    1, target 0). Each frame steps every lane at once, then picks every
-    cell's pair in one pass over all cells' samples: each cell's largest
-    sampled power, then the first of its slots that holds it, so a tie goes
-    to the lowest antenna, then frequency, as in
-    :func:`wptdas.selection.select_pairs`. With the energies, it takes every
-    step's energy in one pass: a cell's training energy sums its steps
-    before the head, its delivery energy is the head's plus the served
-    power over the rest of the phase. Each element meets the same float
-    operations, in the same order, as a walk of one receiver through one
-    frame of one cell. When the walk skips the energies and delivery is not
-    fully blanked, every frame-end voltage is the served pair's steady
-    voltage, so only the training user's column is walked.
+    The walk numbers the cells' pairs one after another as slots and reads
+    each slot's power through its offset from one transposed copy of
+    ``p_dc``. A cell's frame is a run of settling steps: a start step, which
+    loads the cell's voltage (decay 0, target v: ``v + (0 - v) * 0 == v``),
+    then one step per segment (:func:`_segments`), the last the delivery
+    phase's head, dark until the feedback takes effect. A step's decay
+    depends only on its duration; whether the transmitter emits sets only
+    each row's target, so a dropped activation is a zero-power emission. The
+    cells are packed side by side into lanes as long as the longest cell's
+    run (:func:`_pack_lanes`), and a lane's unused tail holds its voltage
+    (decay 1, target 0). Each frame steps every lane at once, then picks
+    every cell's pair in one pass: its largest sampled power, then the first
+    of its slots that holds it, so a tie goes to the lowest antenna, then
+    frequency, as in :func:`wptdas.selection.select_pairs`. With the
+    energies, one pass takes every step's energy: a cell's training energy
+    sums its steps before the head, its delivery energy is the head's plus
+    the served power over the rest of the phase. Each element meets the same
+    float operations, in the same order, as a walk of one receiver through
+    one frame of one cell. Without the energies, unless delivery is fully
+    blanked, every frame-end voltage is the served pair's steady voltage, so
+    only the training user's column is walked.
     """
-    n_cells = len(p_dc)
-    if not n_cells == len(draws) >= 1:
-        raise ValidationError("need one p_dc and one draws entry per cell")
-    dims = np.shape(p_dc[0])[:3]
-    for c, p in enumerate(p_dc):
-        if np.ndim(p) != 5 or p.shape[:3] != dims:
-            raise ValidationError(f"cell {c}: p_dc {np.shape(p)} is not (runs, rounds, users, "
-                                  f"M, N) with the first cell's {dims}")
-        check_feedback_space(*p.shape[3:])
-    n_runs, n_rounds, k_users = dims
-    frames = n_rounds * k_users
-    shapes = [p.shape[3:] for p in p_dc]
-    for c, (d, (m_total, _)) in enumerate(zip(draws, shapes)):
-        if d is None and link.drop_probability > 0.0:
-            raise ValidationError(f"cell {c}: a lossy control link needs draws, got None")
-        if d is not None and np.shape(d) != (n_runs, frames, m_total + 1):
-            raise ValidationError(f"cell {c}: draws {np.shape(d)} do not fit {n_runs} runs, "
-                                  f"{frames} frames and {m_total} antennas")
+    if np.ndim(p_dc) != 5:
+        raise ValidationError(f"p_dc {np.shape(p_dc)} is not (runs, rounds, users, M, N)")
+    n_runs, n_rounds, k_users, m_dc, n_dc = p_dc.shape
+    frames, n_cells = n_rounds * k_users, len(cells)
+    if not n_cells:
+        raise ValidationError("need at least one cell")
+    cells = [np.asarray(c) for c in cells]
+    for c, cell in enumerate(cells):
+        if cell.ndim != 2:
+            raise ValidationError(f"cell {c}: offsets {cell.shape} are not (m, n)")
+        if not cell.size:
+            raise ValidationError(f"cell {c} trains no pair")
+        if cell.dtype.kind not in "iu" or not 0 <= cell.min() <= cell.max() < m_dc * n_dc:
+            raise ValidationError(f"cell {c}: offsets must be integers in 0..{m_dc * n_dc - 1}")
+        check_feedback_space(*cell.shape)
+    ms, ns = np.array([cell.shape for cell in cells]).T
+    msgs = int((ms + 1).sum())  # a frame's messages over every cell
+    if draws is None and link.drop_probability > 0.0:
+        raise ValidationError("a lossy control link needs draws, got None")
+    if draws is not None and np.shape(draws) != (n_runs, n_rounds, k_users * msgs):
+        raise ValidationError(f"draws {np.shape(draws)} do not fit the walk's "
+                              f"{(n_runs, n_rounds, k_users * msgs)}")
     slot_us, wpt_us = sched.slot_us, sched.wpt_us
     tau, load = rect.settle_tau_s, rect.load_ohms
-    # each user's powers pair by pair, (R, pairs, B, K), over every cell's pairs
-    p_pairs = np.concatenate([p.reshape(n_runs, n_rounds, k_users, -1).transpose(1, 3, 0, 2)
-                              for p in p_dc], axis=1)
+    # each user's powers pair by pair (R, M N, B, K); each slot's pair, cell by cell
+    p_pairs = p_dc.reshape(n_runs, n_rounds, k_users, m_dc * n_dc).transpose(1, 3, 0, 2).copy()
+    slot_at = np.concatenate([cell.ravel() for cell in cells])
     # no voltage exceeds sqrt(p * load), so no energy term exceeds a few p * load
     # times the longest segment or tau
-    p_max = float(p_pairs.max(initial=0.0))
+    p_max = float(p_pairs.max(axis=(0, 2, 3), initial=0.0)[slot_at].max())
     if not p_max * load * 4.0 * (1.0 + slot_us * 1e-6 + tau) < math.inf:
         raise ValidationError(f"load_ohms = {load!r}, settle_tau_s = {tau!r} or slot_s = "
                               f"{sched.slot_s!r} overflows the energy bound at p = {p_max!r} W")
     wpt_blank = _blank_us(link, 1, wpt_us)[0]
     trim = not energy and wpt_us > wpt_blank  # walk only the training user's column
 
-    # The step tables, (steps, lanes): the pair each step settles toward, its
+    # The step tables, (steps, lanes): the slot each step settles toward, its
     # duration's code, and whether its target is 0 whatever is emitted (heads,
     # start steps and tails). Cell (m, n) runs m copies of the first n
     # frequencies of one antenna block for the most frequencies, ``block``,
     # whose delivery head comes last and start step after it (index -1).
-    ms, ns = np.array(shapes).T
     blank = _blank_us(link, ns.max(), slot_us)
     block = _segments(blank, slot_us, wpt_blank) + [(0, 0, True)]
     blk_freq = np.array([s for s, _, _ in block])
@@ -371,15 +369,19 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
     step_pair.flat[at] = np.where(blk_head[t], 0, slot_off[cell] + a * ns[cell] + blk_freq[t])
     seg_code.flat[at], dark.flat[at] = t + 1, blk_head[t]
     slot_end = at[~blk_head[t]]
+    step_at = slot_at[step_pair]  # the offset of each step's pair in a matrix
 
     # each slot's cell, 0-based pair and activation message, and whether it
     # emits at all when its activation gets through
     slot_cell = np.repeat(np.arange(n_cells), ms * ns)
     slot_pair = np.stack(np.divmod(np.arange(slot_off[-1]) - slot_off[slot_cell],
                                    ns[slot_cell]), axis=-1)
-    msg_off = np.cumsum(ms + 1) - ms - 1  # each cell's first message
-    ok = np.concatenate([np.ones((n_runs, frames, m + 1)) if d is None else d
-                         for d, (m, _) in zip(draws, shapes)], axis=-1) >= link.drop_probability
+    msg_off = np.cumsum(ms + 1) - ms - 1  # each cell's first message in a frame
+    # where user j's frame messages sit in its round's draws, (K, msgs)
+    in_round = np.hstack([k_users * m0 + np.arange(k_users * (m + 1)).reshape(k_users, m + 1)
+                          for m, m0 in zip(ms, msg_off)])
+    ok = (np.ones((n_runs, frames, msgs), bool) if draws is None else
+          (draws >= link.drop_probability)[..., in_round].reshape(n_runs, frames, msgs))
     emits = ok[..., msg_off[slot_cell] + slot_pair[:, 0]] & np.array(
         [b < slot_us for b in blank])[slot_pair[:, 1]]  # (B, F, slots)
     fed_back = ok[..., msg_off + ms].transpose(2, 0, 1)  # (C, B, F)
@@ -417,7 +419,7 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
         r, j = divmod(f, k_users)  # the round and its training user
         p_round = p_pairs[r]
         cols = slice(j, j + 1) if trim else slice(None)
-        np.take(p_round[..., cols], step_pair, axis=0, out=tgt, mode="clip")
+        np.take(p_round[..., cols], step_at, axis=0, out=tgt, mode="clip")
         tgt *= load
         np.sqrt(tgt, out=tgt)
         np.copyto(tgt, 0.0, where=dark | ~emits[:, f, step_pair].transpose(1, 2, 0)[..., None])
@@ -438,7 +440,7 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
         pick = picks[:, :, f] = np.minimum.reduceat(
             np.where(sampled_w == top[slot_cell], slot_ids, slot_off[-1]), firsts)
         serve = served[:, :, f] = last[..., j] = np.where(fed_back[..., f], pick, last[..., j])
-        p_served = served_w[:, :, f] = p_round[serve, rows]  # (C, B, K)
+        p_served = served_w[:, :, f] = p_round[slot_at[serve], rows]  # (C, B, K)
         if energy:  # every step's energy at once, each cell's training summed in order
             energy_j = segment_energy(volts[:-1], tgt[1:], seg_dur[1:], seg_rise[1:], tau, load)
             for c, (lane, f0, l0) in enumerate(zip(cell_lane, cell_first, cell_last)):
@@ -455,7 +457,7 @@ def run_rounds(p_dc: list, rect: RectennaConfig, sched: FrameSchedule, link: Con
                        selected_w=selected_w[c], applied=applied[c], served_w=served_w[c],
                        training_j=None if training_j is None else training_j[c],
                        wpt_j=None if wpt_j is None else wpt_j[c], voltage_v=voltage_v[c])
-            for c, ((m, n), m0, s0, s1) in enumerate(zip(shapes, msg_off, slot_off, slot_off[1:]))]
+            for c, (m, n, m0, s0, s1) in enumerate(zip(ms, ns, msg_off, slot_off, slot_off[1:]))]
 
 
 def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule) -> list[Event]:
@@ -503,5 +505,6 @@ def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule = Fra
     transmitter fall back to (antenna 1, middle frequency).
     """
     p_dc = CandidateMatrix.from_powers(p_dc).values
-    return run_rounds([p_dc[None, None, None]], rect, sched, link, adc,
-                      [link.draws(rng, (1, 1, p_dc.shape[0] + 1))])[0]
+    m_total, n_total = p_dc.shape
+    return run_rounds(p_dc[None, None, None], [np.arange(m_total * n_total).reshape(p_dc.shape)],
+                      rect, sched, link, adc, link.draws(rng, (1, 1, m_total + 1)))[0]

@@ -50,6 +50,12 @@ def walk_cfg(rect, users=1):
     return ExperimentConfig(PROFILE, GRID, rect=rect, users=users)
 
 
+def whole(p_dc):
+    """The one cell that trains every pair of ``p_dc``'s matrices, in order."""
+    m_total, n_total = np.shape(p_dc)[-2:]
+    return [np.arange(m_total * n_total).reshape(m_total, n_total)]
+
+
 def events_text(events) -> str:
     buf = io.StringIO()
     write_events(buf, events)
@@ -181,8 +187,8 @@ class TestFrameAgainstScalarWalk:
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         rng_a, rng_b = substream(seed, 1), substream(seed, 1)
-        batch, = run_rounds([p_dc[None]], rect, sched, link, adc,
-                            [link.draws(rng_a, (1, rounds, 5))])
+        batch, = run_rounds(p_dc[None], whole(p_dc), rect, sched, link, adc,
+                            link.draws(rng_a, (1, rounds, 5)))
         _res, kept = oracle.run_tdma(walk_cfg(rect), rounds, sched=sched, link=link, adc=adc,
                                      keep_frames=True, p_dc=list(p_dc), rng=rng_b)
         frames = [oracle.batch_frame(batch, 0, f, sched, f * sched.frame_us(60))
@@ -209,8 +215,8 @@ class TestRoundLogsAgainstScalarWalk:
         p_dc = check_powers(np.random.default_rng(seed).exponential(
             1e-5, (runs, rounds, k, m_total, n_total)))
         draws = [link.draws(substream(seed, b), (frames, m_total + 1)) for b in range(runs)]
-        batch, = run_rounds([p_dc], rect, sched, link, adc,
-                            [None if drop == 0.0 else np.stack(draws)])
+        batch, = run_rounds(p_dc, whole(p_dc), rect, sched, link, adc,
+                            None if drop == 0.0 else np.stack(draws).reshape(runs, rounds, -1))
         frame_us = sched.frame_us(m_total * n_total)
         for b in range(runs):
             _res, kept = oracle.run_tdma(walk_cfg(rect, k), frames, sched=sched, link=link,
@@ -224,16 +230,27 @@ class TestRoundLogsAgainstScalarWalk:
 
 
 def chained_cells(seed, runs, rounds, k, shapes, link):
-    """``p_dc`` and ``draws`` lists for :func:`run_rounds`: dc powers with some
-    exact zeros (an all-zero cell ties every pair) and link draws."""
+    """Inputs of a :func:`run_rounds` walk of cells of the given shapes: a dc
+    tensor in which each cell owns its own columns, with some exact zeros (an
+    all-zero cell ties every pair), each cell's offsets, and each cell's link
+    draws (None on a lossless link), whose concatenation is the walk's."""
     rng = np.random.default_rng(seed)
-    p_dc, draws = [], []
+    n_total = sum(n for _m, n in shapes)
+    p_dc = np.zeros((runs, rounds, k, max(m for m, _n in shapes), n_total))
+    cells, draws, col = [], [], 0
     for m, n in shapes:
         keep = rng.choice([0.0, 0.5, 1.0])
         shape = (runs, rounds, k, m, n)
-        p_dc.append(check_powers(rng.exponential(1e-5, shape) * (rng.random(shape) < keep)))
-        draws.append(link.draws(rng, (runs, rounds * k, m + 1)))
-    return p_dc, draws
+        p_dc[..., :m, col:col + n] = rng.exponential(1e-5, shape) * (rng.random(shape) < keep)
+        cells.append(np.arange(m)[:, None] * n_total + np.arange(col, col + n))
+        draws.append(link.draws(rng, (runs, rounds, k * (m + 1))))
+        col += n
+    return check_powers(p_dc), cells, draws
+
+
+def joined(draws):
+    """One walk's draws from each cell's, in stream order."""
+    return None if draws[0] is None else np.concatenate(draws, axis=-1)
 
 
 class TestChainedWalk:
@@ -255,11 +272,11 @@ class TestChainedWalk:
                                            latency_s, adc, energy):
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        p_dc, draws = chained_cells(seed, runs, rounds, k, shapes, link)
-        chained = run_rounds(p_dc, rect, sched, link, adc, draws, energy=energy)
+        p_dc, cells, draws = chained_cells(seed, runs, rounds, k, shapes, link)
+        chained = run_rounds(p_dc, cells, rect, sched, link, adc, joined(draws), energy=energy)
         assert len(chained) == len(shapes)
         for c, batch in enumerate(chained):
-            alone, = run_rounds(p_dc[c:c + 1], rect, sched, link, adc, draws[c:c + 1],
+            alone, = run_rounds(p_dc, cells[c:c + 1], rect, sched, link, adc, draws[c],
                                 energy=energy)
             self.assert_same(batch, alone, [field.name for field in fields(RoundBatch)])
 
@@ -270,9 +287,10 @@ class TestChainedWalk:
                                                         drop, latency_s, adc):
         # below wpt_s the lean walk steps only the training user's column
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        p_dc, draws = chained_cells(seed, 2, rounds, k, shapes, link)
-        full = run_rounds(p_dc, rect, FrameSchedule(), link, adc, draws)
-        lean = run_rounds(p_dc, rect, FrameSchedule(), link, adc, draws, energy=False)
+        p_dc, cells, draws = chained_cells(seed, 2, rounds, k, shapes, link)
+        full = run_rounds(p_dc, cells, rect, FrameSchedule(), link, adc, joined(draws))
+        lean = run_rounds(p_dc, cells, rect, FrameSchedule(), link, adc, joined(draws),
+                          energy=False)
         for batch, ref in zip(lean, full, strict=True):
             assert batch.training_j is None and batch.wpt_j is None
             self.assert_same(batch, ref, [field.name for field in fields(RoundBatch)
@@ -284,10 +302,10 @@ class TestChainedWalk:
         sched = FrameSchedule(wpt_s=0.001)
         link = ControlLinkModel(latency_s=0.002)
         rect = RectennaConfig(settle_tau_s=0.05)
-        rng = np.random.default_rng(1)
-        p_dc = [check_powers(rng.exponential(1e-5, (2, 2, 2, m, n))) for m, n in [(2, 3), (1, 1)]]
-        full = run_rounds(p_dc, rect, sched, link, None, [None, None])
-        lean = run_rounds(p_dc, rect, sched, link, None, [None, None], energy=False)
+        p_dc = check_powers(np.random.default_rng(1).exponential(1e-5, (2, 2, 2, 2, 4)))
+        cells = [np.array([[0, 1, 2], [4, 5, 6]]), np.array([[3]])]  # a 2 x 3 and a 1 x 1 cell
+        full = run_rounds(p_dc, cells, rect, sched, link, None, None)
+        lean = run_rounds(p_dc, cells, rect, sched, link, None, None, energy=False)
         for batch, ref in zip(lean, full, strict=True):
             assert np.all(batch.voltage_v > 0.0)
             self.assert_same(batch, ref, ["samples", "voltage_v"])
@@ -307,12 +325,14 @@ class TestChainedWalk:
         link = ControlLinkModel(drop_probability=0.1, latency_s=0.002)
         _block_values(cfg, (FrameSchedule(), link, AdcModel(bits=12)), 0, 30)
         (args, kwargs, chained), = calls
-        p_dc, rect, sched, link, adc, draws = args
+        p_dc, cells, rect, sched, link, adc, draws = args
         assert rect is cfg.rect
         assert len(chained) == 16
+        # each cell's draws: its users' messages, after every earlier cell's
+        widths = [cfg.users * (len(cell) + 1) for cell in cells]
+        own = np.split(draws, np.cumsum(widths)[:-1], axis=-1)
         for c, batch in enumerate(chained):
-            alone, = run_rounds(p_dc[c:c + 1], rect, sched, link, adc, draws[c:c + 1],
-                                **kwargs)
+            alone, = run_rounds(p_dc, cells[c:c + 1], rect, sched, link, adc, own[c], **kwargs)
             self.assert_same(batch, alone, [field.name for field in fields(RoundBatch)])
 
 
@@ -330,8 +350,9 @@ class TestJointPickTies:
                                              drop, adc):
         rect = RectennaConfig()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        p_dc, draws = chained_cells(seed, runs, rounds, k, shapes, link)
-        walk = run_rounds(p_dc, rect, FrameSchedule(), link, adc, draws, energy=False)
+        p_dc, cells, draws = chained_cells(seed, runs, rounds, k, shapes, link)
+        walk = run_rounds(p_dc, cells, rect, FrameSchedule(), link, adc, joined(draws),
+                          energy=False)
         for batch, (m, n) in zip(walk, shapes, strict=True):
             sampled_w = np.square(batch.samples) / rect.load_ohms
             pairs = select_pairs(check_powers(sampled_w.reshape(runs, rounds * k, m, n)), "joint")
@@ -340,6 +361,29 @@ class TestJointPickTies:
             assert np.array_equal(batch.selected_w, np.take_along_axis(sampled_w, at, -1)[..., 0])
             if drop == 1.0:  # the first frame of every run is dark throughout
                 assert not batch.samples[:, 0].any() and not batch.selected[:, 0].any()
+
+
+class TestShortSlots:
+    # Slots much shorter than the settling time constant give samples that
+    # misstate the steady state, so the sampled pick strays from the steady
+    # argmax. The time constant and the settling curve are the simulator's own
+    # modelling choices, not the paper's. At seed 1 the shares of 1,000
+    # frames from rest on the (4, 15) cell are 0.852, 0.700, 0.357, 0.129,
+    # 0.041 and 0.002 at slot / tau = 0.1, 0.3, 1, 2, 3 and 5, and 0 from 9
+    # (the default 18 ms slot) on.
+    def test_mis_selection_falls_as_the_slot_grows(self):
+        rect = RectennaConfig(settle_tau_s=0.002)
+        cfg = ExperimentConfig(PROFILE, GRID, rect=rect, users=1, realizations=1000, seed=1)
+        dc = check_powers(experiments._dc_tensor(cfg, 0, 1000))
+        steady = np.stack(select_pairs(dc, "joint"), axis=-1)  # (R, 1, 2)
+        shares = []
+        for ratio in (0.1, 0.3, 1, 2, 3, 9, 20):
+            batch, = run_rounds(dc[:, None], whole(dc), rect, FrameSchedule(slot_s=ratio * 0.002),
+                                ControlLinkModel(), None, None, energy=False)
+            shares.append(np.mean(np.any(batch.selected != steady, axis=-1)))
+        assert shares[0] > 0.5
+        assert all(a >= b for a, b in zip(shares, shares[1:]))
+        assert shares[-2:] == [0.0, 0.0]
 
 
 class TestDroppedActivation:
@@ -364,8 +408,9 @@ class TestDroppedActivation:
         dropped[:, k:, :m] = 0.0
         silent = p_dc.copy()
         silent[:, 1] = 0.0
-        idle, = run_rounds([p_dc], rect, sched, link, adc, [dropped])
-        zero, = run_rounds([silent], rect, sched, link, adc, [draws])
+        idle, = run_rounds(p_dc, whole(p_dc), rect, sched, link, adc,
+                           dropped.reshape(runs, 2, -1))
+        zero, = run_rounds(silent, whole(p_dc), rect, sched, link, adc, draws.reshape(runs, 2, -1))
         assert not idle.activated[:, k:].any() and zero.activated[:, k:].all()
         for name in ("samples", "selected", "training_j", "voltage_v"):
             assert np.array_equal(getattr(idle, name), getattr(zero, name)), name

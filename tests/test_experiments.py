@@ -571,15 +571,39 @@ class TestProtocolSweepIsOneWalk:
     def test_a_sweep_makes_one_engine_call(self, monkeypatch):
         calls = []
 
-        def spy(p_dc, *args, **kwargs):
-            calls.append(len(p_dc))
-            return run_rounds(p_dc, *args, **kwargs)
+        def spy(p_dc, cells, *args, **kwargs):
+            calls.append(len(cells))
+            return run_rounds(p_dc, cells, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "run_rounds", spy)
         cfg = small_cfg(users=2, realizations=3, strategies=("joint",))
         run_protocol_experiment(cfg, link=ControlLinkModel(drop_probability=0.1,
                                                            latency_s=0.002))
         assert calls == [16]
+
+    def test_the_walk_reads_the_blocks_own_dc_tensor(self, monkeypatch):
+        # every cell is a set of offsets into the one tensor: the walk gets a
+        # view of it, not a copy per cell
+        tensors, walks = [], []
+
+        def dc_spy(*args):
+            tensors.append(dc_tensor(*args))
+            return tensors[-1]
+
+        def walk_spy(p_dc, cells, *args, **kwargs):
+            walks.append((p_dc, cells))
+            return run_rounds(p_dc, cells, *args, **kwargs)
+
+        dc_tensor = experiments._dc_tensor
+        monkeypatch.setattr(experiments, "_dc_tensor", dc_spy)
+        monkeypatch.setattr(experiments, "run_rounds", walk_spy)
+        cfg = small_cfg(users=2, realizations=3, strategies=("joint",))
+        experiments._block_values(cfg, (FrameSchedule(), ControlLinkModel(), AdcModel()), 0, 3)
+        (dc,), ((p_dc, cells),) = tensors, walks
+        assert np.shares_memory(p_dc, dc) and p_dc.shape == (3, 1, 2, 4, 15)
+        n_total = cfg.grid.count
+        assert [cell.tolist() for cell in cells] == [
+            (np.arange(m)[:, None] * n_total + cols).tolist() for m, _k, cols in _sweep_cells(cfg)]
 
 
 class TestSweepBlocks:

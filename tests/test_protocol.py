@@ -54,8 +54,10 @@ def log_of(batch):
 def one_user_walk(p_dc, link=ControlLinkModel(), draws=None):
     """One engine walk of one user from rest, one frame per round of ``p_dc``
     (R, M, N), with the link uniforms ``draws`` (R, M + 1)."""
-    batch, = run_rounds([p_dc[None, :, None]], RECT, FrameSchedule(), link, DEFAULT_ADC,
-                        [None if draws is None else np.asarray(draws)[None]])
+    m_total, n_total = p_dc.shape[1:]
+    batch, = run_rounds(p_dc[None, :, None], [np.arange(m_total * n_total).reshape(m_total, -1)],
+                        RECT, FrameSchedule(), link, DEFAULT_ADC,
+                        None if draws is None else np.asarray(draws)[None])
     return batch
 
 
@@ -329,62 +331,82 @@ class TestRunFrame:
             run_frame(p_dc, RECT)
 
 class TestRunRoundsShapes:
+    # one run of one round of one user's 2 x 3 matrix, over a lossy link
     LOSSY = ControlLinkModel(drop_probability=0.5)
+    P_DC = np.full((1, 1, 1, 2, 3), 1e-6)
+    WHOLE = np.arange(6).reshape(2, 3)
 
-    def walk(self, p_dc, draws):
-        return run_rounds(p_dc, RECT, FrameSchedule(), self.LOSSY, DEFAULT_ADC, draws)
+    def walk(self, cells, draws, p_dc=P_DC):
+        return run_rounds(p_dc, cells, RECT, FrameSchedule(), self.LOSSY, DEFAULT_ADC, draws)
 
     @pytest.mark.parametrize("draws_shape", [(1, 2, 3), (1, 1, 4), (2, 1, 3), (1, 3)])
-    def test_draws_that_do_not_fit_the_walk_name_the_cell(self, draws_shape):
+    def test_draws_that_do_not_fit_the_walk_are_rejected(self, draws_shape):
         # (1, 2, 3) draws for a one-frame walk of a 2 x 3 cell once ended in a
-        # bare numpy reshape error
-        with pytest.raises(ValidationError, match="cell 0: draws"):
-            self.walk([np.full((1, 1, 1, 2, 3), 1e-6)], [np.full(draws_shape, 0.9)])
+        # bare numpy reshape error; (1, 1, 4) once ran on the first 3 of them
+        with pytest.raises(ValidationError, match="draws"):
+            self.walk([self.WHOLE], np.full(draws_shape, 0.9))
 
     def test_the_failing_cell_is_named(self):
-        cells = [np.full((1, 1, 1, 2, 3), 1e-6), np.full((1, 1, 1, 1, 1), 1e-6)]
         with pytest.raises(ValidationError, match="cell 1"):
-            self.walk(cells, [np.full((1, 1, 3), 0.9), np.full((1, 1, 3), 0.9)])
-        batches = self.walk(cells, [np.full((1, 1, 3), 0.9), np.full((1, 1, 2), 0.9)])
+            self.walk([self.WHOLE, np.array([[6]])], np.full((1, 1, 5), 0.9))
+        batches = self.walk([self.WHOLE, np.array([[5]])], np.full((1, 1, 5), 0.9))
         assert [b.emitting.shape for b in batches] == [(1, 1, 2, 3), (1, 1, 1, 1)]
-
-    @pytest.mark.parametrize("shape", [(2, 1, 1, 2, 3), (1, 2, 1, 2, 3), (1, 1, 2, 2, 3),
-                                       (1, 1, 2, 3)])
-    def test_a_cell_must_share_the_first_cells_runs_rounds_and_users(self, shape):
-        cells = [np.full((1, 1, 1, 2, 3), 1e-6), np.full(shape, 1e-6)]
-        with pytest.raises(ValidationError, match="cell 1: p_dc"):
-            self.walk(cells, [None, None])
 
     @pytest.mark.parametrize("shape", [(1, 1, 2, 3), (2, 3), (1, 1, 1, 1, 2, 3)])
     def test_powers_must_be_five_dimensional(self, shape):
-        # (runs, rounds, users, antennas, frequencies); a 4-D cell was the
+        # (runs, rounds, users, antennas, frequencies); a 4-D tensor was the
         # form of a walk of one round
-        with pytest.raises(ValidationError, match="cell 0: p_dc"):
-            self.walk([np.full(shape, 1e-6)], [None])
+        with pytest.raises(ValidationError, match="p_dc"):
+            self.walk([self.WHOLE], np.full((1, 1, 3), 0.9), np.full(shape, 1e-6))
 
     def test_a_walk_is_whole_rounds(self):
         # frame f trains user f % K in round f // K: 2 rounds of 2 users walk
-        # 4 frames, and 3 frames of draws do not fit them
-        cell = np.full((1, 2, 2, 2, 3), 1e-6)
-        batch, = self.walk([cell], [np.full((1, 4, 3), 0.9)])
+        # 4 frames, whose draws come round by round, and 4 frames of draws
+        # laid out frame by frame do not fit them
+        p_dc = np.full((1, 2, 2, 2, 3), 1e-6)
+        batch, = self.walk([self.WHOLE], np.full((1, 2, 6), 0.9), p_dc)
         assert batch.served_w.shape == (1, 4, 2)
-        with pytest.raises(ValidationError, match="cell 0: draws"):
-            self.walk([cell], [np.full((1, 3, 3), 0.9)])
+        with pytest.raises(ValidationError, match="draws"):
+            self.walk([self.WHOLE], np.full((1, 4, 3), 0.9), p_dc)
 
     @pytest.mark.parametrize("drop", [1.0, 1e-12])
-    def test_a_lossy_link_without_draws_names_the_cell(self, drop):
-        # a cell whose draws were None once ran a lossy link as a lossless one
-        cells = [np.full((1, 1, 1, 2, 3), 1e-6)] * 2
+    def test_a_lossy_link_needs_draws(self, drop):
+        # None draws once ran a lossy link as a lossless one
         link = ControlLinkModel(drop_probability=drop)
-        with pytest.raises(ValidationError, match="cell 1: a lossy control link needs draws"):
-            run_rounds(cells, RECT, FrameSchedule(), link, None, [np.full((1, 1, 3), 0.9), None])
+        with pytest.raises(ValidationError, match="a lossy control link needs draws"):
+            run_rounds(self.P_DC, [self.WHOLE], RECT, FrameSchedule(), link, None, None)
 
-    def test_every_cell_needs_each_input(self):
-        cells = [np.full((1, 1, 1, 2, 3), 1e-6)] * 2
-        with pytest.raises(ValidationError, match="per cell"):
-            self.walk(cells, [None])
-        with pytest.raises(ValidationError, match="per cell"):
-            self.walk([], [])
+    def test_a_walk_needs_a_cell(self):
+        with pytest.raises(ValidationError, match="at least one cell"):
+            self.walk([], np.full((1, 1, 0), 0.9))
+
+    @pytest.mark.parametrize("cell", [np.arange(6), np.arange(6).reshape(1, 2, 3), np.int64(3)])
+    def test_a_cell_is_two_dimensional(self, cell):
+        with pytest.raises(ValidationError, match="cell 0: offsets .* are not"):
+            self.walk([cell], np.full((1, 1, 3), 0.9))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+    def test_a_cell_trains_a_pair(self, shape):
+        with pytest.raises(ValidationError, match="cell 0 trains no pair"):
+            self.walk([np.zeros(shape, int)], np.full((1, 1, shape[0] + 1), 0.9))
+
+    @pytest.mark.parametrize("offset", [-1, -6, 6, 2 ** 40])
+    def test_every_offset_is_in_the_matrix(self, offset):
+        # -1 once read the matrix's last pair, and 6 the clipped last pair
+        # in training
+        cell = self.WHOLE.copy()
+        cell[1, 2] = offset
+        with pytest.raises(ValidationError, match=r"cell 0: offsets must be integers in 0\.\.5"):
+            self.walk([cell], np.full((1, 1, 3), 0.9))
+
+    def test_offsets_are_integers(self):
+        with pytest.raises(ValidationError, match="cell 0: offsets must be integers"):
+            self.walk([self.WHOLE.astype(float)], np.full((1, 1, 3), 0.9))
+
+    def test_a_cell_fits_the_feedback_space(self):
+        # 5 x 13 pairs of a 2 x 3 matrix, each trained more than once
+        with pytest.raises(FeedbackCapacityError):
+            self.walk([np.zeros((5, 13), int)], np.full((1, 1, 6), 0.9))
 
 
 class TestLoadBound:
@@ -401,8 +423,9 @@ class TestLoadBound:
 
         def walk(bits):
             load = float(np.int64(bits).view(np.float64))
-            return run_rounds([p_dc], RectennaConfig(load_ohms=load, settle_tau_s=tau_s),
-                              sched, link, None, [None])[0]
+            return run_rounds(p_dc, [np.arange(6).reshape(2, 3)],
+                              RectennaConfig(load_ohms=load, settle_tau_s=tau_s),
+                              sched, link, None, None)[0]
 
         lo, hi = (int(np.float64(x).view(np.int64)) for x in (1.0, sys.float_info.max))
         while hi - lo > 1:
@@ -418,6 +441,16 @@ class TestLoadBound:
             assert np.all(np.isfinite(getattr(batch, name))), name
         with pytest.raises(ValidationError, match="load_ohms"):
             walk(hi)
+
+    def test_the_bound_reads_only_the_cells_pairs(self):
+        # a pair that no cell trains is never served, so its power bounds nothing
+        p_dc = np.array([[[[[1e-6, 1e-6], [1e-6, 1e300]]]]])
+        rect, sched, link = RectennaConfig(load_ohms=1e10), FrameSchedule(), ControlLinkModel()
+        batch, = run_rounds(p_dc, [np.array([[0, 1], [2, 2]])], rect, sched, link, None, None)
+        assert np.all(np.isfinite(batch.wpt_j))
+        with pytest.raises(ValidationError, match="load_ohms"):
+            run_rounds(p_dc, [np.array([[0, 1]]), np.array([[3]])], rect, sched, link, None,
+                       None)
 
 
 class TestEventLogCsv:

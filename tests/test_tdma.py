@@ -71,8 +71,8 @@ class TestSingleUser:
                                                          substream(1, DOMAIN_CHANNEL, r, 0)),
                                           GRID, BUDGET, RectennaConfig().curve)]
                          for r in range(frames)])
-        batch, = run_rounds([p_dc[None]], RectennaConfig(), sched, ControlLinkModel(),
-                            DEFAULT_ADC, [None])
+        batch, = run_rounds(p_dc[None], [np.arange(60).reshape(4, 15)], RectennaConfig(), sched,
+                            ControlLinkModel(), DEFAULT_ADC, None)
         energy = 0.0
         for i in range(frames):
             harvested = batch.training_j[0, i, 0] + batch.wpt_j[0, i, 0]
@@ -190,8 +190,9 @@ class TestTwoUsers:
         monkeypatch.setattr(experiments, "run_rounds", spy)
         result = run_tdma(config(users=3, seed=13), 7,
                           link=ControlLinkModel(drop_probability=0.3))
-        (p_dc, *_, draws), = calls
-        assert p_dc[0].shape[:3] == (1, 3, 3) and draws[0].shape == (1, 9, 5)
+        (p_dc, cells, *_, draws), = calls
+        assert p_dc.shape == (1, 3, 3, 4, 15) and draws.shape == (1, 3, 15)
+        assert len(cells) == 1 and np.array_equal(cells[0], np.arange(60).reshape(4, 15))
         assert frames_trained(result, 3) == [3, 2, 2]
 
     def test_three_users_round_robin(self):
@@ -274,9 +275,9 @@ class TestPassiveReplay:
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         p_dc = np.array([dc_power_matrix(sample_channel(PROFILE, 4, rng), GRID, BUDGET,
                                          rect.curve) for _ in range(rounds)])
-        batch, = run_rounds([p_dc[None, :, None]], rect, sched, link,
-                            DEFAULT_ADC if with_adc else None,
-                            [link.draws(rng, (1, rounds, 5))])
+        batch, = run_rounds(p_dc[None, :, None], [np.arange(60).reshape(4, 15)], rect, sched,
+                            link, DEFAULT_ADC if with_adc else None,
+                            link.draws(rng, (1, rounds, 5)))
         v = 0.0
         for f in range(rounds):
             frame = oracle.batch_frame(batch, 0, f, sched)
