@@ -20,7 +20,6 @@ from .channel import (
     builtin_profile,
     load_tap_profile,
     path_loss_db,
-    sample_channel,
 )
 from .errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError
 from .experiments import (
@@ -38,9 +37,7 @@ from .protocol import (
     FrameSchedule,
     decode_feedback,
     encode_feedback,
-    run_frame,
+    frame_log,
 )
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
-from .rng import substream
-from .selection import CandidateMatrix
 from .signal_chain import dc_power_matrix

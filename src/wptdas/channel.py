@@ -144,14 +144,6 @@ def gains_from_normals(profile: TapProfile, z: np.ndarray) -> np.ndarray:
     return z.view(complex)[..., 0]
 
 
-def sample_channel(profile: TapProfile, num_antennas: int,
-                   rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization per antenna from ``profile``."""
-    num_antennas = check_integer("num_antennas", num_antennas, low=1)
-    z = rng.standard_normal((num_antennas, profile.num_taps, 2))
-    return ChannelRealization(profile.delays_s, gains_from_normals(profile, z))
-
-
 def response_matrix(ch: ChannelRealization, freqs_hz: np.ndarray) -> np.ndarray:
     """(..., num_antennas, num_freqs) complex responses for positive ``freqs_hz``."""
     freqs = np.asarray(freqs_hz, dtype=float)

@@ -9,10 +9,11 @@ Two pipelines share every realization's steady-state dc powers:
 
 Agreement of the two pipelines under idealized protocol settings is a
 regression oracle, so both read one dc tensor built from the same
-per-realization substreams (see :mod:`wptdas.rng`); the protocol sweep's
+per-realization streams (see :mod:`wptdas.rng`); the protocol sweep's
 cells are slices of it. :func:`run_tdma` walks one run of round-robin
 frames through the same protocol, round r drawn as realization r, and keeps
-every frame's energies.
+every frame's energies and its walk's batch; a single frame is the first of
+a one-frame run, whose events :func:`wptdas.protocol.frame_log` lists.
 
 Sweeps over the candidate-set size are nested: the size-k frequency set is
 always a subset of the size-(k+1) choice from the same master grid (middle

@@ -28,9 +28,10 @@ from frame to frame. Its cells, walked side by side in lanes, are candidate
 sets: offsets into every M x N matrix of one dc tensor. Each gets a
 :class:`RoundBatch` of views into the walk's arrays. The protocol sweep
 walks its nested cells over all realizations in one call without the
-energies; :func:`wptdas.experiments.run_tdma` and :func:`run_frame` walk one
-cell that covers the whole matrix. Event logs are built only on request,
-from the batch's arrays (:func:`frame_log`, written by :func:`write_events`).
+energies; :func:`wptdas.experiments.run_tdma` walks one cell that covers the
+whole matrix, and a single frame is the first of a one-frame run. Event logs
+are built only on request, from the batch's arrays (:func:`frame_log`,
+written by :func:`write_events`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from .errors import (FeedbackCapacityError, FeedbackDecodeError, ValidationError,
                      check_finite, check_integer)
 from .rectenna import RectennaConfig, segment_energy, settle
-from .selection import CandidateMatrix, check_powers, default_pair
+from .selection import check_powers, default_pair
 
 FEEDBACK_BITS = 6
 MESSAGE_SIZE_BYTES = 1
@@ -126,16 +127,6 @@ class ControlLinkModel:
     @property
     def latency_us(self) -> int:
         return round(self.latency_s * 1e6)
-
-    def draws(self, rng: np.random.Generator | None, shape) -> np.ndarray | None:
-        """Uniforms for the delivery trials of ``shape`` messages, in message
-        order; a message gets through when its draw is >= ``drop_probability``.
-        A lossless link draws nothing and returns None."""
-        if self.drop_probability <= 0.0:
-            return None
-        if rng is None:
-            raise ValidationError("a lossy control link needs an rng")
-        return rng.random(shape)
 
 
 @dataclass(frozen=True)
@@ -269,11 +260,12 @@ def run_rounds(p_dc: np.ndarray, cells: list, rect: RectennaConfig, sched: Frame
     the pair it trains as antenna a + 1 at frequency i + 1. ``draws`` (B, R,
     K S), S the sum of the cells' m + 1, holds the link uniforms in stream
     order (cell by cell, user by user, m activations then the feedback), or
-    is None on a lossless link; a message gets through when its draw is at
-    least the drop probability. Every user harvests through the one
+    is None on a lossless link; a message gets through when its draw is >=
+    ``link.drop_probability``. Every user harvests through the one
     rectenna ``rect``. With ``energy=False`` the walk skips the training and
-    delivery energies and returns them as None. Rejected before the walk: a
-    tensor that is not 5-D, no cell, a cell that is not a non-empty 2-D
+    delivery energies and returns them as None. A tensor of no runs, rounds
+    or users walks no frame and gives empty batches. Rejected before the
+    walk: a tensor that is not 5-D, no cell, a cell that is not a non-empty 2-D
     array of offsets into the matrix within the feedback space, draws that
     do not fit or are None on a lossy link, and a load whose output voltage
     ``sqrt(p * load)`` would overflow at a cell's pair.
@@ -415,7 +407,7 @@ def run_rounds(p_dc: np.ndarray, cells: list, rect: RectennaConfig, sched: Frame
     step_rows = list(zip(volts[:-1], tgt[1:], seg_decay[1:], volts[1:]))
     slot_ids = np.arange(slot_off[-1])[:, None]
     ends = np.empty((slot_off[-1], n_runs))  # each frame's slot-end voltages, then powers
-    for f in range(frames):
+    for f in range(frames if n_runs else 0):  # no runs, no frame to step
         r, j = divmod(f, k_users)  # the round and its training user
         p_round = p_pairs[r]
         cols = slice(j, j + 1) if trim else slice(None)
@@ -489,22 +481,3 @@ def frame_log(batch: RoundBatch, b: int, j: int, sched: FrameSchedule) -> list[E
     events.append(Event(sched.frame_us(m_total * n_total), "FrameEnd"))
     return events
 
-
-def run_frame(p_dc: np.ndarray, rect: RectennaConfig, sched: FrameSchedule = FrameSchedule(),
-              link: ControlLinkModel = ControlLinkModel(), rng: np.random.Generator | None = None,
-              adc: AdcModel | None = DEFAULT_ADC) -> RoundBatch:
-    """Simulate one frame from rest: the :func:`run_rounds` batch of one run,
-    one round, one user and one frame, whose events :func:`frame_log` lists.
-
-    ``p_dc`` is the receiver's steady dc power in watts per (antenna,
-    frequency) pair, as :func:`wptdas.signal_chain.dc_power_matrix` gives it.
-    The transmitter sweep is aligned to the receiver's slot grid; a link
-    latency only blanks the start of each activation block. A dropped
-    activation leaves the transmitter idle for that antenna's whole block
-    (the receiver still samples every slot). A dropped feedback makes the
-    transmitter fall back to (antenna 1, middle frequency).
-    """
-    p_dc = CandidateMatrix.from_powers(p_dc).values
-    m_total, n_total = p_dc.shape
-    return run_rounds(p_dc[None, None, None], [np.arange(m_total * n_total).reshape(p_dc.shape)],
-                      rect, sched, link, adc, link.draws(rng, (1, 1, m_total + 1)))[0]

@@ -11,10 +11,11 @@ Stream domains used by the experiment runners, one layout for all of them
   0 -> channel sampling, path (0, realization, user)
   1 -> control-link drops, path (1, realization)
 
-The runners draw their streams in batches: a block of realizations keys all
-of its streams of one domain in one :func:`substream_keys` call and draws
-them in one :func:`keyed_draws` call. They are the streams :func:`substream`
-returns, so seeds keep their meaning.
+The stream of (master_seed, path) is the one a fresh
+``Generator(Philox(SeedSequence(master_seed, spawn_key=path)))`` draws, so
+seeds keep their meaning. The runners draw their streams in batches: a block
+of realizations keys all of its streams of one domain in one
+:func:`substream_keys` call and draws them in one :func:`keyed_draws` call.
 """
 
 import numpy as np
@@ -30,16 +31,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def substream(master_seed: int, *path: int) -> np.random.Generator:
-    """Return an independent generator for (master_seed, path).
-
-    The same (seed, path) always yields the same stream; distinct paths are
-    statistically independent.
-    """
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(path))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _hashmix(words: np.ndarray, const: int, mult: int):
     """SeedSequence's hashmix of ``words`` (..., 4) uint32, and the next constant."""
     c = [const * pow(mult, i, 2 ** 32) % 2 ** 32 for i in range(5)]
@@ -50,8 +41,8 @@ def _hashmix(words: np.ndarray, const: int, mult: int):
 def substream_keys(master_seed: int, *path) -> np.ndarray:
     """Philox keys (*shape, 2) of the streams that ``path`` names, its ints and
     integer arrays broadcast to ``shape``; from the first array on, every
-    element must fit 32 bits. Each key is the one :func:`substream` hands to
-    Philox, ``SeedSequence(master_seed, spawn_key=p).generate_state(2, np.uint64)``.
+    element must fit 32 bits. Each key is the one stream ``p``'s SeedSequence
+    hands to Philox, ``SeedSequence(master_seed, spawn_key=p).generate_state(2, np.uint64)``.
     The hash constants do not depend on the data, so SeedSequence mixes the
     scalar words once and each array word is mixed in one pass over its
     elements, the pool's four words on a last axis."""
@@ -75,7 +66,7 @@ def substream_keys(master_seed: int, *path) -> np.ndarray:
 def keyed_draws(keys: np.ndarray, method: str, out: np.ndarray) -> np.ndarray:
     """Fill ``out[i]`` with ``Generator.<method>`` draws from the stream of
     ``keys[i]``, in C order, and return ``out``. One Philox serves every key,
-    reset before each fill to a fresh :func:`substream`'s state. That state
+    reset before each fill to the state a fresh stream starts from. That state
     is held in Python ints, which the Philox state setter reads faster than
     numpy scalars: per key, one reset and one fill call."""
     bitgen = np.random.Philox(0)

@@ -26,6 +26,14 @@ which its TDMA walk carries from frame to frame, one user at a time, as
 the library's engine carries them for a whole batch. That walk builds one
 trace row per frame and user, the form the library's TDMA trace had before
 it kept whole arrays, and writes them out one row at a time.
+
+The per-realization draws are stated here as references, one stream at a
+time, for the tests that hold the library's batched draws to them:
+:func:`substream` is the one-stream definition that the library's keyed
+batch draws match, :func:`sample_channel` draws one channel realization
+from a stream, and :func:`link_draws` a frame's control-link uniforms.
+:func:`engine_frame` walks one frame of one matrix from rest through the
+library's engine, the batch of one run, one round and one user.
 """
 
 from __future__ import annotations
@@ -37,14 +45,48 @@ from typing import NamedTuple
 
 import numpy as np
 
-from wptdas.channel import ChannelRealization, FrequencyGrid, sample_channel
+from wptdas.channel import ChannelRealization, FrequencyGrid, gains_from_normals
 from wptdas.errors import ValidationError
 from wptdas.experiments import TRACE_COLUMNS, _sweep_cells
-from wptdas.protocol import ControlLinkModel, Event, FrameSchedule, encode_feedback, frame_log
+from wptdas.protocol import (DEFAULT_ADC, ControlLinkModel, Event, FrameSchedule, encode_feedback,
+                             frame_log, run_rounds)
 from wptdas.rectenna import segment_energy, settle
-from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
+from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK
 from wptdas.selection import check_powers, middle_index, select_pairs
 from wptdas.signal_chain import dc_power_matrix
+
+
+def substream(master_seed: int, *path: int) -> np.random.Generator:
+    """A fresh generator of stream (``master_seed``, ``path``):
+    ``Generator(Philox(SeedSequence(master_seed, spawn_key=path)))``. The same
+    seed and path always give the same stream; distinct paths are
+    statistically independent."""
+    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(path))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def sample_channel(profile, num_antennas: int, rng) -> ChannelRealization:
+    """One channel realization of ``num_antennas`` antennas from ``profile``,
+    one (antennas, taps, real/imaginary) array of ``rng``'s normals."""
+    z = rng.standard_normal((num_antennas, profile.num_taps, 2))
+    return ChannelRealization(profile.delays_s, gains_from_normals(profile, z))
+
+
+def link_draws(link: ControlLinkModel, rng, shape):
+    """Uniforms for the delivery trials of ``shape`` messages from ``rng``, in
+    message order; a lossless link draws nothing and gives None."""
+    return None if link.drop_probability <= 0.0 else rng.random(shape)
+
+
+def engine_frame(p_dc, rect, sched=FrameSchedule(), link=ControlLinkModel(), rng=None,
+                 adc=DEFAULT_ADC):
+    """One frame from rest through the library's engine: the
+    :func:`wptdas.protocol.run_rounds` batch of one run, one round and one
+    user of the checked matrix ``p_dc`` (M, N), the link draws from ``rng``."""
+    p_dc = check_powers(p_dc)
+    m_total, n_total = p_dc.shape[-2:]
+    return run_rounds(p_dc[None, None, None], [np.arange(m_total * n_total).reshape(m_total, -1)],
+                      rect, sched, link, adc, link_draws(link, rng, (1, 1, m_total + 1)))[0]
 
 
 def settling_energy(v_initial: float, v_target: float, duration_s: float,
@@ -144,9 +186,9 @@ def _prior_pair(prior, n_total):
 
 def run_frame(p_dc, rect, sched=None, link=None, prior=None, rng=None, adc=None,
               start_us=0, v_initial=0.0):
-    """One frame, one slot at a time: the library's arguments plus the start
-    state a walk takes (a 1-based ``prior`` pair or None, ``v_initial``) and
-    a log that starts at ``start_us``; the frame as :func:`batch_frame`
+    """One frame, one slot at a time: :func:`engine_frame`'s arguments plus the
+    start state a walk takes (a 1-based ``prior`` pair or None, ``v_initial``)
+    and a log that starts at ``start_us``; the frame as :func:`batch_frame`
     reads it from a walk."""
     sched = sched if sched is not None else FrameSchedule()
     link = link if link is not None else ControlLinkModel()

@@ -11,13 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from wptdas.channel import (
-    FrequencyGrid,
-    LinkBudget,
-    builtin_profile,
-    path_loss_db,
-    sample_channel,
-)
+from wptdas.channel import FrequencyGrid, builtin_profile, path_loss_db
 from wptdas.cli import main
 from wptdas.experiments import (
     SUM_USER,
@@ -25,14 +19,15 @@ from wptdas.experiments import (
     _block_values,
     power_budget_report,
     run_sweep,
+    run_tdma,
 )
 from wptdas.protocol import (MESSAGE_SIZE_BYTES, ControlLinkModel, FrameSchedule, decode_feedback,
-                             encode_feedback, frame_log, run_frame)
+                             encode_feedback, frame_log)
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
-from wptdas.rng import DOMAIN_CHANNEL, substream
+from wptdas.rng import DOMAIN_CHANNEL
 from wptdas.signal_chain import dc_power_matrix
 
-from scalar_oracle import select_one
+from scalar_oracle import sample_channel, select_one, substream
 
 MODEL_E = builtin_profile("model-E-NLOS")
 FLAT = builtin_profile("single-tap-flat")
@@ -65,9 +60,8 @@ def test_c02_link_budget_constant():
 
 def test_c03_frame_timing():
     t0 = time.perf_counter()
-    ch = sample_channel(MODEL_E, 4, substream(1, DOMAIN_CHANNEL, 0, 0))
-    batch = run_frame(dc_power_matrix(ch, GRID15, LinkBudget(), RectennaConfig().curve),
-                      RectennaConfig())
+    # one frame of one 4 x 15 receiver, drawn from stream (DOMAIN_CHANNEL, 0, 0) of seed 1
+    batch = run_tdma(ExperimentConfig(MODEL_E, GRID15, seed=1), 1).batch
     log = frame_log(batch, 0, 0, FrameSchedule())
     kinds = [e.kind for e in log]
     assert kinds.count("SlotStart") == 60

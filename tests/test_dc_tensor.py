@@ -26,15 +26,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
+from scalar_oracle import sample_channel, substream
 from wptdas import experiments
-from wptdas.channel import (ChannelRealization, FrequencyGrid, LinkBudget, builtin_profile,
-                            sample_channel)
+from wptdas.channel import ChannelRealization, FrequencyGrid, LinkBudget, builtin_profile
 from wptdas.errors import ValidationError
 from wptdas.experiments import (DC_BLOCK_DRAWS, ExperimentConfig, _block_values, _cell_values,
                                 _dc_tensor, _sweep_cells, run_protocol_experiment, run_sweep)
 from wptdas.protocol import ControlLinkModel, FrameSchedule
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
-from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
+from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK
 from wptdas.selection import STRATEGIES
 from wptdas.signal_chain import dc_power_matrix
 

@@ -17,14 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
+from scalar_oracle import engine_frame, link_draws, sample_channel, substream
 from wptdas import experiments
-from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
+from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile
 from wptdas.experiments import (ExperimentConfig, _block_values, nested_frequency_indices,
                                 run_tdma)
-from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, RoundBatch, run_frame,
-                             run_rounds, write_events)
+from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, RoundBatch, run_rounds,
+                             write_events)
 from wptdas.rectenna import RectennaConfig, load_efficiency_table, segment_energy, settle
-from wptdas.rng import substream
 from wptdas.selection import check_powers, select_pairs
 from wptdas.signal_chain import dc_power_matrix
 
@@ -164,7 +164,7 @@ class TestFrameAgainstScalarWalk:
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         rng_a, rng_b = substream(seed, 1), substream(seed, 1)
-        batch = run_frame(p_dc, rect, sched=sched, link=link, rng=rng_a, adc=adc)
+        batch = engine_frame(p_dc, rect, sched=sched, link=link, rng=rng_a, adc=adc)
         frame = oracle.batch_frame(batch, 0, 0, sched)
         _res, (ref,) = oracle.run_tdma(walk_cfg(rect), 1, sched=sched, link=link, adc=adc,
                                        keep_frames=True, p_dc=[[p_dc]], rng=rng_b)
@@ -188,7 +188,7 @@ class TestFrameAgainstScalarWalk:
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         rng_a, rng_b = substream(seed, 1), substream(seed, 1)
         batch, = run_rounds(p_dc[None], whole(p_dc), rect, sched, link, adc,
-                            link.draws(rng_a, (1, rounds, 5)))
+                            link_draws(link, rng_a, (1, rounds, 5)))
         _res, kept = oracle.run_tdma(walk_cfg(rect), rounds, sched=sched, link=link, adc=adc,
                                      keep_frames=True, p_dc=list(p_dc), rng=rng_b)
         frames = [oracle.batch_frame(batch, 0, f, sched, f * sched.frame_us(60))
@@ -214,7 +214,7 @@ class TestRoundLogsAgainstScalarWalk:
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         p_dc = check_powers(np.random.default_rng(seed).exponential(
             1e-5, (runs, rounds, k, m_total, n_total)))
-        draws = [link.draws(substream(seed, b), (frames, m_total + 1)) for b in range(runs)]
+        draws = [link_draws(link, substream(seed, b), (frames, m_total + 1)) for b in range(runs)]
         batch, = run_rounds(p_dc, whole(p_dc), rect, sched, link, adc,
                             None if drop == 0.0 else np.stack(draws).reshape(runs, rounds, -1))
         frame_us = sched.frame_us(m_total * n_total)
@@ -243,7 +243,7 @@ def chained_cells(seed, runs, rounds, k, shapes, link):
         shape = (runs, rounds, k, m, n)
         p_dc[..., :m, col:col + n] = rng.exponential(1e-5, shape) * (rng.random(shape) < keep)
         cells.append(np.arange(m)[:, None] * n_total + np.arange(col, col + n))
-        draws.append(link.draws(rng, (runs, rounds, k * (m + 1))))
+        draws.append(link_draws(link, rng, (runs, rounds, k * (m + 1))))
         col += n
     return check_powers(p_dc), cells, draws
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wptdas import experiments
-from wptdas.channel import FrequencyGrid, builtin_profile, sample_channel
+from wptdas.channel import FrequencyGrid, builtin_profile
 from wptdas.errors import ValidationError
 from wptdas.experiments import (
     SUM_USER,
@@ -25,13 +25,13 @@ from wptdas.experiments import (
 )
 from wptdas.protocol import (MESSAGE_SIZE_BYTES, AdcModel, ControlLinkModel, FrameSchedule,
                              _blank_us, _pack_lanes, _segments, control_bytes, frame_log,
-                             run_frame, run_rounds)
+                             run_rounds)
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
-from wptdas.rng import DOMAIN_CHANNEL, substream
+from wptdas.rng import DOMAIN_CHANNEL
 from wptdas.selection import STRATEGIES
 from wptdas.signal_chain import dc_power_matrix
 
-from scalar_oracle import select_one
+from scalar_oracle import engine_frame, sample_channel, select_one, substream
 
 MODEL_E = builtin_profile("model-E-NLOS")
 FLAT = builtin_profile("single-tap-flat")
@@ -345,7 +345,8 @@ class TestPowerBudgetReport:
 
     @pytest.mark.parametrize("dims", [(1, 15), (2, 15), (3, 15), (4, 15), (2, 3)])
     def test_budget_and_frame_log_agree_on_the_frame_shape(self, dims):
-        log = frame_log(run_frame(np.full(dims, 1e-5), RectennaConfig()), 0, 0, FrameSchedule())
+        log = frame_log(engine_frame(np.full(dims, 1e-5), RectennaConfig()), 0, 0,
+                        FrameSchedule())
         sent = MESSAGE_SIZE_BYTES * sum(e.kind == "MessageSent" for e in log)
         budget, report = power_budget_report(dims=dims)
         assert budget.bytes_sent == control_bytes(dims[0]) == sent == dims[0] + 1

@@ -1,4 +1,5 @@
-"""Every name a library module or a test file imports is used in that file.
+"""Every name a library module or a test file imports is used in that file,
+and every function and class a library module defines is named by the library.
 
 ``__init__.py`` is left out: its imports are the package's public re-exports.
 """
@@ -37,6 +38,38 @@ def test_every_imported_name_is_used(path):
 def test_an_unused_import_is_found():
     source = "import os\nfrom .errors import EventLog, check_finite\ncheck_finite(os)\n"
     assert unused_imports(source) == [(2, "EventLog")]
+
+
+# module-level functions and classes that no library module names, and why each stays
+UNNAMED = {
+    "decode_feedback": "the inverse of encode_feedback: acceptance test c04 pins the 6-bit "
+                       "codec with it",
+    "CandidateMatrix": "the benchmark's tracer test reads CandidateMatrix.from_powers",
+}
+
+
+def unnamed_definitions(sources: dict) -> list:
+    """(module, name) of each module-level function and class of ``sources``
+    (module name -> source) that no module names as an ``ast.Name`` or an
+    ``ast.Attribute``; a definition does not name itself."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted((module, node.name) for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named)
+
+
+def test_every_library_function_and_class_is_named_by_the_library():
+    # code that only tests or examples call belongs with them, not in the library
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert {name for _module, name in unnamed_definitions(sources)} == set(UNNAMED)
+
+
+def test_an_unnamed_definition_is_found():
+    sources = {"a.py": "def f():\n    return g()\nclass C:\n    pass\n",
+               "b.py": "def g():\n    pass\ndef h():\n    return x.f\n"}
+    assert unnamed_definitions(sources) == [("a.py", "C"), ("b.py", "h")]
 
 
 def test_the_cli_imports_no_private_library_name():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
+from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile
 from wptdas.errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError
 from wptdas.experiments import ExperimentConfig
 from wptdas.protocol import (
@@ -19,17 +19,15 @@ from wptdas.protocol import (
     decode_feedback,
     encode_feedback,
     frame_log,
-    run_frame,
     run_rounds,
     write_events,
 )
 from wptdas.rectenna import RectennaConfig
-from wptdas.rng import substream
 from wptdas.selection import default_pair
 from wptdas.signal_chain import dc_power_matrix
 
 import scalar_oracle as oracle
-from scalar_oracle import select_one
+from scalar_oracle import engine_frame, sample_channel, select_one, substream
 
 PROFILE = builtin_profile("model-E-NLOS")
 GRID = FrequencyGrid.uniform()
@@ -39,7 +37,7 @@ FAST_RECT = RectennaConfig(settle_tau_s=10e-6)
 
 
 def frame(ch, rect=RECT, **kwargs):
-    return run_frame(dc_power_matrix(ch, GRID, BUDGET, rect.curve), rect, **kwargs)
+    return engine_frame(dc_power_matrix(ch, GRID, BUDGET, rect.curve), rect, **kwargs)
 
 
 def default_frame(seed=1, **kwargs):
@@ -231,8 +229,8 @@ class TestRunFrame:
     def test_fallback_without_prior_is_the_default_pair(self, n_total):
         # the baselines hold the same pair fixed (test_selection)
         p_dc = np.random.default_rng(n_total).uniform(0.0, 1e-5, (4, n_total))
-        batch = run_frame(p_dc, RECT, link=ControlLinkModel(drop_probability=1.0),
-                          rng=substream(n_total))
+        batch = engine_frame(p_dc, RECT, link=ControlLinkModel(drop_probability=1.0),
+                             rng=substream(n_total))
         assert applied(batch) == tuple(np.add(default_pair(n_total), 1))
 
     def test_all_drops_leave_transmitter_idle(self):
@@ -242,10 +240,6 @@ class TestRunFrame:
         # decaying-from-zero output quantizes to zero everywhere -> tie-break
         assert selected(batch) == (1, 1)
         assert batch.training_j[0, 0, 0] == 0.0
-
-    def test_lossy_link_requires_rng(self):
-        with pytest.raises(ValidationError):
-            default_frame(link=ControlLinkModel(drop_probability=0.5))
 
     def test_slow_settling_still_yields_wellformed_log(self):
         slow = RectennaConfig(settle_tau_s=0.009)  # half a slot
@@ -328,7 +322,7 @@ class TestRunFrame:
     ])
     def test_bad_dc_matrix_rejected(self, p_dc):
         with pytest.raises(ValidationError):
-            run_frame(p_dc, RECT)
+            engine_frame(p_dc, RECT)
 
 class TestRunRoundsShapes:
     # one run of one round of one user's 2 x 3 matrix, over a lossy link
@@ -375,6 +369,22 @@ class TestRunRoundsShapes:
         link = ControlLinkModel(drop_probability=drop)
         with pytest.raises(ValidationError, match="a lossy control link needs draws"):
             run_rounds(self.P_DC, [self.WHOLE], RECT, FrameSchedule(), link, None, None)
+
+    @pytest.mark.parametrize("energy", [True, False])
+    @pytest.mark.parametrize("drop", [0.0, 0.5])
+    def test_a_walk_of_no_runs_gives_empty_batches(self, drop, energy):
+        # 2 rounds of 2 users give (0, 4, ...) batches, as a walk of 0 rounds gives (B, 0, ...)
+        link = ControlLinkModel(drop_probability=drop)
+        batch, = run_rounds(np.empty((0, 2, 2, 2, 3)), [self.WHOLE], RECT, FrameSchedule(),
+                            link, DEFAULT_ADC, None if drop == 0.0 else np.empty((0, 2, 6)),
+                            energy=energy)
+        per_user = (2,) if energy else None
+        tails = dict(activated=(2,), fed_back=(), emitting=(2, 3), samples=(6,), selected=(2,),
+                     selected_w=(), applied=(2,), served_w=(2,), training_j=per_user,
+                     wpt_j=per_user, voltage_v=(2,))
+        for name, tail in tails.items():
+            value = getattr(batch, name)
+            assert (value is None) if tail is None else value.shape == (0, 4, *tail), name
 
     def test_a_walk_needs_a_cell(self):
         with pytest.raises(ValidationError, match="at least one cell"):

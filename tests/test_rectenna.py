@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_oracle import (dc_voltage, output_dc_power, settled_voltage, settling_energy,
-                           table_efficiency)
+from scalar_oracle import (dc_voltage, engine_frame, output_dc_power, settled_voltage,
+                           settling_energy, table_efficiency)
 from wptdas.errors import ValidationError
 from wptdas.experiments import dbm_to_watts
-from wptdas.protocol import run_frame
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 
 CONST_CURVE = EfficiencyCurve.from_table([-20.0], [2.44e9], [[0.25]])
@@ -369,6 +368,6 @@ class TestSettling:
 
     def test_the_smallest_normal_load_harvests_as_a_usual_one(self):
         p_dc = np.random.default_rng(1).exponential(1e-5, (4, 15))
-        tiny, usual = (run_frame(p_dc, RectennaConfig(load_ohms=load), adc=None).training_j
+        tiny, usual = (engine_frame(p_dc, RectennaConfig(load_ohms=load), adc=None).training_j
                        for load in (sys.float_info.min, 10_000.0))
         assert tiny == pytest.approx(usual, rel=1e-6)

@@ -15,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wptdas import experiments
-from wptdas.channel import FrequencyGrid, builtin_profile, sample_channel
+from wptdas.channel import FrequencyGrid, builtin_profile
 from wptdas.errors import ValidationError
 from wptdas.experiments import SUM_USER, ExperimentConfig, _dc_tensor
 from wptdas.protocol import ControlLinkModel
-from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, keyed_draws, substream, substream_keys
+from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, keyed_draws, substream_keys
 from wptdas.signal_chain import dc_power_matrix
+
+from scalar_oracle import link_draws, sample_channel, substream
 
 U32 = 2 ** 32 - 1
 SEEDS = st.one_of(st.sampled_from([0, 1, U32, 2 ** 32, 2 ** 64 - 1]),
@@ -106,7 +108,7 @@ class TestKeyedDraws:
         got = keyed_draws(keys, "random", np.empty((n_real, width)))
         link = ControlLinkModel(drop_probability=drop)
         for r in range(n_real):
-            want = link.draws(substream(seed, DOMAIN_LINK, r), width)
+            want = link_draws(link, substream(seed, DOMAIN_LINK, r), width)
             assert got[r].tobytes() == want.tobytes()
 
     def test_each_row_starts_its_stream_afresh(self):

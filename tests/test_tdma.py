@@ -7,18 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wptdas import experiments
-from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile, sample_channel
+from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile
 from wptdas.errors import FeedbackCapacityError, ValidationError
 from wptdas.experiments import TRACE_COLUMNS, ExperimentConfig, _dc_tensor, run_tdma
-from wptdas.protocol import (DEFAULT_ADC, ControlLinkModel, FrameSchedule, RoundBatch, run_frame,
-                             run_rounds)
+from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, RoundBatch, run_rounds
 from wptdas.rectenna import RectennaConfig
-from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, substream
+from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK
 from wptdas.selection import select_pairs
 from wptdas.signal_chain import dc_power_matrix
 
 import scalar_oracle as oracle
-from scalar_oracle import _passive_harvest, select_one
+from scalar_oracle import (_passive_harvest, engine_frame, link_draws, sample_channel, select_one,
+                           substream)
 
 PROFILE = builtin_profile("model-E-NLOS")
 GRID = FrequencyGrid.uniform()
@@ -215,8 +215,8 @@ class TestStreamLayout:
     def test_the_frame_command_runs_tdma_frame_0(self, users, drop):
         cfg = config(users=users, seed=4)
         link = ControlLinkModel(drop_probability=drop, latency_s=0.002)
-        batch = run_frame(_dc_tensor(cfg, 0, 1)[0, 0], cfg.rect, link=link,
-                          rng=substream(cfg.seed, DOMAIN_LINK, 0), adc=DEFAULT_ADC)
+        batch = engine_frame(_dc_tensor(cfg, 0, 1)[0, 0], cfg.rect, link=link,
+                             rng=substream(cfg.seed, DOMAIN_LINK, 0), adc=DEFAULT_ADC)
         result = run_tdma(cfg, 1, link=link)
         assert (result.applied[0] == batch.applied[0, 0] + 1).all()
         assert result.energy_j[0, 0] == batch.training_j[0, 0, 0] + batch.wpt_j[0, 0, 0]
@@ -277,7 +277,7 @@ class TestPassiveReplay:
                                          rect.curve) for _ in range(rounds)])
         batch, = run_rounds(p_dc[None, :, None], [np.arange(60).reshape(4, 15)], rect, sched,
                             link, DEFAULT_ADC if with_adc else None,
-                            link.draws(rng, (1, rounds, 5)))
+                            link_draws(link, rng, (1, rounds, 5)))
         v = 0.0
         for f in range(rounds):
             frame = oracle.batch_frame(batch, 0, f, sched)
