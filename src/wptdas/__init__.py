@@ -13,7 +13,6 @@ protocol, Monte Carlo and round-robin TDMA runners, and a CLI.
 __version__ = "0.1.0"
 
 from .channel import (
-    ChannelRealization,
     FrequencyGrid,
     LinkBudget,
     TapProfile,
@@ -26,6 +25,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentResult,
     dbm_to_watts,
+    dc_power_matrix,
     power_budget_report,
     run_protocol_experiment,
     run_sweep,
@@ -40,4 +40,3 @@ from .protocol import (
     frame_log,
 )
 from .rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
-from .signal_chain import dc_power_matrix

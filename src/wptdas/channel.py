@@ -6,6 +6,8 @@ tap gains are circularly-symmetric complex Gaussian (Rayleigh amplitude,
 uniform phase) with mean-square amplitude equal to the tap's mean power.
 Profiles are normalized to unit total power, so all deterministic scaling
 (transmit power, path loss, antenna gains) lives in :class:`LinkBudget`.
+A draw for M antennas is a complex (M, num_taps) gains array of its
+:class:`TapProfile`, row m antenna m's taps; a stack of draws has leading axes.
 
 PDP files are plain text, one tap per line, ``delay_ns power_db``, with
 ``#`` comments; powers are renormalized to unit linear sum at load time.
@@ -112,30 +114,6 @@ def resolve_profile(name_or_path: str) -> TapProfile:
     return load_tap_profile(name_or_path)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One sampled multipath channel per transmit antenna.
-
-    ``gains`` has shape (num_antennas, num_taps); row m holds antenna m's
-    complex tap gains, paired with the shared ``delays_s``. A stack of
-    realizations over the same delays has leading batch axes, (...,
-    num_antennas, num_taps), and goes through :func:`response_matrix` whole.
-    """
-
-    delays_s: np.ndarray
-    gains: np.ndarray
-
-    def __post_init__(self):
-        delays = np.asarray(self.delays_s, dtype=float)
-        gains = np.asarray(self.gains, dtype=complex)
-        object.__setattr__(self, "delays_s", delays)
-        object.__setattr__(self, "gains", gains)
-        if gains.ndim < 2 or gains.shape[-1] != delays.size:
-            raise ValidationError("gains must be (num_antennas, num_taps)")
-        if not np.all(np.isfinite(gains)):
-            raise ValidationError("tap gains must be finite")
-
-
 def gains_from_normals(profile: TapProfile, z: np.ndarray) -> np.ndarray:
     """Tap gains (..., num_antennas, num_taps) from standard normals ``z`` (...,
     num_antennas, num_taps, real/imaginary), scaled in place by sqrt(tap power
@@ -144,11 +122,17 @@ def gains_from_normals(profile: TapProfile, z: np.ndarray) -> np.ndarray:
     return z.view(complex)[..., 0]
 
 
-def response_matrix(ch: ChannelRealization, freqs_hz: np.ndarray) -> np.ndarray:
-    """(..., num_antennas, num_freqs) complex responses for positive ``freqs_hz``."""
+def response_matrix(profile: TapProfile, gains: np.ndarray, freqs_hz: np.ndarray) -> np.ndarray:
+    """(..., num_antennas, num_freqs) complex responses at positive ``freqs_hz``
+    of ``gains`` (..., num_antennas, num_taps), a draw or a stack of draws of ``profile``."""
+    gains = np.asarray(gains, dtype=complex)
+    if gains.ndim < 2 or gains.shape[-1] != profile.num_taps:
+        raise ValidationError("gains must be (num_antennas, num_taps)")
+    if not np.all(np.isfinite(gains)):
+        raise ValidationError("tap gains must be finite")
     freqs = np.asarray(freqs_hz, dtype=float)
-    phase = np.exp(-2j * np.pi * np.outer(freqs, ch.delays_s))  # (N, L)
-    return (phase @ ch.gains.swapaxes(-1, -2)).swapaxes(-1, -2)  # (..., M, N)
+    phase = np.exp(-2j * np.pi * np.outer(freqs, profile.delays_s))  # (N, L)
+    return (phase @ gains.swapaxes(-1, -2)).swapaxes(-1, -2)  # (..., M, N)
 
 
 def path_loss_db(distance_m: float, freq_hz: float,

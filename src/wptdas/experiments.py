@@ -14,6 +14,8 @@ cells are slices of it. :func:`run_tdma` walks one run of round-robin
 frames through the same protocol, round r drawn as realization r, and keeps
 every frame's energies and its walk's batch; a single frame is the first of
 a one-frame run, whose events :func:`wptdas.protocol.frame_log` lists.
+The rate pass is here too: :func:`dc_power_matrix` rates every drawn
+(antenna, frequency) pair to the steady-state dc power all runners read.
 
 Sweeps over the candidate-set size are nested: the size-k frequency set is
 always a subset of the size-(k+1) choice from the same master grid (middle
@@ -30,6 +32,7 @@ import math
 import numbers
 import os
 import sys
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -38,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channel import ChannelRealization, FrequencyGrid, LinkBudget, TapProfile, gains_from_normals
+from .channel import FrequencyGrid, LinkBudget, TapProfile, gains_from_normals, response_matrix
 from .errors import ValidationError, check_finite, check_integer
 from .protocol import (
     DEFAULT_ADC,
@@ -50,10 +53,9 @@ from .protocol import (
     control_bytes,
     run_rounds,
 )
-from .rectenna import RectennaConfig
+from .rectenna import EfficiencyCurve, RectennaConfig
 from .rng import DOMAIN_CHANNEL, DOMAIN_LINK, keyed_draws, substream_keys
 from .selection import STRATEGIES, check_powers, middle_index, select_pairs
-from .signal_chain import dc_power_matrix
 
 RESULT_COLUMNS = "M,N,strategy,user,avg_pdc_watts,stderr_watts,realizations,seed"
 TRACE_COLUMNS = "frame,user,active_flag,antenna,frequency,p_dc_watts,energy_joules"
@@ -230,8 +232,25 @@ def _sweep_cells(cfg: ExperimentConfig):
             yield m, k, cols[k]
 
 
+def dc_power_matrix(profile: TapProfile, gains: np.ndarray, grid: FrequencyGrid,
+                    budget: LinkBudget, curve: EfficiencyCurve,
+                    extra_loss_db: float | Sequence[float] = 0.0) -> np.ndarray:
+    """(..., antennas, frequencies) steady-state dc output power in watts of
+    ``gains``, a draw or a stack of draws of ``profile``, each stacked matrix
+    bit-identical to its draw's alone. ``extra_loss_db`` is one loss for every
+    matrix, or a sequence of one loss per user for gains (..., users, antennas, taps)."""
+    amp2 = np.abs(response_matrix(profile, gains, grid.frequencies_hz)) ** 2
+    per_user = np.ndim(extra_loss_db) > 0
+    if per_user and (amp2.ndim < 3 or len(extra_loss_db) != amp2.shape[-3]):
+        raise ValidationError("extra_loss_db needs one loss per user of the stack")
+    # each user's scale in Python floats, as a lone call forms it
+    scale = np.array([budget.scale(float(x)) for x in np.atleast_1d(extra_loss_db)])
+    p_rf = (scale[:, None, None] if per_user else scale[0]) * amp2
+    return p_rf * curve.efficiency(p_rf, grid.frequencies_hz)
+
+
 def _dc_tensor(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
-    """Steady-state dc powers (R, U, M_max, N) of realizations [r0, r1), each
+    """The rate pass: dc powers (R, U, M_max, N) of realizations [r0, r1), each
     (r, u) from stream (DOMAIN_CHANNEL, r, u) with u's loss, whatever the range:
     keyed in one pass, drawn in one fill, and rated max(1, DC_BLOCK_DRAWS // U)
     realizations per :func:`dc_power_matrix` call, bit-identical to one at a time."""
@@ -244,8 +263,8 @@ def _dc_tensor(cfg: ExperimentConfig, r0: int, r1: int) -> np.ndarray:
     step = max(1, DC_BLOCK_DRAWS // users)
     for a in range(0, count, step):
         gains = gains_from_normals(cfg.profile, z[a:a + step])
-        dc[a:a + step] = dc_power_matrix(ChannelRealization(cfg.profile.delays_s, gains),
-                                         cfg.grid, cfg.budget, cfg.rect.curve, losses)
+        dc[a:a + step] = dc_power_matrix(cfg.profile, gains, cfg.grid, cfg.budget,
+                                         cfg.rect.curve, losses)
     return dc
 
 

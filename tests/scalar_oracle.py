@@ -30,8 +30,8 @@ it kept whole arrays, and writes them out one row at a time.
 The per-realization draws are stated here as references, one stream at a
 time, for the tests that hold the library's batched draws to them:
 :func:`substream` is the one-stream definition that the library's keyed
-batch draws match, :func:`sample_channel` draws one channel realization
-from a stream, and :func:`link_draws` a frame's control-link uniforms.
+batch draws match, :func:`sample_channel` draws one channel realization's
+gains from a stream, and :func:`link_draws` a frame's control-link uniforms.
 :func:`engine_frame` walks one frame of one matrix from rest through the
 library's engine, the batch of one run, one round and one user.
 """
@@ -45,15 +45,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from wptdas.channel import ChannelRealization, FrequencyGrid, gains_from_normals
+from wptdas.channel import FrequencyGrid, gains_from_normals
 from wptdas.errors import ValidationError
-from wptdas.experiments import TRACE_COLUMNS, _sweep_cells
+from wptdas.experiments import TRACE_COLUMNS, _sweep_cells, dc_power_matrix
 from wptdas.protocol import (DEFAULT_ADC, ControlLinkModel, Event, FrameSchedule, encode_feedback,
                              frame_log, run_rounds)
 from wptdas.rectenna import segment_energy, settle
 from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK
 from wptdas.selection import check_powers, middle_index, select_pairs
-from wptdas.signal_chain import dc_power_matrix
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -65,11 +64,12 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_channel(profile, num_antennas: int, rng) -> ChannelRealization:
-    """One channel realization of ``num_antennas`` antennas from ``profile``,
-    one (antennas, taps, real/imaginary) array of ``rng``'s normals."""
+def sample_channel(profile, num_antennas: int, rng) -> np.ndarray:
+    """The (antennas, taps) gains of one channel realization of ``num_antennas``
+    antennas from ``profile``, one (antennas, taps, real/imaginary) array of
+    ``rng``'s normals."""
     z = rng.standard_normal((num_antennas, profile.num_taps, 2))
-    return ChannelRealization(profile.delays_s, gains_from_normals(profile, z))
+    return gains_from_normals(profile, z)
 
 
 def link_draws(link: ControlLinkModel, rng, shape):
@@ -106,19 +106,21 @@ def settling_energy(v_initial: float, v_target: float, duration_s: float,
             settle(v_initial, v_target, math.exp(-duration_s / tau)))
 
 
-def frequency_response(ch: ChannelRealization, antenna: int, freq_hz: float) -> complex:
-    """Complex channel response of 1-based ``antenna`` at ``freq_hz``.
+def frequency_response(profile, gains, antenna: int, freq_hz: float) -> complex:
+    """Complex response of 1-based ``antenna`` of ``gains``, one draw of
+    ``profile``, at ``freq_hz``.
 
     Sum over taps of gain * exp(-j 2 pi f delay). Negative frequencies
     return the conjugate of the positive-frequency response (real passband
     channel), so conjugate symmetry holds by construction.
     """
-    if ch.gains.ndim != 2:
+    gains = np.asarray(gains, dtype=complex)
+    if gains.ndim != 2:
         raise ValidationError("frequency_response takes one realization, not a stack")
-    if not 1 <= antenna <= ch.gains.shape[-2]:
-        raise IndexError(f"antenna {antenna} out of range 1..{ch.gains.shape[-2]}")
-    g = ch.gains[antenna - 1]
-    h = complex(np.sum(g * np.exp(-2j * np.pi * abs(freq_hz) * ch.delays_s)))
+    if not 1 <= antenna <= gains.shape[-2]:
+        raise IndexError(f"antenna {antenna} out of range 1..{gains.shape[-2]}")
+    g = gains[antenna - 1]
+    h = complex(np.sum(g * np.exp(-2j * np.pi * abs(freq_hz) * profile.delays_s)))
     return h if freq_hz >= 0 else h.conjugate()
 
 
@@ -361,8 +363,8 @@ def run_tdma(cfg, frames, sched=None, link=None, adc=None, keep_frames=False, p_
             r = i // k
             if p_dc is None:  # round r is realization r
                 round_dc = [dc_power_matrix(
-                    sample_channel(cfg.profile, cfg.max_antennas,
-                                   substream(cfg.seed, DOMAIN_CHANNEL, r, u)),
+                    cfg.profile, sample_channel(cfg.profile, cfg.max_antennas,
+                                                substream(cfg.seed, DOMAIN_CHANNEL, r, u)),
                     cfg.grid, cfg.budget, rect.curve, cfg.loss_for_user(u)) for u in range(k)]
                 rng = substream(cfg.seed, DOMAIN_LINK, r)
             else:
@@ -481,9 +483,9 @@ def dc_tensor(cfg, r0, r1):
         for u in range(cfg.users):
             z = substream(cfg.seed, DOMAIN_CHANNEL, r, u).standard_normal(
                 (cfg.max_antennas, cfg.profile.num_taps, 2))
-            ch = ChannelRealization(cfg.profile.delays_s, (z[..., 0] + 1j * z[..., 1]) * scale)
-            dc[r - r0, u] = dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve,
-                                            cfg.loss_for_user(u))
+            gains = (z[..., 0] + 1j * z[..., 1]) * scale
+            dc[r - r0, u] = dc_power_matrix(cfg.profile, gains, cfg.grid, cfg.budget,
+                                            cfg.rect.curve, cfg.loss_for_user(u))
     return dc
 
 
@@ -521,11 +523,11 @@ def settled_voltage(v_target: float, v_initial: float, elapsed_s: float, cfg) ->
     return settle(v_initial, v_target, math.exp(-elapsed_s / cfg.settle_tau_s))
 
 
-def subset(ch: ChannelRealization, num_antennas: int) -> ChannelRealization:
-    """View of the first ``num_antennas`` antennas (nested antenna sets)."""
-    if not 1 <= num_antennas <= ch.gains.shape[-2]:
+def subset(gains, num_antennas: int) -> np.ndarray:
+    """View of the first ``num_antennas`` antennas of ``gains`` (nested antenna sets)."""
+    if not 1 <= num_antennas <= gains.shape[-2]:
         raise ValidationError("antenna subset out of range")
-    return ChannelRealization(ch.delays_s, ch.gains[..., :num_antennas, :])
+    return gains[..., :num_antennas, :]
 
 
 def grid_from_frequencies(freqs_hz, mode: str = "subset") -> FrequencyGrid:
@@ -536,8 +538,8 @@ def grid_from_frequencies(freqs_hz, mode: str = "subset") -> FrequencyGrid:
     return FrequencyGrid(mode, freqs)
 
 
-def phases(ch: ChannelRealization) -> np.ndarray:
-    """Tap phases of ``ch`` in [-pi, pi)."""
-    p = np.angle(ch.gains)
+def phases(gains) -> np.ndarray:
+    """Tap phases of ``gains`` in [-pi, pi)."""
+    p = np.angle(gains)
     p[p == np.pi] = -np.pi
     return p

@@ -8,7 +8,6 @@ import pytest
 from scalar_oracle import (frequency_response, phases, received_rf_power, sample_channel, subset,
                            substream)
 from wptdas.channel import (
-    ChannelRealization,
     FrequencyGrid,
     LinkBudget,
     TapProfile,
@@ -23,7 +22,8 @@ SINGLE_TAP = TapProfile("flat", [0.0], [1.0])
 
 
 def _two_tap(delta_s):
-    return ChannelRealization([0.0, delta_s], [[0.5, 0.5]])
+    """A two-tap profile with taps ``delta_s`` apart, and one draw of equal real gains."""
+    return TapProfile("two-tap", [0.0, delta_s], [0.5, 0.5]), [[0.5, 0.5]]
 
 
 class TestTapProfile:
@@ -118,42 +118,52 @@ class TestTapProfile:
         npt.assert_array_equal(builtin_profile(name).delays_s, before[1])
 
 
-class TestChannelRealization:
+class TestResponseMatrixGains:
     @pytest.mark.parametrize("gains", [[0.5, 0.5], [[0.5, 0.5, 0.5]]], ids=["1-D", "taps"])
     def test_rejects_gains_of_the_wrong_shape(self, gains):
         with pytest.raises(ValidationError, match="num_antennas, num_taps"):
-            ChannelRealization([0.0, 10e-9], gains)
+            response_matrix(_two_tap(10e-9)[0], gains, [2.4e9])
 
     @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(0.0, math.nan)])
     def test_rejects_non_finite_gains(self, bad):
         with pytest.raises(ValidationError, match="finite"):
-            ChannelRealization([0.0, 10e-9], [[0.5, bad]])
+            response_matrix(_two_tap(10e-9)[0], [[0.5, bad]], [2.4e9])
+
+    def test_a_stack_of_draws_is_each_draw_alone(self):
+        # the rate pass hands over (R, M, L) stacks; each draw must come out as if passed alone
+        profile = builtin_profile("model-E-NLOS")
+        stack = np.stack([sample_channel(profile, 3, substream(24, r)) for r in range(4)])
+        freqs = FrequencyGrid.uniform(count=5).frequencies_hz
+        mats = response_matrix(profile, stack, freqs)
+        assert mats.shape == (4, 3, 5)
+        for r in range(4):
+            npt.assert_allclose(mats[r], response_matrix(profile, stack[r], freqs), rtol=1e-12)
 
 
 class TestSampleChannel:
     def test_shape_contract(self):
-        ch = sample_channel(builtin_profile("model-E-NLOS"), 4, substream(0, 0))
-        assert ch.gains.shape == (4, 18)
+        gains = sample_channel(builtin_profile("model-E-NLOS"), 4, substream(0, 0))
+        assert gains.shape == (4, 18)
 
     def test_seed_reproducible(self):
         a = sample_channel(SINGLE_TAP, 4, substream(7, 1, 2))
         b = sample_channel(SINGLE_TAP, 4, substream(7, 1, 2))
-        assert np.array_equal(a.gains, b.gains)
+        assert np.array_equal(a, b)
 
     def test_distinct_substreams_differ(self):
         a = sample_channel(SINGLE_TAP, 4, substream(7, 1, 2))
         b = sample_channel(SINGLE_TAP, 4, substream(7, 1, 3))
-        assert not np.array_equal(a.gains, b.gains)
+        assert not np.array_equal(a, b)
 
     def test_mean_square_amplitude_is_tap_power(self):
         # antennas are i.i.d., so one wide draw gives 1e5 samples
-        ch = sample_channel(SINGLE_TAP, 100_000, substream(11))
-        amp2 = np.abs(ch.gains[:, 0]) ** 2
+        gains = sample_channel(SINGLE_TAP, 100_000, substream(11))
+        amp2 = np.abs(gains[:, 0]) ** 2
         assert abs(amp2.mean() - 1.0) <= 0.02
 
     def test_amplitude_square_exponential_tail(self):
-        ch = sample_channel(SINGLE_TAP, 100_000, substream(12))
-        amp2 = np.abs(ch.gains[:, 0]) ** 2
+        gains = sample_channel(SINGLE_TAP, 100_000, substream(12))
+        amp2 = np.abs(gains[:, 0]) ** 2
         p_gt_1 = np.mean(amp2 > 1.0)
         assert abs(p_gt_1 - math.exp(-1)) <= 0.02 * math.exp(-1)
 
@@ -161,74 +171,75 @@ class TestSampleChannel:
         profile = builtin_profile("model-E-NLOS")
         a2 = np.empty((10_000, 2))
         for r in range(10_000):
-            ch = sample_channel(profile, 2, substream(3, 0, r))
-            h = response_matrix(ch, np.array([2.44e9]))
+            gains = sample_channel(profile, 2, substream(3, 0, r))
+            h = response_matrix(profile, gains, np.array([2.44e9]))
             a2[r] = np.abs(h[:, 0]) ** 2
         corr = np.corrcoef(a2[:, 0], a2[:, 1])[0, 1]
         assert abs(corr) < 0.05
 
     def test_phase_range(self):
-        ch = sample_channel(builtin_profile("model-E-NLOS"), 4, substream(5))
-        ph = phases(ch)
+        gains = sample_channel(builtin_profile("model-E-NLOS"), 4, substream(5))
+        ph = phases(gains)
         assert np.all(ph >= -np.pi) and np.all(ph < np.pi)
 
     def test_subset_view(self):
-        ch = sample_channel(SINGLE_TAP, 4, substream(9))
-        sub = subset(ch, 2)
-        assert np.array_equal(sub.gains, ch.gains[:2])
+        gains = sample_channel(SINGLE_TAP, 4, substream(9))
+        sub = subset(gains, 2)
+        assert np.array_equal(sub, gains[:2])
         with pytest.raises(ValidationError):
-            subset(ch, 5)
+            subset(gains, 5)
 
 
 class TestFrequencyResponse:
     def test_single_unit_tap_identity(self):
-        ch = ChannelRealization([0.0], [[1.0 + 0j]])
         for f in (1e6, 2.44e9, 5.8e9):
-            h = frequency_response(ch, 1, f)
+            h = frequency_response(SINGLE_TAP, [[1.0 + 0j]], 1, f)
             assert abs(abs(h) - 1.0) < 1e-15
             assert abs(cmath.phase(h)) < 1e-15
 
     def test_two_tap_destructive(self):
         f = 2.44e9
-        ch = _two_tap(1.0 / (2.0 * f))
-        assert abs(frequency_response(ch, 1, f)) < 1e-12
+        assert abs(frequency_response(*_two_tap(1.0 / (2.0 * f)), 1, f)) < 1e-12
 
     def test_two_tap_constructive(self):
         f = 2.44e9
-        ch = _two_tap(1.0 / f)
-        assert abs(frequency_response(ch, 1, f) - 1.0) < 1e-9
+        assert abs(frequency_response(*_two_tap(1.0 / f), 1, f) - 1.0) < 1e-9
 
     def test_matches_bruteforce_sum(self):
         # independent oracle: direct complex summation per tap
-        ch = sample_channel(builtin_profile("model-E-NLOS"), 3, substream(21))
+        profile = builtin_profile("model-E-NLOS")
+        gains = sample_channel(profile, 3, substream(21))
         f = 2.44e9
         for m in range(1, 4):
             expected = sum(
-                ch.gains[m - 1, l] * cmath.exp(-2j * cmath.pi * f * ch.delays_s[l])
-                for l in range(ch.delays_s.size)
+                gains[m - 1, l] * cmath.exp(-2j * cmath.pi * f * profile.delays_s[l])
+                for l in range(profile.num_taps)
             )
-            got = frequency_response(ch, m, f)
+            got = frequency_response(profile, gains, m, f)
             assert abs(got - expected) <= 1e-12 * abs(expected)
 
     def test_response_matrix_matches_scalar_api(self):
-        ch = sample_channel(builtin_profile("model-E-NLOS"), 2, substream(22))
+        profile = builtin_profile("model-E-NLOS")
+        gains = sample_channel(profile, 2, substream(22))
         freqs = FrequencyGrid.uniform(count=5).frequencies_hz
-        mat = response_matrix(ch, freqs)
+        mat = response_matrix(profile, gains, freqs)
         for m in range(1, 3):
             for n, f in enumerate(freqs):
-                assert abs(mat[m - 1, n] - frequency_response(ch, m, f)) < 1e-12
+                assert abs(mat[m - 1, n] - frequency_response(profile, gains, m, f)) < 1e-12
 
     def test_conjugate_symmetry(self):
-        ch = sample_channel(builtin_profile("model-E-NLOS"), 1, substream(23))
+        profile = builtin_profile("model-E-NLOS")
+        gains = sample_channel(profile, 1, substream(23))
         for f in (1e9, 2.44e9):
-            assert frequency_response(ch, 1, -f) == frequency_response(ch, 1, f).conjugate()
+            assert (frequency_response(profile, gains, 1, -f)
+                    == frequency_response(profile, gains, 1, f).conjugate())
 
     def test_antenna_out_of_range(self):
-        ch = sample_channel(SINGLE_TAP, 2, substream(4))
+        gains = sample_channel(SINGLE_TAP, 2, substream(4))
         with pytest.raises(IndexError):
-            frequency_response(ch, 3, 2.4e9)
+            frequency_response(SINGLE_TAP, gains, 3, 2.4e9)
         with pytest.raises(IndexError):
-            frequency_response(ch, 0, 2.4e9)
+            frequency_response(SINGLE_TAP, gains, 0, 2.4e9)
 
 
 class TestPathLoss:

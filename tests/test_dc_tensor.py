@@ -28,15 +28,15 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from scalar_oracle import sample_channel, substream
 from wptdas import experiments
-from wptdas.channel import ChannelRealization, FrequencyGrid, LinkBudget, builtin_profile
+from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile
 from wptdas.errors import ValidationError
 from wptdas.experiments import (DC_BLOCK_DRAWS, ExperimentConfig, _block_values, _cell_values,
-                                _dc_tensor, _sweep_cells, run_protocol_experiment, run_sweep)
+                                _dc_tensor, _sweep_cells, dc_power_matrix, run_protocol_experiment,
+                                run_sweep)
 from wptdas.protocol import ControlLinkModel, FrameSchedule
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig, load_efficiency_table
 from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK
 from wptdas.selection import STRATEGIES
-from wptdas.signal_chain import dc_power_matrix
 
 TABLE = load_efficiency_table(Path(__file__).resolve().parents[1] / "src" / "wptdas" / "data"
                               / "efficiency-table-sample.txt")
@@ -231,11 +231,10 @@ class TestBlockStructure:
             assert calls == expected
 
 
-def _stacked_channel(users: int, n_real: int = 3, seed: int = 7) -> ChannelRealization:
-    """A (n_real, users, 4 antennas, taps) stack of Model E channels."""
-    gains = np.stack([[sample_channel(PROFILES["model-E-NLOS"], 4, substream(seed, r, u)).gains
-                       for u in range(users)] for r in range(n_real)])
-    return ChannelRealization(PROFILES["model-E-NLOS"].delays_s, gains)
+def _stacked_gains(users: int, n_real: int = 3, seed: int = 7) -> np.ndarray:
+    """A (n_real, users, 4 antennas, taps) stack of Model E channel gains."""
+    return np.stack([[sample_channel(PROFILES["model-E-NLOS"], 4, substream(seed, r, u))
+                      for u in range(users)] for r in range(n_real)])
 
 
 class TestPerUserLosses:
@@ -243,25 +242,24 @@ class TestPerUserLosses:
     @pytest.mark.parametrize("unequal", [False, True], ids=["equal", "unequal"])
     @pytest.mark.parametrize("users", [1, 2, 3, 4])
     def test_one_call_equals_the_per_user_calls(self, users, unequal, curve):
-        ch = _stacked_channel(users)
+        gains, profile = _stacked_gains(users), PROFILES["model-E-NLOS"]
         losses = [1.5 * u + 0.25 if unequal else 2.0 for u in range(users)]
         grid, budget, curve = GRIDS["ieee"], LinkBudget(), CURVES[curve]
-        got = dc_power_matrix(ch, grid, budget, curve, losses)
+        got = dc_power_matrix(profile, gains, grid, budget, curve, losses)
         for u, loss in enumerate(losses):
-            alone = dc_power_matrix(ChannelRealization(ch.delays_s, ch.gains[:, u]), grid,
-                                    budget, curve, loss)
+            alone = dc_power_matrix(profile, gains[:, u], grid, budget, curve, loss)
             assert got[:, u].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("losses", [[0.0], [0.0, 1.0, 2.0], []])
     def test_loss_count_must_match_the_user_axis(self, losses):
-        ch = _stacked_channel(2)
         with pytest.raises(ValidationError):
-            dc_power_matrix(ch, GRIDS["uniform"], LinkBudget(), CURVES["parametric"], losses)
+            dc_power_matrix(PROFILES["model-E-NLOS"], _stacked_gains(2), GRIDS["uniform"],
+                            LinkBudget(), CURVES["parametric"], losses)
 
     def test_a_lone_matrix_has_no_user_axis(self):
-        lone = ChannelRealization(PROFILES["single-tap-flat"].delays_s, [[1.0 + 0j]])
         with pytest.raises(ValidationError):
-            dc_power_matrix(lone, GRIDS["uniform"], LinkBudget(), CURVES["parametric"], [0.0])
+            dc_power_matrix(PROFILES["single-tap-flat"], [[1.0 + 0j]], GRIDS["uniform"],
+                            LinkBudget(), CURVES["parametric"], [0.0])
 
 
 class TestCellSlices:
@@ -275,12 +273,12 @@ class TestCellSlices:
         dc = _dc_tensor(cfg, 0, cfg.realizations)
         for r in range(cfg.realizations):
             for u in range(cfg.users):
-                ch = sample_channel(cfg.profile, cfg.max_antennas,
-                                    substream(cfg.seed, DOMAIN_CHANNEL, r, u))
+                gains = sample_channel(cfg.profile, cfg.max_antennas,
+                                       substream(cfg.seed, DOMAIN_CHANNEL, r, u))
                 for m, _k, cols in _sweep_cells(cfg):
                     subgrid = oracle.grid_from_frequencies(cfg.grid.frequencies_hz[cols])
-                    own = dc_power_matrix(oracle.subset(ch, m), subgrid, cfg.budget,
-                                          cfg.rect.curve, cfg.loss_for_user(u))
+                    own = dc_power_matrix(cfg.profile, oracle.subset(gains, m), subgrid,
+                                          cfg.budget, cfg.rect.curve, cfg.loss_for_user(u))
                     np.testing.assert_allclose(dc[r, u, :m][:, cols], own, rtol=1e-12, atol=0)
 
 

@@ -20,13 +20,12 @@ import scalar_oracle as oracle
 from scalar_oracle import engine_frame, link_draws, sample_channel, substream
 from wptdas import experiments
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile
-from wptdas.experiments import (ExperimentConfig, _block_values, nested_frequency_indices,
-                                run_tdma)
+from wptdas.experiments import (ExperimentConfig, _block_values, dc_power_matrix,
+                                nested_frequency_indices, run_tdma)
 from wptdas.protocol import (AdcModel, ControlLinkModel, FrameSchedule, RoundBatch, run_rounds,
                              write_events)
 from wptdas.rectenna import RectennaConfig, load_efficiency_table, segment_energy, settle
 from wptdas.selection import check_powers, select_pairs
-from wptdas.signal_chain import dc_power_matrix
 
 PROFILE = builtin_profile("model-E-NLOS")
 GRID = FrequencyGrid.uniform()
@@ -159,8 +158,8 @@ class TestFrameAgainstScalarWalk:
     @settings(max_examples=60, deadline=None)
     @given(seed=seeds, drop=drops, latency_s=latencies, adc=adcs, rect=rects)
     def test_a_frame_from_rest_equals_the_scalar_walk(self, seed, drop, latency_s, adc, rect):
-        p_dc = dc_power_matrix(sample_channel(PROFILE, 4, substream(seed, 0)), GRID, BUDGET,
-                               rect.curve)
+        p_dc = dc_power_matrix(PROFILE, sample_channel(PROFILE, 4, substream(seed, 0)), GRID,
+                               BUDGET, rect.curve)
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
         rng_a, rng_b = substream(seed, 1), substream(seed, 1)
@@ -182,7 +181,8 @@ class TestFrameAgainstScalarWalk:
         # one receiver over rounds of fresh channels, from rest: each frame
         # starts from the last one's voltage, falls back to the pair it served
         # and logs on from its end
-        p_dc = check_powers([[dc_power_matrix(sample_channel(PROFILE, 4, substream(seed, 0, r)),
+        p_dc = check_powers([[dc_power_matrix(PROFILE,
+                                              sample_channel(PROFILE, 4, substream(seed, 0, r)),
                                               GRID, BUDGET, rect.curve)] for r in range(rounds)])
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)

@@ -19,6 +19,7 @@ from wptdas.experiments import (
     _cell_values,
     _dc_tensor,
     _sweep_cells,
+    dc_power_matrix,
     power_budget_report,
     run_protocol_experiment,
     run_sweep,
@@ -29,7 +30,6 @@ from wptdas.protocol import (MESSAGE_SIZE_BYTES, AdcModel, ControlLinkModel, Fra
 from wptdas.rectenna import EfficiencyCurve, RectennaConfig
 from wptdas.rng import DOMAIN_CHANNEL
 from wptdas.selection import STRATEGIES
-from wptdas.signal_chain import dc_power_matrix
 
 from scalar_oracle import engine_frame, sample_channel, select_one, substream
 
@@ -193,8 +193,8 @@ class TestRunSweep:
         res = run_sweep(cfg)
         mats = []
         for u in range(2):
-            ch = sample_channel(MODEL_E, 4, substream(77, DOMAIN_CHANNEL, 0, u))
-            mats.append(dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve))
+            gains = sample_channel(MODEL_E, 4, substream(77, DOMAIN_CHANNEL, 0, u))
+            mats.append(dc_power_matrix(MODEL_E, gains, cfg.grid, cfg.budget, cfg.rect.curve))
         decisions = [select_one(m, "joint") for m in mats]
         for u in range(2):
             own = decisions[u][2]
@@ -250,8 +250,8 @@ class TestProtocolExperiment:
         delivered = _block_values(cfg, protocol, 0, 50)[(4, 15, "joint")]
         assert delivered.shape == (50, 1)
         for r, value in enumerate(delivered[:, 0]):
-            ch = sample_channel(MODEL_E, 4, substream(9, DOMAIN_CHANNEL, r, 0))
-            truth = dc_power_matrix(ch, cfg.grid, cfg.budget, self.FAST.curve)
+            gains = sample_channel(MODEL_E, 4, substream(9, DOMAIN_CHANNEL, r, 0))
+            truth = dc_power_matrix(MODEL_E, gains, cfg.grid, cfg.budget, self.FAST.curve)
             expected = select_one(truth, "joint")[2]
             assert abs(value - expected) <= 1e-9 * expected
 
@@ -358,7 +358,8 @@ def scalar_reference_sweep(cfg):
     """Per-realization values from one selection per matrix, user, strategy and cell."""
     values = {}
     for r in range(cfg.realizations):
-        mats = [dc_power_matrix(sample_channel(cfg.profile, cfg.max_antennas,
+        mats = [dc_power_matrix(cfg.profile,
+                                sample_channel(cfg.profile, cfg.max_antennas,
                                                substream(cfg.seed, DOMAIN_CHANNEL, r, u)),
                                 cfg.grid, cfg.budget, cfg.rect.curve, cfg.loss_for_user(u))
                 for u in range(cfg.users)]

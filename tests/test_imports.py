@@ -45,17 +45,25 @@ UNNAMED = {
     "decode_feedback": "the inverse of encode_feedback: acceptance test c04 pins the 6-bit "
                        "codec with it",
     "CandidateMatrix": "the benchmark's tracer test reads CandidateMatrix.from_powers",
+    "path_loss_db": "acceptance test c02 pins the 60.046 dB free-space loss with it",
 }
 
 
 def unnamed_definitions(sources: dict) -> list:
     """(module, name) of each module-level function and class of ``sources``
-    (module name -> source) that no module names as an ``ast.Name`` or an
-    ``ast.Attribute``; a definition does not name itself."""
+    (module name -> source) that no module loads, as a loaded ``ast.Name`` or
+    as an attribute of a name it imports; a definition does not name itself,
+    nor does a field or a ``self.`` attribute that shares its name."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    named = {node.id if isinstance(node, ast.Name) else node.attr
-             for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, (ast.Name, ast.Attribute))}
+    named = set()
+    for tree in trees.values():
+        imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        named.update(node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                     or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in imported)
     return sorted((module, node.name) for module, tree in trees.items() for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named)
 
@@ -68,8 +76,21 @@ def test_every_library_function_and_class_is_named_by_the_library():
 
 def test_an_unnamed_definition_is_found():
     sources = {"a.py": "def f():\n    return g()\nclass C:\n    pass\n",
-               "b.py": "def g():\n    pass\ndef h():\n    return x.f\n"}
+               "b.py": "import x\ndef g():\n    pass\ndef h():\n    return x.f\n"}
     assert unnamed_definitions(sources) == [("a.py", "C"), ("b.py", "h")]
+    # a dataclass field and a self. attribute of the same name do not name a function
+    shadowed = {"a.py": "def loss():\n    pass\n@dataclass\nclass B:\n    loss: float = 0.0\n"
+                        "    def total(self):\n        return self.loss\n",
+                "b.py": "B().total()\n"}
+    assert unnamed_definitions(shadowed) == [("a.py", "loss")]
+
+
+def test_the_rate_pass_is_exported_from_experiments():
+    # the steady-state rate pass lives next to the dc tensor that calls it
+    from wptdas import experiments
+    assert wptdas.dc_power_matrix is experiments.dc_power_matrix
+    assert not (Path(wptdas.__file__).parent / "signal_chain.py").exists()
+    assert not hasattr(wptdas, "ChannelRealization")
 
 
 def test_the_cli_imports_no_private_library_name():

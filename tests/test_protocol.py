@@ -7,7 +7,7 @@ import pytest
 
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile
 from wptdas.errors import FeedbackCapacityError, FeedbackDecodeError, ValidationError
-from wptdas.experiments import ExperimentConfig
+from wptdas.experiments import ExperimentConfig, dc_power_matrix
 from wptdas.protocol import (
     DEFAULT_ADC,
     MESSAGE_SIZE_BYTES,
@@ -24,7 +24,6 @@ from wptdas.protocol import (
 )
 from wptdas.rectenna import RectennaConfig
 from wptdas.selection import default_pair
-from wptdas.signal_chain import dc_power_matrix
 
 import scalar_oracle as oracle
 from scalar_oracle import engine_frame, sample_channel, select_one, substream
@@ -36,13 +35,14 @@ RECT = RectennaConfig()
 FAST_RECT = RectennaConfig(settle_tau_s=10e-6)
 
 
-def frame(ch, rect=RECT, **kwargs):
-    return engine_frame(dc_power_matrix(ch, GRID, BUDGET, rect.curve), rect, **kwargs)
+def frame(gains, rect=RECT, **kwargs):
+    return engine_frame(dc_power_matrix(PROFILE, gains, GRID, BUDGET, rect.curve), rect,
+                        **kwargs)
 
 
 def default_frame(seed=1, **kwargs):
-    ch = sample_channel(PROFILE, 4, substream(seed, 0, 0, 0))
-    return frame(ch, **kwargs)
+    gains = sample_channel(PROFILE, 4, substream(seed, 0, 0, 0))
+    return frame(gains, **kwargs)
 
 
 def log_of(batch):
@@ -197,10 +197,10 @@ class TestRunFrame:
 
     def test_feedback_applied_at_true_maximum(self):
         # fast settling + no quantization: protocol achieves the joint argmax
-        ch = sample_channel(PROFILE, 4, substream(3, 0, 0, 0))
-        truth = dc_power_matrix(ch, GRID, BUDGET, RECT.curve)
+        gains = sample_channel(PROFILE, 4, substream(3, 0, 0, 0))
+        truth = dc_power_matrix(PROFILE, gains, GRID, BUDGET, RECT.curve)
         expected = select_one(truth, "joint")
-        batch = frame(ch, FAST_RECT, adc=None)
+        batch = frame(gains, FAST_RECT, adc=None)
         fed_back = events_of(batch, "FeedbackApplied")
         assert len(fed_back) == 1
         assert (fed_back[0].antenna, fed_back[0].frequency) == expected[:2]
@@ -211,7 +211,8 @@ class TestRunFrame:
         # every message of the first round gets through; the second round
         # loses only its feedback, so it serves the first round's pair
         link = ControlLinkModel(drop_probability=0.5)
-        p_dc = np.stack([dc_power_matrix(sample_channel(PROFILE, 4, substream(seed, 0, 0, 0)),
+        p_dc = np.stack([dc_power_matrix(PROFILE,
+                                         sample_channel(PROFILE, 4, substream(seed, 0, 0, 0)),
                                          GRID, BUDGET, RECT.curve) for seed in (1, 2)])
         batch = one_user_walk(p_dc, link, draws=[[0.9] * 5, [0.9] * 4 + [0.1]])
         assert batch.fed_back.tolist() == [[True, False]]
@@ -252,9 +253,9 @@ class TestRunFrame:
         assert batch.training_j[0, 0, 0] >= 0.0
 
     def test_training_energy_close_to_steady_sum_when_fast(self):
-        ch = sample_channel(PROFILE, 4, substream(8, 0, 0, 0))
-        truth = dc_power_matrix(ch, GRID, BUDGET, RECT.curve)
-        batch = frame(ch, FAST_RECT, adc=None)
+        gains = sample_channel(PROFILE, 4, substream(8, 0, 0, 0))
+        truth = dc_power_matrix(PROFILE, gains, GRID, BUDGET, RECT.curve)
+        batch = frame(gains, FAST_RECT, adc=None)
         assert batch.training_j[0, 0, 0] == pytest.approx(truth.sum() * 0.018, rel=1e-2)
 
     def test_energy_non_negative_and_ordering(self):
@@ -267,10 +268,10 @@ class TestRunFrame:
     def test_voltage_carries_across_frames(self):
         # a second round over the same channel starts where the first ended,
         # on one timeline
-        ch = sample_channel(PROFILE, 4, substream(9, 0, 0, 0))
-        p_dc = dc_power_matrix(ch, GRID, BUDGET, RECT.curve)
+        gains = sample_channel(PROFILE, 4, substream(9, 0, 0, 0))
+        p_dc = dc_power_matrix(PROFILE, gains, GRID, BUDGET, RECT.curve)
         batch = one_user_walk(np.stack([p_dc, p_dc]))
-        first = frame(ch, RECT)  # a frame from rest
+        first = frame(gains, RECT)  # a frame from rest
         for name in ("samples", "training_j", "wpt_j", "voltage_v"):
             assert np.array_equal(getattr(batch, name)[:, :1], getattr(first, name)), name
         start_us = log_of(first)[-1].t_us
@@ -286,8 +287,8 @@ class TestRunFrame:
         assert batch.training_j[0, 1, 0] != batch.training_j[0, 0, 0]  # not from rest
 
     def test_frame_length_follows_the_matrix(self):
-        ch = sample_channel(PROFILE, 3, substream(1))
-        batch = frame(ch, RECT)  # 3 x 15 under the default schedule
+        gains = sample_channel(PROFILE, 3, substream(1))
+        batch = frame(gains, RECT)  # 3 x 15 under the default schedule
         assert len(events_of(batch, "SlotStart")) == 45
         assert events_of(batch, "WptPhaseStart")[0].t_us == 45 * 18_000
         assert log_of(batch)[-1].t_us == 45 * 18_000 + 2_920_000
@@ -299,17 +300,17 @@ class TestRunFrame:
         assert a.training_j[0, 0, 0] == b.training_j[0, 0, 0]
 
     def test_quantization_coarsens_matrix(self):
-        ch = sample_channel(PROFILE, 4, substream(10, 0, 0, 0))
-        batch_q = frame(ch, FAST_RECT, adc=AdcModel(bits=4))
-        batch_i = frame(ch, FAST_RECT, adc=None)
+        gains = sample_channel(PROFILE, 4, substream(10, 0, 0, 0))
+        batch_q = frame(gains, FAST_RECT, adc=AdcModel(bits=4))
+        batch_i = frame(gains, FAST_RECT, adc=None)
         vals_q = {e.value for e in events_of(batch_q, "AdcSample")}
         vals_i = {e.value for e in events_of(batch_i, "AdcSample")}
         assert len(vals_q) <= len(vals_i)
 
     def test_latency_blanks_block_start(self):
         link = ControlLinkModel(latency_s=0.004)
-        ch = sample_channel(PROFILE, 4, substream(11, 0, 0, 0))
-        lat, ref = frame(ch, RECT, link=link), frame(ch, RECT)
+        gains = sample_channel(PROFILE, 4, substream(11, 0, 0, 0))
+        lat, ref = frame(gains, RECT, link=link), frame(gains, RECT)
         assert lat.training_j[0, 0, 0] < ref.training_j[0, 0, 0]
         assert lat.wpt_j[0, 0, 0] < ref.wpt_j[0, 0, 0]
 

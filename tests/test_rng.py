@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 from wptdas import experiments
 from wptdas.channel import FrequencyGrid, builtin_profile
 from wptdas.errors import ValidationError
-from wptdas.experiments import SUM_USER, ExperimentConfig, _dc_tensor
+from wptdas.experiments import SUM_USER, ExperimentConfig, _dc_tensor, dc_power_matrix
 from wptdas.protocol import ControlLinkModel
 from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK, keyed_draws, substream_keys
-from wptdas.signal_chain import dc_power_matrix
 
 from scalar_oracle import link_draws, sample_channel, substream
 
@@ -96,8 +95,9 @@ class TestKeyedDraws:
         assert dc.shape == (n_real, users, antennas, cfg.grid.count)
         for i in range(n_real):
             for u in range(users):
-                ch = sample_channel(MODEL_E, antennas, substream(seed, DOMAIN_CHANNEL, r0 + i, u))
-                want = dc_power_matrix(ch, cfg.grid, cfg.budget, cfg.rect.curve)
+                gains = sample_channel(MODEL_E, antennas,
+                                       substream(seed, DOMAIN_CHANNEL, r0 + i, u))
+                want = dc_power_matrix(MODEL_E, gains, cfg.grid, cfg.budget, cfg.rect.curve)
                 assert dc[i, u].tobytes() == want.tobytes()
 
     @settings(max_examples=25, deadline=None)

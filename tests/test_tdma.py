@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from wptdas import experiments
 from wptdas.channel import FrequencyGrid, LinkBudget, builtin_profile
 from wptdas.errors import FeedbackCapacityError, ValidationError
-from wptdas.experiments import TRACE_COLUMNS, ExperimentConfig, _dc_tensor, run_tdma
+from wptdas.experiments import (TRACE_COLUMNS, ExperimentConfig, _dc_tensor, dc_power_matrix,
+                                run_tdma)
 from wptdas.protocol import DEFAULT_ADC, ControlLinkModel, FrameSchedule, RoundBatch, run_rounds
 from wptdas.rectenna import RectennaConfig
 from wptdas.rng import DOMAIN_CHANNEL, DOMAIN_LINK
 from wptdas.selection import select_pairs
-from wptdas.signal_chain import dc_power_matrix
 
 import scalar_oracle as oracle
 from scalar_oracle import (_passive_harvest, engine_frame, link_draws, sample_channel, select_one,
@@ -67,7 +67,8 @@ class TestSingleUser:
         # replay the documented streams by hand: round r's channel from
         # realization r's stream, then one engine walk from rest over all ten rounds
         sched = FrameSchedule()
-        p_dc = np.array([[dc_power_matrix(sample_channel(PROFILE, 4,
+        p_dc = np.array([[dc_power_matrix(PROFILE,
+                                          sample_channel(PROFILE, 4,
                                                          substream(1, DOMAIN_CHANNEL, r, 0)),
                                           GRID, BUDGET, RectennaConfig().curve)]
                          for r in range(frames)])
@@ -140,12 +141,12 @@ class TestTwoUsers:
 
     def test_applied_pair_maximizes_active_matrix_only(self):
         # round 0 draws user u's channel from realization 0's stream of u
-        ch1, ch2 = (sample_channel(PROFILE, 4, substream(6, DOMAIN_CHANNEL, 0, u))
-                    for u in (0, 1))
+        gains1, gains2 = (sample_channel(PROFILE, 4, substream(6, DOMAIN_CHANNEL, 0, u))
+                          for u in (0, 1))
         fast = RectennaConfig(settle_tau_s=10e-6)
         result = run_tdma(config(users=2, seed=6, rect=fast), 2, adc=None)
-        best1, best2 = (select_one(dc_power_matrix(ch, GRID, BUDGET, fast.curve), "joint")[:2]
-                        for ch in (ch1, ch2))
+        best1, best2 = (select_one(dc_power_matrix(PROFILE, gains, GRID, BUDGET, fast.curve),
+                                   "joint")[:2] for gains in (gains1, gains2))
         assert [tuple(pair) for pair in result.applied.tolist()] == [best1, best2]
         assert best1 != best2
 
@@ -167,9 +168,9 @@ class TestTwoUsers:
         calls = []
         real = experiments.dc_power_matrix
 
-        def counted(ch, *args, **kwargs):
-            calls.append(ch.gains.shape)
-            return real(ch, *args, **kwargs)
+        def counted(profile, gains, *args, **kwargs):
+            calls.append(gains.shape)
+            return real(profile, gains, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "dc_power_matrix", counted)
         monkeypatch.setattr(experiments, "DC_BLOCK_DRAWS", 4)
@@ -273,7 +274,7 @@ class TestPassiveReplay:
         rect = RectennaConfig()
         sched = FrameSchedule()
         link = ControlLinkModel(drop_probability=drop, latency_s=latency_s)
-        p_dc = np.array([dc_power_matrix(sample_channel(PROFILE, 4, rng), GRID, BUDGET,
+        p_dc = np.array([dc_power_matrix(PROFILE, sample_channel(PROFILE, 4, rng), GRID, BUDGET,
                                          rect.curve) for _ in range(rounds)])
         batch, = run_rounds(p_dc[None, :, None], [np.arange(60).reshape(4, 15)], rect, sched,
                             link, DEFAULT_ADC if with_adc else None,
